@@ -1,7 +1,7 @@
 """Certification pipeline: per-t case reports, bisection, sweeps, audits.
 
-A probe at rational t builds the four case systems, decides each exactly
-and re-verifies every certificate before reporting.  Bisection over a
+A probe at rational t builds the four case systems and decides each
+exactly; the solver re-verifies every certificate it emits.  Bisection over a
 bracket [lo, hi] relies on the monotonicity of feasibility in t (valid
 for affine c-policies) and returns a CertifiedBound whose endpoints carry
 machine-checkable certificates: Farkas vectors at t_lo, a witness at
@@ -38,6 +38,7 @@ from .systems import (
     build_dichotomy_systems,
     parse_system_file,
     serialize_system,
+    system_doc,
 )
 
 TOOL_VERSION = "bmbounds-0.1.0"
@@ -53,7 +54,11 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class CaseReport:
-    """Feasibility verdicts for all four case systems at one probe t."""
+    """Feasibility verdicts for all four case systems at one probe t.
+
+    ``branches`` names the dichotomy branch assignment the systems carry
+    (one "a"/"b" per function); it is empty for the plain case systems.
+    """
 
     t: Fraction
     c: Fraction
@@ -61,6 +66,7 @@ class CaseReport:
     variant: Variant
     results: dict[JCase, FeasibilityResult]
     systems: dict[JCase, LinearSystem]
+    branches: str = ""
 
     @property
     def all_infeasible(self) -> bool:
@@ -84,6 +90,17 @@ class CertifiedBound:
     variant: Variant
 
 
+def _decide(
+    t: Fraction,
+    policy: CPolicy,
+    variant: Variant,
+    systems: dict[JCase, LinearSystem],
+    branches: str = "",
+) -> CaseReport:
+    results = {case: check_feasibility(system) for case, system in systems.items()}
+    return CaseReport(t, policy.c_at(t), policy, variant, results, systems, branches)
+
+
 def certify_at(
     t: Fraction,
     policy: CPolicy = DEFAULT_POLICY,
@@ -91,14 +108,7 @@ def certify_at(
 ) -> CaseReport:
     """Build and decide all four case systems at t; certificates verified."""
     t = Fraction(t)
-    systems = build_all_cases(t, policy, variant)
-    results = {}
-    for case, system in systems.items():
-        result = check_feasibility(system)
-        if not verify_certificate(system, result):  # pragma: no cover
-            raise AssertionError(f"certificate for case {case.value} failed verification")
-        results[case] = result
-    return CaseReport(t, policy.c_at(t), policy, variant, results, systems)
+    return _decide(t, policy, variant, build_all_cases(t, policy, variant))
 
 
 def binary_search_bound(
@@ -171,17 +181,6 @@ def sweep_policies(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BranchReport:
-    branches: str
-    results: dict[JCase, FeasibilityResult]
-    systems: dict[JCase, LinearSystem]
-
-    @property
-    def all_infeasible(self) -> bool:
-        return all(not r.feasible for r in self.results.values())
-
-
-@dataclass(frozen=True)
 class DichotomyReport:
     """Feasibility over every branch assignment of the dichotomy split."""
 
@@ -189,7 +188,7 @@ class DichotomyReport:
     policy: CPolicy
     variant: Variant
     functions: tuple[int, ...]
-    assignments: tuple[BranchReport, ...]
+    assignments: tuple[CaseReport, ...]
 
     @property
     def certified(self) -> bool:
@@ -204,20 +203,13 @@ def certify_dichotomy(
 ) -> DichotomyReport:
     """Decide all 2**b branch assignments; certified iff all infeasible."""
     t = Fraction(t)
-    assignments = []
-    for combo in itertools.product("ab", repeat=len(functions)):
-        branches = "".join(combo)
-        systems = build_dichotomy_systems(t, policy, combo, functions, variant)
-        results = {}
-        by_case = {}
-        for case, system in zip(ALL_CASES, systems):
-            result = check_feasibility(system)
-            if not verify_certificate(system, result):  # pragma: no cover
-                raise AssertionError("dichotomy certificate failed verification")
-            results[case] = result
-            by_case[case] = system
-        assignments.append(BranchReport(branches, results, by_case))
-    return DichotomyReport(t, policy, variant, tuple(functions), tuple(assignments))
+    assignments = tuple(
+        _decide(t, policy, variant,
+                dict(zip(ALL_CASES, build_dichotomy_systems(t, policy, combo, functions, variant))),
+                "".join(combo))
+        for combo in itertools.product("ab", repeat=len(functions))
+    )
+    return DichotomyReport(t, policy, variant, tuple(functions), assignments)
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +226,11 @@ def _result_json(result: FeasibilityResult) -> dict:
 
 
 def _case_entries(report: CaseReport) -> list[dict]:
-    entries = []
-    for case in ALL_CASES:
-        entries.append(
-            {
-                "case": case.value,
-                **_result_json(report.results[case]),
-                "system": json.loads(serialize_system(report.systems[case])),
-            }
-        )
-    return entries
+    return [
+        {"case": case.value, **_result_json(report.results[case]),
+         "system": system_doc(report.systems[case])}
+        for case in ALL_CASES
+    ]
 
 
 def _report_json(report: CaseReport) -> dict:
@@ -291,60 +278,79 @@ def dichotomy_report_doc(report: DichotomyReport) -> dict:
         "functions": list(report.functions),
         "certified": report.certified,
         "assignments": [
-            {
-                "branches": a.branches,
-                "cases": [
-                    {
-                        "case": case.value,
-                        **_result_json(a.results[case]),
-                        "system": json.loads(serialize_system(a.systems[case])),
-                    }
-                    for case in ALL_CASES
-                ],
-            }
-            for a in report.assignments
+            {"branches": a.branches, "cases": _case_entries(a)} for a in report.assignments
         ],
     }
 
 
-def _verify_case_entry(entry: dict, *, rebuild: Optional[dict] = None) -> bool:
-    """Re-verify a single case entry by substitution against its echoed system.
-
-    ``rebuild``: optional context (t/policy/variant strings) to re-derive
-    the system from the builders and compare with the echo, guarding
-    against metadata tampering.  No solver is invoked either way.
-    """
-    system = parse_system_file(json.dumps(entry["system"]))
+def _entry_result(entry: dict) -> FeasibilityResult:
     status = entry["status"]
     if status == "feasible":
         witness = {v: parse_rational(s) for v, s in entry["witness"].items()}
-        result = FeasibilityResult("feasible", witness=witness)
-    elif status == "infeasible":
+        return FeasibilityResult("feasible", witness=witness)
+    if status == "infeasible":
         farkas = tuple(parse_rational(s) for s in entry["farkas"])
-        result = FeasibilityResult("infeasible", farkas=farkas)
-    else:
-        raise SystemFormatError(f"unknown status {status!r}")
-    if not verify_certificate(system, result):
-        return False
-    if rebuild is not None:
-        expected = build_case_system(
-            JCase(entry["case"]),
-            parse_rational(rebuild["t"]),
-            rebuild["policy"],
-            rebuild["variant"],
-        )
-        if rebuild.get("branches"):
-            expected_list = build_dichotomy_systems(
-                parse_rational(rebuild["t"]),
-                rebuild["policy"],
-                tuple(rebuild["branches"]),
-                rebuild["functions"],
-                rebuild["variant"],
+        return FeasibilityResult("infeasible", farkas=farkas)
+    raise SystemFormatError(f"unknown status {status!r}")
+
+
+def _check_cases(entries: list, expected: dict[JCase, LinearSystem], where: str) -> Optional[str]:
+    """Re-verify case entries by substitution; return the first failure, or None.
+
+    Each entry's certificate is checked against its echoed system, and the
+    echo must have the canonical form of the system the builders give for
+    that case, which guards against tampered coefficients and metadata.
+    No solver is invoked.
+    """
+    for entry in entries:
+        case = JCase(entry["case"])
+        system = parse_system_file(json.dumps(entry["system"]))
+        if not verify_certificate(system, _entry_result(entry)) or (
+            serialize_system(expected[case]) != serialize_system(system)
+        ):
+            return f"{where}case {case.value} failed re-verification"
+    return None
+
+
+def _check_report(rep: dict, policy: CPolicy, variant: Variant) -> Optional[str]:
+    """Check the case entries of one certify-style report at its t."""
+    t = parse_rational(rep["t"])
+    expected = {case: build_case_system(case, t, policy, variant) for case in ALL_CASES}
+    return _check_cases(rep["cases"], expected, f"t={rep['t']}: ")
+
+
+def _all_infeasible(rep: dict) -> bool:
+    return all(e["status"] == "infeasible" for e in rep["cases"])
+
+
+def _check_doc(doc: dict, policy: CPolicy, variant: Variant) -> Optional[str]:
+    kind = doc["kind"]
+    if kind == "certify":
+        failure = _check_report(doc, policy, variant)
+        if failure is None and bool(doc.get("certified")) != _all_infeasible(doc):
+            failure = "certified flag contradicts case statuses"
+        return failure
+    if kind == "search":
+        lower, upper = doc["lower_report"], doc["upper_report"]
+        failure = _check_report(lower, policy, variant) or _check_report(upper, policy, variant)
+        if failure is None and not _all_infeasible(lower):
+            failure = f"report at t={lower['t']} is not all-infeasible"
+        if failure is None and _all_infeasible(upper):
+            failure = f"report at t={upper['t']} has no feasible case"
+        return failure
+    if kind == "dichotomy":
+        t = parse_rational(doc["t"])
+        functions = tuple(int(x) for x in doc["functions"])
+        for assignment in doc["assignments"]:
+            branches = assignment["branches"]
+            systems = build_dichotomy_systems(t, policy, tuple(branches), functions, variant)
+            failure = _check_cases(
+                assignment["cases"], dict(zip(ALL_CASES, systems)), f"branches {branches} "
             )
-            expected = expected_list[list(ALL_CASES).index(JCase(entry["case"]))]
-        if serialize_system(expected) != serialize_system(system):
-            return False
-    return True
+            if failure is not None:
+                return failure
+        return None
+    raise SystemFormatError(f"unknown certificate kind {kind!r}")
 
 
 def verify_certificate_text(text: str) -> tuple[int, str]:
@@ -355,63 +361,17 @@ def verify_certificate_text(text: str) -> tuple[int, str]:
     """
     try:
         doc = json.loads(text)
-        kind = doc["kind"]
         variant = Variant(doc["variant"])
         p, q, r = (int(x) for x in doc["policy"].split(","))
         policy = CPolicy(p, q, r)
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         return EXIT_INPUT_ERROR, f"unreadable certificate: {exc}"
-
-    def check_report(rep: dict, expect_all_infeasible: Optional[bool]) -> tuple[bool, str]:
-        ctx = {"t": rep["t"], "policy": policy, "variant": variant, "branches": None}
-        statuses = []
-        for entry in rep["cases"]:
-            if not _verify_case_entry(entry, rebuild=ctx):
-                return False, f"case {entry.get('case')} at t={rep['t']} failed re-verification"
-            statuses.append(entry["status"])
-        if expect_all_infeasible is True and any(s != "infeasible" for s in statuses):
-            return False, f"report at t={rep['t']} is not all-infeasible"
-        if expect_all_infeasible is False and all(s == "infeasible" for s in statuses):
-            return False, f"report at t={rep['t']} has no feasible case"
-        return True, "ok"
-
     try:
-        if kind == "certify":
-            ok, msg = check_report(doc, None)
-            if ok and bool(doc.get("certified")) != all(
-                e["status"] == "infeasible" for e in doc["cases"]
-            ):
-                ok, msg = False, "certified flag contradicts case statuses"
-        elif kind == "search":
-            ok, msg = check_report(doc["lower_report"], True)
-            if ok:
-                ok, msg = check_report(doc["upper_report"], False)
-        elif kind == "dichotomy":
-            ok, msg = True, "ok"
-            for assignment in doc["assignments"]:
-                ctx = {
-                    "t": doc["t"],
-                    "policy": policy,
-                    "variant": variant,
-                    "branches": assignment["branches"],
-                    "functions": tuple(int(x) for x in doc["functions"]),
-                }
-                for entry in assignment["cases"]:
-                    if not _verify_case_entry(entry, rebuild=ctx):
-                        ok, msg = False, (
-                            f"branches {assignment['branches']} case {entry.get('case')}"
-                            " failed re-verification"
-                        )
-                        break
-                if not ok:
-                    break
-        else:
-            return EXIT_INPUT_ERROR, f"unknown certificate kind {kind!r}"
+        failure = _check_doc(doc, policy, variant)
     except (KeyError, TypeError, RationalFormatError, SystemFormatError, SystemError_) as exc:
         return EXIT_INPUT_ERROR, f"malformed certificate: {exc}"
-
-    if not ok:
-        return EXIT_NOT_CERTIFIED, msg
+    if failure is not None:
+        return EXIT_NOT_CERTIFIED, failure
     return EXIT_CERTIFIED, "all certificates verified"
 
 

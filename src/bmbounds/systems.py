@@ -290,9 +290,9 @@ class SystemFormatError(ValueError):
     """Malformed system-definition text."""
 
 
-def serialize_system(system: LinearSystem) -> str:
-    """Canonical JSON text for a LinearSystem; rationals as p/q strings."""
-    doc = {
+def system_doc(system: LinearSystem) -> dict:
+    """Canonical JSON-ready form of a LinearSystem; rationals as p/q strings."""
+    return {
         "variables": list(system.variables),
         "nonneg": [v for v in system.variables if v in system.nonneg],
         "inequalities": [
@@ -306,7 +306,11 @@ def serialize_system(system: LinearSystem) -> str:
         ],
         "meta": {k: str(v) for k, v in sorted(system.meta.items())},
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def serialize_system(system: LinearSystem) -> str:
+    """Canonical JSON text for a LinearSystem: ``system_doc`` as indented JSON."""
+    return json.dumps(system_doc(system), indent=2) + "\n"
 
 
 def parse_system_file(text: str) -> LinearSystem:

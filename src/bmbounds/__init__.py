@@ -6,6 +6,9 @@ norms of an explicit block isomorphism.  See the README for the CLI and
 the acceptance suite.
 """
 
+# The one version literal; set before the submodule imports, which read it.
+__version__ = "0.1.0"
+
 from .exactlp import (
     FeasibilityResult,
     LinearInequality,
@@ -57,5 +60,3 @@ from .upperiso import (
     optimize_distortion,
     scan_distortion,
 )
-
-__version__ = "0.1.0"

@@ -96,9 +96,6 @@ def check_s_increasing(m: int, t, grid_step: str = "1e-2") -> bool:
         return True
 
 
-THRESHOLD_FAMILIES = ("quad-4-1", "quad-sqrt3", "theta-branch")
-
-
 def solve_threshold(family: str, theta=None) -> mp.mpf:
     """Positive root of the scalar threshold inequalities.
 
@@ -115,7 +112,9 @@ def solve_threshold(family: str, theta=None) -> mp.mpf:
             if theta is None:
                 raise BoundDomainError("theta-branch needs a theta parameter")
             return 2 + mp.sqrt(mp.mpf(theta) ** 2 + 4)
-    raise BoundDomainError(f"unknown threshold family {family!r}; know {THRESHOLD_FAMILIES}")
+    raise BoundDomainError(
+        f"unknown threshold family {family!r}; know ('quad-4-1', 'quad-sqrt3', 'theta-branch')"
+    )
 
 
 def bounds_table(ms: Iterable[int], ks: Iterable[int], digits: int = 15) -> list[dict]:

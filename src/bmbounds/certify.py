@@ -15,8 +15,9 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
+from . import __version__
 from .exactlp import (
     FeasibilityResult,
     LinearSystem,
@@ -24,7 +25,7 @@ from .exactlp import (
     check_feasibility,
     verify_certificate,
 )
-from .rationals import RationalFormatError, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 from .systems import (
     ALL_CASES,
     CPolicy,
@@ -41,7 +42,7 @@ from .systems import (
     system_doc,
 )
 
-TOOL_VERSION = "bmbounds-0.1.0"
+TOOL_VERSION = f"bmbounds-{__version__}"
 
 EXIT_CERTIFIED = 0
 EXIT_NOT_CERTIFIED = 1
@@ -283,6 +284,15 @@ def dichotomy_report_doc(report: DichotomyReport) -> dict:
     }
 
 
+class _Rejected(Exception):
+    """A certificate or headline claim of a document does not hold (exit 1)."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise _Rejected(message)
+
+
 def _entry_result(entry: dict) -> FeasibilityResult:
     status = entry["status"]
     if status == "feasible":
@@ -294,84 +304,99 @@ def _entry_result(entry: dict) -> FeasibilityResult:
     raise SystemFormatError(f"unknown status {status!r}")
 
 
-def _check_cases(entries: list, expected: dict[JCase, LinearSystem], where: str) -> Optional[str]:
-    """Re-verify case entries by substitution; return the first failure, or None.
+def _check_cases(entries: list, expected: dict[JCase, LinearSystem], where: str) -> None:
+    """Re-verify case entries by substitution alone; raise _Rejected on the first failure.
 
-    Each entry's certificate is checked against its echoed system, and the
-    echo must have the canonical form of the system the builders give for
-    that case, which guards against tampered coefficients and metadata.
-    No solver is invoked.
+    The entries must name exactly the cases of ``expected``, in order.  Each
+    entry's certificate is checked against its echoed system, and the echo
+    must have the canonical form of the system the builders give for that
+    case, which guards against tampered coefficients and metadata.  No
+    solver is invoked.
     """
-    for entry in entries:
-        case = JCase(entry["case"])
+    cases = [JCase(entry["case"]) for entry in entries]
+    _require(cases == list(expected),
+             f"{where}cases [{', '.join(c.value for c in cases)}] are not the expected"
+             f" [{', '.join(c.value for c in expected)}]")
+    for entry, (case, built) in zip(entries, expected.items()):
         system = parse_system_file(json.dumps(entry["system"]))
-        if not verify_certificate(system, _entry_result(entry)) or (
-            serialize_system(expected[case]) != serialize_system(system)
-        ):
-            return f"{where}case {case.value} failed re-verification"
-    return None
+        _require(verify_certificate(system, _entry_result(entry))
+                 and serialize_system(built) == serialize_system(system),
+                 f"{where}case {case.value} failed re-verification")
 
 
-def _check_report(rep: dict, policy: CPolicy, variant: Variant) -> Optional[str]:
-    """Check the case entries of one certify-style report at its t."""
+def _check_report(rep: dict, policy: CPolicy, variant: Variant,
+                  cases: Sequence[JCase] = ALL_CASES) -> None:
+    """Check one certify-style report: its c at its t, then its case entries."""
     t = parse_rational(rep["t"])
-    expected = {case: build_case_system(case, t, policy, variant) for case in ALL_CASES}
-    return _check_cases(rep["cases"], expected, f"t={rep['t']}: ")
+    where = f"t={rep['t']}: "
+    _require(parse_rational(rep["c"]) == policy.c_at(t),
+             f"{where}c = {rep['c']} is not c(t) = {format_rational(policy.c_at(t))}")
+    expected = {case: build_case_system(case, t, policy, variant) for case in cases}
+    _check_cases(rep["cases"], expected, where)
 
 
 def _all_infeasible(rep: dict) -> bool:
     return all(e["status"] == "infeasible" for e in rep["cases"])
 
 
-def _check_doc(doc: dict, policy: CPolicy, variant: Variant) -> Optional[str]:
+def _check_doc(doc: dict) -> None:
+    """Re-verify every part of a document and bind its headline claims to them."""
+    if not isinstance(doc, dict):
+        raise SystemFormatError("top-level value must be an object")
     kind = doc["kind"]
+    variant = Variant(doc["variant"])
+    policy = CPolicy(*(int(x) for x in doc["policy"].split(",")))
     if kind == "certify":
-        failure = _check_report(doc, policy, variant)
-        if failure is None and bool(doc.get("certified")) != _all_infeasible(doc):
-            failure = "certified flag contradicts case statuses"
-        return failure
-    if kind == "search":
+        # A document written by ``certify --case X`` records X and holds that case only.
+        _check_report(doc, policy, variant, (JCase(doc["case"]),) if "case" in doc else ALL_CASES)
+        _require(doc["certified"] is _all_infeasible(doc),
+                 "certified flag contradicts case statuses")
+    elif kind == "search":
         lower, upper = doc["lower_report"], doc["upper_report"]
-        failure = _check_report(lower, policy, variant) or _check_report(upper, policy, variant)
-        if failure is None and not _all_infeasible(lower):
-            failure = f"report at t={lower['t']} is not all-infeasible"
-        if failure is None and _all_infeasible(upper):
-            failure = f"report at t={upper['t']} has no feasible case"
-        return failure
-    if kind == "dichotomy":
+        _check_report(lower, policy, variant)
+        _check_report(upper, policy, variant)
+        _require(_all_infeasible(lower), f"report at t={lower['t']} is not all-infeasible")
+        _require(not _all_infeasible(upper), f"report at t={upper['t']} has no feasible case")
+        t_lo, t_hi = parse_rational(doc["t_lo"]), parse_rational(doc["t_hi"])
+        _require(t_lo == parse_rational(lower["t"]) and t_hi == parse_rational(upper["t"]),
+                 "t_lo and t_hi are not the t of lower_report and upper_report")
+        _require(t_lo < t_hi, "t_lo is not below t_hi")
+    elif kind == "dichotomy":
         t = parse_rational(doc["t"])
         functions = tuple(int(x) for x in doc["functions"])
-        for assignment in doc["assignments"]:
+        assignments = doc["assignments"]
+        combos = itertools.product("ab", repeat=len(functions))
+        _require(len(assignments) == 2 ** len(functions)
+                 and all(a["branches"] == "".join(c) for a, c in zip(assignments, combos)),
+                 f"assignments are not the {2 ** len(functions)} branch combinations"
+                 f" of functions {list(functions)} in order")
+        for assignment in assignments:
             branches = assignment["branches"]
             systems = build_dichotomy_systems(t, policy, tuple(branches), functions, variant)
-            failure = _check_cases(
-                assignment["cases"], dict(zip(ALL_CASES, systems)), f"branches {branches} "
-            )
-            if failure is not None:
-                return failure
-        return None
-    raise SystemFormatError(f"unknown certificate kind {kind!r}")
+            _check_cases(assignment["cases"], dict(zip(ALL_CASES, systems)),
+                         f"branches {branches}: ")
+        _require(doc["certified"] is all(_all_infeasible(a) for a in assignments),
+                 "certified flag contradicts assignment statuses")
+    else:
+        raise SystemFormatError(f"unknown certificate kind {kind!r}")
 
 
 def verify_certificate_text(text: str) -> tuple[int, str]:
     """Audit a certificate document; returns (exit code, message).
 
-    0: every embedded certificate re-verifies; 1: some certificate is
-    invalid; 2: the document cannot be parsed.
+    0: every embedded certificate re-verifies and the headline claims
+    (``certified``, ``t_lo``/``t_hi``, ``c``, the cases and branch
+    assignments present) follow from them; 1: some certificate or claim
+    does not hold; 2: the document cannot be parsed or is malformed.
     """
     try:
-        doc = json.loads(text)
-        variant = Variant(doc["variant"])
-        p, q, r = (int(x) for x in doc["policy"].split(","))
-        policy = CPolicy(p, q, r)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        return EXIT_INPUT_ERROR, f"unreadable certificate: {exc}"
-    try:
-        failure = _check_doc(doc, policy, variant)
-    except (KeyError, TypeError, RationalFormatError, SystemFormatError, SystemError_) as exc:
+        _check_doc(json.loads(text))
+    except _Rejected as exc:
+        return EXIT_NOT_CERTIFIED, str(exc)
+    except KeyError as exc:
+        return EXIT_INPUT_ERROR, f"malformed certificate: missing field {exc}"
+    except (TypeError, AttributeError, ValueError, SystemError_) as exc:
         return EXIT_INPUT_ERROR, f"malformed certificate: {exc}"
-    if failure is not None:
-        return EXIT_NOT_CERTIFIED, failure
     return EXIT_CERTIFIED, "all certificates verified"
 
 

@@ -22,6 +22,7 @@ from .certify import (
     EXIT_CERTIFIED,
     EXIT_INPUT_ERROR,
     EXIT_NOT_CERTIFIED,
+    TOOL_VERSION,
     BracketError,
     certify_at,
     certify_dichotomy,
@@ -55,6 +56,31 @@ def _policy(text: str) -> CPolicy:
         return CPolicy(p, q, r)
     except (ValueError, DomainError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+
+
+# The golden-section loop runs while its bracket is wider than the tolerance,
+# so a tolerance near the optimizer's working precision would never be met.
+MIN_TOL = f"1e-{upperiso.PRECISION_DPS - 5}"
+
+
+def _tolerance(text: str) -> str:
+    """A finite tolerance of at least MIN_TOL; the text is passed on unchanged,
+    so the optimizer reads it at its own working precision."""
+    try:
+        if mp.mpf(MIN_TOL) <= mp.mpf(text) < mp.inf:
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number from {MIN_TOL} up, got {text!r}")
 
 
 def _int_range(text: str) -> tuple[int, int]:
@@ -110,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="bisect the largest certified t")
     p.add_argument("--lo", type=_rational, default=Fraction(3))
     p.add_argument("--hi", type=_rational, default=Fraction(5))
-    p.add_argument("--iters", type=int, default=6)
+    p.add_argument("--iters", type=_nonnegative_int, default=6)
     common(p)
 
     p = sub.add_parser("sweep", help="rank c-policies by certified bound")
@@ -118,14 +144,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[CPolicy(1, 0, 2), CPolicy(1, 1, 2), CPolicy(2, 1, 4)])
     p.add_argument("--lo", type=_rational, default=Fraction(3))
     p.add_argument("--hi", type=_rational, default=Fraction(5))
-    p.add_argument("--iters", type=int, default=8)
+    p.add_argument("--iters", type=_nonnegative_int, default=8)
     p.add_argument("--variant", choices=["printed", "symmetrized"], default="symmetrized")
     p.add_argument("--format", choices=["text", "csv", "structured"], default="text")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("dichotomy", help="branch-split certification at one t")
     p.add_argument("--t", type=_rational, required=True)
-    p.add_argument("--functions", type=int, nargs="*", default=[0, 1, 2])
+    p.add_argument("--functions", type=int, nargs="*", choices=[0, 1, 2], default=[0, 1, 2])
     common(p)
 
     p = sub.add_parser("bounds", help="closed-form bound tables")
@@ -137,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("upper", help="norms and distortion of the block isomorphism")
     p.add_argument("--scan", type=_scan_spec, default=None, metavar="lo:hi:step")
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--tol", default="1e-12")
+    p.add_argument("--tol", type=_tolerance, default="1e-12")
     p.add_argument("--t", type=_rational, default=None)
     p.add_argument("--format", choices=["text", "csv", "structured"], default="text")
     p.add_argument("--out", default=None)
@@ -154,6 +180,7 @@ def _cmd_certify(args) -> int:
     doc = certify_report_doc(report)
     case = CASE_FLAG[args.case]
     if case is not None:
+        doc["case"] = case.value
         doc["cases"] = [e for e in doc["cases"] if e["case"] == case.value]
         doc["certified"] = all(e["status"] == "infeasible" for e in doc["cases"])
     if args.format == "structured":
@@ -192,7 +219,7 @@ def _cmd_sweep(args) -> int:
     variant = Variant(args.variant)
     ranked, skipped = sweep_policies(args.policies, args.lo, args.hi, args.iters, variant)
     doc = {
-        "tool_version": "bmbounds-0.1.0",
+        "tool_version": TOOL_VERSION,
         "kind": "sweep",
         "variant": variant.value,
         "iters": args.iters,

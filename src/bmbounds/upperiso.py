@@ -20,10 +20,6 @@ import mpmath as mp
 
 PRECISION_DPS = 40
 
-# Default level count for function-level experiments; norms are independent
-# of it because the tail coefficients repeat at every level.
-DEFAULT_TRUNCATION = 64
-
 Matrix = tuple[tuple, ...]
 
 

@@ -243,3 +243,78 @@ class TestCertificateFiles:
         monkeypatch.setattr(certify_mod, "check_feasibility", boom)
         code, msg = verify_certificate_text(json.dumps(doc))
         assert code == EXIT_CERTIFIED, msg
+
+
+class TestHeadlineClaims:
+    """verify-cert binds each headline claim to the parts it re-verified."""
+
+    @pytest.fixture(scope="class")
+    def certify_t5(self):
+        return certify_report_doc(certify_at(F(5)))
+
+    @pytest.fixture(scope="class")
+    def search_doc(self):
+        return search_report_doc(binary_search_bound(F(3), F(5), 4))
+
+    @pytest.fixture(scope="class")
+    def dichotomy_doc(self):
+        return dichotomy_report_doc(certify_dichotomy(F(18, 5), functions=(0, 2)))
+
+    @staticmethod
+    def audit(doc):
+        return verify_certificate_text(json.dumps(doc))
+
+    def test_genuine_documents_verify(self, certify_t5, search_doc, dichotomy_doc):
+        for doc in (certify_t5, search_doc, dichotomy_doc):
+            assert self.audit(doc)[0] == EXIT_CERTIFIED
+
+    def test_forged_search_t_lo(self, search_doc):
+        doc = json.loads(json.dumps(search_doc))
+        doc["t_lo"] = "4"
+        assert self.audit(doc)[0] == EXIT_NOT_CERTIFIED
+
+    def test_forged_certify_coverage(self, certify_t5):
+        """Dropping the feasible cases of a t = 5 report would forge d >= 5."""
+        doc = json.loads(json.dumps(certify_t5))
+        doc["cases"] = [e for e in doc["cases"] if e["status"] != "feasible"]
+        doc["certified"] = True
+        assert self.audit(doc)[0] == EXIT_NOT_CERTIFIED
+
+    def test_forged_dichotomy_empty(self, dichotomy_doc):
+        doc = json.loads(json.dumps(dichotomy_doc))
+        doc["assignments"] = []
+        assert self.audit(doc)[0] == EXIT_NOT_CERTIFIED
+
+    @pytest.mark.parametrize("forge", [
+        lambda d: d.update(c="1"),
+        lambda d: d.update(certified=True),
+        lambda d: d.update(case="J012"),
+        lambda d: d["cases"].reverse(),
+    ], ids=["c", "certified", "case-field", "case-order"])
+    def test_forged_certify_fields(self, certify_t5, forge):
+        doc = json.loads(json.dumps(certify_t5))
+        forge(doc)
+        assert self.audit(doc)[0] == EXIT_NOT_CERTIFIED
+
+    @pytest.mark.parametrize("forge", [
+        lambda d: d.update(t_hi="5"),
+        lambda d: d["lower_report"].update(c="3"),
+    ], ids=["t_hi", "report-c"])
+    def test_forged_search_fields(self, search_doc, forge):
+        doc = json.loads(json.dumps(search_doc))
+        forge(doc)
+        assert self.audit(doc)[0] == EXIT_NOT_CERTIFIED
+
+    @pytest.mark.parametrize("forge", [
+        lambda d: d.update(certified=True),
+        lambda d: d["assignments"].reverse(),
+        lambda d: d["assignments"].pop(),
+    ], ids=["certified", "order", "missing"])
+    def test_forged_dichotomy_fields(self, dichotomy_doc, forge):
+        doc = json.loads(json.dumps(dichotomy_doc))
+        forge(doc)
+        assert self.audit(doc)[0] == EXIT_NOT_CERTIFIED
+
+    def test_dichotomy_without_functions_verifies(self):
+        doc = dichotomy_report_doc(certify_dichotomy(F(18, 5), functions=()))
+        assert self.audit(doc) == (EXIT_CERTIFIED, "all certificates verified")

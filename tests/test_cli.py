@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bmbounds import upperiso
 from bmbounds.cli import main
 
 
@@ -170,6 +171,54 @@ class TestVerifyCertCommand:
         run(capsys, "search", "--iters", "6", "--format", "structured", "--out", str(path))
         code, _, _ = run(capsys, "verify-cert", str(path))
         assert code == 0
+
+    def test_single_case_document_binds_its_case(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        run(capsys, "certify", "--t", "4", "--case", "in01not2", "--format", "structured",
+            "--out", str(path))
+        doc = json.loads(path.read_text())
+        assert doc["case"] == "in01not2"
+        assert run(capsys, "verify-cert", str(path))[0] == 0
+        del doc["case"]  # the one entry then has to cover all four cases
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "verify-cert", str(path))[0] == 1
+
+    @pytest.mark.parametrize("argv, malform", [
+        (("certify", "--t", "113/32"), lambda doc: [doc]),
+        (("certify", "--t", "113/32"),
+         lambda doc: {**doc, "cases": [{**e, "case": "bogus"} for e in doc["cases"]]}),
+        (("dichotomy", "--t", "113/32", "--functions", "0"),
+         lambda doc: {**doc, "functions": ["x"]}),
+    ], ids=["json-array", "bogus-case", "function-x"])
+    def test_malformed_document_exit_2(self, capsys, tmp_path, argv, malform):
+        path = tmp_path / "cert.json"
+        run(capsys, *argv, "--format", "structured", "--out", str(path))
+        path.write_text(json.dumps(malform(json.loads(path.read_text()))))
+        code, out, err = run(capsys, "verify-cert", str(path))
+        assert code == 2
+        assert out.startswith("malformed certificate") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["upper", "--optimize", "--tol", "abc"],
+    ["upper", "--optimize", "--tol", "0"],
+    ["upper", "--optimize", "--tol", "-1"],
+    ["upper", "--optimize", "--tol", "1e-45"],
+    ["dichotomy", "--t", "4", "--functions", "5"],
+    ["search", "--iters", "-1"],
+    ["sweep", "--iters", "-2"],
+])
+def test_bad_arguments_rejected_at_parse_time(capsys, monkeypatch, argv):
+    def boom(*args, **kwargs):  # pragma: no cover
+        raise AssertionError("the optimizer must not start")
+
+    monkeypatch.setattr(upperiso, "optimize_distortion", boom)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"bmbounds {argv[0]}: error: argument ")
+    assert "Traceback" not in err
 
 
 def test_structured_output_deterministic(capsys, tmp_path):

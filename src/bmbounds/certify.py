@@ -335,6 +335,36 @@ def _check_report(rep: dict, policy: CPolicy, variant: Variant,
     _check_cases(rep["cases"], expected, where)
 
 
+def _check_trace(trace: list, t_lo: Fraction, t_hi: Fraction) -> None:
+    """Replay the bisection a search trace records; it must end at (t_lo, t_hi).
+
+    The first two entries are the bracket ends (lo all-infeasible, hi not);
+    each later probe is the midpoint of the current bracket and moves the
+    end its verdict names.  Every all-infeasible verdict then lies at or
+    below t_lo and every other verdict at or above t_hi, so the reports at
+    t_lo and t_hi back them all by the monotonicity of feasibility in t.
+    """
+    probes = []
+    for entry in trace:
+        verdict = entry["all_infeasible"]
+        if not isinstance(verdict, bool):
+            raise SystemFormatError(f"trace verdict {verdict!r} is not a boolean")
+        probes.append((parse_rational(entry["t"]), verdict))
+    _require(len(probes) >= 2 and probes[0][1] and not probes[1][1],
+             "trace does not open with the bracket ends (lo all-infeasible, hi not)")
+    lo, hi = probes[0][0], probes[1][0]
+    for t, all_infeasible in probes[2:]:
+        _require(t == (lo + hi) / 2,
+                 f"trace probe t={format_rational(t)} is not the midpoint of"
+                 f" [{format_rational(lo)}, {format_rational(hi)}]")
+        if all_infeasible:
+            lo = t
+        else:
+            hi = t
+    _require((lo, hi) == (t_lo, t_hi),
+             f"trace ends at [{format_rational(lo)}, {format_rational(hi)}], not at [t_lo, t_hi]")
+
+
 def _all_infeasible(rep: dict) -> bool:
     return all(e["status"] == "infeasible" for e in rep["cases"])
 
@@ -361,9 +391,12 @@ def _check_doc(doc: dict) -> None:
         _require(t_lo == parse_rational(lower["t"]) and t_hi == parse_rational(upper["t"]),
                  "t_lo and t_hi are not the t of lower_report and upper_report")
         _require(t_lo < t_hi, "t_lo is not below t_hi")
+        _check_trace(doc["trace"], t_lo, t_hi)
     elif kind == "dichotomy":
         t = parse_rational(doc["t"])
-        functions = tuple(int(x) for x in doc["functions"])
+        functions = tuple(doc["functions"])
+        if not all(type(m) is int for m in functions):
+            raise SystemFormatError(f"functions must be integers, got {doc['functions']!r}")
         assignments = doc["assignments"]
         combos = itertools.product("ab", repeat=len(functions))
         _require(len(assignments) == 2 ** len(functions)
@@ -385,9 +418,10 @@ def verify_certificate_text(text: str) -> tuple[int, str]:
     """Audit a certificate document; returns (exit code, message).
 
     0: every embedded certificate re-verifies and the headline claims
-    (``certified``, ``t_lo``/``t_hi``, ``c``, the cases and branch
-    assignments present) follow from them; 1: some certificate or claim
-    does not hold; 2: the document cannot be parsed or is malformed.
+    (``certified``, ``t_lo``/``t_hi`` and the search trace, ``c``, the
+    cases and branch assignments present) follow from them; 1: some
+    certificate or claim does not hold; 2: the document cannot be parsed
+    or is malformed.
     """
     try:
         _check_doc(json.loads(text))

@@ -307,12 +307,16 @@ def _cmd_upper(args) -> int:
     if args.optimize:
         t_star, report = upperiso.optimize_distortion(tol=args.tol)
         cubic = upperiso.cubic_formula_value()
+        # mp.mpf rounds to the working precision: convert at the optimizer's.
+        with mp.workdps(upperiso.PRECISION_DPS):
+            norm_t, norm_s, distortion = (
+                mp.nstr(mp.mpf(x), 20) for x in (report.norm_t, report.norm_s, report.distortion))
         doc = {
             "kind": "upper-optimize",
             "t_star": mp.nstr(t_star, 20),
-            "normT": mp.nstr(mp.mpf(report.norm_t), 20),
-            "normS": mp.nstr(mp.mpf(report.norm_s), 20),
-            "distortion": mp.nstr(mp.mpf(report.distortion), 20),
+            "normT": norm_t,
+            "normS": norm_s,
+            "distortion": distortion,
             "argmax_rows": {"T": report.argmax_t, "S": report.argmax_s},
             "closed_form": {
                 "printed": mp.nstr(cubic.printed, 20),

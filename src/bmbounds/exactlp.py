@@ -1,18 +1,23 @@
 """Exact feasibility decisions for rational linear-inequality systems.
 
 The primary decision procedure is Fourier-Motzkin elimination carried out
-in exact rational arithmetic.  Every derived row keeps the nonnegative
-multiplier combination of the original rows that produced it, so an
-infeasible run yields a ready-made Farkas certificate and a feasible run
-yields a witness point by back-substitution.  An exact phase-1 simplex
-(Bland's rule) and brute-force vertex enumeration provide independent
-cross-check paths; all three must agree.
+in exact rational arithmetic.  Every derived row keeps only a small parent
+record (the two rows it was combined from, with their nonnegative
+weights, and its normalisation scale), not a multiplier vector over the
+original rows.  When a row reduces to 0 <= negative, the Farkas
+certificate is rebuilt once, for that row alone, by pushing weights back
+through its ancestors; exact arithmetic makes it equal, entry for entry,
+to the combination a dense multiplier vector would have carried.  A
+feasible run yields a witness point by back-substitution.  An exact
+phase-1 simplex (Bland's rule) and brute-force vertex enumeration provide
+independent cross-check paths; all three must agree.
 
 No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -136,33 +141,70 @@ class FeasibilityResult:
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination with certificate provenance
 # ---------------------------------------------------------------------------
+#
+# A row is (vec, rhs, node).  ``node`` indexes the run's ``origin`` list,
+# whose entry says how the row was made: ``(i, scale)`` is base row i times
+# scale; ``(p, n, inv_p, inv_n, scale)`` is scale * (inv_p * row p +
+# inv_n * row n) for the parent nodes p and n.  Parents are registered
+# before their children, so node numbers follow creation order.
 
-def _normalize_row(vec, rhs, prov):
-    """Scale a row so its first nonzero coefficient has absolute value 1."""
+
+def _normalize_row(vec, rhs):
+    """Scale a row so its first nonzero coefficient has absolute value 1.
+
+    Returns the scaled row and the scale; an all-zero row is left as is.
+    """
     pivot = next((c for c in vec if c != 0), None)
-    if pivot is None:
-        return vec, rhs, prov
+    if pivot is None or abs(pivot) == 1:
+        return vec, rhs, ONE
     scale = ONE / abs(pivot)
-    if scale == 1:
-        return vec, rhs, prov
-    return (
-        tuple(c * scale for c in vec),
-        rhs * scale,
-        tuple(p * scale for p in prov),
-    )
+    return tuple(c * scale if c else c for c in vec), rhs * scale, scale
 
 
 def _prune(rows):
-    """Dedup identical direction vectors keeping the tightest rhs."""
+    """Dedup identical direction vectors keeping the tightest rhs (first on ties)."""
     best: dict[tuple, tuple] = {}
-    order: list[tuple] = []
-    for vec, rhs, prov in rows:
-        if vec not in best:
-            best[vec] = (rhs, prov)
-            order.append(vec)
-        elif rhs < best[vec][0]:
-            best[vec] = (rhs, prov)
-    return [(vec, best[vec][0], best[vec][1]) for vec in order]
+    for row in rows:
+        kept = best.get(row[0])
+        if kept is None or row[1] < kept[1]:
+            best[row[0]] = row
+    return list(best.values())
+
+
+def _scaled(row, factor):
+    """(vec * factor, rhs * factor, node, factor) for a row and a positive factor."""
+    vec, rhs, node = row
+    if factor == 1:
+        return vec, rhs, node, factor
+    return tuple(c * factor if c else c for c in vec), rhs * factor, node, factor
+
+
+def _rebuild_farkas(origin: list, root: int, nrows: int) -> tuple[Fraction, ...]:
+    """Expand node ``root`` into its multipliers on the base rows.
+
+    Weights are pushed from each node to its parents in reverse creation
+    order, so every ancestor is expanded once, after all of its children:
+    the cost is linear in the number of ancestors (times a heap log), never
+    in the number of paths to them.
+    """
+    farkas = [ZERO] * nrows
+    weight = {root: ONE}
+    heap = [-root]
+    while heap:
+        node = -heapq.heappop(heap)
+        record = origin[node]
+        w = weight.pop(node) * record[-1]
+        if len(record) == 2:
+            farkas[record[0]] += w
+            continue
+        p, n, inv_p, inv_n, _ = record
+        for parent, coef in ((p, inv_p), (n, inv_n)):
+            if parent in weight:
+                weight[parent] += w * coef
+            else:
+                weight[parent] = w * coef
+                heapq.heappush(heap, -parent)
+    return tuple(farkas)
 
 
 def check_feasibility(system: LinearSystem) -> FeasibilityResult:
@@ -171,30 +213,38 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
     Fourier-Motzkin elimination; the variable with the fewest pairings is
     eliminated first (ties broken by variable order) so the intermediate
     row count stays small for the few-variable systems this targets.
+    Derived rows carry no multiplier vector, only a parent record (see
+    above).  When a row reduces to 0 <= negative, its Farkas vector is
+    rebuilt once from its ancestors; a feasible run back-substitutes a
+    witness through the eliminated layers.  Either certificate is
+    re-verified by substitution before it is returned.
     """
     n = len(system.variables)
     base = system.normalized_rows()
     nrows = len(base)
-    rows = []
-    for i, (vec, rhs) in enumerate(base):
-        prov = tuple(ONE if j == i else ZERO for j in range(nrows))
-        rows.append((vec, rhs, prov))
-
+    origin: list[tuple] = []
     contradiction = None
 
     def sift(candidates):
-        """Drop trivially-true rows; catch an all-zero row with negative rhs."""
+        """Register new rows: drop trivially-true ones, catch 0 <= negative, normalise.
+
+        A candidate is (vec, rhs, record) with the record still lacking its
+        normalisation scale; the kept rows come back as (vec, rhs, node).
+        """
         nonlocal contradiction
         kept = []
-        for vec, rhs, prov in candidates:
-            if all(c == 0 for c in vec):
+        for vec, rhs, record in candidates:
+            if not any(vec):
                 if rhs < 0 and contradiction is None:
-                    contradiction = prov
+                    contradiction = len(origin)
+                    origin.append(record + (ONE,))
                 continue
-            kept.append(_normalize_row(vec, rhs, prov))
-        return _prune(kept)
+            vec, rhs, scale = _normalize_row(vec, rhs)
+            kept.append((vec, rhs, len(origin)))
+            origin.append(record + (scale,))
+        return kept
 
-    rows = sift(rows)
+    rows = _prune(sift([(vec, rhs, (i,)) for i, (vec, rhs) in enumerate(base)]))
     remaining = list(range(n))
     layers = []  # (var index, pos rows, neg rows) for witness back-substitution
 
@@ -209,20 +259,22 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
         neg = [r for r in rows if r[0][j] < 0]
         zero = [r for r in rows if r[0][j] == 0]
         layers.append((j, pos, neg))
-        new_rows = []
-        for pvec, prhs, pprov in pos:
-            inv_p = ONE / pvec[j]
-            for nvec, nrhs, nprov in neg:
-                inv_n = ONE / -nvec[j]
-                vec = tuple(pc * inv_p + nc * inv_n for pc, nc in zip(pvec, nvec))
-                rhs = prhs * inv_p + nrhs * inv_n
-                prov = tuple(pp * inv_p + np_ * inv_n for pp, np_ in zip(pprov, nprov))
-                new_rows.append((vec, rhs, prov))
-        rows = sift(zero + new_rows)
+        # Scale each parent once so that x_j has coefficient +1 / -1; a pair
+        # is then the plain sum of its two scaled parents (zero entries,
+        # common in these sparse rows, skip Fraction addition).
+        pos_scaled = [_scaled(r, ONE / r[0][j]) for r in pos]
+        neg_scaled = [_scaled(r, ONE / -r[0][j]) for r in neg]
+        new_rows = [
+            (tuple(pc + nc if pc and nc else pc or nc for pc, nc in zip(pvec, nvec)),
+             prhs + nrhs, (pnode, nnode, inv_p, inv_n))
+            for pvec, prhs, pnode, inv_p in pos_scaled
+            for nvec, nrhs, nnode, inv_n in neg_scaled
+        ]
+        rows = _prune(zero + sift(new_rows))
         remaining.remove(j)
 
     if contradiction is not None:
-        result = FeasibilityResult("infeasible", farkas=contradiction)
+        result = FeasibilityResult("infeasible", farkas=_rebuild_farkas(origin, contradiction, nrows))
     else:
         # Feasible: rebuild a witness from the elimination stack.
         values: dict[int, Fraction] = {}

@@ -270,10 +270,11 @@ def build_dichotomy_systems(
             f"branch vector has length {len(branches)}, expected {len(functions)}"
         )
     t = Fraction(t)
+    # The base systems check the guards on t and c(t) before a branch row divides by t - 1.
+    bases = [build_case_system(case, t, policy, variant) for case in ALL_CASES]
     extra = [branch_row(t, m, br) for m, br in zip(functions, branches)]
     out = []
-    for case in ALL_CASES:
-        base = build_case_system(case, t, policy, variant)
+    for base in bases:
         meta = dict(base.meta)
         meta["branches"] = "".join(branches)
         out.append(

@@ -305,6 +305,32 @@ class TestHeadlineClaims:
         forge(doc)
         assert self.audit(doc)[0] == EXIT_NOT_CERTIFIED
 
+    def test_search_fixture_trace(self, search_doc):
+        """The trace tamper tests below index into this bisection."""
+        assert [(p["t"], p["all_infeasible"]) for p in search_doc["trace"]] == [
+            ("3", True), ("5", False), ("4", False), ("7/2", True), ("15/4", False),
+            ("29/8", False)]
+
+    @pytest.mark.parametrize("forge", [
+        lambda d: d["trace"][2].update(all_infeasible=True),
+        lambda d: d["trace"].append({"t": "9", "all_infeasible": True}),
+        lambda d: d["trace"].pop(3),
+        lambda d: d["trace"][4].update(t="11/3"),
+        lambda d: (d["trace"][2].update(all_infeasible=True),
+                   d["trace"].append({"t": "9", "all_infeasible": True})),
+        lambda d: d["trace"].reverse(),
+    ], ids=["flipped-verdict", "appended-probe", "dropped-probe", "edited-midpoint",
+            "flipped-and-appended", "reordered"])
+    def test_forged_search_trace(self, search_doc, forge):
+        doc = json.loads(json.dumps(search_doc))
+        forge(doc)
+        assert self.audit(doc)[0] == EXIT_NOT_CERTIFIED
+
+    def test_non_boolean_trace_verdict_is_malformed(self, search_doc):
+        doc = json.loads(json.dumps(search_doc))
+        doc["trace"][2]["all_infeasible"] = "false"
+        assert self.audit(doc)[0] == EXIT_INPUT_ERROR
+
     @pytest.mark.parametrize("forge", [
         lambda d: d.update(certified=True),
         lambda d: d["assignments"].reverse(),

@@ -90,6 +90,12 @@ class TestDichotomyCommand:
         assert doc["kind"] == "dichotomy"
         assert len(doc["assignments"]) == 8
 
+    def test_guard_error_is_exit_2(self, capsys):
+        """The guards on t run before a branch row divides by t - 1."""
+        code, _, err = run(capsys, "dichotomy", "--t", "1", "--functions", "0")
+        assert code == 2
+        assert "guard" in err
+
 
 class TestBoundsCommand:
     def test_table_values(self, capsys):
@@ -115,6 +121,15 @@ class TestUpperCommand:
         assert code == 0
         assert "3.8751297" in out
         assert "matching=corrected" in out
+
+    def test_optimize_prints_norms_at_full_precision(self, capsys):
+        """normT = t exactly at every t (row M:0 has l1 norm t), so the printed digits agree."""
+        code, out, _ = run(capsys, "upper", "--optimize", "--tol", "1e-10",
+                           "--format", "structured")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["normT"] == doc["t_star"]
+        assert doc["distortion"].startswith("3.87512979")
 
     def test_scan_csv(self, capsys):
         code, out, _ = run(capsys, "upper", "--scan", "3:4:1/2")
@@ -189,7 +204,11 @@ class TestVerifyCertCommand:
          lambda doc: {**doc, "cases": [{**e, "case": "bogus"} for e in doc["cases"]]}),
         (("dichotomy", "--t", "113/32", "--functions", "0"),
          lambda doc: {**doc, "functions": ["x"]}),
-    ], ids=["json-array", "bogus-case", "function-x"])
+        (("dichotomy", "--t", "113/32", "--functions", "0"),
+         lambda doc: {**doc, "functions": [0.5]}),
+        (("dichotomy", "--t", "113/32", "--functions", "0"),
+         lambda doc: {**doc, "t": "1"}),
+    ], ids=["json-array", "bogus-case", "function-x", "function-half", "t-1"])
     def test_malformed_document_exit_2(self, capsys, tmp_path, argv, malform):
         path = tmp_path / "cert.json"
         run(capsys, *argv, "--format", "structured", "--out", str(path))

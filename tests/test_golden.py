@@ -1,0 +1,42 @@
+"""Byte-identity gate on the structured output of the exact pipeline.
+
+The SHA-256 digests below were recorded from the stdout of each command
+while ``exactlp.check_feasibility`` still carried a dense multiplier vector
+on every derived Fourier-Motzkin row, before that was replaced by parent
+records and a one-time Farkas rebuild.  They pin every Farkas entry,
+witness coordinate, echoed system and verdict of these documents, so a
+change to any single certificate entry fails this test.  The documents
+also carry ``tool_version``; a version bump changes them on purpose and
+the digests must then be recomputed (and the diff of the documents read).
+"""
+
+import hashlib
+
+import pytest
+
+from bmbounds.cli import main
+
+GOLDEN = {
+    "dichotomy --t 113/32 --format structured":
+        (0, "08479072bdd53ab0faca2b6ea9c43b3a4f489d85e948ded71a7453baa88a2236"),
+    "dichotomy --t 4 --format structured":
+        (1, "48539b9e37149a07a1c0a632b08269f9b08c2405e7e46fbdc456816960359323"),
+    "search --lo 3 --hi 5 --iters 6 --c-policy 2,1,4 --format structured":
+        (0, "084960f26e065662f170551f19d1a7bbc67c8a80e705dfbccb8e89d63e6180bd"),
+    "search --lo 3 --hi 5 --iters 20 --format structured":
+        (0, "6425c3078965571c6c8db31e89c8b206e6e941b5db089c7306430d29b6103782"),
+    "certify --t 4 --format structured":
+        (1, "a2d7c03f46e72140a3450184d0e0a0663b7dc9ba1acf2e45a74ebfe980a6be4d"),
+    "sweep --iters 2 --format structured":
+        (0, "667c8bcfaffba86da5ecf9abdd674d513e5b3018a7b815190286845650ebb43e"),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_structured_output_is_byte_identical(command, capsys):
+    expected_code, expected_digest = GOLDEN[command]
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert code == expected_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected_digest
+

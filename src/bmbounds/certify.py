@@ -5,15 +5,19 @@ exactly; the solver re-verifies every certificate it emits.  Bisection over a
 bracket [lo, hi] relies on the monotonicity of feasibility in t (valid
 for affine c-policies) and returns a CertifiedBound whose endpoints carry
 machine-checkable certificates: Farkas vectors at t_lo, a witness at
-t_hi.  Certificate files are self-contained JSON documents that an
-auditor can re-verify by substitution alone.
+t_hi.  A midpoint probe only needs to know whether some case is
+feasible, so it decides the cases in order and stops at the first
+feasible one; the report at t_hi is completed afterwards, so both
+endpoint reports hold all four cases.  Certificate files are
+self-contained JSON documents that an auditor can re-verify by
+substitution alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -57,6 +61,9 @@ class BracketError(ValueError):
 class CaseReport:
     """Feasibility verdicts for all four case systems at one probe t.
 
+    (Inside ``binary_search_bound`` a probe's report may hold only the
+    verdicts up to its first feasible case; no such report leaves it.)
+
     ``branches`` names the dichotomy branch assignment the systems carry
     (one "a"/"b" per function); it is empty for the plain case systems.
     """
@@ -97,9 +104,24 @@ def _decide(
     variant: Variant,
     systems: dict[JCase, LinearSystem],
     branches: str = "",
+    stop_at_feasible: bool = False,
 ) -> CaseReport:
-    results = {case: check_feasibility(system) for case, system in systems.items()}
+    """Decide the systems in order; with ``stop_at_feasible``, stop after the first feasible one."""
+    results = {}
+    for case, system in systems.items():
+        results[case] = check_feasibility(system)
+        if stop_at_feasible and results[case].feasible:
+            break
     return CaseReport(t, policy.c_at(t), policy, variant, results, systems, branches)
+
+
+def _completed(report: CaseReport) -> CaseReport:
+    """The report with every case decided, keeping the verdicts it already has."""
+    results = {
+        case: report.results[case] if case in report.results else check_feasibility(system)
+        for case, system in report.systems.items()
+    }
+    return replace(report, results=results)
 
 
 def certify_at(
@@ -124,7 +146,18 @@ def binary_search_bound(
     Preconditions: lo < hi, all four cases infeasible at lo, and at least
     one feasible at hi.  After ``iters`` bisections, t_hi - t_lo equals
     (hi - lo) / 2**iters exactly.
+
+    The check at hi and every midpoint probe decide the cases in
+    ``ALL_CASES`` order and stop at the first feasible one; an
+    all-infeasible probe has decided all four.  The lo end is decided in
+    full, so its error names every feasible case, and after the loop the
+    report at t_hi gets the verdicts it still lacks: both reports of the
+    result hold all four cases.
     """
+    def probe(t: Fraction) -> CaseReport:
+        return _decide(t, policy, variant, build_all_cases(t, policy, variant),
+                       stop_at_feasible=True)
+
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise BracketError(
@@ -136,19 +169,19 @@ def binary_search_bound(
             f"bracket end lo = {format_rational(lo)} is not all-infeasible"
             f" (feasible: {', '.join(c.value for c in report_lo.feasible_cases)})"
         )
-    report_hi = certify_at(hi, policy, variant)
+    report_hi = probe(hi)
     if report_hi.all_infeasible:
         raise BracketError(f"bracket end hi = {format_rational(hi)} has no feasible case")
     trace = [(lo, True), (hi, False)]
     for _ in range(iters):
         mid = (lo + hi) / 2
-        report_mid = certify_at(mid, policy, variant)
+        report_mid = probe(mid)
         trace.append((mid, report_mid.all_infeasible))
         if report_mid.all_infeasible:
             lo, report_lo = mid, report_mid
         else:
             hi, report_hi = mid, report_mid
-    return CertifiedBound(lo, hi, report_lo, report_hi, tuple(trace), policy, variant)
+    return CertifiedBound(lo, hi, report_lo, _completed(report_hi), tuple(trace), policy, variant)
 
 
 def sweep_policies(

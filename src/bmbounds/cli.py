@@ -306,7 +306,7 @@ def _cmd_upper(args) -> int:
         return EXIT_CERTIFIED
     if args.optimize:
         t_star, report = upperiso.optimize_distortion(tol=args.tol)
-        cubic = upperiso.cubic_formula_value()
+        cubic = upperiso.cubic_formula_value(t_star)
         # mp.mpf rounds to the working precision: convert at the optimizer's.
         with mp.workdps(upperiso.PRECISION_DPS):
             norm_t, norm_s, distortion = (

@@ -417,19 +417,20 @@ class CubicFormulaReport:
         return self.matching in ("printed", "corrected")
 
 
-def cubic_formula_value(tol="1e-4") -> CubicFormulaReport:
+def cubic_formula_value(t_star, tol="1e-4") -> CubicFormulaReport:
     """Evaluate the closed-form expression as printed and sign-corrected.
 
     The printed expression repeats the radicand 73 - 6*sqrt(87) under both
     cube roots; the corrected variant flips the second sign.  The report
-    flags whichever lies within tol of the numeric distortion minimizer.
+    flags whichever lies within tol of ``t_star``, the distortion
+    minimizer that ``optimize_distortion`` returned.
     """
     with mp.workdps(PRECISION_DPS):
         tol = mp.mpf(tol)
+        t_star = mp.mpf(t_star)
         root87 = mp.sqrt(87)
         printed = (4 + 2 * mp.cbrt(73 - 6 * root87)) / 3
         corrected = (4 + mp.cbrt(73 - 6 * root87) + mp.cbrt(73 + 6 * root87)) / 3
-        t_star, _ = optimize_distortion()
         if abs(corrected - t_star) <= tol and abs(printed - t_star) > tol:
             matching = "corrected"
         elif abs(printed - t_star) <= tol and abs(corrected - t_star) > tol:

@@ -84,6 +84,9 @@ class TestBinarySearch:
     def test_zero_iters_keeps_bracket(self):
         bound = binary_search_bound(F(3), F(5), 0)
         assert (bound.t_lo, bound.t_hi) == (F(3), F(5))
+        # The report at hi, which its bracket check left partial, is completed.
+        assert list(bound.report_hi.results) == list(ALL_CASES)
+        assert bound.report_hi.results == certify_at(F(5)).results
 
     def test_both_variants_reach_113_32(self):
         """The headline bound reproduces under either reading of the 8d row."""
@@ -112,6 +115,25 @@ class TestBinarySearch:
         bound = binary_search_bound(F(3), F(5), 4)
         assert bound.report_lo.all_infeasible
         assert not bound.report_hi.all_infeasible
+
+    @pytest.mark.parametrize("policy, iters, calls", [
+        (CPolicy(2, 1, 4), 6, 21),  # 32 when every probe decided all four cases
+        (DEFAULT_POLICY, 20, 75),   # 88 likewise
+    ])
+    def test_probes_stop_at_first_feasible_case(self, monkeypatch, policy, iters, calls):
+        import bmbounds.certify as certify_mod
+
+        decided = []
+
+        def counting(system):
+            decided.append(system)
+            return check_feasibility(system)
+
+        monkeypatch.setattr(certify_mod, "check_feasibility", counting)
+        bound = binary_search_bound(F(3), F(5), iters, policy)
+        assert len(decided) == calls
+        for report in (bound.report_lo, bound.report_hi):
+            assert list(report.results) == list(ALL_CASES)
 
 
 class TestSweep:

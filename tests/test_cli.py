@@ -39,6 +39,15 @@ class TestCertifyCommand:
             main(["certify", "--t", "3.5"])
         assert exc.value.code == 2
 
+    def test_non_ascii_digits_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--t", "\u0661\u0661\u0663/\u0663\u0662"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(
+            "bmbounds certify: error: argument --t: not a p/q rational literal")
+        assert "Traceback" not in err
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--t", "4", "--frobnicate"])
@@ -131,6 +140,28 @@ class TestUpperCommand:
         assert doc["normT"] == doc["t_star"]
         assert doc["distortion"].startswith("3.87512979")
 
+    def test_optimize_runs_the_optimizer_once(self, capsys, monkeypatch):
+        calls = []
+        optimize = upperiso.optimize_distortion
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(upperiso, "optimize_distortion", counting)
+        assert run(capsys, "upper", "--optimize", "--tol", "1e-6")[0] == 0
+        assert calls == [{"tol": "1e-6"}]
+
+    def test_coarse_tol_matching_judges_printed_t_star(self, capsys):
+        """At --tol 0.5 the optimizer stops on the grid point 3.875, which lies
+        1.3e-4 from either closed-form reading, so neither matches within 1e-4."""
+        code, out, _ = run(capsys, "upper", "--optimize", "--tol", "0.5",
+                           "--format", "structured")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["t_star"] == "3.875"
+        assert doc["closed_form"]["matching"] == "ambiguous"
+
     def test_scan_csv(self, capsys):
         code, out, _ = run(capsys, "upper", "--scan", "3:4:1/2")
         lines = out.strip().splitlines()
@@ -208,7 +239,9 @@ class TestVerifyCertCommand:
          lambda doc: {**doc, "functions": [0.5]}),
         (("dichotomy", "--t", "113/32", "--functions", "0"),
          lambda doc: {**doc, "t": "1"}),
-    ], ids=["json-array", "bogus-case", "function-x", "function-half", "t-1"])
+        (("certify", "--t", "113/32"),
+         lambda doc: {**doc, "t": "\u0661\u0661\u0663/\u0663\u0662"}),
+    ], ids=["json-array", "bogus-case", "function-x", "function-half", "t-1", "t-non-ascii"])
     def test_malformed_document_exit_2(self, capsys, tmp_path, argv, malform):
         path = tmp_path / "cert.json"
         run(capsys, *argv, "--format", "structured", "--out", str(path))

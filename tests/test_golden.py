@@ -8,6 +8,12 @@ witness coordinate, echoed system and verdict of these documents, so a
 change to any single certificate entry fails this test.  The documents
 also carry ``tool_version``; a version bump changes them on purpose and
 the digests must then be recomputed (and the diff of the documents read).
+
+The last two digests were recorded later, while ``binary_search_bound``
+still decided all four cases at every bisection probe and ``upper
+--optimize`` still ran the optimizer a second time for the closed-form
+comparison.  The ``--iters 0`` search ends at its bracket end ``hi``, so
+its upper report is the one a search completes after the loop.
 """
 
 import hashlib
@@ -29,6 +35,10 @@ GOLDEN = {
         (1, "a2d7c03f46e72140a3450184d0e0a0663b7dc9ba1acf2e45a74ebfe980a6be4d"),
     "sweep --iters 2 --format structured":
         (0, "667c8bcfaffba86da5ecf9abdd674d513e5b3018a7b815190286845650ebb43e"),
+    "search --lo 3 --hi 5 --iters 0 --format structured":
+        (0, "3c662254e1221ef38ed616356b03d3962d1e0310208141eb79b67bce6c22976f"),
+    "upper --optimize --tol 1e-8 --format structured":
+        (0, "ec35468d169675768aed9c6aebb1c9180848bff4728bfcdc874ea0e8b5002d0e"),
 }
 
 

@@ -12,7 +12,9 @@ def test_parse_integer_and_fraction():
     assert parse_rational("3/-2") == Fraction(-3, 2)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1/0", "", "one", "1/2/3", "1e3", None])
+@pytest.mark.parametrize("bad", ["1.5", "1/0", "", "one", "1/2/3", "1e3", None,
+                                 "\u0661\u0661\u0663/\u0663\u0662", "113/\u0663\u0662",
+                                 "\uff11\uff11\uff13"])
 def test_parse_rejects(bad):
     with pytest.raises(RationalFormatError):
         parse_rational(bad)

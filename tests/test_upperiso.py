@@ -247,14 +247,14 @@ class TestOptimizer:
 
 class TestCubicFormula:
     def test_variants(self):
-        report = cubic_formula_value()
+        report = cubic_formula_value(optimize_distortion()[0])
         assert abs(report.printed - mp.mpf("3.0487")) < mp.mpf("1e-3")
         assert abs(report.corrected - mp.mpf("3.8751297941627788")) < mp.mpf("1e-12")
         assert report.matching == "corrected"
         assert report.consistent
 
     def test_exactly_one_variant_matches(self):
-        report = cubic_formula_value()
+        report = cubic_formula_value(optimize_distortion()[0])
         tol = mp.mpf("1e-4")
         matches = [abs(report.printed - report.optimizer_t) <= tol,
                    abs(report.corrected - report.optimizer_t) <= tol]

@@ -14,6 +14,14 @@ still decided all four cases at every bisection probe and ``upper
 --optimize`` still ran the optimizer a second time for the closed-form
 comparison.  The ``--iters 0`` search ends at its bracket end ``hi``, so
 its upper report is the one a search completes after the loop.
+
+The last three digests were recorded while ``check_feasibility`` still kept
+every Fourier-Motzkin row as a vector of Fractions normalised to a leading
+coefficient of +-1, before it moved to primitive integer rows.  The
+24-iteration search reaches the largest bit sizes of the benchmark's search
+workload, ``t = 10/3`` makes denominator clearing use an lcm other than a
+power of two, and the last command covers the printed variant with a
+partial function set.
 """
 
 import hashlib
@@ -39,6 +47,12 @@ GOLDEN = {
         (0, "3c662254e1221ef38ed616356b03d3962d1e0310208141eb79b67bce6c22976f"),
     "upper --optimize --tol 1e-8 --format structured":
         (0, "ec35468d169675768aed9c6aebb1c9180848bff4728bfcdc874ea0e8b5002d0e"),
+    "search --lo 3 --hi 5 --iters 24 --c-policy 3,1,5 --format structured":
+        (0, "5b99d2a844709b4bc6fa0e325573fccce4c84f72e7bbd93d850d7dc8e5147603"),
+    "dichotomy --t 10/3 --format structured":
+        (0, "6440a317c088b3e331c746fb3844b3bf6b29d9e0ee0dc412142340c387714cb1"),
+    "dichotomy --t 7/2 --functions 0 2 --variant printed --format structured":
+        (0, "e611c1eef99e2e747e4a0d7eb8305577a7fabb7fcbce220ad5d2439366cab9c3"),
 }
 
 

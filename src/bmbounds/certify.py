@@ -6,8 +6,8 @@ bracket [lo, hi] relies on the monotonicity of feasibility in t (valid
 for affine c-policies) and returns a CertifiedBound whose endpoints carry
 machine-checkable certificates: Farkas vectors at t_lo, a witness at
 t_hi.  A midpoint probe only needs to know whether some case is
-feasible, so it decides the cases in order and stops at the first
-feasible one; the report at t_hi is completed afterwards, so both
+feasible, so it builds and decides the cases in order and stops at the
+first feasible one; the report at t_hi is completed afterwards, so both
 endpoint reports hold all four cases.  Certificate files are
 self-contained JSON documents that an auditor can re-verify by
 substitution alone.
@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import __version__
 from .exactlp import (
@@ -29,7 +29,7 @@ from .exactlp import (
     check_feasibility,
     verify_certificate,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_int, parse_rational
 from .systems import (
     ALL_CASES,
     CPolicy,
@@ -62,7 +62,8 @@ class CaseReport:
     """Feasibility verdicts for all four case systems at one probe t.
 
     (Inside ``binary_search_bound`` a probe's report may hold only the
-    verdicts up to its first feasible case; no such report leaves it.)
+    systems and verdicts up to its first feasible case; no such report
+    leaves it.)
 
     ``branches`` names the dichotomy branch assignment the systems carry
     (one "a"/"b" per function); it is empty for the plain case systems.
@@ -102,26 +103,37 @@ def _decide(
     t: Fraction,
     policy: CPolicy,
     variant: Variant,
-    systems: dict[JCase, LinearSystem],
+    systems: Iterable[tuple[JCase, LinearSystem]],
     branches: str = "",
     stop_at_feasible: bool = False,
 ) -> CaseReport:
-    """Decide the systems in order; with ``stop_at_feasible``, stop after the first feasible one."""
+    """Decide the (case, system) pairs in order.
+
+    With ``stop_at_feasible`` it stops after the first feasible case, so a
+    lazy iterable of pairs builds no system past it.
+    """
+    built = {}
     results = {}
-    for case, system in systems.items():
+    for case, system in systems:
+        built[case] = system
         results[case] = check_feasibility(system)
         if stop_at_feasible and results[case].feasible:
             break
-    return CaseReport(t, policy.c_at(t), policy, variant, results, systems, branches)
+    return CaseReport(t, policy.c_at(t), policy, variant, results, built, branches)
 
 
 def _completed(report: CaseReport) -> CaseReport:
-    """The report with every case decided, keeping the verdicts it already has."""
+    """The report with every case built and decided, keeping what it already has."""
+    systems = {
+        case: report.systems[case] if case in report.systems
+        else build_case_system(case, report.t, report.policy, report.variant)
+        for case in ALL_CASES
+    }
     results = {
         case: report.results[case] if case in report.results else check_feasibility(system)
-        for case, system in report.systems.items()
+        for case, system in systems.items()
     }
-    return replace(report, results=results)
+    return replace(report, results=results, systems=systems)
 
 
 def certify_at(
@@ -131,7 +143,7 @@ def certify_at(
 ) -> CaseReport:
     """Build and decide all four case systems at t; certificates verified."""
     t = Fraction(t)
-    return _decide(t, policy, variant, build_all_cases(t, policy, variant))
+    return _decide(t, policy, variant, build_all_cases(t, policy, variant).items())
 
 
 def binary_search_bound(
@@ -147,16 +159,17 @@ def binary_search_bound(
     one feasible at hi.  After ``iters`` bisections, t_hi - t_lo equals
     (hi - lo) / 2**iters exactly.
 
-    The check at hi and every midpoint probe decide the cases in
+    The check at hi and every midpoint probe build and decide the cases in
     ``ALL_CASES`` order and stop at the first feasible one; an
     all-infeasible probe has decided all four.  The lo end is decided in
     full, so its error names every feasible case, and after the loop the
-    report at t_hi gets the verdicts it still lacks: both reports of the
-    result hold all four cases.
+    report at t_hi gets the systems and verdicts it still lacks: both
+    reports of the result hold all four cases.
     """
     def probe(t: Fraction) -> CaseReport:
-        return _decide(t, policy, variant, build_all_cases(t, policy, variant),
-                       stop_at_feasible=True)
+        # Each case system is built only when the probe reaches it.
+        cases = ((case, build_case_system(case, t, policy, variant)) for case in ALL_CASES)
+        return _decide(t, policy, variant, cases, stop_at_feasible=True)
 
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
@@ -239,7 +252,7 @@ def certify_dichotomy(
     t = Fraction(t)
     assignments = tuple(
         _decide(t, policy, variant,
-                dict(zip(ALL_CASES, build_dichotomy_systems(t, policy, combo, functions, variant))),
+                zip(ALL_CASES, build_dichotomy_systems(t, policy, combo, functions, variant)),
                 "".join(combo))
         for combo in itertools.product("ab", repeat=len(functions))
     )
@@ -408,7 +421,7 @@ def _check_doc(doc: dict) -> None:
         raise SystemFormatError("top-level value must be an object")
     kind = doc["kind"]
     variant = Variant(doc["variant"])
-    policy = CPolicy(*(int(x) for x in doc["policy"].split(",")))
+    policy = CPolicy(*(parse_int(x) for x in doc["policy"].split(",")))
     if kind == "certify":
         # A document written by ``certify --case X`` records X and holds that case only.
         _check_report(doc, policy, variant, (JCase(doc["case"]),) if "case" in doc else ALL_CASES)

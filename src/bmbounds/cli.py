@@ -33,7 +33,7 @@ from .certify import (
     sweep_policies,
     verify_cert_file,
 )
-from .rationals import RationalFormatError, format_rational, parse_rational
+from .rationals import RationalFormatError, format_rational, parse_int, parse_rational
 from .systems import ALL_CASES, CPolicy, DEFAULT_POLICY, DomainError, JCase, Variant
 
 CASE_FLAG = {"all": None, "j012": JCase.J012, "not0": JCase.NOT0,
@@ -47,12 +47,19 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _int(text: str) -> int:
+    try:
+        return parse_int(text)
+    except RationalFormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _policy(text: str) -> CPolicy:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"c-policy must be p,q,r, got {text!r}")
     try:
-        p, q, r = (int(x) for x in parts)
+        p, q, r = (parse_int(x) for x in parts)
         return CPolicy(p, q, r)
     except (ValueError, DomainError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
@@ -60,9 +67,10 @@ def _policy(text: str) -> CPolicy:
 
 def _nonnegative_int(text: str) -> int:
     try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
+        value = parse_int(text)
+        if value >= 0:
+            return value
+    except RationalFormatError:
         pass
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
@@ -86,8 +94,8 @@ def _tolerance(text: str) -> str:
 def _int_range(text: str) -> tuple[int, int]:
     if ".." in text:
         a, b = text.split("..", 1)
-        return int(a), int(b)
-    v = int(text)
+        return _int(a), _int(b)
+    v = _int(text)
     return v, v
 
 
@@ -151,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dichotomy", help="branch-split certification at one t")
     p.add_argument("--t", type=_rational, required=True)
-    p.add_argument("--functions", type=int, nargs="*", choices=[0, 1, 2], default=[0, 1, 2])
+    p.add_argument("--functions", type=_int, nargs="*", choices=[0, 1, 2], default=[0, 1, 2])
     common(p)
 
     p = sub.add_parser("bounds", help="closed-form bound tables")

@@ -1,16 +1,21 @@
 """Exact feasibility decisions for rational linear-inequality systems.
 
 The primary decision procedure is Fourier-Motzkin elimination carried out
-in exact rational arithmetic.  Every derived row keeps only a small parent
-record (the two rows it was combined from, with their nonnegative
-weights, and its normalisation scale), not a multiplier vector over the
+in exact arithmetic.  Every row is a primitive integer direction (Python
+ints with gcd 1) with a Fraction right-hand side: base rows have their
+denominators cleared, and a derived row is an integer combination of two
+rows divided by its gcd, so the elimination itself does integer work and
+only the right-hand side is a Fraction.  Every derived row keeps only a
+small parent record (the two rows it was combined from, with nonnegative
+integer weights, and one divisor), not a multiplier vector over the
 original rows.  When a row reduces to 0 <= negative, the Farkas
 certificate is rebuilt once, for that row alone, by pushing weights back
-through its ancestors; exact arithmetic makes it equal, entry for entry,
-to the combination a dense multiplier vector would have carried.  A
-feasible run yields a witness point by back-substitution.  An exact
-phase-1 simplex (Bland's rule) and brute-force vertex enumeration provide
-independent cross-check paths; all three must agree.
+through its ancestors; every division waits for that rebuild, and exact
+arithmetic makes the result equal, entry for entry, to the combination a
+dense multiplier vector would have carried.  A feasible run yields a
+witness point by back-substitution.  An exact phase-1 simplex (Bland's
+rule) and brute-force vertex enumeration provide independent cross-check
+paths; all three must agree.
 
 No floating point is used anywhere in this module.
 """
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -142,23 +148,25 @@ class FeasibilityResult:
 # Fourier-Motzkin elimination with certificate provenance
 # ---------------------------------------------------------------------------
 #
-# A row is (vec, rhs, node).  ``node`` indexes the run's ``origin`` list,
-# whose entry says how the row was made: ``(i, scale)`` is base row i times
-# scale; ``(p, n, inv_p, inv_n, scale)`` is scale * (inv_p * row p +
-# inv_n * row n) for the parent nodes p and n.  Parents are registered
-# before their children, so node numbers follow creation order.
-
-
-def _normalize_row(vec, rhs):
-    """Scale a row so its first nonzero coefficient has absolute value 1.
-
-    Returns the scaled row and the scale; an all-zero row is left as is.
-    """
-    pivot = next((c for c in vec if c != 0), None)
-    if pivot is None or abs(pivot) == 1:
-        return vec, rhs, ONE
-    scale = ONE / abs(pivot)
-    return tuple(c * scale if c else c for c in vec), rhs * scale, scale
+# A row is (vec, rhs, node, piv): ``vec`` is a primitive integer direction
+# (Python ints with gcd 1), ``rhs`` a Fraction at the same scale, and ``piv``
+# the absolute value of the first nonzero entry of ``vec``.  The row stands
+# for its normalised form vec/piv <= rhs/piv, whose leading coefficient is
+# +-1; that form is canonical for a direction exactly when the primitive
+# tuple is, so pruning and the certificates see the same rows either way.
+#
+# ``node`` indexes the run's ``origin`` list, whose entry says how the
+# normalised row was made: ``(i, d)`` is base row i divided by d;
+# ``(p, n, w_p, w_n, d)`` is (w_p * row p + w_n * row n) / d for the parent
+# nodes p and n, with nonnegative integer weights; "row" here means the
+# normalised row of a node.  A base row's d is the absolute value of its
+# first nonzero Fraction coefficient (1 for an all-zero row).  A pos/neg pair on x_j, with
+# a = vec_p[j] and b = -vec_n[j], has weights (b * piv_p, a * piv_n) and
+# d = g * piv for the gcd g and pivot piv of its reduced row; a pair that
+# ends in 0 <= negative has d = a * b, which gives each parent coefficient
+# +-1 on x_j.  Every division is left to the one Farkas rebuild.  Parents
+# are registered before their children, so node numbers follow creation
+# order.
 
 
 def _prune(rows):
@@ -171,21 +179,14 @@ def _prune(rows):
     return list(best.values())
 
 
-def _scaled(row, factor):
-    """(vec * factor, rhs * factor, node, factor) for a row and a positive factor."""
-    vec, rhs, node = row
-    if factor == 1:
-        return vec, rhs, node, factor
-    return tuple(c * factor if c else c for c in vec), rhs * factor, node, factor
-
-
 def _rebuild_farkas(origin: list, root: int, nrows: int) -> tuple[Fraction, ...]:
     """Expand node ``root`` into its multipliers on the base rows.
 
     Weights are pushed from each node to its parents in reverse creation
     order, so every ancestor is expanded once, after all of its children:
     the cost is linear in the number of ancestors (times a heap log), never
-    in the number of paths to them.
+    in the number of paths to them.  A node's weight is divided by the last
+    entry of its record before it is passed on.
     """
     farkas = [ZERO] * nrows
     weight = {root: ONE}
@@ -193,12 +194,12 @@ def _rebuild_farkas(origin: list, root: int, nrows: int) -> tuple[Fraction, ...]
     while heap:
         node = -heapq.heappop(heap)
         record = origin[node]
-        w = weight.pop(node) * record[-1]
+        w = weight.pop(node) / record[-1]
         if len(record) == 2:
             farkas[record[0]] += w
             continue
-        p, n, inv_p, inv_n, _ = record
-        for parent, coef in ((p, inv_p), (n, inv_n)):
+        p, n, w_p, w_n, _ = record
+        for parent, coef in ((p, w_p), (n, w_n)):
             if parent in weight:
                 weight[parent] += w * coef
             else:
@@ -213,79 +214,91 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
     Fourier-Motzkin elimination; the variable with the fewest pairings is
     eliminated first (ties broken by variable order) so the intermediate
     row count stays small for the few-variable systems this targets.
-    Derived rows carry no multiplier vector, only a parent record (see
-    above).  When a row reduces to 0 <= negative, its Farkas vector is
-    rebuilt once from its ancestors; a feasible run back-substitutes a
-    witness through the eliminated layers.  Either certificate is
-    re-verified by substitution before it is returned.
+    Every row is a primitive integer direction with a Fraction rhs (see
+    above): base rows have their denominators cleared, and a pos/neg pair
+    on x_j combines as b * row_p + a * row_n with a = row_p[j] and
+    b = -row_n[j], divided by its gcd.  Derived rows carry no multiplier
+    vector, only a parent record with integer weights.  When a row reduces
+    to 0 <= negative, its Farkas vector is rebuilt once from its ancestors;
+    a feasible run back-substitutes a witness through the eliminated
+    layers.  Either certificate is re-verified by substitution before it
+    is returned.
     """
     n = len(system.variables)
-    base = system.normalized_rows()
-    nrows = len(base)
+    nrows = len(system.inequalities) + len(system.nonneg)
     origin: list[tuple] = []
     contradiction = None
 
-    def sift(candidates):
-        """Register new rows: drop trivially-true ones, catch 0 <= negative, normalise.
-
-        A candidate is (vec, rhs, record) with the record still lacking its
-        normalisation scale; the kept rows come back as (vec, rhs, node).
-        """
-        nonlocal contradiction
-        kept = []
-        for vec, rhs, record in candidates:
-            if not any(vec):
-                if rhs < 0 and contradiction is None:
-                    contradiction = len(origin)
-                    origin.append(record + (ONE,))
-                continue
-            vec, rhs, scale = _normalize_row(vec, rhs)
-            kept.append((vec, rhs, len(origin)))
-            origin.append(record + (scale,))
-        return kept
-
-    rows = _prune(sift([(vec, rhs, (i,)) for i, (vec, rhs) in enumerate(base)]))
+    rows = []
+    for i, (vec, rhs) in enumerate(system.normalized_rows()):
+        pivot = next((abs(c) for c in vec if c), None)
+        if pivot is None:
+            if rhs < 0:
+                contradiction = len(origin)
+                origin.append((i, ONE))
+                break
+            continue
+        scale = math.lcm(*(c.denominator for c in vec))
+        ints = [c.numerator * (scale // c.denominator) for c in vec]
+        g = math.gcd(*ints)
+        ints = tuple(c // g for c in ints)
+        rows.append((ints, rhs * scale / g, len(origin), abs(next(c for c in ints if c))))
+        origin.append((i, pivot))
+    rows = _prune(rows)
     remaining = list(range(n))
     layers = []  # (var index, pos rows, neg rows) for witness back-substitution
 
     while remaining and contradiction is None:
         counts = []
         for j in remaining:
-            p = sum(1 for vec, _, _ in rows if vec[j] > 0)
-            m = sum(1 for vec, _, _ in rows if vec[j] < 0)
-            counts.append((p * m, remaining.index(j), j, p, m))
-        _, _, j, _, _ = min(counts)
+            p = sum(1 for row in rows if row[0][j] > 0)
+            m = sum(1 for row in rows if row[0][j] < 0)
+            counts.append((p * m, remaining.index(j), j))
+        _, _, j = min(counts)
         pos = [r for r in rows if r[0][j] > 0]
         neg = [r for r in rows if r[0][j] < 0]
-        zero = [r for r in rows if r[0][j] == 0]
+        rows = [r for r in rows if r[0][j] == 0]
         layers.append((j, pos, neg))
-        # Scale each parent once so that x_j has coefficient +1 / -1; a pair
-        # is then the plain sum of its two scaled parents (zero entries,
-        # common in these sparse rows, skip Fraction addition).
-        pos_scaled = [_scaled(r, ONE / r[0][j]) for r in pos]
-        neg_scaled = [_scaled(r, ONE / -r[0][j]) for r in neg]
-        new_rows = [
-            (tuple(pc + nc if pc and nc else pc or nc for pc, nc in zip(pvec, nvec)),
-             prhs + nrhs, (pnode, nnode, inv_p, inv_n))
-            for pvec, prhs, pnode, inv_p in pos_scaled
-            for nvec, nrhs, nnode, inv_n in neg_scaled
-        ]
-        rows = _prune(zero + sift(new_rows))
+        for pvec, prhs, pnode, ppiv in pos:
+            a = pvec[j]
+            pnum, pden = prhs.numerator, prhs.denominator
+            for nvec, nrhs, nnode, npiv in neg:
+                b = -nvec[j]
+                vec = [b * x + a * y for x, y in zip(pvec, nvec)]
+                # b * prhs + a * nrhs over the common denominator pden * nden.
+                num = b * pnum * nrhs.denominator + a * nrhs.numerator * pden
+                g = math.gcd(*vec)
+                if g == 0:
+                    if num < 0:
+                        contradiction = len(origin)
+                        origin.append((pnode, nnode, b * ppiv, a * npiv, a * b))
+                        break
+                    continue
+                if g != 1:
+                    vec = [x // g for x in vec]
+                piv = abs(next(x for x in vec if x))
+                rows.append((tuple(vec), Fraction(num, pden * nrhs.denominator * g),
+                             len(origin), piv))
+                origin.append((pnode, nnode, b * ppiv, a * npiv, g * piv))
+            if contradiction is not None:
+                break
+        rows = _prune(rows)
         remaining.remove(j)
 
     if contradiction is not None:
         result = FeasibilityResult("infeasible", farkas=_rebuild_farkas(origin, contradiction, nrows))
     else:
-        # Feasible: rebuild a witness from the elimination stack.
+        # Feasible: rebuild a witness from the elimination stack.  The
+        # bounds do not depend on the scale of a row.
         values: dict[int, Fraction] = {}
         for j, pos, neg in reversed(layers):
             lo = None
             hi = None
-            for vec, rhs, _ in pos:  # vec[j] > 0:  x_j <= (rhs - rest)/vec[j]
+            for vec, rhs, _, _ in pos:  # vec[j] > 0:  x_j <= (rhs - rest)/vec[j]
                 rest = sum((vec[k] * values.get(k, ZERO) for k in range(n) if k != j), ZERO)
                 bound = (rhs - rest) / vec[j]
                 hi = bound if hi is None or bound < hi else hi
-            for vec, rhs, _ in neg:  # vec[j] < 0:  x_j >= (rhs - rest)/vec[j]
+            for vec, rhs, _, _ in neg:  # vec[j] < 0:  x_j >= (rhs - rest)/vec[j]
                 rest = sum((vec[k] * values.get(k, ZERO) for k in range(n) if k != j), ZERO)
                 bound = (rhs - rest) / vec[j]
                 lo = bound if lo is None or bound > lo else lo

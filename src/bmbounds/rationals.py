@@ -3,7 +3,9 @@
 Every number on the certification path is a ``fractions.Fraction``; the
 textual form is a decimal-free ``p/q`` string (plain ``p`` when q == 1).
 Decimal literals are rejected on purpose: they would smuggle rounding into
-an exact pipeline.
+an exact pipeline.  Integer arguments (policies, iteration counts, function
+indices) go through ``parse_int``.  Both parsers read ASCII digits only,
+where ``int()`` would also take any Unicode decimal digit.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ import re
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([+-]?[0-9]+))?$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class RationalFormatError(ValueError):
-    """A string is not a valid p/q rational literal."""
+    """A string is not a valid p/q rational (or integer) literal."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -34,6 +37,16 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise RationalFormatError(f"zero denominator in {text!r}")
     return Fraction(num, den)
+
+
+def parse_int(text: str) -> int:
+    """Parse an ASCII integer literal ``[+-]?[0-9]+``, with no surrounding space.
+
+    Raises RationalFormatError for anything else.
+    """
+    if not isinstance(text, str) or _INT_RE.fullmatch(text) is None:
+        raise RationalFormatError(f"not an integer literal: {text!r}")
+    return int(text)
 
 
 def format_rational(value: Fraction) -> str:

@@ -87,6 +87,7 @@ class TestBinarySearch:
         # The report at hi, which its bracket check left partial, is completed.
         assert list(bound.report_hi.results) == list(ALL_CASES)
         assert bound.report_hi.results == certify_at(F(5)).results
+        assert bound.report_hi.systems == certify_at(F(5)).systems
 
     def test_both_variants_reach_113_32(self):
         """The headline bound reproduces under either reading of the 8d row."""
@@ -134,6 +135,30 @@ class TestBinarySearch:
         assert len(decided) == calls
         for report in (bound.report_lo, bound.report_hi):
             assert list(report.results) == list(ALL_CASES)
+
+    def test_probes_build_only_the_cases_they_decide(self, monkeypatch):
+        import bmbounds.certify as certify_mod
+        import bmbounds.systems as systems_mod
+
+        built, decided = [], []
+
+        def building(*args, **kwargs):
+            built.append(args)
+            return build_case_system(*args, **kwargs)
+
+        def counting(system):
+            decided.append(system)
+            return check_feasibility(system)
+
+        for module in (certify_mod, systems_mod):
+            monkeypatch.setattr(module, "build_case_system", building)
+        monkeypatch.setattr(certify_mod, "check_feasibility", counting)
+        bound = binary_search_bound(F(3), F(5), 6, CPolicy(2, 1, 4))
+        assert len(built) == len(decided) == 21  # 32 builds when every probe built all four
+        for report in (bound.report_lo, bound.report_hi):
+            assert list(report.systems) == list(ALL_CASES)
+            assert report.systems == {case: build_case_system(case, report.t, CPolicy(2, 1, 4))
+                                      for case in ALL_CASES}
 
 
 class TestSweep:

@@ -241,7 +241,12 @@ class TestVerifyCertCommand:
          lambda doc: {**doc, "t": "1"}),
         (("certify", "--t", "113/32"),
          lambda doc: {**doc, "t": "\u0661\u0661\u0663/\u0663\u0662"}),
-    ], ids=["json-array", "bogus-case", "function-x", "function-half", "t-1", "t-non-ascii"])
+        (("certify", "--t", "113/32"),
+         lambda doc: {**doc, "policy": "\u0662,\u0661,\u0664"}),
+        (("certify", "--t", "113/32"),
+         lambda doc: {**doc, "policy": " 2, 1 ,4"}),
+    ], ids=["json-array", "bogus-case", "function-x", "function-half", "t-1", "t-non-ascii",
+            "policy-non-ascii", "policy-spaces"])
     def test_malformed_document_exit_2(self, capsys, tmp_path, argv, malform):
         path = tmp_path / "cert.json"
         run(capsys, *argv, "--format", "structured", "--out", str(path))
@@ -259,6 +264,17 @@ class TestVerifyCertCommand:
     ["dichotomy", "--t", "4", "--functions", "5"],
     ["search", "--iters", "-1"],
     ["sweep", "--iters", "-2"],
+    # Integer arguments take ASCII digits only, with no surrounding space.
+    ["certify", "--t", "113/32", "--c-policy", "\u0662,\u0661,\u0664"],
+    ["certify", "--t", "113/32", "--c-policy", " 2, 1 ,4"],
+    ["search", "--iters", " \u0663"],
+    ["search", "--iters", "3 "],
+    ["sweep", "--iters", "\u0662"],
+    ["sweep", "--policies", "2,1,\u0664"],
+    ["dichotomy", "--t", "4", "--functions", "\u0662"],
+    ["dichotomy", "--t", "4", "--functions", " 2"],
+    ["bounds", "--m", "1..\u0663"],
+    ["bounds", "--k", "\uff12"],
 ])
 def test_bad_arguments_rejected_at_parse_time(capsys, monkeypatch, argv):
     def boom(*args, **kwargs):  # pragma: no cover

@@ -309,3 +309,42 @@ def test_farkas_rebuild_is_linear_in_ancestors():
         dense.append(tuple((x + y) / 2 for x, y in zip(dense[k - 1], dense[k - 2])))
     assert exactlp._rebuild_farkas(origin, 401, 2) == dense[401]
 
+
+
+def _random_big_system(rng):
+    """A pointed system in 3-5 variables whose entries are p/q with |p|, q <= 2**30.
+
+    Half of the rows draw every entry independently, so clearing their
+    denominators needs a large lcm; the other half are one large rational
+    times small integers, so their cleared rows share a large gcd.
+    """
+    bound = 2 ** 30
+    variables = [f"x{i}" for i in range(rng.randint(3, 5))]
+    rows = []
+    for _ in range(rng.randint(3, 6)):
+        if rng.random() < 0.5:
+            def entry():
+                return F(rng.randint(-bound, bound), rng.randint(1, bound))
+        else:
+            common = F(rng.randint(1, 2 ** 28), rng.randint(1, bound))
+
+            def entry():
+                return common * rng.randint(-3, 3)
+        coeffs = {v: entry() for v in variables if rng.random() < 0.6}
+        coeffs = {v: c for v, c in coeffs.items() if c != 0} or {variables[0]: F(1, rng.randint(1, bound))}
+        rows.append((coeffs, rng.choice([LE, GE]), entry()))
+    return make(variables, rows, nonneg=variables)
+
+
+def test_big_coefficient_farkas():
+    """30-bit rational entries: verdicts, certificates and Farkas vectors stay exact."""
+    rng = random.Random(20261018)
+    infeasible = 0
+    for trial in range(200):
+        sys_ = _random_big_system(rng)
+        fm = check_feasibility(sys_)
+        assert fm.feasible == simplex_feasibility(sys_).feasible, f"trial {trial}"
+        assert verify_certificate(sys_, fm), f"trial {trial}"
+        assert fm.farkas == _dense_farkas(sys_), f"trial {trial}"
+        infeasible += not fm.feasible
+    assert infeasible >= 100

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bmbounds.rationals import RationalFormatError, format_rational, parse_rational
+from bmbounds.rationals import RationalFormatError, format_rational, parse_int, parse_rational
 
 
 def test_parse_integer_and_fraction():
@@ -29,3 +29,17 @@ def test_format_canonical():
 def test_roundtrip():
     for s in ["0", "-1", "113/32", "1921/2592", "-5/7"]:
         assert format_rational(parse_rational(s)) == s
+
+
+def test_parse_int():
+    assert parse_int("0") == 0
+    assert parse_int("204") == 204
+    assert parse_int("-3") == -3
+    assert parse_int("+7") == 7
+
+
+@pytest.mark.parametrize("bad", ["", " 2", "2 ", "1.0", "1/2", "2,1", "one", "--1", None, 2,
+                                 "\u0662", "\u0661\u0662", "\uff12", "1_000"])
+def test_parse_int_rejects(bad):
+    with pytest.raises(RationalFormatError):
+        parse_int(bad)

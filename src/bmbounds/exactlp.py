@@ -160,13 +160,13 @@ class FeasibilityResult:
 # ``(p, n, w_p, w_n, d)`` is (w_p * row p + w_n * row n) / d for the parent
 # nodes p and n, with nonnegative integer weights; "row" here means the
 # normalised row of a node.  A base row's d is the absolute value of its
-# first nonzero Fraction coefficient (1 for an all-zero row).  A pos/neg pair on x_j, with
-# a = vec_p[j] and b = -vec_n[j], has weights (b * piv_p, a * piv_n) and
-# d = g * piv for the gcd g and pivot piv of its reduced row; a pair that
-# ends in 0 <= negative has d = a * b, which gives each parent coefficient
-# +-1 on x_j.  Every division is left to the one Farkas rebuild.  Parents
-# are registered before their children, so node numbers follow creation
-# order.
+# first nonzero Fraction coefficient (1 for an all-zero row).  A pos/neg
+# pair on x_j, with a = vec_p[j] and b = -vec_n[j], has weights
+# (b * piv_p, a * piv_n) and d = g * piv for the gcd g and pivot piv of its
+# reduced row; a pair that ends in 0 <= negative has d = a * b, which gives
+# each parent coefficient +-1 on x_j.  Every division is left to the one
+# Farkas rebuild.  Parents are registered before their children, so node
+# numbers follow creation order.
 
 
 def _prune(rows):
@@ -225,12 +225,13 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
     is returned.
     """
     n = len(system.variables)
-    nrows = len(system.inequalities) + len(system.nonneg)
+    base = system.normalized_rows()
+    nrows = len(base)
     origin: list[tuple] = []
     contradiction = None
 
     rows = []
-    for i, (vec, rhs) in enumerate(system.normalized_rows()):
+    for i, (vec, rhs) in enumerate(base):
         pivot = next((abs(c) for c in vec if c), None)
         if pivot is None:
             if rhs < 0:

@@ -22,6 +22,13 @@ coefficient of +-1, before it moved to primitive integer rows.  The
 workload, ``t = 10/3`` makes denominator clearing use an lcm other than a
 power of two, and the last command covers the printed variant with a
 partial function set.
+
+The last three digests were recorded while ``apply_T`` and ``apply_S`` still
+rebuilt the tail coupling from ``M3``, ``C`` and ``Cinv`` on every call and
+the optimizer's objective took row maxima of its own, before the twelve
+coefficient rows became the one definition of the pair (T, S).  They pin
+the exact scan at step 1/100, the optimizer at its default tolerance and
+the text line of one exact ``upper --t`` report.
 """
 
 import hashlib
@@ -53,6 +60,12 @@ GOLDEN = {
         (0, "6440a317c088b3e331c746fb3844b3bf6b29d9e0ee0dc412142340c387714cb1"),
     "dichotomy --t 7/2 --functions 0 2 --variant printed --format structured":
         (0, "e611c1eef99e2e747e4a0d7eb8305577a7fabb7fcbce220ad5d2439366cab9c3"),
+    "upper --scan 3:4:1/100 --format structured":
+        (0, "ec50768e62a8f013f7d4c59c660c11c4c3766c251897fe6982b2ab81d0068ce6"),
+    "upper --optimize --format structured":
+        (0, "60fc4d9d3ba090290e22e3636d3038c09b1dcd3d8de56b85d81ccd391684079a"),
+    "upper --t 387513/100000":
+        (0, "d1f887b6edef7656b25ccf7560e0371dd29e6f46981367327059f89e3aba7e9e"),
 }
 
 

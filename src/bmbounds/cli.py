@@ -94,7 +94,10 @@ def _tolerance(text: str) -> str:
 def _int_range(text: str) -> tuple[int, int]:
     if ".." in text:
         a, b = text.split("..", 1)
-        return _int(a), _int(b)
+        lo, hi = _int(a), _int(b)
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"range a..b needs a <= b, got {text!r}")
+        return lo, hi
     v = _int(text)
     return v, v
 
@@ -119,6 +122,16 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _distortion_row(t, norm_t, norm_s, distortion) -> dict:
+    return {"t": format_rational(t), "normT": float(norm_t), "normS": float(norm_s),
+            "distortion": float(distortion)}
+
+
+def _distortion_csv(rows: list[dict]) -> str:
+    body = [f"{r['t']},{r['normT']:.12f},{r['normS']:.12f},{r['distortion']:.12f}" for r in rows]
+    return "\n".join(["t,normT,normS,distortion"] + body) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,20 +310,11 @@ def _cmd_upper(args) -> int:
         sys.stderr.write("error: --scan, --optimize and --t are mutually exclusive\n")
         return EXIT_INPUT_ERROR
     if args.scan is not None:
-        lo, hi, step = args.scan
-        rows = upperiso.scan_distortion(lo, hi, step)
-        header = "t,normT,normS,distortion"
-        body = [
-            f"{format_rational(t)},{float(nt):.12f},{float(ns):.12f},{float(d):.12f}"
-            for t, nt, ns, d in rows
-        ]
+        rows = [_distortion_row(*r) for r in upperiso.scan_distortion(*args.scan)]
         if args.format == "structured":
-            doc = {"kind": "upper-scan", "rows": [
-                {"t": format_rational(t), "normT": float(nt), "normS": float(ns),
-                 "distortion": float(d)} for t, nt, ns, d in rows]}
-            _emit(_json_text(doc), args.out)
+            _emit(_json_text({"kind": "upper-scan", "rows": rows}), args.out)
         else:
-            _emit("\n".join([header] + body) + "\n", args.out)
+            _emit(_distortion_csv(rows), args.out)
         return EXIT_CERTIFIED
     if args.optimize:
         t_star, report = upperiso.optimize_distortion(tol=args.tol)
@@ -346,12 +350,14 @@ def _cmd_upper(args) -> int:
         return EXIT_CERTIFIED
     if args.t is not None:
         report = upperiso.norm_report(args.t)
-        _emit(
-            f"t = {format_rational(args.t)} normT = {float(report.norm_t):.12f}"
-            f" normS = {float(report.norm_s):.12f}"
-            f" distortion = {float(report.distortion):.12f}\n",
-            args.out,
-        )
+        row = _distortion_row(args.t, report.norm_t, report.norm_s, report.distortion)
+        if args.format == "structured":
+            _emit(_json_text({"kind": "upper-t", **row}), args.out)
+        elif args.format == "csv":
+            _emit(_distortion_csv([row]), args.out)
+        else:
+            _emit(f"t = {row['t']} normT = {row['normT']:.12f} normS = {row['normS']:.12f}"
+                  f" distortion = {row['distortion']:.12f}\n", args.out)
         return EXIT_CERTIFIED
     sys.stderr.write("error: upper needs one of --scan, --optimize, --t\n")
     return EXIT_INPUT_ERROR

@@ -57,18 +57,6 @@ class LinearInequality:
         object.__setattr__(self, "coeffs", {k: Fraction(v) for k, v in self.coeffs.items()})
         object.__setattr__(self, "rhs", Fraction(self.rhs))
 
-    def scaled(self, factor: Fraction) -> "LinearInequality":
-        """Multiply both sides by a positive rational (relation unchanged)."""
-        factor = Fraction(factor)
-        if factor <= 0:
-            raise SystemError_("scaling factor must be positive")
-        return LinearInequality(
-            {v: c * factor for v, c in self.coeffs.items()},
-            self.relation,
-            self.rhs * factor,
-            self.label,
-        )
-
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         return sum((c * point[v] for v, c in self.coeffs.items()), ZERO)
 

@@ -66,9 +66,6 @@ class CPolicy:
     def c_at(self, t: Fraction) -> Fraction:
         return (self.p * Fraction(t) + self.q) / self.r
 
-    def describe(self) -> str:
-        return f"({self.p}*t+{self.q})/{self.r}"
-
     def key(self) -> str:
         return f"{self.p},{self.q},{self.r}"
 
@@ -348,22 +345,3 @@ def parse_system_file(text: str) -> LinearSystem:
         return LinearSystem(variables, tuple(inequalities), frozenset(nonneg), meta)
     except SystemError_ as exc:
         raise SystemFormatError(str(exc)) from exc
-
-
-def dump_system(system: LinearSystem) -> str:
-    """Human-readable listing with labels, one inequality per line."""
-    lines = []
-    header = ", ".join(system.variables)
-    lines.append(f"variables: {header}")
-    if system.nonneg:
-        lines.append("nonneg: " + ", ".join(v for v in system.variables if v in system.nonneg))
-    for ineq in system.inequalities:
-        terms = []
-        for v in system.variables:
-            if v in ineq.coeffs and ineq.coeffs[v] != 0:
-                terms.append(f"{format_rational(ineq.coeffs[v])}*{v}")
-        lhs = " + ".join(terms) if terms else "0"
-        lines.append(f"({ineq.label}) {lhs} {ineq.relation} {format_rational(ineq.rhs)}")
-    for k, v in sorted(system.meta.items()):
-        lines.append(f"# {k} = {v}")
-    return "\n".join(lines) + "\n"

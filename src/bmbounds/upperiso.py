@@ -3,10 +3,14 @@
 A parameter t in [3, 4] fixes two 3x3 matrices: M couples the three limit
 values into the head coordinates, C couples level m of the domain into
 output block m.  Every output coordinate depends on at most six inputs,
-and the tail blocks repeat identically for every level, so the operator
-norms over the infinite index set reduce to row l1-norms of six distinct
-rows per direction.  All computations are exact when t is a Fraction and
-run at 40 significant digits when t is a float/mpf.
+and the tail blocks repeat identically for every level, so T and S are
+defined by twelve coefficient rows: M and tail_block for T, Minv and
+s_tail_block for S.  apply_T and apply_S apply exactly these rows, and the
+operator norms over the infinite index set are their largest row l1-norms,
+evaluated in norm_report alone.  All computations are exact when t is a
+Fraction; for a float/mpf t every number, the norms and their product
+included, is computed at 40 significant digits whatever the caller's
+mpmath precision.
 """
 
 from __future__ import annotations
@@ -40,20 +44,15 @@ def _working_precision(exact: bool):
     return nullcontext() if exact else mp.workdps(PRECISION_DPS)
 
 
-def _to_mpf(x) -> mp.mpf:
-    """x as an mpf at the working precision.
+def _mpf_tuple(values: Sequence) -> tuple:
+    """values as mpfs at the working precision.
 
     mp.mpf rejects a Fraction, and mpmath has no Fraction - mpf, Fraction /
     mpf or ordering between the two, so rationals are converted through
     their numerator and denominator.
     """
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
-
-
-def _mpf_tuple(values: Sequence) -> tuple:
-    return tuple(_to_mpf(x) for x in values)
+    return tuple(mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
+                 for x in values)
 
 
 def _mat_vec(m: Matrix, v: Sequence) -> tuple:
@@ -87,22 +86,40 @@ def _mat_inverse(m: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def _row_l1(row: Sequence):
-    return sum(abs(x) for x in row)
-
-
 @dataclass(frozen=True)
 class IsoMatrices:
-    """All coefficient blocks of the pair (T, S) at one parameter value."""
+    """All coefficient blocks of the pair (T, S) at one parameter value.
+
+    The twelve rows of M, tail_block, Minv and s_tail_block are the whole
+    definition of the pair: apply_T, apply_S and the operator norms read
+    nothing else.  C and M3 are the blocks these rows are assembled from.
+    """
 
     t: object
     M: Matrix
     C: Matrix
     M3: tuple
     Minv: Matrix
-    Cinv: Matrix
     tail_block: Matrix      # 3x6: [C | M' - C] acting on (f(m,.), f(omega,.))
     s_tail_block: Matrix    # 3x6: coefficients of Sg(m,.) on (g(3m..3m+2), g(1), g(2), g(omega))
+
+
+def _read_parameter(t):
+    """t as a Fraction or an mpf, checked against every guard of the pair.
+
+    Call inside _working_precision.  Returns t with the quartic and cubic
+    denominators d1, d2 of the closed-form inverse.
+    """
+    t = Fraction(t) if _is_exact(t) else mp.mpf(t)
+    if not (3 <= t <= 4):
+        raise IsoDomainError(f"parameter must satisfy 3 <= t <= 4, got {t}")
+    d1 = t**4 - 7 * t**3 + 12 * t**2 - 8 * t + 8
+    d2 = t**3 - 5 * t**2 + 2 * t - 4
+    for name, value in (("t", t), ("t+1", t + 1),
+                        ("t^4-7t^3+12t^2-8t+8", d1), ("t^3-5t^2+2t-4", d2)):
+        if value == 0:
+            raise IsoDomainError(f"denominator {name} vanishes at t = {t}")
+    return t, d1, d2
 
 
 def build_matrices(t) -> IsoMatrices:
@@ -115,17 +132,8 @@ def build_matrices(t) -> IsoMatrices:
     Guards: 3 <= t <= 4 and the quartic/cubic denominators of the inverse
     must not vanish (they are negative on the whole interval).
     """
-    exact = _is_exact(t)
-    with _working_precision(exact):
-        t = Fraction(t) if exact else mp.mpf(t)
-        if not (3 <= t <= 4):
-            raise IsoDomainError(f"parameter must satisfy 3 <= t <= 4, got {t}")
-        d1 = t**4 - 7 * t**3 + 12 * t**2 - 8 * t + 8
-        d2 = t**3 - 5 * t**2 + 2 * t - 4
-        for name, value in (("t", t), ("t+1", t + 1),
-                            ("t^4-7t^3+12t^2-8t+8", d1), ("t^3-5t^2+2t-4", d2)):
-            if value == 0:
-                raise IsoDomainError(f"denominator {name} vanishes at t = {t}")
+    with _working_precision(_is_exact(t)):
+        t, _, _ = _read_parameter(t)
         q = -(t**2 - 5 * t + 2) / 4
         M = (
             (t - 2, -1 + t * 0, -1 + t * 0),
@@ -138,36 +146,23 @@ def build_matrices(t) -> IsoMatrices:
         C = ((c0, zero, zero), (zero, c1, zero), (zero, zero, c1))
         M3 = M[2]
         Minv = _mat_inverse(M)
-        Cinv = ((1 / c0, zero, zero), (zero, 1 / c1, zero), (zero, zero, 1 / c1))
-        tail = []
-        for i in range(3):
-            left = [zero, zero, zero]
-            left[i] = C[i][i]
-            right = [M3[j] - C[i][j] for j in range(3)]
-            tail.append(tuple(left + right))
+        shift = tuple(tuple(M3[j] - C[i][j] for j in range(3)) for i in range(3))  # M' - C
         # W = (M' - C) Minv; row i of the S tail couples g(3m+i) and the head values.
-        Mprime = (M3, M3, M3)
-        W = _mat_mul(
-            tuple(tuple(Mprime[i][j] - C[i][j] for j in range(3)) for i in range(3)), Minv
-        )
-        s_tail = []
+        W = _mat_mul(shift, Minv)
+        tail, s_tail = [], []
         for i in range(3):
-            left = [zero, zero, zero]
-            left[i] = Cinv[i][i]
-            right = [-Cinv[i][i] * W[i][j] for j in range(3)]
-            s_tail.append(tuple(left + right))
-        return IsoMatrices(t, M, C, M3, Minv, Cinv, tuple(tail), tuple(s_tail))
+            cinv = 1 / C[i][i]
+            level, s_level = [zero] * 3, [zero] * 3
+            level[i], s_level[i] = C[i][i], cinv
+            tail.append((*level, *shift[i]))
+            s_tail.append((*s_level, *(-cinv * w for w in W[i])))
+        return IsoMatrices(t, M, C, M3, Minv, tuple(tail), tuple(s_tail))
 
 
 def inverse_closed_form(t) -> Matrix:
     """The algebraic closed form of M^{-1}, kept as an independent cross-check."""
-    exact = _is_exact(t)
-    with _working_precision(exact):
-        t = Fraction(t) if exact else mp.mpf(t)
-        d1 = t**4 - 7 * t**3 + 12 * t**2 - 8 * t + 8
-        d2 = t**3 - 5 * t**2 + 2 * t - 4
-        if d1 == 0 or d2 == 0:
-            raise IsoDomainError("closed-form denominator vanishes")
+    with _working_precision(_is_exact(t)):
+        t, d1, d2 = _read_parameter(t)
         zero = t * 0
         return (
             (t * (t**2 - 5 * t + 2) / d1, zero, -4 * t / d1),
@@ -193,10 +188,6 @@ class TruncatedFunction:
         if any(len(r) != 3 for r in self.rows) or len(self.limit) != 3:
             raise ShapeError("rows and limit must have width 3")
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.rows)
-
     def sup_norm(self):
         return max(
             max(abs(x) for x in self.limit),
@@ -220,55 +211,39 @@ class TransformedSequence:
         )
 
 
-def apply_T(f: TruncatedFunction, mats: IsoMatrices) -> TransformedSequence:
-    """The image Tf, in the scalar type of mats.
+def _apply_rows(mats: IsoMatrices, head_block: Matrix, tail_block: Matrix,
+                head: Sequence, levels: Sequence[Sequence]) -> tuple[tuple, tuple]:
+    """head_block applied to the head values and tail_block to each level ++ head.
 
-    Entries of f are coerced to that type: kept as they are when mats.t is
-    a Fraction, so the image is exact, and converted to mpf (a Fraction
-    exactly through its numerator and denominator) when mats.t is an mpf,
-    in which case the image is computed at PRECISION_DPS significant digits
-    whatever the caller's precision.
+    Entries are coerced to the scalar type of mats: kept as they are when
+    mats.t is a Fraction, so the result is exact, and converted to mpf (a
+    Fraction exactly through its numerator and denominator) when mats.t is
+    an mpf, in which case the result is computed at PRECISION_DPS
+    significant digits whatever the caller's precision.
     """
     exact = _is_exact(mats.t)
     with _working_precision(exact):
-        if not exact:
-            f = TruncatedFunction(tuple(map(_mpf_tuple, f.rows)), _mpf_tuple(f.limit))
-        head_all = _mat_vec(mats.M, f.limit)
-        shift = _mat_vec(
-            tuple(tuple(mats.M3[j] - mats.C[i][j] for j in range(3)) for i in range(3)),
-            f.limit,
-        )
-        tail = []
-        for row in f.rows:
-            tail.append(tuple(mats.C[i][i] * row[i] + shift[i] for i in range(3)))
-        return TransformedSequence((head_all[0], head_all[1]), tuple(tail), head_all[2])
+        head = tuple(head) if exact else _mpf_tuple(head)
+        levels = levels if exact else map(_mpf_tuple, levels)
+        return (_mat_vec(head_block, head),
+                tuple(_mat_vec(tail_block, tuple(level) + head) for level in levels))
+
+
+def apply_T(f: TruncatedFunction, mats: IsoMatrices) -> TransformedSequence:
+    """The image Tf through the rows M and tail_block, in the scalar type of mats."""
+    head, tail = _apply_rows(mats, mats.M, mats.tail_block, f.limit, f.rows)
+    return TransformedSequence(head[:2], tail, head[2])
 
 
 def apply_S(g: TransformedSequence, mats: IsoMatrices) -> TruncatedFunction:
-    """The preimage Sg, in the scalar type of mats.
-
-    Entries of g are coerced as in apply_T: unchanged for Fraction matrices,
-    so S(T(f)) == f exactly, and converted to mpf for mpf matrices, which are
-    evaluated at PRECISION_DPS significant digits.
-    """
+    """The preimage Sg through the rows Minv and s_tail_block, in the scalar
+    type of mats; for Fraction matrices S(T(f)) == f exactly."""
     if len(g.tail) < 1:
         raise ShapeError("transformed sequence has no tail levels")
-    exact = _is_exact(mats.t)
-    with _working_precision(exact):
-        if not exact:
-            g = TransformedSequence(
-                _mpf_tuple(g.head), tuple(map(_mpf_tuple, g.tail)), _to_mpf(g.omega)
-            )
-        head_vec = (g.head[0], g.head[1], g.omega)
-        limit = _mat_vec(mats.Minv, head_vec)
-        shift = _mat_vec(
-            tuple(tuple(mats.M3[j] - mats.C[i][j] for j in range(3)) for i in range(3)),
-            limit,
-        )
-        rows = []
-        for triple in g.tail:
-            rows.append(tuple((triple[i] - shift[i]) * mats.Cinv[i][i] for i in range(3)))
-        return TruncatedFunction(tuple(rows), limit)
+    limit, rows = _apply_rows(
+        mats, mats.Minv, mats.s_tail_block, (g.head[0], g.head[1], g.omega), g.tail
+    )
+    return TruncatedFunction(rows, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -279,27 +254,24 @@ _T_ROW_IDS = ("M:0", "M:1", "M:2", "tail:0", "tail:1", "tail:2")
 _S_ROW_IDS = ("Minv:0", "Minv:1", "Minv:2", "stail:0", "stail:1", "stail:2")
 
 
-def _norm_rows_T(mats: IsoMatrices) -> list:
-    return [_row_l1(r) for r in mats.M] + [_row_l1(r) for r in mats.tail_block]
-
-
-def _norm_rows_S(mats: IsoMatrices) -> list:
-    return [_row_l1(r) for r in mats.Minv] + [_row_l1(r) for r in mats.s_tail_block]
+def _largest_row(head_block: Matrix, tail_block: Matrix, row_ids: tuple):
+    """The largest row l1 norm of one direction and the id of its first row."""
+    norms = [sum(abs(x) for x in row) for row in head_block + tail_block]
+    best = max(range(6), key=norms.__getitem__)
+    return norms[best], row_ids[best]
 
 
 def operator_norm_T(t, mats: IsoMatrices | None = None):
     """sup over output coordinates of the coefficient-row l1 norm."""
     mats = build_matrices(t) if mats is None else mats
-    rows = _norm_rows_T(mats)
-    best = max(range(6), key=lambda i: rows[i])
-    return rows[best], _T_ROW_IDS[best]
+    with _working_precision(_is_exact(mats.t)):
+        return _largest_row(mats.M, mats.tail_block, _T_ROW_IDS)
 
 
 def operator_norm_S(t, mats: IsoMatrices | None = None):
     mats = build_matrices(t) if mats is None else mats
-    rows = _norm_rows_S(mats)
-    best = max(range(6), key=lambda i: rows[i])
-    return rows[best], _S_ROW_IDS[best]
+    with _working_precision(_is_exact(mats.t)):
+        return _largest_row(mats.Minv, mats.s_tail_block, _S_ROW_IDS)
 
 
 @dataclass(frozen=True)
@@ -313,32 +285,35 @@ class NormReport:
 
 
 def norm_report(t) -> NormReport:
-    mats = build_matrices(t)
-    nt, at = operator_norm_T(t, mats)
-    ns, as_ = operator_norm_S(t, mats)
-    return NormReport(mats.t, nt, ns, nt * ns, at, as_)
+    """normT, normS and their product at t: the one evaluator of the distortion.
+
+    Exact for a rational t; otherwise the matrices, the row norms and the
+    product are all computed at PRECISION_DPS significant digits.
+    """
+    with _working_precision(_is_exact(t)):
+        mats = build_matrices(t)
+        nt, at = _largest_row(mats.M, mats.tail_block, _T_ROW_IDS)
+        ns, as_ = _largest_row(mats.Minv, mats.s_tail_block, _S_ROW_IDS)
+        return NormReport(mats.t, nt, ns, nt * ns, at, as_)
 
 
 def sign_pattern_input(mats: IsoMatrices, row_id: str, n_levels: int = 1) -> TruncatedFunction:
-    """A sup-norm-one input whose image attains the given coefficient row."""
+    """A sup-norm-one input whose image under T attains the given row of M or tail_block."""
     def sgn(x):
         return 1 if x > 0 else (-1 if x < 0 else 0)
 
     kind, idx = row_id.split(":")
     i = int(idx)
     if kind == "M":
-        limit = tuple(sgn(x) for x in mats.M[i])
-        rows = tuple((0, 0, 0) for _ in range(n_levels))
-        if all(v == 0 for v in limit):
-            raise ShapeError("zero row cannot be attained")
-        return TruncatedFunction(rows, limit)
-    if kind == "tail":
-        limit = tuple(sgn(mats.M3[j] - mats.C[i][j]) for j in range(3))
-        level = [0, 0, 0]
-        level[i] = sgn(mats.C[i][i])
-        rows = tuple(tuple(level) for _ in range(n_levels))
-        return TruncatedFunction(rows, limit)
-    raise ShapeError(f"unknown row id {row_id!r}")
+        level, limit = (0, 0, 0), tuple(sgn(x) for x in mats.M[i])
+    elif kind == "tail":
+        signs = tuple(sgn(x) for x in mats.tail_block[i])
+        level, limit = signs[:3], signs[3:]
+    else:
+        raise ShapeError(f"unknown row id {row_id!r}")
+    if not any(level + limit):
+        raise ShapeError("zero row cannot be attained")
+    return TruncatedFunction((level,) * n_levels, limit)
 
 
 def scan_distortion(lo: Fraction, hi: Fraction, step: Fraction) -> list[tuple]:
@@ -349,10 +324,8 @@ def scan_distortion(lo: Fraction, hi: Fraction, step: Fraction) -> list[tuple]:
     out = []
     t = lo
     while t <= hi:
-        mats = build_matrices(t)
-        nt, _ = operator_norm_T(t, mats)
-        ns, _ = operator_norm_S(t, mats)
-        out.append((t, nt, ns, nt * ns))
+        report = norm_report(t)
+        out.append((t, report.norm_t, report.norm_s, report.distortion))
         t += step
     return out
 
@@ -369,8 +342,7 @@ def optimize_distortion(lo=3, hi=4, tol="1e-12") -> tuple[mp.mpf, NormReport]:
             return lo, norm_report(lo)
 
         def value(t):
-            mats = build_matrices(t)
-            return max(_norm_rows_T(mats)) * max(_norm_rows_S(mats))
+            return norm_report(t).distortion
 
         # Coarse grid to bracket the minimizer.
         ngrid = 64

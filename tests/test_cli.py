@@ -169,6 +169,21 @@ class TestUpperCommand:
         assert len(lines) == 4
         assert lines[1].startswith("3,4.666666666667")
 
+    def test_t_structured_is_one_scan_row(self, capsys):
+        code, out, _ = run(capsys, "upper", "--t", "7/2", "--format", "structured")
+        doc = json.loads(out)
+        _, scan, _ = run(capsys, "upper", "--scan", "7/2:7/2:1", "--format", "structured")
+        assert code == 0
+        assert doc == {"kind": "upper-t", **json.loads(scan)["rows"][0]}
+
+    def test_t_csv_equals_one_point_scan(self, capsys):
+        code, out, _ = run(capsys, "upper", "--t", "387513/100000", "--format", "csv")
+        _, scan, _ = run(capsys, "upper", "--scan", "387513/100000:387513/100000:1",
+                         "--format", "csv")
+        assert code == 0
+        assert out == scan
+        assert out.splitlines()[0] == "t,normT,normS,distortion"
+
     def test_needs_a_mode(self, capsys):
         code, _, err = run(capsys, "upper")
         assert code == 2
@@ -275,6 +290,9 @@ class TestVerifyCertCommand:
     ["dichotomy", "--t", "4", "--functions", " 2"],
     ["bounds", "--m", "1..\u0663"],
     ["bounds", "--k", "\uff12"],
+    # A reversed range would print an empty table.
+    ["bounds", "--m", "5..2"],
+    ["bounds", "--k", "4..2", "--format", "structured"],
 ])
 def test_bad_arguments_rejected_at_parse_time(capsys, monkeypatch, argv):
     def boom(*args, **kwargs):  # pragma: no cover

@@ -15,7 +15,6 @@ from bmbounds.systems import (
     branch_row,
     build_case_system,
     build_dichotomy_systems,
-    dump_system,
     parse_system_file,
     serialize_system,
 )
@@ -193,11 +192,6 @@ class TestSerialization:
     def test_invalid_json_reports_line(self):
         with pytest.raises(SystemFormatError, match="line"):
             parse_system_file("{not json")
-
-    def test_dump_contains_labels(self):
-        text = dump_system(build_case_system(JCase.NOT0, F(4), DEFAULT_POLICY))
-        for label in EXPECTED_LABELS[JCase.NOT0]:
-            assert f"({label})" in text
 
 
 class TestDichotomy:

@@ -148,6 +148,40 @@ class TestOperatorNorms:
             g = apply_T(f, mats)
             assert g.sup_norm() == value
 
+    @pytest.mark.parametrize("t", [F(3), F(7, 2), F(4), F(387513, 100000)])
+    def test_every_row_attained(self, t):
+        """Each of the 12 coefficient rows is attained exactly at its own coordinate.
+
+        T or S applied to the row's sign pattern (sup norm one) gives the
+        row's l1 norm at the output coordinate that row defines, on every
+        level of the truncation.
+        """
+        def sgn(x):
+            return (x > 0) - (x < 0)
+
+        def l1(row):
+            return sum(abs(x) for x in row)
+
+        mats = build_matrices(t)
+        n = 3
+        for i in range(3):
+            g = apply_T(sign_pattern_input(mats, f"M:{i}", n_levels=n), mats)
+            assert (*g.head, g.omega)[i] == l1(mats.M[i])
+
+            g = apply_T(sign_pattern_input(mats, f"tail:{i}", n_levels=n), mats)
+            assert all(level[i] == l1(mats.tail_block[i]) for level in g.tail)
+
+            s = [sgn(x) for x in mats.Minv[i]]
+            f = apply_S(TransformedSequence((s[0], s[1]), ((0, 0, 0),) * n, s[2]), mats)
+            assert f.limit[i] == l1(mats.Minv[i])
+
+            s = [sgn(x) for x in mats.s_tail_block[i]]
+            f = apply_S(TransformedSequence((s[3], s[4]), (tuple(s[:3]),) * n, s[5]), mats)
+            assert all(level[i] == l1(mats.s_tail_block[i]) for level in f.rows)
+
+        assert operator_norm_T(t, mats)[0] == max(map(l1, mats.M + mats.tail_block))
+        assert operator_norm_S(t, mats)[0] == max(map(l1, mats.Minv + mats.s_tail_block))
+
     def test_truncation_independence(self):
         """Attained norms agree for N in {1, 10, 100}."""
         t = F(7, 2)
@@ -166,6 +200,28 @@ class TestOperatorNorms:
         f2 = TruncatedFunction(f1.rows * 50, f1.limit)
         g1, g2 = apply_T(f1, mats), apply_T(f2, mats)
         assert set(g1.tail) == set(g2.tail)
+
+
+class TestPrecision:
+    @staticmethod
+    def exact(x):
+        man, exp = x.man_exp  # man is unsigned
+        return int(mp.sign(x)) * F(man) * F(2) ** exp
+
+    def test_mpf_norms_run_at_working_precision(self):
+        """At the default mpmath precision, an mpf t gives 40-digit norms.
+
+        3.875 = 31/8 is exact in binary, so the mpf report must agree with
+        the exact report far below the default 15-digit precision.
+        """
+        want = norm_report(F(31, 8))
+        with mp.workdps(15):
+            got = norm_report(mp.mpf("3.875"))
+            value, argmax = operator_norm_S(mp.mpf("3.875"))
+        for name in ("norm_t", "norm_s", "distortion"):
+            assert abs(self.exact(getattr(got, name)) - getattr(want, name)) <= F(1, 10**30)
+        assert abs(self.exact(value) - want.norm_s) <= F(1, 10**30)
+        assert argmax == want.argmax_s
 
 
 class TestOptimizer:

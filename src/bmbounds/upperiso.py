@@ -255,7 +255,7 @@ _S_ROW_IDS = ("Minv:0", "Minv:1", "Minv:2", "stail:0", "stail:1", "stail:2")
 
 
 def _largest_row(head_block: Matrix, tail_block: Matrix, row_ids: tuple):
-    """The largest row l1 norm of one direction and the id of its first row."""
+    """The largest row l1 norm of one direction, with the id of the first row reaching it."""
     norms = [sum(abs(x) for x in row) for row in head_block + tail_block]
     best = max(range(6), key=norms.__getitem__)
     return norms[best], row_ids[best]

@@ -19,6 +19,7 @@ from bmbounds.certify import (
     verify_certificate_text,
 )
 from bmbounds.exactlp import check_feasibility, verify_certificate
+from bmbounds.rationals import format_rational, parse_rational
 from bmbounds.systems import (
     ALL_CASES,
     CPolicy,
@@ -391,3 +392,97 @@ class TestHeadlineClaims:
     def test_dichotomy_without_functions_verifies(self):
         doc = dichotomy_report_doc(certify_dichotomy(F(18, 5), functions=()))
         assert self.audit(doc) == (EXIT_CERTIFIED, "all certificates verified")
+
+
+def _each_number(system, fn):
+    for ineq in system["inequalities"]:
+        ineq["coeffs"] = {v: fn(s) for v, s in ineq["coeffs"].items()}
+        ineq["rhs"] = fn(ineq["rhs"])
+
+
+def _doubled_terms(s):
+    x = parse_rational(s)
+    return f"{2 * x.numerator}/{2 * x.denominator}"
+
+
+def _add_zero_coefficient(system):
+    ineq = next(i for i in system["inequalities"] if len(i["coeffs"]) < len(system["variables"]))
+    ineq["coeffs"][next(v for v in system["variables"] if v not in ineq["coeffs"])] = "0"
+
+
+def _flip_first_rel(system):
+    first = system["inequalities"][0]
+    first["rel"] = ">=" if first["rel"] == "<=" else "<="
+
+
+# Edits of one echoed system -> exit codes on the certify, search and
+# dichotomy documents of TestEchoComparison.
+ECHO_EDITS = {
+    "coeff-bumped": ((1, 1, 1), lambda s: s["inequalities"][0]["coeffs"].update(
+        a=format_rational(parse_rational(s["inequalities"][0]["coeffs"]["a"]) + 1))),
+    "doubled-terms": ((0, 0, 0), lambda s: _each_number(s, _doubled_terms)),
+    "plus-signed-rhs": ((0, 0, 0), lambda s: [
+        i.update(rhs="+" + i["rhs"]) for i in s["inequalities"] if not i["rhs"].startswith("-")]),
+    "nonneg-reversed": ((0, 0, 0), lambda s: s["nonneg"].reverse()),
+    "nonneg-duplicated": ((0, 0, 0), lambda s: s["nonneg"].append(s["nonneg"][0])),
+    "coeff-keys-reversed": ((0, 0, 0), lambda s: [
+        i.update(coeffs=dict(reversed(i["coeffs"].items()))) for i in s["inequalities"]]),
+    "coeff-dropped": ((1, 1, 1), lambda s: s["inequalities"][0]["coeffs"].popitem()),
+    "zero-coeff-added": ((1, 1, 1), _add_zero_coefficient),
+    "meta-edited": ((1, 1, 1), lambda s: s["meta"].update(policy="1,0,2")),
+    "meta-added": ((1, 1, 1), lambda s: s["meta"].update(note="x")),
+    "meta-dropped": ((1, 1, 1), lambda s: s["meta"].pop("variant")),
+    "meta-integer": ((1, 1, 1), lambda s: s["meta"].update(t=7)),
+    "label-edited": ((1, 1, 1), lambda s: s["inequalities"][0].update(
+        label=s["inequalities"][0]["label"] + "x")),
+    "variables-reversed": ((1, 1, 1), lambda s: s["variables"].reverse()),
+    "extra-key": ((0, 0, 0), lambda s: s.update(comment="x")),
+    "rel-flipped": ((1, 1, 1), _flip_first_rel),
+    "last-dropped": ((2, 1, 1), lambda s: s["inequalities"].pop()),
+}
+
+
+class TestEchoComparison:
+    """verify-cert accepts an echoed system exactly when it has the rebuilt system's value.
+
+    Each edit changes the echo of case not0 in one entry: infeasible in the
+    certify document, feasible in the search document's upper report and in
+    dichotomy assignment "ab".  Another spelling of a rational, a "+" sign,
+    reordered coefficient keys or nonneg names and an unknown key keep the
+    value; every other edit is rejected.
+    """
+
+    KINDS = ("certify", "search", "dichotomy")
+
+    @pytest.fixture(scope="class")
+    def documents(self):
+        return {
+            "certify": (certify_report_doc(certify_at(F(113, 32))),
+                        lambda d: d["cases"][1], "t=113/32: "),
+            "search": (search_report_doc(binary_search_bound(F(3), F(5), 4)),
+                       lambda d: d["upper_report"]["cases"][1], "t=29/8: "),
+            "dichotomy": (dichotomy_report_doc(certify_dichotomy(F(18, 5), functions=(0, 2))),
+                          lambda d: d["assignments"][1]["cases"][1], "branches ab: "),
+        }
+
+    def test_entries_under_edit(self, documents):
+        assert [entry(doc)["case"] for doc, entry, _ in documents.values()] == ["not0"] * 3
+        assert [entry(doc)["status"] for doc, entry, _ in documents.values()] == [
+            "infeasible", "feasible", "feasible"]
+        assert documents["dichotomy"][0]["assignments"][1]["branches"] == "ab"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("edit", list(ECHO_EDITS))
+    def test_verdict(self, documents, kind, edit):
+        codes, apply = ECHO_EDITS[edit]
+        original, entry, where = documents[kind]
+        doc = json.loads(json.dumps(original))
+        apply(entry(doc)["system"])
+        assert json.dumps(entry(doc)["system"]) != json.dumps(entry(original)["system"])
+        code = codes[self.KINDS.index(kind)]
+        message = {
+            EXIT_CERTIFIED: "all certificates verified",
+            EXIT_NOT_CERTIFIED: f"{where}case not0 failed re-verification",
+            EXIT_INPUT_ERROR: "malformed certificate: Farkas vector has length 10, expected 9",
+        }[code]
+        assert verify_certificate_text(json.dumps(doc)) == (code, message)

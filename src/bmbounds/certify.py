@@ -1,21 +1,19 @@
 """Certification pipeline: per-t case reports, bisection, sweeps, audits.
 
 A probe at rational t builds the four case systems and decides each
-exactly; the solver re-verifies every certificate it emits.  Bisection over a
-bracket [lo, hi] relies on the monotonicity of feasibility in t (valid
-for affine c-policies) and returns a CertifiedBound whose endpoints carry
-machine-checkable certificates: Farkas vectors at t_lo, a witness at
-t_hi.  A midpoint probe only needs to know whether some case is
-feasible, so it builds and decides the cases in order and stops at the
-first feasible one; the report at t_hi is completed afterwards, so both
-endpoint reports hold all four cases.  Certificate files are
-self-contained JSON documents that an auditor can re-verify by
-substitution alone.
+exactly; the solver re-verifies every certificate it emits.  Bisection
+over a bracket [lo, hi] relies on the monotonicity of feasibility in t
+(valid for affine c-policies) and returns a CertifiedBound whose endpoint
+reports hold all four cases with machine-checkable certificates: Farkas
+vectors at t_lo, a witness at t_hi.  A midpoint probe stops at its first
+feasible case.  A dichotomy builds its four base systems once per t and
+shares them across the branch assignments.  Certificate files are
+self-contained JSON documents that an auditor re-verifies by substitution
+alone; each echoed system must equal the rebuilt one value for value.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -38,12 +36,14 @@ from .systems import (
     JCase,
     SystemFormatError,
     Variant,
+    branch_strings,
     build_all_cases,
     build_case_system,
     build_dichotomy_systems,
-    parse_system_file,
+    parse_system_file,  # unused here; bench/spans.py wraps both names in this module
     serialize_system,
     system_doc,
+    system_from_doc,
 )
 
 TOOL_VERSION = f"bmbounds-{__version__}"
@@ -251,10 +251,8 @@ def certify_dichotomy(
     """Decide all 2**b branch assignments; certified iff all infeasible."""
     t = Fraction(t)
     assignments = tuple(
-        _decide(t, policy, variant,
-                zip(ALL_CASES, build_dichotomy_systems(t, policy, combo, functions, variant)),
-                "".join(combo))
-        for combo in itertools.product("ab", repeat=len(functions))
+        _decide(t, policy, variant, zip(ALL_CASES, systems), branches)
+        for branches, systems in build_dichotomy_systems(t, policy, functions, variant)
     )
     return DichotomyReport(t, policy, variant, tuple(functions), assignments)
 
@@ -354,19 +352,18 @@ def _check_cases(entries: list, expected: dict[JCase, LinearSystem], where: str)
     """Re-verify case entries by substitution alone; raise _Rejected on the first failure.
 
     The entries must name exactly the cases of ``expected``, in order.  Each
-    entry's certificate is checked against its echoed system, and the echo
-    must have the canonical form of the system the builders give for that
-    case, which guards against tampered coefficients and metadata.  No
-    solver is invoked.
+    entry's certificate is checked against its echoed system, which must
+    equal the system the builders give for that case value for value
+    (variables, labelled rows, nonneg set, metadata); a rational may be
+    written in any p/q form.  No solver is invoked.
     """
     cases = [JCase(entry["case"]) for entry in entries]
     _require(cases == list(expected),
              f"{where}cases [{', '.join(c.value for c in cases)}] are not the expected"
              f" [{', '.join(c.value for c in expected)}]")
     for entry, (case, built) in zip(entries, expected.items()):
-        system = parse_system_file(json.dumps(entry["system"]))
-        _require(verify_certificate(system, _entry_result(entry))
-                 and serialize_system(built) == serialize_system(system),
+        system = system_from_doc(entry["system"])
+        _require(verify_certificate(system, _entry_result(entry)) and built == system,
                  f"{where}case {case.value} failed re-verification")
 
 
@@ -444,14 +441,14 @@ def _check_doc(doc: dict) -> None:
         if not all(type(m) is int for m in functions):
             raise SystemFormatError(f"functions must be integers, got {doc['functions']!r}")
         assignments = doc["assignments"]
-        combos = itertools.product("ab", repeat=len(functions))
+        # Checked before any build: 2**len(functions) assignments are built.
         _require(len(assignments) == 2 ** len(functions)
-                 and all(a["branches"] == "".join(c) for a, c in zip(assignments, combos)),
+                 and all(a["branches"] == b
+                         for a, b in zip(assignments, branch_strings(len(functions)))),
                  f"assignments are not the {2 ** len(functions)} branch combinations"
                  f" of functions {list(functions)} in order")
-        for assignment in assignments:
-            branches = assignment["branches"]
-            systems = build_dichotomy_systems(t, policy, tuple(branches), functions, variant)
+        built = build_dichotomy_systems(t, policy, functions, variant)
+        for assignment, (branches, systems) in zip(assignments, built):
             _check_cases(assignment["cases"], dict(zip(ALL_CASES, systems)),
                          f"branches {branches}: ")
         _require(doc["certified"] is all(_all_infeasible(a) for a in assignments),

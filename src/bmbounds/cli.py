@@ -286,6 +286,9 @@ def _cmd_dichotomy(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.m is None and args.k is None:
+        sys.stderr.write("error: bounds needs --m a..b, --k a..b or both\n")
+        return EXIT_INPUT_ERROR
     ms = range(args.m[0], args.m[1] + 1) if args.m else []
     ks = range(args.k[0], args.k[1] + 1) if args.k else []
     try:

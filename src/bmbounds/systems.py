@@ -16,8 +16,9 @@ The d-row of case in0not1 exists in two readings ("printed" and
 from __future__ import annotations
 
 import enum
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -249,34 +250,32 @@ def branch_row(t: Fraction, m: int, branch: str) -> LinearInequality:
     return _le(coeffs, t - 2 * t / (t - 1), f"B{m}{branch}")
 
 
+def branch_strings(count: int) -> list[str]:
+    """The 2**count branch assignments of count functions, in "a"/"b" product order."""
+    return ["".join(combo) for combo in itertools.product("ab", repeat=count)]
+
+
 def build_dichotomy_systems(
     t: Fraction,
     policy: CPolicy = DEFAULT_POLICY,
-    branches: Sequence[str] = (),
     functions: Sequence[int] = DEFAULT_DICHOTOMY_FUNCTIONS,
     variant: Variant = Variant.SYMMETRIZED,
-) -> list[LinearSystem]:
-    """The four case systems augmented with one branch row per function.
+) -> list[tuple[str, list[LinearSystem]]]:
+    """Each branch assignment ("a" or "b" per function) with its four case systems.
 
-    ``branches`` selects "a" or "b" for each configured indicator; its
-    length must match ``functions``.  An empty configuration returns the
-    base systems unchanged.
+    The assignments come in product order; a system is its base case system
+    plus one branch row per function, with ``meta["branches"]`` set.  The
+    bases and each function's two rows are built once and shared.
     """
-    if len(branches) != len(functions):
-        raise SystemError_(
-            f"branch vector has length {len(branches)}, expected {len(functions)}"
-        )
     t = Fraction(t)
     # The base systems check the guards on t and c(t) before a branch row divides by t - 1.
-    bases = [build_case_system(case, t, policy, variant) for case in ALL_CASES]
-    extra = [branch_row(t, m, br) for m, br in zip(functions, branches)]
+    bases = build_all_cases(t, policy, variant).values()
+    rows = [{br: branch_row(t, m, br) for br in "ab"} for m in functions]
     out = []
-    for base in bases:
-        meta = dict(base.meta)
-        meta["branches"] = "".join(branches)
-        out.append(
-            LinearSystem(base.variables, base.inequalities + tuple(extra), base.nonneg, meta)
-        )
+    for branches in branch_strings(len(functions)):
+        extra = tuple(row[br] for row, br in zip(rows, branches))
+        out.append((branches, [replace(base, inequalities=base.inequalities + extra,
+                                       meta={**base.meta, "branches": branches}) for base in bases]))
     return out
 
 
@@ -314,9 +313,13 @@ def serialize_system(system: LinearSystem) -> str:
 def parse_system_file(text: str) -> LinearSystem:
     """Parse the system-definition format; round-trips with serialize_system."""
     try:
-        doc = json.loads(text)
+        return system_from_doc(json.loads(text))
     except json.JSONDecodeError as exc:
         raise SystemFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def system_from_doc(doc) -> LinearSystem:
+    """Read a decoded system-definition object: the inverse of ``system_doc``."""
     if not isinstance(doc, dict):
         raise SystemFormatError("top-level value must be an object")
     try:

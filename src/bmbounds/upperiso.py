@@ -261,15 +261,26 @@ def _largest_row(head_block: Matrix, tail_block: Matrix, row_ids: tuple):
     return norms[best], row_ids[best]
 
 
+def _matrices_at(t, mats: IsoMatrices | None) -> IsoMatrices:
+    """mats, which must have been built at t, or the matrices at t."""
+    if mats is None:
+        return build_matrices(t)
+    with _working_precision(_is_exact(t)):
+        t, _, _ = _read_parameter(t)
+        if t != mats.t:
+            raise IsoDomainError(f"matrices were built at t = {mats.t}, not at t = {t}")
+    return mats
+
+
 def operator_norm_T(t, mats: IsoMatrices | None = None):
     """sup over output coordinates of the coefficient-row l1 norm."""
-    mats = build_matrices(t) if mats is None else mats
+    mats = _matrices_at(t, mats)
     with _working_precision(_is_exact(mats.t)):
         return _largest_row(mats.M, mats.tail_block, _T_ROW_IDS)
 
 
 def operator_norm_S(t, mats: IsoMatrices | None = None):
-    mats = build_matrices(t) if mats is None else mats
+    mats = _matrices_at(t, mats)
     with _working_precision(_is_exact(mats.t)):
         return _largest_row(mats.Minv, mats.s_tail_block, _S_ROW_IDS)
 

@@ -486,3 +486,57 @@ class TestEchoComparison:
             EXIT_INPUT_ERROR: "malformed certificate: Farkas vector has length 10, expected 9",
         }[code]
         assert verify_certificate_text(json.dumps(doc)) == (code, message)
+
+
+class TestAuditWork:
+    """Each dichotomy base system is built once per t, and audits serialize nothing."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        import bmbounds.certify as certify_mod
+        import bmbounds.systems as systems_mod
+
+        calls = []
+
+        def building(*args, **kwargs):
+            calls.append(args)
+            return build_case_system(*args, **kwargs)
+
+        for module in (certify_mod, systems_mod):
+            monkeypatch.setattr(module, "build_case_system", building)
+        return calls
+
+    def test_dichotomy_builds_each_base_once(self, built):
+        report = certify_dichotomy(F(113, 32))
+        assert len(built) == 4  # 32 when every assignment rebuilt the bases
+        assert report.certified
+        built.clear()
+        assert verify_certificate_text(json.dumps(dichotomy_report_doc(report)))[0] == EXIT_CERTIFIED
+        assert len(built) == 4
+
+    def test_audit_serializes_nothing(self, monkeypatch):
+        import bmbounds.certify as certify_mod
+        import bmbounds.systems as systems_mod
+
+        docs = [certify_report_doc(certify_at(F(113, 32))),
+                search_report_doc(binary_search_bound(F(3), F(5), 4)),
+                dichotomy_report_doc(certify_dichotomy(F(18, 5), functions=(0, 2)))]
+
+        def boom(*args, **kwargs):  # pragma: no cover
+            raise AssertionError("audit must not serialize a system")
+
+        for module in (certify_mod, systems_mod):
+            monkeypatch.setattr(module, "serialize_system", boom)
+        for doc in docs:
+            assert verify_certificate_text(json.dumps(doc)) == (
+                EXIT_CERTIFIED, "all certificates verified")
+
+    def test_functions_list_is_bounded_before_any_build(self, built):
+        doc = dichotomy_report_doc(certify_dichotomy(F(18, 5), functions=(0, 2)))
+        doc["functions"] = [0, 1, 2, 0] * 10
+        built.clear()
+        assert verify_certificate_text(json.dumps(doc)) == (
+            EXIT_NOT_CERTIFIED,
+            f"assignments are not the {2 ** 40} branch combinations of functions"
+            f" {doc['functions']} in order")
+        assert built == []

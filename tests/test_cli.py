@@ -123,6 +123,11 @@ class TestBoundsCommand:
         code, _, err = run(capsys, "bounds", "--k", "1..2")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_no_range_is_input_error(self, capsys, fmt):
+        code, out, err = run(capsys, "bounds", "--format", fmt)
+        assert (code, out, err) == (2, "", "error: bounds needs --m a..b, --k a..b or both\n")
+
 
 class TestUpperCommand:
     def test_optimize(self, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -221,7 +222,8 @@ class TestDichotomy:
     def test_systems_augment_base(self):
         t = F(113, 32)
         base = build_case_system(JCase.J012, t, DEFAULT_POLICY)
-        systems = build_dichotomy_systems(t, DEFAULT_POLICY, ("a", "b", "a"))
+        branches, systems = build_dichotomy_systems(t, DEFAULT_POLICY)[2]
+        assert branches == "aba"
         first = systems[0]
         assert first.inequalities[: len(base.inequalities)] == base.inequalities
         assert [i.label for i in first.inequalities[len(base.inequalities):]] == [
@@ -230,12 +232,24 @@ class TestDichotomy:
             "B2a",
         ]
 
-    def test_wrong_length_branch_vector(self):
-        with pytest.raises(SystemError_, match="length"):
-            build_dichotomy_systems(F(4), DEFAULT_POLICY, ("a", "b"))
+    @pytest.mark.parametrize("functions", [(0,), (0, 2), (0, 1, 2)])
+    def test_assignments_in_product_order(self, functions):
+        t = F(4)
+        assignments = build_dichotomy_systems(t, DEFAULT_POLICY, functions)
+        assert len(assignments) == 2 ** len(functions)
+        assert [b for b, _ in assignments] == [
+            "".join(c) for c in itertools.product("ab", repeat=len(functions))]
+        for branches, systems in assignments:
+            extra = tuple(branch_row(t, m, br) for m, br in zip(functions, branches))
+            for case, sys_ in zip(ALL_CASES, systems):
+                base = build_case_system(case, t, DEFAULT_POLICY)
+                assert sys_.meta == {**base.meta, "branches": branches}
+                assert sys_.inequalities == base.inequalities + extra
 
     def test_empty_config_degenerates_to_base(self):
-        systems = build_dichotomy_systems(F(4), DEFAULT_POLICY, (), functions=())
+        [(branches, systems)] = build_dichotomy_systems(F(4), DEFAULT_POLICY, functions=())
+        assert branches == ""
         for case, sys_ in zip(ALL_CASES, systems):
             base = build_case_system(case, F(4), DEFAULT_POLICY)
             assert sys_.inequalities == base.inequalities
+            assert sys_.meta == {**base.meta, "branches": ""}

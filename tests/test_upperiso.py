@@ -138,6 +138,17 @@ class TestOperatorNorms:
         value, _ = operator_norm_T(F(4))
         assert value == F(4)
 
+    def test_matrices_must_be_built_at_t(self):
+        mats = build_matrices(F(4))
+        for norm in (operator_norm_T, operator_norm_S):
+            with pytest.raises(IsoDomainError, match="built at t = 4, not at t = 3"):
+                norm(F(3), mats)
+            assert norm(F(4), mats) == norm(F(4))
+        # A float names the binary value it holds, which is not 18/5.
+        with pytest.raises(IsoDomainError, match="built at t = 18/5"):
+            operator_norm_T(3.6, build_matrices(F(18, 5)))
+        assert operator_norm_T(3.5, build_matrices(3.5)) == operator_norm_T(3.5)
+
     def test_attainment_by_sign_pattern(self):
         """A sign-pattern input realizes the operator norm exactly."""
         for t in (F(3), F(7, 2), F(4)):

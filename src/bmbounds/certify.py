@@ -40,7 +40,7 @@ from .systems import (
     build_all_cases,
     build_case_system,
     build_dichotomy_systems,
-    parse_system_file,  # unused here; bench/spans.py wraps both names in this module
+    parse_system_file,  # unused here, like serialize_system: bench/spans.py wraps both here
     serialize_system,
     system_doc,
     system_from_doc,

@@ -263,9 +263,8 @@ def build_dichotomy_systems(
 ) -> list[tuple[str, list[LinearSystem]]]:
     """Each branch assignment ("a" or "b" per function) with its four case systems.
 
-    The assignments come in product order; a system is its base case system
-    plus one branch row per function, with ``meta["branches"]`` set.  The
-    bases and each function's two rows are built once and shared.
+    In product order; each system is its base case system plus one branch row
+    per function, with ``meta["branches"]`` set.  Bases and rows are built once.
     """
     t = Fraction(t)
     # The base systems check the guards on t and c(t) before a branch row divides by t - 1.
@@ -274,8 +273,9 @@ def build_dichotomy_systems(
     out = []
     for branches in branch_strings(len(functions)):
         extra = tuple(row[br] for row, br in zip(rows, branches))
-        out.append((branches, [replace(base, inequalities=base.inequalities + extra,
-                                       meta={**base.meta, "branches": branches}) for base in bases]))
+        systems = [replace(base, inequalities=base.inequalities + extra,
+                           meta={**base.meta, "branches": branches}) for base in bases]
+        out.append((branches, systems))
     return out
 
 

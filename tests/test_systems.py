@@ -1,10 +1,11 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from bmbounds.exactlp import GE, LE, LinearSystem, SystemError_
+from bmbounds.exactlp import GE, LE, LinearSystem
 from bmbounds.systems import (
     ALL_CASES,
     CPolicy,
@@ -18,6 +19,8 @@ from bmbounds.systems import (
     build_dichotomy_systems,
     parse_system_file,
     serialize_system,
+    system_doc,
+    system_from_doc,
 )
 
 F = Fraction
@@ -168,6 +171,12 @@ class TestSerialization:
     def test_roundtrip_case_system(self):
         sys_ = build_case_system(JCase.J012, F(113, 32), DEFAULT_POLICY)
         assert parse_system_file(serialize_system(sys_)) == sys_
+        assert system_from_doc(system_doc(sys_)) == sys_
+
+    def test_document_must_be_an_object(self):
+        for read in (system_from_doc, lambda doc: parse_system_file(json.dumps(doc))):
+            with pytest.raises(SystemFormatError, match="top-level value must be an object"):
+                read(["variables"])
 
     def test_zero_denominator_rejected(self):
         text = serialize_system(build_case_system(JCase.J012, F(4), DEFAULT_POLICY))
@@ -232,19 +241,19 @@ class TestDichotomy:
             "B2a",
         ]
 
-    @pytest.mark.parametrize("functions", [(0,), (0, 2), (0, 1, 2)])
-    def test_assignments_in_product_order(self, functions):
+    def test_assignments_in_product_order(self):
         t = F(4)
-        assignments = build_dichotomy_systems(t, DEFAULT_POLICY, functions)
-        assert len(assignments) == 2 ** len(functions)
-        assert [b for b, _ in assignments] == [
-            "".join(c) for c in itertools.product("ab", repeat=len(functions))]
-        for branches, systems in assignments:
-            extra = tuple(branch_row(t, m, br) for m, br in zip(functions, branches))
-            for case, sys_ in zip(ALL_CASES, systems):
-                base = build_case_system(case, t, DEFAULT_POLICY)
-                assert sys_.meta == {**base.meta, "branches": branches}
-                assert sys_.inequalities == base.inequalities + extra
+        for functions in ((0,), (0, 2), (0, 1, 2)):
+            assignments = build_dichotomy_systems(t, DEFAULT_POLICY, functions)
+            assert len(assignments) == 2 ** len(functions)
+            assert [b for b, _ in assignments] == [
+                "".join(c) for c in itertools.product("ab", repeat=len(functions))]
+            for branches, systems in assignments:
+                extra = tuple(branch_row(t, m, br) for m, br in zip(functions, branches))
+                for case, sys_ in zip(ALL_CASES, systems):
+                    base = build_case_system(case, t, DEFAULT_POLICY)
+                    assert sys_.meta == {**base.meta, "branches": branches}
+                    assert sys_.inequalities == base.inequalities + extra
 
     def test_empty_config_degenerates_to_base(self):
         [(branches, systems)] = build_dichotomy_systems(F(4), DEFAULT_POLICY, functions=())

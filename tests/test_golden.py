@@ -29,6 +29,12 @@ the optimizer's objective took row maxima of its own, before the twelve
 coefficient rows became the one definition of the pair (T, S).  They pin
 the exact scan at step 1/100, the optimizer at its default tolerance and
 the text line of one exact ``upper --t`` report.
+
+The text and CSV digests after those were recorded while every subcommand
+of ``cli`` still picked its own rendering and wrote it itself.  They pin
+the text and CSV reports of each subcommand, ``certify --case`` selection
+and the format aliasing of ``upper`` (``--scan`` prints CSV for ``text``,
+``--optimize`` prints text for ``csv``).
 """
 
 import hashlib
@@ -66,6 +72,34 @@ GOLDEN = {
         (0, "60fc4d9d3ba090290e22e3636d3038c09b1dcd3d8de56b85d81ccd391684079a"),
     "upper --t 387513/100000":
         (0, "d1f887b6edef7656b25ccf7560e0371dd29e6f46981367327059f89e3aba7e9e"),
+    "certify --t 113/32":
+        (0, "45a06e344168fd984f8b7d27f9b000cb3daccf6baf018afd9f57b7b2e5010ca3"),
+    "certify --t 4 --case j012":
+        (1, "7282d859504591f3b60dbacd56677cece3932cf39bee58860d9cf51cf4f15665"),
+    "search --lo 3 --hi 5 --iters 6":
+        (0, "f2f9579209a97a414025b59481b32e2be8e795ebfb2014732dd649dbdca46aa0"),
+    "search --lo 3 --hi 5 --iters 6 --format csv":
+        (0, "48afe9211ceaddf2cd02215d27802a21ba37c1a3b7676cfd223f997805562ae3"),
+    "sweep --iters 2":
+        (0, "c283b749247cdd9c909a4a379835a121218310feeb5ec973e9c7dea2740e3d19"),
+    "sweep --iters 2 --format csv":
+        (0, "6ad798de79b5820eb2b56e436de579e91fbbd6bf48132f0e0c3cf291ac31ab19"),
+    "dichotomy --t 113/32":
+        (0, "a03bf1f6822cf1c01ff8d38b675ed97431d14ecd3fcf3833f59104b9c5da6810"),
+    "bounds --m 2..3 --k 2..3":
+        (0, "a0f8e62c12f9517c6874fd0a4418f87ea592c4112eb1a3293b95473241ffc1ec"),
+    "bounds --m 2..3 --k 2..3 --format csv":
+        (0, "52352dbad1180fbe946abd52c8993cd8fc8422d50031c81abd9fbbb9a0e39d36"),
+    "upper --scan 3:4:1/2":
+        (0, "0e36654304b5d2d5c7cab3189fbb64b6bac354267ee4700f7e0258756b842eb3"),
+    "upper --scan 3:4:1/2 --format text":
+        (0, "0e36654304b5d2d5c7cab3189fbb64b6bac354267ee4700f7e0258756b842eb3"),
+    "upper --optimize --tol 1e-6":
+        (0, "adaccc2875badf6f65fe59f57db9f007b75fc0011d0acd8b3bf4eeda5a2ba572"),
+    "upper --optimize --tol 1e-6 --format csv":
+        (0, "adaccc2875badf6f65fe59f57db9f007b75fc0011d0acd8b3bf4eeda5a2ba572"),
+    "upper --t 7/2 --format csv":
+        (0, "31165587e1c069cde239a40758b321357447597f2b4c597dc2e324931e77162e"),
 }
 
 

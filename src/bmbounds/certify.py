@@ -270,31 +270,35 @@ def _result_json(result: FeasibilityResult) -> dict:
     return doc
 
 
-def _case_entries(report: CaseReport) -> list[dict]:
+def _case_entries(report: CaseReport, cases: Sequence[JCase] = ALL_CASES) -> list[dict]:
     return [
         {"case": case.value, **_result_json(report.results[case]),
          "system": system_doc(report.systems[case])}
-        for case in ALL_CASES
+        for case in cases
     ]
 
 
-def _report_json(report: CaseReport) -> dict:
+def _report_json(report: CaseReport, cases: Sequence[JCase] = ALL_CASES) -> dict:
     return {
         "t": format_rational(report.t),
         "c": format_rational(report.c),
-        "cases": _case_entries(report),
+        "cases": _case_entries(report, cases),
     }
 
 
-def certify_report_doc(report: CaseReport) -> dict:
-    return {
+def certify_report_doc(report: CaseReport, case: JCase | None = None) -> dict:
+    """With ``case``, the document holds that case's entry alone, ``certified``
+    covers that case only, and a last ``case`` field records it."""
+    cases = ALL_CASES if case is None else (case,)
+    doc = {
         "tool_version": TOOL_VERSION,
         "kind": "certify",
         "variant": report.variant.value,
         "policy": report.policy.key(),
-        **_report_json(report),
-        "certified": report.all_infeasible,
+        **_report_json(report, cases),
+        "certified": all(not report.results[c].feasible for c in cases),
     }
+    return doc if case is None else {**doc, "case": case.value}
 
 
 def search_report_doc(bound: CertifiedBound) -> dict:
@@ -310,6 +314,22 @@ def search_report_doc(bound: CertifiedBound) -> dict:
         ],
         "lower_report": _report_json(bound.report_lo),
         "upper_report": _report_json(bound.report_hi),
+    }
+
+
+def sweep_report_doc(ranked, skipped, variant: Variant, iters: int) -> dict:
+    """The sweep document of the (ranked, skipped) pair that ``sweep_policies`` returns."""
+    return {
+        "tool_version": TOOL_VERSION,
+        "kind": "sweep",
+        "variant": variant.value,
+        "iters": iters,
+        "results": [
+            {"policy": policy.key(), "t_lo": format_rational(bound.t_lo),
+             "t_hi": format_rational(bound.t_hi)}
+            for policy, bound in ranked
+        ],
+        "skipped": [{"policy": policy.key(), "reason": reason} for policy, reason in skipped],
     }
 
 

@@ -1,5 +1,11 @@
 """Command-line front door for certification, sweeps, closed forms and audits.
 
+``main`` parses argv, runs one subcommand and writes its rendering once.
+Each subcommand returns its exit code, its structured document and its
+text (and CSV) lines; ``--format`` picks one of them, ``structured`` being
+the document as JSON, and ``--out`` names a file to write it to instead of
+stdout.  Every certificate and sweep document is built in ``certify``.
+
 Exit codes follow the certification convention: 0 = certified / verified,
 1 = not certified / invalid certificate, 2 = input or guard error.
 Rational flags accept only integer or p/q literals; decimals are rejected
@@ -22,7 +28,6 @@ from .certify import (
     EXIT_CERTIFIED,
     EXIT_INPUT_ERROR,
     EXIT_NOT_CERTIFIED,
-    TOOL_VERSION,
     BracketError,
     certify_at,
     certify_dichotomy,
@@ -31,6 +36,7 @@ from .certify import (
     binary_search_bound,
     search_report_doc,
     sweep_policies,
+    sweep_report_doc,
     verify_cert_file,
 )
 from .rationals import RationalFormatError, format_rational, parse_int, parse_rational
@@ -59,8 +65,7 @@ def _policy(text: str) -> CPolicy:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"c-policy must be p,q,r, got {text!r}")
     try:
-        p, q, r = (parse_int(x) for x in parts)
-        return CPolicy(p, q, r)
+        return CPolicy(*(parse_int(x) for x in parts))
     except (ValueError, DomainError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -92,14 +97,12 @@ def _tolerance(text: str) -> str:
 
 
 def _int_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        a, b = text.split("..", 1)
-        lo, hi = _int(a), _int(b)
-        if lo > hi:
-            raise argparse.ArgumentTypeError(f"range a..b needs a <= b, got {text!r}")
-        return lo, hi
-    v = _int(text)
-    return v, v
+    a, dots, b = text.partition("..")
+    lo = _int(a)
+    hi = _int(b) if dots else lo
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"range a..b needs a <= b, got {text!r}")
+    return lo, hi
 
 
 def _scan_spec(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -120,205 +123,160 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _distortion_row(t, norm_t, norm_s, distortion) -> dict:
     return {"t": format_rational(t), "normT": float(norm_t), "normS": float(norm_s),
             "distortion": float(distortion)}
 
 
-def _distortion_csv(rows: list[dict]) -> str:
-    body = [f"{r['t']},{r['normT']:.12f},{r['normS']:.12f},{r['distortion']:.12f}" for r in rows]
-    return "\n".join(["t,normT,normS,distortion"] + body) + "\n"
+def _distortion_csv(rows: list[dict]) -> list[str]:
+    return ["t,normT,normS,distortion"] + [
+        f"{r['t']},{r['normT']:.12f},{r['normS']:.12f},{r['distortion']:.12f}" for r in rows]
+
+
+class _UsageError(Exception):
+    """The arguments parse but name no run of the subcommand (exit 2)."""
+
+
+FORMATS = ("text", "csv", "structured")
+
+
+def _output_options(p, formats=FORMATS) -> None:
+    p.add_argument("--format", choices=formats, default="text")
+    p.add_argument("--out", default=None, help="write the report to this path")
+
+
+def _lp_options(p, formats=FORMATS, c_policy=True) -> None:
+    """The options of the subcommands that decide case systems."""
+    if c_policy:
+        p.add_argument("--c-policy", type=_policy, default=DEFAULT_POLICY,
+                       metavar="p,q,r", help="threshold policy c(t) = (p*t+q)/r")
+    p.add_argument("--variant", choices=["printed", "symmetrized"], default="symmetrized")
+    _output_options(p, formats)
+
+
+def _bracket_options(p, iters: int) -> None:
+    p.add_argument("--lo", type=_rational, default=Fraction(3))
+    p.add_argument("--hi", type=_rational, default=Fraction(5))
+    p.add_argument("--iters", type=_nonnegative_int, default=iters)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bmbounds",
-        description="Certified lower/upper bounds for distortions between sequence spaces.",
-    )
+        description="Certified lower/upper bounds for distortions between sequence spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--c-policy", type=_policy, default=DEFAULT_POLICY,
-                       metavar="p,q,r", help="threshold policy c(t) = (p*t+q)/r")
-        p.add_argument("--variant", choices=["printed", "symmetrized"],
-                       default="symmetrized")
-        p.add_argument("--format", choices=["text", "csv", "structured"], default="text")
-        p.add_argument("--out", default=None, help="write the report to this path")
 
     p = sub.add_parser("certify", help="decide all four case systems at one t")
     p.add_argument("--t", type=_rational, required=True)
     p.add_argument("--case", type=str.lower, choices=sorted(CASE_FLAG), default="all")
-    common(p)
+    _lp_options(p, formats=("text", "structured"))
+    p.set_defaults(run=_cmd_certify)
 
     p = sub.add_parser("search", help="bisect the largest certified t")
-    p.add_argument("--lo", type=_rational, default=Fraction(3))
-    p.add_argument("--hi", type=_rational, default=Fraction(5))
-    p.add_argument("--iters", type=_nonnegative_int, default=6)
-    common(p)
+    _bracket_options(p, iters=6)
+    _lp_options(p)
+    p.set_defaults(run=_cmd_search)
 
     p = sub.add_parser("sweep", help="rank c-policies by certified bound")
     p.add_argument("--policies", type=_policy, nargs="+",
                    default=[CPolicy(1, 0, 2), CPolicy(1, 1, 2), CPolicy(2, 1, 4)])
-    p.add_argument("--lo", type=_rational, default=Fraction(3))
-    p.add_argument("--hi", type=_rational, default=Fraction(5))
-    p.add_argument("--iters", type=_nonnegative_int, default=8)
-    p.add_argument("--variant", choices=["printed", "symmetrized"], default="symmetrized")
-    p.add_argument("--format", choices=["text", "csv", "structured"], default="text")
-    p.add_argument("--out", default=None)
+    _bracket_options(p, iters=8)
+    _lp_options(p, c_policy=False)
+    p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("dichotomy", help="branch-split certification at one t")
     p.add_argument("--t", type=_rational, required=True)
     p.add_argument("--functions", type=_int, nargs="*", choices=[0, 1, 2], default=[0, 1, 2])
-    common(p)
+    _lp_options(p, formats=("text", "structured"))
+    p.set_defaults(run=_cmd_dichotomy)
 
     p = sub.add_parser("bounds", help="closed-form bound tables")
     p.add_argument("--m", type=_int_range, default=None, metavar="a..b")
     p.add_argument("--k", type=_int_range, default=None, metavar="a..b")
-    p.add_argument("--format", choices=["text", "csv", "structured"], default="text")
-    p.add_argument("--out", default=None)
+    _output_options(p)
+    p.set_defaults(run=_cmd_bounds)
 
     p = sub.add_parser("upper", help="norms and distortion of the block isomorphism")
     p.add_argument("--scan", type=_scan_spec, default=None, metavar="lo:hi:step")
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--tol", type=_tolerance, default="1e-12")
     p.add_argument("--t", type=_rational, default=None)
-    p.add_argument("--format", choices=["text", "csv", "structured"], default="text")
-    p.add_argument("--out", default=None)
+    _output_options(p)
+    p.set_defaults(run=_cmd_upper)
 
     p = sub.add_parser("verify-cert", help="re-verify a certificate file by substitution")
     p.add_argument("path")
+    p.set_defaults(run=_cmd_verify, format="text", out=None)
 
     return parser
 
 
-def _cmd_certify(args) -> int:
-    variant = Variant(args.variant)
-    report = certify_at(args.t, args.c_policy, variant)
-    doc = certify_report_doc(report)
-    case = CASE_FLAG[args.case]
-    if case is not None:
-        doc["case"] = case.value
-        doc["cases"] = [e for e in doc["cases"] if e["case"] == case.value]
-        doc["certified"] = all(e["status"] == "infeasible" for e in doc["cases"])
-    if args.format == "structured":
-        _emit(_json_text(doc), args.out)
-    else:
-        lines = [f"t = {format_rational(report.t)}  c = {format_rational(report.c)}"
-                 f"  policy = {args.c_policy.key()}  variant = {variant.value}"]
-        for entry in doc["cases"]:
-            lines.append(f"  case {entry['case']}: {entry['status']}")
-        lines.append("certified" if doc["certified"] else "not certified")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_CERTIFIED if doc["certified"] else EXIT_NOT_CERTIFIED
+# Each subcommand returns (exit code, structured document, {format: lines}).
+
+def _cmd_certify(args):
+    report = certify_at(args.t, args.c_policy, Variant(args.variant))
+    doc = certify_report_doc(report, CASE_FLAG[args.case])
+    text = [f"t = {format_rational(report.t)}  c = {format_rational(report.c)}"
+            f"  policy = {args.c_policy.key()}  variant = {args.variant}"]
+    text += [f"  case {entry['case']}: {entry['status']}" for entry in doc["cases"]]
+    text.append("certified" if doc["certified"] else "not certified")
+    return EXIT_CERTIFIED if doc["certified"] else EXIT_NOT_CERTIFIED, doc, {"text": text}
 
 
-def _cmd_search(args) -> int:
-    variant = Variant(args.variant)
-    bound = binary_search_bound(args.lo, args.hi, args.iters, args.c_policy, variant)
+def _cmd_search(args):
+    bound = binary_search_bound(args.lo, args.hi, args.iters, args.c_policy, Variant(args.variant))
     doc = search_report_doc(bound)
-    if args.format == "structured":
-        _emit(_json_text(doc), args.out)
-    elif args.format == "csv":
-        rows = ["t,all_infeasible"] + [f"{t},{ok}" for t, ok in
-                                       ((e["t"], e["all_infeasible"]) for e in doc["trace"])]
-        _emit("\n".join(rows) + "\n", args.out)
-    else:
-        lines = [
-            f"policy = {bound.policy.key()}  variant = {variant.value}",
+    text = [f"policy = {bound.policy.key()}  variant = {args.variant}",
             f"certified t_lo = {format_rational(bound.t_lo)}"
-            f" ({float(bound.t_lo):.6f}), witnessed t_hi = {format_rational(bound.t_hi)}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_CERTIFIED
+            f" ({float(bound.t_lo):.6f}), witnessed t_hi = {format_rational(bound.t_hi)}"]
+    csv = ["t,all_infeasible"] + [f"{e['t']},{e['all_infeasible']}" for e in doc["trace"]]
+    return EXIT_CERTIFIED, doc, {"text": text, "csv": csv}
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     variant = Variant(args.variant)
     ranked, skipped = sweep_policies(args.policies, args.lo, args.hi, args.iters, variant)
-    doc = {
-        "tool_version": TOOL_VERSION,
-        "kind": "sweep",
-        "variant": variant.value,
-        "iters": args.iters,
-        "results": [
-            {"policy": pol.key(), "t_lo": format_rational(b.t_lo),
-             "t_hi": format_rational(b.t_hi)}
-            for pol, b in ranked
-        ],
-        "skipped": [{"policy": pol.key(), "reason": reason} for pol, reason in skipped],
-    }
-    if args.format == "structured":
-        _emit(_json_text(doc), args.out)
-    elif args.format == "csv":
-        rows = ["policy,t_lo,t_hi"] + [
-            f"{r['policy'].replace(',', ';')},{r['t_lo']},{r['t_hi']}" for r in doc["results"]
-        ]
-        _emit("\n".join(rows) + "\n", args.out)
-    else:
-        lines = [f"{r['policy']}: t_lo = {r['t_lo']}" for r in doc["results"]]
-        lines += [f"skipped {s['policy']}: {s['reason']}" for s in doc["skipped"]]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_CERTIFIED if ranked else EXIT_INPUT_ERROR
+    doc = sweep_report_doc(ranked, skipped, variant, args.iters)
+    text = [f"{r['policy']}: t_lo = {r['t_lo']}" for r in doc["results"]]
+    text += [f"skipped {s['policy']}: {s['reason']}" for s in doc["skipped"]]
+    csv = ["policy,t_lo,t_hi"] + [
+        f"{r['policy'].replace(',', ';')},{r['t_lo']},{r['t_hi']}" for r in doc["results"]]
+    return EXIT_CERTIFIED if ranked else EXIT_INPUT_ERROR, doc, {"text": text, "csv": csv}
 
 
-def _cmd_dichotomy(args) -> int:
-    variant = Variant(args.variant)
-    report = certify_dichotomy(args.t, args.c_policy, tuple(args.functions), variant)
+def _cmd_dichotomy(args):
+    report = certify_dichotomy(args.t, args.c_policy, tuple(args.functions), Variant(args.variant))
     doc = dichotomy_report_doc(report)
-    if args.format == "structured":
-        _emit(_json_text(doc), args.out)
-    else:
-        lines = [f"t = {format_rational(report.t)}  policy = {args.c_policy.key()}"
-                 f"  variant = {variant.value}"]
-        for a in report.assignments:
-            verdicts = ", ".join(
-                f"{c.value}:{'feasible' if a.results[c].feasible else 'infeasible'}"
-                for c in ALL_CASES
-            )
-            lines.append(f"  branches {a.branches or '(none)'}: {verdicts}")
-        lines.append("certified" if report.certified else "not certified")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_CERTIFIED if report.certified else EXIT_NOT_CERTIFIED
+    text = [f"t = {format_rational(report.t)}  policy = {args.c_policy.key()}"
+            f"  variant = {args.variant}"]
+    for a in report.assignments:
+        verdicts = ", ".join(
+            f"{c.value}:{'feasible' if a.results[c].feasible else 'infeasible'}" for c in ALL_CASES)
+        text.append(f"  branches {a.branches or '(none)'}: {verdicts}")
+    text.append("certified" if report.certified else "not certified")
+    return EXIT_CERTIFIED if report.certified else EXIT_NOT_CERTIFIED, doc, {"text": text}
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     if args.m is None and args.k is None:
-        sys.stderr.write("error: bounds needs --m a..b, --k a..b or both\n")
-        return EXIT_INPUT_ERROR
+        raise _UsageError("bounds needs --m a..b, --k a..b or both")
     ms = range(args.m[0], args.m[1] + 1) if args.m else []
     ks = range(args.k[0], args.k[1] + 1) if args.k else []
-    try:
-        rows = bounds_mod.bounds_table(ms, ks)
-    except bounds_mod.BoundDomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
-    if args.format == "structured":
-        _emit(_json_text({"kind": "bounds", "rows": rows}), args.out)
-    elif args.format == "csv":
-        out = ["kind,parameter,value"] + [f"{r['kind']},{r['parameter']},{r['value']}" for r in rows]
-        _emit("\n".join(out) + "\n", args.out)
-    else:
-        out = [f"{r['kind']}({r['parameter']}) = {r['value']}" for r in rows]
-        _emit("\n".join(out) + "\n", args.out)
-    return EXIT_CERTIFIED
+    rows = bounds_mod.bounds_table(ms, ks)
+    text = [f"{r['kind']}({r['parameter']}) = {r['value']}" for r in rows]
+    csv = ["kind,parameter,value"] + [f"{r['kind']},{r['parameter']},{r['value']}" for r in rows]
+    return EXIT_CERTIFIED, {"kind": "bounds", "rows": rows}, {"text": text, "csv": csv}
 
 
-def _cmd_upper(args) -> int:
-    modes = sum(1 for flag in (args.scan is not None, args.optimize, args.t is not None) if flag)
-    if modes > 1:
-        sys.stderr.write("error: --scan, --optimize and --t are mutually exclusive\n")
-        return EXIT_INPUT_ERROR
+def _cmd_upper(args):
+    modes = (args.scan is not None) + args.optimize + (args.t is not None)
+    if modes != 1:
+        raise _UsageError("--scan, --optimize and --t are mutually exclusive" if modes
+                          else "upper needs one of --scan, --optimize, --t")
     if args.scan is not None:
         rows = [_distortion_row(*r) for r in upperiso.scan_distortion(*args.scan)]
-        if args.format == "structured":
-            _emit(_json_text({"kind": "upper-scan", "rows": rows}), args.out)
-        else:
-            _emit(_distortion_csv(rows), args.out)
-        return EXIT_CERTIFIED
+        csv = _distortion_csv(rows)
+        return EXIT_CERTIFIED, {"kind": "upper-scan", "rows": rows}, {"text": csv, "csv": csv}
     if args.optimize:
         t_star, report = upperiso.optimize_distortion(tol=args.tol)
         cubic = upperiso.cubic_formula_value(t_star)
@@ -326,76 +284,36 @@ def _cmd_upper(args) -> int:
         with mp.workdps(upperiso.PRECISION_DPS):
             norm_t, norm_s, distortion = (
                 mp.nstr(mp.mpf(x), 20) for x in (report.norm_t, report.norm_s, report.distortion))
-        doc = {
-            "kind": "upper-optimize",
-            "t_star": mp.nstr(t_star, 20),
-            "normT": norm_t,
-            "normS": norm_s,
-            "distortion": distortion,
-            "argmax_rows": {"T": report.argmax_t, "S": report.argmax_s},
-            "closed_form": {
-                "printed": mp.nstr(cubic.printed, 20),
-                "corrected": mp.nstr(cubic.corrected, 20),
-                "matching": cubic.matching,
-            },
-        }
-        if args.format == "structured":
-            _emit(_json_text(doc), args.out)
-        else:
-            _emit(
-                f"t* = {doc['t_star']}\nnormT = {doc['normT']}\nnormS = {doc['normS']}\n"
-                f"distortion = {doc['distortion']}\n"
-                f"closed form: printed={doc['closed_form']['printed']}"
-                f" corrected={doc['closed_form']['corrected']}"
-                f" matching={doc['closed_form']['matching']}\n",
-                args.out,
-            )
-        return EXIT_CERTIFIED
-    if args.t is not None:
-        report = upperiso.norm_report(args.t)
-        row = _distortion_row(args.t, report.norm_t, report.norm_s, report.distortion)
-        if args.format == "structured":
-            _emit(_json_text({"kind": "upper-t", **row}), args.out)
-        elif args.format == "csv":
-            _emit(_distortion_csv([row]), args.out)
-        else:
-            _emit(f"t = {row['t']} normT = {row['normT']:.12f} normS = {row['normS']:.12f}"
-                  f" distortion = {row['distortion']:.12f}\n", args.out)
-        return EXIT_CERTIFIED
-    sys.stderr.write("error: upper needs one of --scan, --optimize, --t\n")
-    return EXIT_INPUT_ERROR
+        t_star, printed, corrected = (mp.nstr(x, 20) for x in (t_star, cubic.printed, cubic.corrected))
+        doc = {"kind": "upper-optimize", "t_star": t_star, "normT": norm_t, "normS": norm_s,
+               "distortion": distortion, "argmax_rows": {"T": report.argmax_t, "S": report.argmax_s},
+               "closed_form": {"printed": printed, "corrected": corrected, "matching": cubic.matching}}
+        text = [f"t* = {t_star}", f"normT = {norm_t}", f"normS = {norm_s}", f"distortion = {distortion}",
+                f"closed form: printed={printed} corrected={corrected} matching={cubic.matching}"]
+        return EXIT_CERTIFIED, doc, {"text": text, "csv": text}
+    report = upperiso.norm_report(args.t)
+    row = _distortion_row(args.t, report.norm_t, report.norm_s, report.distortion)
+    text = [f"t = {row['t']} normT = {row['normT']:.12f} normS = {row['normS']:.12f}"
+            f" distortion = {row['distortion']:.12f}"]
+    return EXIT_CERTIFIED, {"kind": "upper-t", **row}, {"text": text, "csv": _distortion_csv([row])}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     code, message = verify_cert_file(args.path)
-    print(message)
-    return code
+    return code, None, {"text": [message]}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "dichotomy":
-            return _cmd_dichotomy(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "upper":
-            return _cmd_upper(args)
-        if args.command == "verify-cert":
-            return _cmd_verify(args)
-    except (DomainError, BracketError, upperiso.IsoDomainError,
+        code, doc, lines = args.run(args)
+    except (_UsageError, DomainError, BracketError, upperiso.IsoDomainError,
             bounds_mod.BoundDomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return EXIT_INPUT_ERROR  # pragma: no cover
+    text = json.dumps(doc, indent=2) if args.format == "structured" else "\n".join(lines[args.format])
+    _emit(text + "\n", args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from bmbounds.certify import (
     dichotomy_report_doc,
     search_report_doc,
     sweep_policies,
+    sweep_report_doc,
     verify_certificate_text,
 )
 from bmbounds.exactlp import check_feasibility, verify_certificate
@@ -187,6 +188,16 @@ class TestSweep:
         assert len(skipped) == 1 and skipped[0][0] == CPolicy(3, 0, 1)
 
 
+    def test_report_doc(self):
+        ranked, skipped = sweep_policies([CPolicy(3, 0, 1), CPolicy(2, 1, 4)], F(3), F(5), 4)
+        doc = sweep_report_doc(ranked, skipped, Variant.PRINTED, 4)
+        assert {k: doc[k] for k in ("kind", "variant", "iters")} == {
+            "kind": "sweep", "variant": "printed", "iters": 4}
+        assert doc["results"] == [{"policy": "2,1,4", "t_lo": format_rational(ranked[0][1].t_lo),
+                                   "t_hi": format_rational(ranked[0][1].t_hi)}]
+        assert doc["skipped"] == [{"policy": "3,0,1", "reason": skipped[0][1]}]
+
+
 def test_monotonicity_100_random_pairs():
     """Per case: feasible at t0 implies feasible at t1 > t0 (default policy)."""
     rng = random.Random(424242)
@@ -246,6 +257,20 @@ class TestCertificateFiles:
         doc = certify_report_doc(certify_at(F(113, 32)))
         code, msg = verify_certificate_text(json.dumps(doc))
         assert code == EXIT_CERTIFIED, msg
+
+    @pytest.mark.parametrize("case", ALL_CASES, ids=[c.value for c in ALL_CASES])
+    def test_single_case_doc(self, case):
+        """At 57/16 two cases are feasible: a one-case document holds its entry
+        alone, records the case, and its certified flag covers that case only."""
+        report = certify_at(F(57, 16))
+        full = certify_report_doc(report)
+        doc = certify_report_doc(report, case)
+        [entry] = [e for e in full["cases"] if e["case"] == case.value]
+        assert doc == {**full, "cases": [entry], "certified": not report.results[case].feasible,
+                       "case": case.value}
+        assert list(doc)[-1] == "case"
+        assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED,
+                                                            "all certificates verified")
 
     def test_search_doc_verifies(self):
         doc = search_report_doc(binary_search_bound(F(3), F(5), 6))

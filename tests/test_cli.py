@@ -298,6 +298,9 @@ class TestVerifyCertCommand:
     # A reversed range would print an empty table.
     ["bounds", "--m", "5..2"],
     ["bounds", "--k", "4..2", "--format", "structured"],
+    # certify and dichotomy have no CSV rendering.
+    ["certify", "--t", "4", "--format", "csv"],
+    ["dichotomy", "--t", "4", "--format", "csv"],
 ])
 def test_bad_arguments_rejected_at_parse_time(capsys, monkeypatch, argv):
     def boom(*args, **kwargs):  # pragma: no cover

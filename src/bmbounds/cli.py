@@ -280,10 +280,11 @@ def _cmd_upper(args):
     if args.optimize:
         t_star, report = upperiso.optimize_distortion(tol=args.tol)
         cubic = upperiso.cubic_formula_value(t_star)
-        # mp.mpf rounds to the working precision: convert at the optimizer's.
+        exact = (report.norm_t, report.norm_s, report.distortion)
+        # The report is exact; round it at the optimizer's working precision.
         with mp.workdps(upperiso.PRECISION_DPS):
-            norm_t, norm_s, distortion = (
-                mp.nstr(mp.mpf(x), 20) for x in (report.norm_t, report.norm_s, report.distortion))
+            norm_t, norm_s, distortion = (mp.nstr(mp.fdiv(x.numerator, x.denominator), 20)
+                                          for x in exact)
         t_star, printed, corrected = (mp.nstr(x, 20) for x in (t_star, cubic.printed, cubic.corrected))
         doc = {"kind": "upper-optimize", "t_star": t_star, "normT": norm_t, "normS": norm_s,
                "distortion": distortion, "argmax_rows": {"T": report.argmax_t, "S": report.argmax_s},

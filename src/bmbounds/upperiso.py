@@ -341,8 +341,19 @@ def scan_distortion(lo: Fraction, hi: Fraction, step: Fraction) -> list[tuple]:
     return out
 
 
+def _dyadic(x: mp.mpf) -> Fraction:
+    """The rational value of an mpf, which is exactly sign * man * 2**exp."""
+    man, exp = x.man_exp  # man is unsigned
+    return int(mp.sign(x)) * Fraction(man) * Fraction(2) ** exp
+
+
 def optimize_distortion(lo=3, hi=4, tol="1e-12") -> tuple[mp.mpf, NormReport]:
-    """Minimize normT(t)*normS(t) over [lo, hi] by grid plus golden section."""
+    """Minimize normT(t)*normS(t) over [lo, hi] by grid plus golden section.
+
+    The search runs at PRECISION_DPS digits; the returned minimizer t* is
+    an mpf, and its report is exact: norm_report at the rational value of
+    t*, so rows whose norms tie exactly at t* tie in the report too.
+    """
     with mp.workdps(PRECISION_DPS):
         lo = mp.mpf(lo)
         hi = mp.mpf(hi)
@@ -350,7 +361,7 @@ def optimize_distortion(lo=3, hi=4, tol="1e-12") -> tuple[mp.mpf, NormReport]:
         if not (3 <= lo <= hi <= 4):
             raise IsoDomainError("optimization interval must stay inside [3, 4]")
         if lo == hi:
-            return lo, norm_report(lo)
+            return lo, norm_report(_dyadic(lo))
 
         def value(t):
             return norm_report(t).distortion
@@ -383,7 +394,7 @@ def optimize_distortion(lo=3, hi=4, tol="1e-12") -> tuple[mp.mpf, NormReport]:
                 best_x, best_f = x1, f1
             if f2 < best_f:
                 best_x, best_f = x2, f2
-        return best_x, norm_report(best_x)
+        return best_x, norm_report(_dyadic(best_x))
 
 
 @dataclass(frozen=True)

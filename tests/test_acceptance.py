@@ -136,8 +136,10 @@ def test_criterion_7_upper_bound():
     t_star, report = optimize_distortion()
     elapsed = time.perf_counter() - start
     assert abs(t_star - mp.mpf("3.87512")) <= mp.mpf("1e-4")
-    assert abs(report.norm_t - t_star) <= mp.mpf("1e-9")
-    assert abs(report.norm_s - 1) <= mp.mpf("1e-9")
+    # The report is exact (Fractions); compare it in mpf.
+    norm_t, norm_s = (mp.mpf(x.numerator) / x.denominator for x in (report.norm_t, report.norm_s))
+    assert abs(norm_t - t_star) <= mp.mpf("1e-9")
+    assert abs(norm_s - 1) <= mp.mpf("1e-9")
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
     ok(7, f"t* = {mp.nstr(t_star, 12)}, |normT - t*| and |normS - 1| <= 1e-9, {elapsed:.3f}s")
 

@@ -35,6 +35,11 @@ of ``cli`` still picked its own rendering and wrote it itself.  They pin
 the text and CSV reports of each subcommand, ``certify --case`` selection
 and the format aliasing of ``upper`` (``--scan`` prints CSV for ``text``,
 ``--optimize`` prints text for ``csv``).
+
+The ``upper --optimize --tol 1e-8`` digest was recorded again when the
+optimizer's report became exact at the rational value of ``t*``: its
+``argmax_rows`` read ``tail:1``/``stail:2`` before, picked by rounding
+noise among rows whose norms tie exactly, and read ``M:0``/``Minv:1`` since.
 """
 
 import hashlib
@@ -59,7 +64,7 @@ GOLDEN = {
     "search --lo 3 --hi 5 --iters 0 --format structured":
         (0, "3c662254e1221ef38ed616356b03d3962d1e0310208141eb79b67bce6c22976f"),
     "upper --optimize --tol 1e-8 --format structured":
-        (0, "ec35468d169675768aed9c6aebb1c9180848bff4728bfcdc874ea0e8b5002d0e"),
+        (0, "1e1593d3b99d19f8d303f363caeb95c878d6c980118c0b497b4836191ada9de9"),
     "search --lo 3 --hi 5 --iters 24 --c-policy 3,1,5 --format structured":
         (0, "5b99d2a844709b4bc6fa0e325573fccce4c84f72e7bbd93d850d7dc8e5147603"),
     "dichotomy --t 10/3 --format structured":

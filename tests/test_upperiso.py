@@ -239,9 +239,23 @@ class TestOptimizer:
     def test_reproduces_reported_value(self):
         t_star, report = optimize_distortion()
         assert abs(t_star - mp.mpf("3.87512")) <= mp.mpf("1e-4")
-        assert abs(report.norm_t - t_star) <= mp.mpf("1e-9")
-        assert abs(report.norm_s - 1) <= mp.mpf("1e-9")
-        assert abs(report.distortion - t_star) <= mp.mpf("1e-8")
+        # The report is exact (Fractions); compare it in mpf.
+        norm_t, norm_s, distortion = (mp.mpf(x.numerator) / x.denominator
+                                      for x in (report.norm_t, report.norm_s, report.distortion))
+        assert abs(norm_t - t_star) <= mp.mpf("1e-9")
+        assert abs(norm_s - 1) <= mp.mpf("1e-9")
+        assert abs(distortion - t_star) <= mp.mpf("1e-8")
+
+    @pytest.mark.parametrize("tol", ["1e-8", "1e-10", "1e-14"])
+    def test_report_is_exact_at_t_star(self, tol):
+        """Several rows tie exactly at every t (normT = t); the report is taken at
+        the rational value of t*, so its argmax rows are the first of each tie."""
+        t_star, report = optimize_distortion(tol=tol)
+        man, exp = t_star.man_exp
+        assert report.t == F(man) * F(2) ** exp
+        assert report == norm_report(report.t)
+        assert report.norm_t == report.t
+        assert (report.argmax_t, report.argmax_s) == ("M:0", "Minv:1")
 
     def test_runs_under_a_second(self):
         start = time.perf_counter()
@@ -253,7 +267,8 @@ class TestOptimizer:
         assert t == mp.mpf("3.5")
         exact = operator_norm_T(F(7, 2))[0]
         with mp.workdps(40):
-            assert abs(report.norm_t - mp.mpf(exact.numerator) / exact.denominator) < mp.mpf("1e-30")
+            assert abs(mp.mpf(report.norm_t.numerator) / report.norm_t.denominator
+                       - mp.mpf(exact.numerator) / exact.denominator) < mp.mpf("1e-30")
 
     def test_norm_increase_at_optimum(self):
         """T does not shrink: random unit-norm inputs keep norm >= 1 - 1e-9."""

@@ -13,6 +13,7 @@ from typing import Iterable
 import mpmath as mp
 
 PRECISION_DPS = 40
+TABLE_DIGITS = 15  # significant digits of each bounds_table value
 
 FD_STEP = mp.mpf("1e-6")
 FD_TOLERANCE = mp.mpf("1e-9")
@@ -117,14 +118,14 @@ def solve_threshold(family: str, theta=None) -> mp.mpf:
     )
 
 
-def bounds_table(ms: Iterable[int], ks: Iterable[int], digits: int = 15) -> list[dict]:
+def bounds_table(ms: Iterable[int], ks: Iterable[int]) -> list[dict]:
     """Rows for the CLI table: height bounds for ms, copy bounds for ks."""
     rows = []
     with mp.workdps(PRECISION_DPS):
         for m in ms:
             rows.append({"kind": "height", "parameter": m,
-                         "value": mp.nstr(lower_bound_height(m), digits)})
+                         "value": mp.nstr(lower_bound_height(m), TABLE_DIGITS)})
         for k in ks:
             rows.append({"kind": "copies", "parameter": k,
-                         "value": mp.nstr(gp_lower_bound(k), digits)})
+                         "value": mp.nstr(gp_lower_bound(k), TABLE_DIGITS)})
     return rows

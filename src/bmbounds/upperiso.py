@@ -23,6 +23,7 @@ from typing import Sequence
 import mpmath as mp
 
 PRECISION_DPS = 40
+MATCH_TOL = "1e-4"  # how close a closed-form reading must lie to t* to match it
 
 Matrix = tuple[tuple, ...]
 
@@ -411,16 +412,16 @@ class CubicFormulaReport:
         return self.matching in ("printed", "corrected")
 
 
-def cubic_formula_value(t_star, tol="1e-4") -> CubicFormulaReport:
+def cubic_formula_value(t_star) -> CubicFormulaReport:
     """Evaluate the closed-form expression as printed and sign-corrected.
 
     The printed expression repeats the radicand 73 - 6*sqrt(87) under both
     cube roots; the corrected variant flips the second sign.  The report
-    flags whichever lies within tol of ``t_star``, the distortion
+    flags whichever lies within MATCH_TOL of ``t_star``, the distortion
     minimizer that ``optimize_distortion`` returned.
     """
     with mp.workdps(PRECISION_DPS):
-        tol = mp.mpf(tol)
+        tol = mp.mpf(MATCH_TOL)
         t_star = mp.mpf(t_star)
         root87 = mp.sqrt(87)
         printed = (4 + 2 * mp.cbrt(73 - 6 * root87)) / 3

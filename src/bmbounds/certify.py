@@ -7,9 +7,11 @@ over a bracket [lo, hi] relies on the monotonicity of feasibility in t
 reports hold all four cases with machine-checkable certificates: Farkas
 vectors at t_lo, a witness at t_hi.  A midpoint probe stops at its first
 feasible case.  A dichotomy builds its four base systems once per t and
-shares them across the branch assignments.  Certificate files are
-self-contained JSON documents that an auditor re-verifies by substitution
-alone; each echoed system must equal the rebuilt one value for value.
+shares them across the branch assignments.  All four document kinds
+(certify, search, sweep, dichotomy) are built here.  Certificate files
+are self-contained JSON documents that an auditor re-verifies by
+substitution alone; each echoed system must equal the rebuilt one value
+for value.
 """
 
 from __future__ import annotations

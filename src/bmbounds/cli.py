@@ -66,7 +66,7 @@ def _policy(text: str) -> CPolicy:
         raise argparse.ArgumentTypeError(f"c-policy must be p,q,r, got {text!r}")
     try:
         return CPolicy(*(parse_int(x) for x in parts))
-    except (ValueError, DomainError) as exc:
+    except ValueError as exc:  # a RationalFormatError or DomainError
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -109,10 +109,7 @@ def _scan_spec(text: str) -> tuple[Fraction, Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"scan spec must be lo:hi:step, got {text!r}")
-    try:
-        return tuple(parse_rational(x) for x in parts)  # type: ignore[return-value]
-    except RationalFormatError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return tuple(_rational(x) for x in parts)  # type: ignore[return-value]
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -160,7 +160,8 @@ def _bracket_options(p, iters: int) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bmbounds",
-        description="Certified lower/upper bounds for distortions between sequence spaces.")
+        description="Certified lower/upper bounds for distortions between sequence spaces.",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="decide all four case systems at one t")

@@ -4,6 +4,11 @@ Lower bounds come from exact rational infeasibility certificates for a
 four-case family of linear inequality systems; upper bounds from operator
 norms of an explicit block isomorphism.  See the README for the CLI and
 the acceptance suite.
+
+Only the exact lower-bound pipeline is imported here.  The upper-bound and
+closed-form code (``bmbounds.upperiso``, ``bmbounds.bounds``, which load
+mpmath) and the cross-check solvers (``bmbounds.crosscheck``) are imported
+as submodules by whoever uses them.
 """
 
 # The one version literal; set before the submodule imports, which read it.
@@ -14,8 +19,6 @@ from .exactlp import (
     LinearInequality,
     LinearSystem,
     check_feasibility,
-    enumerate_vertices,
-    simplex_feasibility,
     verify_certificate,
 )
 from .systems import (
@@ -37,26 +40,4 @@ from .certify import (
     certify_dichotomy,
     sweep_policies,
     verify_cert_file,
-)
-from .bounds import (
-    check_h_decreasing,
-    check_s_increasing,
-    gp_lower_bound,
-    h_theta,
-    lower_bound_height,
-    s_theta,
-    solve_threshold,
-)
-from .upperiso import (
-    IsoMatrices,
-    NormReport,
-    TruncatedFunction,
-    apply_S,
-    apply_T,
-    build_matrices,
-    cubic_formula_value,
-    operator_norm_S,
-    operator_norm_T,
-    optimize_distortion,
-    scan_distortion,
 )

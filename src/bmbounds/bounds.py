@@ -12,6 +12,8 @@ from typing import Iterable
 
 import mpmath as mp
 
+from .rationals import InputError
+
 PRECISION_DPS = 40
 TABLE_DIGITS = 15  # significant digits of each bounds_table value
 
@@ -19,7 +21,7 @@ FD_STEP = mp.mpf("1e-6")
 FD_TOLERANCE = mp.mpf("1e-9")
 
 
-class BoundDomainError(ValueError):
+class BoundDomainError(InputError):
     """Parameter outside the valid range of a bound formula."""
 
 

@@ -29,7 +29,7 @@ from .exactlp import (
     check_feasibility,
     verify_certificate,
 )
-from .rationals import format_rational, parse_int, parse_rational
+from .rationals import InputError, format_rational, parse_int, parse_rational
 from .systems import (
     ALL_CASES,
     CPolicy,
@@ -55,7 +55,7 @@ EXIT_NOT_CERTIFIED = 1
 EXIT_INPUT_ERROR = 2
 
 
-class BracketError(ValueError):
+class BracketError(InputError):
     """A bisection bracket precondition failed; the message names the end."""
 
 
@@ -494,6 +494,8 @@ def verify_certificate_text(text: str) -> tuple[int, str]:
         return EXIT_NOT_CERTIFIED, str(exc)
     except KeyError as exc:
         return EXIT_INPUT_ERROR, f"malformed certificate: missing field {exc}"
+    except RecursionError:  # JSON nested deeper than the parser's recursion limit
+        return EXIT_INPUT_ERROR, "malformed certificate: JSON nested too deeply"
     except (TypeError, AttributeError, ValueError, SystemError_) as exc:
         return EXIT_INPUT_ERROR, f"malformed certificate: {exc}"
     return EXIT_CERTIFIED, "all certificates verified"
@@ -505,4 +507,6 @@ def verify_cert_file(path: str) -> tuple[int, str]:
             text = fh.read()
     except OSError as exc:
         return EXIT_INPUT_ERROR, f"cannot read {path}: {exc}"
+    except UnicodeDecodeError as exc:
+        return EXIT_INPUT_ERROR, f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
     return verify_certificate_text(text)

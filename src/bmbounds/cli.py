@@ -5,6 +5,9 @@ Each subcommand returns its exit code, its structured document and its
 text (and CSV) lines; ``--format`` picks one of them, ``structured`` being
 the document as JSON, and ``--out`` names a file to write it to instead of
 stdout.  Every certificate and sweep document is built in ``certify``.
+The parser is built on the first call to ``main`` and reused.  Only
+``upper`` and ``bounds`` load ``upperiso``, ``bounds`` and mpmath, when
+they run, so the lower-bound commands never import them.
 
 Exit codes follow the certification convention: 0 = certified / verified,
 1 = not certified / invalid certificate, 2 = input or guard error.
@@ -16,19 +19,15 @@ JSON: identical argv and inputs yield byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
-import mpmath as mp
-
-from . import bounds as bounds_mod
-from . import upperiso
 from .certify import (
     EXIT_CERTIFIED,
     EXIT_INPUT_ERROR,
     EXIT_NOT_CERTIFIED,
-    BracketError,
     certify_at,
     certify_dichotomy,
     certify_report_doc,
@@ -39,8 +38,8 @@ from .certify import (
     sweep_report_doc,
     verify_cert_file,
 )
-from .rationals import RationalFormatError, format_rational, parse_int, parse_rational
-from .systems import ALL_CASES, CPolicy, DEFAULT_POLICY, DomainError, JCase, Variant
+from .rationals import InputError, RationalFormatError, format_rational, parse_int, parse_rational
+from .systems import ALL_CASES, CPolicy, DEFAULT_POLICY, JCase, Variant
 
 CASE_FLAG = {"all": None, "j012": JCase.J012, "not0": JCase.NOT0,
              "in0not1": JCase.IN0_NOT1, "in01not2": JCase.IN01_NOT2}
@@ -80,14 +79,13 @@ def _nonnegative_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
-# The golden-section loop runs while its bracket is wider than the tolerance,
-# so a tolerance near the optimizer's working precision would never be met.
-MIN_TOL = f"1e-{upperiso.PRECISION_DPS - 5}"
-
-
 def _tolerance(text: str) -> str:
-    """A finite tolerance of at least MIN_TOL; the text is passed on unchanged,
-    so the optimizer reads it at its own working precision."""
+    """A finite tolerance of at least upperiso.MIN_TOL; the text is passed on
+    unchanged, so the optimizer reads it at its own working precision."""
+    import mpmath as mp
+
+    from .upperiso import MIN_TOL
+
     try:
         if mp.mpf(MIN_TOL) <= mp.mpf(text) < mp.inf:
             return text
@@ -112,10 +110,18 @@ def _scan_spec(text: str) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(_rational(x) for x in parts)  # type: ignore[return-value]
 
 
+class _UsageError(InputError):
+    """The arguments parse but name no run of the subcommand, or the report
+    cannot be written (exit 2)."""
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -128,10 +134,6 @@ def _distortion_row(t, norm_t, norm_s, distortion) -> dict:
 def _distortion_csv(rows: list[dict]) -> list[str]:
     return ["t,normT,normS,distortion"] + [
         f"{r['t']},{r['normT']:.12f},{r['normS']:.12f},{r['distortion']:.12f}" for r in rows]
-
-
-class _UsageError(Exception):
-    """The arguments parse but name no run of the subcommand (exit 2)."""
 
 
 FORMATS = ("text", "csv", "structured")
@@ -260,7 +262,9 @@ def _cmd_bounds(args):
         raise _UsageError("bounds needs --m a..b, --k a..b or both")
     ms = range(args.m[0], args.m[1] + 1) if args.m else []
     ks = range(args.k[0], args.k[1] + 1) if args.k else []
-    rows = bounds_mod.bounds_table(ms, ks)
+    from . import bounds
+
+    rows = bounds.bounds_table(ms, ks)
     text = [f"{r['kind']}({r['parameter']}) = {r['value']}" for r in rows]
     csv = ["kind,parameter,value"] + [f"{r['kind']},{r['parameter']},{r['value']}" for r in rows]
     return EXIT_CERTIFIED, {"kind": "bounds", "rows": rows}, {"text": text, "csv": csv}
@@ -271,6 +275,10 @@ def _cmd_upper(args):
     if modes != 1:
         raise _UsageError("--scan, --optimize and --t are mutually exclusive" if modes
                           else "upper needs one of --scan, --optimize, --t")
+    import mpmath as mp
+
+    from . import upperiso
+
     if args.scan is not None:
         rows = [_distortion_row(*r) for r in upperiso.scan_distortion(*args.scan)]
         csv = _distortion_csv(rows)
@@ -302,16 +310,19 @@ def _cmd_verify(args):
     return code, None, {"text": [message]}
 
 
+# main builds the parser on its first call and reuses it: parsing does not change it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, doc, lines = args.run(args)
-    except (_UsageError, DomainError, BracketError, upperiso.IsoDomainError,
-            bounds_mod.BoundDomainError) as exc:
+        text = json.dumps(doc, indent=2) if args.format == "structured" else "\n".join(lines[args.format])
+        _emit(text + "\n", args.out)
+    except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
-    text = json.dumps(doc, indent=2) if args.format == "structured" else "\n".join(lines[args.format])
-    _emit(text + "\n", args.out)
     return code
 
 

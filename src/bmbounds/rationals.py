@@ -5,7 +5,9 @@ textual form is a decimal-free ``p/q`` string (plain ``p`` when q == 1).
 Decimal literals are rejected on purpose: they would smuggle rounding into
 an exact pipeline.  Integer arguments (policies, iteration counts, function
 indices) go through ``parse_int``.  Both parsers read ASCII digits only,
-where ``int()`` would also take any Unicode decimal digit.
+where ``int()`` would also take any Unicode decimal digit.  ``InputError``
+is the one base of the input errors the CLI reports as exit 2; it lives
+here because every path through the CLI imports this module.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([+-]?[0-9]+))?$")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+class InputError(ValueError):
+    """An input outside a command's domain; the CLI prints it as one line, exit 2."""
 
 
 class RationalFormatError(ValueError):

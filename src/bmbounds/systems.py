@@ -23,13 +23,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .exactlp import GE, LE, LinearInequality, LinearSystem, SystemError_
-from .rationals import RationalFormatError, format_rational, parse_rational
+from .rationals import InputError, RationalFormatError, format_rational, parse_rational
 
 VARIABLES = ("th0", "th1", "th2", "a")
 THETAS = ("th0", "th1", "th2")
 
 
-class DomainError(ValueError):
+class DomainError(InputError):
     """A guard on t or the c-policy failed; the message names the guard."""
 
 

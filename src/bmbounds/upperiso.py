@@ -23,13 +23,18 @@ from typing import Sequence
 
 import mpmath as mp
 
+from .rationals import InputError
+
 PRECISION_DPS = 40
+# The golden-section loop runs while its bracket is wider than the tolerance,
+# so a tolerance near the working precision would never be met.
+MIN_TOL = f"1e-{PRECISION_DPS - 5}"
 MATCH_TOL = "1e-4"  # how close a closed-form reading must lie to t* to match it
 
 Matrix = tuple[tuple, ...]
 
 
-class IsoDomainError(ValueError):
+class IsoDomainError(InputError):
     """t outside [3, 4] or a structural denominator vanished."""
 
 

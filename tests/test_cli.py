@@ -232,6 +232,16 @@ class TestVerifyCertCommand:
         code, _, _ = run(capsys, "verify-cert", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("data, message", [
+        (b"\xff\xfe{}", "cannot read {path}: not UTF-8 text (invalid start byte at byte 0)"),
+        (b"[" * 100000 + b"]" * 100000, "malformed certificate: JSON nested too deeply"),
+    ], ids=["not-utf8", "nested-100000"])
+    def test_unreadable_input_exit_2(self, capsys, tmp_path, data, message):
+        path = tmp_path / "cert.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "verify-cert", str(path))
+        assert (code, out, err) == (2, message.format(path=path) + "\n", "")
+
     def test_search_report_verifies(self, capsys, tmp_path):
         path = tmp_path / "search.json"
         run(capsys, "search", "--iters", "6", "--format", "structured", "--out", str(path))
@@ -313,6 +323,14 @@ def test_bad_arguments_rejected_at_parse_time(capsys, monkeypatch, argv):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith(f"bmbounds {argv[0]}: error: argument ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where, reason", [("no-such-dir/out.json", "No such file or directory"),
+                                           ("", "Is a directory")])
+def test_unwritable_out_is_input_error(capsys, tmp_path, where, reason):
+    path = tmp_path / where
+    code, out, err = run(capsys, "certify", "--t", "3", "--out", str(path))
+    assert (code, out, err) == (2, "", f"error: cannot write {path}: {reason}\n")
 
 
 def test_structured_output_deterministic(capsys, tmp_path):

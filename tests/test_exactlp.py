@@ -15,10 +15,9 @@ from bmbounds.exactlp import (
     LinearSystem,
     SystemError_,
     check_feasibility,
-    enumerate_vertices,
-    simplex_feasibility,
     verify_certificate,
 )
+from bmbounds.crosscheck import enumerate_vertices, simplex_feasibility
 
 F = Fraction
 

@@ -110,18 +110,13 @@ def _scan_spec(text: str) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(_rational(x) for x in parts)  # type: ignore[return-value]
 
 
-class _UsageError(InputError):
-    """The arguments parse but name no run of the subcommand, or the report
-    cannot be written (exit 2)."""
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _UsageError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+            raise InputError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -259,7 +254,7 @@ def _cmd_dichotomy(args):
 
 def _cmd_bounds(args):
     if args.m is None and args.k is None:
-        raise _UsageError("bounds needs --m a..b, --k a..b or both")
+        raise InputError("bounds needs --m a..b, --k a..b or both")
     ms = range(args.m[0], args.m[1] + 1) if args.m else []
     ks = range(args.k[0], args.k[1] + 1) if args.k else []
     from . import bounds
@@ -273,8 +268,8 @@ def _cmd_bounds(args):
 def _cmd_upper(args):
     modes = (args.scan is not None) + args.optimize + (args.t is not None)
     if modes != 1:
-        raise _UsageError("--scan, --optimize and --t are mutually exclusive" if modes
-                          else "upper needs one of --scan, --optimize, --t")
+        raise InputError("--scan, --optimize and --t are mutually exclusive" if modes
+                         else "upper needs one of --scan, --optimize, --t")
     import mpmath as mp
 
     from . import upperiso

@@ -6,8 +6,8 @@ norms of an explicit block isomorphism.  See the README for the CLI and
 the acceptance suite.
 
 Only the exact lower-bound pipeline is imported here.  The upper-bound and
-closed-form code (``bmbounds.upperiso``, ``bmbounds.bounds``, which load
-mpmath) and the cross-check solvers (``bmbounds.crosscheck``) are imported
+closed-form code (``bmbounds.upperiso``, ``bmbounds.bounds``, which use
+mpmath to display closed forms) and the cross-check solvers (``bmbounds.crosscheck``) are imported
 as submodules by whoever uses them.
 """
 

@@ -6,8 +6,9 @@ text (and CSV) lines; ``--format`` picks one of them, ``structured`` being
 the document as JSON, and ``--out`` names a file to write it to instead of
 stdout.  Every certificate and sweep document is built in ``certify``.
 The parser is built on the first call to ``main`` and reused.  Only
-``upper`` and ``bounds`` load ``upperiso``, ``bounds`` and mpmath, when
-they run, so the lower-bound commands never import them.
+``upper`` and ``bounds`` load ``upperiso`` and ``bounds``, when they run,
+so the lower-bound commands never import them; mpmath is loaded only by
+``bounds`` and ``upper --optimize``, to display closed forms.
 
 Exit codes follow the certification convention: 0 = certified / verified,
 1 = not certified / invalid certificate, 2 = input or guard error.
@@ -80,16 +81,14 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _tolerance(text: str) -> str:
-    """A finite tolerance of at least upperiso.MIN_TOL; the text is passed on
-    unchanged, so the optimizer reads it at its own working precision."""
-    import mpmath as mp
-
+    """A tolerance of at least upperiso.MIN_TOL, read exactly; the text is
+    passed on unchanged, and the optimizer reads it the same way."""
     from .upperiso import MIN_TOL
 
     try:
-        if mp.mpf(MIN_TOL) <= mp.mpf(text) < mp.inf:
+        if Fraction(MIN_TOL) <= Fraction(text):
             return text
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         pass
     raise argparse.ArgumentTypeError(f"expected a number from {MIN_TOL} up, got {text!r}")
 
@@ -194,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("upper", help="norms and distortion of the block isomorphism")
     p.add_argument("--scan", type=_scan_spec, default=None, metavar="lo:hi:step")
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--tol", type=_tolerance, default="1e-12")
+    p.add_argument("--tol", type=_tolerance, default=None,
+                   help="with --optimize: largest distance of t* from the minimizer (1e-12)")
     p.add_argument("--t", type=_rational, default=None)
     _output_options(p)
     p.set_defaults(run=_cmd_upper)
@@ -270,8 +270,8 @@ def _cmd_upper(args):
     if modes != 1:
         raise InputError("--scan, --optimize and --t are mutually exclusive" if modes
                          else "upper needs one of --scan, --optimize, --t")
-    import mpmath as mp
-
+    if args.tol is not None and not args.optimize:
+        raise InputError("--tol applies only to --optimize")
     from . import upperiso
 
     if args.scan is not None:
@@ -279,14 +279,16 @@ def _cmd_upper(args):
         csv = _distortion_csv(rows)
         return EXIT_CERTIFIED, {"kind": "upper-scan", "rows": rows}, {"text": csv, "csv": csv}
     if args.optimize:
-        t_star, report = upperiso.optimize_distortion(tol=args.tol)
+        import mpmath as mp
+
+        t_star, report = upperiso.optimize_distortion(tol=args.tol or "1e-12")
         cubic = upperiso.cubic_formula_value(t_star)
-        exact = (report.norm_t, report.norm_s, report.distortion)
-        # The report is exact; round it at the optimizer's working precision.
+        exact = (t_star, report.norm_t, report.norm_s, report.distortion)
+        # t* and its report are exact; round them at the display precision.
         with mp.workdps(upperiso.PRECISION_DPS):
-            norm_t, norm_s, distortion = (mp.nstr(mp.fdiv(x.numerator, x.denominator), 20)
-                                          for x in exact)
-        t_star, printed, corrected = (mp.nstr(x, 20) for x in (t_star, cubic.printed, cubic.corrected))
+            t_star, norm_t, norm_s, distortion = (
+                mp.nstr(mp.fdiv(x.numerator, x.denominator), 20) for x in exact)
+        printed, corrected = (mp.nstr(x, 20) for x in (cubic.printed, cubic.corrected))
         doc = {"kind": "upper-optimize", "t_star": t_star, "normT": norm_t, "normS": norm_s,
                "distortion": distortion, "argmax_rows": {"T": report.argmax_t, "S": report.argmax_s},
                "closed_form": {"printed": printed, "corrected": corrected, "matching": cubic.matching}}

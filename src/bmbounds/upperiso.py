@@ -7,27 +7,27 @@ and the tail blocks repeat identically for every level, so T and S are
 defined by twelve coefficient rows: M and tail_block for T, Minv and
 s_tail_block for S.  apply_T and apply_S apply exactly these rows, and the
 operator norms over the infinite index set are their largest row l1-norms,
-evaluated in norm_report alone.  All computations are exact when t is a
-Fraction; for a float/mpf t every number, the norms and their product
-included, is computed at 40 significant digits whatever the caller's
-mpmath precision.  The optimizer searches at 40 digits, but its report
-is exact: norm_report at the rational value of the mpf minimizer.
+evaluated in norm_report alone.  Every parameter is read as a Fraction
+(an int, a Fraction, a float's binary value or a numeric string), so every
+block, norm and product is exact, and the optimizer is an exact Fibonacci
+search over norm_report.  mpmath is loaded only to display the closed-form
+minimizer, in cubic_formula_value.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import mpmath as mp
+from typing import TYPE_CHECKING, Sequence
 
 from .rationals import InputError
 
-PRECISION_DPS = 40
-# The golden-section loop runs while its bracket is wider than the tolerance,
-# so a tolerance near the working precision would never be met.
+if TYPE_CHECKING:
+    import mpmath as mp
+
+PRECISION_DPS = 40  # mpmath digits for displaying t*, its norms and the closed forms
+# The optimizer takes about 4.8 norm reports per decimal digit of 1/tol (168 at
+# 1e-35), so the smallest tolerance it accepts bounds its work.
 MIN_TOL = f"1e-{PRECISION_DPS - 5}"
 MATCH_TOL = "1e-4"  # how close a closed-form reading must lie to t* to match it
 
@@ -42,26 +42,6 @@ class ShapeError(ValueError):
     """Mismatched truncation shapes."""
 
 
-def _is_exact(t) -> bool:
-    return isinstance(t, (Fraction, int))
-
-
-def _working_precision(exact: bool):
-    """Leave exact arithmetic alone; run mpf arithmetic at PRECISION_DPS digits."""
-    return nullcontext() if exact else mp.workdps(PRECISION_DPS)
-
-
-def _mpf_tuple(values: Sequence) -> tuple:
-    """values as mpfs at the working precision.
-
-    mp.mpf rejects a Fraction, and mpmath has no Fraction - mpf, Fraction /
-    mpf or ordering between the two, so rationals are converted through
-    their numerator and denominator.
-    """
-    return tuple(mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
-                 for x in values)
-
-
 def _mat_vec(m: Matrix, v: Sequence) -> tuple:
     return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
 
@@ -74,7 +54,7 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _mat_inverse(m: Matrix) -> Matrix:
-    """Gauss-Jordan inverse, generic over exact and high-precision scalars."""
+    """Gauss-Jordan inverse over Fractions."""
     n = len(m)
     aug = [list(row) + [0] * n for row in m]
     for i in range(n):
@@ -102,7 +82,7 @@ class IsoMatrices:
     nothing else.  C and M3 are the blocks these rows are assembled from.
     """
 
-    t: object
+    t: Fraction
     M: Matrix
     C: Matrix
     M3: tuple
@@ -112,12 +92,12 @@ class IsoMatrices:
 
 
 def _read_parameter(t):
-    """t as a Fraction or an mpf, checked against every guard of the pair.
+    """t as a Fraction, checked against every guard of the pair.
 
-    Call inside _working_precision.  Returns t with the quartic and cubic
-    denominators d1, d2 of the closed-form inverse.
+    Returns t with the quartic and cubic denominators d1, d2 of the
+    closed-form inverse.
     """
-    t = Fraction(t) if _is_exact(t) else mp.mpf(t)
+    t = Fraction(t)
     if not (3 <= t <= 4):
         raise IsoDomainError(f"parameter must satisfy 3 <= t <= 4, got {t}")
     d1 = t**4 - 7 * t**3 + 12 * t**2 - 8 * t + 8
@@ -130,52 +110,46 @@ def _read_parameter(t):
 
 
 def build_matrices(t) -> IsoMatrices:
-    """Populate every block at t; exact inverse when t is rational.
-
-    A non-rational t (float, mpf or numeric string) is read and every block
-    computed at PRECISION_DPS significant digits, whatever the caller's
-    mpmath precision.
+    """Populate every block at t, exactly.
 
     Guards: 3 <= t <= 4 and the quartic/cubic denominators of the inverse
     must not vanish (they are negative on the whole interval).
     """
-    with _working_precision(_is_exact(t)):
-        t, _, _ = _read_parameter(t)
-        q = -(t**2 - 5 * t + 2) / 4
-        M = (
-            (t - 2, -1 + t * 0, -1 + t * 0),
-            (t * 0, t / 2, -t / 2),
-            ((t - 2) / t, q, q),
-        )
-        c0 = 2 * t / (t + 1)
-        c1 = (t**2 - t + 2) / (2 * t)
-        zero = t * 0
-        C = ((c0, zero, zero), (zero, c1, zero), (zero, zero, c1))
-        M3 = M[2]
-        Minv = _mat_inverse(M)
-        shift = tuple(tuple(M3[j] - C[i][j] for j in range(3)) for i in range(3))  # M' - C
-        # W = (M' - C) Minv; row i of the S tail couples g(3m+i) and the head values.
-        W = _mat_mul(shift, Minv)
-        tail, s_tail = [], []
-        for i in range(3):
-            cinv = 1 / C[i][i]
-            level, s_level = [zero] * 3, [zero] * 3
-            level[i], s_level[i] = C[i][i], cinv
-            tail.append((*level, *shift[i]))
-            s_tail.append((*s_level, *(-cinv * w for w in W[i])))
-        return IsoMatrices(t, M, C, M3, Minv, tuple(tail), tuple(s_tail))
+    t, _, _ = _read_parameter(t)
+    zero = Fraction(0)
+    q = -(t**2 - 5 * t + 2) / 4
+    M = (
+        (t - 2, Fraction(-1), Fraction(-1)),
+        (zero, t / 2, -t / 2),
+        ((t - 2) / t, q, q),
+    )
+    c0 = 2 * t / (t + 1)
+    c1 = (t**2 - t + 2) / (2 * t)
+    C = ((c0, zero, zero), (zero, c1, zero), (zero, zero, c1))
+    M3 = M[2]
+    Minv = _mat_inverse(M)
+    shift = tuple(tuple(M3[j] - C[i][j] for j in range(3)) for i in range(3))  # M' - C
+    # W = (M' - C) Minv; row i of the S tail couples g(3m+i) and the head values.
+    W = _mat_mul(shift, Minv)
+    tail, s_tail = [], []
+    for i in range(3):
+        cinv = 1 / C[i][i]
+        level, s_level = [zero] * 3, [zero] * 3
+        level[i], s_level[i] = C[i][i], cinv
+        tail.append((*level, *shift[i]))
+        s_tail.append((*s_level, *(-cinv * w for w in W[i])))
+    return IsoMatrices(t, M, C, M3, Minv, tuple(tail), tuple(s_tail))
 
 
 def inverse_closed_form(t) -> Matrix:
     """The algebraic closed form of M^{-1}, kept as an independent cross-check."""
-    with _working_precision(_is_exact(t)):
-        t, d1, d2 = _read_parameter(t)
-        zero = t * 0
-        return (
-            (t * (t**2 - 5 * t + 2) / d1, zero, -4 * t / d1),
-            (2 / d2, 1 / t, -2 * t / d2),
-            (2 / d2, -1 / t, -2 * t / d2),
-        )
+    t, d1, d2 = _read_parameter(t)
+    zero = Fraction(0)
+    return (
+        (t * (t**2 - 5 * t + 2) / d1, zero, -4 * t / d1),
+        (2 / d2, 1 / t, -2 * t / d2),
+        (2 / d2, -1 / t, -2 * t / d2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,31 +194,20 @@ class TransformedSequence:
 
 def _apply_rows(mats: IsoMatrices, head_block: Matrix, tail_block: Matrix,
                 head: Sequence, levels: Sequence[Sequence]) -> tuple[tuple, tuple]:
-    """head_block applied to the head values and tail_block to each level ++ head.
-
-    Entries are coerced to the scalar type of mats: kept as they are when
-    mats.t is a Fraction, so the result is exact, and converted to mpf (a
-    Fraction exactly through its numerator and denominator) when mats.t is
-    an mpf, in which case the result is computed at PRECISION_DPS
-    significant digits whatever the caller's precision.
-    """
-    exact = _is_exact(mats.t)
-    with _working_precision(exact):
-        head = tuple(head) if exact else _mpf_tuple(head)
-        levels = levels if exact else map(_mpf_tuple, levels)
-        return (_mat_vec(head_block, head),
-                tuple(_mat_vec(tail_block, tuple(level) + head) for level in levels))
+    """head_block applied to the head values and tail_block to each level ++ head."""
+    head = tuple(head)
+    return (_mat_vec(head_block, head),
+            tuple(_mat_vec(tail_block, tuple(level) + head) for level in levels))
 
 
 def apply_T(f: TruncatedFunction, mats: IsoMatrices) -> TransformedSequence:
-    """The image Tf through the rows M and tail_block, in the scalar type of mats."""
+    """The image Tf through the rows M and tail_block; exact for rational f."""
     head, tail = _apply_rows(mats, mats.M, mats.tail_block, f.limit, f.rows)
     return TransformedSequence(head[:2], tail, head[2])
 
 
 def apply_S(g: TransformedSequence, mats: IsoMatrices) -> TruncatedFunction:
-    """The preimage Sg through the rows Minv and s_tail_block, in the scalar
-    type of mats; for Fraction matrices S(T(f)) == f exactly."""
+    """The preimage Sg through the rows Minv and s_tail_block; S(T(f)) == f exactly."""
     if len(g.tail) < 1:
         raise ShapeError("transformed sequence has no tail levels")
     limit, rows = _apply_rows(
@@ -272,47 +235,39 @@ def _matrices_at(t, mats: IsoMatrices | None) -> IsoMatrices:
     """mats, which must have been built at t, or the matrices at t."""
     if mats is None:
         return build_matrices(t)
-    with _working_precision(_is_exact(t)):
-        t, _, _ = _read_parameter(t)
-        if t != mats.t:
-            raise IsoDomainError(f"matrices were built at t = {mats.t}, not at t = {t}")
+    t, _, _ = _read_parameter(t)
+    if t != mats.t:
+        raise IsoDomainError(f"matrices were built at t = {mats.t}, not at t = {t}")
     return mats
 
 
 def operator_norm_T(t, mats: IsoMatrices | None = None):
     """sup over output coordinates of the coefficient-row l1 norm."""
     mats = _matrices_at(t, mats)
-    with _working_precision(_is_exact(mats.t)):
-        return _largest_row(mats.M, mats.tail_block, _T_ROW_IDS)
+    return _largest_row(mats.M, mats.tail_block, _T_ROW_IDS)
 
 
 def operator_norm_S(t, mats: IsoMatrices | None = None):
     mats = _matrices_at(t, mats)
-    with _working_precision(_is_exact(mats.t)):
-        return _largest_row(mats.Minv, mats.s_tail_block, _S_ROW_IDS)
+    return _largest_row(mats.Minv, mats.s_tail_block, _S_ROW_IDS)
 
 
 @dataclass(frozen=True)
 class NormReport:
-    t: object
-    norm_t: object
-    norm_s: object
-    distortion: object
+    t: Fraction
+    norm_t: Fraction
+    norm_s: Fraction
+    distortion: Fraction
     argmax_t: str
     argmax_s: str
 
 
 def norm_report(t) -> NormReport:
-    """normT, normS and their product at t: the one evaluator of the distortion.
-
-    Exact for a rational t; otherwise the matrices, the row norms and the
-    product are all computed at PRECISION_DPS significant digits.
-    """
-    with _working_precision(_is_exact(t)):
-        mats = build_matrices(t)
-        nt, at = _largest_row(mats.M, mats.tail_block, _T_ROW_IDS)
-        ns, as_ = _largest_row(mats.Minv, mats.s_tail_block, _S_ROW_IDS)
-        return NormReport(mats.t, nt, ns, nt * ns, at, as_)
+    """normT, normS and their product at t, exactly: the one evaluator of the distortion."""
+    mats = build_matrices(t)
+    nt, at = _largest_row(mats.M, mats.tail_block, _T_ROW_IDS)
+    ns, as_ = _largest_row(mats.Minv, mats.s_tail_block, _S_ROW_IDS)
+    return NormReport(mats.t, nt, ns, nt * ns, at, as_)
 
 
 def sign_pattern_input(mats: IsoMatrices, row_id: str, n_levels: int = 1) -> TruncatedFunction:
@@ -348,60 +303,45 @@ def scan_distortion(lo: Fraction, hi: Fraction, step: Fraction) -> list[tuple]:
     return out
 
 
-def _dyadic(x: mp.mpf) -> Fraction:
-    """The rational value of an mpf, which is exactly sign * man * 2**exp."""
-    man, exp = x.man_exp  # man is unsigned
-    return int(mp.sign(x)) * Fraction(man) * Fraction(2) ** exp
+def optimize_distortion(lo=3, hi=4, tol="1e-12") -> tuple[Fraction, NormReport]:
+    """Minimize normT(t)*normS(t) over [lo, hi] by an exact Fibonacci search.
 
+    The search is golden section in exact form.  It probes only the grid
+    lo + j*h with h = (hi - lo)/F_n, where F_n is the first Fibonacci number
+    of at least 2 with h <= tol.  The bracket [left, right] always spans
+    a Fibonacci number of grid steps and holds the best point found so
+    far; each step probes that point's mirror image in the bracket and
+    keeps the side of the better of the two, the left one on a tie, until
+    the bracket spans two steps.  The distortion is unimodal on [3, 4], so
+    the minimizer lies in that last bracket and the returned t* at its
+    centre is within h <= tol of it.  This takes n - 2 evaluations.
 
-def optimize_distortion(lo=3, hi=4, tol="1e-12") -> tuple[mp.mpf, NormReport]:
-    """Minimize normT(t)*normS(t) over [lo, hi] by grid plus golden section.
-
-    The search runs at PRECISION_DPS digits; the returned minimizer t* is
-    an mpf, and its report is exact: norm_report at the rational value of
-    t*, so rows whose norms tie exactly at t* tie in the report too.
+    Returns t* as a Fraction and norm_report(t*).
     """
-    with mp.workdps(PRECISION_DPS):
-        lo = mp.mpf(lo)
-        hi = mp.mpf(hi)
-        tol = mp.mpf(tol)
-        if not (3 <= lo <= hi <= 4):
-            raise IsoDomainError("optimization interval must stay inside [3, 4]")
-        if lo == hi:
-            return lo, norm_report(_dyadic(lo))
-
-        def value(t):
-            return norm_report(t).distortion
-
-        # Coarse grid to bracket the minimizer.
-        ngrid = 64
-        xs = [lo + (hi - lo) * k / ngrid for k in range(ngrid + 1)]
-        vals = [value(x) for x in xs]
-        k = min(range(ngrid + 1), key=lambda i: vals[i])
-        a = xs[max(k - 1, 0)]
-        b = xs[min(k + 1, ngrid)]
-
-        invphi = (mp.sqrt(5) - 1) / 2
-        x1 = b - invphi * (b - a)
-        x2 = a + invphi * (b - a)
-        f1, f2 = value(x1), value(x2)
-        best_x, best_f = min(
-            ((xs[k], vals[k]), (x1, f1), (x2, f2)), key=lambda p: p[1]
-        )
-        while b - a > tol:
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - invphi * (b - a)
-                f1 = value(x1)
+    lo, hi, tol = Fraction(lo), Fraction(hi), Fraction(tol)
+    if not (3 <= lo <= hi <= 4):
+        raise IsoDomainError("optimization interval must stay inside [3, 4]")
+    if tol <= 0:
+        raise IsoDomainError(f"tolerance must be positive, got {tol}")
+    prev, fib = 1, 2  # consecutive Fibonacci numbers F_{n-1}, F_n
+    while hi - lo > tol * fib:
+        prev, fib = fib, prev + fib
+    h = (hi - lo) / fib
+    left, right = 0, fib
+    best, report = prev, norm_report(lo + prev * h)
+    while right - left > 2:
+        probe = left + right - best
+        other = norm_report(lo + probe * h)
+        if probe < best:
+            if other.distortion <= report.distortion:
+                right, best, report = best, probe, other
             else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + invphi * (b - a)
-                f2 = value(x2)
-            if f1 < best_f:
-                best_x, best_f = x1, f1
-            if f2 < best_f:
-                best_x, best_f = x2, f2
-        return best_x, norm_report(_dyadic(best_x))
+                left = probe
+        elif report.distortion <= other.distortion:
+            right = probe
+        else:
+            left, best, report = best, probe, other
+    return report.t, report
 
 
 @dataclass(frozen=True)
@@ -410,7 +350,7 @@ class CubicFormulaReport:
 
     printed: mp.mpf
     corrected: mp.mpf
-    optimizer_t: mp.mpf
+    optimizer_t: mp.mpf     # t* at PRECISION_DPS digits
     matching: str
 
     @property
@@ -423,12 +363,15 @@ def cubic_formula_value(t_star) -> CubicFormulaReport:
 
     The printed expression repeats the radicand 73 - 6*sqrt(87) under both
     cube roots; the corrected variant flips the second sign.  The report
-    flags whichever lies within MATCH_TOL of ``t_star``, the distortion
-    minimizer that ``optimize_distortion`` returned.
+    flags whichever lies within MATCH_TOL of ``t_star``, the Fraction that
+    ``optimize_distortion`` returned.  Both readings are irrational, so they
+    are displayed at PRECISION_DPS digits through mpmath.
     """
+    import mpmath as mp
+
     with mp.workdps(PRECISION_DPS):
         tol = mp.mpf(MATCH_TOL)
-        t_star = mp.mpf(t_star)
+        t_star = mp.fdiv(t_star.numerator, t_star.denominator)
         root87 = mp.sqrt(87)
         printed = (4 + 2 * mp.cbrt(73 - 6 * root87)) / 3
         corrected = (4 + mp.cbrt(73 - 6 * root87) + mp.cbrt(73 + 6 * root87)) / 3

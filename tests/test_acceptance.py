@@ -135,9 +135,10 @@ def test_criterion_7_upper_bound():
     start = time.perf_counter()
     t_star, report = optimize_distortion()
     elapsed = time.perf_counter() - start
+    # t* and its report are exact (Fractions); compare them in mpf.
+    t_star, norm_t, norm_s = (mp.mpf(x.numerator) / x.denominator
+                              for x in (t_star, report.norm_t, report.norm_s))
     assert abs(t_star - mp.mpf("3.87512")) <= mp.mpf("1e-4")
-    # The report is exact (Fractions); compare it in mpf.
-    norm_t, norm_s = (mp.mpf(x.numerator) / x.denominator for x in (report.norm_t, report.norm_s))
     assert abs(norm_t - t_star) <= mp.mpf("1e-9")
     assert abs(norm_s - 1) <= mp.mpf("1e-9")
     assert elapsed < 1.0, f"took {elapsed:.3f}s"

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -137,13 +138,25 @@ class TestUpperCommand:
         assert "matching=corrected" in out
 
     def test_optimize_prints_norms_at_full_precision(self, capsys):
-        """normT = t exactly at every t (row M:0 has l1 norm t), so the printed digits agree."""
-        code, out, _ = run(capsys, "upper", "--optimize", "--tol", "1e-10",
-                           "--format", "structured")
-        doc = json.loads(out)
-        assert code == 0
-        assert doc["normT"] == doc["t_star"]
-        assert doc["distortion"].startswith("3.87512979")
+        """t* and its exact norms are printed rounded to 20 significant digits.
+
+        normT = t (row M:0, with Minv:1 for S) holds only right of the
+        minimizer: --tol 1e-12 stops there, while --tol 1e-10 stops left of
+        it, where rows tail:0 and stail:1 carry the norms and normT > t*.
+        """
+        for tol, rows in (("1e-12", {"T": "M:0", "S": "Minv:1"}),
+                          ("1e-10", {"T": "tail:0", "S": "stail:1"})):
+            code, out, _ = run(capsys, "upper", "--optimize", "--tol", tol,
+                               "--format", "structured")
+            doc = json.loads(out)
+            t_star, report = upperiso.optimize_distortion(tol=tol)
+            assert code == 0
+            assert doc["argmax_rows"] == rows
+            assert (report.norm_t == t_star) == (rows["T"] == "M:0")
+            for key, exact in (("t_star", t_star), ("normT", report.norm_t),
+                               ("normS", report.norm_s), ("distortion", report.distortion)):
+                assert abs(Fraction(doc[key]) - exact) < Fraction(1, 10**19)
+            assert doc["distortion"].startswith("3.87512979")
 
     def test_optimize_runs_the_optimizer_once(self, capsys, monkeypatch):
         calls = []
@@ -158,13 +171,13 @@ class TestUpperCommand:
         assert calls == [{"tol": "1e-6"}]
 
     def test_coarse_tol_matching_judges_printed_t_star(self, capsys):
-        """At --tol 0.5 the optimizer stops on the grid point 3.875, which lies
-        1.3e-4 from either closed-form reading, so neither matches within 1e-4."""
+        """At --tol 0.5 the search probes only the midpoint 3.5 of [3, 4], which
+        lies more than 1e-4 from either closed-form reading, so neither matches."""
         code, out, _ = run(capsys, "upper", "--optimize", "--tol", "0.5",
                            "--format", "structured")
         doc = json.loads(out)
         assert code == 0
-        assert doc["t_star"] == "3.875"
+        assert doc["t_star"] == "3.5"
         assert doc["closed_form"]["matching"] == "ambiguous"
 
     def test_scan_csv(self, capsys):
@@ -197,6 +210,12 @@ class TestUpperCommand:
         code, _, err = run(capsys, "upper", "--optimize", "--scan", "3:4:1/2")
         assert code == 2
         assert "mutually exclusive" in err
+
+    @pytest.mark.parametrize("argv", [["--t", "7/2", "--tol", "0.5"],
+                                      ["--scan", "3:4:1/2", "--tol", "1e-3"]])
+    def test_tol_needs_optimize(self, capsys, argv):
+        code, out, err = run(capsys, "upper", *argv)
+        assert (code, out, err) == (2, "", "error: --tol applies only to --optimize\n")
 
     def test_case_flag_accepts_spec_spelling(self, capsys):
         code, out, _ = run(capsys, "certify", "--t", "4", "--case", "J012",
@@ -291,6 +310,8 @@ class TestVerifyCertCommand:
     ["upper", "--optimize", "--tol", "0"],
     ["upper", "--optimize", "--tol", "-1"],
     ["upper", "--optimize", "--tol", "1e-45"],
+    ["upper", "--optimize", "--tol", "inf"],
+    ["upper", "--optimize", "--tol", "1/0"],
     ["dichotomy", "--t", "4", "--functions", "5"],
     ["search", "--iters", "-1"],
     ["sweep", "--iters", "-2"],

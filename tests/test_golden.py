@@ -40,6 +40,15 @@ The ``upper --optimize --tol 1e-8`` digest was recorded again when the
 optimizer's report became exact at the rational value of ``t*``: its
 ``argmax_rows`` read ``tail:1``/``stail:2`` before, picked by rounding
 noise among rows whose norms tie exactly, and read ``M:0``/``Minv:1`` since.
+
+All four ``upper --optimize`` digests (``--tol 1e-8 --format structured``,
+``--format structured``, ``--tol 1e-6`` and ``--tol 1e-6 --format csv``)
+were recorded again when the 40-digit golden-section optimizer gave way to
+an exact Fibonacci search.  Its ``t*`` is a grid point ``3 + j/F_n``, not a
+binary float, so the digits of ``t*`` and of its exact norms changed; each
+new ``t*`` lies within ``2*tol`` of the old one.  At ``--tol 1e-8`` the new
+``t*`` falls just left of the minimizer, where the argmax rows are
+``tail:0``/``stail:1``.  The closed-form digits are unchanged.
 """
 
 import hashlib
@@ -64,7 +73,7 @@ GOLDEN = {
     "search --lo 3 --hi 5 --iters 0 --format structured":
         (0, "3c662254e1221ef38ed616356b03d3962d1e0310208141eb79b67bce6c22976f"),
     "upper --optimize --tol 1e-8 --format structured":
-        (0, "1e1593d3b99d19f8d303f363caeb95c878d6c980118c0b497b4836191ada9de9"),
+        (0, "78e84e9172fe3a9d351faff08ee0db37e3641af7804f3fac27a0c2149e51596c"),
     "search --lo 3 --hi 5 --iters 24 --c-policy 3,1,5 --format structured":
         (0, "5b99d2a844709b4bc6fa0e325573fccce4c84f72e7bbd93d850d7dc8e5147603"),
     "dichotomy --t 10/3 --format structured":
@@ -74,7 +83,7 @@ GOLDEN = {
     "upper --scan 3:4:1/100 --format structured":
         (0, "ec50768e62a8f013f7d4c59c660c11c4c3766c251897fe6982b2ab81d0068ce6"),
     "upper --optimize --format structured":
-        (0, "60fc4d9d3ba090290e22e3636d3038c09b1dcd3d8de56b85d81ccd391684079a"),
+        (0, "21f6c000dfcaa5bfec4c4bf5818451b1e0ba77aa3632ba5cad064cd1396cea56"),
     "upper --t 387513/100000":
         (0, "d1f887b6edef7656b25ccf7560e0371dd29e6f46981367327059f89e3aba7e9e"),
     "certify --t 113/32":
@@ -100,9 +109,9 @@ GOLDEN = {
     "upper --scan 3:4:1/2 --format text":
         (0, "0e36654304b5d2d5c7cab3189fbb64b6bac354267ee4700f7e0258756b842eb3"),
     "upper --optimize --tol 1e-6":
-        (0, "adaccc2875badf6f65fe59f57db9f007b75fc0011d0acd8b3bf4eeda5a2ba572"),
+        (0, "19f56c59f21c8130832e00731cdc4fa5666e36ffbad317d9ee8e52a397d33b32"),
     "upper --optimize --tol 1e-6 --format csv":
-        (0, "adaccc2875badf6f65fe59f57db9f007b75fc0011d0acd8b3bf4eeda5a2ba572"),
+        (0, "19f56c59f21c8130832e00731cdc4fa5666e36ffbad317d9ee8e52a397d33b32"),
     "upper --t 7/2 --format csv":
         (0, "31165587e1c069cde239a40758b321357447597f2b4c597dc2e324931e77162e"),
 }

@@ -2,8 +2,10 @@
 
 The lower-bound commands run exact Fraction code only, so importing the CLI
 and running ``certify`` must not load mpmath, the upper-bound modules or the
-cross-check solvers.  ``upper`` and ``bounds`` load them when they run; each
-case here starts its own interpreter, so nothing is loaded beforehand.
+cross-check solvers.  ``upper`` and ``bounds`` load them when they run, and
+mpmath only displays closed forms: ``upper --t`` and ``upper --scan`` are
+exact and never load it.  Each case here starts its own interpreter, so
+nothing is loaded beforehand.
 """
 
 import hashlib
@@ -42,6 +44,22 @@ print(json.dumps([code, after_import, [m for m in heavy if m in sys.modules]]))
     proc = python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, [], []]
+
+
+@pytest.mark.parametrize("command", ["upper --t 7/2 --format csv", "upper --scan 3:4:1/2"])
+def test_exact_upper_commands_load_no_mpmath(command):
+    script = f"""
+import contextlib, hashlib, io, json, sys
+import bmbounds.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = bmbounds.cli.main({command.split()!r})
+print(json.dumps([code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+                  "bmbounds.upperiso" in sys.modules, "mpmath" in sys.modules]))
+"""
+    proc = python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [*GOLDEN[command], True, False]
 
 
 @pytest.mark.parametrize("command", ["upper --t 7/2 --format csv", "bounds --m 2..3 --k 2..3",

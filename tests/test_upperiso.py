@@ -213,49 +213,73 @@ class TestOperatorNorms:
         assert set(g1.tail) == set(g2.tail)
 
 
-class TestPrecision:
-    @staticmethod
-    def exact(x):
-        man, exp = x.man_exp  # man is unsigned
-        return int(mp.sign(x)) * F(man) * F(2) ** exp
+def cubic(t):
+    """t^3 - 4t^2 + t - 2, whose root r in [3, 4] is the distortion minimizer."""
+    return t**3 - 4 * t**2 + t - 2
 
-    def test_mpf_norms_run_at_working_precision(self):
-        """At the default mpmath precision, an mpf t gives 40-digit norms.
 
-        3.875 = 31/8 is exact in binary, so the mpf report must agree with
-        the exact report far below the default 15-digit precision.
-        """
-        want = norm_report(F(31, 8))
-        with mp.workdps(15):
-            got = norm_report(mp.mpf("3.875"))
-            value, argmax = operator_norm_S(mp.mpf("3.875"))
-        for name in ("norm_t", "norm_s", "distortion"):
-            assert abs(self.exact(getattr(got, name)) - getattr(want, name)) <= F(1, 10**30)
-        assert abs(self.exact(value) - want.norm_s) <= F(1, 10**30)
-        assert argmax == want.argmax_s
+def root_bracket(bits=80):
+    """An exact bracket [a, b] of width 2**-bits around r, by bisection."""
+    a, b = F(3), F(4)
+    for _ in range(bits):
+        mid = (a + b) / 2
+        a, b = (mid, b) if cubic(mid) < 0 else (a, mid)
+    return a, b
+
+
+def assert_rows_match_side(report):
+    """Right of r, row M:0 gives normT = t exactly and Minv:1 carries normS;
+    left of r, rows tail:0 and stail:1 carry the norms and normT > t."""
+    if cubic(report.t) > 0:
+        assert (report.argmax_t, report.argmax_s) == ("M:0", "Minv:1")
+        assert report.norm_t == report.t
+    else:
+        assert (report.argmax_t, report.argmax_s) == ("tail:0", "stail:1")
+        assert report.norm_t > report.t
 
 
 class TestOptimizer:
     def test_reproduces_reported_value(self):
         t_star, report = optimize_distortion()
-        assert abs(t_star - mp.mpf("3.87512")) <= mp.mpf("1e-4")
-        # The report is exact (Fractions); compare it in mpf.
-        norm_t, norm_s, distortion = (mp.mpf(x.numerator) / x.denominator
-                                      for x in (report.norm_t, report.norm_s, report.distortion))
-        assert abs(norm_t - t_star) <= mp.mpf("1e-9")
-        assert abs(norm_s - 1) <= mp.mpf("1e-9")
-        assert abs(distortion - t_star) <= mp.mpf("1e-8")
+        assert abs(t_star - F("3.87512")) <= F("1e-4")
+        assert abs(report.norm_t - t_star) <= F("1e-9")
+        assert abs(report.norm_s - 1) <= F("1e-9")
+        assert abs(report.distortion - t_star) <= F("1e-8")
+
+    @pytest.mark.parametrize("t", [F(3), F(7, 2), F(31, 8), F(48439, 12500),
+                                   F(387513, 100000), F(969, 250), F(4)])
+    def test_norm_t_is_t_only_right_of_the_minimizer(self, t):
+        """normT(3) = 14/3 and normT > t up to r = 3.8751297...; normT = t after it."""
+        assert_rows_match_side(norm_report(t))
 
     @pytest.mark.parametrize("tol", ["1e-8", "1e-10", "1e-14"])
     def test_report_is_exact_at_t_star(self, tol):
-        """Several rows tie exactly at every t (normT = t); the report is taken at
-        the rational value of t*, so its argmax rows are the first of each tie."""
+        """t* is a Fraction and the report is norm_report at t* itself, so its
+        argmax rows are the first of each exact tie on t*'s side of r."""
         t_star, report = optimize_distortion(tol=tol)
-        man, exp = t_star.man_exp
-        assert report.t == F(man) * F(2) ** exp
-        assert report == norm_report(report.t)
-        assert report.norm_t == report.t
-        assert (report.argmax_t, report.argmax_s) == ("M:0", "Minv:1")
+        assert isinstance(t_star, Fraction) and report.t == t_star
+        assert report == norm_report(t_star)
+        assert_rows_match_side(report)
+
+    def test_t_star_within_tol_of_the_minimizer(self):
+        """The search stops on the centre of a bracket of two steps h <= tol."""
+        a, b = root_bracket()
+        for tol in (F(1, 10), F(1, 1000), F(1, 10**6)):
+            t_star, _ = optimize_distortion(tol=tol)
+            assert max(abs(t_star - a), abs(t_star - b)) <= tol
+
+    def test_mirrors_the_benchmark_check(self):
+        """The acceptance test of each upper --optimize op in the benchmark, at
+        every tolerance it uses: t* and the norm residuals within 1e-9 of the
+        exact root r, and the corrected closed form matching t*."""
+        near = F(1, 10**9)
+        a, b = root_bracket()
+        for digits in range(8, 15):
+            t_star, report = optimize_distortion(tol=f"1e-{digits}")
+            assert max(abs(t_star - a), abs(t_star - b)) < near
+            assert abs(report.norm_t - t_star) < near
+            assert abs(report.norm_s - 1) < near
+            assert cubic_formula_value(t_star).matching == "corrected"
 
     def test_runs_under_a_second(self):
         start = time.perf_counter()
@@ -264,11 +288,14 @@ class TestOptimizer:
 
     def test_degenerate_interval(self):
         t, report = optimize_distortion(lo="3.5", hi="3.5")
-        assert t == mp.mpf("3.5")
-        exact = operator_norm_T(F(7, 2))[0]
-        with mp.workdps(40):
-            assert abs(mp.mpf(report.norm_t.numerator) / report.norm_t.denominator
-                       - mp.mpf(exact.numerator) / exact.denominator) < mp.mpf("1e-30")
+        assert t == F(7, 2)
+        assert report.norm_t == operator_norm_T(F(7, 2))[0]
+
+    @pytest.mark.parametrize("lo, hi, tol", [(F(5, 2), 4, "1e-3"), (4, F(7, 2), "1e-3"),
+                                             (3, 4, "0"), (3, 4, "-1e-3")])
+    def test_bad_interval_or_tolerance(self, lo, hi, tol):
+        with pytest.raises(IsoDomainError):
+            optimize_distortion(lo, hi, tol)
 
     def test_norm_increase_at_optimum(self):
         """T does not shrink: random unit-norm inputs keep norm >= 1 - 1e-9."""
@@ -281,7 +308,7 @@ class TestOptimizer:
             if scale == 0:
                 continue
             g = apply_T(f, mats)
-            assert g.sup_norm() / scale >= 1 - mp.mpf("1e-9")
+            assert g.sup_norm() / scale >= 1 - F(1, 10**9)
 
     def test_s_is_contractive_at_optimum(self):
         """S does not expand: 1000 random unit-norm sequences, slack 1e-9."""
@@ -298,33 +325,17 @@ class TestOptimizer:
             if scale == 0:
                 continue
             f = apply_S(g, mats)
-            assert f.sup_norm() / scale <= 1 + mp.mpf("1e-9")
+            assert f.sup_norm() / scale <= 1 + F(1, 10**9)
 
-    def test_mpf_roundtrip_on_rational_inputs(self):
-        """At the mpf optimum, S(T(f)) agrees with Fraction input f to 1e-30.
-
-        Runs at the default mpmath precision: the 40-digit agreement holds
-        only if the matrices and both maps work at PRECISION_DPS themselves.
-        """
-        def exact(x):
-            man, exp = x.man_exp  # man is unsigned
-            return int(mp.sign(x)) * F(man) * F(2) ** exp
-
+    def test_exact_roundtrip_at_optimum(self):
+        """At the optimum t* = 3 + j/F_n, S(T(f)) == f exactly for 200 random
+        rational f."""
         t_star, _ = optimize_distortion()
         mats = build_matrices(t_star)
         rng = random.Random(23)
         for _ in range(200):
             f = rand_function(rng, n_levels=3)
-            g = apply_T(f, mats)
-            back = apply_S(g, mats)
-            g_entries = [*g.head, g.omega, *(x for row in g.tail for x in row)]
-            back_entries = [*back.limit, *(x for row in back.rows for x in row)]
-            assert all(isinstance(x, mp.mpf) for x in g_entries + back_entries)
-            g.sup_norm()
-            back.sup_norm()
-            expected = [*f.limit, *(x for row in f.rows for x in row)]
-            for got, want in zip(back_entries, expected):
-                assert abs(exact(got) - want) <= F(1, 10**30)
+            assert apply_S(apply_T(f, mats), mats) == f
 
 
 class TestCubicFormula:
@@ -355,6 +366,17 @@ class TestScan:
             scan_distortion(F(4), F(3), F(1, 4))
         with pytest.raises(IsoDomainError):
             scan_distortion(F(3), F(4), F(0))
+
+    def test_distortion_is_unimodal(self):
+        """The exact distortion on the 1/200 grid strictly decreases up to its
+        argmin 31/8 and strictly increases after it, so a search needs no
+        pre-grid to bracket the minimizer."""
+        rows = scan_distortion(F(3), F(4), F(1, 200))
+        d = [r[3] for r in rows]
+        k = d.index(min(d))
+        assert rows[k][0] == F(31, 8)
+        assert all(x > y for x, y in zip(d[:k], d[1:k + 1]))
+        assert all(x < y for x, y in zip(d[k:], d[k + 1:]))
 
     def test_distortion_never_below_certified_bound(self):
         rows = scan_distortion(F(3), F(4), F(1, 100))

@@ -5,20 +5,28 @@ values into the head coordinates, C couples level m of the domain into
 output block m.  Every output coordinate depends on at most six inputs,
 and the tail blocks repeat identically for every level, so T and S are
 defined by twelve coefficient rows: M and tail_block for T, Minv and
-s_tail_block for S.  apply_T and apply_S apply exactly these rows, and the
-operator norms over the infinite index set are their largest row l1-norms,
-evaluated in norm_report alone.  Every parameter is read as a Fraction
-(an int, a Fraction, a float's binary value or a numeric string), so every
-block, norm and product is exact, and the optimizer is an exact Fibonacci
-search over norm_report.  mpmath is loaded only to display the closed-form
-minimizer, in cubic_formula_value.
+s_tail_block for S.  The operator norms over the infinite index set are
+their largest row l1-norms.
+
+norm_report, the one evaluator of the norms and their product, reads the
+rows from T_TABLE and S_TABLE: each nonzero entry is an integer polynomial
+over one common denominator per direction, so at t = p/q a row's l1-norm
+is an integer sum over an integer, and no matrix is built or inverted.
+build_matrices populates the same rows as Fraction matrices (inverting M
+by Gauss-Jordan); it, operator_norm_T/S, apply_T/S and inverse_closed_form
+are the independent matrix route the tests check the tables against.
+Every parameter is read as a Fraction (an int, a Fraction, a float's
+binary value or a numeric string), so every entry, norm and product is
+exact, and the optimizer is an exact Fibonacci search over norm_report.
+mpmath is loaded only to display the closed-form minimizer, in
+cubic_formula_value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .rationals import InputError
 
@@ -30,6 +38,7 @@ PRECISION_DPS = 40  # mpmath digits for displaying t*, its norms and the closed 
 # 1e-35), so the smallest tolerance it accepts bounds its work.
 MIN_TOL = f"1e-{PRECISION_DPS - 5}"
 MATCH_TOL = "1e-4"  # how close a closed-form reading must lie to t* to match it
+MAX_SCAN_ROWS = 100_000  # the most rows one scan evaluates, which bounds its work
 
 Matrix = tuple[tuple, ...]
 
@@ -94,19 +103,21 @@ class IsoMatrices:
 def _read_parameter(t):
     """t as a Fraction, checked against every guard of the pair.
 
-    Returns t with the quartic and cubic denominators d1, d2 of the
-    closed-form inverse.
+    Returns t with its numerator p and denominator q > 0.  The quartic and
+    cubic denominators d1, d2 of the closed-form inverse are checked as
+    the integers q**4 * d1(p/q) and q**3 * d2(p/q), which vanish with them.
     """
     t = Fraction(t)
     if not (3 <= t <= 4):
         raise IsoDomainError(f"parameter must satisfy 3 <= t <= 4, got {t}")
-    d1 = t**4 - 7 * t**3 + 12 * t**2 - 8 * t + 8
-    d2 = t**3 - 5 * t**2 + 2 * t - 4
-    for name, value in (("t", t), ("t+1", t + 1),
+    p, q = t.numerator, t.denominator
+    d1 = (((p - 7 * q) * p + 12 * q * q) * p - 8 * q**3) * p + 8 * q**4
+    d2 = ((p - 5 * q) * p + 2 * q * q) * p - 4 * q**3
+    for name, value in (("t", p), ("t+1", p + q),
                         ("t^4-7t^3+12t^2-8t+8", d1), ("t^3-5t^2+2t-4", d2)):
         if value == 0:
             raise IsoDomainError(f"denominator {name} vanishes at t = {t}")
-    return t, d1, d2
+    return t, p, q
 
 
 def build_matrices(t) -> IsoMatrices:
@@ -143,7 +154,9 @@ def build_matrices(t) -> IsoMatrices:
 
 def inverse_closed_form(t) -> Matrix:
     """The algebraic closed form of M^{-1}, kept as an independent cross-check."""
-    t, d1, d2 = _read_parameter(t)
+    t, _, _ = _read_parameter(t)
+    d1 = t**4 - 7 * t**3 + 12 * t**2 - 8 * t + 8
+    d2 = t**3 - 5 * t**2 + 2 * t - 4
     zero = Fraction(0)
     return (
         (t * (t**2 - 5 * t + 2) / d1, zero, -4 * t / d1),
@@ -252,6 +265,68 @@ def operator_norm_S(t, mats: IsoMatrices | None = None):
     return _largest_row(mats.Minv, mats.s_tail_block, _S_ROW_IDS)
 
 
+class RowTable(NamedTuple):
+    """One direction's six coefficient rows as integer polynomials in t.
+
+    Entry j of row r is rows[r][j](t) / denominator(t), and the entries a
+    row leaves out are zero.  Every polynomial is its coefficient tuple,
+    the t**degree one first, where degree = len(denominator) - 1 for all of
+    them, so that at t = p/q each homogeneous form q**degree * N(p/q) is an
+    integer.  The denominator is positive on [3, 4].
+    """
+
+    denominator: tuple[int, ...]
+    rows: dict[str, dict[int, tuple[int, ...]]]
+
+
+# The rows of M and tail_block over D_T = 4t(t+1).
+T_TABLE = RowTable((0, 0, 4, 4, 0), {
+    "M:0": {0: (0, 4, -4, -8, 0), 1: (0, 0, -4, -4, 0), 2: (0, 0, -4, -4, 0)},
+    "M:1": {1: (0, 2, 2, 0, 0), 2: (0, -2, -2, 0, 0)},
+    "M:2": {0: (0, 0, 4, -4, -8), 1: (-1, 4, 3, -2, 0), 2: (-1, 4, 3, -2, 0)},
+    "tail:0": {0: (0, 0, 8, 0, 0), 3: (0, 0, -4, -4, -8), 4: (-1, 4, 3, -2, 0),
+               5: (-1, 4, 3, -2, 0)},
+    "tail:1": {1: (0, 2, 0, 2, 4), 3: (0, 0, 4, -4, -8), 4: (-1, 2, 3, -4, -4),
+               5: (-1, 4, 3, -2, 0)},
+    "tail:2": {2: (0, 2, 0, 2, 4), 3: (0, 0, 4, -4, -8), 4: (-1, 4, 3, -2, 0),
+               5: (-1, 2, 3, -4, -4)},
+})
+
+# The rows of Minv and s_tail_block over D_S = -2t(t-2)(t^2-t+2)(t^3-5t^2+2t-4).
+S_TABLE = RowTable((-2, 16, -42, 68, -80, 48, -32, 0), {
+    "Minv:0": {0: (0, -2, 12, -18, 24, -8, 0, 0), 2: (0, 0, 0, 8, -8, 16, 0, 0)},
+    "Minv:1": {0: (0, 0, 0, -4, 12, -16, 16, 0), 1: (0, -2, 16, -42, 68, -80, 48, -32),
+               2: (0, 0, 4, -12, 16, -16, 0, 0)},
+    "Minv:2": {0: (0, 0, 0, -4, 12, -16, 16, 0), 1: (0, 2, -16, 42, -68, 80, -48, 32),
+               2: (0, 0, 4, -12, 16, -16, 0, 0)},
+    "stail:0": {0: (-1, 7, -13, 13, -6, -16, 8, -16), 3: (0, -2, 12, -18, 24, -8, 0, 0),
+                5: (1, -7, 13, -5, -2, 32, -8, 16)},
+    "stail:1": {1: (0, -4, 28, -48, 32, -32, 0, 0), 3: (0, 0, 0, -4, 12, -16, 16, 0),
+                4: (0, -2, 16, -42, 68, -80, 48, -32), 5: (0, 4, -24, 36, -16, 16, 0, 0)},
+    "stail:2": {2: (0, -4, 28, -48, 32, -32, 0, 0), 3: (0, 0, 0, -4, 12, -16, 16, 0),
+                4: (0, 2, -16, 42, -68, 80, -48, 32), 5: (0, 4, -24, 36, -16, 16, 0, 0)},
+})
+
+
+def _horner(coefficients: tuple[int, ...], p: int, q_powers: list[int]) -> int:
+    """The homogeneous form of a polynomial at (p, q), given q_powers[k] = q**k."""
+    acc = 0
+    for c, q_k in zip(coefficients, q_powers):
+        acc = acc * p + c * q_k
+    return acc
+
+
+def _table_norm(table: RowTable, p: int, q: int) -> tuple[Fraction, str]:
+    """The largest row l1 norm of one direction at t = p/q, with the id of the first row reaching it."""
+    q_powers = [q**k for k in range(len(table.denominator))]
+    best, best_id = -1, ""
+    for row_id, entries in table.rows.items():
+        l1 = sum(abs(_horner(c, p, q_powers)) for c in entries.values())
+        if l1 > best:
+            best, best_id = l1, row_id
+    return Fraction(best, _horner(table.denominator, p, q_powers)), best_id
+
+
 @dataclass(frozen=True)
 class NormReport:
     t: Fraction
@@ -263,11 +338,15 @@ class NormReport:
 
 
 def norm_report(t) -> NormReport:
-    """normT, normS and their product at t, exactly: the one evaluator of the distortion."""
-    mats = build_matrices(t)
-    nt, at = _largest_row(mats.M, mats.tail_block, _T_ROW_IDS)
-    ns, as_ = _largest_row(mats.Minv, mats.s_tail_block, _S_ROW_IDS)
-    return NormReport(mats.t, nt, ns, nt * ns, at, as_)
+    """normT, normS and their product at t, exactly: the one evaluator of the distortion.
+
+    The norms are read from T_TABLE and S_TABLE on the integers p, q of
+    t = p/q; no matrix is built.
+    """
+    t, p, q = _read_parameter(t)
+    nt, at = _table_norm(T_TABLE, p, q)
+    ns, as_ = _table_norm(S_TABLE, p, q)
+    return NormReport(t, nt, ns, nt * ns, at, as_)
 
 
 def sign_pattern_input(mats: IsoMatrices, row_id: str, n_levels: int = 1) -> TruncatedFunction:
@@ -290,13 +369,20 @@ def sign_pattern_input(mats: IsoMatrices, row_id: str, n_levels: int = 1) -> Tru
 
 
 def scan_distortion(lo: Fraction, hi: Fraction, step: Fraction) -> list[tuple]:
-    """Exact (t, normT, normS, distortion) rows on a rational grid."""
+    """Exact (t, normT, normS, distortion) rows on the grid lo, lo + step, ... <= hi.
+
+    The interval and the row count, at most MAX_SCAN_ROWS, are checked
+    before any row is evaluated.
+    """
     lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
-    if step <= 0 or lo > hi:
-        raise IsoDomainError("scan needs lo <= hi and step > 0")
+    if not (3 <= lo <= hi <= 4) or step <= 0:
+        raise IsoDomainError(f"scan needs 3 <= lo <= hi <= 4 and step > 0, got {lo}:{hi}:{step}")
+    count = (hi - lo) // step + 1
+    if count > MAX_SCAN_ROWS:
+        raise IsoDomainError(f"scan of {count} rows exceeds the limit of {MAX_SCAN_ROWS}")
     out = []
     t = lo
-    while t <= hi:
+    for _ in range(count):
         report = norm_report(t)
         out.append((t, report.norm_t, report.norm_s, report.distortion))
         t += step

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,36 @@ class TestUpperCommand:
         assert lines[0] == "t,normT,normS,distortion"
         assert len(lines) == 4
         assert lines[1].startswith("3,4.666666666667")
+
+    def test_scan_of_a_thousand_steps(self, capsys):
+        code, out, _ = run(capsys, "upper", "--scan", "3:4:1/1000", "--format", "structured")
+        rows = json.loads(out)["rows"]
+        assert code == 0
+        assert len(rows) == 1001 and (rows[0]["t"], rows[-1]["t"]) == ("3", "4")
+
+    @pytest.mark.parametrize("spec, err", [
+        ("3:5:1/2", "scan needs 3 <= lo <= hi <= 4 and step > 0, got 3:5:1/2"),
+        ("3:5:1/10000000", "scan needs 3 <= lo <= hi <= 4 and step > 0, got 3:5:1/10000000"),
+        ("3:4:1/1000000000", "scan of 1000000001 rows exceeds the limit of 100000"),
+    ])
+    def test_scan_bounded_before_any_row(self, capsys, monkeypatch, spec, err):
+        """An interval leaving [3, 4] or more than MAX_SCAN_ROWS rows is exit 2
+        with one line, before a single row is evaluated."""
+        def boom(t):  # pragma: no cover
+            raise AssertionError("no row may be evaluated")
+
+        monkeypatch.setattr(upperiso, "norm_report", boom)
+        start = time.perf_counter()
+        code, out, stderr = run(capsys, "upper", "--scan", spec)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, stderr) == (2, "", f"error: {err}\n")
+
+    def test_scan_row_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(upperiso, "MAX_SCAN_ROWS", 5)
+        code, out, _ = run(capsys, "upper", "--scan", "3:4:1/4", "--format", "structured")
+        assert (code, len(json.loads(out)["rows"])) == (0, 5)
+        code, out, err = run(capsys, "upper", "--scan", "3:4:1/5")
+        assert (code, out, err) == (2, "", "error: scan of 6 rows exceeds the limit of 5\n")
 
     def test_t_structured_is_one_scan_row(self, capsys):
         code, out, _ = run(capsys, "upper", "--t", "7/2", "--format", "structured")

@@ -2,7 +2,9 @@
 
 Every run must end with exit code 0, 1 or 2 and never with a traceback.
 Examples are kept cheap: at most two bisection steps, at most two
-dichotomy functions, and no ``upper --optimize``.
+dichotomy functions, and no ``upper --optimize``.  The exact row norms
+that ``norm_report`` reads from its integer tables are also checked
+against the matrix route at random rationals.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmbounds.cli import main
+from bmbounds.upperiso import norm_report, operator_norm_S, operator_norm_T
 
 # Values a flag accepts (guard boundaries included), then junk.
 RATIONALS = ["1", "2", "3", "4", "5", "0", "-3", "113/32", "7/2", "18/5", "+5/2", " 4 ",
@@ -153,3 +156,13 @@ def test_verify_cert_on_mutated_documents_exits_cleanly(text):
     assert code in (0, 1, 2), (text, code, err)
     assert "Traceback" not in err, (text, err)
 
+
+
+@given(st.fractions(min_value=3, max_value=4, max_denominator=2**64))
+@settings(max_examples=200, deadline=None)
+def test_norm_report_equals_the_matrix_route(t):
+    report = norm_report(t)
+    norm_t, norm_s = operator_norm_T(t), operator_norm_S(t)
+    assert (report.t, report.norm_t, report.argmax_t) == (t, *norm_t)
+    assert (report.norm_s, report.argmax_s) == norm_s
+    assert report.distortion == norm_t[0] * norm_s[0]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -5,9 +6,14 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from bmbounds import upperiso
+from bmbounds.cli import main
 from bmbounds.upperiso import (
+    S_TABLE,
+    T_TABLE,
     CubicFormulaReport,
     IsoDomainError,
+    NormReport,
     ShapeError,
     TransformedSequence,
     TruncatedFunction,
@@ -24,6 +30,7 @@ from bmbounds.upperiso import (
     scan_distortion,
     sign_pattern_input,
 )
+from test_golden import GOLDEN
 
 F = Fraction
 IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -78,6 +85,127 @@ class TestBuildMatrices:
         assert len(mats.tail_block) == 3 and all(len(r) == 6 for r in mats.tail_block)
         assert len(mats.s_tail_block) == 3 and all(len(r) == 6 for r in mats.s_tail_block)
         assert mats.M3 == mats.M[2]
+
+
+def poly_mul(a, b):
+    """The product of two coefficient tuples, highest power first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def interval_mul(a, b):
+    """The exact range of x * y for x in the interval a and y in the interval b."""
+    ends = [x * y for x in a for y in b]
+    return min(ends), max(ends)
+
+
+def matrix_rows(table, mats):
+    """The matrix-route rows a table stands for, keyed by row id."""
+    blocks = mats.M + mats.tail_block if table is T_TABLE else mats.Minv + mats.s_tail_block
+    return dict(zip(table.rows, blocks))
+
+
+def poly_value(coefficients, t):
+    """The value at t of a coefficient tuple, highest power first."""
+    value = Fraction(0)
+    for c in coefficients:
+        value = value * t + c
+    return value
+
+
+class TestRowTables:
+    """T_TABLE and S_TABLE, which norm_report reads, proved against build_matrices."""
+
+    def test_row_ids_follow_the_blocks(self):
+        assert list(T_TABLE.rows) == ["M:0", "M:1", "M:2", "tail:0", "tail:1", "tail:2"]
+        assert list(S_TABLE.rows) == ["Minv:0", "Minv:1", "Minv:2",
+                                      "stail:0", "stail:1", "stail:2"]
+
+    @pytest.mark.parametrize("table, entries", [(T_TABLE, 20), (S_TABLE, 19)], ids=["T", "S"])
+    def test_every_entry_is_its_matrix_entry(self, table, entries):
+        """The table lists exactly the nonzero entries of the matrix route, and
+        N_e(t)/D(t) equals its entry at degree + 2 distinct t in [3, 4].
+
+        D clears every denominator the construction of the direction brings
+        in (t, t+1 and 4 for T; for S also t^2-t+2 and M's determinant
+        -(t-2)(t^3-5t^2+2t-4)/4), so N_e(t) - D(t) * entry(t) is a polynomial of
+        at most the table's degree; vanishing at more points than that
+        degree, it is zero.  So
+        each listed entry equals its N_e/D, which is not the zero function,
+        and each entry a row leaves out, zero at all those points, is zero.
+        """
+        degree = len(table.denominator) - 1
+        n = degree + 2
+        assert sum(len(row) for row in table.rows.values()) == entries
+        for row in table.rows.values():
+            assert all(len(c) == degree + 1 and any(c) for c in row.values())
+        for t in (3 + Fraction(k, n - 1) for k in range(n)):
+            denominator = poly_value(table.denominator, t)
+            for row_id, matrix_row in matrix_rows(table, build_matrices(t)).items():
+                row = table.rows[row_id]
+                for j, value in enumerate(matrix_row):
+                    expected = poly_value(row[j], t) / denominator if j in row else 0
+                    assert value == expected, (row_id, j, t)
+
+    def test_denominators_are_positive_on_the_interval(self):
+        """D_T = 4t(t+1) and D_S = -2t(t-2)(t^2-t+2)(t^3-5t^2+2t-4) are positive on [3, 4].
+
+        The tables' denominators are these products, coefficient by
+        coefficient.  Each factor's range over t in [3, 4] is bounded by
+        exact interval arithmetic: t^2-t+2 = t(t-1) + 2 >= 8, and the cubic
+        plus 12 factors as (t-4)(t-2)(t+1) <= 0, so the cubic stays <= -12.
+        """
+        product = (4,)
+        for factor in ((1, 0), (1, 1)):
+            product = poly_mul(product, factor)
+        assert (0, 0) + product == T_TABLE.denominator
+        product = (-2,)
+        for factor in ((1, 0), (1, -2), (1, -1, 2), (1, -5, 2, -4)):
+            product = poly_mul(product, factor)
+        assert product == S_TABLE.denominator
+        assert poly_mul(poly_mul((1, -4), (1, -2)), (1, 1)) == (1, -5, 2, 8)  # cubic + 12
+
+        def shifted(lo, hi, c):
+            return lo + c, hi + c
+
+        def t_plus(c):  # the range of t + c over [3, 4]
+            return shifted(F(3), F(4), c)
+
+        cubic = shifted(*interval_mul(interval_mul(t_plus(-4), t_plus(-2)), t_plus(1)), -12)
+        quadratic = shifted(*interval_mul(t_plus(0), t_plus(-1)), 2)
+        assert cubic[1] == -12 and quadratic[0] == 8
+        d_t = interval_mul(interval_mul((4, 4), t_plus(0)), t_plus(1))
+        d_s = interval_mul(interval_mul(interval_mul((-2, -2), t_plus(0)), t_plus(-2)),
+                           interval_mul(quadratic, cubic))
+        assert d_t[0] > 0 and d_s[0] > 0
+
+    def test_runtime_path_builds_no_matrix(self, monkeypatch, capsys):
+        """norm_report, scan_distortion, optimize_distortion and the upper
+        commands run with build_matrices gone, and give their usual results."""
+        def boom(t):  # pragma: no cover
+            raise AssertionError("build_matrices is not on the runtime path")
+
+        monkeypatch.setattr(upperiso, "build_matrices", boom)
+        report = norm_report(F(7, 2))
+        rows = scan_distortion(F(3), F(4), F(1, 4))
+        t_star, at_star = optimize_distortion(tol="1e-6")
+        for command in ("upper --t 7/2 --format csv", "upper --scan 3:4:1/2",
+                        "upper --optimize --tol 1e-6"):
+            code = main(command.split())
+            digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+            assert (code, digest) == GOLDEN[command], command
+        monkeypatch.undo()
+
+        def matrix_route(t):
+            (norm_t, argmax_t), (norm_s, argmax_s) = operator_norm_T(t), operator_norm_S(t)
+            return NormReport(t, norm_t, norm_s, norm_t * norm_s, argmax_t, argmax_s)
+
+        assert report == matrix_route(F(7, 2)) and at_star == matrix_route(t_star)
+        assert rows == [(r.t, r.norm_t, r.norm_s, r.distortion)
+                        for r in map(matrix_route, (3 + F(k, 4) for k in range(5)))]
 
 
 class TestApply:

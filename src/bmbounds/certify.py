@@ -5,9 +5,10 @@ exactly; the solver re-verifies every certificate it emits.  Bisection
 over a bracket [lo, hi] relies on the monotonicity of feasibility in t
 (valid for affine c-policies) and returns a CertifiedBound whose endpoint
 reports hold all four cases with machine-checkable certificates: Farkas
-vectors at t_lo, a witness at t_hi.  A midpoint probe stops at its first
-feasible case.  A dichotomy builds its four base systems once per t and
-shares them across the branch assignments.  All four document kinds
+vectors at t_lo, a witness at t_hi.  A midpoint probe tries the case
+that was feasible at the latest feasible probe first and stops at its
+first feasible case.  A dichotomy builds its four base systems once per
+t and shares them across the branch assignments.  All four document kinds
 (certify, search, sweep, dichotomy) are built here.  Certificate files
 are self-contained JSON documents that an auditor re-verifies by
 substitution alone; each echoed system must equal the rebuilt one value
@@ -64,8 +65,8 @@ class CaseReport:
     """Feasibility verdicts for all four case systems at one probe t.
 
     (Inside ``binary_search_bound`` a probe's report may hold only the
-    systems and verdicts up to its first feasible case; no such report
-    leaves it.)
+    systems and verdicts it decided up to its first feasible case; no such
+    report leaves it.)  Both dicts are in ``ALL_CASES`` order.
 
     ``branches`` names the dichotomy branch assignment the systems carry
     (one "a"/"b" per function); it is empty for the plain case systems.
@@ -85,7 +86,7 @@ class CaseReport:
 
     @property
     def feasible_cases(self) -> tuple[JCase, ...]:
-        return tuple(c for c in ALL_CASES if self.results[c].feasible)
+        return tuple(c for c, r in self.results.items() if r.feasible)
 
 
 @dataclass(frozen=True)
@@ -109,10 +110,11 @@ def _decide(
     branches: str = "",
     stop_at_feasible: bool = False,
 ) -> CaseReport:
-    """Decide the (case, system) pairs in order.
+    """Decide the (case, system) pairs in the order given.
 
     With ``stop_at_feasible`` it stops after the first feasible case, so a
-    lazy iterable of pairs builds no system past it.
+    lazy iterable of pairs builds no system past it.  The report holds the
+    decided cases in ``ALL_CASES`` order whatever order they came in.
     """
     built = {}
     results = {}
@@ -121,6 +123,8 @@ def _decide(
         results[case] = check_feasibility(system)
         if stop_at_feasible and results[case].feasible:
             break
+    built = {case: built[case] for case in ALL_CASES if case in built}
+    results = {case: results[case] for case in built}
     return CaseReport(t, policy.c_at(t), policy, variant, results, built, branches)
 
 
@@ -161,16 +165,21 @@ def binary_search_bound(
     one feasible at hi.  After ``iters`` bisections, t_hi - t_lo equals
     (hi - lo) / 2**iters exactly.
 
-    The check at hi and every midpoint probe build and decide the cases in
-    ``ALL_CASES`` order and stop at the first feasible one; an
-    all-infeasible probe has decided all four.  The lo end is decided in
+    The check at hi and every midpoint probe build and decide the cases
+    one at a time and stop at the first feasible one; an all-infeasible
+    probe has decided all four.  A probe tries the last feasible case
+    first (the case at which the latest feasible probe stopped), then the
+    others in ``ALL_CASES`` order; the check at hi uses ``ALL_CASES``
+    order.  The verdict of a probe does not depend on that order, so
+    neither do the trace and the two reports.  The lo end is decided in
     full, so its error names every feasible case, and after the loop the
     report at t_hi gets the systems and verdicts it still lacks: both
-    reports of the result hold all four cases.
+    reports of the result hold all four cases, in ``ALL_CASES`` order.
     """
-    def probe(t: Fraction) -> CaseReport:
+    def probe(t: Fraction, first: JCase | None = None) -> CaseReport:
         # Each case system is built only when the probe reaches it.
-        cases = ((case, build_case_system(case, t, policy, variant)) for case in ALL_CASES)
+        order = ALL_CASES if first is None else (first, *(c for c in ALL_CASES if c != first))
+        cases = ((case, build_case_system(case, t, policy, variant)) for case in order)
         return _decide(t, policy, variant, cases, stop_at_feasible=True)
 
     lo, hi = Fraction(lo), Fraction(hi)
@@ -190,7 +199,7 @@ def binary_search_bound(
     trace = [(lo, True), (hi, False)]
     for _ in range(iters):
         mid = (lo + hi) / 2
-        report_mid = probe(mid)
+        report_mid = probe(mid, report_hi.feasible_cases[0])
         trace.append((mid, report_mid.all_infeasible))
         if report_mid.all_infeasible:
             lo, report_lo = mid, report_mid
@@ -320,7 +329,11 @@ def search_report_doc(bound: CertifiedBound) -> dict:
 
 
 def sweep_report_doc(ranked, skipped, variant: Variant, iters: int) -> dict:
-    """The sweep document of the (ranked, skipped) pair that ``sweep_policies`` returns."""
+    """The sweep document of the (ranked, skipped) pair that ``sweep_policies`` returns.
+
+    Each ranked entry embeds the search document of its bisection, so the
+    ranking can be audited; a skipped entry holds its reason only.
+    """
     return {
         "tool_version": TOOL_VERSION,
         "kind": "sweep",
@@ -328,7 +341,7 @@ def sweep_report_doc(ranked, skipped, variant: Variant, iters: int) -> dict:
         "iters": iters,
         "results": [
             {"policy": policy.key(), "t_lo": format_rational(bound.t_lo),
-             "t_hi": format_rational(bound.t_hi)}
+             "t_hi": format_rational(bound.t_hi), "search": search_report_doc(bound)}
             for policy, bound in ranked
         ],
         "skipped": [{"policy": policy.key(), "reason": reason} for policy, reason in skipped],
@@ -434,13 +447,51 @@ def _all_infeasible(rep: dict) -> bool:
     return all(e["status"] == "infeasible" for e in rep["cases"])
 
 
+def _policy(key: str) -> CPolicy:
+    return CPolicy(*(parse_int(x) for x in key.split(",")))
+
+
+def _check_sweep(doc: dict, variant: Variant) -> None:
+    """Check every ranked entry's embedded search document and bind the entry to it.
+
+    Each entry's ``policy``, ``t_lo`` and ``t_hi`` must be those of its
+    search document, which must have the sweep's variant, bisect ``iters``
+    times and open with the same bracket ends as the others; the entries
+    must be ranked by ``(-t_lo, (p, q, r))``.  Skipped entries claim nothing.
+    """
+    iters = doc["iters"]
+    if type(iters) is not int:
+        raise SystemFormatError(f"iters must be an integer, got {iters!r}")
+    keys, brackets = [], set()
+    for entry in doc["results"]:
+        search = entry["search"]
+        where = f"policy {entry['policy']}: "
+        _require(search["kind"] == "search" and Variant(search["variant"]) is variant,
+                 f"{where}the embedded document is not a {variant.value} search")
+        _check_doc(search)
+        policy = _policy(entry["policy"])
+        t_lo = parse_rational(entry["t_lo"])
+        _require(policy == _policy(search["policy"]) and t_lo == parse_rational(search["t_lo"])
+                 and parse_rational(entry["t_hi"]) == parse_rational(search["t_hi"]),
+                 f"{where}policy, t_lo or t_hi differs from its search document")
+        trace = search["trace"]
+        _require(len(trace) == iters + 2, f"{where}the search does not bisect {iters} times")
+        brackets.add((parse_rational(trace[0]["t"]), parse_rational(trace[1]["t"])))
+        keys.append((-t_lo, (policy.p, policy.q, policy.r)))
+    _require(len(brackets) <= 1, "the searches do not share one bracket")
+    _require(keys == sorted(keys), "results are not ranked by t_lo, then (p, q, r)")
+
+
 def _check_doc(doc: dict) -> None:
     """Re-verify every part of a document and bind its headline claims to them."""
     if not isinstance(doc, dict):
         raise SystemFormatError("top-level value must be an object")
     kind = doc["kind"]
     variant = Variant(doc["variant"])
-    policy = CPolicy(*(parse_int(x) for x in doc["policy"].split(",")))
+    if kind == "sweep":
+        _check_sweep(doc, variant)
+        return
+    policy = _policy(doc["policy"])
     if kind == "certify":
         # A document written by ``certify --case X`` records X and holds that case only.
         _check_report(doc, policy, variant, (JCase(doc["case"]),) if "case" in doc else ALL_CASES)
@@ -484,9 +535,9 @@ def verify_certificate_text(text: str) -> tuple[int, str]:
 
     0: every embedded certificate re-verifies and the headline claims
     (``certified``, ``t_lo``/``t_hi`` and the search trace, ``c``, the
-    cases and branch assignments present) follow from them; 1: some
-    certificate or claim does not hold; 2: the document cannot be parsed
-    or is malformed.
+    cases and branch assignments present, a sweep's ranking) follow from
+    them; 1: some certificate or claim does not hold; 2: the document
+    cannot be parsed or is malformed.
     """
     try:
         _check_doc(json.loads(text))

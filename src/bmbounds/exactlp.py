@@ -1,21 +1,23 @@
 """Exact feasibility decisions for rational linear-inequality systems.
 
 The primary decision procedure is Fourier-Motzkin elimination carried out
-in exact arithmetic.  Every row is a primitive integer direction (Python
-ints with gcd 1) with a Fraction right-hand side: base rows have their
-denominators cleared, and a derived row is an integer combination of two
-rows divided by its gcd, so the elimination itself does integer work and
-only the right-hand side is a Fraction.  Every derived row keeps only a
-small parent record (the two rows it was combined from, with nonnegative
-integer weights, and one divisor), not a multiplier vector over the
-original rows.  When a row reduces to 0 <= negative, the Farkas
-certificate is rebuilt once, for that row alone, by pushing weights back
-through its ancestors; every division waits for that rebuild, and exact
-arithmetic makes the result equal, entry for entry, to the combination a
-dense multiplier vector would have carried.  A feasible run yields a
-witness point by back-substitution.  The independent cross-check solvers,
-an exact phase-1 simplex and brute-force vertex enumeration, are kept off
-the runtime path in ``crosscheck``; the tests require all three to agree.
+on Python integers.  Every row is a primitive integer direction (ints with
+gcd 1) with its right-hand side as a reduced integer pair num/den, den > 0:
+base rows have their denominators cleared with an integer lcm and gcd, and
+a derived row is an integer combination of two rows divided by its gcd,
+with its rhs pair combined over the product of the two denominators and
+reduced.  Every derived row keeps only a small parent record (the two rows
+it was combined from, with nonnegative integer weights, and one divisor),
+not a multiplier vector over the original rows.  When a row reduces to
+0 <= negative, the Farkas certificate is rebuilt once, for that row alone,
+by pushing weights back through its ancestors; every division waits for
+that rebuild, and exact arithmetic makes the result equal, entry for
+entry, to the combination a dense multiplier vector would have carried.
+A feasible run yields a witness point by back-substitution, kept as
+integer numerators over one common denominator; Fractions are made only
+for the returned witness.  The independent cross-check solvers, an exact
+phase-1 simplex and brute-force vertex enumeration, are kept off the
+runtime path in ``crosscheck``; the tests require all three to agree.
 
 No floating point is used anywhere in this module.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -53,8 +56,11 @@ class LinearInequality:
             raise SystemError_(f"unknown relation {self.relation!r} in {self.label!r}")
         if not self.label:
             raise SystemError_("inequality label must be nonempty")
-        object.__setattr__(self, "coeffs", {k: Fraction(v) for k, v in self.coeffs.items()})
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        # Builders pass Fractions already; only other values are converted.
+        object.__setattr__(self, "coeffs", {k: v if type(v) is Fraction else Fraction(v)
+                                            for k, v in self.coeffs.items()})
+        if type(self.rhs) is not Fraction:
+            object.__setattr__(self, "rhs", Fraction(self.rhs))
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         return sum((c * point[v] for v, c in self.coeffs.items()), ZERO)
@@ -135,10 +141,11 @@ class FeasibilityResult:
 # Fourier-Motzkin elimination with certificate provenance
 # ---------------------------------------------------------------------------
 #
-# A row is (vec, rhs, node, piv): ``vec`` is a primitive integer direction
-# (Python ints with gcd 1), ``rhs`` a Fraction at the same scale, and ``piv``
-# the absolute value of the first nonzero entry of ``vec``.  The row stands
-# for its normalised form vec/piv <= rhs/piv, whose leading coefficient is
+# A row is (vec, num, den, node, piv): ``vec`` is a primitive integer
+# direction (Python ints with gcd 1), ``num/den`` its right-hand side at the
+# same scale as a reduced integer pair with den > 0, and ``piv`` the absolute
+# value of the first nonzero entry of ``vec``.  The row stands for its
+# normalised form vec/piv <= (num/den)/piv, whose leading coefficient is
 # +-1; that form is canonical for a direction exactly when the primitive
 # tuple is, so pruning and the certificates see the same rows either way.
 #
@@ -161,7 +168,7 @@ def _prune(rows):
     best: dict[tuple, tuple] = {}
     for row in rows:
         kept = best.get(row[0])
-        if kept is None or row[1] < kept[1]:
+        if kept is None or row[1] * kept[2] < kept[1] * row[2]:
             best[row[0]] = row
     return list(best.values())
 
@@ -195,21 +202,61 @@ def _rebuild_farkas(origin: list, root: int, nrows: int) -> tuple[Fraction, ...]
     return tuple(farkas)
 
 
+def _witness(n: int, layers: list) -> tuple[list[int], int]:
+    """Back-substitute a point through the eliminated layers, last layer first.
+
+    The point is kept as integer numerators over one common denominator D.
+    A row of layer j bounds x_j by (num * D - den * rest) / (den * D * vec[j]),
+    where rest/D is the row at the values fixed so far (x_j is still 0
+    there, and the variables eliminated before j have coefficient 0).  x_j
+    takes the largest lower bound, else the smallest upper bound, else 0;
+    bounds are compared by cross-multiplication.
+    """
+    xs = [0] * n
+    D = 1
+    for j, pos, neg in reversed(layers):
+        lo = hi = None  # (numerator, positive denominator)
+        for vec, num, den, _, _ in neg:  # vec[j] < 0:  x_j >= bound
+            rest = sum(map(operator.mul, vec, xs))
+            bound = (den * rest - num * D, -den * D * vec[j])
+            if lo is None or bound[0] * lo[1] > lo[0] * bound[1]:
+                lo = bound
+        if lo is None:
+            for vec, num, den, _, _ in pos:  # vec[j] > 0:  x_j <= bound
+                rest = sum(map(operator.mul, vec, xs))
+                bound = (num * D - den * rest, den * D * vec[j])
+                if hi is None or bound[0] * hi[1] < hi[0] * bound[1]:
+                    hi = bound
+        value = lo or hi
+        if value is None:
+            continue
+        g = math.gcd(*value)
+        vnum, vden = value[0] // g, value[1] // g
+        scale = vden // math.gcd(D, vden)
+        if scale != 1:
+            xs = [x * scale for x in xs]
+            D *= scale
+        xs[j] = vnum * (D // vden)
+    return xs, D
+
+
 def check_feasibility(system: LinearSystem) -> FeasibilityResult:
     """Exact feasibility verdict with a verifying certificate attached.
 
     Fourier-Motzkin elimination; the variable with the fewest pairings is
     eliminated first (ties broken by variable order) so the intermediate
     row count stays small for the few-variable systems this targets.
-    Every row is a primitive integer direction with a Fraction rhs (see
-    above): base rows have their denominators cleared, and a pos/neg pair
-    on x_j combines as b * row_p + a * row_n with a = row_p[j] and
-    b = -row_n[j], divided by its gcd.  Derived rows carry no multiplier
-    vector, only a parent record with integer weights.  When a row reduces
-    to 0 <= negative, its Farkas vector is rebuilt once from its ancestors;
-    a feasible run back-substitutes a witness through the eliminated
-    layers.  Either certificate is re-verified by substitution before it
-    is returned.
+    Every row is a primitive integer direction with an integer rhs pair
+    num/den (see above): base rows have their denominators cleared, and a
+    pos/neg pair on x_j combines as b * row_p + a * row_n with a = row_p[j]
+    and b = -row_n[j], divided by its gcd; its rhs is
+    (b * num_p * den_n + a * num_n * den_p) / (den_p * den_n * g), reduced.
+    Derived rows carry no multiplier vector, only a parent record with
+    integer weights.  When a row reduces to 0 <= negative, its Farkas
+    vector is rebuilt once from its ancestors; a feasible run
+    back-substitutes a witness through the eliminated layers in integers.
+    Either certificate is re-verified by substitution before it is
+    returned.
     """
     n = len(system.variables)
     base = system.normalized_rows()
@@ -230,7 +277,9 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
         ints = [c.numerator * (scale // c.denominator) for c in vec]
         g = math.gcd(*ints)
         ints = tuple(c // g for c in ints)
-        rows.append((ints, rhs * scale / g, len(origin), abs(next(c for c in ints if c))))
+        num, den = rhs.numerator * scale, rhs.denominator * g
+        r = math.gcd(num, den)
+        rows.append((ints, num // r, den // r, len(origin), abs(next(c for c in ints if c))))
         origin.append((i, pivot))
     rows = _prune(rows)
     remaining = list(range(n))
@@ -247,14 +296,12 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
         neg = [r for r in rows if r[0][j] < 0]
         rows = [r for r in rows if r[0][j] == 0]
         layers.append((j, pos, neg))
-        for pvec, prhs, pnode, ppiv in pos:
+        for pvec, pnum, pden, pnode, ppiv in pos:
             a = pvec[j]
-            pnum, pden = prhs.numerator, prhs.denominator
-            for nvec, nrhs, nnode, npiv in neg:
+            for nvec, nnum, nden, nnode, npiv in neg:
                 b = -nvec[j]
                 vec = [b * x + a * y for x, y in zip(pvec, nvec)]
-                # b * prhs + a * nrhs over the common denominator pden * nden.
-                num = b * pnum * nrhs.denominator + a * nrhs.numerator * pden
+                num = b * pnum * nden + a * nnum * pden
                 g = math.gcd(*vec)
                 if g == 0:
                     if num < 0:
@@ -264,9 +311,12 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
                     continue
                 if g != 1:
                     vec = [x // g for x in vec]
+                den = pden * nden * g
+                r = math.gcd(num, den)
+                if r != 1:
+                    num, den = num // r, den // r
                 piv = abs(next(x for x in vec if x))
-                rows.append((tuple(vec), Fraction(num, pden * nrhs.denominator * g),
-                             len(origin), piv))
+                rows.append((tuple(vec), num, den, len(origin), piv))
                 origin.append((pnode, nnode, b * ppiv, a * npiv, g * piv))
             if contradiction is not None:
                 break
@@ -276,27 +326,8 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
     if contradiction is not None:
         result = FeasibilityResult("infeasible", farkas=_rebuild_farkas(origin, contradiction, nrows))
     else:
-        # Feasible: rebuild a witness from the elimination stack.  The
-        # bounds do not depend on the scale of a row.
-        values: dict[int, Fraction] = {}
-        for j, pos, neg in reversed(layers):
-            lo = None
-            hi = None
-            for vec, rhs, _, _ in pos:  # vec[j] > 0:  x_j <= (rhs - rest)/vec[j]
-                rest = sum((vec[k] * values.get(k, ZERO) for k in range(n) if k != j), ZERO)
-                bound = (rhs - rest) / vec[j]
-                hi = bound if hi is None or bound < hi else hi
-            for vec, rhs, _, _ in neg:  # vec[j] < 0:  x_j >= (rhs - rest)/vec[j]
-                rest = sum((vec[k] * values.get(k, ZERO) for k in range(n) if k != j), ZERO)
-                bound = (rhs - rest) / vec[j]
-                lo = bound if lo is None or bound > lo else lo
-            if lo is not None:
-                values[j] = lo
-            elif hi is not None:
-                values[j] = hi
-            else:
-                values[j] = ZERO
-        witness = {v: values.get(i, ZERO) for i, v in enumerate(system.variables)}
+        xs, D = _witness(n, layers)
+        witness = {v: Fraction(x, D) for v, x in zip(system.variables, xs)}
         result = FeasibilityResult("feasible", witness=witness)
 
     if not verify_certificate(system, result):

@@ -9,6 +9,7 @@ from bmbounds.certify import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_CERTIFIED,
     BracketError,
+    CertifiedBound,
     binary_search_bound,
     certify_at,
     certify_dichotomy,
@@ -121,7 +122,7 @@ class TestBinarySearch:
 
     @pytest.mark.parametrize("policy, iters, calls", [
         (CPolicy(2, 1, 4), 6, 21),  # 32 when every probe decided all four cases
-        (DEFAULT_POLICY, 20, 75),   # 88 likewise
+        (DEFAULT_POLICY, 20, 62),   # 88 likewise; 75 when every probe began at j012
     ])
     def test_probes_stop_at_first_feasible_case(self, monkeypatch, policy, iters, calls):
         import bmbounds.certify as certify_mod
@@ -137,6 +138,29 @@ class TestBinarySearch:
         assert len(decided) == calls
         for report in (bound.report_lo, bound.report_hi):
             assert list(report.results) == list(ALL_CASES)
+
+    @pytest.mark.parametrize("policy", [CPolicy(2, 1, 4), CPolicy(3, 1, 5), CPolicy(1, 1, 2),
+                                        CPolicy(1, 0, 2), CPolicy(2, 0, 3)], ids=CPolicy.key)
+    def test_probe_order_cannot_change_a_search(self, policy):
+        """Probes try the last feasible case first; the document is the one a
+        bisection that decides every case in ``ALL_CASES`` order writes."""
+        lo, hi = F(3), F(5)
+        report_lo, report_hi = certify_at(lo, policy), certify_at(hi, policy)
+        trace = [(lo, True), (hi, False)]
+        for _ in range(12):
+            mid = (lo + hi) / 2
+            report = certify_at(mid, policy)
+            trace.append((mid, report.all_infeasible))
+            if report.all_infeasible:
+                lo, report_lo = mid, report
+            else:
+                hi, report_hi = mid, report
+        reference = CertifiedBound(lo, hi, report_lo, report_hi, tuple(trace), policy,
+                                   Variant.SYMMETRIZED)
+        bound = binary_search_bound(F(3), F(5), 12, policy)
+        assert search_report_doc(bound) == search_report_doc(reference)
+        for report in (bound.report_lo, bound.report_hi):
+            assert list(report.results) == list(report.systems) == list(ALL_CASES)
 
     def test_probes_build_only_the_cases_they_decide(self, monkeypatch):
         import bmbounds.certify as certify_mod
@@ -194,8 +218,43 @@ class TestSweep:
         assert {k: doc[k] for k in ("kind", "variant", "iters")} == {
             "kind": "sweep", "variant": "printed", "iters": 4}
         assert doc["results"] == [{"policy": "2,1,4", "t_lo": format_rational(ranked[0][1].t_lo),
-                                   "t_hi": format_rational(ranked[0][1].t_hi)}]
+                                   "t_hi": format_rational(ranked[0][1].t_hi),
+                                   "search": search_report_doc(ranked[0][1])}]
         assert doc["skipped"] == [{"policy": "3,0,1", "reason": skipped[0][1]}]
+
+    @pytest.fixture(scope="class")
+    def sweep_doc(self):
+        ranked, skipped = sweep_policies(POLICIES + [CPolicy(3, 0, 1)], F(3), F(5), 3)
+        return sweep_report_doc(ranked, skipped, Variant.SYMMETRIZED, 3)
+
+    def test_sweep_doc_verifies(self, sweep_doc):
+        assert [r["policy"] for r in sweep_doc["results"]] == ["2,1,4", "1,0,2", "1,1,2"]
+        assert [s["policy"] for s in sweep_doc["skipped"]] == ["3,0,1"]
+        assert verify_certificate_text(json.dumps(sweep_doc)) == (EXIT_CERTIFIED,
+                                                                  "all certificates verified")
+
+    @pytest.mark.parametrize("forge", [
+        lambda d: d["results"][1].update(t_lo="7/2"),
+        lambda d: d["results"][0].update(t_hi="9/2"),
+        lambda d: d["results"][0].update(policy="2,2,8"),
+        lambda d: d["results"].reverse(),
+        lambda d: d["results"].insert(0, d["results"].pop(1)),
+        lambda d: d.update(iters=4),
+        lambda d: d.update(variant="printed"),
+        lambda d: (d["results"][0].update(t_lo="15/4"), d["results"][0]["search"].update(t_lo="15/4")),
+        lambda d: d["results"][1].update(search=d["results"][0]["search"]),
+    ], ids=["t_lo", "t_hi", "policy", "reversed", "swapped", "iters", "variant",
+            "t_lo-both", "borrowed-search"])
+    def test_forged_sweep_doc(self, sweep_doc, forge):
+        doc = json.loads(json.dumps(sweep_doc))
+        forge(doc)
+        assert verify_certificate_text(json.dumps(doc))[0] == EXIT_NOT_CERTIFIED
+
+    def test_sweep_doc_with_a_bad_search_is_malformed(self, sweep_doc):
+        doc = json.loads(json.dumps(sweep_doc))
+        del doc["results"][0]["search"]
+        assert verify_certificate_text(json.dumps(doc)) == (
+            EXIT_INPUT_ERROR, "malformed certificate: missing field 'search'")
 
 
 def test_monotonicity_100_random_pairs():

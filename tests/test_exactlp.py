@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -58,6 +59,18 @@ class TestCheckFeasibility:
         res = check_feasibility(sys_)
         assert res.feasible
         assert verify_certificate(sys_, res)
+
+
+    @pytest.mark.parametrize("system", [
+        INTERVAL,
+        CONTRADICTORY,
+        make(["x"], [({"x": F(1)}, GE, 0), ({"x": F(0)}, LE, -1)]),
+    ], ids=["feasible", "infeasible", "zero-base-row"])
+    def test_self_check_runs_on_every_path(self, monkeypatch, system):
+        """No certificate leaves check_feasibility without passing verify_certificate."""
+        monkeypatch.setattr(exactlp, "verify_certificate", lambda system, result: False)
+        with pytest.raises(AssertionError, match="failed verification"):
+            check_feasibility(system)
 
 
 class TestVerifyCertificate:
@@ -355,3 +368,46 @@ def test_big_coefficient_farkas():
         assert fm.farkas == _dense_farkas(sys_), f"trial {trial}"
         infeasible += not fm.feasible
     assert infeasible >= 100
+
+
+def _fm_corpus():
+    """A seeded corpus of systems: random small ones and the lower-bound systems.
+
+    100 systems from each random generator above; every case system at 50
+    dyadic t in [3, 5] (two numerators per denominator 2**k, k = 0..24)
+    under three guarded policies; every dichotomy system, all three
+    functions, at each t in [3, 4] with denominator at most 4.
+    """
+    from bmbounds.systems import ALL_CASES, CPolicy, build_case_system, build_dichotomy_systems
+
+    rng = random.Random(20261019)
+    for generator in (_random_system, _random_deep_system, _random_big_system):
+        for _ in range(100):
+            yield generator(rng)
+    ts = sorted({F(3) + F(rng.randint(0, 2 ** (k + 1)), 2 ** k) for k in range(25) for _ in range(2)})
+    for policy in (CPolicy(2, 1, 4), CPolicy(3, 1, 5), CPolicy(1, 1, 2)):
+        for t in ts:
+            for case in ALL_CASES:
+                yield build_case_system(case, t, policy)
+    for t in sorted({F(num, den) for den in range(1, 5) for num in range(3 * den, 4 * den + 1)}):
+        for _, systems in build_dichotomy_systems(t):
+            yield from systems
+
+
+# Recorded while each Fourier-Motzkin row still carried a Fraction rhs and the
+# witness was back-substituted in Fractions.
+FM_CORPUS_SIZE = 1100
+FM_CORPUS_DIGEST = "a4cdd8611763a936d25f0b3765bc6d53730cdce3c1637ffa55c8ff8405cb6798"
+
+
+def test_fm_corpus_digest():
+    """Every verdict, witness coordinate and Farkas entry over the corpus, pinned."""
+    digest = hashlib.sha256()
+    count = 0
+    for system in _fm_corpus():
+        res = check_feasibility(system)
+        witness = sorted(res.witness.items()) if res.witness is not None else None
+        digest.update(repr((res.status, witness, res.farkas)).encode("ascii"))
+        count += 1
+    assert count == FM_CORPUS_SIZE
+    assert digest.hexdigest() == FM_CORPUS_DIGEST

@@ -98,6 +98,7 @@ DOCUMENTS = [
     "certify --t 4 --case j012 --format structured",
     "search --iters 1 --format structured",
     "dichotomy --t 18/5 --functions 0 --format structured",
+    "sweep --iters 1 --policies 2,1,4 1,0,2 --format structured",
 ]
 
 JSON_VALUE = st.recursive(

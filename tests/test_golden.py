@@ -49,6 +49,12 @@ binary float, so the digits of ``t*`` and of its exact norms changed; each
 new ``t*`` lies within ``2*tol`` of the old one.  At ``--tol 1e-8`` the new
 ``t*`` falls just left of the minimizer, where the argmax rows are
 ``tail:0``/``stail:1``.  The closed-form digits are unchanged.
+
+The ``sweep --iters 2 --format structured`` digest was recorded again when
+each ranked entry of a sweep document began to embed the search document
+of its bisection, so that ``verify-cert`` can audit the ranking.  With the
+``search`` fields removed the document is byte for byte the old one, and
+the text and CSV digests of ``sweep`` did not move.
 """
 
 import hashlib
@@ -69,7 +75,7 @@ GOLDEN = {
     "certify --t 4 --format structured":
         (1, "a2d7c03f46e72140a3450184d0e0a0663b7dc9ba1acf2e45a74ebfe980a6be4d"),
     "sweep --iters 2 --format structured":
-        (0, "667c8bcfaffba86da5ecf9abdd674d513e5b3018a7b815190286845650ebb43e"),
+        (0, "6f5f5e210927dff5553699d9fe250d29f4986b9184e5cb067d436898cd2a209e"),
     "search --lo 3 --hi 5 --iters 0 --format structured":
         (0, "3c662254e1221ef38ed616356b03d3962d1e0310208141eb79b67bce6c22976f"),
     "upper --optimize --tol 1e-8 --format structured":

@@ -332,8 +332,14 @@ def sweep_report_doc(ranked, skipped, variant: Variant, iters: int) -> dict:
     """The sweep document of the (ranked, skipped) pair that ``sweep_policies`` returns.
 
     Each ranked entry embeds the search document of its bisection, so the
-    ranking can be audited; a skipped entry holds its reason only.
+    ranking can be audited; a skipped entry holds its reason only.  A
+    ranked bound of another variant raises ``ValueError``: the document
+    would contradict the search it embeds.
     """
+    for policy, bound in ranked:
+        if bound.variant is not variant:
+            raise ValueError(f"policy {policy.key()} was searched in the {bound.variant.value}"
+                             f" variant, not the {variant.value} one")
     return {
         "tool_version": TOOL_VERSION,
         "kind": "sweep",

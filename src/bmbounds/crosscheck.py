@@ -1,9 +1,12 @@
-"""Independent cross-check solvers for the Fourier-Motzkin decision in exactlp.
+"""Independent cross-checks for the Fourier-Motzkin decision in exactlp.
 
 An exact phase-1 simplex (Bland's rule) and brute-force enumeration of
 basic feasible points decide feasibility by routes that share nothing
-with elimination; the tests require all three verdicts to agree.  Neither
-runs on a CLI path, and the package does not export them.
+with elimination; the tests require all three verdicts to agree.  A
+reference certificate verifier does in Fraction arithmetic, over
+``LinearSystem.normalized_rows``, what ``exactlp.verify_certificate`` does
+in integers; the tests require the two to agree.  None of these runs on a
+CLI path, and the package does not export them.
 
 No floating point is used anywhere in this module.
 """
@@ -14,7 +17,7 @@ import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlp import ONE, ZERO, FeasibilityResult, LinearSystem
+from .exactlp import ONE, ZERO, FeasibilityResult, LinearSystem, SystemError_
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +172,51 @@ def simplex_feasibility(system: LinearSystem) -> FeasibilityResult:
     for ci, (v, sign) in enumerate(columns):
         witness[v] += values[ci] * sign
     return FeasibilityResult("feasible", witness=witness)
+
+
+# ---------------------------------------------------------------------------
+# Reference certificate verifier (Fraction arithmetic)
+# ---------------------------------------------------------------------------
+
+def reference_verify_certificate(system: LinearSystem, result: FeasibilityResult) -> bool:
+    """``exactlp.verify_certificate`` in Fraction arithmetic over the <=-rows.
+
+    Same checks, in the same order and with the same errors: a witness must
+    satisfy every constraint exactly; a Farkas vector must have one entry
+    per normalised row, be nonnegative, cancel every variable and combine
+    the right-hand sides into a negative number.
+    """
+    if result.status == "feasible":
+        if result.witness is None:
+            raise SystemError_("feasible result lacks a witness")
+        missing = set(system.variables) - set(result.witness)
+        if missing:
+            raise SystemError_(f"witness misses variables {sorted(missing)}")
+        point = {v: Fraction(result.witness[v]) for v in system.variables}
+        if any(point[v] < 0 for v in system.nonneg):
+            return False
+        return all(ineq.satisfied_by(point) for ineq in system.inequalities)
+
+    if result.status == "infeasible":
+        if result.farkas is None:
+            raise SystemError_("infeasible result lacks Farkas multipliers")
+        rows = system.normalized_rows()
+        if len(result.farkas) != len(rows):
+            raise SystemError_(
+                f"Farkas vector has length {len(result.farkas)}, expected {len(rows)}"
+            )
+        lam = [Fraction(x) for x in result.farkas]
+        if any(x < 0 for x in lam):
+            return False
+        n = len(system.variables)
+        combo = [ZERO] * n
+        rhs = ZERO
+        for mult, (vec, b) in zip(lam, rows):
+            if mult == 0:
+                continue
+            for k in range(n):
+                combo[k] += mult * vec[k]
+            rhs += mult * b
+        return all(c == 0 for c in combo) and rhs < 0
+
+    raise SystemError_(f"unknown status {result.status!r}")

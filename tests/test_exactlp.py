@@ -18,7 +18,7 @@ from bmbounds.exactlp import (
     check_feasibility,
     verify_certificate,
 )
-from bmbounds.crosscheck import enumerate_vertices, simplex_feasibility
+from bmbounds.crosscheck import enumerate_vertices, reference_verify_certificate, simplex_feasibility
 
 F = Fraction
 
@@ -319,10 +319,9 @@ def test_farkas_rebuild_is_linear_in_ancestors():
     Node k combines nodes k-1 and k-2, so node 401 has about 10**83 paths
     to the base rows; a path-by-path expansion would never return.
     """
-    half = F(1, 2)
-    origin = [(0, F(1)), (1, F(1))]
+    origin = [(0, 1, 1), (1, 1, 1)]
     for k in range(2, 402):
-        origin.append((k - 1, k - 2, half, half, F(1)))
+        origin.append((k - 1, k - 2, 1, 1, 2))
     # Dense reference: prov(k) = (prov(k-1) + prov(k-2)) / 2.
     dense = [(F(1), F(0)), (F(0), F(1))]
     for k in range(2, 402):
@@ -411,3 +410,75 @@ def test_fm_corpus_digest():
         count += 1
     assert count == FM_CORPUS_SIZE
     assert digest.hexdigest() == FM_CORPUS_DIGEST
+
+
+def _both_verdicts(system, result):
+    """The verdicts of the integer and the Fraction verifier, an error as its text."""
+    verdicts = []
+    for verify in (verify_certificate, reference_verify_certificate):
+        try:
+            verdicts.append(verify(system, result))
+        except SystemError_ as exc:
+            verdicts.append(f"SystemError_: {exc}")
+    return verdicts
+
+
+def _perturbed(result, index, delta):
+    """Single-entry edits of a certificate: witness coordinate ``index`` moved
+    by +-delta; or Farkas entry ``index`` raised by |delta| or made negative,
+    and the Farkas vector one entry short and one entry long."""
+    if result.feasible:
+        v = list(result.witness)[index]
+        return [FeasibilityResult("feasible", witness={**result.witness, v: result.witness[v] + d})
+                for d in (delta, -delta)]
+    lam = list(result.farkas)
+    edits = [lam[index] + abs(delta), -(lam[index] or abs(delta))]
+    return [FeasibilityResult("infeasible", farkas=tuple(lam[:index] + [x] + lam[index + 1:]))
+            for x in edits] + [FeasibilityResult("infeasible", farkas=tuple(lam[:-1])),
+                               FeasibilityResult("infeasible", farkas=tuple(lam + [F(0)]))]
+
+
+def test_integer_verifier_agrees_with_fraction_reference():
+    """Over the whole FM corpus, the integer verifier and the Fraction one give
+    the same verdict on every genuine certificate and on single-entry edits,
+    and raise the same error on a Farkas vector of the wrong length."""
+    rng = random.Random(20261020)
+    rejected = raised = 0
+    for trial, system in enumerate(_fm_corpus()):
+        res = check_feasibility(system)
+        assert _both_verdicts(system, res) == [True, True], f"system {trial}"
+        size = len(res.witness) if res.feasible else len(res.farkas)
+        if not size:
+            continue
+        index, delta = rng.randrange(size), F(rng.choice((1, -1)), rng.randint(1, 9))
+        for edited in _perturbed(res, index, delta):
+            ours, reference = _both_verdicts(system, edited)
+            assert ours == reference, f"system {trial}: {edited}"
+            rejected += ours is False
+            raised += isinstance(ours, str)
+    assert rejected >= 1500 and raised >= 1000
+
+
+@st.composite
+def rational_system(draw):
+    """1-3 variables, some of them free, and 1-5 rows with p/q entries."""
+    variables = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    entry = st.builds(F, st.integers(-4, 4), st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = {v: draw(entry) for v in variables if draw(st.booleans())}
+        rows.append((coeffs, draw(st.sampled_from([LE, GE])), draw(entry)))
+    nonneg = [v for v in variables if draw(st.booleans())]
+    return make(variables, rows, nonneg)
+
+
+@given(rational_system(), st.integers(0, 10 ** 6), st.integers(-9, 9), st.integers(1, 9))
+@settings(max_examples=300, deadline=None)
+def test_integer_verifier_agrees_on_generated_systems(sys_, pick, num, den):
+    res = check_feasibility(sys_)
+    assert _both_verdicts(sys_, res) == [True, True]
+    size = len(res.witness) if res.feasible else len(res.farkas)
+    if size:
+        for edited in _perturbed(res, pick % size, F(num or 1, den)):
+            ours, reference = _both_verdicts(sys_, edited)
+            assert ours == reference

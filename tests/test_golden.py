@@ -58,10 +58,23 @@ the text and CSV digests of ``sweep`` did not move.
 """
 
 import hashlib
+import json
+from fractions import Fraction
 
 import pytest
 
+from bmbounds.certify import (
+    EXIT_CERTIFIED,
+    binary_search_bound,
+    certify_at,
+    certify_dichotomy,
+    certify_report_doc,
+    dichotomy_report_doc,
+    search_report_doc,
+    verify_certificate_text,
+)
 from bmbounds.cli import main
+from bmbounds.exactlp import LinearSystem
 
 GOLDEN = {
     "dichotomy --t 113/32 --format structured":
@@ -131,3 +144,25 @@ def test_structured_output_is_byte_identical(command, capsys):
     assert code == expected_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected_digest
 
+
+
+def test_runtime_path_builds_no_normalized_rows(monkeypatch, capsys):
+    """Deciding, reporting and auditing run with ``LinearSystem.normalized_rows``
+    gone: the solver and the verifier read each inequality directly, and the
+    certify, search and dichotomy documents keep their golden digests."""
+    def boom(self):  # pragma: no cover
+        raise AssertionError("normalized_rows is not on the runtime path")
+
+    monkeypatch.setattr(LinearSystem, "normalized_rows", boom)
+    docs = [certify_report_doc(certify_at(Fraction(57, 16))),
+            search_report_doc(binary_search_bound(Fraction(3), Fraction(5), 6)),
+            dichotomy_report_doc(certify_dichotomy(Fraction(113, 32)))]
+    for doc in docs:
+        assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED,
+                                                            "all certificates verified")
+    commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "dichotomy")]
+    assert len(commands) == 14
+    for command in commands:
+        code = main(command.split())
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert (code, digest) == GOLDEN[command], command

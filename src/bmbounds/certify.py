@@ -7,8 +7,10 @@ over a bracket [lo, hi] relies on the monotonicity of feasibility in t
 reports hold all four cases with machine-checkable certificates: Farkas
 vectors at t_lo, a witness at t_hi.  A midpoint probe tries the case
 that was feasible at the latest feasible probe first and stops at its
-first feasible case.  A dichotomy builds its four base systems once per
-t and shares them across the branch assignments.  All four document kinds
+first feasible case.  A dichotomy builds and decides its four base
+systems once per t and shares them across the branch assignments; only
+the cases feasible without branch rows are decided per assignment, and
+its document formats each shared row once.  All four document kinds
 (certify, search, sweep, dichotomy) are built here.  Certificate files
 are self-contained JSON documents that an auditor re-verifies by
 substitution alone; each echoed system must equal the rebuilt one value
@@ -28,6 +30,7 @@ from .exactlp import (
     LinearSystem,
     SystemError_,
     check_feasibility,
+    verified,
     verify_certificate,
 )
 from .rationals import InputError, format_rational, parse_int, parse_rational
@@ -40,9 +43,11 @@ from .systems import (
     SystemFormatError,
     Variant,
     branch_strings,
+    branch_systems,
     build_all_cases,
     build_case_system,
     build_dichotomy_systems,
+    check_functions,
     parse_system_file,  # unused here, like serialize_system: bench/spans.py wraps both here
     serialize_system,
     system_doc,
@@ -259,13 +264,40 @@ def certify_dichotomy(
     functions: Sequence[int] = DEFAULT_DICHOTOMY_FUNCTIONS,
     variant: Variant = Variant.SYMMETRIZED,
 ) -> DichotomyReport:
-    """Decide all 2**b branch assignments; certified iff all infeasible."""
+    """Decide all 2**b branch assignments; certified iff all infeasible.
+
+    Each plain case system is decided once.  Adding rows cannot make an
+    infeasible system feasible, so a plain-infeasible case is infeasible
+    under every assignment: each of its assignments carries the plain
+    Farkas vector with a zero on every branch row (the branch rows follow
+    the base inequalities, before the nonneg rows), re-verified against
+    that assignment's system.  Only plain-feasible cases are decided again
+    per assignment.  Raises FunctionsError, before any system is built,
+    unless the functions are distinct indices 0-2.
+    """
     t = Fraction(t)
-    assignments = tuple(
-        _decide(t, policy, variant, zip(ALL_CASES, systems), branches)
-        for branches, systems in build_dichotomy_systems(t, policy, functions, variant)
-    )
-    return DichotomyReport(t, policy, variant, tuple(functions), assignments)
+    functions = check_functions(functions)
+    bases = build_all_cases(t, policy, variant)
+    c = policy.c_at(t)
+    plain = {}
+    for case, base in bases.items():
+        result = check_feasibility(base)
+        if not result.feasible:
+            cut = len(base.inequalities)
+            zeros = (Fraction(0),) * len(functions)
+            result = replace(result, farkas=result.farkas[:cut] + zeros + result.farkas[cut:])
+        plain[case] = result
+    assignments = []
+    for branches, systems in branch_systems(t, bases.values(), functions):
+        results = {}
+        for case, system in zip(ALL_CASES, systems):
+            result = plain[case]
+            # Without functions an assignment's rows are the plain ones.
+            results[case] = (check_feasibility(system) if result.feasible and functions
+                             else verified(system, result))
+        assignments.append(CaseReport(t, c, policy, variant, results,
+                                      dict(zip(ALL_CASES, systems)), branches))
+    return DichotomyReport(t, policy, variant, functions, tuple(assignments))
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +313,23 @@ def _result_json(result: FeasibilityResult) -> dict:
     return doc
 
 
-def _case_entries(report: CaseReport, cases: Sequence[JCase] = ALL_CASES) -> list[dict]:
-    return [
-        {"case": case.value, **_result_json(report.results[case]),
-         "system": system_doc(report.systems[case])}
-        for case in cases
-    ]
+def _case_entries(report: CaseReport, cases: Sequence[JCase] = ALL_CASES,
+                  rows: dict | None = None, certs: dict | None = None) -> list[dict]:
+    """The case entries of a report.  The assignments of a dichotomy document
+    share ``rows`` (see ``system_doc``) and ``certs``, which maps each result
+    object (by id) to its formatted fields: a row or certificate that
+    several assignments share is formatted once and held as one object."""
+    if certs is None:
+        certs = {}
+    entries = []
+    for case in cases:
+        result = report.results[case]
+        cert = certs.get(id(result))
+        if cert is None:
+            cert = certs[id(result)] = _result_json(result)
+        entries.append({"case": case.value, **cert,
+                        "system": system_doc(report.systems[case], rows)})
+    return entries
 
 
 def _report_json(report: CaseReport, cases: Sequence[JCase] = ALL_CASES) -> dict:
@@ -355,6 +398,10 @@ def sweep_report_doc(ranked, skipped, variant: Variant, iters: int) -> dict:
 
 
 def dichotomy_report_doc(report: DichotomyReport) -> dict:
+    """The dichotomy document.  Its assignments hold shared rows and
+    certificates as shared objects: copy it before editing one in place."""
+    rows: dict = {}
+    certs: dict = {}
     return {
         "tool_version": TOOL_VERSION,
         "kind": "dichotomy",
@@ -364,18 +411,14 @@ def dichotomy_report_doc(report: DichotomyReport) -> dict:
         "functions": list(report.functions),
         "certified": report.certified,
         "assignments": [
-            {"branches": a.branches, "cases": _case_entries(a)} for a in report.assignments
+            {"branches": a.branches, "cases": _case_entries(a, ALL_CASES, rows, certs)}
+            for a in report.assignments
         ],
     }
 
 
 class _Rejected(Exception):
     """A certificate or headline claim of a document does not hold (exit 1)."""
-
-
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise _Rejected(message)
 
 
 def _entry_result(entry: dict) -> FeasibilityResult:
@@ -399,13 +442,13 @@ def _check_cases(entries: list, expected: dict[JCase, LinearSystem], where: str)
     written in any p/q form.  No solver is invoked.
     """
     cases = [JCase(entry["case"]) for entry in entries]
-    _require(cases == list(expected),
-             f"{where}cases [{', '.join(c.value for c in cases)}] are not the expected"
-             f" [{', '.join(c.value for c in expected)}]")
+    if cases != list(expected):
+        raise _Rejected(f"{where}cases [{', '.join(c.value for c in cases)}] are not the expected"
+                        f" [{', '.join(c.value for c in expected)}]")
     for entry, (case, built) in zip(entries, expected.items()):
         system = system_from_doc(entry["system"])
-        _require(verify_certificate(system, _entry_result(entry)) and built == system,
-                 f"{where}case {case.value} failed re-verification")
+        if not (verify_certificate(system, _entry_result(entry)) and built == system):
+            raise _Rejected(f"{where}case {case.value} failed re-verification")
 
 
 def _check_report(rep: dict, policy: CPolicy, variant: Variant,
@@ -413,8 +456,8 @@ def _check_report(rep: dict, policy: CPolicy, variant: Variant,
     """Check one certify-style report: its c at its t, then its case entries."""
     t = parse_rational(rep["t"])
     where = f"t={rep['t']}: "
-    _require(parse_rational(rep["c"]) == policy.c_at(t),
-             f"{where}c = {rep['c']} is not c(t) = {format_rational(policy.c_at(t))}")
+    if parse_rational(rep["c"]) != policy.c_at(t):
+        raise _Rejected(f"{where}c = {rep['c']} is not c(t) = {format_rational(policy.c_at(t))}")
     expected = {case: build_case_system(case, t, policy, variant) for case in cases}
     _check_cases(rep["cases"], expected, where)
 
@@ -434,19 +477,20 @@ def _check_trace(trace: list, t_lo: Fraction, t_hi: Fraction) -> None:
         if not isinstance(verdict, bool):
             raise SystemFormatError(f"trace verdict {verdict!r} is not a boolean")
         probes.append((parse_rational(entry["t"]), verdict))
-    _require(len(probes) >= 2 and probes[0][1] and not probes[1][1],
-             "trace does not open with the bracket ends (lo all-infeasible, hi not)")
+    if not (len(probes) >= 2 and probes[0][1] and not probes[1][1]):
+        raise _Rejected("trace does not open with the bracket ends (lo all-infeasible, hi not)")
     lo, hi = probes[0][0], probes[1][0]
     for t, all_infeasible in probes[2:]:
-        _require(t == (lo + hi) / 2,
-                 f"trace probe t={format_rational(t)} is not the midpoint of"
-                 f" [{format_rational(lo)}, {format_rational(hi)}]")
+        if t != (lo + hi) / 2:
+            raise _Rejected(f"trace probe t={format_rational(t)} is not the midpoint of"
+                            f" [{format_rational(lo)}, {format_rational(hi)}]")
         if all_infeasible:
             lo = t
         else:
             hi = t
-    _require((lo, hi) == (t_lo, t_hi),
-             f"trace ends at [{format_rational(lo)}, {format_rational(hi)}], not at [t_lo, t_hi]")
+    if (lo, hi) != (t_lo, t_hi):
+        raise _Rejected(f"trace ends at [{format_rational(lo)}, {format_rational(hi)}],"
+                        " not at [t_lo, t_hi]")
 
 
 def _all_infeasible(rep: dict) -> bool:
@@ -472,20 +516,23 @@ def _check_sweep(doc: dict, variant: Variant) -> None:
     for entry in doc["results"]:
         search = entry["search"]
         where = f"policy {entry['policy']}: "
-        _require(search["kind"] == "search" and Variant(search["variant"]) is variant,
-                 f"{where}the embedded document is not a {variant.value} search")
+        if not (search["kind"] == "search" and Variant(search["variant"]) is variant):
+            raise _Rejected(f"{where}the embedded document is not a {variant.value} search")
         _check_doc(search)
         policy = _policy(entry["policy"])
         t_lo = parse_rational(entry["t_lo"])
-        _require(policy == _policy(search["policy"]) and t_lo == parse_rational(search["t_lo"])
-                 and parse_rational(entry["t_hi"]) == parse_rational(search["t_hi"]),
-                 f"{where}policy, t_lo or t_hi differs from its search document")
+        if not (policy == _policy(search["policy"]) and t_lo == parse_rational(search["t_lo"])
+                and parse_rational(entry["t_hi"]) == parse_rational(search["t_hi"])):
+            raise _Rejected(f"{where}policy, t_lo or t_hi differs from its search document")
         trace = search["trace"]
-        _require(len(trace) == iters + 2, f"{where}the search does not bisect {iters} times")
+        if len(trace) != iters + 2:
+            raise _Rejected(f"{where}the search does not bisect {iters} times")
         brackets.add((parse_rational(trace[0]["t"]), parse_rational(trace[1]["t"])))
         keys.append((-t_lo, (policy.p, policy.q, policy.r)))
-    _require(len(brackets) <= 1, "the searches do not share one bracket")
-    _require(keys == sorted(keys), "results are not ranked by t_lo, then (p, q, r)")
+    if len(brackets) > 1:
+        raise _Rejected("the searches do not share one bracket")
+    if keys != sorted(keys):
+        raise _Rejected("results are not ranked by t_lo, then (p, q, r)")
 
 
 def _check_doc(doc: dict) -> None:
@@ -501,37 +548,39 @@ def _check_doc(doc: dict) -> None:
     if kind == "certify":
         # A document written by ``certify --case X`` records X and holds that case only.
         _check_report(doc, policy, variant, (JCase(doc["case"]),) if "case" in doc else ALL_CASES)
-        _require(doc["certified"] is _all_infeasible(doc),
-                 "certified flag contradicts case statuses")
+        if doc["certified"] is not _all_infeasible(doc):
+            raise _Rejected("certified flag contradicts case statuses")
     elif kind == "search":
         lower, upper = doc["lower_report"], doc["upper_report"]
         _check_report(lower, policy, variant)
         _check_report(upper, policy, variant)
-        _require(_all_infeasible(lower), f"report at t={lower['t']} is not all-infeasible")
-        _require(not _all_infeasible(upper), f"report at t={upper['t']} has no feasible case")
+        if not _all_infeasible(lower):
+            raise _Rejected(f"report at t={lower['t']} is not all-infeasible")
+        if _all_infeasible(upper):
+            raise _Rejected(f"report at t={upper['t']} has no feasible case")
         t_lo, t_hi = parse_rational(doc["t_lo"]), parse_rational(doc["t_hi"])
-        _require(t_lo == parse_rational(lower["t"]) and t_hi == parse_rational(upper["t"]),
-                 "t_lo and t_hi are not the t of lower_report and upper_report")
-        _require(t_lo < t_hi, "t_lo is not below t_hi")
+        if not (t_lo == parse_rational(lower["t"]) and t_hi == parse_rational(upper["t"])):
+            raise _Rejected("t_lo and t_hi are not the t of lower_report and upper_report")
+        if not t_lo < t_hi:
+            raise _Rejected("t_lo is not below t_hi")
         _check_trace(doc["trace"], t_lo, t_hi)
     elif kind == "dichotomy":
         t = parse_rational(doc["t"])
-        functions = tuple(doc["functions"])
-        if not all(type(m) is int for m in functions):
-            raise SystemFormatError(f"functions must be integers, got {doc['functions']!r}")
+        # Distinct indices 0-2 (exit 2 otherwise), checked before 2**len(functions)
+        # is computed: at most 8 assignments are built.
+        functions = check_functions(doc["functions"])
         assignments = doc["assignments"]
-        # Checked before any build: 2**len(functions) assignments are built.
-        _require(len(assignments) == 2 ** len(functions)
-                 and all(a["branches"] == b
-                         for a, b in zip(assignments, branch_strings(len(functions)))),
-                 f"assignments are not the {2 ** len(functions)} branch combinations"
-                 f" of functions {list(functions)} in order")
+        if not (len(assignments) == 2 ** len(functions)
+                and all(a["branches"] == b
+                        for a, b in zip(assignments, branch_strings(len(functions))))):
+            raise _Rejected(f"assignments are not the {2 ** len(functions)} branch combinations"
+                            f" of functions {list(functions)} in order")
         built = build_dichotomy_systems(t, policy, functions, variant)
         for assignment, (branches, systems) in zip(assignments, built):
             _check_cases(assignment["cases"], dict(zip(ALL_CASES, systems)),
                          f"branches {branches}: ")
-        _require(doc["certified"] is all(_all_infeasible(a) for a in assignments),
-                 "certified flag contradicts assignment statuses")
+        if doc["certified"] is not all(_all_infeasible(a) for a in assignments):
+            raise _Rejected("certified flag contradicts assignment statuses")
     else:
         raise SystemFormatError(f"unknown certificate kind {kind!r}")
 

@@ -14,7 +14,8 @@ Exit codes follow the certification convention: 0 = certified / verified,
 1 = not certified / invalid certificate, 2 = input or guard error.
 Rational flags accept only integer or p/q literals; decimals are rejected
 so the certification path stays exact.  Structured output is deterministic
-JSON: identical argv and inputs yield byte-identical reports.
+JSON: identical argv and inputs yield byte-identical reports, written by
+``render_json`` exactly as ``json.dumps(doc, indent=2)`` would write them.
 """
 
 from __future__ import annotations
@@ -118,6 +119,70 @@ def _emit(text: str, out_path: str | None) -> None:
             raise InputError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def render_json(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, without its generator overhead.
+
+    Scalars are encoded directly.  A container object met again at the
+    same depth reuses the text rendered for it there, so the rows and
+    certificates a dichotomy document shares across its assignments are
+    rendered once.  It raises TypeError for values JSON cannot hold and
+    for dict keys that are not strings, which ``json.dumps`` would
+    convert; it does not detect cycles.
+    """
+    return _render(doc, 0, {})
+
+
+def _render(x, depth: int, done: dict) -> str:
+    # A module-level function, not a closure: a closure that calls itself is
+    # a reference cycle, which would keep ``done`` and its texts alive until
+    # the cyclic garbage collector runs.
+    if isinstance(x, str):
+        return _ESCAPE(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float_text(x)
+    key = (id(x), depth)
+    text = done.get(key)
+    if text is not None:
+        return text
+    if isinstance(x, (list, tuple)):
+        items = [_render(v, depth + 1, done) for v in x]
+        opening, closing = "[", "]"
+    elif isinstance(x, dict):
+        items = [f"{_ESCAPE(k)}: {_render(v, depth + 1, done)}" for k, v in x.items()]
+        opening, closing = "{", "}"
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    if not items:
+        text = opening + closing
+    else:
+        inner = "\n" + "  " * (depth + 1)
+        text = f"{opening}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{closing}"
+    done[key] = text
+    return text
 
 
 def _distortion_row(t, norm_t, norm_s, distortion) -> dict:
@@ -315,7 +380,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         code, doc, lines = args.run(args)
-        text = json.dumps(doc, indent=2) if args.format == "structured" else "\n".join(lines[args.format])
+        text = render_json(doc) if args.format == "structured" else "\n".join(lines[args.format])
         _emit(text + "\n", args.out)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

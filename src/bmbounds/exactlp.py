@@ -19,7 +19,9 @@ A feasible run yields a witness point by back-substitution, kept as
 integer numerators over one common denominator.  Fractions are made only
 for the returned witness or Farkas vector.  ``verify_certificate``
 re-checks either by integer substitution over common denominators, reading
-the system's own coefficients.  The independent cross-checks, an exact
+the system's own coefficients; ``verified`` is that self-check, which every
+certificate passes before it is returned, here or in a caller that reuses
+one for another system.  The independent cross-checks, an exact
 phase-1 simplex, brute-force vertex enumeration and a Fraction reference
 verifier, are kept off the runtime path in ``crosscheck``; the tests
 require them to agree with this module.
@@ -379,14 +381,23 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
         witness = {v: Fraction(x, D) for v, x in zip(system.variables, xs)}
         result = FeasibilityResult("feasible", witness=witness)
 
-    if not verify_certificate(system, result):
-        raise AssertionError("internal error: emitted certificate failed verification")
-    return result
+    return verified(system, result)
 
 
 # ---------------------------------------------------------------------------
 # Certificate verification (pure substitution)
 # ---------------------------------------------------------------------------
+
+def verified(system: LinearSystem, result: FeasibilityResult) -> FeasibilityResult:
+    """``result``, once ``verify_certificate`` accepts it for ``system``.
+
+    The self-check every emitted certificate passes: a failure is an
+    internal error and raises AssertionError.
+    """
+    if not verify_certificate(system, result):
+        raise AssertionError("internal error: emitted certificate failed verification")
+    return result
+
 
 def verify_certificate(system: LinearSystem, result: FeasibilityResult) -> bool:
     """Re-check a feasibility result against the system by substitution only.

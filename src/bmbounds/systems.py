@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import reprlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -255,20 +256,37 @@ def branch_strings(count: int) -> list[str]:
     return ["".join(combo) for combo in itertools.product("ab", repeat=count)]
 
 
-def build_dichotomy_systems(
-    t: Fraction,
-    policy: CPolicy = DEFAULT_POLICY,
-    functions: Sequence[int] = DEFAULT_DICHOTOMY_FUNCTIONS,
-    variant: Variant = Variant.SYMMETRIZED,
-) -> list[tuple[str, list[LinearSystem]]]:
-    """Each branch assignment ("a" or "b" per function) with its four case systems.
+class FunctionsError(InputError):
+    """A dichotomy function list is not made of distinct indices 0, 1, 2."""
 
-    In product order; each system is its base case system plus one branch row
-    per function, with ``meta["branches"]`` set.  Bases and rows are built once.
+
+def check_functions(functions: Sequence[int]) -> tuple[int, ...]:
+    """The functions as a tuple, if they are distinct indices 0-2; else FunctionsError.
+
+    A repeated index would add an assignment dimension that proves nothing,
+    so at most 3 functions and 8 assignments pass.
+    """
+    functions = tuple(functions)
+    if not (all(type(m) is int and 0 <= m <= 2 for m in functions)
+            and len(set(functions)) == len(functions)):
+        raise FunctionsError("functions must be distinct indices 0-2,"
+                             f" got {reprlib.repr(list(functions))}")
+    return functions
+
+
+def branch_systems(
+    t: Fraction, bases: Iterable[LinearSystem], functions: Sequence[int]
+) -> list[tuple[str, list[LinearSystem]]]:
+    """Each branch assignment ("a" or "b" per function) with its extended base systems.
+
+    In product order; each system is its base plus one branch row per
+    function, appended after the base inequalities, with
+    ``meta["branches"]`` set.  The rows are built once and shared.  The
+    bases must have been built at t, which checks the guards before a
+    branch row divides by t - 1.
     """
     t = Fraction(t)
-    # The base systems check the guards on t and c(t) before a branch row divides by t - 1.
-    bases = build_all_cases(t, policy, variant).values()
+    bases = list(bases)
     rows = [{br: branch_row(t, m, br) for br in "ab"} for m in functions]
     out = []
     for branches in branch_strings(len(functions)):
@@ -279,6 +297,21 @@ def build_dichotomy_systems(
     return out
 
 
+def build_dichotomy_systems(
+    t: Fraction,
+    policy: CPolicy = DEFAULT_POLICY,
+    functions: Sequence[int] = DEFAULT_DICHOTOMY_FUNCTIONS,
+    variant: Variant = Variant.SYMMETRIZED,
+) -> list[tuple[str, list[LinearSystem]]]:
+    """``branch_systems`` of the four case systems at t, each built once.
+
+    Raises FunctionsError, before any system is built, unless the
+    functions are distinct indices 0-2.
+    """
+    functions = check_functions(functions)
+    return branch_systems(t, build_all_cases(t, policy, variant).values(), functions)
+
+
 # ---------------------------------------------------------------------------
 # System-definition files
 # ---------------------------------------------------------------------------
@@ -287,20 +320,33 @@ class SystemFormatError(ValueError):
     """Malformed system-definition text."""
 
 
-def system_doc(system: LinearSystem) -> dict:
-    """Canonical JSON-ready form of a LinearSystem; rationals as p/q strings."""
-    return {
-        "variables": list(system.variables),
-        "nonneg": [v for v in system.variables if v in system.nonneg],
-        "inequalities": [
-            {
+def system_doc(system: LinearSystem, rows: dict | None = None) -> dict:
+    """Canonical JSON-ready form of a LinearSystem; rationals as p/q strings.
+
+    ``rows``, when given, memoizes the inequality entries across calls,
+    keyed by the inequality object and the variable order: a row object
+    that several systems share is formatted once, and their documents hold
+    the same entry dict.  Its systems must outlive it.
+    """
+    if rows is None:
+        rows = {}
+    variables = system.variables
+    entries = []
+    for ineq in system.inequalities:
+        key = (id(ineq), variables)
+        entry = rows.get(key)
+        if entry is None:
+            entry = rows[key] = {
                 "label": ineq.label,
-                "coeffs": {v: format_rational(ineq.coeffs[v]) for v in system.variables if v in ineq.coeffs},
+                "coeffs": {v: format_rational(ineq.coeffs[v]) for v in variables if v in ineq.coeffs},
                 "rel": ineq.relation,
                 "rhs": format_rational(ineq.rhs),
             }
-            for ineq in system.inequalities
-        ],
+        entries.append(entry)
+    return {
+        "variables": list(variables),
+        "nonneg": [v for v in variables if v in system.nonneg],
+        "inequalities": entries,
         "meta": {k: str(v) for k, v in sorted(system.meta.items())},
     }
 

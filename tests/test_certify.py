@@ -21,11 +21,12 @@ from bmbounds.certify import (
     verify_certificate_text,
 )
 from bmbounds.exactlp import check_feasibility, verify_certificate
-from bmbounds.rationals import format_rational, parse_rational
+from bmbounds.rationals import InputError, format_rational, parse_rational
 from bmbounds.systems import (
     ALL_CASES,
     CPolicy,
     DEFAULT_POLICY,
+    FunctionsError,
     JCase,
     Variant,
     build_case_system,
@@ -625,7 +626,66 @@ class TestAuditWork:
         doc["functions"] = [0, 1, 2, 0] * 10
         built.clear()
         assert verify_certificate_text(json.dumps(doc)) == (
-            EXIT_NOT_CERTIFIED,
-            f"assignments are not the {2 ** 40} branch combinations of functions"
-            f" {doc['functions']} in order")
+            EXIT_INPUT_ERROR,
+            "malformed certificate: functions must be distinct indices 0-2,"
+            " got [0, 1, 2, 0, 0, 1, ...]")
         assert built == []
+
+    @pytest.mark.parametrize("functions", [(0, 0), (0, 1, 2, 0), (1, 3), (True,)])
+    def test_certify_dichotomy_rejects_functions_before_any_build(self, built, functions):
+        with pytest.raises(FunctionsError, match="functions must be distinct indices 0-2"):
+            certify_dichotomy(F(113, 32), functions=functions)
+        assert issubclass(FunctionsError, InputError)
+        assert built == []
+
+    def test_repeated_functions_document_is_malformed(self):
+        doc = dichotomy_report_doc(certify_dichotomy(F(113, 32), functions=(0,)))
+        doc["functions"] = [0, 0]
+        doc["assignments"] = doc["assignments"] * 2  # 4 entries, as 2**2 wants
+        assert verify_certificate_text(json.dumps(doc)) == (
+            EXIT_INPUT_ERROR,
+            "malformed certificate: functions must be distinct indices 0-2, got [0, 0]")
+
+
+DICHOTOMY_TS = sorted({F(num, den) for den in range(1, 5) for num in range(3 * den, 4 * den + 1)})
+
+
+class TestPlainCaseReuse:
+    """Each plain case system is decided once; only plain-feasible cases are
+    decided again per branch assignment."""
+
+    @pytest.mark.parametrize("functions", [(), (0, 2), (0, 1, 2)])
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("t", DICHOTOMY_TS, ids=str)
+    def test_verdicts_and_padded_vectors(self, t, variant, functions):
+        report = certify_dichotomy(t, DEFAULT_POLICY, functions, variant)
+        plain = {case: check_feasibility(build_case_system(case, t, DEFAULT_POLICY, variant))
+                 for case in ALL_CASES}
+        for assignment in report.assignments:
+            for case in ALL_CASES:
+                system, result = assignment.systems[case], assignment.results[case]
+                assert result.feasible is check_feasibility(system).feasible
+                assert verify_certificate(system, result)
+                if plain[case].feasible:
+                    continue
+                cut = len(plain[case].farkas) - len(system.nonneg)
+                branch_rows = [k for k, ineq in enumerate(system.inequalities)
+                               if ineq.label.startswith("B")]
+                assert branch_rows == list(range(cut, cut + len(functions)))
+                assert result.farkas == (plain[case].farkas[:cut] + (F(0),) * len(functions)
+                                         + plain[case].farkas[cut:])
+
+    @pytest.mark.parametrize("t, calls", [(F(113, 32), 4), (F(4), 36)], ids=["113/32", "4"])
+    def test_check_feasibility_calls(self, monkeypatch, t, calls):
+        import bmbounds.certify as certify_mod
+
+        systems = []
+
+        def counting(system):
+            systems.append(system)
+            return check_feasibility(system)
+
+        monkeypatch.setattr(certify_mod, "check_feasibility", counting)
+        report = certify_dichotomy(t)
+        assert len(systems) == calls  # 32 and 32 when every assignment ran FM
+        assert report.certified is (t < 4)

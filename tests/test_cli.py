@@ -107,6 +107,39 @@ class TestDichotomyCommand:
         assert code == 2
         assert "guard" in err
 
+    @pytest.mark.parametrize("functions, shown", [
+        (["0", "0"], "[0, 0]"),
+        # 2**20 assignments if it were accepted
+        (["0", "1", "2"] * 6 + ["0", "1"], "[0, 1, 2, 0, 1, 2, ...]"),
+    ], ids=["0-0", "twenty"])
+    def test_repeated_function_is_exit_2(self, capsys, monkeypatch, functions, shown):
+        import bmbounds.systems as systems_mod
+
+        def boom(*args, **kwargs):  # pragma: no cover
+            raise AssertionError("no system may be built")
+
+        monkeypatch.setattr(systems_mod, "build_case_system", boom)
+        code, out, err = run(capsys, "dichotomy", "--t", "113/32", "--functions", *functions)
+        assert (code, out) == (2, "")
+        assert err == f"error: functions must be distinct indices 0-2, got {shown}\n"
+
+    @pytest.mark.parametrize("functions, shown", [
+        ([0, 0], "[0, 0]"),
+        ([0] * 20000, "[0, 0, 0, 0, 0, 0, ...]"),
+        ([0, 3], "[0, 3]"),
+    ], ids=["0-0", "20000-zeros", "index-3"])
+    def test_verify_rejects_functions_that_are_not_distinct_indices(
+            self, capsys, tmp_path, functions, shown):
+        path = tmp_path / "dich.json"
+        run(capsys, "dichotomy", "--t", "113/32", "--functions", "0", "--format", "structured",
+            "--out", str(path))
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "functions": functions}))
+        code, out, err = run(capsys, "verify-cert", str(path))
+        assert (code, err) == (2, "")
+        assert out == ("malformed certificate: functions must be distinct indices 0-2,"
+                       f" got {shown}\n")
+
 
 class TestBoundsCommand:
     def test_table_values(self, capsys):

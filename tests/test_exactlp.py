@@ -72,6 +72,18 @@ class TestCheckFeasibility:
         with pytest.raises(AssertionError, match="failed verification"):
             check_feasibility(system)
 
+    def test_self_check_runs_on_the_padded_path(self, monkeypatch):
+        """A dichotomy case that is infeasible without branch rows hands each
+        assignment its Farkas vector, padded with zeros; that vector passes
+        verify_certificate too.  At 113/32 every case is such a case, so the
+        plain systems verify here and only the padded vectors fail."""
+        from bmbounds.certify import certify_dichotomy
+
+        monkeypatch.setattr(exactlp, "verify_certificate",
+                            lambda system, result: "branches" not in system.meta)
+        with pytest.raises(AssertionError, match="failed verification"):
+            certify_dichotomy(F(113, 32))
+
 
 class TestVerifyCertificate:
     def test_witness_true(self):

@@ -55,6 +55,18 @@ each ranked entry of a sweep document began to embed the search document
 of its bisection, so that ``verify-cert`` can audit the ranking.  With the
 ``search`` fields removed the document is byte for byte the old one, and
 the text and CSV digests of ``sweep`` did not move.
+
+Three structured dichotomy digests, ``dichotomy --t 113/32 --format
+structured``, ``dichotomy --t 10/3 --format structured`` and ``dichotomy
+--t 7/2 --functions 0 2 --variant printed --format structured``, were
+recorded again when ``certify_dichotomy`` began to decide each plain case
+system once.  A case that is infeasible without branch rows now carries,
+in every assignment, the plain Farkas vector with a zero on each ``B*``
+row, where before each assignment ran its own elimination and often used
+the branch rows.  The zeros show that the split was not needed for that
+case.  Verdicts, echoed systems and witnesses did not change; neither did
+``dichotomy --t 4 --format structured``, where every plain case is
+feasible, nor any text digest.
 """
 
 import hashlib
@@ -78,7 +90,7 @@ from bmbounds.exactlp import LinearSystem
 
 GOLDEN = {
     "dichotomy --t 113/32 --format structured":
-        (0, "08479072bdd53ab0faca2b6ea9c43b3a4f489d85e948ded71a7453baa88a2236"),
+        (0, "e798dfe84fae055dec656022268e0396765c3a3878204b9abea7fb4f8766df39"),
     "dichotomy --t 4 --format structured":
         (1, "48539b9e37149a07a1c0a632b08269f9b08c2405e7e46fbdc456816960359323"),
     "search --lo 3 --hi 5 --iters 6 --c-policy 2,1,4 --format structured":
@@ -96,9 +108,9 @@ GOLDEN = {
     "search --lo 3 --hi 5 --iters 24 --c-policy 3,1,5 --format structured":
         (0, "5b99d2a844709b4bc6fa0e325573fccce4c84f72e7bbd93d850d7dc8e5147603"),
     "dichotomy --t 10/3 --format structured":
-        (0, "6440a317c088b3e331c746fb3844b3bf6b29d9e0ee0dc412142340c387714cb1"),
+        (0, "3e128918111f1b370084ffc634bacee9bb3ef1f330da71607837fe7ac906a547"),
     "dichotomy --t 7/2 --functions 0 2 --variant printed --format structured":
-        (0, "e611c1eef99e2e747e4a0d7eb8305577a7fabb7fcbce220ad5d2439366cab9c3"),
+        (0, "8c8ba702ccf8fb63e38958462f81ba393fe6626f3a07d4a9d398998cf50f9c04"),
     "upper --scan 3:4:1/100 --format structured":
         (0, "ec50768e62a8f013f7d4c59c660c11c4c3766c251897fe6982b2ab81d0068ce6"),
     "upper --optimize --format structured":

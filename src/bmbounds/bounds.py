@@ -8,7 +8,7 @@ symbolic differentiation; they are numerical audits, not proofs.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 import mpmath as mp
 
@@ -19,6 +19,9 @@ TABLE_DIGITS = 15  # significant digits of each bounds_table value
 
 FD_STEP = mp.mpf("1e-6")
 FD_TOLERANCE = mp.mpf("1e-9")
+H_GRID_STEP = "1e-3"  # theta step of check_h_decreasing, read at PRECISION_DPS
+S_GRID_STEP = "1e-2"  # theta step of check_s_increasing, likewise
+MAX_TABLE_ROWS = 100_000  # the most rows one bounds_table evaluates, which bounds its work
 
 
 class BoundDomainError(InputError):
@@ -56,10 +59,10 @@ def h_theta(m: int, theta) -> mp.mpf:
         return (mp.sqrt(radicand) + 2 * m_ - th + 1) / 2
 
 
-def check_h_decreasing(m: int, grid_step: str = "1e-3") -> bool:
+def check_h_decreasing(m: int) -> bool:
     """Finite-difference audit that h(.) is nonincreasing on [0, 1]."""
     with mp.workdps(PRECISION_DPS):
-        step = mp.mpf(grid_step)
+        step = mp.mpf(H_GRID_STEP)
         theta = step
         while theta < 1:
             deriv = (h_theta(m, theta + FD_STEP) - h_theta(m, theta - FD_STEP)) / (2 * FD_STEP)
@@ -86,10 +89,10 @@ def s_theta(m: int, t, theta) -> mp.mpf:
         return (t_ - 1) / denom * (t_ + th) / 2
 
 
-def check_s_increasing(m: int, t, grid_step: str = "1e-2") -> bool:
+def check_s_increasing(m: int, t) -> bool:
     """Finite-difference audit that s(.) is nondecreasing on theta in [1, 10]."""
     with mp.workdps(PRECISION_DPS):
-        step = mp.mpf(grid_step)
+        step = mp.mpf(S_GRID_STEP)
         theta = mp.mpf(1)
         while theta <= 10:
             deriv = (s_theta(m, t, theta + FD_STEP) - s_theta(m, t, theta - FD_STEP)) / (2 * FD_STEP)
@@ -120,8 +123,15 @@ def solve_threshold(family: str, theta=None) -> mp.mpf:
     )
 
 
-def bounds_table(ms: Iterable[int], ks: Iterable[int]) -> list[dict]:
-    """Rows for the CLI table: height bounds for ms, copy bounds for ks."""
+def bounds_table(ms: Sequence[int], ks: Sequence[int]) -> list[dict]:
+    """Rows for the CLI table: height bounds for ms, copy bounds for ks.
+
+    The row count, at most MAX_TABLE_ROWS, is checked before any row is
+    evaluated.
+    """
+    count = len(ms) + len(ks)
+    if count > MAX_TABLE_ROWS:
+        raise BoundDomainError(f"table of {count} rows exceeds the limit of {MAX_TABLE_ROWS}")
     rows = []
     with mp.workdps(PRECISION_DPS):
         for m in ms:

@@ -1,20 +1,22 @@
 """Certification pipeline: per-t case reports, bisection, sweeps, audits.
 
-A probe at rational t builds the four case systems and decides each
-exactly; the solver re-verifies every certificate it emits.  Bisection
+One function, ``_decide``, builds and decides the plain case systems at
+a rational t, each exactly; the solver re-verifies every certificate it
+emits.  ``certify_at``, the bisection probes, the completion of the t_hi
+report and the dichotomy's plain stage all go through it.  Bisection
 over a bracket [lo, hi] relies on the monotonicity of feasibility in t
 (valid for affine c-policies) and returns a CertifiedBound whose endpoint
 reports hold all four cases with machine-checkable certificates: Farkas
 vectors at t_lo, a witness at t_hi.  A midpoint probe tries the case
 that was feasible at the latest feasible probe first and stops at its
-first feasible case.  A dichotomy builds and decides its four base
-systems once per t and shares them across the branch assignments; only
-the cases feasible without branch rows are decided per assignment, and
-its document formats each shared row once.  All four document kinds
-(certify, search, sweep, dichotomy) are built here.  Certificate files
-are self-contained JSON documents that an auditor re-verifies by
-substitution alone; each echoed system must equal the rebuilt one value
-for value.
+first feasible case.  A dichotomy decides its four base systems once
+per t, through ``certify_at``, and shares them across the branch
+assignments; only the cases feasible without branch rows are decided per
+assignment, and its document formats each shared row once.  All four
+document kinds (certify, search, sweep, dichotomy) are built here.
+Certificate files are self-contained JSON documents that an auditor
+re-verifies by substitution alone; each echoed system must equal the
+rebuilt one value for value.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import __version__
 from .exactlp import (
@@ -33,7 +35,7 @@ from .exactlp import (
     verified,
     verify_certificate,
 )
-from .rationals import InputError, format_rational, parse_int, parse_rational
+from .rationals import InputError, format_rational, parse_rational
 from .systems import (
     ALL_CASES,
     CPolicy,
@@ -44,11 +46,12 @@ from .systems import (
     Variant,
     branch_strings,
     branch_systems,
-    build_all_cases,
     build_case_system,
     build_dichotomy_systems,
     check_functions,
-    parse_system_file,  # unused here, like serialize_system: bench/spans.py wraps both here
+    # Unused here: bench/spans.py wraps these three names in this module.
+    build_all_cases,
+    parse_system_file,
     serialize_system,
     system_doc,
     system_from_doc,
@@ -69,9 +72,10 @@ class BracketError(InputError):
 class CaseReport:
     """Feasibility verdicts for all four case systems at one probe t.
 
-    (Inside ``binary_search_bound`` a probe's report may hold only the
-    systems and verdicts it decided up to its first feasible case; no such
-    report leaves it.)  Both dicts are in ``ALL_CASES`` order.
+    (A partial report comes only from ``_decide(..., stop_at_feasible=True)``
+    inside ``binary_search_bound``: it holds the systems and verdicts decided
+    up to the first feasible case, and no such report leaves the bisection.)
+    Both dicts are in ``ALL_CASES`` order.
 
     ``branches`` names the dichotomy branch assignment the systems carry
     (one "a"/"b" per function); it is empty for the plain case systems.
@@ -111,40 +115,31 @@ def _decide(
     t: Fraction,
     policy: CPolicy,
     variant: Variant,
-    systems: Iterable[tuple[JCase, LinearSystem]],
-    branches: str = "",
+    order: Sequence[JCase] = ALL_CASES,
     stop_at_feasible: bool = False,
+    known: CaseReport | None = None,
 ) -> CaseReport:
-    """Decide the (case, system) pairs in the order given.
+    """Build and decide the case systems at t in ``order``: the one place they are decided.
 
-    With ``stop_at_feasible`` it stops after the first feasible case, so a
-    lazy iterable of pairs builds no system past it.  The report holds the
-    decided cases in ``ALL_CASES`` order whatever order they came in.
+    Each case system is built when its turn comes; a case that ``known``,
+    a report at the same t, already holds is taken from it.  With
+    ``stop_at_feasible`` it stops after the first feasible case and builds
+    no system past it.  The report holds the decided cases in
+    ``ALL_CASES`` order whatever the order.
     """
-    built = {}
+    systems = {}
     results = {}
-    for case, system in systems:
-        built[case] = system
-        results[case] = check_feasibility(system)
+    for case in order:
+        if known is not None and case in known.results:
+            systems[case], results[case] = known.systems[case], known.results[case]
+        else:
+            systems[case] = build_case_system(case, t, policy, variant)
+            results[case] = check_feasibility(systems[case])
         if stop_at_feasible and results[case].feasible:
             break
-    built = {case: built[case] for case in ALL_CASES if case in built}
-    results = {case: results[case] for case in built}
-    return CaseReport(t, policy.c_at(t), policy, variant, results, built, branches)
-
-
-def _completed(report: CaseReport) -> CaseReport:
-    """The report with every case built and decided, keeping what it already has."""
-    systems = {
-        case: report.systems[case] if case in report.systems
-        else build_case_system(case, report.t, report.policy, report.variant)
-        for case in ALL_CASES
-    }
-    results = {
-        case: report.results[case] if case in report.results else check_feasibility(system)
-        for case, system in systems.items()
-    }
-    return replace(report, results=results, systems=systems)
+    systems = {case: systems[case] for case in ALL_CASES if case in systems}
+    results = {case: results[case] for case in systems}
+    return CaseReport(t, policy.c_at(t), policy, variant, results, systems)
 
 
 def certify_at(
@@ -153,8 +148,7 @@ def certify_at(
     variant: Variant = Variant.SYMMETRIZED,
 ) -> CaseReport:
     """Build and decide all four case systems at t; certificates verified."""
-    t = Fraction(t)
-    return _decide(t, policy, variant, build_all_cases(t, policy, variant).items())
+    return _decide(Fraction(t), policy, variant)
 
 
 def binary_search_bound(
@@ -181,12 +175,6 @@ def binary_search_bound(
     report at t_hi gets the systems and verdicts it still lacks: both
     reports of the result hold all four cases, in ``ALL_CASES`` order.
     """
-    def probe(t: Fraction, first: JCase | None = None) -> CaseReport:
-        # Each case system is built only when the probe reaches it.
-        order = ALL_CASES if first is None else (first, *(c for c in ALL_CASES if c != first))
-        cases = ((case, build_case_system(case, t, policy, variant)) for case in order)
-        return _decide(t, policy, variant, cases, stop_at_feasible=True)
-
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise BracketError(
@@ -198,19 +186,22 @@ def binary_search_bound(
             f"bracket end lo = {format_rational(lo)} is not all-infeasible"
             f" (feasible: {', '.join(c.value for c in report_lo.feasible_cases)})"
         )
-    report_hi = probe(hi)
+    report_hi = _decide(hi, policy, variant, stop_at_feasible=True)
     if report_hi.all_infeasible:
         raise BracketError(f"bracket end hi = {format_rational(hi)} has no feasible case")
     trace = [(lo, True), (hi, False)]
     for _ in range(iters):
         mid = (lo + hi) / 2
-        report_mid = probe(mid, report_hi.feasible_cases[0])
+        first = report_hi.feasible_cases[0]
+        order = (first, *(c for c in ALL_CASES if c != first))
+        report_mid = _decide(mid, policy, variant, order, stop_at_feasible=True)
         trace.append((mid, report_mid.all_infeasible))
         if report_mid.all_infeasible:
             lo, report_lo = mid, report_mid
         else:
             hi, report_hi = mid, report_mid
-    return CertifiedBound(lo, hi, report_lo, _completed(report_hi), tuple(trace), policy, variant)
+    report_hi = _decide(hi, policy, variant, known=report_hi)
+    return CertifiedBound(lo, hi, report_lo, report_hi, tuple(trace), policy, variant)
 
 
 def sweep_policies(
@@ -231,7 +222,7 @@ def sweep_policies(
     for policy in policies:
         try:
             bound = binary_search_bound(lo, hi, iters, policy, variant)
-        except (BracketError, ValueError) as exc:
+        except ValueError as exc:  # a BracketError or a guard's DomainError
             skipped.append((policy, str(exc)))
             continue
         ranked.append((policy, bound))
@@ -266,38 +257,35 @@ def certify_dichotomy(
 ) -> DichotomyReport:
     """Decide all 2**b branch assignments; certified iff all infeasible.
 
-    Each plain case system is decided once.  Adding rows cannot make an
-    infeasible system feasible, so a plain-infeasible case is infeasible
-    under every assignment: each of its assignments carries the plain
-    Farkas vector with a zero on every branch row (the branch rows follow
-    the base inequalities, before the nonneg rows), re-verified against
-    that assignment's system.  Only plain-feasible cases are decided again
-    per assignment.  Raises FunctionsError, before any system is built,
-    unless the functions are distinct indices 0-2.
+    Each plain case system is decided once, by ``certify_at``.  Adding
+    rows cannot make an infeasible system feasible, so a plain-infeasible
+    case is infeasible under every assignment: each of its assignments
+    carries the plain Farkas vector with a zero on every branch row (the
+    branch rows follow the base inequalities, before the nonneg rows),
+    re-verified against that assignment's system.  Only plain-feasible
+    cases are decided again per assignment.  Raises FunctionsError, before
+    any system is built, unless the functions are distinct indices 0-2.
     """
-    t = Fraction(t)
     functions = check_functions(functions)
-    bases = build_all_cases(t, policy, variant)
-    c = policy.c_at(t)
+    report = certify_at(t, policy, variant)
     plain = {}
-    for case, base in bases.items():
-        result = check_feasibility(base)
+    for case, result in report.results.items():
         if not result.feasible:
-            cut = len(base.inequalities)
+            cut = len(report.systems[case].inequalities)
             zeros = (Fraction(0),) * len(functions)
             result = replace(result, farkas=result.farkas[:cut] + zeros + result.farkas[cut:])
         plain[case] = result
     assignments = []
-    for branches, systems in branch_systems(t, bases.values(), functions):
+    for branches, systems in branch_systems(report.t, report.systems.values(), functions):
         results = {}
         for case, system in zip(ALL_CASES, systems):
             result = plain[case]
             # Without functions an assignment's rows are the plain ones.
             results[case] = (check_feasibility(system) if result.feasible and functions
                              else verified(system, result))
-        assignments.append(CaseReport(t, c, policy, variant, results,
-                                      dict(zip(ALL_CASES, systems)), branches))
-    return DichotomyReport(t, policy, variant, functions, tuple(assignments))
+        assignments.append(replace(report, results=results,
+                                   systems=dict(zip(ALL_CASES, systems)), branches=branches))
+    return DichotomyReport(report.t, policy, variant, functions, tuple(assignments))
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +485,6 @@ def _all_infeasible(rep: dict) -> bool:
     return all(e["status"] == "infeasible" for e in rep["cases"])
 
 
-def _policy(key: str) -> CPolicy:
-    return CPolicy(*(parse_int(x) for x in key.split(",")))
-
-
 def _check_sweep(doc: dict, variant: Variant) -> None:
     """Check every ranked entry's embedded search document and bind the entry to it.
 
@@ -519,9 +503,9 @@ def _check_sweep(doc: dict, variant: Variant) -> None:
         if not (search["kind"] == "search" and Variant(search["variant"]) is variant):
             raise _Rejected(f"{where}the embedded document is not a {variant.value} search")
         _check_doc(search)
-        policy = _policy(entry["policy"])
+        policy = CPolicy.parse(entry["policy"])
         t_lo = parse_rational(entry["t_lo"])
-        if not (policy == _policy(search["policy"]) and t_lo == parse_rational(search["t_lo"])
+        if not (policy == CPolicy.parse(search["policy"]) and t_lo == parse_rational(search["t_lo"])
                 and parse_rational(entry["t_hi"]) == parse_rational(search["t_hi"])):
             raise _Rejected(f"{where}policy, t_lo or t_hi differs from its search document")
         trace = search["trace"]
@@ -544,7 +528,7 @@ def _check_doc(doc: dict) -> None:
     if kind == "sweep":
         _check_sweep(doc, variant)
         return
-    policy = _policy(doc["policy"])
+    policy = CPolicy.parse(doc["policy"])
     if kind == "certify":
         # A document written by ``certify --case X`` records X and holds that case only.
         _check_report(doc, policy, variant, (JCase(doc["case"]),) if "case" in doc else ALL_CASES)

@@ -62,11 +62,8 @@ def _int(text: str) -> int:
 
 
 def _policy(text: str) -> CPolicy:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"c-policy must be p,q,r, got {text!r}")
     try:
-        return CPolicy(*(parse_int(x) for x in parts))
+        return CPolicy.parse(text)
     except ValueError as exc:  # a RationalFormatError or DomainError
         raise argparse.ArgumentTypeError(str(exc))
 

@@ -337,14 +337,12 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
     layers = []  # (var index, pos rows, neg rows) for witness back-substitution
 
     while remaining and contradiction is None:
-        counts = []
-        for j in remaining:
-            p = sum(1 for row in rows if row[0][j] > 0)
-            m = sum(1 for row in rows if row[0][j] < 0)
-            counts.append((p * m, remaining.index(j), j))
-        _, _, j = min(counts)
-        pos = [r for r in rows if r[0][j] > 0]
-        neg = [r for r in rows if r[0][j] < 0]
+        split = {j: ([r for r in rows if r[0][j] > 0], [r for r in rows if r[0][j] < 0])
+                 for j in remaining}
+        # remaining is ascending, so min's first minimum breaks ties by variable order.
+        j = min(remaining, key=lambda k: len(split[k][0]) * len(split[k][1]))
+        pos, neg = split[j]
+        del split  # the other variables' lists, freed before new rows are made (peak RSS)
         rows = [r for r in rows if r[0][j] == 0]
         layers.append((j, pos, neg))
         for pvec, pnum, pden, pnode, ppiv in pos:

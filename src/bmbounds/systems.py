@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .exactlp import GE, LE, LinearInequality, LinearSystem, SystemError_
-from .rationals import InputError, RationalFormatError, format_rational, parse_rational
+from .rationals import InputError, RationalFormatError, format_rational, parse_int, parse_rational
 
 VARIABLES = ("th0", "th1", "th2", "a")
 THETAS = ("th0", "th1", "th2")
@@ -70,6 +70,17 @@ class CPolicy:
 
     def key(self) -> str:
         return f"{self.p},{self.q},{self.r}"
+
+    @classmethod
+    def parse(cls, text: str) -> CPolicy:
+        """The policy ``key`` writes as ``p,q,r``: three ASCII integer literals.
+
+        Any other text raises RationalFormatError, and r <= 0 DomainError.
+        """
+        parts = text.split(",") if isinstance(text, str) else ()
+        if len(parts) != 3:
+            raise RationalFormatError(f"c-policy must be p,q,r, got {text!r}")
+        return cls(*(parse_int(x) for x in parts))
 
 
 DEFAULT_POLICY = CPolicy(2, 1, 4)

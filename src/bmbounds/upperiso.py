@@ -205,7 +205,7 @@ class TransformedSequence:
         )
 
 
-def _apply_rows(mats: IsoMatrices, head_block: Matrix, tail_block: Matrix,
+def _apply_rows(head_block: Matrix, tail_block: Matrix,
                 head: Sequence, levels: Sequence[Sequence]) -> tuple[tuple, tuple]:
     """head_block applied to the head values and tail_block to each level ++ head."""
     head = tuple(head)
@@ -215,7 +215,7 @@ def _apply_rows(mats: IsoMatrices, head_block: Matrix, tail_block: Matrix,
 
 def apply_T(f: TruncatedFunction, mats: IsoMatrices) -> TransformedSequence:
     """The image Tf through the rows M and tail_block; exact for rational f."""
-    head, tail = _apply_rows(mats, mats.M, mats.tail_block, f.limit, f.rows)
+    head, tail = _apply_rows(mats.M, mats.tail_block, f.limit, f.rows)
     return TransformedSequence(head[:2], tail, head[2])
 
 
@@ -223,9 +223,7 @@ def apply_S(g: TransformedSequence, mats: IsoMatrices) -> TruncatedFunction:
     """The preimage Sg through the rows Minv and s_tail_block; S(T(f)) == f exactly."""
     if len(g.tail) < 1:
         raise ShapeError("transformed sequence has no tail levels")
-    limit, rows = _apply_rows(
-        mats, mats.Minv, mats.s_tail_block, (g.head[0], g.head[1], g.omega), g.tail
-    )
+    limit, rows = _apply_rows(mats.Minv, mats.s_tail_block, (g.head[0], g.head[1], g.omega), g.tail)
     return TruncatedFunction(rows, limit)
 
 

@@ -163,6 +163,36 @@ class TestBoundsCommand:
         code, out, err = run(capsys, "bounds", "--format", fmt)
         assert (code, out, err) == (2, "", "error: bounds needs --m a..b, --k a..b or both\n")
 
+    @pytest.mark.parametrize("argv, count", [
+        (("--m", "1..100000000"), 100000000),
+        (("--k", "2..100002"), 100001),
+        (("--m", "1..50000", "--k", "2..50002"), 100001),
+    ])
+    def test_table_bounded_before_any_row(self, capsys, monkeypatch, argv, count):
+        """More than MAX_TABLE_ROWS rows, --m and --k together, is exit 2 with
+        one line, before a single row is evaluated."""
+        from bmbounds import bounds
+
+        def boom(n):  # pragma: no cover
+            raise AssertionError("no row may be evaluated")
+
+        monkeypatch.setattr(bounds, "lower_bound_height", boom)
+        monkeypatch.setattr(bounds, "gp_lower_bound", boom)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (
+            2, "", f"error: table of {count} rows exceeds the limit of 100000\n")
+
+    def test_table_row_cap_is_inclusive(self, capsys, monkeypatch):
+        from bmbounds import bounds
+
+        monkeypatch.setattr(bounds, "MAX_TABLE_ROWS", 3)
+        code, out, _ = run(capsys, "bounds", "--m", "1..2", "--k", "2..2", "--format", "csv")
+        assert (code, len(out.splitlines())) == (0, 4)
+        code, out, err = run(capsys, "bounds", "--m", "1..2", "--k", "2..3")
+        assert (code, out, err) == (2, "", "error: table of 4 rows exceeds the limit of 3\n")
+
 
 class TestUpperCommand:
     def test_optimize(self, capsys):
@@ -358,8 +388,12 @@ class TestVerifyCertCommand:
          lambda doc: {**doc, "policy": "\u0662,\u0661,\u0664"}),
         (("certify", "--t", "113/32"),
          lambda doc: {**doc, "policy": " 2, 1 ,4"}),
+        (("certify", "--t", "113/32"),
+         lambda doc: {**doc, "policy": "1,2"}),
+        (("certify", "--t", "113/32"),
+         lambda doc: {**doc, "policy": "1,2,3,4"}),
     ], ids=["json-array", "bogus-case", "function-x", "function-half", "t-1", "t-non-ascii",
-            "policy-non-ascii", "policy-spaces"])
+            "policy-non-ascii", "policy-spaces", "policy-two-parts", "policy-four-parts"])
     def test_malformed_document_exit_2(self, capsys, tmp_path, argv, malform):
         path = tmp_path / "cert.json"
         run(capsys, *argv, "--format", "structured", "--out", str(path))
@@ -367,6 +401,19 @@ class TestVerifyCertCommand:
         code, out, err = run(capsys, "verify-cert", str(path))
         assert code == 2
         assert out.startswith("malformed certificate") and "Traceback" not in err
+
+    @pytest.mark.parametrize("policy", ["1,2", "1,2,3,4", 214])
+    def test_policy_is_read_like_the_flag(self, capsys, tmp_path, policy):
+        """verify-cert and --c-policy read a policy through the same parser."""
+        path = tmp_path / "cert.json"
+        run(capsys, "certify", "--t", "113/32", "--format", "structured", "--out", str(path))
+        path.write_text(json.dumps({**json.loads(path.read_text()), "policy": policy}))
+        assert run(capsys, "verify-cert", str(path)) == (
+            2, f"malformed certificate: c-policy must be p,q,r, got {policy!r}\n", "")
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--t", "113/32", "--c-policy", str(policy)])
+        assert exc.value.code == 2
+        assert f"c-policy must be p,q,r, got {str(policy)!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

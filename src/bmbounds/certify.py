@@ -1,22 +1,28 @@
 """Certification pipeline: per-t case reports, bisection, sweeps, audits.
 
-One function, ``_decide``, builds and decides the plain case systems at
-a rational t, each exactly; the solver re-verifies every certificate it
-emits.  ``certify_at``, the bisection probes, the completion of the t_hi
-report and the dichotomy's plain stage all go through it.  Bisection
-over a bracket [lo, hi] relies on the monotonicity of feasibility in t
-(valid for affine c-policies) and returns a CertifiedBound whose endpoint
-reports hold all four cases with machine-checkable certificates: Farkas
-vectors at t_lo, a witness at t_hi.  A midpoint probe tries the case
-that was feasible at the latest feasible probe first and stops at its
-first feasible case.  A dichotomy decides its four base systems once
-per t, through ``certify_at``, and shares them across the branch
-assignments; only the cases feasible without branch rows are decided per
-assignment, and its document formats each shared row once.  All four
-document kinds (certify, search, sweep, dichotomy) are built here.
-Certificate files are self-contained JSON documents that an auditor
-re-verifies by substitution alone; each echoed system must equal the
-rebuilt one value for value.
+One function, ``_decide``, decides the plain case systems at a rational
+t, each exactly, from their integer row tables (``systems.case_rows``);
+each certificate is re-verified against the rows it was decided from.
+``certify_at``, the bisection probes, the completion of the t_hi report
+and the dichotomy's plain stage all go through it, and no probe builds a
+system.  Only a report that leaves this module gets its systems, built by
+the Fraction builders in ``_documented``, where every certificate must
+pass ``exactlp.verified`` against them: a search builds eight systems, the
+four at t_lo and the four at t_hi.  Bisection over a bracket [lo, hi]
+relies on the monotonicity of feasibility in t (valid for affine
+c-policies) and returns a CertifiedBound whose endpoint reports hold all
+four cases with machine-checkable certificates: Farkas vectors at t_lo, a
+witness at t_hi.  A midpoint probe tries the case that was feasible at
+the latest feasible probe first and stops at its first feasible case.  A
+dichotomy decides its four base systems once per t, through
+``certify_at``, and shares them across the branch assignments; only the
+cases feasible without branch rows are decided per assignment, and its
+document formats each shared row once.  All four document kinds
+(certify, search, sweep, dichotomy) are built here.  Certificate files
+are self-contained JSON documents that an auditor re-verifies by
+substitution alone; each echoed system must equal the rebuilt one value
+for value, and an audit parses and compares each distinct echoed row
+once.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .exactlp import (
     LinearSystem,
     SystemError_,
     check_feasibility,
+    check_rows,
     verified,
     verify_certificate,
 )
@@ -41,6 +48,7 @@ from .systems import (
     CPolicy,
     DEFAULT_DICHOTOMY_FUNCTIONS,
     DEFAULT_POLICY,
+    VARIABLES,
     JCase,
     SystemFormatError,
     Variant,
@@ -48,6 +56,8 @@ from .systems import (
     branch_systems,
     build_case_system,
     build_dichotomy_systems,
+    case_point,
+    case_rows,
     check_functions,
     # Unused here: bench/spans.py wraps these three names in this module.
     build_all_cases,
@@ -64,18 +74,28 @@ EXIT_NOT_CERTIFIED = 1
 EXIT_INPUT_ERROR = 2
 
 
+MAX_ITERS = 1000  # the most bisection steps one search takes, which bounds its work
+
+
 class BracketError(InputError):
     """A bisection bracket precondition failed; the message names the end."""
+
+
+class IterationsError(InputError):
+    """A bisection asks for more than MAX_ITERS steps."""
 
 
 @dataclass(frozen=True)
 class CaseReport:
     """Feasibility verdicts for all four case systems at one probe t.
 
-    (A partial report comes only from ``_decide(..., stop_at_feasible=True)``
-    inside ``binary_search_bound``: it holds the systems and verdicts decided
-    up to the first feasible case, and no such report leaves the bisection.)
-    Both dicts are in ``ALL_CASES`` order.
+    A report from ``_decide`` holds verdicts and no systems; every report
+    that leaves this module has been through ``_documented`` and holds the
+    system of each verdict.  (A partial report comes only from
+    ``_decide(..., stop_at_feasible=True)`` inside ``binary_search_bound``:
+    it holds the verdicts decided up to the first feasible case, and no
+    such report leaves the bisection.)  Both dicts are in ``ALL_CASES``
+    order.
 
     ``branches`` names the dichotomy branch assignment the systems carry
     (one "a"/"b" per function); it is empty for the plain case systems.
@@ -119,27 +139,41 @@ def _decide(
     stop_at_feasible: bool = False,
     known: CaseReport | None = None,
 ) -> CaseReport:
-    """Build and decide the case systems at t in ``order``: the one place they are decided.
+    """Decide the case systems at t in ``order`` from their row tables: the one place they are decided.
 
-    Each case system is built when its turn comes; a case that ``known``,
-    a report at the same t, already holds is taken from it.  With
-    ``stop_at_feasible`` it stops after the first feasible case and builds
-    no system past it.  The report holds the decided cases in
-    ``ALL_CASES`` order whatever the order.
+    Each case is decided from ``case_rows`` when its turn comes, its
+    certificate re-verified against those rows; no system is built.  A
+    case that ``known``, a report at the same t, already holds is taken
+    from it.  With ``stop_at_feasible`` it stops after the first feasible
+    case.  The report holds the decided cases in ``ALL_CASES`` order
+    whatever the order, and no systems (see ``_documented``).
     """
-    systems = {}
+    point = case_point(t, policy)
     results = {}
     for case in order:
         if known is not None and case in known.results:
-            systems[case], results[case] = known.systems[case], known.results[case]
+            results[case] = known.results[case]
         else:
-            systems[case] = build_case_system(case, t, policy, variant)
-            results[case] = check_feasibility(systems[case])
+            results[case] = check_rows(VARIABLES, case_rows(case, point, variant))
         if stop_at_feasible and results[case].feasible:
             break
-    systems = {case: systems[case] for case in ALL_CASES if case in systems}
-    results = {case: results[case] for case in systems}
-    return CaseReport(t, policy.c_at(t), policy, variant, results, systems)
+    results = {case: results[case] for case in ALL_CASES if case in results}
+    return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results, {})
+
+
+def _documented(report: CaseReport) -> CaseReport:
+    """The report with its systems, for a report that leaves this module.
+
+    Each decided case is built by the Fraction builders, the encoding
+    ``verify-cert`` rebuilds from, and its certificate must pass
+    ``verified`` against that system: a row table that disagrees with its
+    builder raises AssertionError here instead of writing a document.
+    """
+    systems = {case: build_case_system(case, report.t, report.policy, report.variant)
+               for case in report.results}
+    for case, system in systems.items():
+        verified(system, report.results[case])
+    return replace(report, systems=systems)
 
 
 def certify_at(
@@ -147,8 +181,13 @@ def certify_at(
     policy: CPolicy = DEFAULT_POLICY,
     variant: Variant = Variant.SYMMETRIZED,
 ) -> CaseReport:
-    """Build and decide all four case systems at t; certificates verified."""
-    return _decide(Fraction(t), policy, variant)
+    """Decide all four case systems at t, then build them; certificates verified."""
+    return _documented(_decide(Fraction(t), policy, variant))
+
+
+def _check_iters(iters: int) -> None:
+    if iters > MAX_ITERS:
+        raise IterationsError(f"--iters {iters} exceeds the limit of {MAX_ITERS}")
 
 
 def binary_search_bound(
@@ -162,25 +201,28 @@ def binary_search_bound(
 
     Preconditions: lo < hi, all four cases infeasible at lo, and at least
     one feasible at hi.  After ``iters`` bisections, t_hi - t_lo equals
-    (hi - lo) / 2**iters exactly.
+    (hi - lo) / 2**iters exactly.  ``iters`` above ``MAX_ITERS`` raises
+    IterationsError before anything is decided.
 
-    The check at hi and every midpoint probe build and decide the cases
-    one at a time and stop at the first feasible one; an all-infeasible
-    probe has decided all four.  A probe tries the last feasible case
-    first (the case at which the latest feasible probe stopped), then the
-    others in ``ALL_CASES`` order; the check at hi uses ``ALL_CASES``
-    order.  The verdict of a probe does not depend on that order, so
-    neither do the trace and the two reports.  The lo end is decided in
-    full, so its error names every feasible case, and after the loop the
-    report at t_hi gets the systems and verdicts it still lacks: both
-    reports of the result hold all four cases, in ``ALL_CASES`` order.
+    The check at hi and every midpoint probe decide the cases one at a
+    time from their row tables and stop at the first feasible one; an
+    all-infeasible probe has decided all four.  A probe tries the last
+    feasible case first (the case at which the latest feasible probe
+    stopped), then the others in ``ALL_CASES`` order; the check at hi uses
+    ``ALL_CASES`` order.  The verdict of a probe does not depend on that
+    order, so neither do the trace and the two reports.  The lo end is
+    decided in full, so its error names every feasible case, and after the
+    loop the report at t_hi gets the verdicts it still lacks.  Only the
+    two reports of the result are built as systems (eight in all), each
+    holding all four cases in ``ALL_CASES`` order.
     """
+    _check_iters(iters)
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise BracketError(
             f"inverted bracket: lo = {format_rational(lo)} must be below hi = {format_rational(hi)}"
         )
-    report_lo = certify_at(lo, policy, variant)
+    report_lo = _decide(lo, policy, variant)
     if not report_lo.all_infeasible:
         raise BracketError(
             f"bracket end lo = {format_rational(lo)} is not all-infeasible"
@@ -201,7 +243,8 @@ def binary_search_bound(
         else:
             hi, report_hi = mid, report_mid
     report_hi = _decide(hi, policy, variant, known=report_hi)
-    return CertifiedBound(lo, hi, report_lo, report_hi, tuple(trace), policy, variant)
+    return CertifiedBound(lo, hi, _documented(report_lo), _documented(report_hi), tuple(trace),
+                          policy, variant)
 
 
 def sweep_policies(
@@ -216,7 +259,10 @@ def sweep_policies(
     Returns (ranked, skipped): ranked is sorted by t_lo descending with
     ties broken by (p, q, r) lexicographic order; policies whose guards or
     bracket preconditions fail end up in skipped with the reason.
+    ``iters`` above ``MAX_ITERS`` raises IterationsError before any policy
+    is searched.
     """
+    _check_iters(iters)
     ranked: list[tuple[CPolicy, CertifiedBound]] = []
     skipped: list[tuple[CPolicy, str]] = []
     for policy in policies:
@@ -420,7 +466,35 @@ def _entry_result(entry: dict) -> FeasibilityResult:
     raise SystemFormatError(f"unknown status {status!r}")
 
 
-def _check_cases(entries: list, expected: dict[JCase, LinearSystem], where: str) -> None:
+class _Echoes:
+    """The echoed systems one audit has read: each distinct echoed row is parsed
+    once (``system_from_doc``'s memo), and each pair of a rebuilt row object
+    and an echoed row object is compared once.  The compared pairs are kept,
+    so their ids stay theirs for the audit."""
+
+    def __init__(self) -> None:
+        self.rows: dict = {}
+        self.same: dict = {}
+
+    def system(self, doc) -> LinearSystem:
+        return system_from_doc(doc, self.rows)
+
+    def equal(self, built: LinearSystem, echoed: LinearSystem) -> bool:
+        """``built == echoed``, comparing each row pair once."""
+        if (built.variables, built.nonneg, built.meta, len(built.inequalities)) != (
+                echoed.variables, echoed.nonneg, echoed.meta, len(echoed.inequalities)):
+            return False
+        for pair in zip(built.inequalities, echoed.inequalities):
+            key = (id(pair[0]), id(pair[1]))
+            if key not in self.same:
+                if pair[0] != pair[1]:
+                    return False
+                self.same[key] = pair
+        return True
+
+
+def _check_cases(entries: list, expected: dict[JCase, LinearSystem], where: str,
+                 echoes: _Echoes) -> None:
     """Re-verify case entries by substitution alone; raise _Rejected on the first failure.
 
     The entries must name exactly the cases of ``expected``, in order.  Each
@@ -434,12 +508,12 @@ def _check_cases(entries: list, expected: dict[JCase, LinearSystem], where: str)
         raise _Rejected(f"{where}cases [{', '.join(c.value for c in cases)}] are not the expected"
                         f" [{', '.join(c.value for c in expected)}]")
     for entry, (case, built) in zip(entries, expected.items()):
-        system = system_from_doc(entry["system"])
-        if not (verify_certificate(system, _entry_result(entry)) and built == system):
+        system = echoes.system(entry["system"])
+        if not (verify_certificate(system, _entry_result(entry)) and echoes.equal(built, system)):
             raise _Rejected(f"{where}case {case.value} failed re-verification")
 
 
-def _check_report(rep: dict, policy: CPolicy, variant: Variant,
+def _check_report(rep: dict, policy: CPolicy, variant: Variant, echoes: _Echoes,
                   cases: Sequence[JCase] = ALL_CASES) -> None:
     """Check one certify-style report: its c at its t, then its case entries."""
     t = parse_rational(rep["t"])
@@ -447,7 +521,7 @@ def _check_report(rep: dict, policy: CPolicy, variant: Variant,
     if parse_rational(rep["c"]) != policy.c_at(t):
         raise _Rejected(f"{where}c = {rep['c']} is not c(t) = {format_rational(policy.c_at(t))}")
     expected = {case: build_case_system(case, t, policy, variant) for case in cases}
-    _check_cases(rep["cases"], expected, where)
+    _check_cases(rep["cases"], expected, where, echoes)
 
 
 def _check_trace(trace: list, t_lo: Fraction, t_hi: Fraction) -> None:
@@ -529,15 +603,17 @@ def _check_doc(doc: dict) -> None:
         _check_sweep(doc, variant)
         return
     policy = CPolicy.parse(doc["policy"])
+    echoes = _Echoes()
     if kind == "certify":
         # A document written by ``certify --case X`` records X and holds that case only.
-        _check_report(doc, policy, variant, (JCase(doc["case"]),) if "case" in doc else ALL_CASES)
+        _check_report(doc, policy, variant, echoes,
+                      (JCase(doc["case"]),) if "case" in doc else ALL_CASES)
         if doc["certified"] is not _all_infeasible(doc):
             raise _Rejected("certified flag contradicts case statuses")
     elif kind == "search":
         lower, upper = doc["lower_report"], doc["upper_report"]
-        _check_report(lower, policy, variant)
-        _check_report(upper, policy, variant)
+        _check_report(lower, policy, variant, echoes)
+        _check_report(upper, policy, variant, echoes)
         if not _all_infeasible(lower):
             raise _Rejected(f"report at t={lower['t']} is not all-infeasible")
         if _all_infeasible(upper):
@@ -562,7 +638,7 @@ def _check_doc(doc: dict) -> None:
         built = build_dichotomy_systems(t, policy, functions, variant)
         for assignment, (branches, systems) in zip(assignments, built):
             _check_cases(assignment["cases"], dict(zip(ALL_CASES, systems)),
-                         f"branches {branches}: ")
+                         f"branches {branches}: ", echoes)
         if doc["certified"] is not all(_all_infeasible(a) for a in assignments):
             raise _Rejected("certified flag contradicts assignment statuses")
     else:

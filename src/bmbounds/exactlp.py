@@ -1,30 +1,37 @@
 """Exact feasibility decisions for rational linear-inequality systems.
 
-The primary decision procedure is Fourier-Motzkin elimination carried out
-on Python integers.  Every row is a primitive integer direction (ints with
-gcd 1) with its right-hand side as a reduced integer pair num/den, den > 0:
-each inequality is read straight into its base row, its denominators
-cleared with an integer lcm and a >= row negated through its gcd, and each
-nonnegative variable adds the unit row -v <= 0; a derived row is an integer
-combination of two rows divided by its gcd, with its rhs pair combined
-over the product of the two denominators and reduced.  Every derived row
-keeps only a small parent record (the two rows it was combined from, with
-nonnegative integer weights, and one divisor), not a multiplier vector
-over the original rows.  When a row reduces to 0 <= negative, the Farkas
-certificate is rebuilt once, for that row alone, by pushing weights back
-through its ancestors as reduced integer pairs; every division waits for
-that rebuild, and exact arithmetic makes the result equal, entry for
-entry, to the combination a dense multiplier vector would have carried.
-A feasible run yields a witness point by back-substitution, kept as
-integer numerators over one common denominator.  Fractions are made only
-for the returned witness or Farkas vector.  ``verify_certificate``
-re-checks either by integer substitution over common denominators, reading
-the system's own coefficients; ``verified`` is that self-check, which every
-certificate passes before it is returned, here or in a caller that reuses
-one for another system.  The independent cross-checks, an exact
-phase-1 simplex, brute-force vertex enumeration and a Fraction reference
-verifier, are kept off the runtime path in ``crosscheck``; the tests
-require them to agree with this module.
+The one decision procedure, ``solve_rows``, is Fourier-Motzkin elimination
+carried out on Python integers.  It reads base rows: each is a primitive
+integer direction (ints with gcd 1) with its right-hand side as a reduced
+integer pair num/den, den > 0, and the leading-coefficient pair of the
+inequality it stands for.  ``system_rows`` clears a ``LinearSystem`` into
+them (denominators cleared with an integer lcm, a >= row negated through
+its gcd, and a unit row -v <= 0 per nonnegative variable);
+``systems.case_rows`` makes the same rows for the case systems from
+integers alone.  A derived row is an integer combination of two rows
+divided by its gcd, with its rhs pair combined over the product of the two
+denominators and reduced.  Every derived row keeps only a small parent
+record (the two rows it was combined from, with nonnegative integer
+weights, and one divisor), not a multiplier vector over the original rows.
+When a row reduces to 0 <= negative, the Farkas certificate is rebuilt
+once, for that row alone, by pushing weights back through its ancestors
+as reduced integer pairs; every division waits for that rebuild, and exact
+arithmetic makes the result equal, entry for entry, to the combination a
+dense multiplier vector would have carried.  A feasible run yields a
+witness point by back-substitution, kept as integer numerators over one
+common denominator.  Fractions are made only for the returned witness or
+Farkas vector.
+
+Every certificate is re-verified by substitution before it is used.
+``check_feasibility`` decides a system and re-checks against the system's
+own coefficients with ``verify_certificate``; ``verified`` is that
+self-check, which every certificate a document carries passes, here or in
+a caller that decided it from rows or reuses it for another system.
+``check_rows`` decides base rows and re-checks against the same rows with
+``verify_rows``.  The independent cross-checks, an exact phase-1 simplex,
+brute-force vertex enumeration and a Fraction reference verifier, are
+kept off the runtime path in ``crosscheck``; the tests require them to
+agree with this module.
 
 No floating point is used anywhere in this module.
 """
@@ -43,6 +50,9 @@ ONE = Fraction(1)
 
 LE = "<="
 GE = ">="
+
+
+SELF_CHECK_FAILED = "internal error: emitted certificate failed verification"
 
 
 class SystemError_(ValueError):
@@ -152,18 +162,19 @@ class FeasibilityResult:
 # Fourier-Motzkin elimination with certificate provenance
 # ---------------------------------------------------------------------------
 #
-# A row is (vec, num, den, node, piv): ``vec`` is a primitive integer
-# direction (Python ints with gcd 1), ``num/den`` its right-hand side at the
-# same scale as a reduced integer pair with den > 0, and ``piv`` the absolute
-# value of the first nonzero entry of ``vec``.  The row stands for its
+# A live row of an elimination is (vec, num, den, node, piv): ``vec`` is a
+# primitive integer direction (Python ints with gcd 1), ``num/den`` its
+# right-hand side at the same scale as a reduced integer pair with den > 0,
+# and ``piv`` the absolute value of the first nonzero entry of ``vec``.  The row stands for its
 # normalised form vec/piv <= (num/den)/piv, whose leading coefficient is
 # +-1; that form is canonical for a direction exactly when the primitive
 # tuple is, so pruning and the certificates see the same rows either way.
 #
 # ``node`` indexes the run's ``origin`` list, whose entry says how the
-# normalised row was made: ``(i, q, p)`` is base row i times q and divided
-# by p, where p/q is the absolute value of its first nonzero coefficient as
-# a reduced pair (1, 1 for an all-zero row); ``(p, n, w_p, w_n, d)`` is
+# normalised row was made: ``(i, q, p)`` is inequality i times q and
+# divided by p, where p/q is the absolute value of its first nonzero
+# coefficient as a reduced pair, as its base row records it (1, 1 for an
+# all-zero row); ``(p, n, w_p, w_n, d)`` is
 # (w_p * row p + w_n * row n) / d for the parent nodes p and n, with
 # nonnegative integer weights; "row" here means the normalised row of a
 # node.  A pos/neg pair on x_j, with a = vec_p[j] and b = -vec_n[j], has
@@ -270,46 +281,34 @@ def _witness(n: int, layers: list) -> tuple[list[int], int]:
     return xs, D
 
 
-def check_feasibility(system: LinearSystem) -> FeasibilityResult:
-    """Exact feasibility verdict with a verifying certificate attached.
+def system_rows(system: LinearSystem) -> list[tuple]:
+    """The base rows of a system: its inequalities in order, then -v <= 0 per nonneg variable.
 
-    Fourier-Motzkin elimination; the variable with the fewest pairings is
-    eliminated first (ties broken by variable order) so the intermediate
-    row count stays small for the few-variable systems this targets.
-    Every row is a primitive integer direction with an integer rhs pair
-    num/den (see above): base rows have their denominators cleared, and a
-    pos/neg pair on x_j combines as b * row_p + a * row_n with a = row_p[j]
-    and b = -row_n[j], divided by its gcd; its rhs is
-    (b * num_p * den_n + a * num_n * den_p) / (den_p * den_n * g), reduced.
-    Derived rows carry no multiplier vector, only a parent record with
-    integer weights.  When a row reduces to 0 <= negative, its Farkas
-    vector is rebuilt once from its ancestors; a feasible run
-    back-substitutes a witness through the eliminated layers in integers.
-    Either certificate is re-verified by substitution before it is
-    returned.
+    A base row is (vec, num, den, q, p): ``vec`` is the primitive integer
+    direction of the row's <=-form, ``num/den`` its right-hand side at the
+    same scale as a reduced pair with den > 0, and p/q the absolute value
+    of the inequality's first nonzero coefficient as a reduced pair.  Each
+    inequality's denominators are cleared by their lcm, and a >= row is
+    negated by dividing it by -gcd.  An inequality without a nonzero
+    coefficient keeps the zero direction, the rhs of its <=-form and
+    p = q = 1.  ``systems.case_rows`` makes the same rows for the case
+    systems from integers alone.
     """
     variables = system.variables
     n = len(variables)
     index = {v: k for k, v in enumerate(variables)}
-    nrows = len(system.inequalities) + len(system.nonneg)
-    origin: list[tuple] = []
-    contradiction = None
-
-    # Each inequality goes straight to its primitive row: denominators are
-    # cleared by their lcm, and a >= row is negated by dividing it by -gcd.
-    # Lists, not generators, feed tuple() and the *-calls here and in
-    # verify_certificate: a tuple built from a generator is over-allocated
-    # and shrunk, and the shrunk tuples pile up in the interpreter's tuple
-    # free lists (3% more peak RSS on the search workload).
+    # Lists, not generators, feed tuple() and the *-calls here and in the
+    # verifiers: a tuple built from a generator is over-allocated and
+    # shrunk, and the shrunk tuples pile up in the interpreter's tuple free
+    # lists (3% more peak RSS on the search workload).
     rows = []
-    for i, ineq in enumerate(system.inequalities):
+    for ineq in system.inequalities:
         terms = [(index[v], c) for v, c in ineq.coeffs.items() if c]
         rhs = ineq.rhs
         if not terms:
-            if (rhs > 0) if ineq.relation == GE else (rhs < 0):
-                contradiction = len(origin)
-                origin.append((i, 1, 1))
-                break
+            if ineq.relation == GE:
+                rhs = -rhs
+            rows.append((tuple([0] * n), rhs.numerator, rhs.denominator, 1, 1))
             continue
         scale = math.lcm(*[c.denominator for _, c in terms])
         vec = [0] * n
@@ -318,32 +317,62 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
         g = math.gcd(*vec)
         if ineq.relation == GE:
             g = -g
-        vec = tuple([x // g for x in vec])
         num, den = rhs.numerator * scale, rhs.denominator * g
         r = math.gcd(num, den)
         if g < 0:
             r = -r
-        k, lead = min(terms)
-        rows.append((vec, num // r, den // r, len(origin), abs(vec[k])))
-        origin.append((i, lead.denominator, abs(lead.numerator)))
-    if contradiction is None:
-        for i, v in enumerate(system.nonneg_ordered, len(system.inequalities)):  # -v <= 0
-            vec = [0] * n
-            vec[index[v]] = -1
-            rows.append((tuple(vec), 0, 1, len(origin), 1))
-            origin.append((i, 1, 1))
-    rows = _prune(rows)
+        _, lead = min(terms)
+        rows.append((tuple([x // g for x in vec]), num // r, den // r,
+                     lead.denominator, abs(lead.numerator)))
+    for v in system.nonneg_ordered:
+        vec = [0] * n
+        vec[index[v]] = -1
+        rows.append((tuple(vec), 0, 1, 1, 1))
+    return rows
+
+
+def solve_rows(variables: tuple[str, ...], rows: list[tuple]) -> FeasibilityResult:
+    """Fourier-Motzkin elimination over base rows: the one solver, its result unverified.
+
+    ``rows`` are base rows as ``system_rows`` makes them, over
+    ``variables``; a Farkas vector has one multiplier per base row.  The
+    variable with the fewest pairings is eliminated first (ties broken by
+    variable order) so the intermediate row count stays small for the
+    few-variable systems this targets.  A pos/neg pair on x_j combines as
+    b * row_p + a * row_n with a = row_p[j] and b = -row_n[j], divided by
+    its gcd; its rhs is (b * num_p * den_n + a * num_n * den_p) /
+    (den_p * den_n * g), reduced.  Derived rows carry no multiplier
+    vector, only a parent record with integer weights.  When a row reduces
+    to 0 <= negative, its Farkas vector is rebuilt once from its
+    ancestors; a feasible run back-substitutes a witness through the
+    eliminated layers in integers.
+    """
+    n = len(variables)
+    origin: list[tuple] = []
+    contradiction = None
+    base = []
+    for i, (vec, num, den, q, p) in enumerate(rows):
+        piv = abs(next(filter(None, vec), 0))
+        if not piv:
+            if num < 0:
+                contradiction = len(origin)
+                origin.append((i, q, p))
+                break
+            continue
+        base.append((vec, num, den, len(origin), piv))
+        origin.append((i, q, p))
+    live = _prune(base)
     remaining = list(range(n))
     layers = []  # (var index, pos rows, neg rows) for witness back-substitution
 
     while remaining and contradiction is None:
-        split = {j: ([r for r in rows if r[0][j] > 0], [r for r in rows if r[0][j] < 0])
+        split = {j: ([r for r in live if r[0][j] > 0], [r for r in live if r[0][j] < 0])
                  for j in remaining}
         # remaining is ascending, so min's first minimum breaks ties by variable order.
         j = min(remaining, key=lambda k: len(split[k][0]) * len(split[k][1]))
         pos, neg = split[j]
         del split  # the other variables' lists, freed before new rows are made (peak RSS)
-        rows = [r for r in rows if r[0][j] == 0]
+        live = [r for r in live if r[0][j] == 0]
         layers.append((j, pos, neg))
         for pvec, pnum, pden, pnode, ppiv in pos:
             a = pvec[j]
@@ -364,22 +393,36 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
                 r = math.gcd(num, den)
                 if r != 1:
                     num, den = num // r, den // r
-                piv = abs(next(x for x in vec if x))
-                rows.append((tuple(vec), num, den, len(origin), piv))
+                piv = abs(next(filter(None, vec)))
+                live.append((tuple(vec), num, den, len(origin), piv))
                 origin.append((pnode, nnode, b * ppiv, a * npiv, g * piv))
             if contradiction is not None:
                 break
-        rows = _prune(rows)
+        live = _prune(live)
         remaining.remove(j)
 
     if contradiction is not None:
-        result = FeasibilityResult("infeasible", farkas=_rebuild_farkas(origin, contradiction, nrows))
-    else:
-        xs, D = _witness(n, layers)
-        witness = {v: Fraction(x, D) for v, x in zip(system.variables, xs)}
-        result = FeasibilityResult("feasible", witness=witness)
+        return FeasibilityResult("infeasible", farkas=_rebuild_farkas(origin, contradiction, len(rows)))
+    xs, D = _witness(n, layers)
+    return FeasibilityResult("feasible", witness={v: Fraction(x, D) for v, x in zip(variables, xs)})
 
-    return verified(system, result)
+
+def check_rows(variables: tuple[str, ...], rows: list[tuple]) -> FeasibilityResult:
+    """``solve_rows``, its certificate re-verified against the same base rows."""
+    result = solve_rows(variables, rows)
+    if not verify_rows(variables, rows, result):
+        raise AssertionError(SELF_CHECK_FAILED)
+    return result
+
+
+def check_feasibility(system: LinearSystem) -> FeasibilityResult:
+    """Exact feasibility verdict with a verifying certificate attached.
+
+    The system is cleared into its base rows by ``system_rows`` and
+    decided by ``solve_rows``; the certificate is re-verified by
+    substitution into the system's own coefficients before it is returned.
+    """
+    return verified(system, solve_rows(system.variables, system_rows(system)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +436,7 @@ def verified(system: LinearSystem, result: FeasibilityResult) -> FeasibilityResu
     internal error and raises AssertionError.
     """
     if not verify_certificate(system, result):
-        raise AssertionError("internal error: emitted certificate failed verification")
+        raise AssertionError(SELF_CHECK_FAILED)
     return result
 
 
@@ -459,6 +502,43 @@ def verify_certificate(system: LinearSystem, result: FeasibilityResult) -> bool:
         return all(_lcm_sum(terms) == 0 for terms in columns.values()) and _lcm_sum(rhs) < 0
 
     raise SystemError_(f"unknown status {result.status!r}")
+
+
+def verify_rows(variables: tuple[str, ...], rows: list[tuple], result: FeasibilityResult) -> bool:
+    """Re-check a result of ``solve_rows`` against its base rows by integer substitution.
+
+    A witness, put over the lcm of its denominators, must satisfy every
+    base row.  A Farkas vector must be nonnegative with one entry per base
+    row; entry y of an inequality whose first nonzero coefficient is p/q
+    in absolute value and whose base row has first nonzero entry +-piv
+    weighs that base row by y * p / (q * piv), which is y times the
+    inequality's <=-form.  The weighted rows must cancel every variable
+    and combine the right-hand sides into a negative number; each column
+    and the rhs are summed over the lcm of their denominators.
+    """
+    if result.feasible:
+        point = [result.witness[v] for v in variables]
+        scale = math.lcm(*[x.denominator for x in point])
+        xs = [x.numerator * (scale // x.denominator) for x in point]
+        return all(den * sum(map(operator.mul, vec, xs)) <= num * scale
+                   for vec, num, den, _, _ in rows)
+    nums = [x.numerator for x in result.farkas]
+    dens = [x.denominator for x in result.farkas]
+    if len(nums) != len(rows) or min(nums) < 0:
+        return False
+    scale = math.lcm(*dens)
+    columns: list[list] = [[] for _ in variables]
+    rhs = []
+    for x, xden, (vec, num, den, q, p) in zip(nums, dens, rows):
+        if not x:
+            continue
+        mult = x * (scale // xden) * p
+        div = q * abs(next(filter(None, vec), 1))
+        for column, c in zip(columns, vec):
+            if c:
+                column.append((mult * c, div))
+        rhs.append((mult * num, div * den))
+    return all(_lcm_sum(terms) == 0 for terms in columns) and _lcm_sum(rhs) < 0
 
 
 def _fraction(x) -> Fraction:

@@ -1,4 +1,4 @@
-"""Builders for the four-case inequality systems behind the lower bound.
+"""Builders and integer row tables for the four-case inequality systems behind the lower bound.
 
 The certification argument splits on how many of the three limit atoms
 admit a large point evaluation (threshold c).  Each case yields a small
@@ -11,6 +11,16 @@ Inequality labels follow the internal numbering 7a-7d (case J012), 6a-6d
 plus 6b2 (case not0), 8a-8f (case in0not1) and 9a-9f (case in01not2).
 The d-row of case in0not1 exists in two readings ("printed" and
 "symmetrized") selected by the variant flag; nothing else depends on it.
+
+Each case exists twice.  ``build_case_system`` builds it as a
+``LinearSystem`` from Fraction arithmetic: that is the encoding documents
+echo and ``verify-cert`` rebuilds from.  ``CASE_TABLES`` holds it as one
+integer row table per case: each row has its label, the factor it was
+cleared of and a maker that computes, from t = n/d and the policy alone,
+the base row ``exactlp.solve_rows`` decides from.  ``case_rows`` lists a
+case's base rows at the ``case_point`` of t and the policy, which checks
+the guards on integers; the tests hold every table row equal to the base
+row ``exactlp.system_rows`` clears from the built row.
 """
 
 from __future__ import annotations
@@ -18,10 +28,12 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import math
 import reprlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactlp import GE, LE, LinearInequality, LinearSystem, SystemError_
 from .rationals import InputError, RationalFormatError, format_rational, parse_int, parse_rational
@@ -220,6 +232,161 @@ def build_case_system(
     return LinearSystem(VARIABLES, tuple(rows), frozenset(VARIABLES), meta)
 
 
+# ---------------------------------------------------------------------------
+# Integer row tables
+# ---------------------------------------------------------------------------
+#
+# The same rows as the builders above, made from integers alone for the
+# solver (``exactlp.solve_rows``), which reads each row as a base row
+# (vec, num, den, q, p): the primitive integer direction of its <=-form,
+# the rhs as a reduced pair num/den at that scale (den > 0), and p/q, the
+# absolute value of the documented row's first nonzero coefficient as a
+# reduced pair.  At t = n/d the point (T, C, R) holds t = T/R and c = C/R
+# over one denominator, R = r*d, T = r*n and C = p*n + q*d, so u = (t + c)/2
+# is U/(2R) with U = T + C.  A row maker multiplies the documented row by
+# an integer M > 0 that leaves integer coefficients and a rhs over R: its
+# clearing factor t-1, c-1, u-1 or c times R or 2R (times 1 for the pair
+# gap rows, whose factor t-1 divides the rhs only, and for the ordering
+# rows; the mass row 6c, factor 1, is multiplied by C like the other mass
+# rows).  Only rows that go into a document are built by the Fraction
+# builders, which stay the encoding ``verify-cert`` rebuilds from.
+
+CasePoint = tuple[int, int, int]
+
+
+def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
+    """The point of t and policy, with the guards of ``_guards`` checked on integers.
+
+    A failed guard raises the DomainError of ``_guards``, which names it.
+    """
+    n, d = t.numerator, t.denominator
+    T, C, R = policy.r * n, policy.p * n + policy.q * d, policy.r * d
+    if not (R < T and R < C and T <= 2 * C <= 2 * T):
+        _guards(t, policy)
+        raise AssertionError("internal error: the integer guards passed what _guards fails")
+    return T, C, R
+
+
+def _table_row(vec: list[int], M: int, num: int, den: int) -> tuple:
+    """The base row of M times a documented row: ``vec`` and num/den (den > 0)
+    are M times its <=-form coefficients and rhs."""
+    lead = next(x for x in vec if x)
+    h = math.gcd(lead, M)
+    g = math.gcd(*vec)
+    den *= g
+    r = math.gcd(num, den)
+    return tuple([x // g for x in vec]), num // r, den // r, M // h, abs(lead) // h
+
+
+def _pair_gap_ints(point: CasePoint, variant: Variant) -> tuple:
+    # th2 + a <= t(t - 3)/(t - 1)
+    T, _, R = point
+    return _table_row([0, 0, 1, 1], 1, T * (T - 3 * R), R * (T - R))
+
+
+def _single_tail_ints(m: int, level: str, point: CasePoint, variant: Variant) -> tuple:
+    # times (level - 1) * R: th_m gets -(level + 1) * R, the rest level*R - R
+    T, C, R = point
+    L = T if level == "t" else C
+    M = L - R
+    vec = [M, M, M, M]
+    vec[m] = -(L + R)
+    return _table_row(vec, M, M * T - 2 * R * L, R)
+
+
+def _mixed_tail_ints(m: int, printed_in: Variant | None, point: CasePoint,
+                     variant: Variant) -> tuple:
+    # times (u - 1) * 2R = U - 2R; the printed tail in ``printed_in`` only
+    T, C, R = point
+    U = T + C
+    M = U - 2 * R
+    if variant is printed_in:
+        vec = [2 * R, 2 * R, 2 * R, M]
+        vec[m] = -4 * R
+        vec[2] += M
+    else:
+        vec = [U, U, U, M]
+        vec[m] = -(U + 2 * R)
+    return _table_row(vec, M, M * T - 2 * R * U, R)
+
+
+def _mass_ints(scaled: tuple[int, ...], point: CasePoint, variant: Variant) -> tuple:
+    # times c * R = C, then negated to the <=-form
+    T, C, R = point
+    vec = [-C, -C, -C, -C]
+    for j in scaled:
+        vec[j] = C + R - T
+    return _table_row(vec, C, -C, 1)
+
+
+def _ordering_ints(j: int, point: CasePoint, variant: Variant) -> tuple:
+    # th_j - th_{j+1} <= 0
+    vec = [0, 0, 0, 0]
+    vec[j], vec[j + 1] = 1, -1
+    return tuple(vec), 0, 1, 1, 1
+
+
+class TableRow:
+    """One documented row of a case system: its label, the factor its
+    coefficients were cleared of, and ``make(point, variant)``, its base row."""
+
+    __slots__ = ("label", "factor", "make")
+
+    def __init__(self, label: str, factor: str, make: Callable[[CasePoint, Variant], tuple]):
+        self.label, self.factor, self.make = label, factor, make
+
+
+_TAIL_T0 = partial(_single_tail_ints, 0, "t")
+_ORDER_01 = partial(_ordering_ints, 0)
+_ORDER_12 = partial(_ordering_ints, 1)
+
+CASE_TABLES: dict[JCase, tuple[TableRow, ...]] = {
+    JCase.J012: (
+        TableRow("7a", "t-1", _pair_gap_ints),
+        TableRow("7b", "t-1", _TAIL_T0),
+        TableRow("7c", "c", partial(_mass_ints, (0, 1, 2))),
+        TableRow("7d.1", "1", _ORDER_01),
+        TableRow("7d.2", "1", _ORDER_12),
+    ),
+    JCase.NOT0: (
+        TableRow("6a", "t-1", _pair_gap_ints),
+        TableRow("6b", "c-1", partial(_single_tail_ints, 0, "c")),
+        TableRow("6b2", "u-1", partial(_mixed_tail_ints, 0, None)),
+        TableRow("6c", "1", partial(_mass_ints, ())),
+        TableRow("6d.1", "1", _ORDER_01),
+        TableRow("6d.2", "1", _ORDER_12),
+    ),
+    JCase.IN0_NOT1: (
+        TableRow("8a", "t-1", _pair_gap_ints),
+        TableRow("8b", "t-1", _TAIL_T0),
+        TableRow("8c", "c-1", partial(_single_tail_ints, 1, "c")),
+        TableRow("8d", "u-1", partial(_mixed_tail_ints, 1, Variant.PRINTED)),
+        TableRow("8e", "c", partial(_mass_ints, (1, 2))),
+        TableRow("8f.1", "1", _ORDER_01),
+        TableRow("8f.2", "1", _ORDER_12),
+    ),
+    JCase.IN01_NOT2: (
+        TableRow("9a", "t-1", _pair_gap_ints),
+        TableRow("9b", "t-1", _TAIL_T0),
+        TableRow("9c", "c-1", partial(_single_tail_ints, 2, "c")),
+        TableRow("9d", "u-1", partial(_mixed_tail_ints, 2, None)),
+        TableRow("9e", "c", partial(_mass_ints, (1, 2))),
+        TableRow("9f.1", "1", _ORDER_01),
+        TableRow("9f.2", "1", _ORDER_12),
+    ),
+}
+
+# -v <= 0 for each variable, all of which are nonnegative
+_NONNEG_ROWS = [((-1, 0, 0, 0), 0, 1, 1, 1), ((0, -1, 0, 0), 0, 1, 1, 1),
+                ((0, 0, -1, 0), 0, 1, 1, 1), ((0, 0, 0, -1), 0, 1, 1, 1)]
+
+
+def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> list[tuple]:
+    """The base rows of ``build_case_system(case, t, policy, variant)`` at the
+    point of t and policy, as ``exactlp.system_rows`` reads them from it."""
+    return [row.make(point, variant) for row in CASE_TABLES[case]] + _NONNEG_ROWS
+
+
 def build_all_cases(
     t: Fraction,
     policy: CPolicy = DEFAULT_POLICY,
@@ -375,8 +542,14 @@ def parse_system_file(text: str) -> LinearSystem:
         raise SystemFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def system_from_doc(doc) -> LinearSystem:
-    """Read a decoded system-definition object: the inverse of ``system_doc``."""
+def system_from_doc(doc, rows: dict | None = None) -> LinearSystem:
+    """Read a decoded system-definition object: the inverse of ``system_doc``.
+
+    ``rows``, when given, memoizes the parsed inequalities across calls,
+    keyed by an entry's label, relation, rhs and coefficient items as
+    written: an echoed row that several systems share is parsed once, and
+    their systems hold the same inequality object.
+    """
     if not isinstance(doc, dict):
         raise SystemFormatError("top-level value must be an object")
     try:
@@ -385,23 +558,37 @@ def system_from_doc(doc) -> LinearSystem:
         raw_ineqs = doc["inequalities"]
     except KeyError as exc:
         raise SystemFormatError(f"missing field {exc.args[0]!r}") from exc
+    if rows is None:
+        rows = {}
     inequalities = []
     for idx, entry in enumerate(raw_ineqs):
-        where = f"inequality #{idx}"
         try:
-            label = str(entry["label"])
-            rel = entry["rel"]
-            rhs = parse_rational(entry["rhs"])
-            coeffs = {str(v): parse_rational(s) for v, s in entry["coeffs"].items()}
-        except KeyError as exc:
-            raise SystemFormatError(f"{where}: missing field {exc.args[0]!r}") from exc
-        except RationalFormatError as exc:
-            raise SystemFormatError(f"{where}: {exc}") from exc
-        if rel not in (LE, GE):
-            raise SystemFormatError(f"{where}: unknown relation {rel!r}")
-        inequalities.append(LinearInequality(coeffs, rel, rhs, label))
+            key = (str(entry["label"]), entry["rel"], entry["rhs"], *entry["coeffs"].items())
+            ineq = rows.get(key)
+        except (KeyError, TypeError, AttributeError):  # malformed: _inequality_from_doc says how
+            key = ineq = None
+        if ineq is None:
+            ineq = _inequality_from_doc(entry, f"inequality #{idx}")
+            if key is not None:
+                rows[key] = ineq
+        inequalities.append(ineq)
     meta = {str(k): str(v) for k, v in doc.get("meta", {}).items()}
     try:
         return LinearSystem(variables, tuple(inequalities), frozenset(nonneg), meta)
     except SystemError_ as exc:
         raise SystemFormatError(str(exc)) from exc
+
+
+def _inequality_from_doc(entry, where: str) -> LinearInequality:
+    try:
+        label = str(entry["label"])
+        rel = entry["rel"]
+        rhs = parse_rational(entry["rhs"])
+        coeffs = {str(v): parse_rational(s) for v, s in entry["coeffs"].items()}
+    except KeyError as exc:
+        raise SystemFormatError(f"{where}: missing field {exc.args[0]!r}") from exc
+    except RationalFormatError as exc:
+        raise SystemFormatError(f"{where}: {exc}") from exc
+    if rel not in (LE, GE):
+        raise SystemFormatError(f"{where}: unknown relation {rel!r}")
+    return LinearInequality(coeffs, rel, rhs, label)

@@ -1,14 +1,18 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmbounds.certify import (
     EXIT_CERTIFIED,
     EXIT_INPUT_ERROR,
     EXIT_NOT_CERTIFIED,
     BracketError,
+    CaseReport,
     CertifiedBound,
     binary_search_bound,
     certify_at,
@@ -35,6 +39,26 @@ from bmbounds.systems import (
 F = Fraction
 
 POLICIES = [CPolicy(1, 0, 2), CPolicy(1, 1, 2), CPolicy(2, 1, 4)]
+# Policies whose guards hold at both ends of the bracket [3, 5], hence on all of it.
+GUARDED_POLICIES = [policy for policy in itertools.starmap(
+                        CPolicy, itertools.product(range(0, 5), range(-3, 5), range(1, 9)))
+                    if all(1 < policy.c_at(t) and t / 2 <= policy.c_at(t) <= t for t in (3, 5))]
+
+
+@pytest.fixture
+def fm_runs(monkeypatch):
+    """The (variables, rows) of every Fourier-Motzkin run, from tables and systems alike."""
+    import bmbounds.exactlp as exactlp
+
+    runs = []
+    solve = exactlp.solve_rows
+
+    def counting(variables, rows):
+        runs.append((variables, rows))
+        return solve(variables, rows)
+
+    monkeypatch.setattr(exactlp, "solve_rows", counting)
+    return runs
 
 
 class TestCertifyAt:
@@ -125,18 +149,9 @@ class TestBinarySearch:
         (CPolicy(2, 1, 4), 6, 21),  # 32 when every probe decided all four cases
         (DEFAULT_POLICY, 20, 62),   # 88 likewise; 75 when every probe began at j012
     ])
-    def test_probes_stop_at_first_feasible_case(self, monkeypatch, policy, iters, calls):
-        import bmbounds.certify as certify_mod
-
-        decided = []
-
-        def counting(system):
-            decided.append(system)
-            return check_feasibility(system)
-
-        monkeypatch.setattr(certify_mod, "check_feasibility", counting)
+    def test_probes_stop_at_first_feasible_case(self, fm_runs, policy, iters, calls):
         bound = binary_search_bound(F(3), F(5), iters, policy)
-        assert len(decided) == calls
+        assert len(fm_runs) == calls
         for report in (bound.report_lo, bound.report_hi):
             assert list(report.results) == list(ALL_CASES)
 
@@ -163,25 +178,55 @@ class TestBinarySearch:
         for report in (bound.report_lo, bound.report_hi):
             assert list(report.results) == list(report.systems) == list(ALL_CASES)
 
-    def test_probes_build_only_the_cases_they_decide(self, monkeypatch):
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(GUARDED_POLICIES), st.integers(0, 8), st.sampled_from(list(Variant)),
+           st.sampled_from(list(itertools.combinations(
+               [F(3), F(13, 4), F(7, 2), F(15, 4), F(4), F(5)], 2))))
+    def test_search_equals_reference_bisection(self, policy, iters, variant, bracket):
+        """The search document is the one a bisection writes that builds every
+        case system at every probe and decides it with ``check_feasibility``;
+        where that bisection finds the bracket invalid, the search raises."""
+        def report(t):
+            systems = {case: build_case_system(case, t, policy, variant) for case in ALL_CASES}
+            return CaseReport(t, policy.c_at(t), policy, variant,
+                              {case: check_feasibility(s) for case, s in systems.items()}, systems)
+
+        lo, hi = bracket
+        report_lo, report_hi = report(lo), report(hi)
+        if not report_lo.all_infeasible or report_hi.all_infeasible:
+            with pytest.raises(BracketError):
+                binary_search_bound(lo, hi, iters, policy, variant)
+            return
+        trace = [(lo, True), (hi, False)]
+        for _ in range(iters):
+            mid = (lo + hi) / 2
+            report_mid = report(mid)
+            trace.append((mid, report_mid.all_infeasible))
+            if report_mid.all_infeasible:
+                lo, report_lo = mid, report_mid
+            else:
+                hi, report_hi = mid, report_mid
+        reference = CertifiedBound(lo, hi, report_lo, report_hi, tuple(trace), policy, variant)
+        bound = binary_search_bound(*bracket, iters, policy, variant)
+        assert search_report_doc(bound) == search_report_doc(reference)
+
+    def test_probes_build_only_the_cases_they_decide(self, monkeypatch, fm_runs):
+        """Probes decide from the row tables; only the two reports of the
+        result are built as systems, four cases each."""
         import bmbounds.certify as certify_mod
         import bmbounds.systems as systems_mod
 
-        built, decided = [], []
+        built = []
 
         def building(*args, **kwargs):
             built.append(args)
             return build_case_system(*args, **kwargs)
 
-        def counting(system):
-            decided.append(system)
-            return check_feasibility(system)
-
         for module in (certify_mod, systems_mod):
             monkeypatch.setattr(module, "build_case_system", building)
-        monkeypatch.setattr(certify_mod, "check_feasibility", counting)
         bound = binary_search_bound(F(3), F(5), 6, CPolicy(2, 1, 4))
-        assert len(built) == len(decided) == 21  # 32 builds when every probe built all four
+        assert len(fm_runs) == 21
+        assert len(built) == 8  # 21 when each FM run built its system, 32 when every probe built all four
         for report in (bound.report_lo, bound.report_hi):
             assert list(report.systems) == list(ALL_CASES)
             assert report.systems == {case: build_case_system(case, report.t, CPolicy(2, 1, 4))
@@ -604,6 +649,35 @@ class TestAuditWork:
         assert verify_certificate_text(json.dumps(dichotomy_report_doc(report)))[0] == EXIT_CERTIFIED
         assert len(built) == 4
 
+    def test_shared_echo_rows_are_parsed_once(self, monkeypatch):
+        """The 8 assignments at 113/32 echo the 25 base rows and 6 branch rows
+        32 and 24 times over; each distinct row is parsed once."""
+        import bmbounds.systems as systems_mod
+
+        parsed = []
+        parse = systems_mod._inequality_from_doc
+
+        def counting(entry, where):
+            parsed.append(entry["label"])
+            return parse(entry, where)
+
+        monkeypatch.setattr(systems_mod, "_inequality_from_doc", counting)
+        doc = dichotomy_report_doc(certify_dichotomy(F(113, 32)))
+        assert verify_certificate_text(json.dumps(doc))[0] == EXIT_CERTIFIED
+        assert len(parsed) == len(set(parsed)) == 31
+
+    @pytest.mark.parametrize("index", [0, 5, 7])
+    def test_tampered_copy_of_a_shared_row(self, index):
+        """A coefficient changed in one assignment's copy of a shared row is
+        caught, whichever copy it is: the other copies stay as written."""
+        doc = json.loads(json.dumps(dichotomy_report_doc(certify_dichotomy(F(113, 32)))))
+        row = doc["assignments"][index]["cases"][0]["system"]["inequalities"][1]
+        assert row["label"] == "7b"
+        row["coeffs"]["th1"] = "2"
+        branches = doc["assignments"][index]["branches"]
+        assert verify_certificate_text(json.dumps(doc)) == (
+            EXIT_NOT_CERTIFIED, f"branches {branches}: case J012 failed re-verification")
+
     def test_audit_serializes_nothing(self, monkeypatch):
         import bmbounds.certify as certify_mod
         import bmbounds.systems as systems_mod
@@ -676,16 +750,7 @@ class TestPlainCaseReuse:
                                          + plain[case].farkas[cut:])
 
     @pytest.mark.parametrize("t, calls", [(F(113, 32), 4), (F(4), 36)], ids=["113/32", "4"])
-    def test_check_feasibility_calls(self, monkeypatch, t, calls):
-        import bmbounds.certify as certify_mod
-
-        systems = []
-
-        def counting(system):
-            systems.append(system)
-            return check_feasibility(system)
-
-        monkeypatch.setattr(certify_mod, "check_feasibility", counting)
+    def test_check_feasibility_calls(self, fm_runs, t, calls):
         report = certify_dichotomy(t)
-        assert len(systems) == calls  # 32 and 32 when every assignment ran FM
+        assert len(fm_runs) == calls  # 32 and 32 when every assignment ran FM
         assert report.certified is (t < 4)

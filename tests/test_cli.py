@@ -77,6 +77,34 @@ class TestSearchCommand:
         assert "inverted" in err
 
 
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    def test_iters_bounded_before_any_decision(self, capsys, monkeypatch, command):
+        """More than MAX_ITERS bisection steps is exit 2 with one line, before a
+        case is decided or a system built."""
+        import bmbounds.certify as certify_mod
+        import bmbounds.systems as systems_mod
+
+        def boom(*args, **kwargs):  # pragma: no cover
+            raise AssertionError("no case may be decided")
+
+        for module in (certify_mod, systems_mod):
+            monkeypatch.setattr(module, "build_case_system", boom)
+            monkeypatch.setattr(module, "case_rows", boom)
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--iters", "100000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", "error: --iters 100000 exceeds the limit of 1000\n")
+
+    def test_iters_cap_is_inclusive(self, capsys, monkeypatch):
+        import bmbounds.certify as certify_mod
+
+        monkeypatch.setattr(certify_mod, "MAX_ITERS", 3)
+        code, out, _ = run(capsys, "search", "--iters", "3", "--format", "structured")
+        assert (code, len(json.loads(out)["trace"])) == (0, 5)
+        code, out, err = run(capsys, "search", "--iters", "4")
+        assert (code, out, err) == (2, "", "error: --iters 4 exceeds the limit of 3\n")
+
+
 class TestSweepCommand:
     def test_default_policies_rank(self, capsys):
         code, out, _ = run(capsys, "sweep", "--iters", "6", "--format", "csv")

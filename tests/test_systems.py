@@ -1,21 +1,29 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bmbounds.exactlp import GE, LE, LinearSystem
+from bmbounds.exactlp import GE, LE, LinearSystem, system_rows
+from bmbounds.rationals import format_rational
 from bmbounds.systems import (
     ALL_CASES,
+    CASE_TABLES,
     CPolicy,
     DEFAULT_POLICY,
     DomainError,
     JCase,
     SystemFormatError,
     Variant,
+    _guards,
     branch_row,
     build_case_system,
+    case_point,
+    case_rows,
     build_dichotomy_systems,
     parse_system_file,
     serialize_system,
@@ -149,6 +157,95 @@ def test_cleared_rows_match_displays_at_random_points():
                         row_slack = -row_slack
                     disp = _display_value(ineq.label, t, c, point, variant)
                     assert row_slack == disp, (case, ineq.label, t)
+
+
+class TestCaseRowTables:
+    """The row tables the probes decide from, proved against the builders:
+    each table row is the base row ``system_rows`` clears from the built row
+    (primitive direction, reduced rhs pair, leading-coefficient pair)."""
+
+    FACTORS = {"t-1", "c-1", "u-1", "c", "1"}
+
+    @staticmethod
+    def assert_rows_match(t, policy):
+        point = case_point(t, policy)
+        for case in ALL_CASES:
+            for variant in Variant:
+                built = build_case_system(case, t, policy, variant)
+                rows = case_rows(case, point, variant)
+                assert len(rows) == len(system_rows(built))
+                for label, row, expected in zip(
+                        [ineq.label for ineq in built.inequalities] + ["nonneg"] * 4,
+                        rows, system_rows(built)):
+                    assert row == expected, (format_rational(t), policy.key(), variant, label)
+
+    @pytest.mark.parametrize("case", ALL_CASES, ids=[c.value for c in ALL_CASES])
+    def test_labels_and_factors(self, case):
+        assert [row.label for row in CASE_TABLES[case]] == EXPECTED_LABELS[case]
+        assert {row.factor for row in CASE_TABLES[case]} <= self.FACTORS
+
+    @pytest.mark.parametrize("t, policy", [
+        (F(5, 2), CPolicy(2, 1, 4)),     # t - c = 1: kappa = 0, a zero entry in 7c, 8e, 9e
+        (F(7, 2), CPolicy(1, 0, 1)),     # c = t
+        (F(7, 2), CPolicy(1, 0, 2)),     # c = t/2
+        (3 + F(1, 2**61 + 1), DEFAULT_POLICY),
+        (F(2**64 + 3, 2**62 + 1), CPolicy(3, 1, 4)),
+    ], ids=["kappa-0", "c-t", "c-half-t", "den-2^61", "den-2^62"])
+    def test_edge_points(self, t, policy):
+        self.assert_rows_match(t, policy)
+
+    def test_kappa_zero_drops_the_entry(self):
+        [row_7c] = [row for ineq, row in zip(
+            build_case_system(JCase.J012, F(5, 2)).inequalities,
+            case_rows(JCase.J012, case_point(F(5, 2), DEFAULT_POLICY))) if ineq.label == "7c"]
+        assert row_7c == ((0, 0, 0, -1), -1, 1, 1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_guarded_points(self, data):
+        """Guarded (t, policy) pairs: t = n/d in (1, 9] with d up to 2**70, and
+        q drawn so that c(t) = (p*t + q)/r > 1 and t/2 <= c(t) <= t."""
+        d = data.draw(st.integers(1, 2**70))
+        t = F(data.draw(st.integers(d + 1, 9 * d)), d)
+        p, r = data.draw(st.integers(-2, 6)), data.draw(st.integers(1, 16))
+        q_min = max(math.floor(r - p * t) + 1, math.ceil(r * t / 2 - p * t))
+        q_max = math.floor(r * t - p * t)
+        assume(q_min <= q_max)
+        policy = CPolicy(p, data.draw(st.integers(q_min, q_max)), r)
+        self.assert_rows_match(t, policy)
+
+    @pytest.mark.parametrize("t, policy, guard", [
+        (F(1), DEFAULT_POLICY, "t - 1 must be positive"),
+        (F(1, 2), DEFAULT_POLICY, "t - 1 must be positive"),
+        (F(3, 2), CPolicy(0, 1, 1), "c - 1 must be positive"),
+        (F(5, 4), CPolicy(1, -1, 1), "c - 1 must be positive"),
+        (F(4), CPolicy(1, 1, 1), "t/2 <= c <= t"),
+        (F(4), CPolicy(1, 0, 3), "t/2 <= c <= t"),
+    ])
+    def test_integer_guards_fail_as_guards_do(self, t, policy, guard):
+        with pytest.raises(DomainError, match=guard) as by_point:
+            case_point(t, policy)
+        with pytest.raises(DomainError) as by_guards:
+            _guards(t, policy)
+        assert str(by_point.value) == str(by_guards.value)
+
+    def test_integer_guards_pass_where_guards_do(self):
+        """Over a grid of t and policies, ``case_point`` raises exactly where
+        ``_guards`` does, and then with its text."""
+        for t, p, q, r in itertools.product(
+                [F(k, 4) for k in range(1, 25)], range(-2, 4), range(-4, 5), range(1, 5)):
+            policy = CPolicy(p, q, r)
+            try:
+                _guards(t, policy)
+                expected = None
+            except DomainError as exc:
+                expected = str(exc)
+            try:
+                case_point(t, policy)
+                got = None
+            except DomainError as exc:
+                got = str(exc)
+            assert got == expected, (t, policy)
 
 
 class TestSerialization:

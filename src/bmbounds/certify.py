@@ -259,10 +259,13 @@ def sweep_policies(
     Returns (ranked, skipped): ranked is sorted by t_lo descending with
     ties broken by (p, q, r) lexicographic order; policies whose guards or
     bracket preconditions fail end up in skipped with the reason.
-    ``iters`` above ``MAX_ITERS`` raises IterationsError before any policy
-    is searched.
+    ``iters`` above ``MAX_ITERS`` raises IterationsError, and a repeated
+    policy InputError, before any policy is searched.
     """
     _check_iters(iters)
+    repeated = [policy.key() for i, policy in enumerate(policies) if policy in policies[:i]]
+    if repeated:
+        raise InputError(f"policies must be distinct, got {repeated[0]} more than once")
     ranked: list[tuple[CPolicy, CertifiedBound]] = []
     skipped: list[tuple[CPolicy, str]] = []
     for policy in policies:
@@ -458,11 +461,15 @@ class _Rejected(Exception):
 def _entry_result(entry: dict) -> FeasibilityResult:
     status = entry["status"]
     if status == "feasible":
-        witness = {v: parse_rational(s) for v, s in entry["witness"].items()}
-        return FeasibilityResult("feasible", witness=witness)
+        witness = entry["witness"]
+        if not isinstance(witness, dict):
+            raise SystemFormatError(f"witness must be an object, got {type(witness).__name__}")
+        return FeasibilityResult("feasible", witness={v: parse_rational(s) for v, s in witness.items()})
     if status == "infeasible":
-        farkas = tuple(parse_rational(s) for s in entry["farkas"])
-        return FeasibilityResult("infeasible", farkas=farkas)
+        farkas = entry["farkas"]
+        if not isinstance(farkas, list):  # a string or an object would be read item by item
+            raise SystemFormatError(f"farkas must be a list, got {type(farkas).__name__}")
+        return FeasibilityResult("infeasible", farkas=tuple(parse_rational(s) for s in farkas))
     raise SystemFormatError(f"unknown status {status!r}")
 
 

@@ -41,31 +41,23 @@ from .certify import (
     verify_cert_file,
 )
 from .rationals import InputError, RationalFormatError, format_rational, parse_int, parse_rational
-from .systems import ALL_CASES, CPolicy, DEFAULT_POLICY, JCase, Variant
+from .systems import ALL_CASES, CPolicy, DEFAULT_POLICY, Variant
 
-CASE_FLAG = {"all": None, "j012": JCase.J012, "not0": JCase.NOT0,
-             "in0not1": JCase.IN0_NOT1, "in01not2": JCase.IN01_NOT2}
-
-
-def _rational(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except RationalFormatError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+CASE_FLAG = {"all": None, **{case.value.lower(): case for case in ALL_CASES}}
 
 
-def _int(text: str) -> int:
-    try:
-        return parse_int(text)
-    except RationalFormatError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _arg(parse):
+    """An argparse type that reads its text with ``parse``; a ValueError (a
+    RationalFormatError, or a policy's DomainError) is the usage message."""
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return read
 
 
-def _policy(text: str) -> CPolicy:
-    try:
-        return CPolicy.parse(text)
-    except ValueError as exc:  # a RationalFormatError or DomainError
-        raise argparse.ArgumentTypeError(str(exc))
+_rational, _int, _policy = _arg(parse_rational), _arg(parse_int), _arg(CPolicy.parse)
 
 
 def _nonnegative_int(text: str) -> int:

@@ -1,12 +1,12 @@
 """Exact feasibility decisions for rational linear-inequality systems.
 
 The one decision procedure, ``solve_rows``, is Fourier-Motzkin elimination
-carried out on Python integers.  It reads base rows: each is a primitive
-integer direction (ints with gcd 1) with its right-hand side as a reduced
-integer pair num/den, den > 0, and the leading-coefficient pair of the
-inequality it stands for.  ``system_rows`` clears a ``LinearSystem`` into
-them (denominators cleared with an integer lcm, a >= row negated through
-its gcd, and a unit row -v <= 0 per nonnegative variable);
+carried out on Python integers.  It reads base rows, which ``base_row``
+makes and documents: each is a primitive integer direction (ints with
+gcd 1) with its right-hand side as a reduced integer pair num/den, den > 0,
+and the leading-coefficient pair of the inequality it stands for.
+``system_rows`` clears a ``LinearSystem`` into them (denominators cleared
+with an integer lcm, and a unit row -v <= 0 per nonnegative variable);
 ``systems.case_rows`` makes the same rows for the case systems from
 integers alone.  A derived row is an integer combination of two rows
 divided by its gcd, with its rhs pair combined over the product of the two
@@ -281,18 +281,33 @@ def _witness(n: int, layers: list) -> tuple[list[int], int]:
     return xs, D
 
 
+def base_row(vec: list[int], scale: int, num: int, den: int) -> tuple:
+    """The base row of an inequality, from ``scale`` > 0 times its <=-form:
+    ``vec`` holds those integer coefficients, not all zero, and num/den
+    (den > 0) that right-hand side.
+
+    A base row is (vec, num, den, q, p): ``vec`` is the primitive integer
+    direction of the <=-form (``vec`` divided by its gcd), ``num/den`` its
+    right-hand side at the same scale as a reduced pair with den > 0, and
+    p/q the absolute value of the inequality's first nonzero coefficient
+    as a reduced pair.
+    """
+    lead = next(filter(None, vec))
+    h = math.gcd(lead, scale)
+    g = math.gcd(*vec)
+    den *= g
+    r = math.gcd(num, den)
+    return tuple([x // g for x in vec]), num // r, den // r, scale // h, abs(lead) // h
+
+
 def system_rows(system: LinearSystem) -> list[tuple]:
     """The base rows of a system: its inequalities in order, then -v <= 0 per nonneg variable.
 
-    A base row is (vec, num, den, q, p): ``vec`` is the primitive integer
-    direction of the row's <=-form, ``num/den`` its right-hand side at the
-    same scale as a reduced pair with den > 0, and p/q the absolute value
-    of the inequality's first nonzero coefficient as a reduced pair.  Each
-    inequality's denominators are cleared by their lcm, and a >= row is
-    negated by dividing it by -gcd.  An inequality without a nonzero
-    coefficient keeps the zero direction, the rhs of its <=-form and
-    p = q = 1.  ``systems.case_rows`` makes the same rows for the case
-    systems from integers alone.
+    Each inequality's <=-form is cleared by the lcm of its denominators and
+    passed to ``base_row``.  An inequality without a nonzero coefficient
+    keeps the zero direction, the rhs of its <=-form and p = q = 1.
+    ``systems.case_rows`` makes the same rows for the case systems from
+    integers alone.
     """
     variables = system.variables
     n = len(variables)
@@ -304,26 +319,16 @@ def system_rows(system: LinearSystem) -> list[tuple]:
     rows = []
     for ineq in system.inequalities:
         terms = [(index[v], c) for v, c in ineq.coeffs.items() if c]
+        sign = -1 if ineq.relation == GE else 1
         rhs = ineq.rhs
         if not terms:
-            if ineq.relation == GE:
-                rhs = -rhs
-            rows.append((tuple([0] * n), rhs.numerator, rhs.denominator, 1, 1))
+            rows.append((tuple([0] * n), sign * rhs.numerator, rhs.denominator, 1, 1))
             continue
         scale = math.lcm(*[c.denominator for _, c in terms])
         vec = [0] * n
         for k, c in terms:
-            vec[k] = c.numerator * (scale // c.denominator)
-        g = math.gcd(*vec)
-        if ineq.relation == GE:
-            g = -g
-        num, den = rhs.numerator * scale, rhs.denominator * g
-        r = math.gcd(num, den)
-        if g < 0:
-            r = -r
-        _, lead = min(terms)
-        rows.append((tuple([x // g for x in vec]), num // r, den // r,
-                     lead.denominator, abs(lead.numerator)))
+            vec[k] = sign * c.numerator * (scale // c.denominator)
+        rows.append(base_row(vec, scale, sign * rhs.numerator * scale, rhs.denominator))
     for v in system.nonneg_ordered:
         vec = [0] * n
         vec[index[v]] = -1
@@ -334,7 +339,7 @@ def system_rows(system: LinearSystem) -> list[tuple]:
 def solve_rows(variables: tuple[str, ...], rows: list[tuple]) -> FeasibilityResult:
     """Fourier-Motzkin elimination over base rows: the one solver, its result unverified.
 
-    ``rows`` are base rows as ``system_rows`` makes them, over
+    ``rows`` are base rows as ``base_row`` makes them, over
     ``variables``; a Farkas vector has one multiplier per base row.  The
     variable with the fewest pairings is eliminated first (ties broken by
     variable order) so the intermediate row count stays small for the

@@ -12,15 +12,14 @@ plus 6b2 (case not0), 8a-8f (case in0not1) and 9a-9f (case in01not2).
 The d-row of case in0not1 exists in two readings ("printed" and
 "symmetrized") selected by the variant flag; nothing else depends on it.
 
-Each case exists twice.  ``build_case_system`` builds it as a
-``LinearSystem`` from Fraction arithmetic: that is the encoding documents
-echo and ``verify-cert`` rebuilds from.  ``CASE_TABLES`` holds it as one
-integer row table per case: each row has its label, the factor it was
-cleared of and a maker that computes, from t = n/d and the policy alone,
-the base row ``exactlp.solve_rows`` decides from.  ``case_rows`` lists a
-case's base rows at the ``case_point`` of t and the policy, which checks
-the guards on integers; the tests hold every table row equal to the base
-row ``exactlp.system_rows`` clears from the built row.
+``CASE_TABLES`` holds one table per case, each row with two encodings.
+A row's ``build`` writes it as a Fraction inequality: ``build_case_system``
+assembles those, the encoding documents echo and ``verify-cert`` rebuilds
+from.  Its ``make`` computes, from t = n/d and the policy alone, the base
+row ``exactlp.solve_rows`` decides from.  ``case_rows`` lists a case's
+base rows at the ``case_point`` of t and the policy, which checks the
+guards on integers; the tests hold every made row equal to the base row
+``exactlp.system_rows`` clears from the built row.
 """
 
 from __future__ import annotations
@@ -28,14 +27,13 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-import math
 import reprlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .exactlp import GE, LE, LinearInequality, LinearSystem, SystemError_
+from .exactlp import GE, LE, LinearInequality, LinearSystem, SystemError_, base_row
 from .rationals import InputError, RationalFormatError, format_rational, parse_int, parse_rational
 
 VARIABLES = ("th0", "th1", "th2", "a")
@@ -122,26 +120,63 @@ def _ge(coeffs: Mapping[str, Fraction], rhs: Fraction, label: str) -> LinearIneq
     return LinearInequality(coeffs, GE, rhs, label)
 
 
-def _pair_gap_row(t: Fraction, label: str) -> LinearInequality:
+# ---------------------------------------------------------------------------
+# Case rows: Fraction builders and integer makers
+# ---------------------------------------------------------------------------
+#
+# Each kind of row has a builder, which writes it as the documented
+# Fraction inequality from (t, c, u) with u = (t + c)/2, and a maker,
+# which computes its base row (see ``exactlp.base_row``) from integers
+# alone.  At t = n/d the point (T, C, R) holds t = T/R and c = C/R over one
+# denominator, R = r*d, T = r*n and C = p*n + q*d, so u is U/(2R) with
+# U = T + C.  A maker passes ``base_row`` the documented row times an
+# integer M > 0 that leaves integer coefficients and a rhs over R: its
+# clearing factor t-1, c-1, u-1 or c times R or 2R (times 1 for the pair
+# gap rows, whose factor t-1 divides the rhs only, and for the ordering
+# rows; the mass row 6c, factor 1, is multiplied by C like the other mass
+# rows).  The arguments of a row's kind come first, in both.
+
+CasePoint = tuple[int, int, int]
+
+
+def _pair_gap_row(t: Fraction, c: Fraction, u: Fraction, variant: Variant,
+                  label: str) -> LinearInequality:
     # t >= 2t/(t-1) + th2 + a   cleared to   th2 + a <= t - 2t/(t-1)
     return _le({"th2": Fraction(1), "a": Fraction(1)}, t - 2 * t / (t - 1), label)
 
 
-def _single_tail_row(t: Fraction, m: int, level: Fraction, label: str) -> LinearInequality:
-    # t >= 2(level - th_m)/(level - 1) - th_m + sum_{j != m} th_j + a
+def _pair_gap_ints(point: CasePoint, variant: Variant) -> tuple:
+    # th2 + a <= t(t - 3)/(t - 1)
+    T, _, R = point
+    return base_row([0, 0, 1, 1], 1, T * (T - 3 * R), R * (T - R))
+
+
+def _single_tail_row(m: int, level: str, t: Fraction, c: Fraction, u: Fraction,
+                     variant: Variant, label: str) -> LinearInequality:
+    # t >= 2(L - th_m)/(L - 1) - th_m + sum_{j != m} th_j + a, with L = t or c by level
+    L = t if level == "t" else c
     coeffs = {"a": Fraction(1)}
     for j, name in enumerate(THETAS):
         coeffs[name] = Fraction(1)
-    coeffs[THETAS[m]] = -(level + 1) / (level - 1)
-    return _le(coeffs, t - 2 * level / (level - 1), label)
+    coeffs[THETAS[m]] = -(L + 1) / (L - 1)
+    return _le(coeffs, t - 2 * L / (L - 1), label)
 
 
-def _mixed_tail_row(
-    t: Fraction, m: int, u: Fraction, label: str, printed_tail: bool = False
-) -> LinearInequality:
+def _single_tail_ints(m: int, level: str, point: CasePoint, variant: Variant) -> tuple:
+    # times (L - 1) * R: th_m gets -(L + 1) * R, the rest L*R - R
+    T, C, R = point
+    L = T if level == "t" else C
+    M = L - R
+    vec = [M, M, M, M]
+    vec[m] = -(L + R)
+    return base_row(vec, M, M * T - 2 * R * L, R)
+
+
+def _mixed_tail_row(m: int, printed_in: Variant | None, t: Fraction, c: Fraction, u: Fraction,
+                    variant: Variant, label: str) -> LinearInequality:
     # t >= 2(u - (th_m - (sum others)/2))/(u - 1) + tail
-    # symmetrized tail: -th_m + sum others + a ; printed tail: th2 + a.
-    if printed_tail:
+    # symmetrized tail: -th_m + sum others + a ; printed tail, in ``printed_in`` only: th2 + a.
+    if variant is printed_in:
         coeffs = {"a": Fraction(1), "th0": Fraction(0), "th1": Fraction(0), "th2": Fraction(0)}
         coeffs[THETAS[m]] += Fraction(-2) / (u - 1)
         for j, name in enumerate(THETAS):
@@ -157,7 +192,24 @@ def _mixed_tail_row(
     return _le(coeffs, t - 2 * u / (u - 1), label)
 
 
-def _mass_row(t: Fraction, c: Fraction, scaled: Sequence[int], label: str) -> LinearInequality:
+def _mixed_tail_ints(m: int, printed_in: Variant | None, point: CasePoint,
+                     variant: Variant) -> tuple:
+    # times (u - 1) * 2R = U - 2R
+    T, C, R = point
+    U = T + C
+    M = U - 2 * R
+    if variant is printed_in:
+        vec = [2 * R, 2 * R, 2 * R, M]
+        vec[m] = -4 * R
+        vec[2] += M
+    else:
+        vec = [U, U, U, M]
+        vec[m] = -(U + 2 * R)
+    return base_row(vec, M, M * T - 2 * R * U, R)
+
+
+def _mass_row(scaled: Sequence[int], t: Fraction, c: Fraction, u: Fraction, variant: Variant,
+              label: str) -> LinearInequality:
     # sum th_j (with factor (t-c-1)/c on the scaled indices) + a >= 1
     kappa = (t - c - 1) / c
     coeffs = {"a": Fraction(1)}
@@ -166,11 +218,89 @@ def _mass_row(t: Fraction, c: Fraction, scaled: Sequence[int], label: str) -> Li
     return _ge(coeffs, Fraction(1), label)
 
 
-def _ordering_rows(prefix: str) -> list[LinearInequality]:
-    return [
-        _le({"th0": Fraction(1), "th1": Fraction(-1)}, Fraction(0), f"{prefix}.1"),
-        _le({"th1": Fraction(1), "th2": Fraction(-1)}, Fraction(0), f"{prefix}.2"),
-    ]
+def _mass_ints(scaled: Sequence[int], point: CasePoint, variant: Variant) -> tuple:
+    # times c * R = C, then negated to the <=-form
+    T, C, R = point
+    vec = [-C, -C, -C, -C]
+    for j in scaled:
+        vec[j] = C + R - T
+    return base_row(vec, C, -C, 1)
+
+
+def _ordering_row(j: int, t: Fraction, c: Fraction, u: Fraction, variant: Variant,
+                  label: str) -> LinearInequality:
+    # th_j - th_{j+1} <= 0
+    return _le({THETAS[j]: Fraction(1), THETAS[j + 1]: Fraction(-1)}, Fraction(0), label)
+
+
+def _ordering_ints(j: int, point: CasePoint, variant: Variant) -> tuple:
+    vec = [0, 0, 0, 0]
+    vec[j], vec[j + 1] = 1, -1
+    return base_row(vec, 1, 0, 1)
+
+
+_PAIR_GAP = (_pair_gap_row, _pair_gap_ints)
+_SINGLE_TAIL = (_single_tail_row, _single_tail_ints)
+_MIXED_TAIL = (_mixed_tail_row, _mixed_tail_ints)
+_MASS = (_mass_row, _mass_ints)
+_ORDERING = (_ordering_row, _ordering_ints)
+
+
+class TableRow:
+    """One documented row of a case system, in both encodings.
+
+    ``kind`` is a (builder, maker) pair and ``args`` its arguments:
+    ``build(t, c, u, variant, label)`` is the Fraction inequality and
+    ``make(point, variant)`` its base row; ``factor`` names what the
+    documented coefficients were cleared of.
+    """
+
+    __slots__ = ("label", "factor", "build", "make")
+
+    def __init__(self, label: str, factor: str, kind: tuple, *args):
+        builder, maker = kind
+        self.label, self.factor = label, factor
+        self.build, self.make = partial(builder, *args), partial(maker, *args)
+
+
+CASE_TABLES: dict[JCase, tuple[TableRow, ...]] = {
+    JCase.J012: (
+        TableRow("7a", "t-1", _PAIR_GAP),
+        TableRow("7b", "t-1", _SINGLE_TAIL, 0, "t"),
+        TableRow("7c", "c", _MASS, (0, 1, 2)),
+        TableRow("7d.1", "1", _ORDERING, 0),
+        TableRow("7d.2", "1", _ORDERING, 1),
+    ),
+    JCase.NOT0: (
+        TableRow("6a", "t-1", _PAIR_GAP),
+        TableRow("6b", "c-1", _SINGLE_TAIL, 0, "c"),
+        TableRow("6b2", "u-1", _MIXED_TAIL, 0, None),
+        TableRow("6c", "1", _MASS, ()),
+        TableRow("6d.1", "1", _ORDERING, 0),
+        TableRow("6d.2", "1", _ORDERING, 1),
+    ),
+    JCase.IN0_NOT1: (
+        TableRow("8a", "t-1", _PAIR_GAP),
+        TableRow("8b", "t-1", _SINGLE_TAIL, 0, "t"),
+        TableRow("8c", "c-1", _SINGLE_TAIL, 1, "c"),
+        TableRow("8d", "u-1", _MIXED_TAIL, 1, Variant.PRINTED),
+        TableRow("8e", "c", _MASS, (1, 2)),
+        TableRow("8f.1", "1", _ORDERING, 0),
+        TableRow("8f.2", "1", _ORDERING, 1),
+    ),
+    JCase.IN01_NOT2: (
+        TableRow("9a", "t-1", _PAIR_GAP),
+        TableRow("9b", "t-1", _SINGLE_TAIL, 0, "t"),
+        TableRow("9c", "c-1", _SINGLE_TAIL, 2, "c"),
+        TableRow("9d", "u-1", _MIXED_TAIL, 2, None),
+        TableRow("9e", "c", _MASS, (1, 2)),
+        TableRow("9f.1", "1", _ORDERING, 0),
+        TableRow("9f.2", "1", _ORDERING, 1),
+    ),
+}
+
+# -v <= 0 for each variable, all of which are nonnegative
+_NONNEG_ROWS = [base_row([-int(j == k) for k in range(4)], 1, 0, 1) for j in range(4)]
 
 
 def build_case_system(
@@ -186,42 +316,7 @@ def build_case_system(
     """
     t = Fraction(t)
     c, u = _guards(t, policy)
-    rows: list[LinearInequality]
-    if case == JCase.J012:
-        rows = [
-            _pair_gap_row(t, "7a"),
-            _single_tail_row(t, 0, t, "7b"),
-            _mass_row(t, c, (0, 1, 2), "7c"),
-            *_ordering_rows("7d"),
-        ]
-    elif case == JCase.NOT0:
-        rows = [
-            _pair_gap_row(t, "6a"),
-            _single_tail_row(t, 0, c, "6b"),
-            _mixed_tail_row(t, 0, u, "6b2"),
-            _mass_row(t, c, (), "6c"),
-            *_ordering_rows("6d"),
-        ]
-    elif case == JCase.IN0_NOT1:
-        rows = [
-            _pair_gap_row(t, "8a"),
-            _single_tail_row(t, 0, t, "8b"),
-            _single_tail_row(t, 1, c, "8c"),
-            _mixed_tail_row(t, 1, u, "8d", printed_tail=(variant == Variant.PRINTED)),
-            _mass_row(t, c, (1, 2), "8e"),
-            *_ordering_rows("8f"),
-        ]
-    elif case == JCase.IN01_NOT2:
-        rows = [
-            _pair_gap_row(t, "9a"),
-            _single_tail_row(t, 0, t, "9b"),
-            _single_tail_row(t, 2, c, "9c"),
-            _mixed_tail_row(t, 2, u, "9d"),
-            _mass_row(t, c, (1, 2), "9e"),
-            *_ordering_rows("9f"),
-        ]
-    else:  # pragma: no cover
-        raise SystemError_(f"unknown case {case!r}")
+    rows = [row.build(t, c, u, variant, row.label) for row in CASE_TABLES[case]]
     meta = {
         "case": case.value,
         "t": format_rational(t),
@@ -230,28 +325,6 @@ def build_case_system(
         "variant": variant.value,
     }
     return LinearSystem(VARIABLES, tuple(rows), frozenset(VARIABLES), meta)
-
-
-# ---------------------------------------------------------------------------
-# Integer row tables
-# ---------------------------------------------------------------------------
-#
-# The same rows as the builders above, made from integers alone for the
-# solver (``exactlp.solve_rows``), which reads each row as a base row
-# (vec, num, den, q, p): the primitive integer direction of its <=-form,
-# the rhs as a reduced pair num/den at that scale (den > 0), and p/q, the
-# absolute value of the documented row's first nonzero coefficient as a
-# reduced pair.  At t = n/d the point (T, C, R) holds t = T/R and c = C/R
-# over one denominator, R = r*d, T = r*n and C = p*n + q*d, so u = (t + c)/2
-# is U/(2R) with U = T + C.  A row maker multiplies the documented row by
-# an integer M > 0 that leaves integer coefficients and a rhs over R: its
-# clearing factor t-1, c-1, u-1 or c times R or 2R (times 1 for the pair
-# gap rows, whose factor t-1 divides the rhs only, and for the ordering
-# rows; the mass row 6c, factor 1, is multiplied by C like the other mass
-# rows).  Only rows that go into a document are built by the Fraction
-# builders, which stay the encoding ``verify-cert`` rebuilds from.
-
-CasePoint = tuple[int, int, int]
 
 
 def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
@@ -265,120 +338,6 @@ def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
         _guards(t, policy)
         raise AssertionError("internal error: the integer guards passed what _guards fails")
     return T, C, R
-
-
-def _table_row(vec: list[int], M: int, num: int, den: int) -> tuple:
-    """The base row of M times a documented row: ``vec`` and num/den (den > 0)
-    are M times its <=-form coefficients and rhs."""
-    lead = next(x for x in vec if x)
-    h = math.gcd(lead, M)
-    g = math.gcd(*vec)
-    den *= g
-    r = math.gcd(num, den)
-    return tuple([x // g for x in vec]), num // r, den // r, M // h, abs(lead) // h
-
-
-def _pair_gap_ints(point: CasePoint, variant: Variant) -> tuple:
-    # th2 + a <= t(t - 3)/(t - 1)
-    T, _, R = point
-    return _table_row([0, 0, 1, 1], 1, T * (T - 3 * R), R * (T - R))
-
-
-def _single_tail_ints(m: int, level: str, point: CasePoint, variant: Variant) -> tuple:
-    # times (level - 1) * R: th_m gets -(level + 1) * R, the rest level*R - R
-    T, C, R = point
-    L = T if level == "t" else C
-    M = L - R
-    vec = [M, M, M, M]
-    vec[m] = -(L + R)
-    return _table_row(vec, M, M * T - 2 * R * L, R)
-
-
-def _mixed_tail_ints(m: int, printed_in: Variant | None, point: CasePoint,
-                     variant: Variant) -> tuple:
-    # times (u - 1) * 2R = U - 2R; the printed tail in ``printed_in`` only
-    T, C, R = point
-    U = T + C
-    M = U - 2 * R
-    if variant is printed_in:
-        vec = [2 * R, 2 * R, 2 * R, M]
-        vec[m] = -4 * R
-        vec[2] += M
-    else:
-        vec = [U, U, U, M]
-        vec[m] = -(U + 2 * R)
-    return _table_row(vec, M, M * T - 2 * R * U, R)
-
-
-def _mass_ints(scaled: tuple[int, ...], point: CasePoint, variant: Variant) -> tuple:
-    # times c * R = C, then negated to the <=-form
-    T, C, R = point
-    vec = [-C, -C, -C, -C]
-    for j in scaled:
-        vec[j] = C + R - T
-    return _table_row(vec, C, -C, 1)
-
-
-def _ordering_ints(j: int, point: CasePoint, variant: Variant) -> tuple:
-    # th_j - th_{j+1} <= 0
-    vec = [0, 0, 0, 0]
-    vec[j], vec[j + 1] = 1, -1
-    return tuple(vec), 0, 1, 1, 1
-
-
-class TableRow:
-    """One documented row of a case system: its label, the factor its
-    coefficients were cleared of, and ``make(point, variant)``, its base row."""
-
-    __slots__ = ("label", "factor", "make")
-
-    def __init__(self, label: str, factor: str, make: Callable[[CasePoint, Variant], tuple]):
-        self.label, self.factor, self.make = label, factor, make
-
-
-_TAIL_T0 = partial(_single_tail_ints, 0, "t")
-_ORDER_01 = partial(_ordering_ints, 0)
-_ORDER_12 = partial(_ordering_ints, 1)
-
-CASE_TABLES: dict[JCase, tuple[TableRow, ...]] = {
-    JCase.J012: (
-        TableRow("7a", "t-1", _pair_gap_ints),
-        TableRow("7b", "t-1", _TAIL_T0),
-        TableRow("7c", "c", partial(_mass_ints, (0, 1, 2))),
-        TableRow("7d.1", "1", _ORDER_01),
-        TableRow("7d.2", "1", _ORDER_12),
-    ),
-    JCase.NOT0: (
-        TableRow("6a", "t-1", _pair_gap_ints),
-        TableRow("6b", "c-1", partial(_single_tail_ints, 0, "c")),
-        TableRow("6b2", "u-1", partial(_mixed_tail_ints, 0, None)),
-        TableRow("6c", "1", partial(_mass_ints, ())),
-        TableRow("6d.1", "1", _ORDER_01),
-        TableRow("6d.2", "1", _ORDER_12),
-    ),
-    JCase.IN0_NOT1: (
-        TableRow("8a", "t-1", _pair_gap_ints),
-        TableRow("8b", "t-1", _TAIL_T0),
-        TableRow("8c", "c-1", partial(_single_tail_ints, 1, "c")),
-        TableRow("8d", "u-1", partial(_mixed_tail_ints, 1, Variant.PRINTED)),
-        TableRow("8e", "c", partial(_mass_ints, (1, 2))),
-        TableRow("8f.1", "1", _ORDER_01),
-        TableRow("8f.2", "1", _ORDER_12),
-    ),
-    JCase.IN01_NOT2: (
-        TableRow("9a", "t-1", _pair_gap_ints),
-        TableRow("9b", "t-1", _TAIL_T0),
-        TableRow("9c", "c-1", partial(_single_tail_ints, 2, "c")),
-        TableRow("9d", "u-1", partial(_mixed_tail_ints, 2, None)),
-        TableRow("9e", "c", partial(_mass_ints, (1, 2))),
-        TableRow("9f.1", "1", _ORDER_01),
-        TableRow("9f.2", "1", _ORDER_12),
-    ),
-}
-
-# -v <= 0 for each variable, all of which are nonnegative
-_NONNEG_ROWS = [((-1, 0, 0, 0), 0, 1, 1, 1), ((0, -1, 0, 0), 0, 1, 1, 1),
-                ((0, 0, -1, 0), 0, 1, 1, 1), ((0, 0, 0, -1), 0, 1, 1, 1)]
 
 
 def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> list[tuple]:

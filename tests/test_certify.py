@@ -409,6 +409,21 @@ class TestCertificateFiles:
         code, _ = verify_certificate_text(json.dumps(doc))
         assert code in (EXIT_NOT_CERTIFIED, EXIT_INPUT_ERROR)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("farkas", "111111111", "farkas must be a list, got str"),
+        ("farkas", {str(i): "1" for i in range(9)}, "farkas must be a list, got dict"),
+        ("witness", ["0", "0", "0", "0"], "witness must be an object, got list"),
+        ("witness", "0000", "witness must be an object, got str"),
+    ], ids=["farkas-string", "farkas-object", "witness-list", "witness-string"])
+    def test_certificate_of_another_json_type_is_malformed(self, field, value, message):
+        """A Farkas vector must be a JSON list and a witness a JSON object: a
+        string would be read character by character, an object key by key."""
+        doc = certify_report_doc(certify_at(F(57, 16)))
+        entry = next(e for e in doc["cases"] if field in e)
+        entry[field] = value
+        assert verify_certificate_text(json.dumps(doc)) == (
+            EXIT_INPUT_ERROR, f"malformed certificate: {message}")
+
     def test_truncated_file_is_input_error(self):
         doc = certify_report_doc(certify_at(F(113, 32)))
         text = json.dumps(doc)

@@ -113,6 +113,17 @@ class TestSweepCommand:
         assert lines[0] == "policy,t_lo,t_hi"
         assert lines[1].startswith("2;1;4,113/32")
 
+    def test_repeated_policy_is_exit_2(self, capsys, monkeypatch):
+        """As for a repeated --functions index: one line, before any search."""
+        import bmbounds.certify as certify_mod
+
+        searched = []
+        monkeypatch.setattr(certify_mod, "binary_search_bound",
+                            lambda *args: searched.append(args))  # pragma: no cover
+        code, out, err = run(capsys, "sweep", "--policies", "2,1,4", "2,1,4", "--iters", "1")
+        assert (code, out, err) == (2, "", "error: policies must be distinct, got 2,1,4 more than once\n")
+        assert searched == []
+
 
 class TestDichotomyCommand:
     def test_certified_at_113_32(self, capsys):
@@ -420,8 +431,17 @@ class TestVerifyCertCommand:
          lambda doc: {**doc, "policy": "1,2"}),
         (("certify", "--t", "113/32"),
          lambda doc: {**doc, "policy": "1,2,3,4"}),
+        (("certify", "--t", "113/32"),
+         lambda doc: {**doc, "cases": [{**e, "farkas": "1" * len(e["farkas"])} for e in doc["cases"]]}),
+        (("certify", "--t", "113/32"),
+         lambda doc: {**doc, "cases": [{**e, "farkas": dict(enumerate(e["farkas"]))}
+                                       for e in doc["cases"]]}),
+        (("certify", "--t", "4"),
+         lambda doc: {**doc, "cases": [{**e, "witness": list(e["witness"].values())}
+                                       if "witness" in e else e for e in doc["cases"]]}),
     ], ids=["json-array", "bogus-case", "function-x", "function-half", "t-1", "t-non-ascii",
-            "policy-non-ascii", "policy-spaces", "policy-two-parts", "policy-four-parts"])
+            "policy-non-ascii", "policy-spaces", "policy-two-parts", "policy-four-parts",
+            "farkas-string", "farkas-object", "witness-list"])
     def test_malformed_document_exit_2(self, capsys, tmp_path, argv, malform):
         path = tmp_path / "cert.json"
         run(capsys, *argv, "--format", "structured", "--out", str(path))

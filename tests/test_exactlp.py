@@ -1,10 +1,11 @@
 import hashlib
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmbounds import exactlp
@@ -494,3 +495,34 @@ def test_integer_verifier_agrees_on_generated_systems(sys_, pick, num, den):
         for edited in _perturbed(res, pick % size, F(num or 1, den)):
             ours, reference = _both_verdicts(sys_, edited)
             assert ours == reference
+
+
+COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(COEFF, min_size=4, max_size=4).filter(any), st.sampled_from([LE, GE]), COEFF,
+       st.integers(1, 12), st.integers(1, 6))
+@example([F(-6, 5), F(0), F(3), F(1, 4)], GE, F(7, 3), 6, 2)  # scale 120, leading entry 144
+@example([F(0), F(-4, 3), F(-2), F(0)], LE, F(-5, 2), 2, 3)  # scale 6, leading entry -8
+def test_base_row_is_the_row_system_rows_clears(coeffs, relation, rhs, k, common):
+    """``base_row`` of a positive integer multiple of an inequality's <=-form is
+    the base row ``system_rows`` clears from the inequality, and it keeps the
+    format: a primitive direction, a reduced rhs pair with den > 0, p/q the
+    absolute leading coefficient in lowest terms, and a positive multiple of
+    the <=-form."""
+    ineq = LinearInequality(dict(zip("wxyz", coeffs)), relation, rhs, "r")
+    [expected] = exactlp.system_rows(LinearSystem(tuple("wxyz"), (ineq,)))
+    sign = -1 if relation == GE else 1
+    scale = k * math.lcm(*[c.denominator for c in coeffs])
+    row = exactlp.base_row([int(sign * scale * c) for c in coeffs], scale,
+                           common * sign * scale * rhs.numerator, common * rhs.denominator)
+    assert row == expected
+    direction, num, den, q, p = row
+    lead = next(c for c in coeffs if c)
+    assert math.gcd(*direction) == 1 and den > 0 and math.gcd(num, den) == 1
+    assert math.gcd(p, q) == 1 and F(p, q) == abs(lead)
+    factor = F(direction[coeffs.index(lead)]) / (sign * lead)
+    assert factor > 0
+    assert list(direction) == [factor * sign * c for c in coeffs]
+    assert F(num, den) == factor * sign * rhs

@@ -13,7 +13,11 @@ relies on the monotonicity of feasibility in t (valid for affine
 c-policies) and returns a CertifiedBound whose endpoint reports hold all
 four cases with machine-checkable certificates: Farkas vectors at t_lo, a
 witness at t_hi.  A midpoint probe tries the case that was feasible at
-the latest feasible probe first and stops at its first feasible case.  A
+the latest feasible probe first and stops at its first feasible case.
+Each probe first re-solves, at its t, the Farkas support and the tight
+basis that last decided the same case, and runs elimination only when
+neither settles it; those verdicts carry no certificate, so the two
+endpoint reports take their certificates from elimination alone.  A
 dichotomy decides its four base systems once per t, through
 ``certify_at``, and shares them across the branch assignments; only the
 cases feasible without branch rows are decided per assignment, and its
@@ -39,6 +43,10 @@ from .exactlp import (
     SystemError_,
     check_feasibility,
     check_rows,
+    farkas_support,
+    feasible_at,
+    infeasible_on,
+    tight_basis,
     verified,
     verify_certificate,
 )
@@ -94,8 +102,9 @@ class CaseReport:
     system of each verdict.  (A partial report comes only from
     ``_decide(..., stop_at_feasible=True)`` inside ``binary_search_bound``:
     it holds the verdicts decided up to the first feasible case, and no
-    such report leaves the bisection.)  Both dicts are in ``ALL_CASES``
-    order.
+    such report leaves the bisection; nor does a verdict without a
+    certificate, which only a bisection probe re-solving an earlier basis
+    makes.)  Both dicts are in ``ALL_CASES`` order.
 
     ``branches`` names the dichotomy branch assignment the systems carry
     (one "a"/"b" per function); it is empty for the plain case systems.
@@ -138,27 +147,54 @@ def _decide(
     order: Sequence[JCase] = ALL_CASES,
     stop_at_feasible: bool = False,
     known: CaseReport | None = None,
+    bases: dict | None = None,
 ) -> CaseReport:
     """Decide the case systems at t in ``order`` from their row tables: the one place they are decided.
 
     Each case is decided from ``case_rows`` when its turn comes, its
     certificate re-verified against those rows; no system is built.  A
     case that ``known``, a report at the same t, already holds is taken
-    from it.  With ``stop_at_feasible`` it stops after the first feasible
-    case.  The report holds the decided cases in ``ALL_CASES`` order
-    whatever the order, and no systems (see ``_documented``).
+    from it.  With ``bases``, which only the bisection passes, a case is
+    decided by ``_warm``.  With ``stop_at_feasible`` it stops after the
+    first feasible case.  The report holds the decided cases in
+    ``ALL_CASES`` order whatever the order, and no systems (see
+    ``_documented``).
     """
     point = case_point(t, policy)
     results = {}
     for case in order:
         if known is not None and case in known.results:
             results[case] = known.results[case]
-        else:
+        elif bases is None:
             results[case] = check_rows(VARIABLES, case_rows(case, point, variant))
+        else:
+            results[case] = _warm(case, case_rows(case, point, variant), bases)
         if stop_at_feasible and results[case].feasible:
             break
     results = {case: results[case] for case in ALL_CASES if case in results}
     return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results, {})
+
+
+def _warm(case: JCase, rows: list[tuple], bases: dict) -> FeasibilityResult:
+    """The verdict on the base rows of ``case``, decided first by re-solving its
+    last infeasible support, then its last feasible basis, and else by
+    ``check_rows``, whose basis replaces the one ``bases`` holds for that
+    case and verdict.  A verdict re-solved from a basis carries no
+    certificate."""
+    if infeasible_on(rows, bases.get((case, False))):
+        return FeasibilityResult("infeasible")
+    if feasible_at(rows, bases.get((case, True))):
+        return FeasibilityResult("feasible")
+    result = check_rows(VARIABLES, rows)
+    bases[case, result.feasible] = (tight_basis(rows, result.witness) if result.feasible
+                                    else farkas_support(rows, result.farkas))
+    return result
+
+
+def _certified(report: CaseReport) -> CaseReport:
+    """The report without its warm verdicts, which carry no certificate."""
+    return replace(report, results={case: r for case, r in report.results.items()
+                                    if r.witness or r.farkas})
 
 
 def _documented(report: CaseReport) -> CaseReport:
@@ -209,12 +245,22 @@ def binary_search_bound(
     all-infeasible probe has decided all four.  A probe tries the last
     feasible case first (the case at which the latest feasible probe
     stopped), then the others in ``ALL_CASES`` order; the check at hi uses
-    ``ALL_CASES`` order.  The verdict of a probe does not depend on that
-    order, so neither do the trace and the two reports.  The lo end is
-    decided in full, so its error names every feasible case, and after the
-    loop the report at t_hi gets the verdicts it still lacks.  Only the
-    two reports of the result are built as systems (eight in all), each
-    holding all four cases in ``ALL_CASES`` order.
+    ``ALL_CASES`` order.  The lo end is decided in full, so its error
+    names every feasible case.
+
+    Probes are warm-started: one dict, kept across the probes, holds per
+    case the support of the last Farkas vector and the tight basis of the
+    last witness that elimination found for it.  A case is first re-solved
+    at the new t on that support (``exactlp.infeasible_on``), then on that
+    basis (``exactlp.feasible_at``), and runs Fourier-Motzkin only when
+    both fail.  Each check accepts a verdict only after exact integer
+    substitution, so a verdict never depends on the bases or on the order;
+    neither do the trace and the two reports.  A re-solved verdict has no
+    certificate and never reaches a document: after the loop the reports
+    at t_lo and t_hi keep only their verdicts from elimination and decide
+    the other cases again by it.  Only these two reports are built as
+    systems (eight in all), each holding all four cases in ``ALL_CASES``
+    order.
     """
     _check_iters(iters)
     lo, hi = Fraction(lo), Fraction(hi)
@@ -222,13 +268,14 @@ def binary_search_bound(
         raise BracketError(
             f"inverted bracket: lo = {format_rational(lo)} must be below hi = {format_rational(hi)}"
         )
-    report_lo = _decide(lo, policy, variant)
+    bases: dict = {}
+    report_lo = _decide(lo, policy, variant, bases=bases)
     if not report_lo.all_infeasible:
         raise BracketError(
             f"bracket end lo = {format_rational(lo)} is not all-infeasible"
             f" (feasible: {', '.join(c.value for c in report_lo.feasible_cases)})"
         )
-    report_hi = _decide(hi, policy, variant, stop_at_feasible=True)
+    report_hi = _decide(hi, policy, variant, stop_at_feasible=True, bases=bases)
     if report_hi.all_infeasible:
         raise BracketError(f"bracket end hi = {format_rational(hi)} has no feasible case")
     trace = [(lo, True), (hi, False)]
@@ -236,15 +283,21 @@ def binary_search_bound(
         mid = (lo + hi) / 2
         first = report_hi.feasible_cases[0]
         order = (first, *(c for c in ALL_CASES if c != first))
-        report_mid = _decide(mid, policy, variant, order, stop_at_feasible=True)
+        report_mid = _decide(mid, policy, variant, order, stop_at_feasible=True, bases=bases)
         trace.append((mid, report_mid.all_infeasible))
         if report_mid.all_infeasible:
             lo, report_lo = mid, report_mid
         else:
             hi, report_hi = mid, report_mid
-    report_hi = _decide(hi, policy, variant, known=report_hi)
+    report_lo = _decide(lo, policy, variant, known=_certified(report_lo))
+    report_hi = _decide(hi, policy, variant, known=_certified(report_hi))
     return CertifiedBound(lo, hi, _documented(report_lo), _documented(report_hi), tuple(trace),
                           policy, variant)
+
+
+def _repeated(policies: Sequence[CPolicy]) -> CPolicy | None:
+    """The first policy that repeats an earlier one, if any."""
+    return next((policy for i, policy in enumerate(policies) if policy in policies[:i]), None)
 
 
 def sweep_policies(
@@ -263,9 +316,9 @@ def sweep_policies(
     policy InputError, before any policy is searched.
     """
     _check_iters(iters)
-    repeated = [policy.key() for i, policy in enumerate(policies) if policy in policies[:i]]
+    repeated = _repeated(policies)
     if repeated:
-        raise InputError(f"policies must be distinct, got {repeated[0]} more than once")
+        raise InputError(f"policies must be distinct, got {repeated.key()} more than once")
     ranked: list[tuple[CPolicy, CertifiedBound]] = []
     skipped: list[tuple[CPolicy, str]] = []
     for policy in policies:
@@ -572,11 +625,17 @@ def _check_sweep(doc: dict, variant: Variant) -> None:
     Each entry's ``policy``, ``t_lo`` and ``t_hi`` must be those of its
     search document, which must have the sweep's variant, bisect ``iters``
     times and open with the same bracket ends as the others; the entries
-    must be ranked by ``(-t_lo, (p, q, r))``.  Skipped entries claim nothing.
+    must be ranked by ``(-t_lo, (p, q, r))``.  Skipped entries claim
+    nothing, but no policy may appear twice among the entries of
+    ``results`` and ``skipped``, as a sweep searches each policy once.
     """
     iters = doc["iters"]
     if type(iters) is not int:
         raise SystemFormatError(f"iters must be an integer, got {iters!r}")
+    repeated = _repeated([CPolicy.parse(entry["policy"])
+                          for entry in doc["results"] + doc["skipped"]])
+    if repeated:
+        raise _Rejected(f"policy {repeated.key()} appears more than once in results and skipped")
     keys, brackets = [], set()
     for entry in doc["results"]:
         search = entry["search"]

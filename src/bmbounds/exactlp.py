@@ -28,10 +28,14 @@ own coefficients with ``verify_certificate``; ``verified`` is that
 self-check, which every certificate a document carries passes, here or in
 a caller that decided it from rows or reuses it for another system.
 ``check_rows`` decides base rows and re-checks against the same rows with
-``verify_rows``.  The independent cross-checks, an exact phase-1 simplex,
-brute-force vertex enumeration and a Fraction reference verifier, are
-kept off the runtime path in ``crosscheck``; the tests require them to
-agree with this module.
+``verify_rows``.  ``infeasible_on`` and ``feasible_at`` re-solve, for
+other rows of the same shape, a Farkas support or a tight basis that
+``farkas_support`` and ``tight_basis`` take from a result; they give a
+verdict without a certificate, accepted only after exact substitution.
+The independent cross-checks, an exact phase-1 simplex, brute-force
+vertex enumeration and a Fraction reference verifier, are kept off the
+runtime path in ``crosscheck``; the tests require them to agree with this
+module.
 
 No floating point is used anywhere in this module.
 """
@@ -43,7 +47,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -418,6 +422,119 @@ def check_rows(variables: tuple[str, ...], rows: list[tuple]) -> FeasibilityResu
     if not verify_rows(variables, rows, result):
         raise AssertionError(SELF_CHECK_FAILED)
     return result
+
+
+# ---------------------------------------------------------------------------
+# Warm starts: re-solving a basis, a list of base-row indices, for other rows
+# ---------------------------------------------------------------------------
+
+def _eliminate(columns: list) -> tuple[list[int], list[list[int]]]:
+    """Gauss-Jordan elimination, in integers, of the matrix with these columns.
+
+    Returns the pivot columns, each independent of the columns before it,
+    and one kernel vector per other column f: integers with gcd 1,
+    positive at f and zero at every other non-pivot column.
+    """
+    matrix = [list(row) for row in zip(*columns)]
+    pivots = []
+    for f in range(len(columns)):
+        r = len(pivots)
+        i = next((i for i in range(r, len(matrix)) if matrix[i][f]), None)
+        if i is None:
+            continue
+        matrix[r], matrix[i] = matrix[i], matrix[r]
+        prow = matrix[r]
+        a = prow[f]
+        for i, row in enumerate(matrix):
+            b = row[f]
+            if b and i != r:
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)
+                matrix[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(f)
+    lcm = math.lcm(*[matrix[r][c] for r, c in enumerate(pivots)])
+    kernel = []
+    for f in [f for f in range(len(columns)) if f not in pivots]:
+        z = [0] * len(columns)
+        z[f] = lcm
+        for r, c in enumerate(pivots):
+            z[c] = -matrix[r][f] * (lcm // matrix[r][c])
+        g = math.gcd(*z)
+        kernel.append([x // g for x in z])
+    return pivots, kernel
+
+
+def infeasible_on(rows: list[tuple], support: Optional[Sequence[int]]) -> bool:
+    """Whether the base rows ``support`` prove ``rows`` infeasible: their
+    directions have a one-dimensional kernel whose generator is nonnegative,
+    cancels every variable and combines the right-hand sides into a
+    negative number."""
+    if not support:
+        return False
+    picked = [rows[i] for i in support]
+    _, kernel = _eliminate([vec for vec, _, _, _, _ in picked])
+    if len(kernel) != 1 or min(kernel[0]) < 0:
+        return False
+    y = kernel[0]
+    return (not any([sum(map(operator.mul, y, column)) for column in zip(*[r[0] for r in picked])])
+            and _lcm_sum([(w * num, den) for w, (_, num, den, _, _) in zip(y, picked)]) < 0)
+
+
+def feasible_at(rows: list[tuple], basis: Optional[Sequence[int]]) -> bool:
+    """Whether the point where the n base rows ``basis`` are tight exists
+    and satisfies every row of ``rows``, the nonneg rows included."""
+    if not basis:
+        return False
+    n = len(rows[0][0])
+    tight = [rows[i] for i in basis]
+    pivots, kernel = _eliminate([[den * vec[j] for vec, _, den, _, _ in tight] for j in range(n)]
+                                + [[-num for _, num, _, _, _ in tight]])
+    if pivots != list(range(n)):
+        return False
+    *xs, D = kernel[0]
+    return all(den * sum(map(operator.mul, vec, xs)) <= num * D for vec, num, den, _, _ in rows)
+
+
+def farkas_support(rows: list[tuple], farkas: tuple[Fraction, ...]) -> list[int]:
+    """A support ``infeasible_on`` accepts, from a Farkas vector of ``rows``.
+
+    The vector's support is reduced (Carathéodory) until the columns
+    den * (direction, rhs) of its rows are independent, at most n + 1:
+    each step subtracts a kernel vector from their weights until one
+    weight is zero.
+    """
+    support = [i for i, y in enumerate(farkas) if y]
+    picked = [rows[i] for i in support]
+    columns = [[den * x for x in vec] + [num] for vec, num, den, _, _ in picked]
+    # y on an inequality weighs its base row (vec, num, den, q, p) by y * p / (q * piv),
+    # and so its column by that over den; the weights are scaled to integers.
+    w = [farkas[i] * p / (q * abs(next(filter(None, vec), 1)) * den)
+         for i, (vec, _, den, q, p) in zip(support, picked)]
+    scale = math.lcm(*[x.denominator for x in w])
+    w = [x.numerator * (scale // x.denominator) for x in w]
+    while True:
+        _, kernel = _eliminate(columns)
+        if not kernel:
+            return list(support)
+        z = kernel[0]
+        k = None  # the first index of least w[k] / z[k] over z[k] > 0
+        for i, (a, b) in enumerate(zip(w, z)):
+            if b > 0 and (k is None or a * z[k] < w[k] * b):
+                k = i
+        w = [z[k] * a - w[k] * b for a, b in zip(w, z)]
+        support, columns, w = zip(*[item for item in zip(support, columns, w) if item[2]])
+
+
+def tight_basis(rows: list[tuple], witness: Mapping[str, Fraction]) -> Optional[list[int]]:
+    """n independent base rows tight at ``witness``, whose values are in the
+    rows' variable order (the first such rows first), if there are n."""
+    point = list(witness.values())
+    scale = math.lcm(*[x.denominator for x in point])
+    xs = [x.numerator * (scale // x.denominator) for x in point]
+    tight = [i for i, (vec, num, den, _, _) in enumerate(rows)
+             if den * sum(map(operator.mul, vec, xs)) == num * scale]
+    pivots, _ = _eliminate([rows[i][0] for i in tight])
+    return [tight[c] for c in pivots] if len(pivots) == len(xs) else None
 
 
 def check_feasibility(system: LinearSystem) -> FeasibilityResult:

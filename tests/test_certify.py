@@ -146,8 +146,10 @@ class TestBinarySearch:
         assert not bound.report_hi.all_infeasible
 
     @pytest.mark.parametrize("policy, iters, calls", [
-        (CPolicy(2, 1, 4), 6, 21),  # 32 when every probe decided all four cases
-        (DEFAULT_POLICY, 20, 62),   # 88 likewise; 75 when every probe began at j012
+        # 21 and 62 when every probe ran FM; 32 and 88 when every probe decided
+        # all four cases; 75 at 20 iterations when every probe began at j012
+        (CPolicy(2, 1, 4), 6, 16),
+        (DEFAULT_POLICY, 20, 18),
     ])
     def test_probes_stop_at_first_feasible_case(self, fm_runs, policy, iters, calls):
         bound = binary_search_bound(F(3), F(5), iters, policy)
@@ -177,6 +179,30 @@ class TestBinarySearch:
         assert search_report_doc(bound) == search_report_doc(reference)
         for report in (bound.report_lo, bound.report_hi):
             assert list(report.results) == list(report.systems) == list(ALL_CASES)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("policy", [CPolicy(2, 1, 4), CPolicy(3, 1, 5), CPolicy(1, 1, 2),
+                                        CPolicy(1, 0, 2), CPolicy(2, 0, 3)], ids=CPolicy.key)
+    def test_warm_probes_cannot_change_a_deep_search(self, fm_runs, policy, variant):
+        """At 20 iterations most probes are decided by re-solving an earlier
+        basis, without elimination; the document is still the one a
+        bisection writes that calls ``certify_at`` at every probe."""
+        lo, hi = F(3), F(5)
+        report_lo, report_hi = certify_at(lo, policy, variant), certify_at(hi, policy, variant)
+        trace = [(lo, True), (hi, False)]
+        for _ in range(20):
+            mid = (lo + hi) / 2
+            report = certify_at(mid, policy, variant)
+            trace.append((mid, report.all_infeasible))
+            if report.all_infeasible:
+                lo, report_lo = mid, report
+            else:
+                hi, report_hi = mid, report
+        reference = CertifiedBound(lo, hi, report_lo, report_hi, tuple(trace), policy, variant)
+        del fm_runs[:]
+        bound = binary_search_bound(F(3), F(5), 20, policy, variant)
+        assert len(fm_runs) < len(trace)  # fewer FM runs than probes
+        assert search_report_doc(bound) == search_report_doc(reference)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(GUARDED_POLICIES), st.integers(0, 8), st.sampled_from(list(Variant)),
@@ -225,7 +251,7 @@ class TestBinarySearch:
         for module in (certify_mod, systems_mod):
             monkeypatch.setattr(module, "build_case_system", building)
         bound = binary_search_bound(F(3), F(5), 6, CPolicy(2, 1, 4))
-        assert len(fm_runs) == 21
+        assert len(fm_runs) == 16  # 21 when every probe ran FM
         assert len(built) == 8  # 21 when each FM run built its system, 32 when every probe built all four
         for report in (bound.report_lo, bound.report_hi):
             assert list(report.systems) == list(ALL_CASES)
@@ -294,12 +320,27 @@ class TestSweep:
         lambda d: d.update(variant="printed"),
         lambda d: (d["results"][0].update(t_lo="15/4"), d["results"][0]["search"].update(t_lo="15/4")),
         lambda d: d["results"][1].update(search=d["results"][0]["search"]),
+        lambda d: d["results"].insert(1, d["results"][0]),
+        lambda d: d["skipped"].append({"policy": "1,0,2", "reason": "guard failed"}),
+        lambda d: d["skipped"].append(d["skipped"][0]),
     ], ids=["t_lo", "t_hi", "policy", "reversed", "swapped", "iters", "variant",
-            "t_lo-both", "borrowed-search"])
+            "t_lo-both", "borrowed-search", "repeated-result", "skipped-ranked",
+            "repeated-skip"])
     def test_forged_sweep_doc(self, sweep_doc, forge):
         doc = json.loads(json.dumps(sweep_doc))
         forge(doc)
         assert verify_certificate_text(json.dumps(doc))[0] == EXIT_NOT_CERTIFIED
+
+    def test_sweep_doc_that_repeats_a_policy(self):
+        """A sweep searches each policy once, so a document whose results hold
+        the entry of 2,1,4 twice and whose skipped names it too contradicts
+        itself, although every embedded search verifies."""
+        ranked, skipped = sweep_policies([CPolicy(2, 1, 4)], F(3), F(5), 2)
+        doc = sweep_report_doc(ranked, skipped, Variant.SYMMETRIZED, 2)
+        doc["results"].append(doc["results"][0])
+        doc["skipped"].append({"policy": "2,1,4", "reason": "bracket end lo = 3 is not all-infeasible"})
+        assert verify_certificate_text(json.dumps(doc)) == (
+            EXIT_NOT_CERTIFIED, "policy 2,1,4 appears more than once in results and skipped")
 
     def test_sweep_doc_with_a_bad_search_is_malformed(self, sweep_doc):
         doc = json.loads(json.dumps(sweep_doc))

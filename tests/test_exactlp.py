@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -20,6 +21,7 @@ from bmbounds.exactlp import (
     verify_certificate,
 )
 from bmbounds.crosscheck import enumerate_vertices, reference_verify_certificate, simplex_feasibility
+from bmbounds.systems import ALL_CASES, VARIABLES, CPolicy, JCase, Variant, case_point, case_rows
 
 F = Fraction
 
@@ -526,3 +528,39 @@ def test_base_row_is_the_row_system_rows_clears(coeffs, relation, rhs, k, common
     assert factor > 0
     assert list(direction) == [factor * sign * c for c in coeffs]
     assert F(num, den) == factor * sign * rhs
+
+
+# Policies whose guards hold at both ends of the bracket [3, 5], hence on all of it.
+GUARDED_POLICIES = [policy for policy in itertools.starmap(
+                        CPolicy, itertools.product(range(0, 5), range(-3, 5), range(1, 9)))
+                    if all(1 < policy.c_at(t) and t / 2 <= policy.c_at(t) <= t for t in (3, 5))]
+BRACKET_T = st.fractions(min_value=3, max_value=5, max_denominator=256)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GUARDED_POLICIES), st.sampled_from(ALL_CASES), st.sampled_from(list(Variant)),
+       BRACKET_T, st.fractions(min_value=-F(1, 4), max_value=F(1, 4), max_denominator=256),
+       st.lists(st.integers(0, 20), min_size=1, max_size=6, unique=True))
+# Rows whose directions have a one-dimensional kernel of mixed sign whose
+# combined rhs is negative, in a feasible system.
+@example(CPolicy(0, 3, 1), JCase.IN01_NOT2, Variant.SYMMETRIZED, F(1043, 256), F(0), [3, 4, 5, 7, 9])
+def test_warm_verdicts_agree_with_elimination(policy, case, variant, t, step, picks):
+    """A basis from elimination at a neighbouring t, or a random set of rows:
+    whenever ``infeasible_on`` or ``feasible_at`` accepts it at t, ``solve_rows``
+    gives the same verdict.  At its own t, a Farkas support is always accepted,
+    and so is a tight basis whenever there is one."""
+    rows = case_rows(case, case_point(t, policy), variant)
+    feasible = exactlp.solve_rows(VARIABLES, rows).feasible
+    near = case_rows(case, case_point(min(max(t + step, F(3)), F(5)), policy), variant)
+    result = exactlp.solve_rows(VARIABLES, near)
+    if result.feasible:
+        basis = exactlp.tight_basis(near, result.witness)
+        assert basis is None or exactlp.feasible_at(near, basis)
+    else:
+        basis = exactlp.farkas_support(near, result.farkas)
+        assert len(basis) <= len(VARIABLES) + 1 and exactlp.infeasible_on(near, basis)
+    for candidate in (basis, sorted({i % len(rows) for i in picks})):
+        if exactlp.infeasible_on(rows, candidate):
+            assert not feasible
+        if exactlp.feasible_at(rows, candidate):
+            assert feasible

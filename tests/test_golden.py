@@ -67,6 +67,12 @@ the branch rows.  The zeros show that the split was not needed for that
 case.  Verdicts, echoed systems and witnesses did not change; neither did
 ``dichotomy --t 4 --format structured``, where every plain case is
 feasible, nor any text digest.
+
+The ``sweep --iters 12 --format structured`` digest was recorded while every
+bisection probe still ran Fourier-Motzkin elimination, before probes began
+to re-solve the basis that last decided each case.  The sweep runs one
+bisection per policy in one process, so it fails if a basis leaks from one
+policy's search into the certificates of another.
 """
 
 import hashlib
@@ -145,6 +151,8 @@ GOLDEN = {
         (0, "19f56c59f21c8130832e00731cdc4fa5666e36ffbad317d9ee8e52a397d33b32"),
     "upper --t 7/2 --format csv":
         (0, "31165587e1c069cde239a40758b321357447597f2b4c597dc2e324931e77162e"),
+    "sweep --iters 12 --format structured":
+        (0, "d30deee98b51088d3f539074a9e542b6e6f47f9d0de2bbf9207a17d29592c591"),
 }
 
 

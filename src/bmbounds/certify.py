@@ -1,24 +1,17 @@
 """Certification pipeline: per-t case reports, bisection, sweeps, audits.
 
-One function, ``_decide``, decides the plain case systems at a rational
-t, each exactly, from their integer row tables (``systems.case_rows``);
-each certificate is re-verified against the rows it was decided from.
-``certify_at``, the bisection probes, the completion of the t_hi report
-and the dichotomy's plain stage all go through it, and no probe builds a
-system.  Only a report that leaves this module gets its systems, built by
-the Fraction builders in ``_documented``, where every certificate must
-pass ``exactlp.verified`` against them: a search builds eight systems, the
-four at t_lo and the four at t_hi.  Bisection over a bracket [lo, hi]
-relies on the monotonicity of feasibility in t (valid for affine
-c-policies) and returns a CertifiedBound whose endpoint reports hold all
-four cases with machine-checkable certificates: Farkas vectors at t_lo, a
-witness at t_hi.  A midpoint probe tries the case that was feasible at
-the latest feasible probe first and stops at its first feasible case.
-Each probe first re-solves, at its t, the Farkas support and the tight
-basis that last decided the same case, and runs elimination only when
-neither settles it; those verdicts carry no certificate, so the two
-endpoint reports take their certificates from elimination alone.  A
-dichotomy decides its four base systems once per t, through
+``certify_at`` is the one producer of a case report: it decides the four
+plain case systems at a rational t exactly from their integer row tables
+(``systems.case_rows``), builds each system with the Fraction builders and
+re-verifies each certificate against it (``exactlp.verified``).  A
+bisection over a bracket [lo, hi] runs over a verdict alone: a probe
+decides the cases from their row tables, warm-started from the bases that
+last decided each case, stops at its first feasible case and builds
+nothing.  It relies on the monotonicity of feasibility in t (valid for
+affine c-policies) and returns a CertifiedBound whose endpoint reports,
+``certify_at(t_lo)`` and ``certify_at(t_hi)``, hold all four cases with
+machine-checkable certificates: Farkas vectors at t_lo, a witness at
+t_hi.  A dichotomy decides its four base systems once per t, through
 ``certify_at``, and shares them across the branch assignments; only the
 cases feasible without branch rows are decided per assignment, and its
 document formats each shared row once.  All four document kinds
@@ -90,21 +83,17 @@ class BracketError(InputError):
 
 
 class IterationsError(InputError):
-    """A bisection asks for more than MAX_ITERS steps."""
+    """A bisection asks for a negative number of steps or more than MAX_ITERS."""
 
 
 @dataclass(frozen=True)
 class CaseReport:
-    """Feasibility verdicts for all four case systems at one probe t.
+    """Feasibility verdicts for all four case systems at one t, with their systems.
 
-    A report from ``_decide`` holds verdicts and no systems; every report
-    that leaves this module has been through ``_documented`` and holds the
-    system of each verdict.  (A partial report comes only from
-    ``_decide(..., stop_at_feasible=True)`` inside ``binary_search_bound``:
-    it holds the verdicts decided up to the first feasible case, and no
-    such report leaves the bisection; nor does a verdict without a
-    certificate, which only a bisection probe re-solving an earlier basis
-    makes.)  Both dicts are in ``ALL_CASES`` order.
+    Every report comes from ``certify_at`` (a dichotomy assignment is one
+    with branch rows added): it holds all four cases, each with its
+    system and a certificate verified against it.  Both dicts are in
+    ``ALL_CASES`` order.
 
     ``branches`` names the dichotomy branch assignment the systems carry
     (one "a"/"b" per function); it is empty for the plain case systems.
@@ -140,88 +129,56 @@ class CertifiedBound:
     variant: Variant
 
 
-def _decide(
-    t: Fraction,
-    policy: CPolicy,
-    variant: Variant,
-    order: Sequence[JCase] = ALL_CASES,
-    stop_at_feasible: bool = False,
-    known: CaseReport | None = None,
-    bases: dict | None = None,
-) -> CaseReport:
-    """Decide the case systems at t in ``order`` from their row tables: the one place they are decided.
-
-    Each case is decided from ``case_rows`` when its turn comes, its
-    certificate re-verified against those rows; no system is built.  A
-    case that ``known``, a report at the same t, already holds is taken
-    from it.  With ``bases``, which only the bisection passes, a case is
-    decided by ``_warm``.  With ``stop_at_feasible`` it stops after the
-    first feasible case.  The report holds the decided cases in
-    ``ALL_CASES`` order whatever the order, and no systems (see
-    ``_documented``).
-    """
-    point = case_point(t, policy)
-    results = {}
-    for case in order:
-        if known is not None and case in known.results:
-            results[case] = known.results[case]
-        elif bases is None:
-            results[case] = check_rows(VARIABLES, case_rows(case, point, variant))
-        else:
-            results[case] = _warm(case, case_rows(case, point, variant), bases)
-        if stop_at_feasible and results[case].feasible:
-            break
-    results = {case: results[case] for case in ALL_CASES if case in results}
-    return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results, {})
-
-
-def _warm(case: JCase, rows: list[tuple], bases: dict) -> FeasibilityResult:
-    """The verdict on the base rows of ``case``, decided first by re-solving its
-    last infeasible support, then its last feasible basis, and else by
-    ``check_rows``, whose basis replaces the one ``bases`` holds for that
-    case and verdict.  A verdict re-solved from a basis carries no
-    certificate."""
-    if infeasible_on(rows, bases.get((case, False))):
-        return FeasibilityResult("infeasible")
-    if feasible_at(rows, bases.get((case, True))):
-        return FeasibilityResult("feasible")
-    result = check_rows(VARIABLES, rows)
-    bases[case, result.feasible] = (tight_basis(rows, result.witness) if result.feasible
-                                    else farkas_support(rows, result.farkas))
-    return result
-
-
-def _certified(report: CaseReport) -> CaseReport:
-    """The report without its warm verdicts, which carry no certificate."""
-    return replace(report, results={case: r for case, r in report.results.items()
-                                    if r.witness or r.farkas})
-
-
-def _documented(report: CaseReport) -> CaseReport:
-    """The report with its systems, for a report that leaves this module.
-
-    Each decided case is built by the Fraction builders, the encoding
-    ``verify-cert`` rebuilds from, and its certificate must pass
-    ``verified`` against that system: a row table that disagrees with its
-    builder raises AssertionError here instead of writing a document.
-    """
-    systems = {case: build_case_system(case, report.t, report.policy, report.variant)
-               for case in report.results}
-    for case, system in systems.items():
-        verified(system, report.results[case])
-    return replace(report, systems=systems)
-
-
 def certify_at(
     t: Fraction,
     policy: CPolicy = DEFAULT_POLICY,
     variant: Variant = Variant.SYMMETRIZED,
 ) -> CaseReport:
-    """Decide all four case systems at t, then build them; certificates verified."""
-    return _documented(_decide(Fraction(t), policy, variant))
+    """Decide all four case systems at t from their row tables, then build them.
+
+    The one place a ``CaseReport`` is made.  Each case is decided by
+    ``check_rows`` on ``case_rows``; its system is then built by the
+    Fraction builders, the encoding ``verify-cert`` rebuilds from, and its
+    certificate must pass ``verified`` against it: a row table that
+    disagrees with its builder raises AssertionError here instead of
+    writing a document.
+    """
+    t = Fraction(t)
+    point = case_point(t, policy)
+    results = {case: check_rows(VARIABLES, case_rows(case, point, variant)) for case in ALL_CASES}
+    systems = {case: build_case_system(case, t, policy, variant) for case in ALL_CASES}
+    for case, system in systems.items():
+        verified(system, results[case])
+    return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results, systems)
+
+
+def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Sequence[JCase],
+                    bases: dict) -> JCase | None:
+    """The first case in ``order`` whose base rows are feasible at t, or None
+    if all four are infeasible; each case is decided by ``_warm``."""
+    point = case_point(t, policy)
+    return next((case for case in order if _warm(case, case_rows(case, point, variant), bases)),
+                None)
+
+
+def _warm(case: JCase, rows: list[tuple], bases: dict) -> bool:
+    """Whether the base rows of ``case`` are feasible, decided first by
+    re-solving its last infeasible support, then its last feasible basis,
+    and else by ``check_rows``, whose basis replaces the one ``bases``
+    holds for that case and verdict."""
+    if infeasible_on(rows, bases.get((case, False))):
+        return False
+    if feasible_at(rows, bases.get((case, True))):
+        return True
+    result = check_rows(VARIABLES, rows)
+    bases[case, result.feasible] = (tight_basis(rows, result.witness) if result.feasible
+                                    else farkas_support(rows, result.farkas))
+    return result.feasible
 
 
 def _check_iters(iters: int) -> None:
+    if iters < 0:
+        raise IterationsError(f"--iters {iters} is negative")
     if iters > MAX_ITERS:
         raise IterationsError(f"--iters {iters} exceeds the limit of {MAX_ITERS}")
 
@@ -237,16 +194,17 @@ def binary_search_bound(
 
     Preconditions: lo < hi, all four cases infeasible at lo, and at least
     one feasible at hi.  After ``iters`` bisections, t_hi - t_lo equals
-    (hi - lo) / 2**iters exactly.  ``iters`` above ``MAX_ITERS`` raises
-    IterationsError before anything is decided.
+    (hi - lo) / 2**iters exactly.  ``iters`` below 0 or above
+    ``MAX_ITERS`` raises IterationsError before anything is decided.
 
-    The check at hi and every midpoint probe decide the cases one at a
-    time from their row tables and stop at the first feasible one; an
-    all-infeasible probe has decided all four.  A probe tries the last
-    feasible case first (the case at which the latest feasible probe
-    stopped), then the others in ``ALL_CASES`` order; the check at hi uses
-    ``ALL_CASES`` order.  The lo end is decided in full, so its error
-    names every feasible case.
+    Bisection runs over a verdict, ``_first_feasible``: the checks at lo
+    and hi and every midpoint probe decide the cases one at a time from
+    their row tables and stop at the first feasible one, so an
+    all-infeasible probe has decided all four.  A probe tries the case at
+    which the latest feasible probe stopped first, then the others in
+    ``ALL_CASES`` order; the checks at lo and hi use ``ALL_CASES`` order.
+    When lo is not all-infeasible, ``certify_at(lo)`` names every feasible
+    case in the error.
 
     Probes are warm-started: one dict, kept across the probes, holds per
     case the support of the last Farkas vector and the tight basis of the
@@ -254,13 +212,9 @@ def binary_search_bound(
     at the new t on that support (``exactlp.infeasible_on``), then on that
     basis (``exactlp.feasible_at``), and runs Fourier-Motzkin only when
     both fail.  Each check accepts a verdict only after exact integer
-    substitution, so a verdict never depends on the bases or on the order;
-    neither do the trace and the two reports.  A re-solved verdict has no
-    certificate and never reaches a document: after the loop the reports
-    at t_lo and t_hi keep only their verdicts from elimination and decide
-    the other cases again by it.  Only these two reports are built as
-    systems (eight in all), each holding all four cases in ``ALL_CASES``
-    order.
+    substitution, so a verdict never depends on the bases or on the order,
+    and neither does the trace.  The two reports are ``certify_at(t_lo)``
+    and ``certify_at(t_hi)``.
     """
     _check_iters(iters)
     lo, hi = Fraction(lo), Fraction(hi)
@@ -269,30 +223,26 @@ def binary_search_bound(
             f"inverted bracket: lo = {format_rational(lo)} must be below hi = {format_rational(hi)}"
         )
     bases: dict = {}
-    report_lo = _decide(lo, policy, variant, bases=bases)
-    if not report_lo.all_infeasible:
+    if _first_feasible(lo, policy, variant, ALL_CASES, bases) is not None:
         raise BracketError(
-            f"bracket end lo = {format_rational(lo)} is not all-infeasible"
-            f" (feasible: {', '.join(c.value for c in report_lo.feasible_cases)})"
+            f"bracket end lo = {format_rational(lo)} is not all-infeasible (feasible: "
+            f"{', '.join(c.value for c in certify_at(lo, policy, variant).feasible_cases)})"
         )
-    report_hi = _decide(hi, policy, variant, stop_at_feasible=True, bases=bases)
-    if report_hi.all_infeasible:
+    first = _first_feasible(hi, policy, variant, ALL_CASES, bases)
+    if first is None:
         raise BracketError(f"bracket end hi = {format_rational(hi)} has no feasible case")
     trace = [(lo, True), (hi, False)]
     for _ in range(iters):
         mid = (lo + hi) / 2
-        first = report_hi.feasible_cases[0]
         order = (first, *(c for c in ALL_CASES if c != first))
-        report_mid = _decide(mid, policy, variant, order, stop_at_feasible=True, bases=bases)
-        trace.append((mid, report_mid.all_infeasible))
-        if report_mid.all_infeasible:
-            lo, report_lo = mid, report_mid
+        found = _first_feasible(mid, policy, variant, order, bases)
+        trace.append((mid, found is None))
+        if found is None:
+            lo = mid
         else:
-            hi, report_hi = mid, report_mid
-    report_lo = _decide(lo, policy, variant, known=_certified(report_lo))
-    report_hi = _decide(hi, policy, variant, known=_certified(report_hi))
-    return CertifiedBound(lo, hi, _documented(report_lo), _documented(report_hi), tuple(trace),
-                          policy, variant)
+            hi, first = mid, found
+    return CertifiedBound(lo, hi, certify_at(lo, policy, variant), certify_at(hi, policy, variant),
+                          tuple(trace), policy, variant)
 
 
 def _repeated(policies: Sequence[CPolicy]) -> CPolicy | None:
@@ -312,8 +262,8 @@ def sweep_policies(
     Returns (ranked, skipped): ranked is sorted by t_lo descending with
     ties broken by (p, q, r) lexicographic order; policies whose guards or
     bracket preconditions fail end up in skipped with the reason.
-    ``iters`` above ``MAX_ITERS`` raises IterationsError, and a repeated
-    policy InputError, before any policy is searched.
+    ``iters`` below 0 or above ``MAX_ITERS`` raises IterationsError, and a
+    repeated policy InputError, before any policy is searched.
     """
     _check_iters(iters)
     repeated = _repeated(policies)
@@ -630,8 +580,8 @@ def _check_sweep(doc: dict, variant: Variant) -> None:
     ``results`` and ``skipped``, as a sweep searches each policy once.
     """
     iters = doc["iters"]
-    if type(iters) is not int:
-        raise SystemFormatError(f"iters must be an integer, got {iters!r}")
+    if type(iters) is not int or not 0 <= iters <= MAX_ITERS:
+        raise SystemFormatError(f"iters must be an integer in 0..{MAX_ITERS}, got {iters!r}")
     repeated = _repeated([CPolicy.parse(entry["policy"])
                           for entry in doc["results"] + doc["skipped"]])
     if repeated:

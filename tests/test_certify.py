@@ -14,6 +14,7 @@ from bmbounds.certify import (
     BracketError,
     CaseReport,
     CertifiedBound,
+    IterationsError,
     binary_search_bound,
     certify_at,
     certify_dichotomy,
@@ -112,7 +113,8 @@ class TestBinarySearch:
     def test_zero_iters_keeps_bracket(self):
         bound = binary_search_bound(F(3), F(5), 0)
         assert (bound.t_lo, bound.t_hi) == (F(3), F(5))
-        # The report at hi, which its bracket check left partial, is completed.
+        # The report at hi is certify_at(hi), although the check at hi stopped
+        # at its first feasible case.
         assert list(bound.report_hi.results) == list(ALL_CASES)
         assert bound.report_hi.results == certify_at(F(5)).results
         assert bound.report_hi.systems == certify_at(F(5)).systems
@@ -131,6 +133,31 @@ class TestBinarySearch:
         with pytest.raises(BracketError, match="lo = 4"):
             binary_search_bound(F(4), F(5), 2)
 
+    @pytest.mark.parametrize("lo, feasible", [
+        (F(57, 16), "not0, in01not2"),
+        (F(4), ", ".join(case.value for case in ALL_CASES)),
+    ])
+    def test_lo_error_names_every_feasible_case(self, lo, feasible):
+        """The lo check stops at its first feasible case; the error still
+        names every case feasible at lo."""
+        message = (f"bracket end lo = {format_rational(lo)} is not all-infeasible"
+                   f" (feasible: {feasible})")
+        with pytest.raises(BracketError) as excinfo:
+            binary_search_bound(lo, F(5), 1)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("iters, message", [
+        (-3, "--iters -3 is negative"),
+        (1001, "--iters 1001 exceeds the limit of 1000"),
+    ])
+    def test_iters_out_of_range(self, fm_runs, iters, message):
+        with pytest.raises(IterationsError) as excinfo:
+            binary_search_bound(F(3), F(5), iters)
+        assert str(excinfo.value) == message
+        with pytest.raises(IterationsError):
+            sweep_policies([CPolicy(2, 1, 4)], F(3), F(5), iters)
+        assert fm_runs == []
+
     def test_hi_without_feasible_case_reports_end(self):
         with pytest.raises(BracketError, match="hi = 27/8"):
             binary_search_bound(F(3), F(27, 8), 2)
@@ -147,8 +174,10 @@ class TestBinarySearch:
 
     @pytest.mark.parametrize("policy, iters, calls", [
         # 21 and 62 when every probe ran FM; 32 and 88 when every probe decided
-        # all four cases; 75 at 20 iterations when every probe began at j012
-        (CPolicy(2, 1, 4), 6, 16),
+        # all four cases; 75 at 20 iterations when every probe began at j012.
+        # 16 at 6 iterations when the t_hi = 57/16 report reused the probe's
+        # not0 FM run; the report now decides all four cases afresh.
+        (CPolicy(2, 1, 4), 6, 17),
         (DEFAULT_POLICY, 20, 18),
     ])
     def test_probes_stop_at_first_feasible_case(self, fm_runs, policy, iters, calls):
@@ -251,7 +280,9 @@ class TestBinarySearch:
         for module in (certify_mod, systems_mod):
             monkeypatch.setattr(module, "build_case_system", building)
         bound = binary_search_bound(F(3), F(5), 6, CPolicy(2, 1, 4))
-        assert len(fm_runs) == 16  # 21 when every probe ran FM
+        # 21 when every probe ran FM; 16 when the t_hi = 57/16 report reused
+        # the probe's not0 FM run, which it now decides afresh.
+        assert len(fm_runs) == 17
         assert len(built) == 8  # 21 when each FM run built its system, 32 when every probe built all four
         for report in (bound.report_lo, bound.report_hi):
             assert list(report.systems) == list(ALL_CASES)
@@ -341,6 +372,14 @@ class TestSweep:
         doc["skipped"].append({"policy": "2,1,4", "reason": "bracket end lo = 3 is not all-infeasible"})
         assert verify_certificate_text(json.dumps(doc)) == (
             EXIT_NOT_CERTIFIED, "policy 2,1,4 appears more than once in results and skipped")
+
+    @pytest.mark.parametrize("iters", [-1, 1001, True, "3"])
+    def test_sweep_doc_iters_out_of_range_is_malformed(self, iters):
+        """A sweep bisects 0..MAX_ITERS times, even one that ranks nothing."""
+        doc = sweep_report_doc([], [], Variant.SYMMETRIZED, iters)
+        assert verify_certificate_text(json.dumps(doc)) == (
+            EXIT_INPUT_ERROR, f"malformed certificate: iters must be an integer in 0..1000,"
+                              f" got {iters!r}")
 
     def test_sweep_doc_with_a_bad_search_is_malformed(self, sweep_doc):
         doc = json.loads(json.dumps(sweep_doc))

@@ -13,13 +13,14 @@ affine c-policies) and returns a CertifiedBound whose endpoint reports,
 machine-checkable certificates: Farkas vectors at t_lo, a witness at
 t_hi.  A dichotomy decides its four base systems once per t, through
 ``certify_at``, and shares them across the branch assignments; only the
-cases feasible without branch rows are decided per assignment, and its
-document formats each shared row once.  All four document kinds
-(certify, search, sweep, dichotomy) are built here.  Certificate files
-are self-contained JSON documents that an auditor re-verifies by
-substitution alone; each echoed system must equal the rebuilt one value
-for value, and an audit parses and compares each distinct echoed row
-once.
+cases feasible without branch rows are decided per assignment, from their
+row tables with the integer makers of the branch rows
+(``systems.branch_ints``) added, and its document formats each shared row
+once.  All four document kinds (certify, search, sweep, dichotomy) are
+built here.  Certificate files are self-contained JSON documents that an
+auditor re-verifies by substitution alone; each echoed system must equal
+the rebuilt one value for value, and an audit parses and compares each
+distinct echoed row once.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from . import __version__
+from . import __version__, exactlp
 from .exactlp import (
     FeasibilityResult,
     LinearSystem,
     SystemError_,
-    check_feasibility,
     check_rows,
     farkas_support,
     feasible_at,
@@ -42,6 +42,8 @@ from .exactlp import (
     tight_basis,
     verified,
     verify_certificate,
+    # Unused here: bench/spans.py wraps this name in this module.
+    check_feasibility,
 )
 from .rationals import InputError, format_rational, parse_rational
 from .systems import (
@@ -53,6 +55,7 @@ from .systems import (
     JCase,
     SystemFormatError,
     Variant,
+    branch_ints,
     branch_strings,
     branch_systems,
     build_case_system,
@@ -315,11 +318,17 @@ def certify_dichotomy(
     carries the plain Farkas vector with a zero on every branch row (the
     branch rows follow the base inequalities, before the nonneg rows),
     re-verified against that assignment's system.  Only plain-feasible
-    cases are decided again per assignment.  Raises FunctionsError, before
-    any system is built, unless the functions are distinct indices 0-2.
+    cases are decided again per assignment, by ``exactlp.solve_rows`` on
+    the case's base rows with the assignment's branch rows
+    (``systems.branch_ints``) after its inequalities; each result must
+    pass ``verified`` against the built assignment system, as it would in
+    ``check_feasibility``.  Raises FunctionsError, before any system is
+    built, unless the functions are distinct indices 0-2.
     """
     functions = check_functions(functions)
     report = certify_at(t, policy, variant)
+    point = case_point(report.t, policy)
+    made = [{br: branch_ints(m, br, point) for br in "ab"} for m in functions]
     plain = {}
     for case, result in report.results.items():
         if not result.feasible:
@@ -329,12 +338,14 @@ def certify_dichotomy(
         plain[case] = result
     assignments = []
     for branches, systems in branch_systems(report.t, report.systems.values(), functions):
+        extra = [row[br] for row, br in zip(made, branches)]
         results = {}
         for case, system in zip(ALL_CASES, systems):
             result = plain[case]
             # Without functions an assignment's rows are the plain ones.
-            results[case] = (check_feasibility(system) if result.feasible and functions
-                             else verified(system, result))
+            if result.feasible and functions:
+                result = exactlp.solve_rows(VARIABLES, case_rows(case, point, variant, extra))
+            results[case] = verified(system, result)
         assignments.append(replace(report, results=results,
                                    systems=dict(zip(ALL_CASES, systems)), branches=branches))
     return DichotomyReport(report.t, policy, variant, functions, tuple(assignments))

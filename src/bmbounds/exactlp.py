@@ -7,12 +7,16 @@ gcd 1) with its right-hand side as a reduced integer pair num/den, den > 0,
 and the leading-coefficient pair of the inequality it stands for.
 ``system_rows`` clears a ``LinearSystem`` into them (denominators cleared
 with an integer lcm, and a unit row -v <= 0 per nonnegative variable);
-``systems.case_rows`` makes the same rows for the case systems from
-integers alone.  A derived row is an integer combination of two rows
-divided by its gcd, with its rhs pair combined over the product of the two
-denominators and reduced.  Every derived row keeps only a small parent
-record (the two rows it was combined from, with nonnegative integer
-weights, and one divisor), not a multiplier vector over the original rows.
+``systems.case_rows`` and ``systems.branch_ints`` make the same rows for
+the case systems and the dichotomy's branch rows from integers alone, so
+only ``check_feasibility`` uses ``system_rows``, and no command calls it.
+A derived row is an integer combination of two rows on the columns still
+live, divided by its gcd, with its rhs pair combined over the product of
+the two denominators; each step keeps, per direction, the tightest rhs it
+makes (the first on ties), and reduces the rhs pair of a kept row only.
+Every derived row keeps only a small parent record (the two rows it was
+combined from, with nonnegative integer weights, and one divisor), not a
+multiplier vector over the original rows.
 When a row reduces to 0 <= negative, the Farkas certificate is rebuilt
 once, for that row alone, by pushing weights back through its ancestors
 as reduced integer pairs; every division waits for that rebuild, and exact
@@ -185,18 +189,11 @@ class FeasibilityResult:
 # weights (b * piv_p, a * piv_n) and d = g * piv for the gcd g and pivot piv
 # of its reduced row; a pair that ends in 0 <= negative has d = a * b, which
 # gives each parent coefficient +-1 on x_j.  Every division is left to the
-# one Farkas rebuild.  Parents are registered before their children, so
+# one Farkas rebuild.  Every base row gets a node; a derived row gets one
+# only when it takes its direction's place in its step (a row replaced
+# later in the step keeps an unreferenced node), and so does the row that
+# ends in 0 <= negative.  Parents are registered before their children, so
 # node numbers follow creation order.
-
-
-def _prune(rows):
-    """Dedup identical direction vectors keeping the tightest rhs (first on ties)."""
-    best: dict[tuple, tuple] = {}
-    for row in rows:
-        kept = best.get(row[0])
-        if kept is None or row[1] * kept[2] < kept[1] * row[2]:
-            best[row[0]] = row
-    return list(best.values())
 
 
 def _add(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -348,18 +345,23 @@ def solve_rows(variables: tuple[str, ...], rows: list[tuple]) -> FeasibilityResu
     variable with the fewest pairings is eliminated first (ties broken by
     variable order) so the intermediate row count stays small for the
     few-variable systems this targets.  A pos/neg pair on x_j combines as
-    b * row_p + a * row_n with a = row_p[j] and b = -row_n[j], divided by
-    its gcd; its rhs is (b * num_p * den_n + a * num_n * den_p) /
-    (den_p * den_n * g), reduced.  Derived rows carry no multiplier
-    vector, only a parent record with integer weights.  When a row reduces
-    to 0 <= negative, its Farkas vector is rebuilt once from its
-    ancestors; a feasible run back-substitutes a witness through the
+    b * row_p + a * row_n with a = row_p[j] and b = -row_n[j], on the
+    columns not yet eliminated, divided by its gcd g; its rhs is
+    (b * num_p * den_n + a * num_n * den_p) / (den_p * den_n * g).  The
+    step's rows go into a dict keyed by direction, the rows carried over
+    (zero on x_j) first and then the pairs in order: a row replaces the
+    one its direction holds only with a strictly smaller rhs, and only
+    then is its rhs pair reduced and its parent record kept.  When one
+    column is left, a pair gives 0 or s * e_k, so its bound is compared
+    before any vector is made.  The first pair that reduces to
+    0 <= negative ends the run, and its Farkas vector is rebuilt once from
+    its ancestors; a feasible run back-substitutes a witness through the
     eliminated layers in integers.
     """
     n = len(variables)
     origin: list[tuple] = []
     contradiction = None
-    base = []
+    best: dict[tuple, tuple] = {}
     for i, (vec, num, den, q, p) in enumerate(rows):
         piv = abs(next(filter(None, vec), 0))
         if not piv:
@@ -368,9 +370,11 @@ def solve_rows(variables: tuple[str, ...], rows: list[tuple]) -> FeasibilityResu
                 origin.append((i, q, p))
                 break
             continue
-        base.append((vec, num, den, len(origin), piv))
+        kept = best.get(vec)
+        if kept is None or num * kept[2] < kept[1] * den:
+            best[vec] = (vec, num, den, len(origin), piv)
         origin.append((i, q, p))
-    live = _prune(base)
+    live = list(best.values())
     remaining = list(range(n))
     layers = []  # (var index, pos rows, neg rows) for witness back-substitution
 
@@ -381,34 +385,45 @@ def solve_rows(variables: tuple[str, ...], rows: list[tuple]) -> FeasibilityResu
         j = min(remaining, key=lambda k: len(split[k][0]) * len(split[k][1]))
         pos, neg = split[j]
         del split  # the other variables' lists, freed before new rows are made (peak RSS)
-        live = [r for r in live if r[0][j] == 0]
         layers.append((j, pos, neg))
+        remaining.remove(j)
+        cols = remaining  # the columns a row of this step can be nonzero on
+        # This step's rows keyed by their entries on cols, carried rows first,
+        # each direction keeping its tightest rhs (the first on ties).
+        best = {tuple([r[0][c] for c in cols]): r for r in live if r[0][j] == 0}
+        # With one column k left a pair makes 0 or s * e_k, so no vector is combined.
+        k = cols[0] if len(cols) == 1 else None
         for pvec, pnum, pden, pnode, ppiv in pos:
             a = pvec[j]
             for nvec, nnum, nden, nnode, npiv in neg:
                 b = -nvec[j]
-                vec = [b * x + a * y for x, y in zip(pvec, nvec)]
                 num = b * pnum * nden + a * nnum * pden
-                g = math.gcd(*vec)
+                if k is None:
+                    vals = [b * pvec[c] + a * nvec[c] for c in cols]
+                    g = math.gcd(*vals)
+                    key = tuple([x // g for x in vals]) if g > 1 else tuple(vals)
+                else:
+                    s = b * pvec[k] + a * nvec[k]
+                    g, key = abs(s), ((1,) if s > 0 else (-1,))
                 if g == 0:
                     if num < 0:
                         contradiction = len(origin)
                         origin.append((pnode, nnode, b * ppiv, a * npiv, a * b))
                         break
                     continue
-                if g != 1:
-                    vec = [x // g for x in vec]
                 den = pden * nden * g
-                r = math.gcd(num, den)
-                if r != 1:
-                    num, den = num // r, den // r
-                piv = abs(next(filter(None, vec)))
-                live.append((tuple(vec), num, den, len(origin), piv))
-                origin.append((pnode, nnode, b * ppiv, a * npiv, g * piv))
+                kept = best.get(key)
+                if kept is None or num * kept[2] < kept[1] * den:
+                    vec = [0] * n
+                    for c, x in zip(cols, key):
+                        vec[c] = x
+                    r = math.gcd(num, den)
+                    piv = abs(next(filter(None, key)))
+                    best[key] = (tuple(vec), num // r, den // r, len(origin), piv)
+                    origin.append((pnode, nnode, b * ppiv, a * npiv, g * piv))
             if contradiction is not None:
                 break
-        live = _prune(live)
-        remaining.remove(j)
+        live = list(best.values())
 
     if contradiction is not None:
         return FeasibilityResult("infeasible", farkas=_rebuild_farkas(origin, contradiction, len(rows)))

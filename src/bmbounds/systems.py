@@ -340,10 +340,12 @@ def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
     return T, C, R
 
 
-def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> list[tuple]:
+def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED,
+              extra: Sequence[tuple] = ()) -> list[tuple]:
     """The base rows of ``build_case_system(case, t, policy, variant)`` at the
-    point of t and policy, as ``exactlp.system_rows`` reads them from it."""
-    return [row.make(point, variant) for row in CASE_TABLES[case]] + _NONNEG_ROWS
+    point of t and policy, as ``exactlp.system_rows`` reads them from it;
+    the base rows ``extra`` go after its inequalities, before the nonneg rows."""
+    return [row.make(point, variant) for row in CASE_TABLES[case]] + [*extra, *_NONNEG_ROWS]
 
 
 def build_all_cases(
@@ -386,6 +388,18 @@ def branch_row(t: Fraction, m: int, branch: str) -> LinearInequality:
             if j != m:
                 coeffs[name] = -two + 1
     return _le(coeffs, t - 2 * t / (t - 1), f"B{m}{branch}")
+
+
+def branch_ints(m: int, branch: str, point: CasePoint) -> tuple:
+    """The base row of ``branch_row(t, m, branch)`` at the point of t.
+
+    Times (t - 1) * R: th_m gets -(T + R) in branch "a" and T + R in "b";
+    the other entries get T + R in "a" and T - 3R in "b".
+    """
+    T, _, R = point
+    vec = [T + R] * 4 if branch == "a" else [T - 3 * R] * 4
+    vec[m] = -(T + R) if branch == "a" else T + R
+    return base_row(vec, T - R, T * (T - 3 * R), R)
 
 
 def branch_strings(count: int) -> list[str]:

@@ -158,6 +158,38 @@ class TestVertices:
         assert enumerate_vertices(sys_) == [(F(0), F(0)), (F(0), F(1)), (F(1), F(0))]
 
 
+class TestEliminationTies:
+    """Which row an elimination keeps, or reports, when candidates tie.
+
+    The Farkas vectors were recorded while every step still made each
+    derived vector in full and pruned the step's rows afterwards."""
+
+    X, Y, Z = "x", "y", "z"
+
+    @pytest.mark.parametrize("rows, farkas", [
+        # Eliminating y leaves x: r0+r1 and 2*r0+r2 both give x <= 1; the first is kept.
+        ([({X: 1, Y: 1}, LE, 1), ({X: 1, Y: -1}, LE, 1), ({X: 1, Y: -2}, LE, 1), ({X: 1}, GE, 2)],
+         (F(1, 2), F(1, 2), F(0), F(1))),
+        # The same with three variables: r0+r1 and r0+r2 both give 2x + y <= 1 while
+        # x and y are both still live.
+        ([({X: 1, Y: 1, Z: 1}, LE, 1), ({X: 1, Z: -1}, LE, 0), ({X: 3, Y: 1, Z: -1}, LE, 1),
+          ({X: 2, Y: 1}, GE, 2), ({Y: -1}, LE, 5)],
+         (F(1, 2), F(1, 2), F(0), F(1, 2), F(0))),
+        # Eliminating x: pairs (r0, r3) and (r2, r1) both give 0 <= -1; the first
+        # pair in (positive row, negative row) order is reported.
+        ([({X: 1, Y: 1}, LE, 0), ({X: -1, Y: 1}, LE, 0), ({X: 1, Y: -1}, LE, -1),
+          ({X: -1, Y: -1}, LE, -1)],
+         (F(1), F(0), F(0), F(1))),
+        # r1+r2 gives x <= 1, tying the carried row r0; the carried row is kept.
+        ([({X: 1}, LE, 1), ({X: 1, Y: 1}, LE, 0), ({X: 1, Y: -1}, LE, 2), ({X: 1}, GE, 2)],
+         (F(1), F(0), F(0), F(1))),
+    ], ids=["derived-tie", "derived-tie-3", "zero-slope", "carried-tie"])
+    def test_first_row_wins(self, rows, farkas):
+        variables = [v for v in (self.X, self.Y, self.Z) if any(v in c for c, _, _ in rows)]
+        res = check_feasibility(make(variables, rows))
+        assert res.farkas == farkas
+
+
 def _random_system(rng):
     nvars = rng.randint(2, 3)
     variables = [f"x{i}" for i in range(nvars)]

@@ -73,6 +73,15 @@ bisection probe still ran Fourier-Motzkin elimination, before probes began
 to re-solve the basis that last decided each case.  The sweep runs one
 bisection per policy in one process, so it fails if a basis leaks from one
 policy's search into the certificates of another.
+
+The ``dichotomy --t 11/3 --format structured`` and ``dichotomy --t 15/4
+--functions 0 1 --variant printed --format structured`` digests were
+recorded while every branch assignment of a plain-feasible case was still
+decided from its built ``Fraction`` system, before the branch rows got
+integer makers.  Both hold assignments that elimination proves infeasible
+with the branch rows, so they pin Farkas vectors that use those rows;
+``--t 4`` is the only other command that decides assignments, and most of
+its verdicts are feasible.
 """
 
 import hashlib
@@ -81,6 +90,7 @@ from fractions import Fraction
 
 import pytest
 
+from bmbounds import certify, exactlp
 from bmbounds.certify import (
     EXIT_CERTIFIED,
     binary_search_bound,
@@ -153,6 +163,10 @@ GOLDEN = {
         (0, "31165587e1c069cde239a40758b321357447597f2b4c597dc2e324931e77162e"),
     "sweep --iters 12 --format structured":
         (0, "d30deee98b51088d3f539074a9e542b6e6f47f9d0de2bbf9207a17d29592c591"),
+    "dichotomy --t 11/3 --format structured":
+        (1, "9f11226b0e7e0435bcd969c0e0654e0bffb984c4da5a2cb4a3cdea1f3084dc67"),
+    "dichotomy --t 15/4 --functions 0 1 --variant printed --format structured":
+        (1, "958ce7880b9b6d02d4d2419ce458287c6d5a865e705e52024f5a59ea8094f1b8"),
 }
 
 
@@ -181,7 +195,24 @@ def test_runtime_path_builds_no_normalized_rows(monkeypatch, capsys):
         assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED,
                                                             "all certificates verified")
     commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "dichotomy")]
-    assert len(commands) == 14
+    assert len(commands) == 16
+    for command in commands:
+        code = main(command.split())
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert (code, digest) == GOLDEN[command], command
+
+
+def test_dichotomy_decides_from_integer_rows(monkeypatch, capsys):
+    """Every branch assignment is decided from integer base rows: with
+    ``exactlp.system_rows`` and ``certify.check_feasibility`` gone, every
+    dichotomy document keeps its golden digest."""
+    def boom(*args):  # pragma: no cover
+        raise AssertionError("built systems are not decided on the runtime path")
+
+    monkeypatch.setattr(exactlp, "system_rows", boom)
+    monkeypatch.setattr(certify, "check_feasibility", boom)
+    commands = [c for c in GOLDEN if c.split()[0] == "dichotomy"]
+    assert len(commands) == 7
     for command in commands:
         code = main(command.split())
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()

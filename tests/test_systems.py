@@ -19,7 +19,9 @@ from bmbounds.systems import (
     JCase,
     SystemFormatError,
     Variant,
+    VARIABLES,
     _guards,
+    branch_ints,
     branch_row,
     build_case_system,
     case_point,
@@ -184,15 +186,32 @@ class TestCaseRowTables:
         assert [row.label for row in CASE_TABLES[case]] == EXPECTED_LABELS[case]
         assert {row.factor for row in CASE_TABLES[case]} <= self.FACTORS
 
-    @pytest.mark.parametrize("t, policy", [
+    EDGE_POINTS = [
         (F(5, 2), CPolicy(2, 1, 4)),     # t - c = 1: kappa = 0, a zero entry in 7c, 8e, 9e
         (F(7, 2), CPolicy(1, 0, 1)),     # c = t
         (F(7, 2), CPolicy(1, 0, 2)),     # c = t/2
         (3 + F(1, 2**61 + 1), DEFAULT_POLICY),
         (F(2**64 + 3, 2**62 + 1), CPolicy(3, 1, 4)),
-    ], ids=["kappa-0", "c-t", "c-half-t", "den-2^61", "den-2^62"])
+    ]
+    EDGE_IDS = ["kappa-0", "c-t", "c-half-t", "den-2^61", "den-2^62"]
+
+    @pytest.mark.parametrize("t, policy", EDGE_POINTS, ids=EDGE_IDS)
     def test_edge_points(self, t, policy):
         self.assert_rows_match(t, policy)
+
+    @pytest.mark.parametrize("t, policy", EDGE_POINTS + [
+        (F(3), DEFAULT_POLICY),           # t = 3: branch b's entries off th_m vanish
+        (F(2**70 + 1, 2**68 + 3), CPolicy(1, 1, 2)),
+    ], ids=EDGE_IDS + ["t-3", "t-2^70"])
+    def test_branch_rows(self, t, policy):
+        """``branch_ints`` gives the base row ``system_rows`` clears from ``branch_row``."""
+        point = case_point(t, policy)
+        for m in range(3):
+            for branch in "ab":
+                built = LinearSystem(VARIABLES, (branch_row(t, m, branch),))
+                assert branch_ints(m, branch, point) == system_rows(built)[0], (m, branch)
+        if t == 3:
+            assert branch_ints(1, "b", point)[0] == (0, 1, 0, 0)
 
     def test_kappa_zero_drops_the_entry(self):
         [row_7c] = [row for ineq, row in zip(

@@ -329,10 +329,13 @@ def certify_dichotomy(
     report = certify_at(t, policy, variant)
     point = case_point(report.t, policy)
     made = [{br: branch_ints(m, br, point) for br in "ab"} for m in functions]
-    plain = {}
+    plain, rows = {}, {}
     for case, result in report.results.items():
-        if not result.feasible:
-            cut = len(report.systems[case].inequalities)
+        cut = len(report.systems[case].inequalities)
+        if result.feasible:
+            made_rows = case_rows(case, point, variant)
+            rows[case] = made_rows[:cut], made_rows[cut:]
+        else:
             zeros = (Fraction(0),) * len(functions)
             result = replace(result, farkas=result.farkas[:cut] + zeros + result.farkas[cut:])
         plain[case] = result
@@ -344,7 +347,8 @@ def certify_dichotomy(
             result = plain[case]
             # Without functions an assignment's rows are the plain ones.
             if result.feasible and functions:
-                result = exactlp.solve_rows(VARIABLES, case_rows(case, point, variant, extra))
+                head, tail = rows[case]
+                result = exactlp.solve_rows(VARIABLES, head + extra + tail)
             results[case] = verified(system, result)
         assignments.append(replace(report, results=results,
                                    systems=dict(zip(ALL_CASES, systems)), branches=branches))

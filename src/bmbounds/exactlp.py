@@ -189,11 +189,9 @@ class FeasibilityResult:
 # weights (b * piv_p, a * piv_n) and d = g * piv for the gcd g and pivot piv
 # of its reduced row; a pair that ends in 0 <= negative has d = a * b, which
 # gives each parent coefficient +-1 on x_j.  Every division is left to the
-# one Farkas rebuild.  Every base row gets a node; a derived row gets one
-# only when it takes its direction's place in its step (a row replaced
-# later in the step keeps an unreferenced node), and so does the row that
-# ends in 0 <= negative.  Parents are registered before their children, so
-# node numbers follow creation order.
+# one Farkas rebuild.  A derived row gets a node only when its step keeps
+# it, if only until a tighter row replaces it.  Parents are registered
+# before their children, so node numbers follow creation order.
 
 
 def _add(a: int, b: int, c: int, d: int) -> tuple[int, int]:

@@ -340,12 +340,10 @@ def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
     return T, C, R
 
 
-def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED,
-              extra: Sequence[tuple] = ()) -> list[tuple]:
+def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> list[tuple]:
     """The base rows of ``build_case_system(case, t, policy, variant)`` at the
-    point of t and policy, as ``exactlp.system_rows`` reads them from it;
-    the base rows ``extra`` go after its inequalities, before the nonneg rows."""
-    return [row.make(point, variant) for row in CASE_TABLES[case]] + [*extra, *_NONNEG_ROWS]
+    point of t and policy, as ``exactlp.system_rows`` reads them from it."""
+    return [row.make(point, variant) for row in CASE_TABLES[case]] + _NONNEG_ROWS
 
 
 def build_all_cases(

@@ -328,20 +328,20 @@ def certify_dichotomy(
     functions = check_functions(functions)
     report = certify_at(t, policy, variant)
     point = case_point(report.t, policy)
-    made = [{br: branch_ints(m, br, point) for br in "ab"} for m in functions]
+    branch = [{br: branch_ints(m, br, point) for br in "ab"} for m in functions]
     plain, rows = {}, {}
     for case, result in report.results.items():
         cut = len(report.systems[case].inequalities)
         if result.feasible:
-            made_rows = case_rows(case, point, variant)
-            rows[case] = made_rows[:cut], made_rows[cut:]
+            base = case_rows(case, point, variant)
+            rows[case] = base[:cut], base[cut:]
         else:
             zeros = (Fraction(0),) * len(functions)
             result = replace(result, farkas=result.farkas[:cut] + zeros + result.farkas[cut:])
         plain[case] = result
     assignments = []
     for branches, systems in branch_systems(report.t, report.systems.values(), functions):
-        extra = [row[br] for row, br in zip(made, branches)]
+        extra = [row[br] for row, br in zip(branch, branches)]
         results = {}
         for case, system in zip(ALL_CASES, systems):
             result = plain[case]

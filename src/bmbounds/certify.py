@@ -2,8 +2,8 @@
 
 ``certify_at`` is the one producer of a case report: it decides the four
 plain case systems at a rational t exactly from their integer row tables
-(``systems.case_rows``), builds each system with the Fraction builders and
-re-verifies each certificate against it (``exactlp.verified``).  A
+(``systems.case_rows``), builds each system from the same row formulas
+and re-verifies each certificate against it (``exactlp.verified``).  A
 bisection over a bracket [lo, hi] runs over a verdict alone: a probe
 decides the cases from their row tables, warm-started from the bases that
 last decided each case, stops at its first feasible case and builds
@@ -14,7 +14,7 @@ machine-checkable certificates: Farkas vectors at t_lo, a witness at
 t_hi.  A dichotomy decides its four base systems once per t, through
 ``certify_at``, and shares them across the branch assignments; only the
 cases feasible without branch rows are decided per assignment, from their
-row tables with the integer makers of the branch rows
+row tables with the base rows of the branch rows
 (``systems.branch_ints``) added, and its document formats each shared row
 once.  All four document kinds (certify, search, sweep, dichotomy) are
 built here.  Certificate files are self-contained JSON documents that an
@@ -140,11 +140,11 @@ def certify_at(
     """Decide all four case systems at t from their row tables, then build them.
 
     The one place a ``CaseReport`` is made.  Each case is decided by
-    ``check_rows`` on ``case_rows``; its system is then built by the
-    Fraction builders, the encoding ``verify-cert`` rebuilds from, and its
-    certificate must pass ``verified`` against it: a row table that
-    disagrees with its builder raises AssertionError here instead of
-    writing a document.
+    ``check_rows`` on ``case_rows``; its system is then built, the
+    encoding ``verify-cert`` rebuilds from, and its certificate must pass
+    ``verified`` against it.  Both come from one formula per row, so this
+    compares the base-row evaluator with the Fraction one: should they
+    disagree, it raises AssertionError here instead of writing a document.
     """
     t = Fraction(t)
     point = case_point(t, policy)

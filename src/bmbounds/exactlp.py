@@ -7,8 +7,8 @@ gcd 1) with its right-hand side as a reduced integer pair num/den, den > 0,
 and the leading-coefficient pair of the inequality it stands for.
 ``system_rows`` clears a ``LinearSystem`` into them (denominators cleared
 with an integer lcm, and a unit row -v <= 0 per nonnegative variable);
-``systems.case_rows`` and ``systems.branch_ints`` make the same rows for
-the case systems and the dichotomy's branch rows from integers alone, so
+``systems.case_rows`` and ``systems.branch_ints`` make the same rows from
+the integer formulas the case systems and branch rows are built from, so
 only ``check_feasibility`` uses ``system_rows``, and no command calls it.
 A derived row is an integer combination of two rows on the columns still
 live, divided by its gcd, with its rhs pair combined over the product of

@@ -1,4 +1,4 @@
-"""Builders and integer row tables for the four-case inequality systems behind the lower bound.
+"""Integer row formulas for the four-case inequality systems behind the lower bound.
 
 The certification argument splits on how many of the three limit atoms
 admit a large point evaluation (threshold c).  Each case yields a small
@@ -12,14 +12,14 @@ plus 6b2 (case not0), 8a-8f (case in0not1) and 9a-9f (case in01not2).
 The d-row of case in0not1 exists in two readings ("printed" and
 "symmetrized") selected by the variant flag; nothing else depends on it.
 
-``CASE_TABLES`` holds one table per case, each row with two encodings.
-A row's ``build`` writes it as a Fraction inequality: ``build_case_system``
-assembles those, the encoding documents echo and ``verify-cert`` rebuilds
-from.  Its ``make`` computes, from t = n/d and the policy alone, the base
-row ``exactlp.solve_rows`` decides from.  ``case_rows`` lists a case's
-base rows at the ``case_point`` of t and the policy, which checks the
-guards on integers; the tests hold every made row equal to the base row
-``exactlp.system_rows`` clears from the built row.
+``CASE_TABLES`` holds one table per case and ``BRANCH_ROWS`` the
+dichotomy's branch rows B{m}{a,b}.  Each row is one integer formula of
+the point (T, C, R) of t and the policy, evaluated into both encodings:
+``build`` writes the Fraction inequality that documents echo and
+``verify-cert`` rebuilds from, ``make`` the base row ``exactlp.solve_rows``
+decides from.  ``case_rows`` lists a case's base rows at the
+``case_point`` of t and the policy, which checks the guards on integers.
+The tests check each formula against the display it rearranges.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ import reprlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .exactlp import GE, LE, LinearInequality, LinearSystem, SystemError_, base_row
 from .rationals import InputError, RationalFormatError, format_rational, parse_int, parse_rational
 
 VARIABLES = ("th0", "th1", "th2", "a")
-THETAS = ("th0", "th1", "th2")
 
 
 class DomainError(InputError):
@@ -96,8 +95,9 @@ class CPolicy:
 DEFAULT_POLICY = CPolicy(2, 1, 4)
 
 
-def _guards(t: Fraction, policy: CPolicy) -> tuple[Fraction, Fraction]:
-    """Validate the positivity guards; return (c, u) with u = (t + c)/2."""
+def _guards(t: Fraction, policy: CPolicy) -> None:
+    """Raise a DomainError, which names the guard, unless t - 1 > 0, c - 1 > 0
+    and t/2 <= c <= t hold for c = c(t)."""
     t = Fraction(t)
     if t <= 1:
         raise DomainError(f"guard failed: t - 1 must be positive, got t = {format_rational(t)}")
@@ -109,92 +109,44 @@ def _guards(t: Fraction, policy: CPolicy) -> tuple[Fraction, Fraction]:
             f"guard failed: t/2 <= c <= t required, got c = {format_rational(c)}"
             f" for t = {format_rational(t)}"
         )
-    return c, (t + c) / 2
-
-
-def _le(coeffs: Mapping[str, Fraction], rhs: Fraction, label: str) -> LinearInequality:
-    return LinearInequality(coeffs, LE, rhs, label)
-
-
-def _ge(coeffs: Mapping[str, Fraction], rhs: Fraction, label: str) -> LinearInequality:
-    return LinearInequality(coeffs, GE, rhs, label)
 
 
 # ---------------------------------------------------------------------------
-# Case rows: Fraction builders and integer makers
+# Row formulas
 # ---------------------------------------------------------------------------
 #
-# Each kind of row has a builder, which writes it as the documented
-# Fraction inequality from (t, c, u) with u = (t + c)/2, and a maker,
-# which computes its base row (see ``exactlp.base_row``) from integers
-# alone.  At t = n/d the point (T, C, R) holds t = T/R and c = C/R over one
-# denominator, R = r*d, T = r*n and C = p*n + q*d, so u is U/(2R) with
-# U = T + C.  A maker passes ``base_row`` the documented row times an
-# integer M > 0 that leaves integer coefficients and a rhs over R: its
-# clearing factor t-1, c-1, u-1 or c times R or 2R (times 1 for the pair
-# gap rows, whose factor t-1 divides the rhs only, and for the ordering
-# rows; the mass row 6c, factor 1, is multiplied by C like the other mass
-# rows).  The arguments of a row's kind come first, in both.
+# At t = n/d the point (T, C, R) holds t = T/R and c = C/R over one
+# denominator, R = r*d, T = r*n and C = p*n + q*d, so u = (t + c)/2 is
+# U/(2R) with U = T + C.  A formula multiplies the documented row's
+# <=-form by an integer M > 0 that leaves integer coefficients and a rhs
+# over R: the clearing factor t-1, c-1, u-1 or c times R or 2R (times 1
+# for the pair gap rows, whose factor t-1 divides the rhs only, and for
+# the ordering rows; the mass row 6c, factor 1, is multiplied by C like
+# the other mass rows).  The arguments of a row's kind come first.
 
 CasePoint = tuple[int, int, int]
 
 
-def _pair_gap_row(t: Fraction, c: Fraction, u: Fraction, variant: Variant,
-                  label: str) -> LinearInequality:
-    # t >= 2t/(t-1) + th2 + a   cleared to   th2 + a <= t - 2t/(t-1)
-    return _le({"th2": Fraction(1), "a": Fraction(1)}, t - 2 * t / (t - 1), label)
-
-
-def _pair_gap_ints(point: CasePoint, variant: Variant) -> tuple:
-    # th2 + a <= t(t - 3)/(t - 1)
+def _pair_gap(point: CasePoint, variant: Variant) -> tuple:
+    # t >= 2t/(t-1) + th2 + a, so th2 + a <= t(t - 3)/(t - 1)
     T, _, R = point
-    return base_row([0, 0, 1, 1], 1, T * (T - 3 * R), R * (T - R))
+    return [0, 0, 1, 1], 1, T * (T - 3 * R), R * (T - R)
 
 
-def _single_tail_row(m: int, level: str, t: Fraction, c: Fraction, u: Fraction,
-                     variant: Variant, label: str) -> LinearInequality:
-    # t >= 2(L - th_m)/(L - 1) - th_m + sum_{j != m} th_j + a, with L = t or c by level
-    L = t if level == "t" else c
-    coeffs = {"a": Fraction(1)}
-    for j, name in enumerate(THETAS):
-        coeffs[name] = Fraction(1)
-    coeffs[THETAS[m]] = -(L + 1) / (L - 1)
-    return _le(coeffs, t - 2 * L / (L - 1), label)
-
-
-def _single_tail_ints(m: int, level: str, point: CasePoint, variant: Variant) -> tuple:
+def _single_tail(m: int, level: str, point: CasePoint, variant: Variant) -> tuple:
+    # t >= 2(L - th_m)/(L - 1) - th_m + sum_{j != m} th_j + a, with L = t or c by level;
     # times (L - 1) * R: th_m gets -(L + 1) * R, the rest L*R - R
     T, C, R = point
     L = T if level == "t" else C
     M = L - R
     vec = [M, M, M, M]
     vec[m] = -(L + R)
-    return base_row(vec, M, M * T - 2 * R * L, R)
+    return vec, M, M * T - 2 * R * L, R
 
 
-def _mixed_tail_row(m: int, printed_in: Variant | None, t: Fraction, c: Fraction, u: Fraction,
-                    variant: Variant, label: str) -> LinearInequality:
-    # t >= 2(u - (th_m - (sum others)/2))/(u - 1) + tail
+def _mixed_tail(m: int, printed_in: Variant | None, point: CasePoint, variant: Variant) -> tuple:
+    # t >= 2(u - (th_m - (sum others)/2))/(u - 1) + tail, times (u - 1) * 2R = U - 2R;
     # symmetrized tail: -th_m + sum others + a ; printed tail, in ``printed_in`` only: th2 + a.
-    if variant is printed_in:
-        coeffs = {"a": Fraction(1), "th0": Fraction(0), "th1": Fraction(0), "th2": Fraction(0)}
-        coeffs[THETAS[m]] += Fraction(-2) / (u - 1)
-        for j, name in enumerate(THETAS):
-            if j != m:
-                coeffs[name] += Fraction(1) / (u - 1)
-        coeffs["th2"] += 1
-    else:
-        coeffs = {"a": Fraction(1)}
-        coeffs[THETAS[m]] = -(u + 1) / (u - 1)
-        for j, name in enumerate(THETAS):
-            if j != m:
-                coeffs[name] = u / (u - 1)
-    return _le(coeffs, t - 2 * u / (u - 1), label)
-
-
-def _mixed_tail_ints(m: int, printed_in: Variant | None, point: CasePoint,
-                     variant: Variant) -> tuple:
-    # times (u - 1) * 2R = U - 2R
     T, C, R = point
     U = T + C
     M = U - 2 * R
@@ -205,99 +157,101 @@ def _mixed_tail_ints(m: int, printed_in: Variant | None, point: CasePoint,
     else:
         vec = [U, U, U, M]
         vec[m] = -(U + 2 * R)
-    return base_row(vec, M, M * T - 2 * R * U, R)
+    return vec, M, M * T - 2 * R * U, R
 
 
-def _mass_row(scaled: Sequence[int], t: Fraction, c: Fraction, u: Fraction, variant: Variant,
-              label: str) -> LinearInequality:
-    # sum th_j (with factor (t-c-1)/c on the scaled indices) + a >= 1
-    kappa = (t - c - 1) / c
-    coeffs = {"a": Fraction(1)}
-    for j, name in enumerate(THETAS):
-        coeffs[name] = kappa if j in scaled else Fraction(1)
-    return _ge(coeffs, Fraction(1), label)
-
-
-def _mass_ints(scaled: Sequence[int], point: CasePoint, variant: Variant) -> tuple:
-    # times c * R = C, then negated to the <=-form
+def _mass(scaled: Sequence[int], point: CasePoint, variant: Variant) -> tuple:
+    # sum th_j (with factor (t-c-1)/c on the scaled indices) + a >= 1,
+    # times c * R = C and negated to the <=-form
     T, C, R = point
     vec = [-C, -C, -C, -C]
     for j in scaled:
         vec[j] = C + R - T
-    return base_row(vec, C, -C, 1)
+    return vec, C, -C, 1
 
 
-def _ordering_row(j: int, t: Fraction, c: Fraction, u: Fraction, variant: Variant,
-                  label: str) -> LinearInequality:
+def _ordering(j: int, point: CasePoint, variant: Variant) -> tuple:
     # th_j - th_{j+1} <= 0
-    return _le({THETAS[j]: Fraction(1), THETAS[j + 1]: Fraction(-1)}, Fraction(0), label)
-
-
-def _ordering_ints(j: int, point: CasePoint, variant: Variant) -> tuple:
     vec = [0, 0, 0, 0]
     vec[j], vec[j + 1] = 1, -1
-    return base_row(vec, 1, 0, 1)
+    return vec, 1, 0, 1
 
 
-_PAIR_GAP = (_pair_gap_row, _pair_gap_ints)
-_SINGLE_TAIL = (_single_tail_row, _single_tail_ints)
-_MIXED_TAIL = (_mixed_tail_row, _mixed_tail_ints)
-_MASS = (_mass_row, _mass_ints)
-_ORDERING = (_ordering_row, _ordering_ints)
+def _branch(m: int, branch: str, point: CasePoint, variant: Variant) -> tuple:
+    # The displays of ``branch_row`` times (t - 1) * R: th_m gets -(T + R) in
+    # branch "a" and T + R in "b"; the other entries get T + R in "a" and T - 3R in "b".
+    T, _, R = point
+    vec = [T + R] * 4 if branch == "a" else [T - 3 * R] * 4
+    vec[m] = -(T + R) if branch == "a" else T + R
+    return vec, T - R, T * (T - 3 * R), R
 
 
 class TableRow:
-    """One documented row of a case system, in both encodings.
+    """One documented row, written once as an integer formula.
 
-    ``kind`` is a (builder, maker) pair and ``args`` its arguments:
-    ``build(t, c, u, variant, label)`` is the Fraction inequality and
-    ``make(point, variant)`` its base row; ``factor`` names what the
-    documented coefficients were cleared of.
+    ``formula(point, variant)`` gives (vec, M, num, den), the row's <=-form
+    times its clearing factor M, which ``factor`` names.  ``make`` is
+    ``base_row(vec, M, num, den)``; ``build`` is the Fraction row, with
+    ``Fraction(s*vec[k], M)`` for each index k in ``keys`` (zeros included)
+    and rhs ``Fraction(s*num, den*M)``, where s = -1 for a ``>=`` row.  The
+    two agree by construction, so only the display test checks a formula.
     """
 
-    __slots__ = ("label", "factor", "build", "make")
+    __slots__ = ("label", "factor", "relation", "keys", "formula")
 
-    def __init__(self, label: str, factor: str, kind: tuple, *args):
-        builder, maker = kind
-        self.label, self.factor = label, factor
-        self.build, self.make = partial(builder, *args), partial(maker, *args)
+    def __init__(self, label: str, factor: str, formula, *args, relation: str = LE,
+                 keys: Sequence[int] = (0, 1, 2, 3)):
+        self.label, self.factor, self.relation, self.keys = label, factor, relation, keys
+        self.formula = partial(formula, *args)
+
+    def make(self, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> tuple:
+        return base_row(*self.formula(point, variant))
+
+    def build(self, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> LinearInequality:
+        vec, M, num, den = self.formula(point, variant)
+        s = -1 if self.relation == GE else 1
+        coeffs = {VARIABLES[k]: Fraction(s * vec[k], M) for k in self.keys}
+        return LinearInequality(coeffs, self.relation, Fraction(s * num, den * M), self.label)
+
+
+def _orderings(label: str) -> tuple[TableRow, TableRow]:
+    """The rows th0 <= th1 and th1 <= th2, labelled ``label.1`` and ``label.2``."""
+    return tuple(TableRow(f"{label}.{j + 1}", "1", _ordering, j, keys=(j, j + 1)) for j in (0, 1))
 
 
 CASE_TABLES: dict[JCase, tuple[TableRow, ...]] = {
     JCase.J012: (
-        TableRow("7a", "t-1", _PAIR_GAP),
-        TableRow("7b", "t-1", _SINGLE_TAIL, 0, "t"),
-        TableRow("7c", "c", _MASS, (0, 1, 2)),
-        TableRow("7d.1", "1", _ORDERING, 0),
-        TableRow("7d.2", "1", _ORDERING, 1),
+        TableRow("7a", "t-1", _pair_gap, keys=(2, 3)),
+        TableRow("7b", "t-1", _single_tail, 0, "t"),
+        TableRow("7c", "c", _mass, (0, 1, 2), relation=GE),
+        *_orderings("7d"),
     ),
     JCase.NOT0: (
-        TableRow("6a", "t-1", _PAIR_GAP),
-        TableRow("6b", "c-1", _SINGLE_TAIL, 0, "c"),
-        TableRow("6b2", "u-1", _MIXED_TAIL, 0, None),
-        TableRow("6c", "1", _MASS, ()),
-        TableRow("6d.1", "1", _ORDERING, 0),
-        TableRow("6d.2", "1", _ORDERING, 1),
+        TableRow("6a", "t-1", _pair_gap, keys=(2, 3)),
+        TableRow("6b", "c-1", _single_tail, 0, "c"),
+        TableRow("6b2", "u-1", _mixed_tail, 0, None),
+        TableRow("6c", "1", _mass, (), relation=GE),
+        *_orderings("6d"),
     ),
     JCase.IN0_NOT1: (
-        TableRow("8a", "t-1", _PAIR_GAP),
-        TableRow("8b", "t-1", _SINGLE_TAIL, 0, "t"),
-        TableRow("8c", "c-1", _SINGLE_TAIL, 1, "c"),
-        TableRow("8d", "u-1", _MIXED_TAIL, 1, Variant.PRINTED),
-        TableRow("8e", "c", _MASS, (1, 2)),
-        TableRow("8f.1", "1", _ORDERING, 0),
-        TableRow("8f.2", "1", _ORDERING, 1),
+        TableRow("8a", "t-1", _pair_gap, keys=(2, 3)),
+        TableRow("8b", "t-1", _single_tail, 0, "t"),
+        TableRow("8c", "c-1", _single_tail, 1, "c"),
+        TableRow("8d", "u-1", _mixed_tail, 1, Variant.PRINTED),
+        TableRow("8e", "c", _mass, (1, 2), relation=GE),
+        *_orderings("8f"),
     ),
     JCase.IN01_NOT2: (
-        TableRow("9a", "t-1", _PAIR_GAP),
-        TableRow("9b", "t-1", _SINGLE_TAIL, 0, "t"),
-        TableRow("9c", "c-1", _SINGLE_TAIL, 2, "c"),
-        TableRow("9d", "u-1", _MIXED_TAIL, 2, None),
-        TableRow("9e", "c", _MASS, (1, 2)),
-        TableRow("9f.1", "1", _ORDERING, 0),
-        TableRow("9f.2", "1", _ORDERING, 1),
+        TableRow("9a", "t-1", _pair_gap, keys=(2, 3)),
+        TableRow("9b", "t-1", _single_tail, 0, "t"),
+        TableRow("9c", "c-1", _single_tail, 2, "c"),
+        TableRow("9d", "u-1", _mixed_tail, 2, None),
+        TableRow("9e", "c", _mass, (1, 2), relation=GE),
+        *_orderings("9f"),
     ),
 }
+
+BRANCH_ROWS = {(m, br): TableRow(f"B{m}{br}", "t-1", _branch, m, br) for m in range(3) for br in "ab"}
 
 # -v <= 0 for each variable, all of which are nonnegative
 _NONNEG_ROWS = [base_row([-int(j == k) for k in range(4)], 1, 0, 1) for j in range(4)]
@@ -315,12 +269,12 @@ def build_case_system(
     band t/2 <= c <= t.
     """
     t = Fraction(t)
-    c, u = _guards(t, policy)
-    rows = [row.build(t, c, u, variant, row.label) for row in CASE_TABLES[case]]
+    point = case_point(t, policy)
+    rows = [row.build(point, variant) for row in CASE_TABLES[case]]
     meta = {
         "case": case.value,
         "t": format_rational(t),
-        "c": format_rational(c),
+        "c": format_rational(Fraction(point[1], point[2])),
         "policy": policy.key(),
         "variant": variant.value,
     }
@@ -369,35 +323,17 @@ def branch_row(t: Fraction, m: int, branch: str) -> LinearInequality:
     and branch "b" is
         t >= 2(t + x - y)/(t-1) + x + y.
     """
-    t = Fraction(t)
     if branch not in ("a", "b"):
         raise SystemError_(f"branch must be 'a' or 'b', got {branch!r}")
     if m not in (0, 1, 2):
         raise SystemError_(f"tail index must be 0, 1 or 2, got {m!r}")
-    two = Fraction(2) / (t - 1)
-    if branch == "a":
-        coeffs = {THETAS[m]: -two - 1, "a": two + 1}
-        for j, name in enumerate(THETAS):
-            if j != m:
-                coeffs[name] = two + 1
-    else:
-        coeffs = {THETAS[m]: two + 1, "a": -two + 1}
-        for j, name in enumerate(THETAS):
-            if j != m:
-                coeffs[name] = -two + 1
-    return _le(coeffs, t - 2 * t / (t - 1), f"B{m}{branch}")
+    t = Fraction(t)
+    return BRANCH_ROWS[m, branch].build((t.numerator, 0, t.denominator))
 
 
 def branch_ints(m: int, branch: str, point: CasePoint) -> tuple:
-    """The base row of ``branch_row(t, m, branch)`` at the point of t.
-
-    Times (t - 1) * R: th_m gets -(T + R) in branch "a" and T + R in "b";
-    the other entries get T + R in "a" and T - 3R in "b".
-    """
-    T, _, R = point
-    vec = [T + R] * 4 if branch == "a" else [T - 3 * R] * 4
-    vec[m] = -(T + R) if branch == "a" else T + R
-    return base_row(vec, T - R, T * (T - 3 * R), R)
+    """The base row of ``branch_row(t, m, branch)`` at the point of t."""
+    return BRANCH_ROWS[m, branch].make(point)
 
 
 def branch_strings(count: int) -> list[str]:

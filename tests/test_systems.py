@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bmbounds.exactlp import GE, LE, LinearSystem, system_rows
+from bmbounds.exactlp import GE, LE, LinearSystem, SystemError_, system_rows
 from bmbounds.rationals import format_rational
 from bmbounds.systems import (
     ALL_CASES,
@@ -138,27 +138,46 @@ def _display_value(label, t, c, point, variant=Variant.SYMMETRIZED):
         return 1 - (th0 + th1 + th2 + a)
     if label in ("8e", "9e"):
         return 1 - (th0 + kappa * (th1 + th2) + a)
+    if label.endswith((".1", ".2")):  # th_j <= th_{j+1}
+        j = int(label[-1]) - 1
+        return (th0, th1, th2)[j] - (th0, th1, th2)[j + 1]
+    if label[0] == "B":
+        # x = th_m, y = a + the other atom masses; branch a, then branch b
+        x = (th0, th1, th2)[int(label[1])]
+        y = th0 + th1 + th2 + a - x
+        if label[2] == "a":
+            return 2 * (t - x + y) / (t - 1) - x + y - t
+        return 2 * (t + x - y) / (t - 1) + x + y - t
     raise AssertionError(f"unhandled label {label}")
 
 
 def test_cleared_rows_match_displays_at_random_points():
-    """Row slack == display slack exactly, for 20 random t and random points."""
+    """Row slack == display slack exactly, for 20 random t under the default
+    policy, the edge points of the row tables and random t under other guarded
+    policies, at random points; the branch rows B{m}{a,b} included."""
     rng = random.Random(7)
-    for _ in range(20):
-        t = F(3) + F(rng.randint(1, 1999), 1000)  # t in (3, 5)
+
+    def inputs():
+        for _ in range(20):
+            yield F(3) + F(rng.randint(1, 1999), 1000), DEFAULT_POLICY  # t in (3, 5)
+        yield from TestCaseRowTables.EDGE_POINTS
+        for policy in (CPolicy(1, 0, 1), CPolicy(1, 0, 2), CPolicy(3, 1, 4), CPolicy(8, 1, 16)):
+            for _ in range(3):
+                yield F(3) + F(rng.randint(1, 1999), 1000), policy
+
+    for t, policy in inputs():
+        c = policy.c_at(t)
+        branches = tuple(branch_row(t, m, br) for m in range(3) for br in "ab")
         for variant in (Variant.PRINTED, Variant.SYMMETRIZED):
             for case in ALL_CASES:
-                sys_ = build_case_system(case, t, DEFAULT_POLICY, variant)
-                c = DEFAULT_POLICY.c_at(t)
+                sys_ = build_case_system(case, t, policy, variant)
                 point = {v: F(rng.randint(0, 400), 100) for v in sys_.variables}
-                for ineq in sys_.inequalities:
-                    if ineq.label.endswith(".1") or ineq.label.endswith(".2"):
-                        continue
+                for ineq in sys_.inequalities + branches:
                     row_slack = ineq.evaluate(point) - ineq.rhs
                     if ineq.relation == GE:
                         row_slack = -row_slack
                     disp = _display_value(ineq.label, t, c, point, variant)
-                    assert row_slack == disp, (case, ineq.label, t)
+                    assert row_slack == disp, (case, ineq.label, t, policy)
 
 
 class TestCaseRowTables:
@@ -343,6 +362,10 @@ class TestDichotomy:
             "th2": two + 1,
             "a": two + 1,
         }
+        for m, branch, message in ((3, "a", "tail index must be 0, 1 or 2, got 3"),
+                                   (0, "c", "branch must be 'a' or 'b', got 'c'")):
+            with pytest.raises(SystemError_, match=message):
+                branch_row(t, m, branch)
 
     def test_systems_augment_base(self):
         t = F(113, 32)

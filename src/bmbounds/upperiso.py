@@ -10,8 +10,9 @@ their largest row l1-norms.
 
 norm_report, the one evaluator of the norms and their product, reads the
 rows from T_TABLE and S_TABLE: each nonzero entry is an integer polynomial
-over one common denominator per direction, so at t = p/q a row's l1-norm
-is an integer sum over an integer, and no matrix is built or inverted.
+over one common denominator per direction.  At t = p/q it evaluates each
+distinct polynomial (up to sign) once, in one integer Horner pass, so a
+row's l1-norm is an integer sum over an integer; no matrix is built.
 build_matrices populates the same rows as Fraction matrices (inverting M
 by Gauss-Jordan); it, operator_norm_T/S, apply_T/S and inverse_closed_form
 are the independent matrix route the tests check the tables against.
@@ -306,23 +307,41 @@ S_TABLE = RowTable((-2, 16, -42, 68, -80, 48, -32, 0), {
 })
 
 
-def _horner(coefficients: tuple[int, ...], p: int, q_powers: list[int]) -> int:
-    """The homogeneous form of a polynomial at (p, q), given q_powers[k] = q**k."""
-    acc = 0
-    for c, q_k in zip(coefficients, q_powers):
-        acc = acc * p + c * q_k
-    return acc
+class _CompiledTable(NamedTuple):
+    """A RowTable's distinct polynomials up to sign, as coefficient columns."""
+
+    columns: tuple[tuple[int, ...], ...]  # coefficient k of each, then of the denominator
+    row_ids: tuple[str, ...]
+    indices: tuple[tuple[int, ...], ...]  # indices[r]: the polynomials of row r's entries
 
 
-def _table_norm(table: RowTable, p: int, q: int) -> tuple[Fraction, str]:
+def _compile(table: RowTable) -> _CompiledTable:
+    """Each entry's polynomial is kept once, signed to lead with a positive coefficient."""
+    polys: dict[tuple[int, ...], int] = {}
+    signed = [[c if next(filter(None, c)) > 0 else tuple(-x for x in c) for c in entries.values()]
+              for entries in table.rows.values()]
+    indices = tuple(tuple(polys.setdefault(c, len(polys)) for c in row) for row in signed)
+    return _CompiledTable(tuple(zip(*polys, table.denominator)), tuple(table.rows), indices)
+
+
+_T_COMPILED, _S_COMPILED = _compile(T_TABLE), _compile(S_TABLE)
+
+
+def _row_norms(table: _CompiledTable, p: int, q: int) -> tuple[list[int], int]:
+    """Each row's l1 norm and the denominator at t = p/q, times q**degree, in one Horner pass."""
+    values, q_k = table.columns[0], 1
+    for column in table.columns[1:]:
+        q_k *= q
+        values = [v * p + c * q_k for v, c in zip(values, column)]
+    values = list(map(abs, values))
+    return [sum([values[i] for i in row]) for row in table.indices], values[-1]
+
+
+def _table_norm(table: _CompiledTable, p: int, q: int) -> tuple[Fraction, str]:
     """The largest row l1 norm of one direction at t = p/q, with the id of the first row reaching it."""
-    q_powers = [q**k for k in range(len(table.denominator))]
-    best, best_id = -1, ""
-    for row_id, entries in table.rows.items():
-        l1 = sum(abs(_horner(c, p, q_powers)) for c in entries.values())
-        if l1 > best:
-            best, best_id = l1, row_id
-    return Fraction(best, _horner(table.denominator, p, q_powers)), best_id
+    norms, denominator = _row_norms(table, p, q)
+    best = max(norms)
+    return Fraction(best, denominator), table.row_ids[norms.index(best)]
 
 
 @dataclass(frozen=True)
@@ -342,28 +361,9 @@ def norm_report(t) -> NormReport:
     t = p/q; no matrix is built.
     """
     t, p, q = _read_parameter(t)
-    nt, at = _table_norm(T_TABLE, p, q)
-    ns, as_ = _table_norm(S_TABLE, p, q)
+    nt, at = _table_norm(_T_COMPILED, p, q)
+    ns, as_ = _table_norm(_S_COMPILED, p, q)
     return NormReport(t, nt, ns, nt * ns, at, as_)
-
-
-def sign_pattern_input(mats: IsoMatrices, row_id: str, n_levels: int = 1) -> TruncatedFunction:
-    """A sup-norm-one input whose image under T attains the given row of M or tail_block."""
-    def sgn(x):
-        return 1 if x > 0 else (-1 if x < 0 else 0)
-
-    kind, idx = row_id.split(":")
-    i = int(idx)
-    if kind == "M":
-        level, limit = (0, 0, 0), tuple(sgn(x) for x in mats.M[i])
-    elif kind == "tail":
-        signs = tuple(sgn(x) for x in mats.tail_block[i])
-        level, limit = signs[:3], signs[3:]
-    else:
-        raise ShapeError(f"unknown row id {row_id!r}")
-    if not any(level + limit):
-        raise ShapeError("zero row cannot be attained")
-    return TruncatedFunction((level,) * n_levels, limit)
 
 
 def scan_distortion(lo: Fraction, hi: Fraction, step: Fraction) -> list[tuple]:

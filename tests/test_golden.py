@@ -82,6 +82,12 @@ integer makers.  Both hold assignments that elimination proves infeasible
 with the branch rows, so they pin Farkas vectors that use those rows;
 ``--t 4`` is the only other command that decides assignments, and most of
 its verdicts are feasible.
+
+The ``upper --optimize --tol 1e-14 --format structured`` digest was recorded
+while ``norm_report`` still ran one Horner loop per table entry, before it
+evaluated each distinct polynomial of a table once per ``t``.  It is the
+finest tolerance the benchmark's upper workload uses, so its ``t*`` and
+norms carry the largest integers any upper report reaches.
 """
 
 import hashlib
@@ -167,6 +173,8 @@ GOLDEN = {
         (1, "9f11226b0e7e0435bcd969c0e0654e0bffb984c4da5a2cb4a3cdea1f3084dc67"),
     "dichotomy --t 15/4 --functions 0 1 --variant printed --format structured":
         (1, "958ce7880b9b6d02d4d2419ce458287c6d5a865e705e52024f5a59ea8094f1b8"),
+    "upper --optimize --tol 1e-14 --format structured":
+        (0, "32258765d3fadf428d757fba163a46502611b3fb7e06e435117961bc05a886df"),
 }
 
 

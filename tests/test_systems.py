@@ -238,6 +238,22 @@ class TestCaseRowTables:
             case_rows(JCase.J012, case_point(F(5, 2), DEFAULT_POLICY))) if ineq.label == "7c"]
         assert row_7c == ((0, 0, 0, -1), -1, 1, 1, 1)
 
+    def test_zero_entries_are_echoed(self):
+        """A row echoes every key it writes, zeros included: at t = 5/2 under
+        policy 2,1,4 (kappa = 0) the scaled entries of the mass rows 7c, 8e
+        and 9e are 0, and at t = 3 branch b's entries off th_m are 0."""
+        coeffs = {}
+        for case in (JCase.J012, JCase.IN0_NOT1, JCase.IN01_NOT2):
+            rows = system_doc(build_case_system(case, F(5, 2), CPolicy(2, 1, 4)))["inequalities"]
+            coeffs.update((row["label"], row["coeffs"]) for row in rows)
+        assert [coeffs["7c"][v] for v in ("th0", "th1", "th2")] == ["0"] * 3
+        for label in ("8e", "9e"):
+            assert [coeffs[label][v] for v in ("th1", "th2")] == ["0"] * 2, label
+        for m in range(3):
+            system = LinearSystem(VARIABLES, (branch_row(F(3), m, "b"),))
+            [entry] = system_doc(system)["inequalities"]
+            assert [entry["coeffs"][v] for v in VARIABLES if v != VARIABLES[m]] == ["0"] * 3, m
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_guarded_points(self, data):

@@ -11,13 +11,17 @@ from bmbounds.cli import main
 from bmbounds.upperiso import (
     S_TABLE,
     T_TABLE,
+    _S_COMPILED,
+    _T_COMPILED,
     CubicFormulaReport,
     IsoDomainError,
+    IsoMatrices,
     NormReport,
     ShapeError,
     TransformedSequence,
     TruncatedFunction,
     _mat_mul,
+    _row_norms,
     apply_S,
     apply_T,
     build_matrices,
@@ -28,7 +32,6 @@ from bmbounds.upperiso import (
     operator_norm_T,
     optimize_distortion,
     scan_distortion,
-    sign_pattern_input,
 )
 from test_golden import GOLDEN
 
@@ -45,6 +48,25 @@ def rand_function(rng, n_levels=10):
         tuple(tuple(rand_fraction(rng) for _ in range(3)) for _ in range(n_levels)),
         tuple(rand_fraction(rng) for _ in range(3)),
     )
+
+
+def sign_pattern_input(mats: IsoMatrices, row_id: str, n_levels: int = 1) -> TruncatedFunction:
+    """A sup-norm-one input whose image under T attains the given row of M or tail_block."""
+    def sgn(x):
+        return 1 if x > 0 else (-1 if x < 0 else 0)
+
+    kind, idx = row_id.split(":")
+    i = int(idx)
+    if kind == "M":
+        level, limit = (0, 0, 0), tuple(sgn(x) for x in mats.M[i])
+    elif kind == "tail":
+        signs = tuple(sgn(x) for x in mats.tail_block[i])
+        level, limit = signs[:3], signs[3:]
+    else:
+        raise ShapeError(f"unknown row id {row_id!r}")
+    if not any(level + limit):
+        raise ShapeError("zero row cannot be attained")
+    return TruncatedFunction((level,) * n_levels, limit)
 
 
 class TestBuildMatrices:
@@ -206,6 +228,41 @@ class TestRowTables:
         assert report == matrix_route(F(7, 2)) and at_star == matrix_route(t_star)
         assert rows == [(r.t, r.norm_t, r.norm_s, r.distortion)
                         for r in map(matrix_route, (3 + F(k, 4) for k in range(5)))]
+
+
+class TestCompiledTables:
+    """The compiled tables norm_report evaluates, checked against T_TABLE and S_TABLE."""
+
+    BOTH = pytest.mark.parametrize("table, compiled",
+                                   [(T_TABLE, _T_COMPILED), (S_TABLE, _S_COMPILED)], ids=["T", "S"])
+
+    @BOTH
+    def test_entries_index_nine_polynomials(self, table, compiled):
+        """Every entry is, up to sign, exactly one of 9 polynomials, no two of
+        which agree up to sign, and each row's indices list exactly its entries."""
+        *polys, denominator = zip(*compiled.columns)
+        assert denominator == table.denominator
+        assert len(polys) == 9
+        assert len(set(polys) | {tuple(-x for x in c) for c in polys}) == 18
+        assert compiled.row_ids == tuple(table.rows)
+        for indices, entries in zip(compiled.indices, table.rows.values(), strict=True):
+            assert len(indices) == len(entries)
+            for i, c in zip(indices, entries.values()):
+                assert [k for k, poly in enumerate(polys)
+                        if poly in (c, tuple(-x for x in c))] == [i]
+
+    @BOTH
+    def test_row_norms_match_the_entries(self, table, compiled):
+        """At t = p/q, including the optimizer's grid point at tol 1e-14, each
+        row's l1 norm and the denominator are q**degree times their values."""
+        t_star, _ = optimize_distortion(tol="1e-14")
+        degree = len(table.denominator) - 1
+        for t in (F(3), F(7, 2), F(31, 8), F(387513, 100000), F(4), t_star):
+            p, q = t.numerator, t.denominator
+            norms, denominator = _row_norms(compiled, p, q)
+            assert denominator == q**degree * poly_value(table.denominator, t)
+            assert norms == [q**degree * sum(abs(poly_value(c, t)) for c in entries.values())
+                             for entries in table.rows.values()], t
 
 
 class TestApply:

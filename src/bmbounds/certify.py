@@ -34,8 +34,8 @@ from . import __version__, exactlp
 from .exactlp import (
     FeasibilityResult,
     LinearSystem,
+    SELF_CHECK_FAILED,
     SystemError_,
-    check_rows,
     farkas_support,
     feasible_at,
     infeasible_on,
@@ -140,15 +140,17 @@ def certify_at(
     """Decide all four case systems at t from their row tables, then build them.
 
     The one place a ``CaseReport`` is made.  Each case is decided by
-    ``check_rows`` on ``case_rows``; its system is then built, the
+    ``exactlp.solve_rows`` on ``case_rows``; its system is then built, the
     encoding ``verify-cert`` rebuilds from, and its certificate must pass
-    ``verified`` against it.  Both come from one formula per row, so this
-    compares the base-row evaluator with the Fraction one: should they
-    disagree, it raises AssertionError here instead of writing a document.
+    ``verified`` against it, as in ``check_feasibility``.  Both come from
+    one formula per row, so a wrong certificate, or base rows that disagree
+    with the Fraction ones, raise AssertionError here instead of writing a
+    document.
     """
     t = Fraction(t)
     point = case_point(t, policy)
-    results = {case: check_rows(VARIABLES, case_rows(case, point, variant)) for case in ALL_CASES}
+    results = {case: exactlp.solve_rows(VARIABLES, case_rows(case, point, variant))
+               for case in ALL_CASES}
     systems = {case: build_case_system(case, t, policy, variant) for case in ALL_CASES}
     for case, system in systems.items():
         verified(system, results[case])
@@ -167,15 +169,20 @@ def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Seque
 def _warm(case: JCase, rows: list[tuple], bases: dict) -> bool:
     """Whether the base rows of ``case`` are feasible, decided first by
     re-solving its last infeasible support, then its last feasible basis,
-    and else by ``check_rows``, whose basis replaces the one ``bases``
-    holds for that case and verdict."""
+    and else by ``exactlp.solve_rows``.  The support or basis of that
+    result must pass the same check on ``rows``, else AssertionError is
+    raised; it then replaces the one ``bases`` holds for that case and
+    verdict."""
     if infeasible_on(rows, bases.get((case, False))):
         return False
     if feasible_at(rows, bases.get((case, True))):
         return True
-    result = check_rows(VARIABLES, rows)
-    bases[case, result.feasible] = (tight_basis(rows, result.witness) if result.feasible
-                                    else farkas_support(rows, result.farkas))
+    result = exactlp.solve_rows(VARIABLES, rows)
+    basis = (tight_basis(rows, result.witness) if result.feasible
+             else farkas_support(rows, result.farkas))
+    if not (feasible_at if result.feasible else infeasible_on)(rows, basis):
+        raise AssertionError(SELF_CHECK_FAILED)
+    bases[case, result.feasible] = basis
     return result.feasible
 
 
@@ -214,10 +221,11 @@ def binary_search_bound(
     last witness that elimination found for it.  A case is first re-solved
     at the new t on that support (``exactlp.infeasible_on``), then on that
     basis (``exactlp.feasible_at``), and runs Fourier-Motzkin only when
-    both fail.  Each check accepts a verdict only after exact integer
-    substitution, so a verdict never depends on the bases or on the order,
-    and neither does the trace.  The two reports are ``certify_at(t_lo)``
-    and ``certify_at(t_hi)``.
+    both fail; the support or basis of that run must then pass the same
+    check at t, or AssertionError is raised.  Each check accepts a verdict
+    only after exact integer substitution, so a verdict never depends on
+    the bases or on the order, and neither does the trace.  The two
+    reports are ``certify_at(t_lo)`` and ``certify_at(t_hi)``.
     """
     _check_iters(iters)
     lo, hi = Fraction(lo), Fraction(hi)
@@ -250,7 +258,12 @@ def binary_search_bound(
 
 def _repeated(policies: Sequence[CPolicy]) -> CPolicy | None:
     """The first policy that repeats an earlier one, if any."""
-    return next((policy for i, policy in enumerate(policies) if policy in policies[:i]), None)
+    seen: set[CPolicy] = set()
+    for policy in policies:
+        if policy in seen:
+            return policy
+        seen.add(policy)
+    return None
 
 
 def sweep_policies(

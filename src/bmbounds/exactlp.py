@@ -26,15 +26,14 @@ witness point by back-substitution, kept as integer numerators over one
 common denominator.  Fractions are made only for the returned witness or
 Farkas vector.
 
-Every certificate is re-verified by substitution before it is used.
-``check_feasibility`` decides a system and re-checks against the system's
-own coefficients with ``verify_certificate``; ``verified`` is that
-self-check, which every certificate a document carries passes, here or in
-a caller that decided it from rows or reuses it for another system.
-``check_rows`` decides base rows and re-checks against the same rows with
-``verify_rows``.  ``infeasible_on`` and ``feasible_at`` re-solve, for
+Every verdict passes one exact check by substitution before it is used.
+A certificate a document carries passes ``verified``, the self-check with
+``verify_certificate`` against the system's own coefficients, here in
+``check_feasibility`` or in a caller that decided it from rows or reuses
+it for another system.  A verdict on base rows alone passes
+``infeasible_on`` or ``feasible_at``: they re-solve, on those rows or on
 other rows of the same shape, a Farkas support or a tight basis that
-``farkas_support`` and ``tight_basis`` take from a result; they give a
+``farkas_support`` and ``tight_basis`` take from a result, and give a
 verdict without a certificate, accepted only after exact substitution.
 The independent cross-checks, an exact phase-1 simplex, brute-force
 vertex enumeration and a Fraction reference verifier, are kept off the
@@ -429,14 +428,6 @@ def solve_rows(variables: tuple[str, ...], rows: list[tuple]) -> FeasibilityResu
     return FeasibilityResult("feasible", witness={v: Fraction(x, D) for v, x in zip(variables, xs)})
 
 
-def check_rows(variables: tuple[str, ...], rows: list[tuple]) -> FeasibilityResult:
-    """``solve_rows``, its certificate re-verified against the same base rows."""
-    result = solve_rows(variables, rows)
-    if not verify_rows(variables, rows, result):
-        raise AssertionError(SELF_CHECK_FAILED)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Warm starts: re-solving a basis, a list of base-row indices, for other rows
 # ---------------------------------------------------------------------------
@@ -540,7 +531,16 @@ def farkas_support(rows: list[tuple], farkas: tuple[Fraction, ...]) -> list[int]
 
 def tight_basis(rows: list[tuple], witness: Mapping[str, Fraction]) -> Optional[list[int]]:
     """n independent base rows tight at ``witness``, whose values are in the
-    rows' variable order (the first such rows first), if there are n."""
+    rows' variable order (the first such rows first), if there are n.
+
+    There are n for a witness ``solve_rows`` finds on rows that hold
+    -x_j <= 0 for every variable, as the case systems do.  Each elimination
+    layer then still holds a row of direction -x_j (that one, or a tighter
+    one), so back-substitution sets every coordinate at a tight lower
+    bound.  Those bound rows are triangular in the elimination order, and
+    each is a nonnegative combination of base rows that are tight too, so
+    the tight base rows have rank n.
+    """
     point = list(witness.values())
     scale = math.lcm(*[x.denominator for x in point])
     xs = [x.numerator * (scale // x.denominator) for x in point]
@@ -637,43 +637,6 @@ def verify_certificate(system: LinearSystem, result: FeasibilityResult) -> bool:
         return all(_lcm_sum(terms) == 0 for terms in columns.values()) and _lcm_sum(rhs) < 0
 
     raise SystemError_(f"unknown status {result.status!r}")
-
-
-def verify_rows(variables: tuple[str, ...], rows: list[tuple], result: FeasibilityResult) -> bool:
-    """Re-check a result of ``solve_rows`` against its base rows by integer substitution.
-
-    A witness, put over the lcm of its denominators, must satisfy every
-    base row.  A Farkas vector must be nonnegative with one entry per base
-    row; entry y of an inequality whose first nonzero coefficient is p/q
-    in absolute value and whose base row has first nonzero entry +-piv
-    weighs that base row by y * p / (q * piv), which is y times the
-    inequality's <=-form.  The weighted rows must cancel every variable
-    and combine the right-hand sides into a negative number; each column
-    and the rhs are summed over the lcm of their denominators.
-    """
-    if result.feasible:
-        point = [result.witness[v] for v in variables]
-        scale = math.lcm(*[x.denominator for x in point])
-        xs = [x.numerator * (scale // x.denominator) for x in point]
-        return all(den * sum(map(operator.mul, vec, xs)) <= num * scale
-                   for vec, num, den, _, _ in rows)
-    nums = [x.numerator for x in result.farkas]
-    dens = [x.denominator for x in result.farkas]
-    if len(nums) != len(rows) or min(nums) < 0:
-        return False
-    scale = math.lcm(*dens)
-    columns: list[list] = [[] for _ in variables]
-    rhs = []
-    for x, xden, (vec, num, den, q, p) in zip(nums, dens, rows):
-        if not x:
-            continue
-        mult = x * (scale // xden) * p
-        div = q * abs(next(filter(None, vec), 1))
-        for column, c in zip(columns, vec):
-            if c:
-                column.append((mult * c, div))
-        rhs.append((mult * num, div * den))
-    return all(_lcm_sum(terms) == 0 for terms in columns) and _lcm_sum(rhs) < 0
 
 
 def _fraction(x) -> Fraction:

@@ -45,7 +45,7 @@ Matrix = tuple[tuple, ...]
 
 
 class IsoDomainError(InputError):
-    """t outside [3, 4] or a structural denominator vanished."""
+    """A parameter or interval outside [3, 4], or another input the pair rejects."""
 
 
 class ShapeError(ValueError):
@@ -102,30 +102,22 @@ class IsoMatrices:
 
 
 def _read_parameter(t):
-    """t as a Fraction, checked against every guard of the pair.
+    """t as a Fraction in [3, 4], with its numerator p and denominator q > 0.
 
-    Returns t with its numerator p and denominator q > 0.  The quartic and
-    cubic denominators d1, d2 of the closed-form inverse are checked as
-    the integers q**4 * d1(p/q) and q**3 * d2(p/q), which vanish with them.
+    No denominator of the pair vanishes there: t and t+1 are positive, and
+    the cubic d2 = t^3-5t^2+2t-4 of the closed-form inverse stays <= -12,
+    so the quartic d1 = (t-2)*d2 is negative too.
     """
     t = Fraction(t)
     if not (3 <= t <= 4):
         raise IsoDomainError(f"parameter must satisfy 3 <= t <= 4, got {t}")
-    p, q = t.numerator, t.denominator
-    d1 = (((p - 7 * q) * p + 12 * q * q) * p - 8 * q**3) * p + 8 * q**4
-    d2 = ((p - 5 * q) * p + 2 * q * q) * p - 4 * q**3
-    for name, value in (("t", p), ("t+1", p + q),
-                        ("t^4-7t^3+12t^2-8t+8", d1), ("t^3-5t^2+2t-4", d2)):
-        if value == 0:
-            raise IsoDomainError(f"denominator {name} vanishes at t = {t}")
-    return t, p, q
+    return t, t.numerator, t.denominator
 
 
 def build_matrices(t) -> IsoMatrices:
     """Populate every block at t, exactly.
 
-    Guards: 3 <= t <= 4 and the quartic/cubic denominators of the inverse
-    must not vanish (they are negative on the whole interval).
+    Guard: 3 <= t <= 4, where no denominator vanishes (see _read_parameter).
     """
     t, _, _ = _read_parameter(t)
     zero = Fraction(0)

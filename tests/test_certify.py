@@ -265,6 +265,23 @@ class TestBinarySearch:
         bound = binary_search_bound(*bracket, iters, policy, variant)
         assert search_report_doc(bound) == search_report_doc(reference)
 
+    @pytest.mark.parametrize("wrong", ["zero witness", "first row alone"])
+    def test_no_wrong_elimination_result_is_accepted(self, monkeypatch, wrong):
+        """Should elimination return a wrong certificate, no probe verdict and
+        no report is made from it: the search and both reports raise."""
+        import bmbounds.exactlp as exactlp
+
+        def solve(variables, rows):
+            if wrong == "zero witness":
+                return exactlp.FeasibilityResult("feasible", witness={v: F(0) for v in variables})
+            return exactlp.FeasibilityResult("infeasible", farkas=(F(1),) + (F(0),) * (len(rows) - 1))
+
+        monkeypatch.setattr(exactlp, "solve_rows", solve)
+        for run in (lambda: binary_search_bound(F(3), F(5), 4),
+                    lambda: certify_at(F(3)), lambda: certify_at(F(5))):
+            with pytest.raises(AssertionError, match="failed verification"):
+                run()
+
     def test_probes_build_only_the_cases_they_decide(self, monkeypatch, fm_runs):
         """Probes decide from the row tables; only the two reports of the
         result are built as systems, four cases each."""
@@ -372,6 +389,25 @@ class TestSweep:
         doc["skipped"].append({"policy": "2,1,4", "reason": "bracket end lo = 3 is not all-infeasible"})
         assert verify_certificate_text(json.dumps(doc)) == (
             EXIT_NOT_CERTIFIED, "policy 2,1,4 appears more than once in results and skipped")
+
+    def test_repeat_check_is_linear_in_the_policy_count(self, monkeypatch):
+        """2,000 distinct skipped policies, then one repeat: finding it compares
+        a handful of policies, not every pair of them."""
+        policies = [f"{p},{q},1" for p in range(40) for q in range(50)]
+        doc = {"tool_version": "x", "kind": "sweep", "variant": "symmetrized", "iters": 0,
+               "results": [], "skipped": [{"policy": key, "reason": "r"}
+                                          for key in policies + ["7,3,1"]]}
+        compared = [0]
+        eq = CPolicy.__eq__
+
+        def counting(self, other):
+            compared[0] += 1
+            return eq(self, other)
+
+        monkeypatch.setattr(CPolicy, "__eq__", counting)
+        assert verify_certificate_text(json.dumps(doc)) == (
+            EXIT_NOT_CERTIFIED, "policy 7,3,1 appears more than once in results and skipped")
+        assert compared[0] < 100
 
     @pytest.mark.parametrize("iters", [-1, 1001, True, "3"])
     def test_sweep_doc_iters_out_of_range_is_malformed(self, iters):

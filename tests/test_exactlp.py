@@ -587,7 +587,7 @@ def test_warm_verdicts_agree_with_elimination(policy, case, variant, t, step, pi
     result = exactlp.solve_rows(VARIABLES, near)
     if result.feasible:
         basis = exactlp.tight_basis(near, result.witness)
-        assert basis is None or exactlp.feasible_at(near, basis)
+        assert basis is not None and exactlp.feasible_at(near, basis)
     else:
         basis = exactlp.farkas_support(near, result.farkas)
         assert len(basis) <= len(VARIABLES) + 1 and exactlp.infeasible_on(near, basis)

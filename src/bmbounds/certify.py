@@ -52,6 +52,7 @@ from .systems import (
     DEFAULT_DICHOTOMY_FUNCTIONS,
     DEFAULT_POLICY,
     VARIABLES,
+    CasePoint,
     JCase,
     SystemFormatError,
     Variant,
@@ -61,6 +62,7 @@ from .systems import (
     build_case_system,
     build_dichotomy_systems,
     case_point,
+    case_row,
     case_rows,
     check_functions,
     # Unused here: bench/spans.py wraps these three names in this module.
@@ -162,19 +164,23 @@ def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Seque
     """The first case in ``order`` whose base rows are feasible at t, or None
     if all four are infeasible; each case is decided by ``_warm``."""
     point = case_point(t, policy)
-    return next((case for case in order if _warm(case, case_rows(case, point, variant), bases)),
-                None)
+    return next((case for case in order if _warm(case, point, variant, bases)), None)
 
 
-def _warm(case: JCase, rows: list[tuple], bases: dict) -> bool:
-    """Whether the base rows of ``case`` are feasible, decided first by
-    re-solving its last infeasible support, then its last feasible basis,
-    and else by ``exactlp.solve_rows``.  The support or basis of that
-    result must pass the same check on ``rows``, else AssertionError is
-    raised; it then replaces the one ``bases`` holds for that case and
+def _warm(case: JCase, point: CasePoint, variant: Variant, bases: dict) -> bool:
+    """Whether the base rows of ``case`` at ``point`` are feasible, decided
+    first by re-solving its last infeasible support, of which only its rows
+    are made, then its last feasible basis, and else by
+    ``exactlp.solve_rows``.  Both checks use Cramer's rule for a full
+    support (5 rows) or basis (4 rows).  The support or basis of that
+    result must pass the same check on the case's rows, else AssertionError
+    is raised; it then replaces the one ``bases`` holds for that case and
     verdict."""
-    if infeasible_on(rows, bases.get((case, False))):
+    support = bases.get((case, False))
+    if support and infeasible_on({i: case_row(case, i, point, variant) for i in support},
+                                 support):
         return False
+    rows = case_rows(case, point, variant)
     if feasible_at(rows, bases.get((case, True))):
         return True
     result = exactlp.solve_rows(VARIABLES, rows)
@@ -219,9 +225,10 @@ def binary_search_bound(
     Probes are warm-started: one dict, kept across the probes, holds per
     case the support of the last Farkas vector and the tight basis of the
     last witness that elimination found for it.  A case is first re-solved
-    at the new t on that support (``exactlp.infeasible_on``), then on that
-    basis (``exactlp.feasible_at``), and runs Fourier-Motzkin only when
-    both fail; the support or basis of that run must then pass the same
+    at the new t on that support, whose rows alone are made for it
+    (``exactlp.infeasible_on``), then on that basis
+    (``exactlp.feasible_at``), and runs Fourier-Motzkin only when both
+    fail; the support or basis of that run must then pass the same
     check at t, or AssertionError is raised.  Each check accepts a verdict
     only after exact integer substitution, so a verdict never depends on
     the bases or on the order, and neither does the trace.  The two

@@ -34,11 +34,12 @@ it for another system.  A verdict on base rows alone passes
 ``infeasible_on`` or ``feasible_at``: they re-solve, on those rows or on
 other rows of the same shape, a Farkas support or a tight basis that
 ``farkas_support`` and ``tight_basis`` take from a result, and give a
-verdict without a certificate, accepted only after exact substitution.
-The independent cross-checks, an exact phase-1 simplex, brute-force
-vertex enumeration and a Fraction reference verifier, are kept off the
-runtime path in ``crosscheck``; the tests require them to agree with this
-module.
+verdict without a certificate, accepted only after exact substitution;
+five support rows or four basis rows over four variables are re-solved by
+Cramer's rule, other shapes by integer Gauss-Jordan elimination.  The
+independent cross-checks, an exact phase-1 simplex, brute-force vertex
+enumeration and a Fraction reference verifier, are kept off the runtime
+path in ``crosscheck``; the tests require them to agree with this module.
 
 No floating point is used anywhere in this module.
 """
@@ -46,6 +47,7 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -429,8 +431,52 @@ def solve_rows(variables: tuple[str, ...], rows: list[tuple]) -> FeasibilityResu
 
 
 # ---------------------------------------------------------------------------
-# Warm starts: re-solving a basis, a list of base-row indices, for other rows
+# Warm starts: re-solving a basis, a list of base-row indices, for other rows,
+# by Cramer's rule in the case systems' shape and else by elimination
 # ---------------------------------------------------------------------------
+
+_PAIRS = list(itertools.combinations(range(5), 2))
+
+
+def _splits(k: int) -> tuple:
+    """For each split of the vectors other than v_k into the pair at positions
+    p < q and the other two, pickers of the pair's 2x2 minor from a list in
+    ``_PAIRS`` order and of the other two's from that list and its negation,
+    as the sign (-1)**(k + p + q + 1) of the term says."""
+    rest = [i for i in range(5) if i != k]
+    lo, hi = [], []
+    for p, q in itertools.combinations(range(4), 2):
+        lo.append(_PAIRS.index((rest[p], rest[q])))
+        other = tuple([i for j, i in enumerate(rest) if j not in (p, q)])
+        hi.append(_PAIRS.index(other) + len(_PAIRS) * ((k + p + q + 1) % 2))
+    return operator.itemgetter(*lo), operator.itemgetter(*hi)
+
+
+_SPLITS = [_splits(k) for k in range(5)]
+
+
+def _signed_minors(vectors: list) -> list[int]:
+    """y_k = (-1)**k det(the vectors other than v_k), for five integer vectors
+    v_0..v_4 of length 4: sum_k y_k v_k = 0, and y != 0 exactly when they
+    have rank 4.  Each determinant is a Laplace expansion along coordinates
+    0, 1, with the sign (-1)**(p + q + 1) for the pair at positions p < q."""
+    c0, c1, c2, c3 = zip(*vectors)
+    lo = [c0[i] * c1[j] - c0[j] * c1[i] for i, j in _PAIRS]
+    hi = [c2[i] * c3[j] - c2[j] * c3[i] for i, j in _PAIRS]
+    hi += [-x for x in hi]
+    return [sum(map(operator.mul, pick_lo(lo), pick_hi(hi))) for pick_lo, pick_hi in _SPLITS]
+
+
+def _kernel_vector(vectors: list) -> Optional[list[int]]:
+    """A generator of the kernel of ``vectors`` (integer y, sum_k y_k v_k = 0)
+    if it is one-dimensional, else None: the nonzero ``_signed_minors`` for
+    five vectors of length 4, else ``_eliminate``'s one kernel vector."""
+    if len(vectors) == 5 and len(vectors[0]) == 4:
+        y = _signed_minors(vectors)
+        return y if any(y) else None
+    _, kernel = _eliminate(vectors)
+    return kernel[0] if len(kernel) == 1 else None
+
 
 def _eliminate(columns: list) -> tuple[list[int], list[list[int]]]:
     """Gauss-Jordan elimination, in integers, of the matrix with these columns.
@@ -468,34 +514,41 @@ def _eliminate(columns: list) -> tuple[list[int], list[list[int]]]:
     return pivots, kernel
 
 
-def infeasible_on(rows: list[tuple], support: Optional[Sequence[int]]) -> bool:
+def infeasible_on(rows: Sequence[tuple] | Mapping[int, tuple],
+                  support: Optional[Sequence[int]]) -> bool:
     """Whether the base rows ``support`` prove ``rows`` infeasible: their
-    directions have a one-dimensional kernel whose generator is nonnegative,
-    cancels every variable and combines the right-hand sides into a
-    negative number."""
+    directions have a one-dimensional kernel (``_kernel_vector``, by
+    Cramer's rule for five rows over four variables) whose generator has
+    one sign and, taken nonnegative, cancels every variable and combines
+    the right-hand sides into a negative number.  ``rows`` may be any map
+    from those indices to rows."""
     if not support:
         return False
     picked = [rows[i] for i in support]
-    _, kernel = _eliminate([vec for vec, _, _, _, _ in picked])
-    if len(kernel) != 1 or min(kernel[0]) < 0:
+    vecs = [vec for vec, _, _, _, _ in picked]
+    y = _kernel_vector(vecs)
+    if y is None or min(y) < 0 < max(y):
         return False
-    y = kernel[0]
-    return (not any([sum(map(operator.mul, y, column)) for column in zip(*[r[0] for r in picked])])
+    if min(y) < 0:
+        y = [-x for x in y]
+    return (not any([sum(map(operator.mul, y, column)) for column in zip(*vecs)])
             and _lcm_sum([(w * num, den) for w, (_, num, den, _, _) in zip(y, picked)]) < 0)
 
 
 def feasible_at(rows: list[tuple], basis: Optional[Sequence[int]]) -> bool:
     """Whether the point where the n base rows ``basis`` are tight exists
-    and satisfies every row of ``rows``, the nonneg rows included."""
+    and satisfies every row of ``rows``, the nonneg rows included: x / D
+    for the kernel generator (x, D != 0) of the columns den * direction and
+    -rhs of those rows (``_kernel_vector``, Cramer's rule for four rows)."""
     if not basis:
         return False
     n = len(rows[0][0])
     tight = [rows[i] for i in basis]
-    pivots, kernel = _eliminate([[den * vec[j] for vec, _, den, _, _ in tight] for j in range(n)]
-                                + [[-num for _, num, _, _, _ in tight]])
-    if pivots != list(range(n)):
+    z = _kernel_vector([[den * vec[j] for vec, _, den, _, _ in tight] for j in range(n)]
+                       + [[-num for _, num, _, _, _ in tight]])
+    if z is None or not z[-1]:
         return False
-    *xs, D = kernel[0]
+    *xs, D = z if z[-1] > 0 else [-x for x in z]
     return all(den * sum(map(operator.mul, vec, xs)) <= num * D for vec, num, den, _, _ in rows)
 
 
@@ -511,11 +564,12 @@ def farkas_support(rows: list[tuple], farkas: tuple[Fraction, ...]) -> list[int]
     picked = [rows[i] for i in support]
     columns = [[den * x for x in vec] + [num] for vec, num, den, _, _ in picked]
     # y on an inequality weighs its base row (vec, num, den, q, p) by y * p / (q * piv),
-    # and so its column by that over den; the weights are scaled to integers.
-    w = [farkas[i] * p / (q * abs(next(filter(None, vec), 1)) * den)
+    # and so its column by that over den; the integer pairs are scaled to
+    # integers by the lcm of their reduced denominators.
+    w = [(farkas[i].numerator * p, farkas[i].denominator * q * abs(next(filter(None, vec), 1)) * den)
          for i, (vec, _, den, q, p) in zip(support, picked)]
-    scale = math.lcm(*[x.denominator for x in w])
-    w = [x.numerator * (scale // x.denominator) for x in w]
+    scale = math.lcm(*[b // math.gcd(a, b) for a, b in w])
+    w = [a * scale // b for a, b in w]
     while True:
         _, kernel = _eliminate(columns)
         if not kernel:

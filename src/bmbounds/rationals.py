@@ -57,7 +57,8 @@ def parse_int(text: str) -> int:
 
 def format_rational(value: Fraction) -> str:
     """Canonical decimal-free string: ``p`` for integers, else ``p/q`` with q > 0."""
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -300,6 +300,12 @@ def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRI
     return [row.make(point, variant) for row in CASE_TABLES[case]] + _NONNEG_ROWS
 
 
+def case_row(case: JCase, i: int, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> tuple:
+    """Row i of ``case_rows(case, point, variant)``, made alone."""
+    table = CASE_TABLES[case]
+    return table[i].make(point, variant) if i < len(table) else _NONNEG_ROWS[i - len(table)]
+
+
 def build_all_cases(
     t: Fraction,
     policy: CPolicy = DEFAULT_POLICY,

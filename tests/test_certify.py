@@ -306,6 +306,34 @@ class TestBinarySearch:
             assert report.systems == {case: build_case_system(case, report.t, CPolicy(2, 1, 4))
                                       for case in ALL_CASES}
 
+    def test_warm_infeasible_verdicts_make_only_their_support(self, monkeypatch, fm_runs):
+        """A case its stored Farkas support settles makes the table rows of
+        that support and no other row."""
+        import bmbounds.certify as certify_mod
+        from bmbounds.systems import CASE_TABLES, TableRow
+
+        made = []
+        make = TableRow.make
+        monkeypatch.setattr(TableRow, "make", lambda row, *args: made.append(row) or make(row, *args))
+        settled = []
+        warm = certify_mod._warm
+
+        def recording(case, point, variant, bases):
+            support, start, runs = bases.get((case, False)), len(made), len(fm_runs)
+            feasible = warm(case, point, variant, bases)
+            if not feasible and len(fm_runs) == runs:
+                table = CASE_TABLES[case]
+                assert made[start:] == [table[i] for i in support if i < len(table)]
+                settled.append(case)
+            return feasible
+
+        monkeypatch.setattr(certify_mod, "_warm", recording)
+        binary_search_bound(F(3), F(5), 20)
+        assert len(fm_runs) == 18
+        assert len(settled) == 43
+        # 417 when every case a probe decided made all of its rows.
+        assert len(made) == 385
+
 
 class TestSweep:
     def test_best_policy_is_2_1_4(self):

@@ -596,3 +596,106 @@ def test_warm_verdicts_agree_with_elimination(policy, case, variant, t, step, pi
             assert not feasible
         if exactlp.feasible_at(rows, candidate):
             assert feasible
+
+
+# Signed maximal minors against a Gauss-Jordan reference.
+
+def _cofactor_det(m):
+    """The determinant of a square matrix by cofactor expansion along its first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _cofactor_det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _kernel(matrix):
+    """A basis of the kernel of a matrix, by Gauss-Jordan elimination over Fractions."""
+    m = [[F(x) for x in row] for row in matrix]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                m[i] = [x - row[c] * y for x, y in zip(row, m[r])]
+        pivots.append(c)
+    basis = []
+    for f in (f for f in range(len(m[0])) if f not in pivots):
+        z = [F(0)] * len(m[0])
+        z[f] = F(1)
+        for row, c in zip(m, pivots):
+            z[c] = -row[f]
+        basis.append(z)
+    return basis
+
+
+def _reference_infeasible_on(rows, support):
+    kernel = _kernel(list(zip(*[rows[i][0] for i in support])))
+    if len(kernel) != 1:
+        return False
+    z = kernel[0]  # 1 at its free column
+    return min(z) >= 0 and sum(y * F(rows[i][1], rows[i][2]) for y, i in zip(z, support)) < 0
+
+
+def _reference_feasible_at(rows, basis):
+    kernel = _kernel([list(rows[i][0]) + [-F(rows[i][1], rows[i][2])] for i in basis])
+    if len(kernel) != 1 or not kernel[0][-1]:
+        return False
+    x = [v / kernel[0][-1] for v in kernel[0][:-1]]
+    return all(sum(a * b for a, b in zip(vec, x)) <= F(num, den) for vec, num, den, _, _ in rows)
+
+
+ENTRY = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80))
+
+
+@st.composite
+def kernel_rows(draw, sizes=st.integers(1, 5)):
+    """n + 1 rows (vec, num, den, 1, 1) over n variables, whose directions
+    are random, have a nonnegative kernel vector, or have rank below n."""
+    n = draw(sizes)
+    kind = draw(st.sampled_from(["random", "one-signed", "rank-deficient"]))
+    vecs = [draw(st.lists(ENTRY, min_size=n, max_size=n)) for _ in range(n + (kind == "random"))]
+    if kind == "one-signed":  # the last direction is minus a positive combination of the others
+        w = draw(st.lists(st.integers(1, 2 ** 80), min_size=n, max_size=n))
+        vecs.append([-sum(a * v[j] for a, v in zip(w, vecs)) for j in range(n)])
+    elif kind == "rank-deficient":  # the last `drop` coordinates combine the others
+        vecs.append(draw(st.lists(ENTRY, min_size=n, max_size=n)))
+        drop = draw(st.integers(1, n))
+        w = draw(st.lists(ENTRY, min_size=n - drop, max_size=n - drop))
+        for v in vecs:
+            for j in range(n - drop, n):
+                v[j] = sum(a * b for a, b in zip(w, v)) * (j - n + drop + 1)
+    rhs = draw(st.lists(st.tuples(ENTRY, st.one_of(st.integers(1, 5), st.integers(1, 2 ** 80))),
+                        min_size=n + 1, max_size=n + 1))
+    return [(tuple(v), num, den, 1, 1) for v, (num, den) in zip(vecs, rhs)]
+
+
+_MIXED = case_rows(JCase.IN01_NOT2, case_point(F(1043, 256), CPolicy(0, 3, 1)), Variant.SYMMETRIZED)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_rows(st.just(4)))
+@example([_MIXED[i] for i in (3, 4, 5, 7, 9)])
+def test_signed_minors_are_the_cofactor_expansion(rows):
+    """Up to sign; and they stand for the kernel exactly when it is one-dimensional."""
+    vecs = [list(vec) for vec, _, _, _, _ in rows]
+    cofactors = [(-1) ** k * _cofactor_det(vecs[:k] + vecs[k + 1:]) for k in range(5)]
+    assert exactlp._signed_minors(vecs) in (cofactors, [-x for x in cofactors])
+    assert (exactlp._kernel_vector(vecs) is None) == (len(_kernel(list(zip(*vecs)))) != 1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(kernel_rows(st.one_of(st.just(4), st.integers(1, 5))))
+# The warm-verdict example above: one-dimensional kernel, mixed sign, negative combined rhs.
+@example([_MIXED[i] for i in (3, 4, 5, 7, 9)])
+def test_minor_verdicts_agree_with_gauss_jordan(rows):
+    """``infeasible_on`` on all n + 1 rows and ``feasible_at`` on the first n
+    accept exactly when the Fraction Gauss-Jordan reference does, on the
+    minors path (n = 4) and the elimination path alike."""
+    n = len(rows) - 1
+    assert exactlp.infeasible_on(rows, range(n + 1)) == _reference_infeasible_on(rows, range(n + 1))
+    assert exactlp.feasible_at(rows, range(n)) == _reference_feasible_at(rows, range(n))

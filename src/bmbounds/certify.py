@@ -19,8 +19,9 @@ row tables with the base rows of the branch rows
 once.  All four document kinds (certify, search, sweep, dichotomy) are
 built here.  Certificate files are self-contained JSON documents that an
 auditor re-verifies by substitution alone; each echoed system must equal
-the rebuilt one value for value, and an audit parses and compares each
-distinct echoed row once.
+the rebuilt one value for value.  An echo equal to the rebuilt system's
+canonical rendering is matched without parsing; an audit parses and
+compares only echoes that differ, each distinct echoed row once.
 """
 
 from __future__ import annotations
@@ -171,16 +172,17 @@ def _warm(case: JCase, point: CasePoint, variant: Variant, bases: dict) -> bool:
     """Whether the base rows of ``case`` at ``point`` are feasible, decided
     first by re-solving its last infeasible support, of which only its rows
     are made, then its last feasible basis, and else by
-    ``exactlp.solve_rows``.  Both checks use Cramer's rule for a full
-    support (5 rows) or basis (4 rows).  The support or basis of that
+    ``exactlp.solve_rows``; each row is made at most once, so the support's
+    rows are reused for the others.  Both checks use Cramer's rule for a
+    full support (5 rows) or basis (4 rows).  The support or basis of that
     result must pass the same check on the case's rows, else AssertionError
     is raised; it then replaces the one ``bases`` holds for that case and
     verdict."""
-    support = bases.get((case, False))
-    if support and infeasible_on({i: case_row(case, i, point, variant) for i in support},
-                                 support):
+    support = bases.get((case, False)) or ()
+    made = {i: case_row(case, i, point, variant) for i in support}
+    if support and infeasible_on(made, support):
         return False
-    rows = case_rows(case, point, variant)
+    rows = case_rows(case, point, variant, made)
     if feasible_at(rows, bases.get((case, True))):
         return True
     result = exactlp.solve_rows(VARIABLES, rows)
@@ -512,14 +514,23 @@ def _entry_result(entry: dict) -> FeasibilityResult:
 
 
 class _Echoes:
-    """The echoed systems one audit has read: each distinct echoed row is parsed
-    once (``system_from_doc``'s memo), and each pair of a rebuilt row object
-    and an echoed row object is compared once.  The compared pairs are kept,
-    so their ids stay theirs for the audit."""
+    """The echoed systems one audit has read.  An echo equal to the canonical
+    rendering of its rebuilt system (``system_doc``, each shared row rendered
+    once) is matched without parsing.  Only an echo that differs is parsed,
+    each distinct echoed row once (``system_from_doc``'s memo), and compared
+    with the rebuilt system, each pair of a rebuilt row object and an echoed
+    row object once.  The rendered systems and the compared pairs are kept,
+    so the ids both memos are keyed by stay theirs for the audit."""
 
     def __init__(self) -> None:
+        self.rendered: dict = {}
+        self.built: list = []
         self.rows: dict = {}
         self.same: dict = {}
+
+    def canonical(self, built: LinearSystem) -> dict:
+        self.built.append(built)
+        return system_doc(built, self.rendered)
 
     def system(self, doc) -> LinearSystem:
         return system_from_doc(doc, self.rows)
@@ -546,15 +557,20 @@ def _check_cases(entries: list, expected: dict[JCase, LinearSystem], where: str,
     entry's certificate is checked against its echoed system, which must
     equal the system the builders give for that case value for value
     (variables, labelled rows, nonneg set, metadata); a rational may be
-    written in any p/q form.  No solver is invoked.
+    written in any p/q form.  An echo equal to the canonical rendering of
+    the built system has its value, so its certificate is checked against
+    the built system, unparsed; any other echo is parsed and compared.  No
+    solver is invoked.
     """
     cases = [JCase(entry["case"]) for entry in entries]
     if cases != list(expected):
         raise _Rejected(f"{where}cases [{', '.join(c.value for c in cases)}] are not the expected"
                         f" [{', '.join(c.value for c in expected)}]")
     for entry, (case, built) in zip(entries, expected.items()):
-        system = echoes.system(entry["system"])
-        if not (verify_certificate(system, _entry_result(entry)) and echoes.equal(built, system)):
+        echo = entry["system"]
+        system = built if echo == echoes.canonical(built) else echoes.system(echo)
+        if not (verify_certificate(system, _entry_result(entry))
+                and (system is built or echoes.equal(built, system))):
             raise _Rejected(f"{where}case {case.value} failed re-verification")
 
 

@@ -294,10 +294,15 @@ def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
     return T, C, R
 
 
-def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> list[tuple]:
+def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED,
+              made: dict | None = None) -> list[tuple]:
     """The base rows of ``build_case_system(case, t, policy, variant)`` at the
-    point of t and policy, as ``exactlp.system_rows`` reads them from it."""
-    return [row.make(point, variant) for row in CASE_TABLES[case]] + _NONNEG_ROWS
+    point of t and policy, as ``exactlp.system_rows`` reads them from it.
+    ``made`` maps indices to rows already made at that point (``case_row``),
+    which are used as they are."""
+    made = made or {}
+    return [made[i] if i in made else row.make(point, variant)
+            for i, row in enumerate(CASE_TABLES[case])] + _NONNEG_ROWS
 
 
 def case_row(case: JCase, i: int, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> tuple:
@@ -461,7 +466,9 @@ def system_from_doc(doc, rows: dict | None = None) -> LinearSystem:
     ``rows``, when given, memoizes the parsed inequalities across calls,
     keyed by an entry's label, relation, rhs and coefficient items as
     written: an echoed row that several systems share is parsed once, and
-    their systems hold the same inequality object.
+    their systems hold the same inequality object.  An audit parses only
+    the echoes that differ from the canonical rendering (``system_doc``)
+    of the rebuilt system; those equal to it are matched unparsed.
     """
     if not isinstance(doc, dict):
         raise SystemFormatError("top-level value must be an object")

@@ -331,8 +331,9 @@ class TestBinarySearch:
         binary_search_bound(F(3), F(5), 20)
         assert len(fm_runs) == 18
         assert len(settled) == 43
-        # 417 when every case a probe decided made all of its rows.
-        assert len(made) == 385
+        # 417 when every case a probe decided made all of its rows; 385 when
+        # a case its support did not settle made that support's rows again.
+        assert len(made) == 334
 
 
 class TestSweep:
@@ -810,7 +811,10 @@ class TestAuditWork:
 
     def test_shared_echo_rows_are_parsed_once(self, monkeypatch):
         """The 8 assignments at 113/32 echo the 25 base rows and 6 branch rows
-        32 and 24 times over; each distinct row is parsed once."""
+        32 and 24 times over.  Echoes equal to the canonical rendering are
+        not parsed at all (31 rows were, one per distinct row, when every
+        echo was); re-spelled echoes of one case in two assignments parse
+        each distinct row once."""
         import bmbounds.systems as systems_mod
 
         parsed = []
@@ -821,9 +825,60 @@ class TestAuditWork:
             return parse(entry, where)
 
         monkeypatch.setattr(systems_mod, "_inequality_from_doc", counting)
-        doc = dichotomy_report_doc(certify_dichotomy(F(113, 32)))
-        assert verify_certificate_text(json.dumps(doc))[0] == EXIT_CERTIFIED
-        assert len(parsed) == len(set(parsed)) == 31
+        doc = json.loads(json.dumps(dichotomy_report_doc(certify_dichotomy(F(113, 32)))))
+        assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED, "all certificates verified")
+        assert parsed == []
+        echoes = [doc["assignments"][index]["cases"][0]["system"] for index in (0, 1)]
+        for echo in echoes:
+            _each_number(echo, _doubled_terms)
+        assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED, "all certificates verified")
+        labels = {row["label"] for echo in echoes for row in echo["inequalities"]}
+        assert {"B2a", "B2b"} <= labels
+        assert sorted(parsed) == sorted(labels)
+
+    def test_stale_renderings_cannot_match(self, monkeypatch):
+        """Rows rendered for one rebuilt system are not taken for another's:
+        the upper report's echo of a case holding the lower report's rows,
+        or one assignment's echo holding another's branch rows, is rejected
+        although its metadata and certificate are genuine.  The renderings
+        are memoized by row id, so every row rendered in an audit must stay
+        alive until it ends: a freed row's id could be reused."""
+        import weakref
+
+        import bmbounds.certify as certify_mod
+
+        search = json.loads(json.dumps(search_report_doc(binary_search_bound(F(3), F(5), 4))))
+        dichotomy = json.loads(json.dumps(dichotomy_report_doc(certify_dichotomy(F(113, 32)))))
+        rendered = []
+        render = certify_mod.system_doc
+
+        def rendering(system, rows=None):
+            assert all(ref() is not None for ref in rendered)
+            rendered.extend(weakref.ref(ineq) for ineq in system.inequalities)
+            return render(system, rows)
+
+        def audit(doc):
+            rendered.clear()
+            return verify_certificate_text(json.dumps(doc))
+
+        monkeypatch.setattr(certify_mod, "system_doc", rendering)
+        doc = search
+        for index, (lower, upper) in enumerate(zip(doc["lower_report"]["cases"],
+                                                   doc["upper_report"]["cases"])):
+            forged = json.loads(json.dumps(doc))
+            forged["upper_report"]["cases"][index]["system"]["inequalities"] = (
+                lower["system"]["inequalities"])
+            assert audit(forged) == (
+                EXIT_NOT_CERTIFIED, f"t={doc['t_hi']}: case {upper['case']} failed re-verification")
+        doc = dichotomy
+        for index, other in ((0, 7), (7, 0), (2, 3)):
+            forged = json.loads(json.dumps(doc))
+            forged["assignments"][index]["cases"][1]["system"]["inequalities"] = (
+                doc["assignments"][other]["cases"][1]["system"]["inequalities"])
+            branches = doc["assignments"][index]["branches"]
+            assert audit(forged) == (
+                EXIT_NOT_CERTIFIED, f"branches {branches}: case not0 failed re-verification")
+        assert audit(search) == audit(dichotomy) == (EXIT_CERTIFIED, "all certificates verified")
 
     @pytest.mark.parametrize("index", [0, 5, 7])
     def test_tampered_copy_of_a_shared_row(self, index):

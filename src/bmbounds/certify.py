@@ -16,12 +16,14 @@ t_hi.  A dichotomy decides its four base systems once per t, through
 cases feasible without branch rows are decided per assignment, from their
 row tables with the base rows of the branch rows
 (``systems.branch_ints``) added, and its document formats each shared row
-once.  All four document kinds (certify, search, sweep, dichotomy) are
-built here.  Certificate files are self-contained JSON documents that an
-auditor re-verifies by substitution alone; each echoed system must equal
-the rebuilt one value for value.  An echo equal to the rebuilt system's
-canonical rendering is matched without parsing; an audit parses and
-compares only echoes that differ, each distinct echoed row once.
+once.  Each certificate is self-checked on the pair rows its system is
+built from.  All four document kinds (certify, search, sweep, dichotomy)
+are built here.  Certificate files are self-contained JSON documents that
+an auditor re-verifies by substitution alone; each echoed system must
+equal the expected one value for value.  An echo equal to the rendering
+of its expected rows' pair rows is checked on those pair rows, with no
+system built; only an echo that differs is parsed and compared with its
+expected system, built for it.
 """
 
 from __future__ import annotations
@@ -43,35 +45,44 @@ from .exactlp import (
     tight_basis,
     verified,
     verify_certificate,
+    verify_pairs,
     # Unused here: bench/spans.py wraps this name in this module.
     check_feasibility,
 )
 from .rationals import InputError, format_rational, parse_rational
 from .systems import (
     ALL_CASES,
+    BRANCH_ROWS,
+    CASE_TABLES,
     CPolicy,
     DEFAULT_DICHOTOMY_FUNCTIONS,
     DEFAULT_POLICY,
+    NONNEG_PAIRS,
     VARIABLES,
     CasePoint,
     JCase,
     SystemFormatError,
+    TableRow,
     Variant,
     branch_ints,
     branch_strings,
     branch_systems,
     build_case_system,
-    build_dichotomy_systems,
+    case_meta,
+    case_pairs,
     case_point,
     case_row,
     case_rows,
     check_functions,
-    # Unused here: bench/spans.py wraps these three names in this module.
-    build_all_cases,
-    parse_system_file,
-    serialize_system,
+    row_entry,
     system_doc,
     system_from_doc,
+    table_system,
+    # Unused here: bench/spans.py wraps these four names in this module.
+    build_all_cases,
+    build_dichotomy_systems,
+    parse_system_file,
+    serialize_system,
 )
 
 TOOL_VERSION = f"bmbounds-{__version__}"
@@ -143,21 +154,27 @@ def certify_at(
     """Decide all four case systems at t from their row tables, then build them.
 
     The one place a ``CaseReport`` is made.  Each case is decided by
-    ``exactlp.solve_rows`` on ``case_rows``; its system is then built, the
-    encoding ``verify-cert`` rebuilds from, and its certificate must pass
-    ``verified`` against it, as in ``check_feasibility``.  Both come from
-    one formula per row, so a wrong certificate, or base rows that disagree
-    with the Fraction ones, raise AssertionError here instead of writing a
-    document.
+    ``exactlp.solve_rows`` on ``case_rows``; its system is then built from
+    its pair rows (``case_pairs``), the rows ``verify-cert`` checks echoes
+    on, and its certificate must pass ``verified`` on them, as in
+    ``check_feasibility``.  Both come from one formula per row, so a wrong
+    certificate, or base rows that disagree with the pair rows, raise
+    AssertionError here instead of writing a document.
     """
+    return _certify_at(t, policy, variant)[0]
+
+
+def _certify_at(t: Fraction, policy: CPolicy, variant: Variant) -> tuple[CaseReport, dict]:
+    """``certify_at`` and the pair rows of each case system, by case."""
     t = Fraction(t)
     point = case_point(t, policy)
     results = {case: exactlp.solve_rows(VARIABLES, case_rows(case, point, variant))
                for case in ALL_CASES}
-    systems = {case: build_case_system(case, t, policy, variant) for case in ALL_CASES}
-    for case, system in systems.items():
-        verified(system, results[case])
-    return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results, systems)
+    pairs = {case: case_pairs(case, point, variant) for case in ALL_CASES}
+    systems = {case: build_case_system(case, t, policy, variant, pairs[case]) for case in ALL_CASES}
+    for case in ALL_CASES:
+        verified(VARIABLES, pairs[case], results[case])
+    return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results, systems), pairs
 
 
 def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Sequence[JCase],
@@ -334,7 +351,7 @@ def certify_dichotomy(
 ) -> DichotomyReport:
     """Decide all 2**b branch assignments; certified iff all infeasible.
 
-    Each plain case system is decided once, by ``certify_at``.  Adding
+    Each plain case system is decided once, as ``certify_at`` does.  Adding
     rows cannot make an infeasible system feasible, so a plain-infeasible
     case is infeasible under every assignment: each of its assignments
     carries the plain Farkas vector with a zero on every branch row (the
@@ -343,17 +360,19 @@ def certify_dichotomy(
     cases are decided again per assignment, by ``exactlp.solve_rows`` on
     the case's base rows with the assignment's branch rows
     (``systems.branch_ints``) after its inequalities; each result must
-    pass ``verified`` against the built assignment system, as it would in
-    ``check_feasibility``.  Raises FunctionsError, before any system is
+    pass ``verified`` on the pair rows of the assignment system, as it
+    would in ``check_feasibility``.  Raises FunctionsError, before any system is
     built, unless the functions are distinct indices 0-2.
     """
     functions = check_functions(functions)
-    report = certify_at(t, policy, variant)
+    report, pairs = _certify_at(t, policy, variant)
     point = case_point(report.t, policy)
-    branch = [{br: branch_ints(m, br, point) for br in "ab"} for m in functions]
+    branch = [{br: (branch_ints(m, br, point), BRANCH_ROWS[m, br].pairs(point)) for br in "ab"}
+              for m in functions]
     plain, rows = {}, {}
     for case, result in report.results.items():
         cut = len(report.systems[case].inequalities)
+        pairs[case] = pairs[case][:cut], pairs[case][cut:]
         if result.feasible:
             base = case_rows(case, point, variant)
             rows[case] = base[:cut], base[cut:]
@@ -365,13 +384,14 @@ def certify_dichotomy(
     for branches, systems in branch_systems(report.t, report.systems.values(), functions):
         extra = [row[br] for row, br in zip(branch, branches)]
         results = {}
-        for case, system in zip(ALL_CASES, systems):
+        for case in ALL_CASES:
             result = plain[case]
             # Without functions an assignment's rows are the plain ones.
             if result.feasible and functions:
                 head, tail = rows[case]
-                result = exactlp.solve_rows(VARIABLES, head + extra + tail)
-            results[case] = verified(system, result)
+                result = exactlp.solve_rows(VARIABLES, head + [ints for ints, _ in extra] + tail)
+            head, tail = pairs[case]
+            results[case] = verified(VARIABLES, head + [pair for _, pair in extra] + tail, result)
         assignments.append(replace(report, results=results,
                                    systems=dict(zip(ALL_CASES, systems)), branches=branches))
     return DichotomyReport(report.t, policy, variant, functions, tuple(assignments))
@@ -498,39 +518,75 @@ class _Rejected(Exception):
     """A certificate or headline claim of a document does not hold (exit 1)."""
 
 
-def _entry_result(entry: dict) -> FeasibilityResult:
+def _entry_result(entry: dict, parse) -> FeasibilityResult:
+    """The certificate of a case entry, each string read by ``parse``."""
     status = entry["status"]
     if status == "feasible":
         witness = entry["witness"]
         if not isinstance(witness, dict):
             raise SystemFormatError(f"witness must be an object, got {type(witness).__name__}")
-        return FeasibilityResult("feasible", witness={v: parse_rational(s) for v, s in witness.items()})
+        return FeasibilityResult("feasible", witness={v: parse(s) for v, s in witness.items()})
     if status == "infeasible":
         farkas = entry["farkas"]
         if not isinstance(farkas, list):  # a string or an object would be read item by item
             raise SystemFormatError(f"farkas must be a list, got {type(farkas).__name__}")
-        return FeasibilityResult("infeasible", farkas=tuple(parse_rational(s) for s in farkas))
+        return FeasibilityResult("infeasible", farkas=tuple([parse(s) for s in farkas]))
     raise SystemFormatError(f"unknown status {status!r}")
 
 
+_VARIABLES = list(VARIABLES)  # the "variables" and "nonneg" of every canonical echo
+
+
 class _Echoes:
-    """The echoed systems one audit has read.  An echo equal to the canonical
-    rendering of its rebuilt system (``system_doc``, each shared row rendered
-    once) is matched without parsing.  Only an echo that differs is parsed,
-    each distinct echoed row once (``system_from_doc``'s memo), and compared
-    with the rebuilt system, each pair of a rebuilt row object and an echoed
-    row object once.  The rendered systems and the compared pairs are kept,
-    so the ids both memos are keyed by stay theirs for the audit."""
+    """What one audit has made, parsed and checked, each once.
+
+    ``made`` holds each table row's pair row and canonical entry per
+    (point, variant), ``numbers`` each certificate string parsed, and
+    ``farkas`` the verdict of each Farkas check, keyed by the point, the
+    variant, the lengths and the rows with a nonzero multiplier (a table
+    row, or the variable of a nonneg row) with that multiplier as written.
+    Table rows are module constants, so no key outlives what it names.  An
+    echo that differs is parsed, each distinct echoed row once
+    (``system_from_doc``'s memo), and compared with its expected system,
+    each pair of row objects once; ``same`` keeps the compared pairs, so
+    the ids it is keyed by stay theirs for the audit."""
 
     def __init__(self) -> None:
-        self.rendered: dict = {}
-        self.built: list = []
+        self.made: dict = {}
+        self.numbers: dict = {}
+        self.farkas: dict = {}
         self.rows: dict = {}
         self.same: dict = {}
 
-    def canonical(self, built: LinearSystem) -> dict:
-        self.built.append(built)
-        return system_doc(built, self.rendered)
+    def expected(self, rows: Sequence[TableRow], point: CasePoint, variant: Variant) -> list:
+        """The (pair row, canonical entry) of each of ``rows`` at point and variant."""
+        made = self.made.setdefault((point, variant), {})
+        for row in rows:
+            if row not in made:
+                pair = row.pairs(point, variant)
+                made[row] = pair, row_entry(row.label, pair)
+        return [made[row] for row in rows]
+
+    def number(self, text) -> Fraction:
+        value = self.numbers.get(text) if isinstance(text, str) else None
+        if value is None:
+            value = self.numbers[text] = parse_rational(text)
+        return value
+
+    def verdict(self, entry: dict, rows: Sequence[TableRow], pairs: list,
+                point: CasePoint, variant: Variant) -> bool:
+        """Whether the certificate of ``entry`` holds on the pair rows
+        ``pairs`` of the table rows ``rows`` and the nonneg rows."""
+        result = _entry_result(entry, self.number)
+        if result.feasible:
+            return verify_pairs(VARIABLES, pairs, result)
+        key = (point, variant, len(pairs), len(result.farkas),
+               *[(row, text) for row, text, x in zip((*rows, *VARIABLES), entry["farkas"], result.farkas)
+                 if x])
+        verdict = self.farkas.get(key)
+        if verdict is None:
+            verdict = self.farkas[key] = verify_pairs(VARIABLES, pairs, result)
+        return verdict
 
     def system(self, doc) -> LinearSystem:
         return system_from_doc(doc, self.rows)
@@ -549,28 +605,36 @@ class _Echoes:
         return True
 
 
-def _check_cases(entries: list, expected: dict[JCase, LinearSystem], where: str,
+def _check_cases(entries: list, expected: dict, point: CasePoint, variant: Variant, where: str,
                  echoes: _Echoes) -> None:
     """Re-verify case entries by substitution alone; raise _Rejected on the first failure.
 
-    The entries must name exactly the cases of ``expected``, in order.  Each
-    entry's certificate is checked against its echoed system, which must
-    equal the system the builders give for that case value for value
-    (variables, labelled rows, nonneg set, metadata); a rational may be
-    written in any p/q form.  An echo equal to the canonical rendering of
-    the built system has its value, so its certificate is checked against
-    the built system, unparsed; any other echo is parsed and compared.  No
-    solver is invoked.
+    ``expected`` maps each case, in order, to its table rows (the case's,
+    then any branch rows) and its metadata; the entries must name exactly
+    those cases.  Each entry's certificate is checked against its echoed
+    system, which must equal the system those rows give at the point and
+    variant value for value (variables, labelled rows, nonneg set,
+    metadata); a rational may be written in any p/q form.  An echo equal
+    to the canonical rendering of the rows' pair rows has their value, so
+    its certificate is checked on them, unparsed; any other echo is parsed
+    and compared with the expected system.  No solver is invoked.
     """
     cases = [JCase(entry["case"]) for entry in entries]
     if cases != list(expected):
         raise _Rejected(f"{where}cases [{', '.join(c.value for c in cases)}] are not the expected"
                         f" [{', '.join(c.value for c in expected)}]")
-    for entry, (case, built) in zip(entries, expected.items()):
+    for entry, (case, (rows, meta)) in zip(entries, expected.items()):
+        made = echoes.expected(rows, point, variant)
+        pairs = [pair for pair, _ in made]
         echo = entry["system"]
-        system = built if echo == echoes.canonical(built) else echoes.system(echo)
-        if not (verify_certificate(system, _entry_result(entry))
-                and (system is built or echoes.equal(built, system))):
+        if echo == {"variables": _VARIABLES, "nonneg": _VARIABLES,
+                    "inequalities": [line for _, line in made], "meta": meta}:
+            ok = echoes.verdict(entry, rows, pairs + NONNEG_PAIRS, point, variant)
+        else:
+            system = echoes.system(echo)
+            ok = (verify_certificate(system, _entry_result(entry, echoes.number))
+                  and echoes.equal(table_system(rows, pairs, meta), system))
+        if not ok:
             raise _Rejected(f"{where}case {case.value} failed re-verification")
 
 
@@ -581,8 +645,9 @@ def _check_report(rep: dict, policy: CPolicy, variant: Variant, echoes: _Echoes,
     where = f"t={rep['t']}: "
     if parse_rational(rep["c"]) != policy.c_at(t):
         raise _Rejected(f"{where}c = {rep['c']} is not c(t) = {format_rational(policy.c_at(t))}")
-    expected = {case: build_case_system(case, t, policy, variant) for case in cases}
-    _check_cases(rep["cases"], expected, where, echoes)
+    point = case_point(t, policy)
+    expected = {case: (CASE_TABLES[case], case_meta(case, t, point, policy, variant)) for case in cases}
+    _check_cases(rep["cases"], expected, point, variant, where, echoes)
 
 
 def _check_trace(trace: list, t_lo: Fraction, t_hi: Fraction) -> None:
@@ -702,9 +767,14 @@ def _check_doc(doc: dict) -> None:
                         for a, b in zip(assignments, branch_strings(len(functions))))):
             raise _Rejected(f"assignments are not the {2 ** len(functions)} branch combinations"
                             f" of functions {list(functions)} in order")
-        built = build_dichotomy_systems(t, policy, functions, variant)
-        for assignment, (branches, systems) in zip(assignments, built):
-            _check_cases(assignment["cases"], dict(zip(ALL_CASES, systems)),
+        point = case_point(t, policy)
+        metas = {case: case_meta(case, t, point, policy, variant) for case in ALL_CASES}
+        for assignment in assignments:
+            branches = assignment["branches"]
+            extra = tuple(BRANCH_ROWS[m, br] for m, br in zip(functions, branches))
+            expected = {case: (CASE_TABLES[case] + extra, {**meta, "branches": branches})
+                        for case, meta in metas.items()}
+            _check_cases(assignment["cases"], expected, point, variant,
                          f"branches {branches}: ", echoes)
         if doc["certified"] is not all(_all_infeasible(a) for a in assignments):
             raise _Rejected("certified flag contradicts assignment statuses")

@@ -27,10 +27,14 @@ common denominator.  Fractions are made only for the returned witness or
 Farkas vector.
 
 Every verdict passes one exact check by substitution before it is used.
-A certificate a document carries passes ``verified``, the self-check with
-``verify_certificate`` against the system's own coefficients, here in
+``verify_pairs`` is the one certificate check: it reads pair rows, each
+inequality's own coefficients and rhs as reduced integer pairs, never the
+base rows elimination made of them.  A certificate a document carries
+passes ``verified``, that check as a self-check, here in
 ``check_feasibility`` or in a caller that decided it from rows or reuses
-it for another system.  A verdict on base rows alone passes
+it for another system, on the pair rows the system is built from
+(``systems.case_pairs``); ``verify_certificate`` reads a ``LinearSystem``'s
+pair rows (``system_pairs``).  A verdict on base rows alone passes
 ``infeasible_on`` or ``feasible_at``: they re-solve, on those rows or on
 other rows of the same shape, a Farkas support or a tight basis that
 ``farkas_support`` and ``tight_basis`` take from a result, and give a
@@ -611,83 +615,107 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
     decided by ``solve_rows``; the certificate is re-verified by
     substitution into the system's own coefficients before it is returned.
     """
-    return verified(system, solve_rows(system.variables, system_rows(system)))
+    return verified(system.variables, system_pairs(system),
+                    solve_rows(system.variables, system_rows(system)))
 
 
 # ---------------------------------------------------------------------------
 # Certificate verification (pure substitution)
 # ---------------------------------------------------------------------------
 
-def verified(system: LinearSystem, result: FeasibilityResult) -> FeasibilityResult:
-    """``result``, once ``verify_certificate`` accepts it for ``system``.
+def pair_row(ineq: LinearInequality, variables: Sequence[str]) -> tuple:
+    """The pair row (coeffs, relation, (num, den)) of an inequality: ``coeffs``
+    holds (variable, num, den) per coefficient, in ``variables`` order, and
+    each num/den is a reduced pair with den > 0."""
+    coeffs = ineq.coeffs
+    return (tuple([(v, c.numerator, c.denominator) for v in variables
+                   if (c := coeffs.get(v)) is not None]),
+            ineq.relation, (ineq.rhs.numerator, ineq.rhs.denominator))
+
+
+def nonneg_pair(v: str) -> tuple:
+    """The pair row of -v <= 0."""
+    return ((v, -1, 1),), LE, (0, 1)
+
+
+def system_pairs(system: LinearSystem) -> list[tuple]:
+    """The pair rows of a system: its inequalities in order, then -v <= 0 per nonneg variable."""
+    variables = system.variables
+    return ([pair_row(ineq, variables) for ineq in system.inequalities]
+            + [nonneg_pair(v) for v in system.nonneg_ordered])
+
+
+def verified(variables: Sequence[str], rows: Sequence[tuple],
+             result: FeasibilityResult) -> FeasibilityResult:
+    """``result``, once ``verify_pairs`` accepts it for the pair rows ``rows``.
 
     The self-check every emitted certificate passes: a failure is an
     internal error and raises AssertionError.
     """
-    if not verify_certificate(system, result):
+    if not verify_pairs(variables, rows, result):
         raise AssertionError(SELF_CHECK_FAILED)
     return result
 
 
 def verify_certificate(system: LinearSystem, result: FeasibilityResult) -> bool:
-    """Re-check a feasibility result against the system by substitution only.
+    """Re-check a feasibility result against the system by substitution only:
+    ``verify_pairs`` on the system's pair rows (``system_pairs``)."""
+    return verify_pairs(system.variables, system_pairs(system), result)
 
-    Independent of the solver: it reads the system's own coefficients, never
+
+def verify_pairs(variables: Sequence[str], rows: Sequence[tuple], result: FeasibilityResult) -> bool:
+    """Re-check a feasibility result against pair rows over ``variables`` by
+    substitution only: the one certificate check.
+
+    Independent of the solver: it reads the coefficients as written, never
     the integer rows elimination made of them.  A witness must satisfy every
-    constraint exactly: its coordinates are put over their common
-    denominator, and each inequality, cleared by the lcm of its own
-    denominators, is compared in integers.  A Farkas vector must be
-    nonnegative, cancel every variable and combine the right-hand sides into
-    a negative number: the multipliers are scaled to integers by the lcm of
-    their denominators, and each variable column and the rhs are summed over
-    the lcm of that column's denominators.
+    row exactly: its coordinates are put over their common denominator, and
+    each row, cleared by the lcm of its own denominators, is compared in
+    integers.  A Farkas vector, one multiplier per row, must be nonnegative,
+    cancel every variable and combine the right-hand sides into a negative
+    number: the multipliers are scaled to integers by the lcm of their
+    denominators, and each variable column and the rhs are summed over the
+    lcm of that column's denominators.
     """
     if result.status == "feasible":
         if result.witness is None:
             raise SystemError_("feasible result lacks a witness")
-        missing = set(system.variables) - set(result.witness)
+        missing = set(variables) - set(result.witness)
         if missing:
             raise SystemError_(f"witness misses variables {sorted(missing)}")
-        point = [_fraction(result.witness[v]) for v in system.variables]
+        point = [_fraction(result.witness[v]) for v in variables]
         scale = math.lcm(*[x.denominator for x in point])
-        xs = {v: x.numerator * (scale // x.denominator) for v, x in zip(system.variables, point)}
-        if any(xs[v] < 0 for v in system.nonneg):
-            return False
-        for ineq in system.inequalities:
-            rhs = ineq.rhs
-            d = math.lcm(rhs.denominator, *[c.denominator for c in ineq.coeffs.values()])
-            lhs = sum(c.numerator * (d // c.denominator) * xs[v] for v, c in ineq.coeffs.items())
-            bound = rhs.numerator * (d // rhs.denominator) * scale
-            if not (lhs <= bound if ineq.relation == LE else lhs >= bound):
+        xs = {v: x.numerator * (scale // x.denominator) for v, x in zip(variables, point)}
+        for coeffs, relation, (num, den) in rows:
+            d = math.lcm(den, *[q for _, _, q in coeffs])
+            lhs = sum([p * (d // q) * xs[v] for v, p, q in coeffs])
+            bound = num * (d // den) * scale
+            if not (lhs <= bound if relation == LE else lhs >= bound):
                 return False
         return True
 
     if result.status == "infeasible":
         if result.farkas is None:
             raise SystemError_("infeasible result lacks Farkas multipliers")
-        nrows = len(system.inequalities) + len(system.nonneg)
-        if len(result.farkas) != nrows:
+        if len(result.farkas) != len(rows):
             raise SystemError_(
-                f"Farkas vector has length {len(result.farkas)}, expected {nrows}"
+                f"Farkas vector has length {len(result.farkas)}, expected {len(rows)}"
             )
         lam = [_fraction(x) for x in result.farkas]
         if any(x.numerator < 0 for x in lam):
             return False
         scale = math.lcm(*[x.denominator for x in lam])
-        columns: dict[str, list] = {v: [] for v in system.variables}
+        columns: dict[str, list] = {v: [] for v in variables}
         rhs = []  # (integer numerator, denominator) terms, as in each column
-        for x, ineq in zip(lam, system.inequalities):
+        for x, (coeffs, relation, (num, den)) in zip(lam, rows):
             if not x:
                 continue
             mult = x.numerator * (scale // x.denominator)
-            if ineq.relation == GE:
+            if relation == GE:
                 mult = -mult
-            for v, c in ineq.coeffs.items():
-                columns[v].append((mult * c.numerator, c.denominator))
-            rhs.append((mult * ineq.rhs.numerator, ineq.rhs.denominator))
-        for x, v in zip(lam[len(system.inequalities):], system.nonneg_ordered):  # -v <= 0
-            if x:
-                columns[v].append((-x.numerator * (scale // x.denominator), 1))
+            for v, p, q in coeffs:
+                columns[v].append((mult * p, q))
+            rhs.append((mult * num, den))
         return all(_lcm_sum(terms) == 0 for terms in columns.values()) and _lcm_sum(rhs) < 0
 
     raise SystemError_(f"unknown status {result.status!r}")

@@ -59,6 +59,9 @@ def format_rational(value: Fraction) -> str:
     """Canonical decimal-free string: ``p`` for integers, else ``p/q`` with q > 0."""
     if type(value) is not Fraction:
         value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return format_pair(value.numerator, value.denominator)
+
+
+def format_pair(num: int, den: int) -> str:
+    """``format_rational(num/den)`` of a reduced pair with den > 0."""
+    return str(num) if den == 1 else f"{num}/{den}"

@@ -14,12 +14,17 @@ The d-row of case in0not1 exists in two readings ("printed" and
 
 ``CASE_TABLES`` holds one table per case and ``BRANCH_ROWS`` the
 dichotomy's branch rows B{m}{a,b}.  Each row is one integer formula of
-the point (T, C, R) of t and the policy, evaluated into both encodings:
-``build`` writes the Fraction inequality that documents echo and
-``verify-cert`` rebuilds from, ``make`` the base row ``exactlp.solve_rows``
-decides from.  ``case_rows`` lists a case's base rows at the
-``case_point`` of t and the policy, which checks the guards on integers.
-The tests check each formula against the display it rearranges.
+the point (T, C, R) of t and the policy, evaluated into two encodings:
+``pairs``, the row's coefficients and rhs as reduced integer pairs (the
+pair row ``exactlp.verify_pairs`` checks certificates on and the Fraction
+inequality is built from), and ``make``, the base row
+``exactlp.solve_rows`` decides from.  ``case_pairs`` and ``case_rows``
+list a case's rows at the ``case_point`` of t and the policy, which
+checks the guards on integers.  ``row_entry`` is the one formatter of a
+row entry, for ``system_doc`` and for ``verify-cert``, which renders the
+expected rows from their pair rows and builds a system only for an echo
+that differs.  The tests check each formula against the display it
+rearranges.
 """
 
 from __future__ import annotations
@@ -27,14 +32,17 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import math
 import reprlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Iterable, Sequence
 
-from .exactlp import GE, LE, LinearInequality, LinearSystem, SystemError_, base_row
-from .rationals import InputError, RationalFormatError, format_rational, parse_int, parse_rational
+from .exactlp import (GE, LE, LinearInequality, LinearSystem, SystemError_, base_row, nonneg_pair,
+                      pair_row)
+from .rationals import (InputError, RationalFormatError, format_pair, format_rational, parse_int,
+                        parse_rational)
 
 VARIABLES = ("th0", "th1", "th2", "a")
 
@@ -191,10 +199,11 @@ class TableRow:
 
     ``formula(point, variant)`` gives (vec, M, num, den), the row's <=-form
     times its clearing factor M, which ``factor`` names.  ``make`` is
-    ``base_row(vec, M, num, den)``; ``build`` is the Fraction row, with
-    ``Fraction(s*vec[k], M)`` for each index k in ``keys`` (zeros included)
-    and rhs ``Fraction(s*num, den*M)``, where s = -1 for a ``>=`` row.  The
-    two agree by construction, so only the display test checks a formula.
+    ``base_row(vec, M, num, den)``; ``pairs`` is the pair row
+    (``exactlp.pair_row``), with s*vec[k]/M for each index k in ``keys``
+    (zeros included) and rhs s*num/(den*M) as reduced pairs, where s = -1
+    for a ``>=`` row, and the Fraction row is built from it.  They agree by
+    construction, so only the display test checks a formula.
     """
 
     __slots__ = ("label", "factor", "relation", "keys", "formula")
@@ -207,11 +216,22 @@ class TableRow:
     def make(self, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> tuple:
         return base_row(*self.formula(point, variant))
 
-    def build(self, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> LinearInequality:
+    def pairs(self, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> tuple:
         vec, M, num, den = self.formula(point, variant)
         s = -1 if self.relation == GE else 1
-        coeffs = {VARIABLES[k]: Fraction(s * vec[k], M) for k in self.keys}
-        return LinearInequality(coeffs, self.relation, Fraction(s * num, den * M), self.label)
+        coeffs = []
+        for k in self.keys:
+            g = math.gcd(vec[k], M)
+            coeffs.append((VARIABLES[k], s * vec[k] // g, M // g))
+        den *= M
+        g = math.gcd(num, den)
+        return tuple(coeffs), self.relation, (s * num // g, den // g)
+
+
+def _inequality(label: str, pair: tuple) -> LinearInequality:
+    """The inequality of a pair row."""
+    coeffs, relation, rhs = pair
+    return LinearInequality({v: Fraction(p, q) for v, p, q in coeffs}, relation, Fraction(*rhs), label)
 
 
 def _orderings(label: str) -> tuple[TableRow, TableRow]:
@@ -255,6 +275,7 @@ BRANCH_ROWS = {(m, br): TableRow(f"B{m}{br}", "t-1", _branch, m, br) for m in ra
 
 # -v <= 0 for each variable, all of which are nonnegative
 _NONNEG_ROWS = [base_row([-int(j == k) for k in range(4)], 1, 0, 1) for j in range(4)]
+NONNEG_PAIRS = [nonneg_pair(v) for v in VARIABLES]
 
 
 def build_case_system(
@@ -262,23 +283,44 @@ def build_case_system(
     t: Fraction,
     policy: CPolicy = DEFAULT_POLICY,
     variant: Variant = Variant.SYMMETRIZED,
+    pairs: Sequence[tuple] | None = None,
 ) -> LinearSystem:
     """Instantiate one case system at rational t with denominators cleared.
 
     Raises DomainError when t <= 1, c(t) <= 1 or the policy leaves the
-    band t/2 <= c <= t.
+    band t/2 <= c <= t.  ``pairs``, when given, must be the ``case_pairs``
+    of the case at the point of t and policy; the rows are built from them.
     """
     t = Fraction(t)
     point = case_point(t, policy)
-    rows = [row.build(point, variant) for row in CASE_TABLES[case]]
-    meta = {
+    if pairs is None:
+        pairs = case_pairs(case, point, variant)
+    return table_system(CASE_TABLES[case], pairs, case_meta(case, t, point, policy, variant))
+
+
+def case_meta(case: JCase, t: Fraction, point: CasePoint, policy: CPolicy,
+              variant: Variant) -> dict[str, str]:
+    """The ``meta`` of ``build_case_system(case, t, policy, variant)``; point is t's."""
+    return {
         "case": case.value,
         "t": format_rational(t),
         "c": format_rational(Fraction(point[1], point[2])),
         "policy": policy.key(),
         "variant": variant.value,
     }
-    return LinearSystem(VARIABLES, tuple(rows), frozenset(VARIABLES), meta)
+
+
+def table_system(rows: Sequence[TableRow], pairs: Sequence[tuple], meta: dict) -> LinearSystem:
+    """The system over ``VARIABLES``, all nonnegative, whose inequalities
+    are the table rows ``rows`` built from their pair rows ``pairs``."""
+    return LinearSystem(VARIABLES, tuple([_inequality(row.label, pair) for row, pair in zip(rows, pairs)]),
+                        frozenset(VARIABLES), meta)
+
+
+def case_pairs(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> list[tuple]:
+    """The pair rows of ``build_case_system(case, t, policy, variant)`` at the
+    point of t and policy, as ``exactlp.system_pairs`` reads them from it."""
+    return [row.pairs(point, variant) for row in CASE_TABLES[case]] + NONNEG_PAIRS
 
 
 def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
@@ -339,7 +381,8 @@ def branch_row(t: Fraction, m: int, branch: str) -> LinearInequality:
     if m not in (0, 1, 2):
         raise SystemError_(f"tail index must be 0, 1 or 2, got {m!r}")
     t = Fraction(t)
-    return BRANCH_ROWS[m, branch].build((t.numerator, 0, t.denominator))
+    row = BRANCH_ROWS[m, branch]
+    return _inequality(row.label, row.pairs((t.numerator, 0, t.denominator)))
 
 
 def branch_ints(m: int, branch: str, point: CasePoint) -> tuple:
@@ -416,6 +459,13 @@ class SystemFormatError(ValueError):
     """Malformed system-definition text."""
 
 
+def row_entry(label: str, pair: tuple) -> dict:
+    """The canonical entry of a labelled pair row (``exactlp.pair_row``)."""
+    coeffs, relation, rhs = pair
+    return {"label": label, "coeffs": {v: format_pair(p, q) for v, p, q in coeffs},
+            "rel": relation, "rhs": format_pair(*rhs)}
+
+
 def system_doc(system: LinearSystem, rows: dict | None = None) -> dict:
     """Canonical JSON-ready form of a LinearSystem; rationals as p/q strings.
 
@@ -432,12 +482,7 @@ def system_doc(system: LinearSystem, rows: dict | None = None) -> dict:
         key = (id(ineq), variables)
         entry = rows.get(key)
         if entry is None:
-            entry = rows[key] = {
-                "label": ineq.label,
-                "coeffs": {v: format_rational(ineq.coeffs[v]) for v in variables if v in ineq.coeffs},
-                "rel": ineq.relation,
-                "rhs": format_rational(ineq.rhs),
-            }
+            entry = rows[key] = row_entry(ineq.label, pair_row(ineq, variables))
         entries.append(entry)
     return {
         "variables": list(variables),
@@ -467,8 +512,8 @@ def system_from_doc(doc, rows: dict | None = None) -> LinearSystem:
     keyed by an entry's label, relation, rhs and coefficient items as
     written: an echoed row that several systems share is parsed once, and
     their systems hold the same inequality object.  An audit parses only
-    the echoes that differ from the canonical rendering (``system_doc``)
-    of the rebuilt system; those equal to it are matched unparsed.
+    the echoes that differ from the canonical rendering of the expected
+    rows (``row_entry``); those equal to it are matched unparsed.
     """
     if not isinstance(doc, dict):
         raise SystemFormatError("top-level value must be an object")

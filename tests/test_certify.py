@@ -784,7 +784,9 @@ class TestEchoComparison:
 
 
 class TestAuditWork:
-    """Each dichotomy base system is built once per t, and audits serialize nothing."""
+    """Each dichotomy base system is built once per t; an audit builds no
+    system for a canonical echo, parses each certificate string once, runs
+    each Farkas check once and serializes nothing."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -807,7 +809,89 @@ class TestAuditWork:
         assert report.certified
         built.clear()
         assert verify_certificate_text(json.dumps(dichotomy_report_doc(report)))[0] == EXIT_CERTIFIED
-        assert len(built) == 4
+        # 4 when the audit rebuilt the base systems; a canonical echo is now
+        # checked on the pair rows of its table rows, with no system built.
+        assert len(built) == 0
+
+    def test_canonical_documents_build_no_system(self, monkeypatch, built):
+        import bmbounds.certify as certify_mod
+
+        tables = []
+        table_system = certify_mod.table_system
+        monkeypatch.setattr(certify_mod, "table_system",
+                            lambda *args: tables.append(args) or table_system(*args))
+        docs = [certify_report_doc(certify_at(F(113, 32))),
+                search_report_doc(binary_search_bound(F(3), F(5), 20)),
+                dichotomy_report_doc(certify_dichotomy(F(113, 32))),
+                dichotomy_report_doc(certify_dichotomy(F(15, 4)))]
+        built.clear()
+        assert docs[-1]["certified"] is False  # feasible cases are checked too
+        for doc in docs:
+            assert verify_certificate_text(json.dumps(doc)) == (
+                EXIT_CERTIFIED, "all certificates verified")
+        assert built == tables == []
+
+    def test_each_string_is_parsed_and_each_check_run_once(self, monkeypatch):
+        """The 8 assignments at 113/32 repeat the 4 plain Farkas vectors, 424
+        entries written with 21 distinct strings, with zeros on the branch
+        rows.  The audit parses t and each distinct string once (425 parses
+        when every entry was parsed) and runs each of the 4 distinct Farkas
+        checks once (32 when every entry was checked)."""
+        import bmbounds.certify as certify_mod
+
+        parsed, checked = [], []
+        parse, check = certify_mod.parse_rational, certify_mod.verify_pairs
+        monkeypatch.setattr(certify_mod, "parse_rational", lambda text: parsed.append(text) or parse(text))
+        monkeypatch.setattr(certify_mod, "verify_pairs",
+                            lambda *args: checked.append(args) or check(*args))
+        doc = dichotomy_report_doc(certify_dichotomy(F(113, 32)))
+        strings = [s for a in doc["assignments"] for e in a["cases"] for s in e["farkas"]]
+        assert (len(strings), len(set(strings))) == (424, 21)
+        assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED, "all certificates verified")
+        assert sorted(parsed) == sorted({doc["t"], *strings})
+        assert len(checked) == 4
+
+    @pytest.mark.parametrize("edit", ["multiplier", "branch-row", "zero-appended", "zero-dropped"])
+    @pytest.mark.parametrize("index", range(4), ids=[c.value for c in ALL_CASES])
+    def test_check_memo_is_sound(self, index, edit):
+        """A vector that assignment aba alone changes is checked anew, although
+        aaa and aab checked the shared one: one nonzero multiplier plus 1, a
+        multiplier of 1 on the first branch row, or a zero appended or
+        dropped, which leaves the nonzero entries as they were."""
+        from bmbounds.systems import CASE_TABLES
+
+        doc = json.loads(json.dumps(dichotomy_report_doc(certify_dichotomy(F(113, 32)))))
+        assignment = doc["assignments"][2]
+        assert assignment["branches"] == "aba"
+        case, farkas = ALL_CASES[index], assignment["cases"][index]["farkas"]
+        expected = (EXIT_NOT_CERTIFIED, f"branches aba: case {case.value} failed re-verification")
+        if edit == "multiplier":
+            k = next(k for k, x in enumerate(farkas) if parse_rational(x))
+            farkas[k] = format_rational(parse_rational(farkas[k]) + 1)
+        elif edit == "branch-row":
+            k = len(CASE_TABLES[case])
+            assert farkas[k] == "0"
+            farkas[k] = "1"
+        else:
+            n = len(farkas)
+            if edit == "zero-appended":
+                farkas.append("0")
+            else:
+                assert farkas.pop(len(CASE_TABLES[case])) == "0"
+            expected = (EXIT_INPUT_ERROR, "malformed certificate: Farkas vector has length"
+                        f" {len(farkas)}, expected {n}")
+        assert verify_certificate_text(json.dumps(doc)) == expected
+
+    def test_check_memo_is_keyed_by_point(self):
+        """The lower report's Farkas vector of case J012, written into the
+        upper report's J012 entry, is checked at the upper t, where it fails,
+        although the same rows carried it at the lower t."""
+        doc = json.loads(json.dumps(search_report_doc(binary_search_bound(F(3), F(5), 6))))
+        lower, upper = doc["lower_report"]["cases"][0], doc["upper_report"]["cases"][0]
+        assert (lower["case"], upper["case"], upper["status"]) == ("J012", "J012", "infeasible")
+        upper["farkas"] = lower["farkas"]
+        assert verify_certificate_text(json.dumps(doc)) == (
+            EXIT_NOT_CERTIFIED, "t=57/16: case J012 failed re-verification")
 
     def test_shared_echo_rows_are_parsed_once(self, monkeypatch):
         """The 8 assignments at 113/32 echo the 25 base rows and 6 branch rows
@@ -837,31 +921,38 @@ class TestAuditWork:
         assert sorted(parsed) == sorted(labels)
 
     def test_stale_renderings_cannot_match(self, monkeypatch):
-        """Rows rendered for one rebuilt system are not taken for another's:
+        """Rows rendered for one expected system are not taken for another's:
         the upper report's echo of a case holding the lower report's rows,
         or one assignment's echo holding another's branch rows, is rejected
         although its metadata and certificate are genuine.  The renderings
-        are memoized by row id, so every row rendered in an audit must stay
-        alive until it ends: a freed row's id could be reused."""
-        import weakref
-
+        and Farkas checks are memoized by table row, point and variant, and
+        table rows are module constants; the only memo keyed by ids, of
+        compared row pairs, holds both rows until the audit ends, so no id
+        it is keyed by can be reused."""
         import bmbounds.certify as certify_mod
+        from bmbounds.systems import BRANCH_ROWS, CASE_TABLES, VARIABLES
 
         search = json.loads(json.dumps(search_report_doc(binary_search_bound(F(3), F(5), 4))))
         dichotomy = json.loads(json.dumps(dichotomy_report_doc(certify_dichotomy(F(113, 32)))))
-        rendered = []
-        render = certify_mod.system_doc
+        tables = {row for table in CASE_TABLES.values() for row in table} | set(BRANCH_ROWS.values())
+        audits = []
 
-        def rendering(system, rows=None):
-            assert all(ref() is not None for ref in rendered)
-            rendered.extend(weakref.ref(ineq) for ineq in system.inequalities)
-            return render(system, rows)
+        class Recording(certify_mod._Echoes):
+            def __init__(self):
+                super().__init__()
+                audits.append(self)
 
         def audit(doc):
-            rendered.clear()
-            return verify_certificate_text(json.dumps(doc))
+            audits.clear()
+            verdict = verify_certificate_text(json.dumps(doc))
+            [echoes] = audits
+            assert all(set(made) <= tables for made in echoes.made.values())
+            assert all(row in tables or row in VARIABLES
+                       for key in echoes.farkas for row, _ in key[4:])
+            assert all(key == (id(pair[0]), id(pair[1])) for key, pair in echoes.same.items())
+            return verdict
 
-        monkeypatch.setattr(certify_mod, "system_doc", rendering)
+        monkeypatch.setattr(certify_mod, "_Echoes", Recording)
         doc = search
         for index, (lower, upper) in enumerate(zip(doc["lower_report"]["cases"],
                                                    doc["upper_report"]["cases"])):

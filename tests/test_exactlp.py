@@ -70,20 +70,24 @@ class TestCheckFeasibility:
         make(["x"], [({"x": F(1)}, GE, 0), ({"x": F(0)}, LE, -1)]),
     ], ids=["feasible", "infeasible", "zero-base-row"])
     def test_self_check_runs_on_every_path(self, monkeypatch, system):
-        """No certificate leaves check_feasibility without passing verify_certificate."""
-        monkeypatch.setattr(exactlp, "verify_certificate", lambda system, result: False)
+        """No certificate leaves check_feasibility without passing verify_pairs."""
+        monkeypatch.setattr(exactlp, "verify_pairs", lambda variables, rows, result: False)
         with pytest.raises(AssertionError, match="failed verification"):
             check_feasibility(system)
 
     def test_self_check_runs_on_the_padded_path(self, monkeypatch):
         """A dichotomy case that is infeasible without branch rows hands each
         assignment its Farkas vector, padded with zeros; that vector passes
-        verify_certificate too.  At 113/32 every case is such a case, so the
-        plain systems verify here and only the padded vectors fail."""
+        verify_pairs too.  At 113/32 every case is such a case, so the plain
+        systems verify here and only the padded vectors, whose rows hold
+        branch rows, fail."""
         from bmbounds.certify import certify_dichotomy
+        from bmbounds.systems import BRANCH_ROWS, DEFAULT_POLICY, case_point
 
-        monkeypatch.setattr(exactlp, "verify_certificate",
-                            lambda system, result: "branches" not in system.meta)
+        point = case_point(F(113, 32), DEFAULT_POLICY)
+        branch = {row.pairs(point) for row in BRANCH_ROWS.values()}
+        monkeypatch.setattr(exactlp, "verify_pairs",
+                            lambda variables, rows, result: not branch.intersection(rows))
         with pytest.raises(AssertionError, match="failed verification"):
             certify_dichotomy(F(113, 32))
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bmbounds.exactlp import GE, LE, LinearSystem, SystemError_, system_rows
+from bmbounds.exactlp import GE, LE, LinearSystem, SystemError_, system_pairs, system_rows
 from bmbounds.rationals import format_rational
 from bmbounds.systems import (
     ALL_CASES,
+    BRANCH_ROWS,
     CASE_TABLES,
     CPolicy,
     DEFAULT_POLICY,
@@ -24,10 +25,12 @@ from bmbounds.systems import (
     branch_ints,
     branch_row,
     build_case_system,
+    case_pairs,
     case_point,
     case_rows,
     build_dichotomy_systems,
     parse_system_file,
+    row_entry,
     serialize_system,
     system_doc,
     system_from_doc,
@@ -253,6 +256,38 @@ class TestCaseRowTables:
             system = LinearSystem(VARIABLES, (branch_row(F(3), m, "b"),))
             [entry] = system_doc(system)["inequalities"]
             assert [entry["coeffs"][v] for v in VARIABLES if v != VARIABLES[m]] == ["0"] * 3, m
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("policy", [CPolicy(2, 1, 4), CPolicy(1, 0, 2), CPolicy(0, 759, 400)],
+                             ids=CPolicy.key)
+    @pytest.mark.parametrize("t", [F(5, 2), F(3), F(113, 32), F(15, 4)], ids=str)
+    def test_pair_rendering_cannot_drift(self, t, policy, variant):
+        """verify-cert accepts an echo unparsed when it equals the rendering
+        of its expected rows' pair rows (``row_entry`` of ``TableRow.pairs``):
+        that rendering must be, byte for byte, what ``system_doc`` writes for
+        the built case system and for each branch system, and what the
+        Fraction coefficients format to, zero entries included (the kappa = 0
+        mass rows at t = 5/2 under 2,1,4, branch b's at t = 3)."""
+        point = case_point(t, policy)
+
+        def rendered(rows):
+            return json.dumps([row_entry(row.label, row.pairs(point, variant)) for row in rows])
+
+        def written(system):
+            assert json.dumps(system_doc(system)["inequalities"]) == json.dumps([
+                {"label": ineq.label, "coeffs": {v: format_rational(c) for v, c in ineq.coeffs.items()},
+                 "rel": ineq.relation, "rhs": format_rational(ineq.rhs)}
+                for ineq in system.inequalities])
+            return json.dumps(system_doc(system)["inequalities"])
+
+        for case in ALL_CASES:
+            system = build_case_system(case, t, policy, variant)
+            assert case_pairs(case, point, variant) == system_pairs(system)
+            assert rendered(CASE_TABLES[case]) == written(system), case
+        for branches, systems in build_dichotomy_systems(t, policy, (0, 1, 2), variant):
+            extra = tuple(BRANCH_ROWS[m, br] for m, br in enumerate(branches))
+            for case, system in zip(ALL_CASES, systems):
+                assert rendered(CASE_TABLES[case] + extra) == written(system), (case, branches)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -2,28 +2,27 @@
 
 ``certify_at`` is the one producer of a case report: it decides the four
 plain case systems at a rational t exactly from their integer row tables
-(``systems.case_rows``), builds each system from the same row formulas
-and re-verifies each certificate against it (``exactlp.verified``).  A
-bisection over a bracket [lo, hi] runs over a verdict alone: a probe
-decides the cases from their row tables, warm-started from the bases that
-last decided each case, stops at its first feasible case and builds
-nothing.  It relies on the monotonicity of feasibility in t (valid for
-affine c-policies) and returns a CertifiedBound whose endpoint reports,
+(``systems.case_rows``) and re-verifies each certificate on the pair rows
+of the same row formulas (``exactlp.verified``).  A report holds verdicts;
+``CaseReport.systems`` builds its systems on access, for tests and library
+callers.  A bisection over a bracket [lo, hi] runs over a verdict alone: a
+probe decides the cases from their row tables, warm-started from the bases
+that last decided each case, and stops at its first feasible case.  It
+relies on the monotonicity of feasibility in t (valid for affine
+c-policies) and returns a CertifiedBound whose endpoint reports,
 ``certify_at(t_lo)`` and ``certify_at(t_hi)``, hold all four cases with
-machine-checkable certificates: Farkas vectors at t_lo, a witness at
-t_hi.  A dichotomy decides its four base systems once per t, through
-``certify_at``, and shares them across the branch assignments; only the
-cases feasible without branch rows are decided per assignment, from their
-row tables with the base rows of the branch rows
-(``systems.branch_ints``) added, and its document formats each shared row
-once.  Each certificate is self-checked on the pair rows its system is
-built from.  All four document kinds (certify, search, sweep, dichotomy)
-are built here.  Certificate files are self-contained JSON documents that
-an auditor re-verifies by substitution alone; each echoed system must
-equal the expected one value for value.  An echo equal to the rendering
-of its expected rows' pair rows is checked on those pair rows, with no
-system built; only an echo that differs is parsed and compared with its
-expected system, built for it.
+machine-checkable certificates: Farkas vectors at t_lo, a witness at t_hi.
+A dichotomy decides its four base systems once per t, as ``certify_at``
+does; only the cases feasible without branch rows are decided again per
+assignment, with the base rows of the branch rows (``systems.branch_ints``)
+added.  All four document kinds (certify, search, sweep, dichotomy) are
+built here.  Certificate files are self-contained JSON documents that an
+auditor re-verifies by substitution alone; each echoed system must equal
+the expected one value for value.  Documents and the audit render each echo
+through one function, ``_echo``, from the rows and meta ``_tables`` gives a
+case, so no command builds a system.  An echo equal to that rendering is
+checked on its rows' pair rows; only one that differs is parsed and
+compared with its expected system, built for it.
 """
 
 from __future__ import annotations
@@ -66,8 +65,6 @@ from .systems import (
     Variant,
     branch_ints,
     branch_strings,
-    branch_systems,
-    build_case_system,
     case_meta,
     case_pairs,
     case_point,
@@ -75,11 +72,11 @@ from .systems import (
     case_rows,
     check_functions,
     row_entry,
-    system_doc,
     system_from_doc,
     table_system,
-    # Unused here: bench/spans.py wraps these four names in this module.
+    # Unused here: bench/spans.py wraps these five names in this module.
     build_all_cases,
+    build_case_system,
     build_dichotomy_systems,
     parse_system_file,
     serialize_system,
@@ -105,15 +102,16 @@ class IterationsError(InputError):
 
 @dataclass(frozen=True)
 class CaseReport:
-    """Feasibility verdicts for all four case systems at one t, with their systems.
+    """Feasibility verdicts for all four case systems at one t.
 
     Every report comes from ``certify_at`` (a dichotomy assignment is one
-    with branch rows added): it holds all four cases, each with its
-    system and a certificate verified against it.  Both dicts are in
-    ``ALL_CASES`` order.
-
-    ``branches`` names the dichotomy branch assignment the systems carry
-    (one "a"/"b" per function); it is empty for the plain case systems.
+    with branch rows added): it holds all four cases, in ``ALL_CASES``
+    order, each with a certificate verified against the pair rows of its
+    system.  ``functions`` and ``branches`` name the dichotomy branch
+    assignment (one "a"/"b" per function); a plain report has functions
+    None and no branches.  A case's table rows are ``CASE_TABLES[case]``
+    plus the ``BRANCH_ROWS[m, br]`` of each (m, br) in
+    ``zip(functions, branches)`` (``_tables``).
     """
 
     t: Fraction
@@ -121,7 +119,7 @@ class CaseReport:
     policy: CPolicy
     variant: Variant
     results: dict[JCase, FeasibilityResult]
-    systems: dict[JCase, LinearSystem]
+    functions: tuple[int, ...] | None = None
     branches: str = ""
 
     @property
@@ -131,6 +129,14 @@ class CaseReport:
     @property
     def feasible_cases(self) -> tuple[JCase, ...]:
         return tuple(c for c, r in self.results.items() if r.feasible)
+
+    @property
+    def systems(self) -> dict[JCase, LinearSystem]:
+        """The case systems, built on each access from the report's table
+        rows, for tests and library callers; no command reads them."""
+        point, metas = _metas(self.t, self.policy, self.variant)
+        return {case: table_system(rows, [row.pairs(point, self.variant) for row in rows], meta)
+                for case, (rows, meta) in _tables(metas, self.functions, self.branches).items()}
 
 
 @dataclass(frozen=True)
@@ -151,15 +157,15 @@ def certify_at(
     policy: CPolicy = DEFAULT_POLICY,
     variant: Variant = Variant.SYMMETRIZED,
 ) -> CaseReport:
-    """Decide all four case systems at t from their row tables, then build them.
+    """Decide all four case systems at t from their row tables.
 
     The one place a ``CaseReport`` is made.  Each case is decided by
-    ``exactlp.solve_rows`` on ``case_rows``; its system is then built from
-    its pair rows (``case_pairs``), the rows ``verify-cert`` checks echoes
-    on, and its certificate must pass ``verified`` on them, as in
-    ``check_feasibility``.  Both come from one formula per row, so a wrong
-    certificate, or base rows that disagree with the pair rows, raise
-    AssertionError here instead of writing a document.
+    ``exactlp.solve_rows`` on ``case_rows``, and its certificate must pass
+    ``verified`` on the case's pair rows (``case_pairs``), the rows
+    ``verify-cert`` checks echoes on, as in ``check_feasibility``.  Both
+    come from one formula per row, so a wrong certificate, or base rows
+    that disagree with the pair rows, raise AssertionError here instead of
+    writing a document.  No system is built.
     """
     return _certify_at(t, policy, variant)[0]
 
@@ -168,13 +174,12 @@ def _certify_at(t: Fraction, policy: CPolicy, variant: Variant) -> tuple[CaseRep
     """``certify_at`` and the pair rows of each case system, by case."""
     t = Fraction(t)
     point = case_point(t, policy)
-    results = {case: exactlp.solve_rows(VARIABLES, case_rows(case, point, variant))
-               for case in ALL_CASES}
-    pairs = {case: case_pairs(case, point, variant) for case in ALL_CASES}
-    systems = {case: build_case_system(case, t, policy, variant, pairs[case]) for case in ALL_CASES}
+    results, pairs = {}, {}
     for case in ALL_CASES:
-        verified(VARIABLES, pairs[case], results[case])
-    return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results, systems), pairs
+        pairs[case] = case_pairs(case, point, variant)
+        results[case] = verified(VARIABLES, pairs[case],
+                                 exactlp.solve_rows(VARIABLES, case_rows(case, point, variant)))
+    return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results), pairs
 
 
 def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Sequence[JCase],
@@ -361,8 +366,8 @@ def certify_dichotomy(
     the case's base rows with the assignment's branch rows
     (``systems.branch_ints``) after its inequalities; each result must
     pass ``verified`` on the pair rows of the assignment system, as it
-    would in ``check_feasibility``.  Raises FunctionsError, before any system is
-    built, unless the functions are distinct indices 0-2.
+    would in ``check_feasibility``.  Raises FunctionsError, before any case
+    is decided, unless the functions are distinct indices 0-2.
     """
     functions = check_functions(functions)
     report, pairs = _certify_at(t, policy, variant)
@@ -371,7 +376,7 @@ def certify_dichotomy(
               for m in functions]
     plain, rows = {}, {}
     for case, result in report.results.items():
-        cut = len(report.systems[case].inequalities)
+        cut = len(CASE_TABLES[case])
         pairs[case] = pairs[case][:cut], pairs[case][cut:]
         if result.feasible:
             base = case_rows(case, point, variant)
@@ -381,7 +386,7 @@ def certify_dichotomy(
             result = replace(result, farkas=result.farkas[:cut] + zeros + result.farkas[cut:])
         plain[case] = result
     assignments = []
-    for branches, systems in branch_systems(report.t, report.systems.values(), functions):
+    for branches in branch_strings(len(functions)):
         extra = [row[br] for row, br in zip(branch, branches)]
         results = {}
         for case in ALL_CASES:
@@ -392,8 +397,7 @@ def certify_dichotomy(
                 result = exactlp.solve_rows(VARIABLES, head + [ints for ints, _ in extra] + tail)
             head, tail = pairs[case]
             results[case] = verified(VARIABLES, head + [pair for _, pair in extra] + tail, result)
-        assignments.append(replace(report, results=results,
-                                   systems=dict(zip(ALL_CASES, systems)), branches=branches))
+        assignments.append(replace(report, results=results, functions=functions, branches=branches))
     return DichotomyReport(report.t, policy, variant, functions, tuple(assignments))
 
 
@@ -410,30 +414,65 @@ def _result_json(result: FeasibilityResult) -> dict:
     return doc
 
 
-def _case_entries(report: CaseReport, cases: Sequence[JCase] = ALL_CASES,
-                  rows: dict | None = None, certs: dict | None = None) -> list[dict]:
-    """The case entries of a report.  The assignments of a dichotomy document
-    share ``rows`` (see ``system_doc``) and ``certs``, which maps each result
-    object (by id) to its formatted fields: a row or certificate that
-    several assignments share is formatted once and held as one object."""
-    if certs is None:
-        certs = {}
+def _metas(t: Fraction, policy: CPolicy, variant: Variant,
+           cases: Sequence[JCase] = ALL_CASES) -> tuple[CasePoint, dict]:
+    """The point of t and policy, and the ``case_meta`` of each case there."""
+    point = case_point(t, policy)
+    return point, {case: case_meta(case, t, point, policy, variant) for case in cases}
+
+
+def _tables(metas: dict, functions: tuple[int, ...] | None, branches: str) -> dict:
+    """Each case of ``metas`` with its table rows and echo meta: its
+    ``CASE_TABLES`` rows, then the ``BRANCH_ROWS`` that ``zip(functions,
+    branches)`` names, and its meta with ``branches`` first; plain
+    (functions None), its table and meta alone."""
+    if functions is None:
+        return {case: (CASE_TABLES[case], meta) for case, meta in metas.items()}
+    extra = tuple([BRANCH_ROWS[m, br] for m, br in zip(functions, branches)])
+    return {case: (CASE_TABLES[case] + extra, {"branches": branches, **meta})
+            for case, meta in metas.items()}
+
+
+def _echo(made: dict, rows: Sequence[TableRow], meta: dict, point: CasePoint,
+          variant: Variant) -> tuple[list, dict]:
+    """The pair rows of ``rows`` at point and variant, and the canonical echo
+    of their system with ``meta``, which documents write and ``verify-cert``
+    expects.  ``made`` holds each table row's (pair row, entry) per (point,
+    variant): a row several echoes share is made once, as one object."""
+    memo = made.setdefault((point, variant), {})
+    for row in rows:
+        if row not in memo:
+            pair = row.pairs(point, variant)
+            memo[row] = pair, row_entry(row.label, pair)
+    got = [memo[row] for row in rows]
+    return [pair for pair, _ in got], {"variables": list(VARIABLES), "nonneg": list(VARIABLES),
+                                       "inequalities": [entry for _, entry in got], "meta": meta}
+
+
+def _case_entries(report: CaseReport, point: CasePoint, metas: dict, made: dict,
+                  certs: dict) -> list[dict]:
+    """The case entries of a report for the cases of ``metas`` (``_metas``).
+    The assignments of a dichotomy document share ``metas``, ``made`` (see
+    ``_echo``) and ``certs``, which maps each result object (by id) to its
+    formatted fields: a row or certificate that several assignments share
+    is formatted once and held as one object."""
     entries = []
-    for case in cases:
+    for case, (rows, meta) in _tables(metas, report.functions, report.branches).items():
         result = report.results[case]
         cert = certs.get(id(result))
         if cert is None:
             cert = certs[id(result)] = _result_json(result)
         entries.append({"case": case.value, **cert,
-                        "system": system_doc(report.systems[case], rows)})
+                        "system": _echo(made, rows, meta, point, report.variant)[1]})
     return entries
 
 
 def _report_json(report: CaseReport, cases: Sequence[JCase] = ALL_CASES) -> dict:
+    point, metas = _metas(report.t, report.policy, report.variant, cases)
     return {
         "t": format_rational(report.t),
         "c": format_rational(report.c),
-        "cases": _case_entries(report, cases),
+        "cases": _case_entries(report, point, metas, {}, {}),
     }
 
 
@@ -497,7 +536,8 @@ def sweep_report_doc(ranked, skipped, variant: Variant, iters: int) -> dict:
 def dichotomy_report_doc(report: DichotomyReport) -> dict:
     """The dichotomy document.  Its assignments hold shared rows and
     certificates as shared objects: copy it before editing one in place."""
-    rows: dict = {}
+    point, metas = _metas(report.t, report.policy, report.variant)
+    made: dict = {}
     certs: dict = {}
     return {
         "tool_version": TOOL_VERSION,
@@ -508,7 +548,7 @@ def dichotomy_report_doc(report: DichotomyReport) -> dict:
         "functions": list(report.functions),
         "certified": report.certified,
         "assignments": [
-            {"branches": a.branches, "cases": _case_entries(a, ALL_CASES, rows, certs)}
+            {"branches": a.branches, "cases": _case_entries(a, point, metas, made, certs)}
             for a in report.assignments
         ],
     }
@@ -534,38 +574,23 @@ def _entry_result(entry: dict, parse) -> FeasibilityResult:
     raise SystemFormatError(f"unknown status {status!r}")
 
 
-_VARIABLES = list(VARIABLES)  # the "variables" and "nonneg" of every canonical echo
-
-
 class _Echoes:
     """What one audit has made, parsed and checked, each once.
 
-    ``made`` holds each table row's pair row and canonical entry per
-    (point, variant), ``numbers`` each certificate string parsed, and
-    ``farkas`` the verdict of each Farkas check, keyed by the point, the
-    variant, the lengths and the rows with a nonzero multiplier (a table
-    row, or the variable of a nonneg row) with that multiplier as written.
-    Table rows are module constants, so no key outlives what it names.  An
-    echo that differs is parsed, each distinct echoed row once
-    (``system_from_doc``'s memo), and compared with its expected system,
-    each pair of row objects once; ``same`` keeps the compared pairs, so
-    the ids it is keyed by stay theirs for the audit."""
+    ``made`` is the memo of ``_echo``, ``numbers`` holds each certificate
+    string parsed, and ``farkas`` the verdict of each Farkas check, keyed
+    by the point, the variant, the lengths and the rows with a nonzero
+    multiplier (a table row, or the variable of a nonneg row) with that
+    multiplier as written.  Table rows are module constants, so no key
+    outlives what it names.  An echo that differs is parsed, each distinct
+    echoed row once (``system_from_doc``'s memo ``rows``), and compared
+    with its expected system."""
 
     def __init__(self) -> None:
         self.made: dict = {}
         self.numbers: dict = {}
         self.farkas: dict = {}
         self.rows: dict = {}
-        self.same: dict = {}
-
-    def expected(self, rows: Sequence[TableRow], point: CasePoint, variant: Variant) -> list:
-        """The (pair row, canonical entry) of each of ``rows`` at point and variant."""
-        made = self.made.setdefault((point, variant), {})
-        for row in rows:
-            if row not in made:
-                pair = row.pairs(point, variant)
-                made[row] = pair, row_entry(row.label, pair)
-        return [made[row] for row in rows]
 
     def number(self, text) -> Fraction:
         value = self.numbers.get(text) if isinstance(text, str) else None
@@ -588,52 +613,35 @@ class _Echoes:
             verdict = self.farkas[key] = verify_pairs(VARIABLES, pairs, result)
         return verdict
 
-    def system(self, doc) -> LinearSystem:
-        return system_from_doc(doc, self.rows)
-
-    def equal(self, built: LinearSystem, echoed: LinearSystem) -> bool:
-        """``built == echoed``, comparing each row pair once."""
-        if (built.variables, built.nonneg, built.meta, len(built.inequalities)) != (
-                echoed.variables, echoed.nonneg, echoed.meta, len(echoed.inequalities)):
-            return False
-        for pair in zip(built.inequalities, echoed.inequalities):
-            key = (id(pair[0]), id(pair[1]))
-            if key not in self.same:
-                if pair[0] != pair[1]:
-                    return False
-                self.same[key] = pair
-        return True
-
 
 def _check_cases(entries: list, expected: dict, point: CasePoint, variant: Variant, where: str,
                  echoes: _Echoes) -> None:
     """Re-verify case entries by substitution alone; raise _Rejected on the first failure.
 
-    ``expected`` maps each case, in order, to its table rows (the case's,
-    then any branch rows) and its metadata; the entries must name exactly
-    those cases.  Each entry's certificate is checked against its echoed
-    system, which must equal the system those rows give at the point and
-    variant value for value (variables, labelled rows, nonneg set,
-    metadata); a rational may be written in any p/q form.  An echo equal
-    to the canonical rendering of the rows' pair rows has their value, so
-    its certificate is checked on them, unparsed; any other echo is parsed
-    and compared with the expected system.  No solver is invoked.
+    ``expected`` maps each case, in order, to its table rows and echo meta
+    (``_tables``); the entries must name exactly those cases.  Each entry's
+    certificate is checked against its echoed system, which must equal the
+    system those rows give at the point and variant value for value
+    (variables, labelled rows, nonneg set, metadata); a rational may be
+    written in any p/q form.  An echo equal to the canonical one
+    (``_echo``, which documents are written with) has the value of the
+    rows' pair rows, so its certificate is checked on them, unparsed; any
+    other echo is parsed and compared with the expected system, built for
+    it.  No solver is invoked.
     """
     cases = [JCase(entry["case"]) for entry in entries]
     if cases != list(expected):
         raise _Rejected(f"{where}cases [{', '.join(c.value for c in cases)}] are not the expected"
                         f" [{', '.join(c.value for c in expected)}]")
     for entry, (case, (rows, meta)) in zip(entries, expected.items()):
-        made = echoes.expected(rows, point, variant)
-        pairs = [pair for pair, _ in made]
+        pairs, canonical = _echo(echoes.made, rows, meta, point, variant)
         echo = entry["system"]
-        if echo == {"variables": _VARIABLES, "nonneg": _VARIABLES,
-                    "inequalities": [line for _, line in made], "meta": meta}:
+        if echo == canonical:
             ok = echoes.verdict(entry, rows, pairs + NONNEG_PAIRS, point, variant)
         else:
-            system = echoes.system(echo)
+            system = system_from_doc(echo, echoes.rows)
             ok = (verify_certificate(system, _entry_result(entry, echoes.number))
-                  and echoes.equal(table_system(rows, pairs, meta), system))
+                  and table_system(rows, pairs, meta) == system)
         if not ok:
             raise _Rejected(f"{where}case {case.value} failed re-verification")
 
@@ -645,9 +653,8 @@ def _check_report(rep: dict, policy: CPolicy, variant: Variant, echoes: _Echoes,
     where = f"t={rep['t']}: "
     if parse_rational(rep["c"]) != policy.c_at(t):
         raise _Rejected(f"{where}c = {rep['c']} is not c(t) = {format_rational(policy.c_at(t))}")
-    point = case_point(t, policy)
-    expected = {case: (CASE_TABLES[case], case_meta(case, t, point, policy, variant)) for case in cases}
-    _check_cases(rep["cases"], expected, point, variant, where, echoes)
+    point, metas = _metas(t, policy, variant, cases)
+    _check_cases(rep["cases"], _tables(metas, None, ""), point, variant, where, echoes)
 
 
 def _check_trace(trace: list, t_lo: Fraction, t_hi: Fraction) -> None:
@@ -767,14 +774,10 @@ def _check_doc(doc: dict) -> None:
                         for a, b in zip(assignments, branch_strings(len(functions))))):
             raise _Rejected(f"assignments are not the {2 ** len(functions)} branch combinations"
                             f" of functions {list(functions)} in order")
-        point = case_point(t, policy)
-        metas = {case: case_meta(case, t, point, policy, variant) for case in ALL_CASES}
+        point, metas = _metas(t, policy, variant)
         for assignment in assignments:
             branches = assignment["branches"]
-            extra = tuple(BRANCH_ROWS[m, br] for m, br in zip(functions, branches))
-            expected = {case: (CASE_TABLES[case] + extra, {**meta, "branches": branches})
-                        for case, meta in metas.items()}
-            _check_cases(assignment["cases"], expected, point, variant,
+            _check_cases(assignment["cases"], _tables(metas, functions, branches), point, variant,
                          f"branches {branches}: ", echoes)
         if doc["certified"] is not all(_all_infeasible(a) for a in assignments):
             raise _Rejected("certified flag contradicts assignment statuses")

@@ -21,10 +21,12 @@ inequality is built from), and ``make``, the base row
 ``exactlp.solve_rows`` decides from.  ``case_pairs`` and ``case_rows``
 list a case's rows at the ``case_point`` of t and the policy, which
 checks the guards on integers.  ``row_entry`` is the one formatter of a
-row entry, for ``system_doc`` and for ``verify-cert``, which renders the
-expected rows from their pair rows and builds a system only for an echo
-that differs.  The tests check each formula against the display it
-rearranges.
+row entry: ``system_doc`` formats a built system's rows with it, and the
+documents ``certify`` writes and ``verify-cert`` expects render their
+echoes from the pair rows with it, so no command builds a system; the
+builders here serve the tests and library callers, and ``verify-cert``
+builds one only for an echo that differs.  The tests check each formula
+against the display it rearranges.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import reprlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exactlp import (GE, LE, LinearInequality, LinearSystem, SystemError_, base_row, nonneg_pair,
                       pair_row)
@@ -283,29 +285,31 @@ def build_case_system(
     t: Fraction,
     policy: CPolicy = DEFAULT_POLICY,
     variant: Variant = Variant.SYMMETRIZED,
-    pairs: Sequence[tuple] | None = None,
 ) -> LinearSystem:
     """Instantiate one case system at rational t with denominators cleared.
 
     Raises DomainError when t <= 1, c(t) <= 1 or the policy leaves the
-    band t/2 <= c <= t.  ``pairs``, when given, must be the ``case_pairs``
-    of the case at the point of t and policy; the rows are built from them.
+    band t/2 <= c <= t.
     """
     t = Fraction(t)
     point = case_point(t, policy)
-    if pairs is None:
-        pairs = case_pairs(case, point, variant)
-    return table_system(CASE_TABLES[case], pairs, case_meta(case, t, point, policy, variant))
+    return table_system(CASE_TABLES[case], case_pairs(case, point, variant),
+                        case_meta(case, t, point, policy, variant))
 
 
 def case_meta(case: JCase, t: Fraction, point: CasePoint, policy: CPolicy,
               variant: Variant) -> dict[str, str]:
-    """The ``meta`` of ``build_case_system(case, t, policy, variant)``; point is t's."""
+    """The ``meta`` of ``build_case_system(case, t, policy, variant)``; point is t's.
+
+    Its keys are in sorted order, as ``system_doc`` writes them, so an
+    echo made from it needs no sort; a dichotomy meta puts ``branches``
+    first.
+    """
     return {
-        "case": case.value,
-        "t": format_rational(t),
         "c": format_rational(Fraction(point[1], point[2])),
+        "case": case.value,
         "policy": policy.key(),
+        "t": format_rational(t),
         "variant": variant.value,
     }
 
@@ -413,42 +417,31 @@ def check_functions(functions: Sequence[int]) -> tuple[int, ...]:
     return functions
 
 
-def branch_systems(
-    t: Fraction, bases: Iterable[LinearSystem], functions: Sequence[int]
-) -> list[tuple[str, list[LinearSystem]]]:
-    """Each branch assignment ("a" or "b" per function) with its extended base systems.
-
-    In product order; each system is its base plus one branch row per
-    function, appended after the base inequalities, with
-    ``meta["branches"]`` set.  The rows are built once and shared.  The
-    bases must have been built at t, which checks the guards before a
-    branch row divides by t - 1.
-    """
-    t = Fraction(t)
-    bases = list(bases)
-    rows = [{br: branch_row(t, m, br) for br in "ab"} for m in functions]
-    out = []
-    for branches in branch_strings(len(functions)):
-        extra = tuple(row[br] for row, br in zip(rows, branches))
-        systems = [replace(base, inequalities=base.inequalities + extra,
-                           meta={**base.meta, "branches": branches}) for base in bases]
-        out.append((branches, systems))
-    return out
-
-
 def build_dichotomy_systems(
     t: Fraction,
     policy: CPolicy = DEFAULT_POLICY,
     functions: Sequence[int] = DEFAULT_DICHOTOMY_FUNCTIONS,
     variant: Variant = Variant.SYMMETRIZED,
 ) -> list[tuple[str, list[LinearSystem]]]:
-    """``branch_systems`` of the four case systems at t, each built once.
+    """Each branch assignment ("a" or "b" per function) with its four extended case systems.
 
-    Raises FunctionsError, before any system is built, unless the
-    functions are distinct indices 0-2.
+    In product order; each system is its case system at t, built once,
+    plus one branch row per function, appended after the base
+    inequalities, with ``meta["branches"]`` set.  The rows are built once
+    and shared.  Raises FunctionsError, before any system is built, unless
+    the functions are distinct indices 0-2; the case systems are built
+    before a branch row divides by t - 1, which checks the guards.
     """
     functions = check_functions(functions)
-    return branch_systems(t, build_all_cases(t, policy, variant).values(), functions)
+    bases = build_all_cases(t, policy, variant).values()
+    t = Fraction(t)
+    rows = [{br: branch_row(t, m, br) for br in "ab"} for m in functions]
+    out = []
+    for branches in branch_strings(len(functions)):
+        extra = tuple(row[br] for row, br in zip(rows, branches))
+        out.append((branches, [replace(base, inequalities=base.inequalities + extra,
+                                       meta={"branches": branches, **base.meta}) for base in bases]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,28 +459,14 @@ def row_entry(label: str, pair: tuple) -> dict:
             "rel": relation, "rhs": format_pair(*rhs)}
 
 
-def system_doc(system: LinearSystem, rows: dict | None = None) -> dict:
-    """Canonical JSON-ready form of a LinearSystem; rationals as p/q strings.
-
-    ``rows``, when given, memoizes the inequality entries across calls,
-    keyed by the inequality object and the variable order: a row object
-    that several systems share is formatted once, and their documents hold
-    the same entry dict.  Its systems must outlive it.
-    """
-    if rows is None:
-        rows = {}
+def system_doc(system: LinearSystem) -> dict:
+    """Canonical JSON-ready form of a LinearSystem; rationals as p/q strings."""
     variables = system.variables
-    entries = []
-    for ineq in system.inequalities:
-        key = (id(ineq), variables)
-        entry = rows.get(key)
-        if entry is None:
-            entry = rows[key] = row_entry(ineq.label, pair_row(ineq, variables))
-        entries.append(entry)
     return {
         "variables": list(variables),
         "nonneg": [v for v in variables if v in system.nonneg],
-        "inequalities": entries,
+        "inequalities": [row_entry(ineq.label, pair_row(ineq, variables))
+                         for ineq in system.inequalities],
         "meta": {k: str(v) for k, v in sorted(system.meta.items())},
     }
 

@@ -242,9 +242,9 @@ class TestBinarySearch:
         case system at every probe and decides it with ``check_feasibility``;
         where that bisection finds the bracket invalid, the search raises."""
         def report(t):
-            systems = {case: build_case_system(case, t, policy, variant) for case in ALL_CASES}
             return CaseReport(t, policy.c_at(t), policy, variant,
-                              {case: check_feasibility(s) for case, s in systems.items()}, systems)
+                              {case: check_feasibility(build_case_system(case, t, policy, variant))
+                               for case in ALL_CASES})
 
         lo, hi = bracket
         report_lo, report_hi = report(lo), report(hi)
@@ -283,8 +283,9 @@ class TestBinarySearch:
                 run()
 
     def test_probes_build_only_the_cases_they_decide(self, monkeypatch, fm_runs):
-        """Probes decide from the row tables; only the two reports of the
-        result are built as systems, four cases each."""
+        """Probes decide from the row tables, and so do the two reports of
+        the result: no system is built.  Their systems, built on access, are
+        the case systems."""
         import bmbounds.certify as certify_mod
         import bmbounds.systems as systems_mod
 
@@ -300,7 +301,9 @@ class TestBinarySearch:
         # 21 when every probe ran FM; 16 when the t_hi = 57/16 report reused
         # the probe's not0 FM run, which it now decides afresh.
         assert len(fm_runs) == 17
-        assert len(built) == 8  # 21 when each FM run built its system, 32 when every probe built all four
+        # 8 when the two reports built their systems, 21 when each FM run
+        # built its system, 32 when every probe built all four.
+        assert len(built) == 0
         for report in (bound.report_lo, bound.report_hi):
             assert list(report.systems) == list(ALL_CASES)
             assert report.systems == {case: build_case_system(case, report.t, CPolicy(2, 1, 4))
@@ -784,9 +787,9 @@ class TestEchoComparison:
 
 
 class TestAuditWork:
-    """Each dichotomy base system is built once per t; an audit builds no
-    system for a canonical echo, parses each certificate string once, runs
-    each Farkas check once and serializes nothing."""
+    """A dichotomy builds no system, and neither does an audit of a
+    canonical echo; an audit parses each certificate string once, runs each
+    Farkas check once and serializes nothing."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -805,7 +808,9 @@ class TestAuditWork:
 
     def test_dichotomy_builds_each_base_once(self, built):
         report = certify_dichotomy(F(113, 32))
-        assert len(built) == 4  # 32 when every assignment rebuilt the bases
+        # 4 when the plain stage built the bases, 32 when every assignment
+        # rebuilt them; the cases are decided and checked on their rows.
+        assert len(built) == 0
         assert report.certified
         built.clear()
         assert verify_certificate_text(json.dumps(dichotomy_report_doc(report)))[0] == EXIT_CERTIFIED
@@ -926,9 +931,7 @@ class TestAuditWork:
         or one assignment's echo holding another's branch rows, is rejected
         although its metadata and certificate are genuine.  The renderings
         and Farkas checks are memoized by table row, point and variant, and
-        table rows are module constants; the only memo keyed by ids, of
-        compared row pairs, holds both rows until the audit ends, so no id
-        it is keyed by can be reused."""
+        table rows are module constants, so no memo key can be reused."""
         import bmbounds.certify as certify_mod
         from bmbounds.systems import BRANCH_ROWS, CASE_TABLES, VARIABLES
 
@@ -949,7 +952,6 @@ class TestAuditWork:
             assert all(set(made) <= tables for made in echoes.made.values())
             assert all(row in tables or row in VARIABLES
                        for key in echoes.farkas for row, _ in key[4:])
-            assert all(key == (id(pair[0]), id(pair[1])) for key, pair in echoes.same.items())
             return verdict
 
         monkeypatch.setattr(certify_mod, "_Echoes", Recording)

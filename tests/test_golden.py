@@ -210,6 +210,29 @@ def test_runtime_path_builds_no_normalized_rows(monkeypatch, capsys):
         assert (code, digest) == GOLDEN[command], command
 
 
+def test_commands_build_no_system(monkeypatch, capsys):
+    """No command builds a ``LinearSystem``: with every construction raising,
+    the certify, search and dichotomy documents are produced and audited
+    (each echo canonical), and those commands keep their golden digests."""
+    def boom(self):  # pragma: no cover
+        raise AssertionError("no LinearSystem is built on a command's path")
+
+    monkeypatch.setattr(LinearSystem, "__post_init__", boom)
+    docs = [certify_report_doc(certify_at(Fraction(57, 16))),
+            search_report_doc(binary_search_bound(Fraction(3), Fraction(5), 6)),
+            dichotomy_report_doc(certify_dichotomy(Fraction(113, 32))),
+            dichotomy_report_doc(certify_dichotomy(Fraction(15, 4), functions=(0, 2)))]
+    for doc in docs:
+        assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED,
+                                                            "all certificates verified")
+    commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "dichotomy")]
+    assert len(commands) == 16
+    for command in commands:
+        code = main(command.split())
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert (code, digest) == GOLDEN[command], command
+
+
 def test_dichotomy_decides_from_integer_rows(monkeypatch, capsys):
     """Every branch assignment is decided from integer base rows: with
     ``exactlp.system_rows`` and ``certify.check_feasibility`` gone, every

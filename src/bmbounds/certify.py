@@ -21,8 +21,8 @@ auditor re-verifies by substitution alone; each echoed system must equal
 the expected one value for value.  Documents and the audit render each echo
 through one function, ``_echo``, from the rows and meta ``_tables`` gives a
 case, so no command builds a system.  An echo equal to that rendering is
-checked on its rows' pair rows; only one that differs is parsed and
-compared with its expected system, built for it.
+checked on its rows' pair rows; only one that differs is parsed, and it
+must render (``system_doc``) to that same canonical echo.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .systems import (
     case_rows,
     check_functions,
     row_entry,
+    system_doc,
     system_from_doc,
     table_system,
     # Unused here: bench/spans.py wraps these five names in this module.
@@ -582,15 +583,12 @@ class _Echoes:
     by the point, the variant, the lengths and the rows with a nonzero
     multiplier (a table row, or the variable of a nonneg row) with that
     multiplier as written.  Table rows are module constants, so no key
-    outlives what it names.  An echo that differs is parsed, each distinct
-    echoed row once (``system_from_doc``'s memo ``rows``), and compared
-    with its expected system."""
+    outlives what it names."""
 
     def __init__(self) -> None:
         self.made: dict = {}
         self.numbers: dict = {}
         self.farkas: dict = {}
-        self.rows: dict = {}
 
     def number(self, text) -> Fraction:
         value = self.numbers.get(text) if isinstance(text, str) else None
@@ -626,8 +624,8 @@ def _check_cases(entries: list, expected: dict, point: CasePoint, variant: Varia
     written in any p/q form.  An echo equal to the canonical one
     (``_echo``, which documents are written with) has the value of the
     rows' pair rows, so its certificate is checked on them, unparsed; any
-    other echo is parsed and compared with the expected system, built for
-    it.  No solver is invoked.
+    other echo is parsed, its certificate checked on it, and it must render
+    (``system_doc``, one-to-one) to the canonical echo.  No solver is invoked.
     """
     cases = [JCase(entry["case"]) for entry in entries]
     if cases != list(expected):
@@ -639,9 +637,9 @@ def _check_cases(entries: list, expected: dict, point: CasePoint, variant: Varia
         if echo == canonical:
             ok = echoes.verdict(entry, rows, pairs + NONNEG_PAIRS, point, variant)
         else:
-            system = system_from_doc(echo, echoes.rows)
+            system = system_from_doc(echo)
             ok = (verify_certificate(system, _entry_result(entry, echoes.number))
-                  and table_system(rows, pairs, meta) == system)
+                  and system_doc(system) == canonical)
         if not ok:
             raise _Rejected(f"{where}case {case.value} failed re-verification")
 

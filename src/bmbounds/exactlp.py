@@ -5,8 +5,8 @@ carried out on Python integers.  It reads base rows, which ``base_row``
 makes and documents: each is a primitive integer direction (ints with
 gcd 1) with its right-hand side as a reduced integer pair num/den, den > 0,
 and the leading-coefficient pair of the inequality it stands for.
-``system_rows`` clears a ``LinearSystem`` into them (denominators cleared
-with an integer lcm, and a unit row -v <= 0 per nonnegative variable);
+``system_rows`` clears a ``LinearSystem``'s pair rows (``system_pairs``)
+into them, each by the integer lcm of its denominators;
 ``systems.case_rows`` and ``systems.branch_ints`` make the same rows from
 the integer formulas the case systems and branch rows are built from, so
 only ``check_feasibility`` uses ``system_rows``, and no command calls it.
@@ -305,38 +305,31 @@ def base_row(vec: list[int], scale: int, num: int, den: int) -> tuple:
 
 
 def system_rows(system: LinearSystem) -> list[tuple]:
-    """The base rows of a system: its inequalities in order, then -v <= 0 per nonneg variable.
+    """The base rows of a system: each pair row (``system_pairs``), its <=-form
+    cleared by the lcm of its nonzero entries' denominators, through ``base_row``.
 
-    Each inequality's <=-form is cleared by the lcm of its denominators and
-    passed to ``base_row``.  An inequality without a nonzero coefficient
-    keeps the zero direction, the rhs of its <=-form and p = q = 1.
-    ``systems.case_rows`` makes the same rows for the case systems from
-    integers alone.
+    A row with no nonzero coefficient keeps the zero direction, the rhs of
+    its <=-form and p = q = 1.  ``systems.case_rows`` makes the same rows
+    for the case systems from integers alone.
     """
-    variables = system.variables
-    n = len(variables)
-    index = {v: k for k, v in enumerate(variables)}
+    index = {v: k for k, v in enumerate(system.variables)}
+    n = len(index)
     # Lists, not generators, feed tuple() and the *-calls here and in the
     # verifiers: a tuple built from a generator is over-allocated and
     # shrunk, and the shrunk tuples pile up in the interpreter's tuple free
     # lists (3% more peak RSS on the search workload).
     rows = []
-    for ineq in system.inequalities:
-        terms = [(index[v], c) for v, c in ineq.coeffs.items() if c]
-        sign = -1 if ineq.relation == GE else 1
-        rhs = ineq.rhs
+    for coeffs, relation, (num, den) in system_pairs(system):
+        terms = [(index[v], p, q) for v, p, q in coeffs if p]
+        sign = -1 if relation == GE else 1
         if not terms:
-            rows.append((tuple([0] * n), sign * rhs.numerator, rhs.denominator, 1, 1))
+            rows.append((tuple([0] * n), sign * num, den, 1, 1))
             continue
-        scale = math.lcm(*[c.denominator for _, c in terms])
+        scale = math.lcm(*[q for _, _, q in terms])
         vec = [0] * n
-        for k, c in terms:
-            vec[k] = sign * c.numerator * (scale // c.denominator)
-        rows.append(base_row(vec, scale, sign * rhs.numerator * scale, rhs.denominator))
-    for v in system.nonneg_ordered:
-        vec = [0] * n
-        vec[index[v]] = -1
-        rows.append((tuple(vec), 0, 1, 1, 1))
+        for k, p, q in terms:
+            vec[k] = sign * p * (scale // q)
+        rows.append(base_row(vec, scale, sign * num * scale, den))
     return rows
 
 

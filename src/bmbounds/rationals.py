@@ -5,7 +5,8 @@ textual form is a decimal-free ``p/q`` string (plain ``p`` when q == 1).
 Decimal literals are rejected on purpose: they would smuggle rounding into
 an exact pipeline.  Integer arguments (policies, iteration counts, function
 indices) go through ``parse_int``.  Both parsers read ASCII digits only,
-where ``int()`` would also take any Unicode decimal digit.  ``InputError``
+where ``int()`` would also take any Unicode decimal digit; a literal past
+``int()``'s digit limit is a RationalFormatError too.  ``InputError``
 is the one base of the input errors the CLI reports as exit 2; it lives
 here because every path through the CLI imports this module.
 """
@@ -38,8 +39,8 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise RationalFormatError(f"not a p/q rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num = _int(m.group(1))
+    den = _int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise RationalFormatError(f"zero denominator in {text!r}")
     return Fraction(num, den)
@@ -52,7 +53,15 @@ def parse_int(text: str) -> int:
     """
     if not isinstance(text, str) or _INT_RE.fullmatch(text) is None:
         raise RationalFormatError(f"not an integer literal: {text!r}")
-    return int(text)
+    return _int(text)
+
+
+def _int(literal: str) -> int:
+    """``int`` of a matched literal; past the interpreter's digit limit, a RationalFormatError."""
+    try:
+        return int(literal)
+    except ValueError:
+        raise RationalFormatError(f"integer literal too long: {len(literal.lstrip('+-'))} digits") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -25,8 +25,8 @@ row entry: ``system_doc`` formats a built system's rows with it, and the
 documents ``certify`` writes and ``verify-cert`` expects render their
 echoes from the pair rows with it, so no command builds a system; the
 builders here serve the tests and library callers, and ``verify-cert``
-builds one only for an echo that differs.  The tests check each formula
-against the display it rearranges.
+parses one only from an echo that differs, which must render to the same
+entries.  The tests check each formula against the display it rearranges.
 """
 
 from __future__ import annotations
@@ -484,16 +484,9 @@ def parse_system_file(text: str) -> LinearSystem:
         raise SystemFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def system_from_doc(doc, rows: dict | None = None) -> LinearSystem:
+def system_from_doc(doc) -> LinearSystem:
     """Read a decoded system-definition object: the inverse of ``system_doc``.
-
-    ``rows``, when given, memoizes the parsed inequalities across calls,
-    keyed by an entry's label, relation, rhs and coefficient items as
-    written: an echoed row that several systems share is parsed once, and
-    their systems hold the same inequality object.  An audit parses only
-    the echoes that differ from the canonical rendering of the expected
-    rows (``row_entry``); those equal to it are matched unparsed.
-    """
+    An audit reads only an echo that differs from its canonical rendering."""
     if not isinstance(doc, dict):
         raise SystemFormatError("top-level value must be an object")
     try:
@@ -502,23 +495,11 @@ def system_from_doc(doc, rows: dict | None = None) -> LinearSystem:
         raw_ineqs = doc["inequalities"]
     except KeyError as exc:
         raise SystemFormatError(f"missing field {exc.args[0]!r}") from exc
-    if rows is None:
-        rows = {}
-    inequalities = []
-    for idx, entry in enumerate(raw_ineqs):
-        try:
-            key = (str(entry["label"]), entry["rel"], entry["rhs"], *entry["coeffs"].items())
-            ineq = rows.get(key)
-        except (KeyError, TypeError, AttributeError):  # malformed: _inequality_from_doc says how
-            key = ineq = None
-        if ineq is None:
-            ineq = _inequality_from_doc(entry, f"inequality #{idx}")
-            if key is not None:
-                rows[key] = ineq
-        inequalities.append(ineq)
+    inequalities = tuple([_inequality_from_doc(entry, f"inequality #{idx}")
+                          for idx, entry in enumerate(raw_ineqs)])
     meta = {str(k): str(v) for k, v in doc.get("meta", {}).items()}
     try:
-        return LinearSystem(variables, tuple(inequalities), frozenset(nonneg), meta)
+        return LinearSystem(variables, inequalities, frozenset(nonneg), meta)
     except SystemError_ as exc:
         raise SystemFormatError(str(exc)) from exc
 

@@ -819,7 +819,14 @@ class TestAuditWork:
         assert len(built) == 0
 
     def test_canonical_documents_build_no_system(self, monkeypatch, built):
+        """Neither does an audit of an echo that differs: each of the 51
+        ECHO_EDITS documents is audited with no table system built.  Where
+        the edited echo parses, rendering it back to the canonical echo
+        agrees with the comparison the audit made before, with the system
+        built from the expected rows."""
         import bmbounds.certify as certify_mod
+        from bmbounds.systems import SystemFormatError, system_doc, system_from_doc
+        from bmbounds.systems import table_system as reference
 
         tables = []
         table_system = certify_mod.table_system
@@ -829,11 +836,36 @@ class TestAuditWork:
                 search_report_doc(binary_search_bound(F(3), F(5), 20)),
                 dichotomy_report_doc(certify_dichotomy(F(113, 32))),
                 dichotomy_report_doc(certify_dichotomy(F(15, 4)))]
+        # The not0 echoes TestEchoComparison edits, each with its t, functions and branches.
+        edited = [
+            (docs[0], lambda d: d["cases"][1], F(113, 32), None, ""),
+            (search_report_doc(binary_search_bound(F(3), F(5), 4)),
+             lambda d: d["upper_report"]["cases"][1], F(29, 8), None, ""),
+            (dichotomy_report_doc(certify_dichotomy(F(18, 5), functions=(0, 2))),
+             lambda d: d["assignments"][1]["cases"][1], F(18, 5), (0, 2), "ab"),
+        ]
         built.clear()
         assert docs[-1]["certified"] is False  # feasible cases are checked too
         for doc in docs:
             assert verify_certificate_text(json.dumps(doc)) == (
                 EXIT_CERTIFIED, "all certificates verified")
+        compared = 0
+        for kind, (original, entry, t, functions, branches) in enumerate(edited):
+            point, metas = certify_mod._metas(t, DEFAULT_POLICY, Variant.SYMMETRIZED)
+            rows, meta = certify_mod._tables(metas, functions, branches)[JCase.NOT0]
+            expected = reference(rows, [row.pairs(point) for row in rows], meta)
+            canonical = entry(original)["system"]
+            for codes, apply in ECHO_EDITS.values():
+                doc = json.loads(json.dumps(original))
+                apply(entry(doc)["system"])
+                assert verify_certificate_text(json.dumps(doc))[0] == codes[kind]
+                try:
+                    parsed = system_from_doc(entry(doc)["system"])
+                except SystemFormatError:
+                    continue
+                assert (system_doc(parsed) == canonical) == (expected == parsed)
+                compared += 1
+        assert compared == 3 * len(ECHO_EDITS) == 51
         assert built == tables == []
 
     def test_each_string_is_parsed_and_each_check_run_once(self, monkeypatch):
@@ -898,12 +930,12 @@ class TestAuditWork:
         assert verify_certificate_text(json.dumps(doc)) == (
             EXIT_NOT_CERTIFIED, "t=57/16: case J012 failed re-verification")
 
-    def test_shared_echo_rows_are_parsed_once(self, monkeypatch):
+    def test_only_echoes_that_differ_are_parsed(self, monkeypatch):
         """The 8 assignments at 113/32 echo the 25 base rows and 6 branch rows
         32 and 24 times over.  Echoes equal to the canonical rendering are
         not parsed at all (31 rows were, one per distinct row, when every
-        echo was); re-spelled echoes of one case in two assignments parse
-        each distinct row once."""
+        echo was); re-spelled echoes of one case in two assignments are each
+        parsed whole, one parse per row."""
         import bmbounds.systems as systems_mod
 
         parsed = []
@@ -921,9 +953,9 @@ class TestAuditWork:
         for echo in echoes:
             _each_number(echo, _doubled_terms)
         assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED, "all certificates verified")
-        labels = {row["label"] for echo in echoes for row in echo["inequalities"]}
-        assert {"B2a", "B2b"} <= labels
-        assert sorted(parsed) == sorted(labels)
+        labels = [row["label"] for echo in echoes for row in echo["inequalities"]]
+        assert {"B2a", "B2b"} <= set(labels)
+        assert parsed == labels
 
     def test_stale_renderings_cannot_match(self, monkeypatch):
         """Rows rendered for one expected system are not taken for another's:

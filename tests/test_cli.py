@@ -50,6 +50,20 @@ class TestCertifyCommand:
             "bmbounds certify: error: argument --t: not a p/q rational literal")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, text, digits", [
+        ("--t", "1" + "0" * 5000 + "/3", 5001),
+        ("--c-policy", "9" * 5000 + ",1,4", 5000),
+    ], ids=["t", "c-policy"])
+    def test_overlong_literal_rejected(self, capsys, int_digit_limit, flag, text, digits):
+        """A literal past int()'s digit limit is a usage error of one line that
+        gives its digit count."""
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--t", "113/32", flag, text])
+        assert exc.value.code == 2
+        usage, error = capsys.readouterr().err.split("bmbounds certify: error: ")
+        assert usage.startswith("usage: bmbounds certify") and "Traceback" not in usage
+        assert error == f"argument {flag}: integer literal too long: {digits} digits\n"
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--t", "4", "--frobnicate"])
@@ -449,6 +463,22 @@ class TestVerifyCertCommand:
         code, out, err = run(capsys, "verify-cert", str(path))
         assert code == 2
         assert out.startswith("malformed certificate") and "Traceback" not in err
+
+    @pytest.mark.parametrize("coeff, message", [
+        ("x", "not a p/q rational literal: 'x'"),
+        ("1" + "0" * 4999, "integer literal too long: 5000 digits"),
+    ], ids=["x", "5000-digits"])
+    def test_unreadable_echo_coefficient_exit_2(self, capsys, tmp_path, int_digit_limit,
+                                                coeff, message):
+        """An echoed coefficient that is not read is named by its inequality."""
+        path = tmp_path / "cert.json"
+        run(capsys, "certify", "--t", "113/32", "--format", "structured", "--out", str(path))
+        doc = json.loads(path.read_text())
+        coeffs = doc["cases"][0]["system"]["inequalities"][0]["coeffs"]
+        coeffs[next(iter(coeffs))] = coeff
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "verify-cert", str(path)) == (
+            2, f"malformed certificate: inequality #0: {message}\n", "")
 
     @pytest.mark.parametrize("policy", ["1,2", "1,2,3,4", 214])
     def test_policy_is_read_like_the_flag(self, capsys, tmp_path, policy):

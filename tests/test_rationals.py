@@ -43,3 +43,17 @@ def test_parse_int():
 def test_parse_int_rejects(bad):
     with pytest.raises(RationalFormatError):
         parse_int(bad)
+
+
+@pytest.mark.parametrize("parse, text, digits", [
+    (parse_rational, "1" + "0" * 5000 + "/3", 5001),
+    (parse_rational, "3/-" + "9" * 5000, 5000),
+    (parse_int, "+" + "9" * 5000, 5000),
+], ids=["numerator", "denominator", "integer"])
+def test_overlong_literal_rejected(int_digit_limit, parse, text, digits):
+    """A literal past int()'s digit limit is a RationalFormatError that gives
+    its digit count, not the digits; one at the limit is read."""
+    with pytest.raises(RationalFormatError) as exc:
+        parse(text)
+    assert str(exc.value) == f"integer literal too long: {digits} digits"
+    assert parse("9" * int_digit_limit) == 10 ** int_digit_limit - 1

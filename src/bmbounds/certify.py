@@ -9,9 +9,11 @@ callers.  A bisection over a bracket [lo, hi] runs over a verdict alone: a
 probe decides the cases from their row tables, warm-started from the bases
 that last decided each case, and stops at its first feasible case.  It
 relies on the monotonicity of feasibility in t (valid for affine
-c-policies) and returns a CertifiedBound whose endpoint reports,
-``certify_at(t_lo)`` and ``certify_at(t_hi)``, hold all four cases with
-machine-checkable certificates: Farkas vectors at t_lo, a witness at t_hi.
+c-policies) and returns a CertifiedBound whose endpoint reports hold all
+four cases with machine-checkable certificates: Farkas vectors at t_lo, a
+witness at t_hi.  They have the verdicts of ``certify_at`` but take each
+certificate from a support or basis the probes stored, where one settles
+the case, and run elimination only where none does.
 A dichotomy decides its four base systems once per t, as ``certify_at``
 does; only the cases feasible without branch rows are decided again per
 assignment, with the base rows of the branch rows (``systems.branch_ints``)
@@ -41,6 +43,7 @@ from .exactlp import (
     farkas_support,
     feasible_at,
     infeasible_on,
+    support_farkas,
     tight_basis,
     verified,
     verify_certificate,
@@ -105,10 +108,11 @@ class IterationsError(InputError):
 class CaseReport:
     """Feasibility verdicts for all four case systems at one t.
 
-    Every report comes from ``certify_at`` (a dichotomy assignment is one
-    with branch rows added): it holds all four cases, in ``ALL_CASES``
-    order, each with a certificate verified against the pair rows of its
-    system.  ``functions`` and ``branches`` name the dichotomy branch
+    Every report comes from ``_certify_at`` (a dichotomy assignment is one
+    with branch rows added, and a search's end reports take certificates
+    from the probes' supports and bases): it holds all four cases, in
+    ``ALL_CASES`` order, each with a certificate verified against the pair
+    rows of its system.  ``functions`` and ``branches`` name the dichotomy branch
     assignment (one "a"/"b" per function); a plain report has functions
     None and no branches.  A case's table rows are ``CASE_TABLES[case]``
     plus the ``BRANCH_ROWS[m, br]`` of each (m, br) in
@@ -171,16 +175,52 @@ def certify_at(
     return _certify_at(t, policy, variant)[0]
 
 
-def _certify_at(t: Fraction, policy: CPolicy, variant: Variant) -> tuple[CaseReport, dict]:
-    """``certify_at`` and the pair rows of each case system, by case."""
+def _certify_at(t: Fraction, policy: CPolicy, variant: Variant,
+                bases: dict | None = None) -> tuple[CaseReport, dict]:
+    """``certify_at`` and the pair rows of each case system, by case.
+
+    With ``bases``, the supports and bases a bisection's probes keep
+    (``_warm``), a case is settled as a probe settles it: by its stored
+    support's Farkas vector (``exactlp.support_farkas``), else by its
+    stored basis's vertex as the witness, and else by
+    ``exactlp.solve_rows``.  Every certificate passes ``verified`` alike.
+    """
     t = Fraction(t)
     point = case_point(t, policy)
     results, pairs = {}, {}
     for case in ALL_CASES:
         pairs[case] = case_pairs(case, point, variant)
-        results[case] = verified(VARIABLES, pairs[case],
-                                 exactlp.solve_rows(VARIABLES, case_rows(case, point, variant)))
+        results[case] = verified(VARIABLES, pairs[case], _certificate(case, point, variant, bases or {}))
     return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results), pairs
+
+
+def _certificate(case: JCase, point: CasePoint, variant: Variant, bases: dict) -> FeasibilityResult:
+    """The certificate of ``case`` at ``point`` that its stored support or
+    basis gives (``_stored``), else the unverified result of elimination."""
+    rows, y, vertex = _stored(case, point, variant, bases)
+    if y:
+        return FeasibilityResult("infeasible", farkas=support_farkas(
+            rows, bases[case, False], y, len(CASE_TABLES[case]) + len(VARIABLES)))
+    if vertex:
+        xs, D = vertex
+        return FeasibilityResult("feasible", witness={v: Fraction(x, D) for v, x in zip(VARIABLES, xs)})
+    return exactlp.solve_rows(VARIABLES, rows)
+
+
+def _stored(case: JCase, point: CasePoint, variant: Variant, bases: dict) -> tuple:
+    """What the support, then the basis, that ``bases`` holds for ``case``
+    settle at ``point``.  (the support's rows by index, its weights y, None)
+    when the support proves the case's rows infeasible (``infeasible_on``),
+    of which only the support's rows are made; else (all the rows, None, the
+    basis vertex (xs, D) if it satisfies them (``feasible_at``), else None).
+    The support's rows are reused, so each row is made at most once."""
+    support = bases.get((case, False))
+    made = {i: case_row(case, i, point, variant) for i in support or ()}
+    y = infeasible_on(made, support)
+    if y:
+        return made, y, None
+    rows = case_rows(case, point, variant, made)
+    return rows, None, feasible_at(rows, bases.get((case, True)))
 
 
 def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Sequence[JCase],
@@ -193,21 +233,15 @@ def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Seque
 
 def _warm(case: JCase, point: CasePoint, variant: Variant, bases: dict) -> bool:
     """Whether the base rows of ``case`` at ``point`` are feasible, decided
-    first by re-solving its last infeasible support, of which only its rows
-    are made, then its last feasible basis, and else by
-    ``exactlp.solve_rows``; each row is made at most once, so the support's
-    rows are reused for the others.  Both checks use Cramer's rule for a
-    full support (5 rows) or basis (4 rows).  The support or basis of that
-    result must pass the same check on the case's rows, else AssertionError
-    is raised; it then replaces the one ``bases`` holds for that case and
-    verdict."""
-    support = bases.get((case, False)) or ()
-    made = {i: case_row(case, i, point, variant) for i in support}
-    if support and infeasible_on(made, support):
-        return False
-    rows = case_rows(case, point, variant, made)
-    if feasible_at(rows, bases.get((case, True))):
-        return True
+    first by its last infeasible support, then its last feasible basis
+    (``_stored``), and else by ``exactlp.solve_rows``.  Both checks use
+    Cramer's rule for a full support (5 rows) or basis (4 rows).  The
+    support or basis of an elimination result must pass the same check on
+    the case's rows, else AssertionError is raised; it then replaces the
+    one ``bases`` holds for that case and verdict."""
+    rows, y, vertex = _stored(case, point, variant, bases)
+    if y or vertex:
+        return not y
     result = exactlp.solve_rows(VARIABLES, rows)
     basis = (tight_basis(rows, result.witness) if result.feasible
              else farkas_support(rows, result.farkas))
@@ -256,8 +290,13 @@ def binary_search_bound(
     fail; the support or basis of that run must then pass the same
     check at t, or AssertionError is raised.  Each check accepts a verdict
     only after exact integer substitution, so a verdict never depends on
-    the bases or on the order, and neither does the trace.  The two
-    reports are ``certify_at(t_lo)`` and ``certify_at(t_hi)``.
+    the bases or on the order, and neither does the trace.
+
+    The two reports take their certificates from that dict
+    (``_certify_at``): the report at t_hi reads it as the search leaves
+    it, the report at t_lo a copy taken after the last all-infeasible
+    probe, in which every case's support holds at t_lo, so it runs no
+    elimination.  Their verdicts are those of ``certify_at``.
     """
     _check_iters(iters)
     lo, hi = Fraction(lo), Fraction(hi)
@@ -271,6 +310,7 @@ def binary_search_bound(
             f"bracket end lo = {format_rational(lo)} is not all-infeasible (feasible: "
             f"{', '.join(c.value for c in certify_at(lo, policy, variant).feasible_cases)})"
         )
+    lower = dict(bases)
     first = _first_feasible(hi, policy, variant, ALL_CASES, bases)
     if first is None:
         raise BracketError(f"bracket end hi = {format_rational(hi)} has no feasible case")
@@ -281,11 +321,11 @@ def binary_search_bound(
         found = _first_feasible(mid, policy, variant, order, bases)
         trace.append((mid, found is None))
         if found is None:
-            lo = mid
+            lo, lower = mid, dict(bases)
         else:
             hi, first = mid, found
-    return CertifiedBound(lo, hi, certify_at(lo, policy, variant), certify_at(hi, policy, variant),
-                          tuple(trace), policy, variant)
+    return CertifiedBound(lo, hi, _certify_at(lo, policy, variant, lower)[0],
+                          _certify_at(hi, policy, variant, bases)[0], tuple(trace), policy, variant)
 
 
 def _repeated(policies: Sequence[CPolicy]) -> CPolicy | None:

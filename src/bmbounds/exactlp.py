@@ -37,13 +37,15 @@ it for another system, on the pair rows the system is built from
 pair rows (``system_pairs``).  A verdict on base rows alone passes
 ``infeasible_on`` or ``feasible_at``: they re-solve, on those rows or on
 other rows of the same shape, a Farkas support or a tight basis that
-``farkas_support`` and ``tight_basis`` take from a result, and give a
-verdict without a certificate, accepted only after exact substitution;
-five support rows or four basis rows over four variables are re-solved by
-Cramer's rule, other shapes by integer Gauss-Jordan elimination.  The
-independent cross-checks, an exact phase-1 simplex, brute-force vertex
-enumeration and a Fraction reference verifier, are kept off the runtime
-path in ``crosscheck``; the tests require them to agree with this module.
+``farkas_support`` and ``tight_basis`` take from a result, accept only
+after exact substitution, and return the support's weights or the basis
+vertex; ``support_farkas`` turns those weights into an integer Farkas
+vector on the inequalities.  Five support rows or four basis rows over
+four variables are re-solved by Cramer's rule, other shapes by integer
+Gauss-Jordan elimination.  The independent cross-checks, an exact phase-1
+simplex, brute-force vertex enumeration and a Fraction reference
+verifier, are kept off the runtime path in ``crosscheck``; the tests
+require them to agree with this module.
 
 No floating point is used anywhere in this module.
 """
@@ -512,52 +514,82 @@ def _eliminate(columns: list) -> tuple[list[int], list[list[int]]]:
 
 
 def infeasible_on(rows: Sequence[tuple] | Mapping[int, tuple],
-                  support: Optional[Sequence[int]]) -> bool:
-    """Whether the base rows ``support`` prove ``rows`` infeasible: their
-    directions have a one-dimensional kernel (``_kernel_vector``, by
-    Cramer's rule for five rows over four variables) whose generator has
-    one sign and, taken nonnegative, cancels every variable and combines
-    the right-hand sides into a negative number.  ``rows`` may be any map
-    from those indices to rows."""
+                  support: Optional[Sequence[int]]) -> Optional[list[int]]:
+    """The weights y >= 0 by which the base rows ``support`` prove ``rows``
+    infeasible, or None if they do not: their directions must have a
+    one-dimensional kernel (``_kernel_vector``, by Cramer's rule for five
+    rows over four variables) whose generator has one sign and, taken
+    nonnegative as y, cancels every variable and combines the right-hand
+    sides into a negative number.  ``rows`` may be any map from those
+    indices to rows."""
     if not support:
-        return False
+        return None
     picked = [rows[i] for i in support]
     vecs = [vec for vec, _, _, _, _ in picked]
     y = _kernel_vector(vecs)
     if y is None or min(y) < 0 < max(y):
-        return False
+        return None
     if min(y) < 0:
         y = [-x for x in y]
-    return (not any([sum(map(operator.mul, y, column)) for column in zip(*vecs)])
-            and _lcm_sum([(w * num, den) for w, (_, num, den, _, _) in zip(y, picked)]) < 0)
+    ok = (not any([sum(map(operator.mul, y, column)) for column in zip(*vecs)])
+          and _lcm_sum([(w * num, den) for w, (_, num, den, _, _) in zip(y, picked)]) < 0)
+    return y if ok else None
 
 
-def feasible_at(rows: list[tuple], basis: Optional[Sequence[int]]) -> bool:
-    """Whether the point where the n base rows ``basis`` are tight exists
-    and satisfies every row of ``rows``, the nonneg rows included: x / D
-    for the kernel generator (x, D != 0) of the columns den * direction and
-    -rhs of those rows (``_kernel_vector``, Cramer's rule for four rows)."""
+def feasible_at(rows: list[tuple], basis: Optional[Sequence[int]]) -> Optional[tuple[list[int], int]]:
+    """The point (xs, D), x = xs / D, where the n base rows ``basis`` are
+    tight, if it exists and satisfies every row of ``rows``, the nonneg rows
+    included; else None.  (xs, D) is the kernel generator, D > 0, of the
+    columns den * direction and -rhs of those rows (``_kernel_vector``,
+    Cramer's rule for four rows)."""
     if not basis:
-        return False
+        return None
     n = len(rows[0][0])
     tight = [rows[i] for i in basis]
     z = _kernel_vector([[den * vec[j] for vec, _, den, _, _ in tight] for j in range(n)]
                        + [[-num for _, num, _, _, _ in tight]])
     if z is None or not z[-1]:
-        return False
+        return None
     *xs, D = z if z[-1] > 0 else [-x for x in z]
-    return all(den * sum(map(operator.mul, vec, xs)) <= num * D for vec, num, den, _, _ in rows)
+    ok = all(den * sum(map(operator.mul, vec, xs)) <= num * D for vec, num, den, _, _ in rows)
+    return (xs, D) if ok else None
+
+
+def support_farkas(rows: Sequence[tuple] | Mapping[int, tuple], support: Sequence[int],
+                   y: Sequence[int], size: int) -> tuple[Fraction, ...]:
+    """The Farkas vector, one multiplier per inequality of a system of
+    ``size`` rows, of the weights ``y`` that ``infeasible_on`` gives the
+    base rows ``support`` of ``rows``.
+
+    y_k weighs base row (vec, num, den, q, p) with pivot piv, so it weighs
+    its inequality by y_k * q * piv / p, the inverse of the weight in
+    ``farkas_support``; the multipliers are scaled to primitive integers,
+    and every row off the support gets 0.
+    """
+    w = [(y_k * q * abs(next(filter(None, vec), 1)), p)
+         for y_k, (vec, _, _, q, p) in zip(y, [rows[i] for i in support])]
+    scale = math.lcm(*[b // math.gcd(a, b) for a, b in w])
+    ints = [a * scale // b for a, b in w]
+    g = math.gcd(*ints)
+    farkas = [ZERO] * size
+    for i, x in zip(support, ints):
+        farkas[i] = Fraction(x // g)
+    return tuple(farkas)
 
 
 def farkas_support(rows: list[tuple], farkas: tuple[Fraction, ...]) -> list[int]:
     """A support ``infeasible_on`` accepts, from a Farkas vector of ``rows``.
 
-    The vector's support is reduced (Carathéodory) until the columns
-    den * (direction, rhs) of its rows are independent, at most n + 1:
-    each step subtracts a kernel vector from their weights until one
-    weight is zero.
+    A support of at most n + 1 rows that ``infeasible_on`` accepts is
+    returned as it is: its columns den * (direction, rhs) are independent,
+    since the kernel of its directions is one-dimensional and its weights
+    give a nonzero rhs.  Any other is reduced (Carathéodory) until those
+    columns are independent, at most n + 1: each step subtracts a kernel
+    vector from their weights until one weight is zero.
     """
     support = [i for i, y in enumerate(farkas) if y]
+    if len(support) <= len(rows[0][0]) + 1 and infeasible_on(rows, support):
+        return support
     picked = [rows[i] for i in support]
     columns = [[den * x for x in vec] + [num] for vec, num, den, _, _ in picked]
     # y on an inequality weighs its base row (vec, num, den, q, p) by y * p / (q * piv),

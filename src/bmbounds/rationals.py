@@ -6,14 +6,16 @@ Decimal literals are rejected on purpose: they would smuggle rounding into
 an exact pipeline.  Integer arguments (policies, iteration counts, function
 indices) go through ``parse_int``.  Both parsers read ASCII digits only,
 where ``int()`` would also take any Unicode decimal digit; a literal past
-``int()``'s digit limit is a RationalFormatError too.  ``InputError``
-is the one base of the input errors the CLI reports as exit 2; it lives
-here because every path through the CLI imports this module.
+``int()``'s digit limit is a RationalFormatError too, and a number past it
+that is to be printed an InputError.  ``InputError`` is the one base of
+the input errors the CLI reports as exit 2; it lives here because every
+path through the CLI imports this module.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([+-]?[0-9]+))?$")
@@ -72,5 +74,10 @@ def format_rational(value: Fraction) -> str:
 
 
 def format_pair(num: int, den: int) -> str:
-    """``format_rational(num/den)`` of a reduced pair with den > 0."""
-    return str(num) if den == 1 else f"{num}/{den}"
+    """``format_rational(num/den)`` of a reduced pair with den > 0.  A number
+    past ``int()``'s digit limit cannot be written: an InputError."""
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        raise InputError(f"a number to print has more than {sys.get_int_max_str_digits()}"
+                         " digits, the interpreter's limit") from None

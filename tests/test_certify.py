@@ -91,6 +91,24 @@ class TestCertifyAt:
             certify_at(F(1))
 
 
+def _without_certificates(doc):
+    """A document with the ``farkas`` and ``witness`` of every case entry left out."""
+    if isinstance(doc, dict):
+        return {k: _without_certificates(v) for k, v in doc.items() if k not in ("farkas", "witness")}
+    if isinstance(doc, list):
+        return [_without_certificates(v) for v in doc]
+    return doc
+
+
+def assert_same_search(bound, reference):
+    """The search document of ``bound`` is that of ``reference`` in every field
+    but the certificate entries, which the end reports take from the probes'
+    supports and bases, and it passes ``verify-cert``."""
+    doc = search_report_doc(bound)
+    assert _without_certificates(doc) == _without_certificates(search_report_doc(reference))
+    assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED, "all certificates verified")
+
+
 class TestBinarySearch:
     def test_reproduces_113_32(self):
         bound = binary_search_bound(F(3), F(5), 6)
@@ -113,8 +131,10 @@ class TestBinarySearch:
     def test_zero_iters_keeps_bracket(self):
         bound = binary_search_bound(F(3), F(5), 0)
         assert (bound.t_lo, bound.t_hi) == (F(3), F(5))
-        # The report at hi is certify_at(hi), although the check at hi stopped
-        # at its first feasible case.
+        # The report at hi holds all four cases, although the check at hi
+        # stopped at its first feasible case.  That case's stored basis gives
+        # the witness elimination found there, and the other cases, feasible
+        # at 5 with no basis stored, are eliminated: it equals certify_at(hi).
         assert list(bound.report_hi.results) == list(ALL_CASES)
         assert bound.report_hi.results == certify_at(F(5)).results
         assert bound.report_hi.systems == certify_at(F(5)).systems
@@ -176,9 +196,11 @@ class TestBinarySearch:
         # 21 and 62 when every probe ran FM; 32 and 88 when every probe decided
         # all four cases; 75 at 20 iterations when every probe began at j012.
         # 16 at 6 iterations when the t_hi = 57/16 report reused the probe's
-        # not0 FM run; the report now decides all four cases afresh.
-        (CPolicy(2, 1, 4), 6, 17),
-        (DEFAULT_POLICY, 20, 18),
+        # not0 FM run; 17 and 18 when both reports ran FM on all four cases.
+        # They now settle a case by a stored support or basis where one
+        # holds: one FM run is left, in the t_hi report at 6 iterations.
+        (CPolicy(2, 1, 4), 6, 10),
+        (DEFAULT_POLICY, 20, 10),
     ])
     def test_probes_stop_at_first_feasible_case(self, fm_runs, policy, iters, calls):
         bound = binary_search_bound(F(3), F(5), iters, policy)
@@ -190,7 +212,8 @@ class TestBinarySearch:
                                         CPolicy(1, 0, 2), CPolicy(2, 0, 3)], ids=CPolicy.key)
     def test_probe_order_cannot_change_a_search(self, policy):
         """Probes try the last feasible case first; the document is the one a
-        bisection that decides every case in ``ALL_CASES`` order writes."""
+        bisection that decides every case in ``ALL_CASES`` order writes, but
+        for its certificate entries."""
         lo, hi = F(3), F(5)
         report_lo, report_hi = certify_at(lo, policy), certify_at(hi, policy)
         trace = [(lo, True), (hi, False)]
@@ -205,7 +228,7 @@ class TestBinarySearch:
         reference = CertifiedBound(lo, hi, report_lo, report_hi, tuple(trace), policy,
                                    Variant.SYMMETRIZED)
         bound = binary_search_bound(F(3), F(5), 12, policy)
-        assert search_report_doc(bound) == search_report_doc(reference)
+        assert_same_search(bound, reference)
         for report in (bound.report_lo, bound.report_hi):
             assert list(report.results) == list(report.systems) == list(ALL_CASES)
 
@@ -215,7 +238,8 @@ class TestBinarySearch:
     def test_warm_probes_cannot_change_a_deep_search(self, fm_runs, policy, variant):
         """At 20 iterations most probes are decided by re-solving an earlier
         basis, without elimination; the document is still the one a
-        bisection writes that calls ``certify_at`` at every probe."""
+        bisection writes that calls ``certify_at`` at every probe, but for
+        its certificate entries."""
         lo, hi = F(3), F(5)
         report_lo, report_hi = certify_at(lo, policy, variant), certify_at(hi, policy, variant)
         trace = [(lo, True), (hi, False)]
@@ -231,7 +255,7 @@ class TestBinarySearch:
         del fm_runs[:]
         bound = binary_search_bound(F(3), F(5), 20, policy, variant)
         assert len(fm_runs) < len(trace)  # fewer FM runs than probes
-        assert search_report_doc(bound) == search_report_doc(reference)
+        assert_same_search(bound, reference)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(GUARDED_POLICIES), st.integers(0, 8), st.sampled_from(list(Variant)),
@@ -239,8 +263,9 @@ class TestBinarySearch:
                [F(3), F(13, 4), F(7, 2), F(15, 4), F(4), F(5)], 2))))
     def test_search_equals_reference_bisection(self, policy, iters, variant, bracket):
         """The search document is the one a bisection writes that builds every
-        case system at every probe and decides it with ``check_feasibility``;
-        where that bisection finds the bracket invalid, the search raises."""
+        case system at every probe and decides it with ``check_feasibility``,
+        but for its certificate entries; where that bisection finds the
+        bracket invalid, the search raises."""
         def report(t):
             return CaseReport(t, policy.c_at(t), policy, variant,
                               {case: check_feasibility(build_case_system(case, t, policy, variant))
@@ -263,7 +288,7 @@ class TestBinarySearch:
                 hi, report_hi = mid, report_mid
         reference = CertifiedBound(lo, hi, report_lo, report_hi, tuple(trace), policy, variant)
         bound = binary_search_bound(*bracket, iters, policy, variant)
-        assert search_report_doc(bound) == search_report_doc(reference)
+        assert_same_search(bound, reference)
 
     @pytest.mark.parametrize("wrong", ["zero witness", "first row alone"])
     def test_no_wrong_elimination_result_is_accepted(self, monkeypatch, wrong):
@@ -282,6 +307,79 @@ class TestBinarySearch:
             with pytest.raises(AssertionError, match="failed verification"):
                 run()
 
+    @pytest.mark.parametrize("wrong", ["support", "vertex"])
+    def test_no_wrong_warm_certificate_is_accepted(self, monkeypatch, wrong):
+        """Should a warm checker accept with a wrong support weight or vertex,
+        the probe verdicts stay the same, but the report made from it fails
+        ``verified`` and the search raises."""
+        import bmbounds.certify as certify_mod
+
+        name = "infeasible_on" if wrong == "support" else "feasible_at"
+        check = getattr(certify_mod, name)
+
+        def lying(rows, basis):
+            got = check(rows, basis)
+            if got is None:
+                return None
+            if wrong == "support":  # one weight raised: the directions no longer cancel
+                return [got[0] + 1, *got[1:]]
+            xs, D = got  # th0 = -1 breaks its nonneg row
+            return [-D, *xs[1:]], D
+
+        monkeypatch.setattr(certify_mod, name, lying)
+        with pytest.raises(AssertionError, match="failed verification") as excinfo:
+            binary_search_bound(F(3), F(5), 20)
+        assert excinfo.traceback[-1].name == "verified"
+
+    def test_end_reports_run_no_elimination(self, monkeypatch, fm_runs):
+        """At 20 iterations the probes' supports and bases settle every case
+        of both reports: all 10 FM runs of the search are in its probes."""
+        import bmbounds.certify as certify_mod
+
+        report, runs = certify_mod._certify_at, []
+
+        def counting(*args):
+            start = len(fm_runs)
+            out = report(*args)
+            runs.append(len(fm_runs) - start)
+            return out
+
+        monkeypatch.setattr(certify_mod, "_certify_at", counting)
+        binary_search_bound(F(3), F(5), 20)
+        assert runs == [0, 0]
+        assert len(fm_runs) == 10
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_lower_report_certificates_are_supports(self, monkeypatch, fm_runs, variant):
+        """For every guarded policy, the report at t_lo runs no elimination:
+        each Farkas vector is a support's, with at most n + 1 = 5 nonzero
+        entries, all integers, and the document passes ``verify-cert``."""
+        import bmbounds.certify as certify_mod
+
+        report, lower_runs = certify_mod._certify_at, []
+
+        def counting(t, policy, variant, bases=None):
+            start = len(fm_runs)
+            out = report(t, policy, variant, bases)
+            if not out[0].feasible_cases:
+                lower_runs.append(len(fm_runs) - start)
+            return out
+
+        monkeypatch.setattr(certify_mod, "_certify_at", counting)
+        searched = 0
+        for policy in GUARDED_POLICIES:
+            try:
+                bound = binary_search_bound(F(3), F(5), 10, policy, variant)
+            except BracketError:
+                continue
+            searched += 1
+            for result in bound.report_lo.results.values():
+                nonzero = [x for x in result.farkas if x]
+                assert len(nonzero) <= 5 and all(x.denominator == 1 for x in nonzero)
+            doc = json.dumps(search_report_doc(bound))
+            assert verify_certificate_text(doc) == (EXIT_CERTIFIED, "all certificates verified")
+        assert lower_runs == [0] * searched and searched >= 40
+
     def test_probes_build_only_the_cases_they_decide(self, monkeypatch, fm_runs):
         """Probes decide from the row tables, and so do the two reports of
         the result: no system is built.  Their systems, built on access, are
@@ -299,8 +397,8 @@ class TestBinarySearch:
             monkeypatch.setattr(module, "build_case_system", building)
         bound = binary_search_bound(F(3), F(5), 6, CPolicy(2, 1, 4))
         # 21 when every probe ran FM; 16 when the t_hi = 57/16 report reused
-        # the probe's not0 FM run, which it now decides afresh.
-        assert len(fm_runs) == 17
+        # the probe's not0 FM run; 17 when both reports ran FM on every case.
+        assert len(fm_runs) == 10
         # 8 when the two reports built their systems, 21 when each FM run
         # built its system, 32 when every probe built all four.
         assert len(built) == 0
@@ -332,11 +430,12 @@ class TestBinarySearch:
 
         monkeypatch.setattr(certify_mod, "_warm", recording)
         binary_search_bound(F(3), F(5), 20)
-        assert len(fm_runs) == 18
+        assert len(fm_runs) == 10  # 18 when both reports ran FM on every case
         assert len(settled) == 43
         # 417 when every case a probe decided made all of its rows; 385 when
-        # a case its support did not settle made that support's rows again.
-        assert len(made) == 334
+        # a case its support did not settle made that support's rows again;
+        # 334 when both reports made every row of every case.
+        assert len(made) == 321
 
 
 class TestSweep:

@@ -64,6 +64,15 @@ class TestCertifyCommand:
         assert usage.startswith("usage: bmbounds certify") and "Traceback" not in usage
         assert error == f"argument {flag}: integer literal too long: {digits} digits\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_number_past_the_digit_limit_is_exit_2(self, capsys, int_digit_limit, fmt):
+        """A t the parser accepts whose report would print a number past
+        int()'s digit limit (an echoed rhs here) is exit 2 with one line."""
+        code, out, err = run(capsys, "certify", "--t", "1" + "0" * 2200 + "/3", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: a number to print has more than {int_digit_limit} digits," \
+                      " the interpreter's limit\n"
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--t", "4", "--frobnicate"])

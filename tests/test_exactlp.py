@@ -463,6 +463,40 @@ def test_fm_corpus_digest():
     assert digest.hexdigest() == FM_CORPUS_DIGEST
 
 
+def test_farkas_support_keeps_a_small_accepted_support(monkeypatch):
+    """Over the FM corpus, ``farkas_support`` gives the support the full
+    Carathéodory reduction gives, also where it returns elimination's
+    support of at most n + 1 rows unreduced; ``support_farkas`` of the
+    weights ``infeasible_on`` accepts it with is an integer Farkas vector
+    that verifies, and where elimination's support is kept it is the
+    primitive integer form of elimination's vector."""
+    rows_of = [(system, exactlp.system_rows(system)) for system in _fm_corpus()]
+    results = [exactlp.solve_rows(system.variables, rows) for system, rows in rows_of]
+    fast = [exactlp.farkas_support(rows, res.farkas) if not res.feasible else None
+            for (_, rows), res in zip(rows_of, results)]
+    monkeypatch.setattr(exactlp, "infeasible_on", lambda rows, support: None)
+    full = [exactlp.farkas_support(rows, res.farkas) if not res.feasible else None
+            for (_, rows), res in zip(rows_of, results)]
+    monkeypatch.undo()
+    assert fast == full
+    kept = 0
+    for (system, rows), res, support in zip(rows_of, results, fast):
+        if res.feasible:
+            continue
+        y = exactlp.infeasible_on(rows, support)
+        farkas = exactlp.support_farkas(rows, support, y, len(rows))
+        assert [i for i, x in enumerate(farkas) if x] == list(support)
+        assert all(x.denominator == 1 for x in farkas) and math.gcd(*map(int, farkas)) == 1
+        assert verify_certificate(system, FeasibilityResult("infeasible", farkas=farkas))
+        if support == [i for i, x in enumerate(res.farkas) if x]:
+            scale = math.lcm(*[x.denominator for x in res.farkas])
+            ints = [int(x * scale) for x in res.farkas]
+            g = math.gcd(*ints)
+            assert farkas == tuple(F(x // g) for x in ints)
+            kept += 1
+    assert kept >= 300  # 368 of 558 infeasible systems
+
+
 def _both_verdicts(system, result):
     """The verdicts of the integer and the Fraction verifier, an error as its text."""
     verdicts = []
@@ -638,19 +672,24 @@ def _kernel(matrix):
 
 
 def _reference_infeasible_on(rows, support):
+    """The kernel vector of the support's directions, 1 at its free column,
+    if it proves the rows infeasible; else None."""
     kernel = _kernel(list(zip(*[rows[i][0] for i in support])))
     if len(kernel) != 1:
-        return False
-    z = kernel[0]  # 1 at its free column
-    return min(z) >= 0 and sum(y * F(rows[i][1], rows[i][2]) for y, i in zip(z, support)) < 0
+        return None
+    z = kernel[0]
+    ok = min(z) >= 0 and sum(y * F(rows[i][1], rows[i][2]) for y, i in zip(z, support)) < 0
+    return z if ok else None
 
 
 def _reference_feasible_at(rows, basis):
+    """The point where the basis rows are tight, if it is one and satisfies the rows; else None."""
     kernel = _kernel([list(rows[i][0]) + [-F(rows[i][1], rows[i][2])] for i in basis])
     if len(kernel) != 1 or not kernel[0][-1]:
-        return False
+        return None
     x = [v / kernel[0][-1] for v in kernel[0][:-1]]
-    return all(sum(a * b for a, b in zip(vec, x)) <= F(num, den) for vec, num, den, _, _ in rows)
+    ok = all(sum(a * b for a, b in zip(vec, x)) <= F(num, den) for vec, num, den, _, _ in rows)
+    return x if ok else None
 
 
 ENTRY = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80))
@@ -699,7 +738,17 @@ def test_signed_minors_are_the_cofactor_expansion(rows):
 def test_minor_verdicts_agree_with_gauss_jordan(rows):
     """``infeasible_on`` on all n + 1 rows and ``feasible_at`` on the first n
     accept exactly when the Fraction Gauss-Jordan reference does, on the
-    minors path (n = 4) and the elimination path alike."""
+    minors path (n = 4) and the elimination path alike; the weights they
+    accept with are the reference kernel vector times a positive factor, and
+    the vertex is the reference point."""
     n = len(rows) - 1
-    assert exactlp.infeasible_on(rows, range(n + 1)) == _reference_infeasible_on(rows, range(n + 1))
-    assert exactlp.feasible_at(rows, range(n)) == _reference_feasible_at(rows, range(n))
+    y, z = exactlp.infeasible_on(rows, range(n + 1)), _reference_infeasible_on(rows, range(n + 1))
+    assert (y is None) == (z is None)
+    if y is not None:
+        factor = F(y[z.index(1)])
+        assert factor > 0 and [F(x) for x in y] == [factor * x for x in z]
+    vertex, x = exactlp.feasible_at(rows, range(n)), _reference_feasible_at(rows, range(n))
+    assert (vertex is None) == (x is None)
+    if vertex is not None:
+        xs, D = vertex
+        assert D > 0 and [F(v, D) for v in xs] == x

@@ -7,8 +7,8 @@ the acceptance suite.
 
 Only the exact lower-bound pipeline is imported here.  The upper-bound and
 closed-form code (``bmbounds.upperiso``, ``bmbounds.bounds``, which use
-mpmath to display closed forms) and the cross-check solvers (``bmbounds.crosscheck``) are imported
-as submodules by whoever uses them.
+mpmath to display closed forms) is imported as submodules by whoever uses
+it.  The cross-check solvers live with the tests (``tests/crosscheck.py``).
 """
 
 # The one version literal; set before the submodule imports, which read it.

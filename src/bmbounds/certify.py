@@ -17,7 +17,9 @@ the case, and run elimination only where none does.
 A dichotomy decides its four base systems once per t, as ``certify_at``
 does; only the cases feasible without branch rows are decided again per
 assignment, with the base rows of the branch rows (``systems.branch_ints``)
-added.  All four document kinds (certify, search, sweep, dichotomy) are
+added, by the same ladder as a probe: the case's last support, then its
+last basis (first the plain witness's), and elimination only where both
+fail.  All four document kinds (certify, search, sweep, dichotomy) are
 built here.  Certificate files are self-contained JSON documents that an
 auditor re-verifies by substitution alone; each echoed system must equal
 the expected one value for value.  Documents and the audit render each echo
@@ -32,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from . import __version__, exactlp
@@ -180,47 +183,70 @@ def _certify_at(t: Fraction, policy: CPolicy, variant: Variant,
     """``certify_at`` and the pair rows of each case system, by case.
 
     With ``bases``, the supports and bases a bisection's probes keep
-    (``_warm``), a case is settled as a probe settles it: by its stored
-    support's Farkas vector (``exactlp.support_farkas``), else by its
-    stored basis's vertex as the witness, and else by
-    ``exactlp.solve_rows``.  Every certificate passes ``verified`` alike.
+    (``_warm``), a case is settled as a probe settles it (``_certificate``);
+    without, by ``exactlp.solve_rows``.  Every certificate passes
+    ``verified`` alike.
     """
     t = Fraction(t)
     point = case_point(t, policy)
     results, pairs = {}, {}
     for case in ALL_CASES:
         pairs[case] = case_pairs(case, point, variant)
-        results[case] = verified(VARIABLES, pairs[case], _certificate(case, point, variant, bases or {}))
+        result = (exactlp.solve_rows(VARIABLES, case_rows(case, point, variant)) if bases is None
+                  else _certificate(bases, case, *_makers(case, point, variant), len(pairs[case])))
+        results[case] = verified(VARIABLES, pairs[case], result)
     return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results), pairs
 
 
-def _certificate(case: JCase, point: CasePoint, variant: Variant, bases: dict) -> FeasibilityResult:
-    """The certificate of ``case`` at ``point`` that its stored support or
-    basis gives (``_stored``), else the unverified result of elimination."""
-    rows, y, vertex = _stored(case, point, variant, bases)
-    if y:
-        return FeasibilityResult("infeasible", farkas=support_farkas(
-            rows, bases[case, False], y, len(CASE_TABLES[case]) + len(VARIABLES)))
-    if vertex:
-        xs, D = vertex
-        return FeasibilityResult("feasible", witness={v: Fraction(x, D) for v, x in zip(VARIABLES, xs)})
-    return exactlp.solve_rows(VARIABLES, rows)
+def _makers(case: JCase, point: CasePoint, variant: Variant) -> tuple:
+    """The row makers ``_stored`` takes for the base rows of ``case`` at point."""
+    return (partial(case_row, case, point=point, variant=variant),
+            partial(case_rows, case, point, variant))
 
 
-def _stored(case: JCase, point: CasePoint, variant: Variant, bases: dict) -> tuple:
-    """What the support, then the basis, that ``bases`` holds for ``case``
-    settle at ``point``.  (the support's rows by index, its weights y, None)
-    when the support proves the case's rows infeasible (``infeasible_on``),
-    of which only the support's rows are made; else (all the rows, None, the
-    basis vertex (xs, D) if it satisfies them (``feasible_at``), else None).
-    The support's rows are reused, so each row is made at most once."""
-    support = bases.get((case, False))
-    made = {i: case_row(case, i, point, variant) for i in support or ()}
+def _stored(bases: dict, key, row, rows) -> tuple:
+    """What the support, then the basis, that ``bases`` holds for ``key``
+    settle on base rows that ``row(i)`` makes one at a time and ``rows(made)``
+    all, reusing those ``made`` by index.  (the support's rows by index, its
+    weights y, None) when the support proves them infeasible
+    (``infeasible_on``); else (all the rows, None, the basis vertex (xs, D)
+    if it satisfies them (``feasible_at``), else None)."""
+    support = bases.get((key, False))
+    made = {i: row(i) for i in support or ()}
     y = infeasible_on(made, support)
     if y:
         return made, y, None
-    rows = case_rows(case, point, variant, made)
-    return rows, None, feasible_at(rows, bases.get((case, True)))
+    rows = rows(made)
+    return rows, None, feasible_at(rows, bases.get((key, True)))
+
+
+def _solved(bases: dict, key, rows: list) -> FeasibilityResult:
+    """``exactlp.solve_rows`` on ``rows``; its support or tight basis must pass
+    ``infeasible_on`` or ``feasible_at`` on them (else AssertionError), and
+    replaces the one ``bases`` holds for ``key`` and that verdict."""
+    result = exactlp.solve_rows(VARIABLES, rows)
+    if result.feasible:
+        basis = tight_basis(rows, result.witness)
+        ok = feasible_at(rows, basis)
+    else:
+        basis, ok = farkas_support(rows, result.farkas)
+    if not ok:
+        raise AssertionError(SELF_CHECK_FAILED)
+    bases[key, result.feasible] = basis
+    return result
+
+
+def _certificate(bases: dict, key, row, rows, size: int) -> FeasibilityResult:
+    """The unverified certificate of ``size`` rows (as ``_stored`` reads
+    them): the stored support's Farkas vector (``support_farkas``), else the
+    stored basis's vertex as the witness, else ``_solved``'s result."""
+    rows, y, vertex = _stored(bases, key, row, rows)
+    if y:
+        return FeasibilityResult("infeasible", farkas=support_farkas(rows, bases[key, False], y, size))
+    if vertex:
+        xs, D = vertex
+        return FeasibilityResult("feasible", witness={v: Fraction(x, D) for v, x in zip(VARIABLES, xs)})
+    return _solved(bases, key, rows)
 
 
 def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Sequence[JCase],
@@ -234,21 +260,13 @@ def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Seque
 def _warm(case: JCase, point: CasePoint, variant: Variant, bases: dict) -> bool:
     """Whether the base rows of ``case`` at ``point`` are feasible, decided
     first by its last infeasible support, then its last feasible basis
-    (``_stored``), and else by ``exactlp.solve_rows``.  Both checks use
-    Cramer's rule for a full support (5 rows) or basis (4 rows).  The
-    support or basis of an elimination result must pass the same check on
-    the case's rows, else AssertionError is raised; it then replaces the
-    one ``bases`` holds for that case and verdict."""
-    rows, y, vertex = _stored(case, point, variant, bases)
+    (``_stored``), and else by ``_solved``, which stores the support or
+    basis of its run.  Both checks use Cramer's rule for a full support
+    (5 rows) or basis (4 rows)."""
+    rows, y, vertex = _stored(bases, case, *_makers(case, point, variant))
     if y or vertex:
         return not y
-    result = exactlp.solve_rows(VARIABLES, rows)
-    basis = (tight_basis(rows, result.witness) if result.feasible
-             else farkas_support(rows, result.farkas))
-    if not (feasible_at if result.feasible else infeasible_on)(rows, basis):
-        raise AssertionError(SELF_CHECK_FAILED)
-    bases[case, result.feasible] = basis
-    return result.feasible
+    return _solved(bases, case, rows).feasible
 
 
 def _check_iters(iters: int) -> None:
@@ -402,29 +420,35 @@ def certify_dichotomy(
     case is infeasible under every assignment: each of its assignments
     carries the plain Farkas vector with a zero on every branch row (the
     branch rows follow the base inequalities, before the nonneg rows),
-    re-verified against that assignment's system.  Only plain-feasible
-    cases are decided again per assignment, by ``exactlp.solve_rows`` on
-    the case's base rows with the assignment's branch rows
-    (``systems.branch_ints``) after its inequalities; each result must
-    pass ``verified`` on the pair rows of the assignment system, as it
-    would in ``check_feasibility``.  Raises FunctionsError, before any case
-    is decided, unless the functions are distinct indices 0-2.
+    checked on an assignment's pair rows once per ``_farkas_key``, which the
+    zeros make the same for every assignment.  A plain-feasible case is
+    decided again per assignment, on its base rows with the assignment's
+    branch rows (``systems.branch_ints``) after its inequalities, as a probe
+    is (``_certificate``): by the support, else the basis, it last stored,
+    the first basis being the plain witness's ``tight_basis`` with its
+    nonneg rows moved past the branch rows, and else by elimination.  An
+    assignment whose vertex is the plain witness carries the plain result.
+    Each result must pass ``verified`` on the pair rows of the assignment
+    system.  Raises FunctionsError, before any case is decided, unless the
+    functions are distinct indices 0-2.
     """
     functions = check_functions(functions)
     report, pairs = _certify_at(t, policy, variant)
     point = case_point(report.t, policy)
-    branch = [{br: (branch_ints(m, br, point), BRANCH_ROWS[m, br].pairs(point)) for br in "ab"}
-              for m in functions]
-    plain, rows = {}, {}
+    branch = [{br: (BRANCH_ROWS[m, br], branch_ints(m, br, point), BRANCH_ROWS[m, br].pairs(point))
+               for br in "ab"} for m in functions]
+    plain, rows, bases, checked = {}, {}, {}, set()
     for case, result in report.results.items():
         cut = len(CASE_TABLES[case])
         pairs[case] = pairs[case][:cut], pairs[case][cut:]
-        if result.feasible:
-            base = case_rows(case, point, variant)
-            rows[case] = base[:cut], base[cut:]
-        else:
+        if not result.feasible:
             zeros = (Fraction(0),) * len(functions)
             result = replace(result, farkas=result.farkas[:cut] + zeros + result.farkas[cut:])
+        elif functions:
+            base = case_rows(case, point, variant)
+            rows[case] = base[:cut], base[cut:]
+            bases[case, True] = [i + len(functions) * (i >= cut)
+                                 for i in tight_basis(base, result.witness) or ()]
         plain[case] = result
     assignments = []
     for branches in branch_strings(len(functions)):
@@ -432,14 +456,31 @@ def certify_dichotomy(
         results = {}
         for case in ALL_CASES:
             result = plain[case]
-            # Without functions an assignment's rows are the plain ones.
-            if result.feasible and functions:
-                head, tail = rows[case]
-                result = exactlp.solve_rows(VARIABLES, head + [ints for ints, _ in extra] + tail)
             head, tail = pairs[case]
-            results[case] = verified(VARIABLES, head + [pair for _, pair in extra] + tail, result)
+            checks = head + [pair for _, _, pair in extra] + tail
+            if not result.feasible:
+                key = _farkas_key((*CASE_TABLES[case], *[row for row, _, _ in extra]), len(checks),
+                                  result.farkas, result.farkas)
+                if key in checked:  # checked on another assignment's rows already
+                    results[case] = result
+                    continue
+                checked.add(key)
+            elif functions:  # without functions an assignment's rows are the plain ones
+                head, tail = rows[case]
+                full = head + [ints for _, ints, _ in extra] + tail
+                result = _certificate(bases, case, full.__getitem__, lambda _: full, len(full))
+                if result.witness == plain[case].witness:
+                    result = plain[case]
+            results[case] = verified(VARIABLES, checks, result)
         assignments.append(replace(report, results=results, functions=functions, branches=branches))
     return DichotomyReport(report.t, policy, variant, functions, tuple(assignments))
+
+
+def _farkas_key(rows: Sequence[TableRow], size: int, farkas: Sequence, weights: Sequence) -> tuple:
+    """What a check of ``farkas`` on ``size`` pair rows (the table rows ``rows``, then the
+    nonneg rows) reads at a point and variant: both lengths, and each row with a nonzero
+    multiplier (a table row, or a nonneg row's variable) with its entry of ``weights``."""
+    return (size, len(farkas), *[(row, w) for row, w, x in zip((*rows, *VARIABLES), weights, farkas) if x])
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +661,8 @@ class _Echoes:
 
     ``made`` is the memo of ``_echo``, ``numbers`` holds each certificate
     string parsed, and ``farkas`` the verdict of each Farkas check, keyed
-    by the point, the variant, the lengths and the rows with a nonzero
-    multiplier (a table row, or the variable of a nonneg row) with that
-    multiplier as written.  Table rows are module constants, so no key
-    outlives what it names."""
+    by the point, the variant and ``_farkas_key`` of the strings written.
+    Table rows are module constants, so no key outlives what it names."""
 
     def __init__(self) -> None:
         self.made: dict = {}
@@ -643,9 +682,7 @@ class _Echoes:
         result = _entry_result(entry, self.number)
         if result.feasible:
             return verify_pairs(VARIABLES, pairs, result)
-        key = (point, variant, len(pairs), len(result.farkas),
-               *[(row, text) for row, text, x in zip((*rows, *VARIABLES), entry["farkas"], result.farkas)
-                 if x])
+        key = (point, variant, *_farkas_key(rows, len(pairs), result.farkas, entry["farkas"]))
         verdict = self.farkas.get(key)
         if verdict is None:
             verdict = self.farkas[key] = verify_pairs(VARIABLES, pairs, result)
@@ -774,6 +811,8 @@ def _check_doc(doc: dict) -> None:
     """Re-verify every part of a document and bind its headline claims to them."""
     if not isinstance(doc, dict):
         raise SystemFormatError("top-level value must be an object")
+    if not isinstance(doc["tool_version"], str):
+        raise SystemFormatError(f"tool_version must be a string, got {type(doc['tool_version']).__name__}")
     kind = doc["kind"]
     variant = Variant(doc["variant"])
     if kind == "sweep":

@@ -44,8 +44,8 @@ vector on the inequalities.  Five support rows or four basis rows over
 four variables are re-solved by Cramer's rule, other shapes by integer
 Gauss-Jordan elimination.  The independent cross-checks, an exact phase-1
 simplex, brute-force vertex enumeration and a Fraction reference
-verifier, are kept off the runtime path in ``crosscheck``; the tests
-require them to agree with this module.
+verifier, live with the tests (``tests/crosscheck.py``), which require
+them to agree with this module.
 
 No floating point is used anywhere in this module.
 """
@@ -577,19 +577,22 @@ def support_farkas(rows: Sequence[tuple] | Mapping[int, tuple], support: Sequenc
     return tuple(farkas)
 
 
-def farkas_support(rows: list[tuple], farkas: tuple[Fraction, ...]) -> list[int]:
-    """A support ``infeasible_on`` accepts, from a Farkas vector of ``rows``.
+def farkas_support(rows: list[tuple], farkas: tuple[Fraction, ...]) -> tuple[list[int], Optional[list[int]]]:
+    """A support from a Farkas vector of ``rows``, and the weights by which
+    ``infeasible_on`` accepts it (None if it does not).
 
     A support of at most n + 1 rows that ``infeasible_on`` accepts is
-    returned as it is: its columns den * (direction, rhs) are independent,
-    since the kernel of its directions is one-dimensional and its weights
-    give a nonzero rhs.  Any other is reduced (Carathéodory) until those
-    columns are independent, at most n + 1: each step subtracts a kernel
-    vector from their weights until one weight is zero.
+    returned as it is, with the weights that check gave: its columns
+    den * (direction, rhs) are independent, since the kernel of its
+    directions is one-dimensional and its weights give a nonzero rhs.  Any
+    other is reduced (Carathéodory) until those columns are independent, at
+    most n + 1: each step subtracts a kernel vector from their weights until
+    one weight is zero; the reduced support is then checked.
     """
     support = [i for i, y in enumerate(farkas) if y]
-    if len(support) <= len(rows[0][0]) + 1 and infeasible_on(rows, support):
-        return support
+    y = len(support) <= len(rows[0][0]) + 1 and infeasible_on(rows, support)
+    if y:
+        return support, y
     picked = [rows[i] for i in support]
     columns = [[den * x for x in vec] + [num] for vec, num, den, _, _ in picked]
     # y on an inequality weighs its base row (vec, num, den, q, p) by y * p / (q * piv),
@@ -602,7 +605,7 @@ def farkas_support(rows: list[tuple], farkas: tuple[Fraction, ...]) -> list[int]
     while True:
         _, kernel = _eliminate(columns)
         if not kernel:
-            return list(support)
+            return list(support), infeasible_on(rows, support)
         z = kernel[0]
         k = None  # the first index of least w[k] / z[k] over z[k] > 0
         for i, (a, b) in enumerate(zip(w, z)):

@@ -5,8 +5,8 @@ basic feasible points decide feasibility by routes that share nothing
 with elimination; the tests require all three verdicts to agree.  A
 reference certificate verifier does in Fraction arithmetic, over
 ``LinearSystem.normalized_rows``, what ``exactlp.verify_certificate`` does
-in integers; the tests require the two to agree.  None of these runs on a
-CLI path, and the package does not export them.
+in integers; the tests require the two to agree.  It lives with the tests,
+outside the package, so no command can reach it.
 
 No floating point is used anywhere in this module.
 """
@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlp import ONE, ZERO, FeasibilityResult, LinearSystem, SystemError_
+from bmbounds.exactlp import ONE, ZERO, FeasibilityResult, LinearSystem, SystemError_
 
 
 # ---------------------------------------------------------------------------

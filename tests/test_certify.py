@@ -437,6 +437,19 @@ class TestBinarySearch:
         # 334 when both reports made every row of every case.
         assert len(made) == 321
 
+    def test_elimination_supports_are_checked_once(self, monkeypatch):
+        """A support elimination's own Farkas vector gives is checked once,
+        in ``farkas_support``, which hands its weights on."""
+        import bmbounds.certify as certify_mod
+        import bmbounds.exactlp as exactlp
+
+        checks, check = [], exactlp.infeasible_on
+        for module in (certify_mod, exactlp):
+            monkeypatch.setattr(module, "infeasible_on",
+                                lambda *args: checks.append(args) or check(*args))
+        binary_search_bound(F(3), F(5), 20)
+        assert len(checks) == 72  # 75 when each of 3 such supports was checked twice
+
 
 class TestSweep:
     def test_best_policy_is_2_1_4(self):
@@ -553,6 +566,27 @@ class TestSweep:
         del doc["results"][0]["search"]
         assert verify_certificate_text(json.dumps(doc)) == (
             EXIT_INPUT_ERROR, "malformed certificate: missing field 'search'")
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "tool_version must be a string, got bool"),
+        (1, "tool_version must be a string, got int"),
+        (None, "tool_version must be a string, got NoneType"),
+        (["bmbounds-0"], "tool_version must be a string, got list"),
+        (KeyError, "missing field 'tool_version'"),
+    ], ids=["true", "1", "null", "list", "missing"])
+    @pytest.mark.parametrize("where", ["sweep", "embedded-search"])
+    def test_tool_version_must_be_a_string(self, sweep_doc, where, value, message):
+        """A document, and each search a sweep embeds, carries its
+        ``tool_version`` as a string: any other JSON value, or none, is
+        malformed, though every certificate still holds."""
+        doc = json.loads(json.dumps(sweep_doc))
+        target = doc if where == "sweep" else doc["results"][-1]["search"]
+        if value is KeyError:
+            del target["tool_version"]
+        else:
+            target["tool_version"] = value
+        assert verify_certificate_text(json.dumps(doc)) == (
+            EXIT_INPUT_ERROR, f"malformed certificate: {message}")
 
 
 def test_monotonicity_100_random_pairs():
@@ -1187,8 +1221,69 @@ class TestPlainCaseReuse:
                 assert result.farkas == (plain[case].farkas[:cut] + (F(0),) * len(functions)
                                          + plain[case].farkas[cut:])
 
-    @pytest.mark.parametrize("t, calls", [(F(113, 32), 4), (F(4), 36)], ids=["113/32", "4"])
+    # At 4 it was 36 while every assignment of a plain-feasible case ran FM.
+    @pytest.mark.parametrize("t, calls", [(F(113, 32), 4), (F(4), 11)], ids=["113/32", "4"])
     def test_check_feasibility_calls(self, fm_runs, t, calls):
         report = certify_dichotomy(t)
         assert len(fm_runs) == calls  # 32 and 32 when every assignment ran FM
         assert report.certified is (t < 4)
+
+
+# DEFAULT_POLICY is 2,1,4, so 1,0,2 (c = t/2, the band's lower edge) is the
+# third policy; 0,759,400 is the constant-c policy whose guards fail at t = 4.
+WARM_POLICIES = [DEFAULT_POLICY, CPolicy(1, 0, 2), CPolicy(0, 759, 400)]
+FUNCTION_SUBSETS = [subset for k in range(4) for subset in itertools.combinations(range(3), k)]
+
+
+class TestWarmAssignments:
+    """Each branch assignment of a plain-feasible case is settled by the
+    support or basis its case last stored, and by elimination only when
+    neither holds."""
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("t, policy", [
+        (t, policy) for t in DICHOTOMY_TS for policy in WARM_POLICIES
+        if 1 < policy.c_at(t) and t / 2 <= policy.c_at(t) <= t], ids=str)
+    def test_verdicts_and_certificates(self, t, policy, variant):
+        for functions in FUNCTION_SUBSETS:
+            report = certify_dichotomy(t, policy, functions, variant)
+            for assignment in report.assignments:
+                for case, system in assignment.systems.items():
+                    result = assignment.results[case]
+                    assert result.feasible is check_feasibility(system).feasible
+                    assert verify_certificate(system, result)
+
+    @pytest.mark.parametrize("t, most", [(F(113, 32), 4), (F(4), 11), (F(15, 4), 18),
+                                         (F(11, 3), 16)], ids=str)
+    def test_fm_runs(self, fm_runs, t, most):
+        """36, 36 and 28 FM runs at 4, 15/4 and 11/3 when every assignment of
+        a plain-feasible case ran FM; at 113/32 every case is plain-infeasible."""
+        certify_dichotomy(t)
+        assert len(fm_runs) <= most
+        if t == F(113, 32):
+            assert len(fm_runs) == most
+
+    def test_padded_vectors_are_checked_once(self, monkeypatch):
+        """At 113/32 the four plain Farkas vectors are checked once each on
+        the plain rows and once each on an assignment's rows: 8 checks, where
+        checking every padded vector on every assignment made 36."""
+        import bmbounds.exactlp as exactlp
+
+        checks, check = [], exactlp.verify_pairs
+        monkeypatch.setattr(exactlp, "verify_pairs",
+                            lambda *args: checks.append(args) or check(*args))
+        report = certify_dichotomy(F(113, 32))
+        assert report.certified and len(checks) == 8
+
+    def test_plain_witness_is_shared(self):
+        """An assignment whose vertex is the plain witness carries the plain
+        result object, so the document formats it once."""
+        report = certify_dichotomy(F(4))
+        plain = certify_at(F(4)).results
+        shared = 0
+        for case in ALL_CASES:
+            same = [a.results[case] for a in report.assignments
+                    if a.results[case].witness == plain[case].witness]
+            assert len({id(result) for result in same}) <= 1
+            shared += len(same)
+        assert shared == 8

@@ -20,7 +20,7 @@ from bmbounds.exactlp import (
     check_feasibility,
     verify_certificate,
 )
-from bmbounds.crosscheck import enumerate_vertices, reference_verify_certificate, simplex_feasibility
+from crosscheck import enumerate_vertices, reference_verify_certificate, simplex_feasibility
 from bmbounds.systems import ALL_CASES, VARIABLES, CPolicy, JCase, Variant, case_point, case_rows
 
 F = Fraction
@@ -466,10 +466,10 @@ def test_fm_corpus_digest():
 def test_farkas_support_keeps_a_small_accepted_support(monkeypatch):
     """Over the FM corpus, ``farkas_support`` gives the support the full
     Carathéodory reduction gives, also where it returns elimination's
-    support of at most n + 1 rows unreduced; ``support_farkas`` of the
-    weights ``infeasible_on`` accepts it with is an integer Farkas vector
-    that verifies, and where elimination's support is kept it is the
-    primitive integer form of elimination's vector."""
+    support of at most n + 1 rows unreduced, with the weights
+    ``infeasible_on`` accepts it with; ``support_farkas`` of them is an
+    integer Farkas vector that verifies, and where elimination's support is
+    kept it is the primitive integer form of elimination's vector."""
     rows_of = [(system, exactlp.system_rows(system)) for system in _fm_corpus()]
     results = [exactlp.solve_rows(system.variables, rows) for system, rows in rows_of]
     fast = [exactlp.farkas_support(rows, res.farkas) if not res.feasible else None
@@ -478,12 +478,13 @@ def test_farkas_support_keeps_a_small_accepted_support(monkeypatch):
     full = [exactlp.farkas_support(rows, res.farkas) if not res.feasible else None
             for (_, rows), res in zip(rows_of, results)]
     monkeypatch.undo()
-    assert fast == full
+    assert [got and got[0] for got in fast] == [got and got[0] for got in full]
     kept = 0
-    for (system, rows), res, support in zip(rows_of, results, fast):
+    for (system, rows), res, got in zip(rows_of, results, fast):
         if res.feasible:
             continue
-        y = exactlp.infeasible_on(rows, support)
+        support, y = got
+        assert y == exactlp.infeasible_on(rows, support)
         farkas = exactlp.support_farkas(rows, support, y, len(rows))
         assert [i for i, x in enumerate(farkas) if x] == list(support)
         assert all(x.denominator == 1 for x in farkas) and math.gcd(*map(int, farkas)) == 1
@@ -627,8 +628,8 @@ def test_warm_verdicts_agree_with_elimination(policy, case, variant, t, step, pi
         basis = exactlp.tight_basis(near, result.witness)
         assert basis is not None and exactlp.feasible_at(near, basis)
     else:
-        basis = exactlp.farkas_support(near, result.farkas)
-        assert len(basis) <= len(VARIABLES) + 1 and exactlp.infeasible_on(near, basis)
+        basis, y = exactlp.farkas_support(near, result.farkas)
+        assert len(basis) <= len(VARIABLES) + 1 and y and y == exactlp.infeasible_on(near, basis)
     for candidate in (basis, sorted({i % len(rows) for i in picks})):
         if exactlp.infeasible_on(rows, candidate):
             assert not feasible

@@ -99,6 +99,18 @@ multiplier vector of a support of at most five rows, and a witness at
 ``witness`` entries changed: ``t_lo``, ``t_hi``, the trace, every status
 and every echo are as before, and so are every text and CSV digest and
 every certify and dichotomy digest.
+
+The ``dichotomy --t 4 --format structured``, ``dichotomy --t 11/3 --format
+structured`` and ``dichotomy --t 15/4 --functions 0 1 --variant printed
+--format structured`` digests were recorded again when each branch
+assignment of a plain-feasible case began to try the support and the basis
+its case last stored, the first basis being that of the plain witness,
+before running elimination.  An assignment the plain witness satisfies now
+carries that witness, and others often a stored basis's vertex or a
+support's primitive integer Farkas vector, where before each carried the
+result of its own elimination.  Only ``farkas`` and ``witness`` entries of
+assignment entries changed: every status, echo, ``certified`` flag and exit
+code is as before, and so is every other digest.
 """
 
 import hashlib
@@ -125,7 +137,7 @@ GOLDEN = {
     "dichotomy --t 113/32 --format structured":
         (0, "e798dfe84fae055dec656022268e0396765c3a3878204b9abea7fb4f8766df39"),
     "dichotomy --t 4 --format structured":
-        (1, "48539b9e37149a07a1c0a632b08269f9b08c2405e7e46fbdc456816960359323"),
+        (1, "e54d4abe888ea477598946fee32feb78d900d398a2a61ddea3f921dd3ac8c024"),
     "search --lo 3 --hi 5 --iters 6 --c-policy 2,1,4 --format structured":
         (0, "98556b1bc90ffb174ae851c8ea3e0ed5fcb1471df428f9f7b6b99936b04fc017"),
     "search --lo 3 --hi 5 --iters 20 --format structured":
@@ -181,9 +193,9 @@ GOLDEN = {
     "sweep --iters 12 --format structured":
         (0, "d23f71f8efc94dffeec715ddde8ab0f3744ef42f1933f4efdcee67bd8c6439d1"),
     "dichotomy --t 11/3 --format structured":
-        (1, "9f11226b0e7e0435bcd969c0e0654e0bffb984c4da5a2cb4a3cdea1f3084dc67"),
+        (1, "ef402a54cda65478434c09a0e20ea373ab48095047b789ea1691e7404ec98fdf"),
     "dichotomy --t 15/4 --functions 0 1 --variant printed --format structured":
-        (1, "958ce7880b9b6d02d4d2419ce458287c6d5a865e705e52024f5a59ea8094f1b8"),
+        (1, "4399331d79e8e8487272b7c665abe844691c7ac300e119432ae9bec9e3ce4a50"),
     "upper --optimize --tol 1e-14 --format structured":
         (0, "32258765d3fadf428d757fba163a46502611b3fb7e06e435117961bc05a886df"),
 }

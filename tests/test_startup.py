@@ -1,8 +1,8 @@
 """What a fresh interpreter loads, and that the lazily loaded paths still work.
 
 The lower-bound commands run exact Fraction code only, so importing the CLI
-and running ``certify`` must not load mpmath, the upper-bound modules or the
-cross-check solvers.  ``upper`` and ``bounds`` load them when they run, and
+and running ``certify`` must not load mpmath or the upper-bound modules.
+``upper`` and ``bounds`` load them when they run, and
 mpmath only displays closed forms: ``upper --t`` and ``upper --scan`` are
 exact and never load it.  Each case here starts its own interpreter, so
 nothing is loaded beforehand.
@@ -21,7 +21,7 @@ import bmbounds
 from test_golden import GOLDEN
 
 SRC = str(Path(bmbounds.__file__).resolve().parent.parent)
-HEAVY = ("mpmath", "bmbounds.upperiso", "bmbounds.bounds", "bmbounds.crosscheck")
+HEAVY = ("mpmath", "bmbounds.upperiso", "bmbounds.bounds")
 
 
 def python(*args):

@@ -200,8 +200,7 @@ def _certify_at(t: Fraction, policy: CPolicy, variant: Variant,
 
 def _makers(case: JCase, point: CasePoint, variant: Variant) -> tuple:
     """The row makers ``_stored`` takes for the base rows of ``case`` at point."""
-    return (partial(case_row, case, point=point, variant=variant),
-            partial(case_rows, case, point, variant))
+    return partial(case_row, case, point, variant), partial(case_rows, case, point, variant)
 
 
 def _stored(bases: dict, key, row, rows) -> tuple:

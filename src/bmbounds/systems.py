@@ -351,7 +351,7 @@ def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRI
             for i, row in enumerate(CASE_TABLES[case])] + _NONNEG_ROWS
 
 
-def case_row(case: JCase, i: int, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> tuple:
+def case_row(case: JCase, point: CasePoint, variant: Variant, i: int) -> tuple:
     """Row i of ``case_rows(case, point, variant)``, made alone."""
     table = CASE_TABLES[case]
     return table[i].make(point, variant) if i < len(table) else _NONNEG_ROWS[i - len(table)]

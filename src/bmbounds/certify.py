@@ -681,7 +681,7 @@ class _Echoes:
         result = _entry_result(entry, self.number)
         if result.feasible:
             return verify_pairs(VARIABLES, pairs, result)
-        key = (point, variant, *_farkas_key(rows, len(pairs), result.farkas, entry["farkas"]))
+        key = point, variant, _farkas_key(rows, len(pairs), result.farkas, entry["farkas"])
         verdict = self.farkas.get(key)
         if verdict is None:
             verdict = self.farkas[key] = verify_pairs(VARIABLES, pairs, result)

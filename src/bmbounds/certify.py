@@ -6,27 +6,26 @@ plain case systems at a rational t exactly from their integer row tables
 of the same row formulas (``exactlp.verified``).  A report holds verdicts;
 ``CaseReport.systems`` builds its systems on access, for tests and library
 callers.  A bisection over a bracket [lo, hi] runs over a verdict alone: a
-probe decides the cases from their row tables, warm-started from the bases
-that last decided each case, and stops at its first feasible case.  It
-relies on the monotonicity of feasibility in t (valid for affine
-c-policies) and returns a CertifiedBound whose endpoint reports hold all
-four cases with machine-checkable certificates: Farkas vectors at t_lo, a
-witness at t_hi.  They have the verdicts of ``certify_at`` but take each
-certificate from a support or basis the probes stored, where one settles
-the case, and run elimination only where none does.
-A dichotomy decides its four base systems once per t, as ``certify_at``
-does; only the cases feasible without branch rows are decided again per
-assignment, with the base rows of the branch rows (``systems.branch_ints``)
-added, by the same ladder as a probe: the case's last support, then its
-last basis (first the plain witness's), and elimination only where both
-fail.  All four document kinds (certify, search, sweep, dichotomy) are
-built here.  Certificate files are self-contained JSON documents that an
-auditor re-verifies by substitution alone; each echoed system must equal
-the expected one value for value.  Documents and the audit render each echo
-through one function, ``_echo``, from the rows and meta ``_tables`` gives a
-case, so no command builds a system.  An echo equal to that rendering is
-checked on its rows' pair rows; only one that differs is parsed, and it
-must render (``system_doc``) to that same canonical echo.
+probe decides the cases from their row tables and stops at its first
+feasible case.  It relies on the monotonicity of feasibility in t (valid
+for affine c-policies) and returns a CertifiedBound whose endpoint reports
+hold all four cases with machine-checkable certificates: Farkas vectors at
+t_lo, a witness at t_hi.  Probes and reports settle each case in one step
+(``_settle``): by the support, else the basis, that last decided it, and
+by elimination only where neither holds.  A dichotomy decides its four
+base systems once per t, as ``certify_at`` does, then each case over every
+branch assignment: a plain-infeasible case carries its Farkas vector,
+zero-padded on the branch rows, to every assignment, checked once, as the
+zeros leave every assignment's check reading the same rows; a
+plain-feasible case is settled per assignment.  All four document kinds
+(certify, search, sweep, dichotomy) are built here.  Certificate files are
+self-contained JSON documents that an auditor re-verifies by substitution
+alone; each echoed system must equal the expected one value for value.
+Documents and the audit render each echo through one function, ``_echo``,
+from the rows and meta ``_tables`` gives a case, so no command builds a
+system.  An echo equal to that rendering is checked on its rows' pair
+rows; only one that differs is parsed, and it must render (``system_doc``)
+to that same canonical echo.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ from .systems import (
     SystemFormatError,
     TableRow,
     Variant,
-    branch_ints,
     branch_strings,
     case_meta,
     case_pairs,
@@ -199,30 +197,31 @@ def _certify_at(t: Fraction, policy: CPolicy, variant: Variant,
 
 
 def _makers(case: JCase, point: CasePoint, variant: Variant) -> tuple:
-    """The row makers ``_stored`` takes for the base rows of ``case`` at point."""
+    """The row makers ``_settle`` takes for the base rows of ``case`` at point."""
     return partial(case_row, case, point, variant), partial(case_rows, case, point, variant)
 
 
-def _stored(bases: dict, key, row, rows) -> tuple:
-    """What the support, then the basis, that ``bases`` holds for ``key``
-    settle on base rows that ``row(i)`` makes one at a time and ``rows(made)``
-    all, reusing those ``made`` by index.  (the support's rows by index, its
-    weights y, None) when the support proves them infeasible
-    (``infeasible_on``); else (all the rows, None, the basis vertex (xs, D)
-    if it satisfies them (``feasible_at``), else None)."""
+def _settle(bases: dict, key, row, rows) -> tuple:
+    """The one settle step of a case decision: (rows, y, vertex, result).
+
+    Of the base rows that ``row(i)`` makes one at a time and ``rows(made)``
+    all, only the rows of the support ``bases`` holds for ``key`` are made
+    first: (them by index, y, None, None) if its weights y prove them
+    infeasible (``infeasible_on``).  Else all are made: (rows, None, vertex,
+    None) if the vertex (xs, D) of the basis held satisfies them
+    (``feasible_at``); both checks use Cramer's rule.  Else (rows, None,
+    None, ``exactlp.solve_rows``'s result), whose support or tight basis
+    must pass the same check (else AssertionError) and replaces the one held
+    for ``key`` and that verdict."""
     support = bases.get((key, False))
     made = {i: row(i) for i in support or ()}
     y = infeasible_on(made, support)
     if y:
-        return made, y, None
+        return made, y, None, None
     rows = rows(made)
-    return rows, None, feasible_at(rows, bases.get((key, True)))
-
-
-def _solved(bases: dict, key, rows: list) -> FeasibilityResult:
-    """``exactlp.solve_rows`` on ``rows``; its support or tight basis must pass
-    ``infeasible_on`` or ``feasible_at`` on them (else AssertionError), and
-    replaces the one ``bases`` holds for ``key`` and that verdict."""
+    vertex = feasible_at(rows, bases.get((key, True)))
+    if vertex:
+        return rows, None, vertex, None
     result = exactlp.solve_rows(VARIABLES, rows)
     if result.feasible:
         basis = tight_basis(rows, result.witness)
@@ -232,20 +231,20 @@ def _solved(bases: dict, key, rows: list) -> FeasibilityResult:
     if not ok:
         raise AssertionError(SELF_CHECK_FAILED)
     bases[key, result.feasible] = basis
-    return result
+    return rows, None, None, result
 
 
 def _certificate(bases: dict, key, row, rows, size: int) -> FeasibilityResult:
-    """The unverified certificate of ``size`` rows (as ``_stored`` reads
-    them): the stored support's Farkas vector (``support_farkas``), else the
-    stored basis's vertex as the witness, else ``_solved``'s result."""
-    rows, y, vertex = _stored(bases, key, row, rows)
+    """The unverified certificate of ``size`` rows that ``_settle`` gives:
+    the support's Farkas vector (``support_farkas``), the basis vertex as
+    the witness, or the result of elimination."""
+    rows, y, vertex, result = _settle(bases, key, row, rows)
     if y:
         return FeasibilityResult("infeasible", farkas=support_farkas(rows, bases[key, False], y, size))
     if vertex:
         xs, D = vertex
         return FeasibilityResult("feasible", witness={v: Fraction(x, D) for v, x in zip(VARIABLES, xs)})
-    return _solved(bases, key, rows)
+    return result
 
 
 def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Sequence[JCase],
@@ -257,15 +256,10 @@ def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Seque
 
 
 def _warm(case: JCase, point: CasePoint, variant: Variant, bases: dict) -> bool:
-    """Whether the base rows of ``case`` at ``point`` are feasible, decided
-    first by its last infeasible support, then its last feasible basis
-    (``_stored``), and else by ``_solved``, which stores the support or
-    basis of its run.  Both checks use Cramer's rule for a full support
-    (5 rows) or basis (4 rows)."""
-    rows, y, vertex = _stored(bases, case, *_makers(case, point, variant))
-    if y or vertex:
-        return not y
-    return _solved(bases, case, rows).feasible
+    """Whether the base rows of ``case`` at ``point`` are feasible, as
+    ``_settle`` decides them."""
+    _, _, vertex, result = _settle(bases, case, *_makers(case, point, variant))
+    return result.feasible if result else vertex is not None
 
 
 def _check_iters(iters: int) -> None:
@@ -300,14 +294,10 @@ def binary_search_bound(
 
     Probes are warm-started: one dict, kept across the probes, holds per
     case the support of the last Farkas vector and the tight basis of the
-    last witness that elimination found for it.  A case is first re-solved
-    at the new t on that support, whose rows alone are made for it
-    (``exactlp.infeasible_on``), then on that basis
-    (``exactlp.feasible_at``), and runs Fourier-Motzkin only when both
-    fail; the support or basis of that run must then pass the same
-    check at t, or AssertionError is raised.  Each check accepts a verdict
-    only after exact integer substitution, so a verdict never depends on
-    the bases or on the order, and neither does the trace.
+    last witness that elimination found for it, which ``_settle`` tries at
+    the new t, in that order, before it runs Fourier-Motzkin.  Each check
+    accepts a verdict only after exact integer substitution, so a verdict
+    never depends on the bases or on the order, and neither does the trace.
 
     The two reports take their certificates from that dict
     (``_certify_at``): the report at t_hi reads it as the search leaves
@@ -414,72 +404,50 @@ def certify_dichotomy(
 ) -> DichotomyReport:
     """Decide all 2**b branch assignments; certified iff all infeasible.
 
-    Each plain case system is decided once, as ``certify_at`` does.  Adding
-    rows cannot make an infeasible system feasible, so a plain-infeasible
-    case is infeasible under every assignment: each of its assignments
-    carries the plain Farkas vector with a zero on every branch row (the
-    branch rows follow the base inequalities, before the nonneg rows),
-    checked on an assignment's pair rows once per ``_farkas_key``, which the
-    zeros make the same for every assignment.  A plain-feasible case is
-    decided again per assignment, on its base rows with the assignment's
-    branch rows (``systems.branch_ints``) after its inequalities, as a probe
-    is (``_certificate``): by the support, else the basis, it last stored,
-    the first basis being the plain witness's ``tight_basis`` with its
-    nonneg rows moved past the branch rows, and else by elimination.  An
-    assignment whose vertex is the plain witness carries the plain result.
-    Each result must pass ``verified`` on the pair rows of the assignment
-    system.  Raises FunctionsError, before any case is decided, unless the
-    functions are distinct indices 0-2.
+    Each plain case system is decided once, as ``certify_at`` does; then
+    each case is decided over every assignment, whose branch rows follow
+    its base inequalities, before the nonneg rows.  Adding rows cannot make
+    an infeasible system feasible, so every assignment of a plain-infeasible
+    case carries one object: the plain Farkas vector with a zero on every
+    branch row, checked once, on the first assignment's pair rows.  A check
+    reads the vector's length and the rows of its nonzero entries only, and
+    the zeros make both the same for every assignment.  A plain-feasible
+    case is settled per assignment as a probe is (``_certificate``), its
+    first basis the plain witness's ``tight_basis`` with the nonneg rows
+    moved past the branch rows; an assignment whose vertex is the plain
+    witness, as the one of an empty function list is, carries the plain
+    result.  Each result must pass ``verified`` on the pair rows of its
+    assignment system.  Raises FunctionsError, before any case is decided,
+    unless the functions are distinct indices 0-2.
     """
     functions = check_functions(functions)
     report, pairs = _certify_at(t, policy, variant)
     point = case_point(report.t, policy)
-    branch = [{br: (BRANCH_ROWS[m, br], branch_ints(m, br, point), BRANCH_ROWS[m, br].pairs(point))
-               for br in "ab"} for m in functions]
-    plain, rows, bases, checked = {}, {}, {}, set()
-    for case, result in report.results.items():
+    made = {key: (row.make(point), row.pairs(point)) for key, row in BRANCH_ROWS.items()
+            if key[0] in functions}
+    strings = branch_strings(len(functions))
+    extras = [[made[key] for key in zip(functions, branches)] for branches in strings]
+    columns = []
+    for case, plain in report.results.items():
         cut = len(CASE_TABLES[case])
-        pairs[case] = pairs[case][:cut], pairs[case][cut:]
-        if not result.feasible:
+        checks = [pairs[case][:cut] + [pair for _, pair in extra] + pairs[case][cut:] for extra in extras]
+        if not plain.feasible:
             zeros = (Fraction(0),) * len(functions)
-            result = replace(result, farkas=result.farkas[:cut] + zeros + result.farkas[cut:])
-        elif functions:
-            base = case_rows(case, point, variant)
-            rows[case] = base[:cut], base[cut:]
-            bases[case, True] = [i + len(functions) * (i >= cut)
-                                 for i in tight_basis(base, result.witness) or ()]
-        plain[case] = result
-    assignments = []
-    for branches in branch_strings(len(functions)):
-        extra = [row[br] for row, br in zip(branch, branches)]
-        results = {}
-        for case in ALL_CASES:
-            result = plain[case]
-            head, tail = pairs[case]
-            checks = head + [pair for _, _, pair in extra] + tail
-            if not result.feasible:
-                key = _farkas_key((*CASE_TABLES[case], *[row for row, _, _ in extra]), len(checks),
-                                  result.farkas, result.farkas)
-                if key in checked:  # checked on another assignment's rows already
-                    results[case] = result
-                    continue
-                checked.add(key)
-            elif functions:  # without functions an assignment's rows are the plain ones
-                head, tail = rows[case]
-                full = head + [ints for _, ints, _ in extra] + tail
-                result = _certificate(bases, case, full.__getitem__, lambda _: full, len(full))
-                if result.witness == plain[case].witness:
-                    result = plain[case]
-            results[case] = verified(VARIABLES, checks, result)
-        assignments.append(replace(report, results=results, functions=functions, branches=branches))
-    return DichotomyReport(report.t, policy, variant, functions, tuple(assignments))
-
-
-def _farkas_key(rows: Sequence[TableRow], size: int, farkas: Sequence, weights: Sequence) -> tuple:
-    """What a check of ``farkas`` on ``size`` pair rows (the table rows ``rows``, then the
-    nonneg rows) reads at a point and variant: both lengths, and each row with a nonzero
-    multiplier (a table row, or a nonneg row's variable) with its entry of ``weights``."""
-    return (size, len(farkas), *[(row, w) for row, w, x in zip((*rows, *VARIABLES), weights, farkas) if x])
+            padded = replace(plain, farkas=plain.farkas[:cut] + zeros + plain.farkas[cut:])
+            columns.append([verified(VARIABLES, checks[0], padded)] * len(strings))
+            continue
+        base = case_rows(case, point, variant)
+        bases = {(case, True): [i + len(functions) * (i >= cut)
+                                for i in tight_basis(base, plain.witness) or ()]}
+        column = []
+        for extra, check in zip(extras, checks):
+            full = base[:cut] + [ints for ints, _ in extra] + base[cut:]
+            result = _certificate(bases, case, full.__getitem__, lambda _: full, len(full))
+            column.append(verified(VARIABLES, check, plain if result.witness == plain.witness else result))
+        columns.append(column)
+    return DichotomyReport(report.t, policy, variant, functions, tuple(
+        [replace(report, results=dict(zip(ALL_CASES, got)), functions=functions, branches=branches)
+         for branches, got in zip(strings, zip(*columns))]))
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +621,15 @@ def _entry_result(entry: dict, parse) -> FeasibilityResult:
             raise SystemFormatError(f"farkas must be a list, got {type(farkas).__name__}")
         return FeasibilityResult("infeasible", farkas=tuple([parse(s) for s in farkas]))
     raise SystemFormatError(f"unknown status {status!r}")
+
+
+def _farkas_key(rows: Sequence[TableRow], size: int, farkas: Sequence, weights: Sequence) -> tuple:
+    """What a check of ``farkas`` on ``size`` pair rows (the table rows ``rows``, then the
+    nonneg rows) reads at a point and variant: both lengths, and each row with a nonzero
+    multiplier (a table row, or a nonneg row's variable) with its entry of ``weights``.
+    The audit's key alone (``_Echoes.verdict``); a dichotomy checks each padded vector
+    once by construction."""
+    return (size, len(farkas), *[(row, w) for row, w, x in zip((*rows, *VARIABLES), weights, farkas) if x])
 
 
 class _Echoes:

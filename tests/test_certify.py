@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -35,7 +36,9 @@ from bmbounds.systems import (
     JCase,
     Variant,
     build_case_system,
+    build_dichotomy_systems,
 )
+from crosscheck import simplex_feasibility
 
 F = Fraction
 
@@ -1263,17 +1266,45 @@ class TestWarmAssignments:
         if t == F(113, 32):
             assert len(fm_runs) == most
 
-    def test_padded_vectors_are_checked_once(self, monkeypatch):
-        """At 113/32 the four plain Farkas vectors are checked once each on
-        the plain rows and once each on an assignment's rows: 8 checks, where
-        checking every padded vector on every assignment made 36."""
+    @pytest.mark.parametrize("t, functions", [
+        *itertools.product(DICHOTOMY_TS, [(), (0, 2), (0, 1, 2)]), (F(113, 32), (0, 1, 2))], ids=str)
+    def test_padded_vectors_are_checked_once(self, monkeypatch, t, functions):
+        """The four plain certificates are checked once each, and so is each
+        plain-infeasible case's padded Farkas vector, one object that every
+        assignment carries, zero on every branch row; only each assignment
+        of a plain-feasible case is checked on its own.  At 113/32 every
+        case is plain-infeasible: 8 checks, where checking every padded
+        vector on every assignment made 36."""
         import bmbounds.exactlp as exactlp
 
+        plain = certify_at(t).results
+        infeasible = [case for case in ALL_CASES if not plain[case].feasible]
         checks, check = [], exactlp.verify_pairs
         monkeypatch.setattr(exactlp, "verify_pairs",
                             lambda *args: checks.append(args) or check(*args))
-        report = certify_dichotomy(F(113, 32))
-        assert report.certified and len(checks) == 8
+        report = certify_dichotomy(t, DEFAULT_POLICY, functions)
+        feasible = len(ALL_CASES) - len(infeasible)
+        assert len(checks) == 4 + len(infeasible) + 2 ** len(functions) * feasible
+        for case in infeasible:
+            carried = {id(a.results[case]): a.results[case] for a in report.assignments}
+            assert len(carried) == 1
+            (farkas,) = [result.farkas for result in carried.values()]
+            for assignment in report.assignments:
+                labels = [ineq.label for ineq in assignment.systems[case].inequalities]
+                branch_rows = [k for k, label in enumerate(labels) if label.startswith("B")]
+                assert len(branch_rows) == len(functions)
+                assert all(farkas[k] == 0 for k in branch_rows)
+        if t == F(113, 32):
+            assert report.certified and len(checks) == 8
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("t", DICHOTOMY_TS, ids=str)
+    def test_empty_function_list_is_the_plain_report(self, t, variant):
+        """Without functions the one assignment's rows are the plain ones, and
+        its results are those of ``certify_at``."""
+        report = certify_dichotomy(t, DEFAULT_POLICY, (), variant)
+        assert [a.branches for a in report.assignments] == [""]
+        assert report.assignments[0].results == certify_at(t, DEFAULT_POLICY, variant).results
 
     def test_plain_witness_is_shared(self):
         """An assignment whose vertex is the plain witness carries the plain
@@ -1287,3 +1318,70 @@ class TestWarmAssignments:
             assert len({id(result) for result in same}) <= 1
             shared += len(same)
         assert shared == 8
+
+
+@functools.lru_cache(maxsize=None)
+def _dichotomy_text(t: Fraction, functions: tuple[int, ...]) -> str:
+    return json.dumps(dichotomy_report_doc(certify_dichotomy(t, DEFAULT_POLICY, functions)))
+
+
+@functools.lru_cache(maxsize=None)
+def _simplex_statuses(t: Fraction, policy: CPolicy, functions: tuple[int, ...],
+                      variant: Variant) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """Each branch assignment with the status phase-1 simplex gives each of its systems."""
+    return tuple((branches, tuple(simplex_feasibility(system).status for system in systems))
+                 for branches, systems in build_dichotomy_systems(t, policy, functions, variant))
+
+
+@st.composite
+def mutated_dichotomy_doc(draw):
+    """The 113/32 all-functions or the 4 ``--functions 0 1`` dichotomy
+    document with one mutation: ``certified`` or one entry's status flipped,
+    one Farkas entry bumped, zeroed or moved, one witness coordinate negated
+    or shifted, or t moved by 1/64."""
+    t, functions = draw(st.sampled_from([(F(113, 32), (0, 1, 2)), (F(4), (0, 1))]))
+    doc = json.loads(_dichotomy_text(t, functions))
+    entries = [entry for a in doc["assignments"] for entry in a["cases"]]
+    witnessed = [entry for entry in entries if entry["status"] == "feasible"]
+    kinds = ["certified", "status", "farkas", "t"] + ["witness"] * bool(witnessed)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "certified":
+        doc["certified"] = not doc["certified"]
+    elif kind == "status":
+        entry = draw(st.sampled_from(entries))
+        entry["status"] = "feasible" if entry["status"] == "infeasible" else "infeasible"
+    elif kind == "farkas":
+        farkas = draw(st.sampled_from([e for e in entries if e["status"] == "infeasible"]))["farkas"]
+        i = draw(st.integers(0, len(farkas) - 1))
+        how = draw(st.sampled_from(["bump", "zero", "move"]))
+        if how == "bump":
+            farkas[i] = format_rational(parse_rational(farkas[i]) + 1)
+        elif how == "zero":
+            farkas[i] = "0"
+        else:
+            farkas.insert(draw(st.integers(0, len(farkas) - 1)), farkas.pop(i))
+    elif kind == "witness":
+        witness = draw(st.sampled_from(witnessed))["witness"]
+        v = draw(st.sampled_from(sorted(witness)))
+        x = parse_rational(witness[v])
+        witness[v] = format_rational(-x if draw(st.booleans())
+                                     else x + draw(st.sampled_from([F(1, 64), F(-1, 64), F(1)])))
+    else:
+        doc["t"] = format_rational(t + draw(st.sampled_from([F(1, 64), F(-1, 64)])))
+    return doc
+
+
+@given(mutated_dichotomy_doc())
+@settings(max_examples=60, deadline=None)
+def test_accepted_dichotomy_claims_hold(doc):
+    """Whenever ``verify-cert`` accepts a mutated dichotomy document, phase-1
+    simplex on ``build_dichotomy_systems`` agrees with every status it
+    claims, and ``certified`` is whether all of them are infeasible."""
+    if verify_certificate_text(json.dumps(doc))[0] != EXIT_CERTIFIED:
+        return
+    expected = _simplex_statuses(parse_rational(doc["t"]), CPolicy.parse(doc["policy"]),
+                                 tuple(doc["functions"]), Variant(doc["variant"]))
+    claimed = tuple((a["branches"], tuple(entry["status"] for entry in a["cases"]))
+                    for a in doc["assignments"])
+    assert claimed == expected
+    assert doc["certified"] is all(s == "infeasible" for _, statuses in claimed for s in statuses)

@@ -1286,14 +1286,13 @@ class TestWarmAssignments:
         feasible = len(ALL_CASES) - len(infeasible)
         assert len(checks) == 4 + len(infeasible) + 2 ** len(functions) * feasible
         for case in infeasible:
-            carried = {id(a.results[case]): a.results[case] for a in report.assignments}
-            assert len(carried) == 1
-            (farkas,) = [result.farkas for result in carried.values()]
+            padded = report.assignments[0].results[case]
             for assignment in report.assignments:
+                assert assignment.results[case] is padded
                 labels = [ineq.label for ineq in assignment.systems[case].inequalities]
                 branch_rows = [k for k, label in enumerate(labels) if label.startswith("B")]
                 assert len(branch_rows) == len(functions)
-                assert all(farkas[k] == 0 for k in branch_rows)
+                assert all(padded.farkas[k] == 0 for k in branch_rows)
         if t == F(113, 32):
             assert report.certified and len(checks) == 8
 

@@ -17,7 +17,8 @@ base systems once per t, as ``certify_at`` does, then each case over every
 branch assignment: a plain-infeasible case carries its Farkas vector,
 zero-padded on the branch rows, to every assignment, checked once, as the
 zeros leave every assignment's check reading the same rows; a
-plain-feasible case is settled per assignment.  All four document kinds
+plain-feasible case is settled per assignment, or, with no functions,
+carries its plain result.  All four document kinds
 (certify, search, sweep, dichotomy) are built here.  Certificate files are
 self-contained JSON documents that an auditor re-verifies by substitution
 alone; each echoed system must equal the expected one value for value.
@@ -411,14 +412,16 @@ def certify_dichotomy(
     case carries one object: the plain Farkas vector with a zero on every
     branch row, checked once, on the first assignment's pair rows.  A check
     reads the vector's length and the rows of its nonzero entries only, and
-    the zeros make both the same for every assignment.  A plain-feasible
-    case is settled per assignment as a probe is (``_certificate``), its
-    first basis the plain witness's ``tight_basis`` with the nonneg rows
-    moved past the branch rows; an assignment whose vertex is the plain
-    witness, as the one of an empty function list is, carries the plain
-    result.  Each result must pass ``verified`` on the pair rows of its
-    assignment system.  Raises FunctionsError, before any case is decided,
-    unless the functions are distinct indices 0-2.
+    the zeros make both the same for every assignment.  Without functions
+    the one assignment's rows are the plain ones, so it carries the plain
+    result of every case, feasible or not, and makes no rows.  With
+    functions, a plain-feasible case is settled per assignment as a probe
+    is (``_certificate``), its first basis the plain witness's
+    ``tight_basis`` with the nonneg rows moved past the branch rows; an
+    assignment whose vertex is the plain witness carries the plain result.
+    Each result must pass ``verified`` on the pair rows of its assignment
+    system.  Raises FunctionsError, before any case is decided, unless the
+    functions are distinct indices 0-2.
     """
     functions = check_functions(functions)
     report, pairs = _certify_at(t, policy, variant)
@@ -431,10 +434,10 @@ def certify_dichotomy(
     for case, plain in report.results.items():
         cut = len(CASE_TABLES[case])
         checks = [pairs[case][:cut] + [pair for _, pair in extra] + pairs[case][cut:] for extra in extras]
-        if not plain.feasible:
-            zeros = (Fraction(0),) * len(functions)
-            padded = replace(plain, farkas=plain.farkas[:cut] + zeros + plain.farkas[cut:])
-            columns.append([verified(VARIABLES, checks[0], padded)] * len(strings))
+        if not (plain.feasible and functions):
+            carried = plain if plain.feasible else replace(
+                plain, farkas=plain.farkas[:cut] + (Fraction(0),) * len(functions) + plain.farkas[cut:])
+            columns.append([verified(VARIABLES, checks[0], carried)] * len(strings))
             continue
         base = case_rows(case, point, variant)
         bases = {(case, True): [i + len(functions) * (i >= cut)

@@ -8,19 +8,22 @@ defined by twelve coefficient rows: M and tail_block for T, Minv and
 s_tail_block for S.  The operator norms over the infinite index set are
 their largest row l1-norms.
 
-norm_report, the one evaluator of the norms and their product, reads the
-rows from T_TABLE and S_TABLE: each nonzero entry is an integer polynomial
-over one common denominator per direction.  At t = p/q it evaluates each
-distinct polynomial (up to sign) once, in one integer Horner pass, so a
-row's l1-norm is an integer sum over an integer; no matrix is built.
-build_matrices populates the same rows as Fraction matrices (inverting M
-by Gauss-Jordan); it, operator_norm_T/S, apply_T/S and inverse_closed_form
-are the independent matrix route the tests check the tables against.
-Every parameter is read as a Fraction (an int, a Fraction, a float's
-binary value or a numeric string), so every entry, norm and product is
-exact, and the optimizer is an exact Fibonacci search over norm_report.
-mpmath is loaded only to display the closed-form minimizer, in
-cubic_formula_value.
+The norms are read from T_TABLE and S_TABLE: each nonzero entry is an
+integer polynomial over one common denominator per direction.  At t = p/q,
+reduced or not, _row_norms evaluates each distinct polynomial (up to sign)
+once, in one integer Horner pass, so a row's l1-norm is an integer sum over
+an integer; no matrix is built.  norm_report turns these integers into
+exact Fractions at one t.  The optimizer and the scan step over a grid
+(a + j*b)/q of one denominator q and read the integers directly: the
+optimizer is an exact Fibonacci search that compares distortions by
+cross-multiplication and makes one norm_report, at t*, and the scan builds
+each row's Fractions from them.  build_matrices populates the same rows as
+Fraction matrices (inverting M by Gauss-Jordan); it, operator_norm_T/S,
+apply_T/S and inverse_closed_form are the independent matrix route the
+tests check the tables against.  Every parameter is read as a Fraction (an
+int, a Fraction, a float's binary value or a numeric string), so every
+entry, norm and product is exact.  mpmath is loaded only to display the
+closed-form minimizer, in cubic_formula_value.
 """
 
 from __future__ import annotations
@@ -320,7 +323,12 @@ _T_COMPILED, _S_COMPILED = _compile(T_TABLE), _compile(S_TABLE)
 
 
 def _row_norms(table: _CompiledTable, p: int, q: int) -> tuple[list[int], int]:
-    """Each row's l1 norm and the denominator at t = p/q, times q**degree, in one Horner pass."""
+    """Each row's l1 norm and the denominator at t = p/q, times q**degree, in one Horner pass.
+
+    Every form is homogeneous of that degree, so p/q need not be reduced:
+    scaling p and q by k scales every returned integer by k**degree, and
+    each ratio of a row norm to the denominator is its exact value at t.
+    """
     values, q_k = table.columns[0], 1
     for column in table.columns[1:]:
         q_k *= q
@@ -336,6 +344,17 @@ def _table_norm(table: _CompiledTable, p: int, q: int) -> tuple[Fraction, str]:
     return Fraction(best, denominator), table.row_ids[norms.index(best)]
 
 
+def _norms_at(p: int, q: int) -> tuple[int, int, int, int]:
+    """(nT, dT, nS, dS) with normT = nT/dT and normS = nS/dS at t = p/q, unreduced.
+
+    Both denominators are positive on [3, 4], so distortions nT*nS/(dT*dS)
+    compare by cross-multiplication.
+    """
+    norms_t, den_t = _row_norms(_T_COMPILED, p, q)
+    norms_s, den_s = _row_norms(_S_COMPILED, p, q)
+    return max(norms_t), den_t, max(norms_s), den_s
+
+
 @dataclass(frozen=True)
 class NormReport:
     t: Fraction
@@ -347,7 +366,7 @@ class NormReport:
 
 
 def norm_report(t) -> NormReport:
-    """normT, normS and their product at t, exactly: the one evaluator of the distortion.
+    """normT, normS and their product at t, exactly, with the first row reaching each norm.
 
     The norms are read from T_TABLE and S_TABLE on the integers p, q of
     t = p/q; no matrix is built.
@@ -362,7 +381,9 @@ def scan_distortion(lo: Fraction, hi: Fraction, step: Fraction) -> list[tuple]:
     """Exact (t, normT, normS, distortion) rows on the grid lo, lo + step, ... <= hi.
 
     The interval and the row count, at most MAX_SCAN_ROWS, are checked
-    before any row is evaluated.
+    before any row is evaluated.  Row k is at t = (a + k*b)/q over the one
+    denominator q of lo and step, and its Fractions are built from the
+    integers of _norms_at there.
     """
     lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
     if not (3 <= lo <= hi <= 4) or step <= 0:
@@ -370,12 +391,12 @@ def scan_distortion(lo: Fraction, hi: Fraction, step: Fraction) -> list[tuple]:
     count = (hi - lo) // step + 1
     if count > MAX_SCAN_ROWS:
         raise IsoDomainError(f"scan of {count} rows exceeds the limit of {MAX_SCAN_ROWS}")
+    q = lo.denominator * step.denominator
+    a, b = lo.numerator * step.denominator, step.numerator * lo.denominator
     out = []
-    t = lo
-    for _ in range(count):
-        report = norm_report(t)
-        out.append((t, report.norm_t, report.norm_s, report.distortion))
-        t += step
+    for p in range(a, a + count * b, b):
+        nt, dt, ns, ds = _norms_at(p, q)
+        out.append((Fraction(p, q), Fraction(nt, dt), Fraction(ns, ds), Fraction(nt * ns, dt * ds)))
     return out
 
 
@@ -392,32 +413,45 @@ def optimize_distortion(lo=3, hi=4, tol="1e-12") -> tuple[Fraction, NormReport]:
     the minimizer lies in that last bracket and the returned t* at its
     centre is within h <= tol of it.  This takes n - 2 evaluations.
 
-    Returns t* as a Fraction and norm_report(t*).
+    Every step is in integers: grid point j is (a + j*b)/q over one
+    denominator q, evaluated by _norms_at without reducing it, and two
+    distortions compare by cross-multiplication.
+
+    Returns t* as a Fraction and norm_report(t*), the one report it makes.
     """
     lo, hi, tol = Fraction(lo), Fraction(hi), Fraction(tol)
     if not (3 <= lo <= hi <= 4):
         raise IsoDomainError("optimization interval must stay inside [3, 4]")
     if tol <= 0:
         raise IsoDomainError(f"tolerance must be positive, got {tol}")
+    steps = -((lo - hi) // tol)  # the fewest grid steps of at most tol: ceil((hi - lo)/tol)
     prev, fib = 1, 2  # consecutive Fibonacci numbers F_{n-1}, F_n
-    while hi - lo > tol * fib:
+    while fib < steps:
         prev, fib = fib, prev + fib
-    h = (hi - lo) / fib
-    left, right = 0, fib
-    best, report = prev, norm_report(lo + prev * h)
+    q = lo.denominator * hi.denominator * fib
+    a = lo.numerator * hi.denominator * fib
+    b = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+
+    def distortion(j: int) -> tuple[int, int]:  # at grid point j, over a positive denominator
+        nt, dt, ns, ds = _norms_at(a + j * b, q)
+        return nt * ns, dt * ds
+
+    left, right, best = 0, fib, prev
+    num, den = distortion(best)
     while right - left > 2:
         probe = left + right - best
-        other = norm_report(lo + probe * h)
+        other_num, other_den = distortion(probe)
         if probe < best:
-            if other.distortion <= report.distortion:
-                right, best, report = best, probe, other
+            if other_num * den <= num * other_den:
+                right, best, num, den = best, probe, other_num, other_den
             else:
                 left = probe
-        elif report.distortion <= other.distortion:
+        elif num * other_den <= other_num * den:
             right = probe
         else:
-            left, best, report = best, probe, other
-    return report.t, report
+            left, best, num, den = best, probe, other_num, other_den
+    t = Fraction(a + best * b, q)
+    return t, norm_report(t)
 
 
 @dataclass(frozen=True)

@@ -1305,6 +1305,29 @@ class TestWarmAssignments:
         assert [a.branches for a in report.assignments] == [""]
         assert report.assignments[0].results == certify_at(t, DEFAULT_POLICY, variant).results
 
+    @pytest.mark.parametrize("t", DICHOTOMY_TS, ids=str)
+    def test_empty_function_list_makes_nothing_past_the_plain_run(self, monkeypatch, t):
+        """Without functions every case carries its plain result: past the
+        plain run, which ``certify_at`` shares, the dichotomy makes no case
+        rows, no ``tight_basis`` and no ``feasible_at`` check."""
+        import bmbounds.certify as certify_mod
+
+        calls = {}
+        for name in ("case_rows", "tight_basis", "feasible_at"):
+            def counting(*args, _name=name, _f=getattr(certify_mod, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(certify_mod, name, counting)
+
+        def counts(run):
+            calls.update(case_rows=0, tight_basis=0, feasible_at=0)
+            return run(), dict(calls)
+
+        plain, at = counts(lambda: certify_at(t))
+        report, dichotomy = counts(lambda: certify_dichotomy(t, functions=()))
+        assert dichotomy == at == {"case_rows": len(ALL_CASES), "tight_basis": 0, "feasible_at": 0}
+        assert report.assignments[0].results == plain.results
+
     def test_plain_witness_is_shared(self):
         """An assignment whose vertex is the plain witness carries the plain
         result object, so the document formats it once."""
@@ -1332,17 +1355,12 @@ def _simplex_statuses(t: Fraction, policy: CPolicy, functions: tuple[int, ...],
                  for branches, systems in build_dichotomy_systems(t, policy, functions, variant))
 
 
-@st.composite
-def mutated_dichotomy_doc(draw):
-    """The 113/32 all-functions or the 4 ``--functions 0 1`` dichotomy
-    document with one mutation: ``certified`` or one entry's status flipped,
-    one Farkas entry bumped, zeroed or moved, one witness coordinate negated
-    or shifted, or t moved by 1/64."""
-    t, functions = draw(st.sampled_from([(F(113, 32), (0, 1, 2)), (F(4), (0, 1))]))
-    doc = json.loads(_dichotomy_text(t, functions))
-    entries = [entry for a in doc["assignments"] for entry in a["cases"]]
+def _mutate_entries(draw, doc: dict, entries: list[dict], t: Fraction) -> None:
+    """One of the mutations of ``mutated_dichotomy_doc`` and
+    ``mutated_certify_doc``, applied in place to doc and its case entries."""
     witnessed = [entry for entry in entries if entry["status"] == "feasible"]
-    kinds = ["certified", "status", "farkas", "t"] + ["witness"] * bool(witnessed)
+    refuted = [entry for entry in entries if entry["status"] == "infeasible"]
+    kinds = ["certified", "status"] + ["farkas"] * bool(refuted) + ["t"] + ["witness"] * bool(witnessed)
     kind = draw(st.sampled_from(kinds))
     if kind == "certified":
         doc["certified"] = not doc["certified"]
@@ -1350,7 +1368,7 @@ def mutated_dichotomy_doc(draw):
         entry = draw(st.sampled_from(entries))
         entry["status"] = "feasible" if entry["status"] == "infeasible" else "infeasible"
     elif kind == "farkas":
-        farkas = draw(st.sampled_from([e for e in entries if e["status"] == "infeasible"]))["farkas"]
+        farkas = draw(st.sampled_from(refuted))["farkas"]
         i = draw(st.integers(0, len(farkas) - 1))
         how = draw(st.sampled_from(["bump", "zero", "move"]))
         if how == "bump":
@@ -1367,6 +1385,17 @@ def mutated_dichotomy_doc(draw):
                                      else x + draw(st.sampled_from([F(1, 64), F(-1, 64), F(1)])))
     else:
         doc["t"] = format_rational(t + draw(st.sampled_from([F(1, 64), F(-1, 64)])))
+
+
+@st.composite
+def mutated_dichotomy_doc(draw):
+    """The 113/32 all-functions or the 4 ``--functions 0 1`` dichotomy
+    document with one mutation: ``certified`` or one entry's status flipped,
+    one Farkas entry bumped, zeroed or moved, one witness coordinate negated
+    or shifted, or t moved by 1/64."""
+    t, functions = draw(st.sampled_from([(F(113, 32), (0, 1, 2)), (F(4), (0, 1))]))
+    doc = json.loads(_dichotomy_text(t, functions))
+    _mutate_entries(draw, doc, [entry for a in doc["assignments"] for entry in a["cases"]], t)
     return doc
 
 
@@ -1384,3 +1413,44 @@ def test_accepted_dichotomy_claims_hold(doc):
                     for a in doc["assignments"])
     assert claimed == expected
     assert doc["certified"] is all(s == "infeasible" for _, statuses in claimed for s in statuses)
+
+
+@functools.lru_cache(maxsize=None)
+def _certify_text(t: Fraction) -> str:
+    return json.dumps(certify_report_doc(certify_at(t)))
+
+
+@functools.lru_cache(maxsize=None)
+def _simplex_case_statuses(t: Fraction, policy: CPolicy, variant: Variant,
+                           cases: tuple[JCase, ...]) -> tuple[str, ...]:
+    """The status phase-1 simplex gives each case system, in order."""
+    return tuple(simplex_feasibility(build_case_system(case, t, policy, variant)).status
+                 for case in cases)
+
+
+@st.composite
+def mutated_certify_doc(draw):
+    """The 113/32 (all cases infeasible) or the 5 (feasible cases) certify
+    document with one mutation: ``certified`` or one case's status flipped,
+    one Farkas entry bumped, zeroed or moved, one witness coordinate negated
+    or shifted, or t moved by 1/64."""
+    t = draw(st.sampled_from([F(113, 32), F(5)]))
+    doc = json.loads(_certify_text(t))
+    _mutate_entries(draw, doc, doc["cases"], t)
+    return doc
+
+
+@given(mutated_certify_doc())
+@settings(max_examples=60, deadline=None)
+def test_accepted_certify_claims_hold(doc):
+    """Whenever ``verify-cert`` accepts a mutated certify document, phase-1
+    simplex on ``build_case_system`` agrees with every status it claims,
+    and ``certified`` is whether all of them are infeasible."""
+    if verify_certificate_text(json.dumps(doc))[0] != EXIT_CERTIFIED:
+        return
+    cases = tuple(JCase(entry["case"]) for entry in doc["cases"])
+    expected = _simplex_case_statuses(parse_rational(doc["t"]), CPolicy.parse(doc["policy"]),
+                                      Variant(doc["variant"]), cases)
+    claimed = tuple(entry["status"] for entry in doc["cases"])
+    assert claimed == expected
+    assert doc["certified"] is all(status == "infeasible" for status in claimed)

@@ -327,10 +327,10 @@ class TestUpperCommand:
     def test_scan_bounded_before_any_row(self, capsys, monkeypatch, spec, err):
         """An interval leaving [3, 4] or more than MAX_SCAN_ROWS rows is exit 2
         with one line, before a single row is evaluated."""
-        def boom(t):  # pragma: no cover
+        def boom(*args):  # pragma: no cover
             raise AssertionError("no row may be evaluated")
 
-        monkeypatch.setattr(upperiso, "norm_report", boom)
+        monkeypatch.setattr(upperiso, "_row_norms", boom)
         start = time.perf_counter()
         code, out, stderr = run(capsys, "upper", "--scan", spec)
         assert time.perf_counter() - start < 1.0

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bmbounds import upperiso
 from bmbounds.cli import main
@@ -421,6 +423,83 @@ def assert_rows_match_side(report):
     else:
         assert (report.argmax_t, report.argmax_s) == ("tail:0", "stail:1")
         assert report.norm_t > report.t
+
+
+def reference_optimize(lo=3, hi=4, tol="1e-12"):
+    """The Fibonacci search as it stepped in Fractions: each probe at
+    lo + j*h with a Fraction step h, read through its own norm_report."""
+    lo, hi, tol = F(lo), F(hi), F(tol)
+    prev, fib = 1, 2
+    while hi - lo > tol * fib:
+        prev, fib = fib, prev + fib
+    h = (hi - lo) / fib
+    left, right = 0, fib
+    best, report = prev, norm_report(lo + prev * h)
+    while right - left > 2:
+        probe = left + right - best
+        other = norm_report(lo + probe * h)
+        if probe < best:
+            if other.distortion <= report.distortion:
+                right, best, report = best, probe, other
+            else:
+                left = probe
+        elif report.distortion <= other.distortion:
+            right = probe
+        else:
+            left, best, report = best, probe, other
+    return report.t, report
+
+
+def grid_point(den=st.integers(1, 1000)):
+    """A rational in [3, 4] with a denominator of at most 1000."""
+    return den.flatmap(lambda d: st.integers(3 * d, 4 * d).map(lambda n: F(n, d)))
+
+
+@st.composite
+def scan_spec(draw):
+    """(lo, hi, step, rows): a scan of 1 to 60 rows inside [3, 4] whose hi
+    lies from 0 up to one step short of the next grid point."""
+    lo = draw(grid_point())
+    d = draw(st.integers(1, 1000))
+    step = F(draw(st.integers(1, d)), d)
+    rows = draw(st.integers(1, min(60, int((4 - lo) / step) + 1)))
+    last = lo + (rows - 1) * step
+    hi = last + min(step - F(1, 10**6), 4 - last) * F(draw(st.integers(0, 100)), 100)
+    return lo, hi, step, rows
+
+
+class TestIntegerEvaluator:
+    """The optimizer and the scan step in integers; each must give what
+    stepping in Fractions through norm_report gives, exactly."""
+
+    @given(st.lists(grid_point(), min_size=2, max_size=2, unique=True).map(sorted),
+           st.builds(lambda m, k: F(m, 10**k), st.integers(1, 10), st.integers(4, 14)))
+    @settings(max_examples=80, deadline=None)
+    @example([F(3), F(4)], F(2, 17)).via("(hi - lo)/tol = 8.5, just past F_6 = 8")
+    @example([F(3), F(4)], F(1, 8)).via("(hi - lo)/tol = F_6 exactly")
+    def test_optimizer_equals_the_fraction_search(self, interval, tol):
+        """Over 3 <= lo < hi <= 4 and tolerances from 1e-14 to 1e-3, and
+        where (hi - lo)/tol is a Fibonacci number or lies just past one."""
+        lo, hi = interval
+        assert optimize_distortion(lo, hi, tol) == reference_optimize(lo, hi, tol)
+
+    @given(scan_spec())
+    @settings(max_examples=80, deadline=None)
+    def test_scan_rows_are_norm_reports(self, spec):
+        lo, hi, step, rows = spec
+        reports = [norm_report(lo + k * step) for k in range(rows)]
+        assert scan_distortion(lo, hi, step) == [(r.t, r.norm_t, r.norm_s, r.distortion) for r in reports]
+
+    def test_norm_report_calls(self, monkeypatch):
+        """One norm_report per optimization, at t*, and none per scan: every
+        probe and every scan row is read from the integers of _row_norms."""
+        calls = []
+        report = norm_report
+        monkeypatch.setattr(upperiso, "norm_report", lambda t: calls.append(t) or report(t))
+        t_star, _ = optimize_distortion(tol="1e-12")
+        assert calls == [t_star]
+        scan_distortion(F(3), F(4), F(1, 100))
+        assert calls == [t_star]
 
 
 class TestOptimizer:

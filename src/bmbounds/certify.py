@@ -11,14 +11,14 @@ feasible case.  It relies on the monotonicity of feasibility in t (valid
 for affine c-policies) and returns a CertifiedBound whose endpoint reports
 hold all four cases with machine-checkable certificates: Farkas vectors at
 t_lo, a witness at t_hi.  Probes and reports settle each case in one step
-(``_settle``): by the support, else the basis, that last decided it, and
-by elimination only where neither holds.  A dichotomy decides its four
-base systems once per t, as ``certify_at`` does, then each case over every
-branch assignment: a plain-infeasible case carries its Farkas vector,
-zero-padded on the branch rows, to every assignment, checked once, as the
-zeros leave every assignment's check reading the same rows; a
-plain-feasible case is settled per assignment, or, with no functions,
-carries its plain result.  All four document kinds
+(``_settle``) on its full list of base rows: by the support, else the
+basis, that last decided it, and by elimination only where neither holds.
+A dichotomy decides its four base systems once per t, as ``certify_at``
+does, then each case over every branch assignment: a plain-infeasible
+case carries its Farkas vector, zero-padded on the branch rows, to every
+assignment, checked once, as the zeros leave every assignment's check
+reading the same rows; a plain-feasible case is settled per assignment,
+or, with no functions, carries its plain result.  All four document kinds
 (certify, search, sweep, dichotomy) are built here.  Certificate files are
 self-contained JSON documents that an auditor re-verifies by substitution
 alone; each echoed system must equal the expected one value for value.
@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from typing import Sequence
 
 from . import __version__, exactlp
@@ -73,7 +72,6 @@ from .systems import (
     case_meta,
     case_pairs,
     case_point,
-    case_row,
     case_rows,
     check_functions,
     row_entry,
@@ -182,47 +180,38 @@ def _certify_at(t: Fraction, policy: CPolicy, variant: Variant,
     """``certify_at`` and the pair rows of each case system, by case.
 
     With ``bases``, the supports and bases a bisection's probes keep
-    (``_warm``), a case is settled as a probe settles it (``_certificate``);
-    without, by ``exactlp.solve_rows``.  Every certificate passes
-    ``verified`` alike.
+    (``_first_feasible``), a case is settled as a probe settles it
+    (``_certificate``); without, by ``exactlp.solve_rows``.  Every
+    certificate passes ``verified`` alike.
     """
     t = Fraction(t)
     point = case_point(t, policy)
     results, pairs = {}, {}
     for case in ALL_CASES:
         pairs[case] = case_pairs(case, point, variant)
-        result = (exactlp.solve_rows(VARIABLES, case_rows(case, point, variant)) if bases is None
-                  else _certificate(bases, case, *_makers(case, point, variant), len(pairs[case])))
+        rows = case_rows(case, point, variant)
+        result = (exactlp.solve_rows(VARIABLES, rows) if bases is None
+                  else _certificate(bases, case, rows))
         results[case] = verified(VARIABLES, pairs[case], result)
     return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results), pairs
 
 
-def _makers(case: JCase, point: CasePoint, variant: Variant) -> tuple:
-    """The row makers ``_settle`` takes for the base rows of ``case`` at point."""
-    return partial(case_row, case, point, variant), partial(case_rows, case, point, variant)
+def _settle(bases: dict, key, rows: list[tuple]) -> tuple:
+    """The one settle step of a case decision on its base rows: (y, vertex, result).
 
-
-def _settle(bases: dict, key, row, rows) -> tuple:
-    """The one settle step of a case decision: (rows, y, vertex, result).
-
-    Of the base rows that ``row(i)`` makes one at a time and ``rows(made)``
-    all, only the rows of the support ``bases`` holds for ``key`` are made
-    first: (them by index, y, None, None) if its weights y prove them
-    infeasible (``infeasible_on``).  Else all are made: (rows, None, vertex,
-    None) if the vertex (xs, D) of the basis held satisfies them
-    (``feasible_at``); both checks use Cramer's rule.  Else (rows, None,
-    None, ``exactlp.solve_rows``'s result), whose support or tight basis
-    must pass the same check (else AssertionError) and replaces the one held
-    for ``key`` and that verdict."""
-    support = bases.get((key, False))
-    made = {i: row(i) for i in support or ()}
-    y = infeasible_on(made, support)
+    (y, None, None) if the weights y of the support ``bases`` holds for
+    ``key`` prove ``rows`` infeasible (``infeasible_on``); else (None,
+    vertex, None) if the vertex (xs, D) of the basis held satisfies them
+    (``feasible_at``); both checks use Cramer's rule.  Else (None, None,
+    ``exactlp.solve_rows``'s result), whose support or tight basis must
+    pass the same check (else AssertionError) and replaces the one held for
+    ``key`` and that verdict."""
+    y = infeasible_on(rows, bases.get((key, False)))
     if y:
-        return made, y, None, None
-    rows = rows(made)
+        return y, None, None
     vertex = feasible_at(rows, bases.get((key, True)))
     if vertex:
-        return rows, None, vertex, None
+        return None, vertex, None
     result = exactlp.solve_rows(VARIABLES, rows)
     if result.feasible:
         basis = tight_basis(rows, result.witness)
@@ -232,16 +221,16 @@ def _settle(bases: dict, key, row, rows) -> tuple:
     if not ok:
         raise AssertionError(SELF_CHECK_FAILED)
     bases[key, result.feasible] = basis
-    return rows, None, None, result
+    return None, None, result
 
 
-def _certificate(bases: dict, key, row, rows, size: int) -> FeasibilityResult:
-    """The unverified certificate of ``size`` rows that ``_settle`` gives:
-    the support's Farkas vector (``support_farkas``), the basis vertex as
-    the witness, or the result of elimination."""
-    rows, y, vertex, result = _settle(bases, key, row, rows)
+def _certificate(bases: dict, key, rows: list[tuple]) -> FeasibilityResult:
+    """The unverified certificate of ``rows`` that ``_settle`` gives: the
+    support's Farkas vector (``support_farkas``), the basis vertex as the
+    witness, or the result of elimination."""
+    y, vertex, result = _settle(bases, key, rows)
     if y:
-        return FeasibilityResult("infeasible", farkas=support_farkas(rows, bases[key, False], y, size))
+        return FeasibilityResult("infeasible", farkas=support_farkas(rows, bases[key, False], y))
     if vertex:
         xs, D = vertex
         return FeasibilityResult("feasible", witness={v: Fraction(x, D) for v, x in zip(VARIABLES, xs)})
@@ -251,16 +240,13 @@ def _certificate(bases: dict, key, row, rows, size: int) -> FeasibilityResult:
 def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Sequence[JCase],
                     bases: dict) -> JCase | None:
     """The first case in ``order`` whose base rows are feasible at t, or None
-    if all four are infeasible; each case is decided by ``_warm``."""
+    if all four are infeasible; each case is decided by ``_settle``."""
     point = case_point(t, policy)
-    return next((case for case in order if _warm(case, point, variant, bases)), None)
-
-
-def _warm(case: JCase, point: CasePoint, variant: Variant, bases: dict) -> bool:
-    """Whether the base rows of ``case`` at ``point`` are feasible, as
-    ``_settle`` decides them."""
-    _, _, vertex, result = _settle(bases, case, *_makers(case, point, variant))
-    return result.feasible if result else vertex is not None
+    for case in order:
+        _, vertex, result = _settle(bases, case, case_rows(case, point, variant))
+        if result.feasible if result else vertex is not None:
+            return case
+    return None
 
 
 def _check_iters(iters: int) -> None:
@@ -295,10 +281,11 @@ def binary_search_bound(
 
     Probes are warm-started: one dict, kept across the probes, holds per
     case the support of the last Farkas vector and the tight basis of the
-    last witness that elimination found for it, which ``_settle`` tries at
-    the new t, in that order, before it runs Fourier-Motzkin.  Each check
-    accepts a verdict only after exact integer substitution, so a verdict
-    never depends on the bases or on the order, and neither does the trace.
+    last witness that elimination found for it, which ``_settle`` tries on
+    the case's base rows (``case_rows``) at the new t, in that order,
+    before it runs Fourier-Motzkin.  Each check accepts a verdict only
+    after exact integer substitution, so a verdict never depends on the
+    bases or on the order, and neither does the trace.
 
     The two reports take their certificates from that dict
     (``_certify_at``): the report at t_hi reads it as the search leaves
@@ -445,7 +432,7 @@ def certify_dichotomy(
         column = []
         for extra, check in zip(extras, checks):
             full = base[:cut] + [ints for ints, _ in extra] + base[cut:]
-            result = _certificate(bases, case, full.__getitem__, lambda _: full, len(full))
+            result = _certificate(bases, case, full)
             column.append(verified(VARIABLES, check, plain if result.witness == plain.witness else result))
         columns.append(column)
     return DichotomyReport(report.t, policy, variant, functions, tuple(

@@ -7,9 +7,10 @@ gcd 1) with its right-hand side as a reduced integer pair num/den, den > 0,
 and the leading-coefficient pair of the inequality it stands for.
 ``system_rows`` clears a ``LinearSystem``'s pair rows (``system_pairs``)
 into them, each by the integer lcm of its denominators;
-``systems.case_rows`` and ``systems.branch_ints`` make the same rows from
-the integer formulas the case systems and branch rows are built from, so
-only ``check_feasibility`` uses ``system_rows``, and no command calls it.
+``systems.case_rows`` and the ``make`` of each ``systems.BRANCH_ROWS`` row
+make the same rows from the integer formulas the case systems and branch
+rows are built from, so only ``check_feasibility`` uses ``system_rows``,
+and no command calls it.
 A derived row is an integer combination of two rows on the columns still
 live, divided by its gcd, with its rhs pair combined over the product of
 the two denominators; each step keeps, per direction, the tightest rhs it
@@ -513,15 +514,13 @@ def _eliminate(columns: list) -> tuple[list[int], list[list[int]]]:
     return pivots, kernel
 
 
-def infeasible_on(rows: Sequence[tuple] | Mapping[int, tuple],
-                  support: Optional[Sequence[int]]) -> Optional[list[int]]:
+def infeasible_on(rows: Sequence[tuple], support: Optional[Sequence[int]]) -> Optional[list[int]]:
     """The weights y >= 0 by which the base rows ``support`` prove ``rows``
     infeasible, or None if they do not: their directions must have a
     one-dimensional kernel (``_kernel_vector``, by Cramer's rule for five
     rows over four variables) whose generator has one sign and, taken
     nonnegative as y, cancels every variable and combines the right-hand
-    sides into a negative number.  ``rows`` may be any map from those
-    indices to rows."""
+    sides into a negative number."""
     if not support:
         return None
     picked = [rows[i] for i in support]
@@ -555,11 +554,9 @@ def feasible_at(rows: list[tuple], basis: Optional[Sequence[int]]) -> Optional[t
     return (xs, D) if ok else None
 
 
-def support_farkas(rows: Sequence[tuple] | Mapping[int, tuple], support: Sequence[int],
-                   y: Sequence[int], size: int) -> tuple[Fraction, ...]:
-    """The Farkas vector, one multiplier per inequality of a system of
-    ``size`` rows, of the weights ``y`` that ``infeasible_on`` gives the
-    base rows ``support`` of ``rows``.
+def support_farkas(rows: Sequence[tuple], support: Sequence[int], y: Sequence[int]) -> tuple[Fraction, ...]:
+    """The Farkas vector, one multiplier per inequality of ``rows``, of the
+    weights ``y`` that ``infeasible_on`` gives the base rows ``support``.
 
     y_k weighs base row (vec, num, den, q, p) with pivot piv, so it weighs
     its inequality by y_k * q * piv / p, the inverse of the weight in
@@ -571,7 +568,7 @@ def support_farkas(rows: Sequence[tuple] | Mapping[int, tuple], support: Sequenc
     scale = math.lcm(*[b // math.gcd(a, b) for a, b in w])
     ints = [a * scale // b for a, b in w]
     g = math.gcd(*ints)
-    farkas = [ZERO] * size
+    farkas = [ZERO] * len(rows)
     for i, x in zip(support, ints):
         farkas[i] = Fraction(x // g)
     return tuple(farkas)

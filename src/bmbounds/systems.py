@@ -20,13 +20,14 @@ pair row ``exactlp.verify_pairs`` checks certificates on and the Fraction
 inequality is built from), and ``make``, the base row
 ``exactlp.solve_rows`` decides from.  ``case_pairs`` and ``case_rows``
 list a case's rows at the ``case_point`` of t and the policy, which
-checks the guards on integers.  ``row_entry`` is the one formatter of a
-row entry: ``system_doc`` formats a built system's rows with it, and the
-documents ``certify`` writes and ``verify-cert`` expects render their
-echoes from the pair rows with it, so no command builds a system; the
-builders here serve the tests and library callers, and ``verify-cert``
-parses one only from an echo that differs, which must render to the same
-entries.  The tests check each formula against the display it rearranges.
+checks the guards on integers; a dichotomy adds each branch row's
+``make`` to them.  ``row_entry`` is the one formatter of a row entry:
+``system_doc`` formats a built system's rows with it, and the documents
+``certify`` writes and ``verify-cert`` expects render their echoes from
+the pair rows with it, so no command builds a system; the builders here
+serve the tests and library callers, and ``verify-cert`` parses one only
+from an echo that differs, which must render to the same entries.  The
+tests check each formula against the display it rearranges.
 """
 
 from __future__ import annotations
@@ -340,21 +341,10 @@ def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
     return T, C, R
 
 
-def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED,
-              made: dict | None = None) -> list[tuple]:
+def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> list[tuple]:
     """The base rows of ``build_case_system(case, t, policy, variant)`` at the
-    point of t and policy, as ``exactlp.system_rows`` reads them from it.
-    ``made`` maps indices to rows already made at that point (``case_row``),
-    which are used as they are."""
-    made = made or {}
-    return [made[i] if i in made else row.make(point, variant)
-            for i, row in enumerate(CASE_TABLES[case])] + _NONNEG_ROWS
-
-
-def case_row(case: JCase, point: CasePoint, variant: Variant, i: int) -> tuple:
-    """Row i of ``case_rows(case, point, variant)``, made alone."""
-    table = CASE_TABLES[case]
-    return table[i].make(point, variant) if i < len(table) else _NONNEG_ROWS[i - len(table)]
+    point of t and policy, as ``exactlp.system_rows`` reads them from it."""
+    return [row.make(point, variant) for row in CASE_TABLES[case]] + _NONNEG_ROWS
 
 
 def build_all_cases(
@@ -387,11 +377,6 @@ def branch_row(t: Fraction, m: int, branch: str) -> LinearInequality:
     t = Fraction(t)
     row = BRANCH_ROWS[m, branch]
     return _inequality(row.label, row.pairs((t.numerator, 0, t.denominator)))
-
-
-def branch_ints(m: int, branch: str, point: CasePoint) -> tuple:
-    """The base row of ``branch_row(t, m, branch)`` at the point of t."""
-    return BRANCH_ROWS[m, branch].make(point)
 
 
 def branch_strings(count: int) -> list[str]:

@@ -410,35 +410,36 @@ class TestBinarySearch:
             assert report.systems == {case: build_case_system(case, report.t, CPolicy(2, 1, 4))
                                       for case in ALL_CASES}
 
-    def test_warm_infeasible_verdicts_make_only_their_support(self, monkeypatch, fm_runs):
-        """A case its stored Farkas support settles makes the table rows of
-        that support and no other row."""
+    def test_warm_infeasible_verdicts_run_no_elimination(self, monkeypatch, fm_runs):
+        """A probe verdict its stored Farkas support settles runs no
+        elimination: the support's weights, one per support row, prove the
+        case's full row list infeasible."""
         import bmbounds.certify as certify_mod
-        from bmbounds.systems import CASE_TABLES, TableRow
+        from bmbounds.systems import CASE_TABLES
 
-        made = []
-        make = TableRow.make
-        monkeypatch.setattr(TableRow, "make", lambda row, *args: made.append(row) or make(row, *args))
-        settled = []
-        warm = certify_mod._warm
+        settle, first = certify_mod._settle, certify_mod._first_feasible
+        settled, probing = [], []
 
-        def recording(case, point, variant, bases):
-            support, start, runs = bases.get((case, False)), len(made), len(fm_runs)
-            feasible = warm(case, point, variant, bases)
-            if not feasible and len(fm_runs) == runs:
-                table = CASE_TABLES[case]
-                assert made[start:] == [table[i] for i in support if i < len(table)]
-                settled.append(case)
-            return feasible
+        def recording(bases, key, rows):
+            support, runs = bases.get((key, False)), len(fm_runs)
+            y, _, _ = out = settle(bases, key, rows)
+            if y and probing:
+                assert len(fm_runs) == runs and len(y) == len(support)
+                assert len(rows) == len(CASE_TABLES[key]) + 4
+                settled.append(key)
+            return out
 
-        monkeypatch.setattr(certify_mod, "_warm", recording)
+        def probe(*args):
+            probing.append(args)
+            found = first(*args)
+            probing.pop()
+            return found
+
+        monkeypatch.setattr(certify_mod, "_settle", recording)
+        monkeypatch.setattr(certify_mod, "_first_feasible", probe)
         binary_search_bound(F(3), F(5), 20)
         assert len(fm_runs) == 10  # 18 when both reports ran FM on every case
         assert len(settled) == 43
-        # 417 when every case a probe decided made all of its rows; 385 when
-        # a case its support did not settle made that support's rows again;
-        # 334 when both reports made every row of every case.
-        assert len(made) == 321
 
     def test_elimination_supports_are_checked_once(self, monkeypatch):
         """A support elimination's own Farkas vector gives is checked once,
@@ -1355,13 +1356,19 @@ def _simplex_statuses(t: Fraction, policy: CPolicy, functions: tuple[int, ...],
                  for branches, systems in build_dichotomy_systems(t, policy, functions, variant))
 
 
-def _mutate_entries(draw, doc: dict, entries: list[dict], t: Fraction) -> None:
-    """One of the mutations of ``mutated_dichotomy_doc`` and
-    ``mutated_certify_doc``, applied in place to doc and its case entries."""
+def _mutate_entries(draw, doc: dict, entries: list[dict]) -> None:
+    """One of the mutations of ``mutated_dichotomy_doc``, ``mutated_certify_doc``
+    and ``mutated_search_doc``, applied in place to doc and its case entries:
+    ``certified`` flipped, a status flipped, a Farkas entry bumped, zeroed or
+    moved, one of the points ``t``, ``t_lo`` and ``t_hi`` the document has
+    moved by 1/64, a witness coordinate negated or shifted, or a search
+    trace verdict flipped or its t moved by 1/64."""
     witnessed = [entry for entry in entries if entry["status"] == "feasible"]
     refuted = [entry for entry in entries if entry["status"] == "infeasible"]
-    kinds = ["certified", "status"] + ["farkas"] * bool(refuted) + ["t"] + ["witness"] * bool(witnessed)
+    kinds = (["certified"] * ("certified" in doc) + ["status"] + ["farkas"] * bool(refuted) + ["t"]
+             + ["witness"] * bool(witnessed) + ["trace"] * ("trace" in doc))
     kind = draw(st.sampled_from(kinds))
+    shift = st.sampled_from([F(1, 64), F(-1, 64)])
     if kind == "certified":
         doc["certified"] = not doc["certified"]
     elif kind == "status":
@@ -1383,8 +1390,15 @@ def _mutate_entries(draw, doc: dict, entries: list[dict], t: Fraction) -> None:
         x = parse_rational(witness[v])
         witness[v] = format_rational(-x if draw(st.booleans())
                                      else x + draw(st.sampled_from([F(1, 64), F(-1, 64), F(1)])))
+    elif kind == "trace":
+        entry = draw(st.sampled_from(doc["trace"]))
+        if draw(st.booleans()):
+            entry["all_infeasible"] = not entry["all_infeasible"]
+        else:
+            entry["t"] = format_rational(parse_rational(entry["t"]) + draw(shift))
     else:
-        doc["t"] = format_rational(t + draw(st.sampled_from([F(1, 64), F(-1, 64)])))
+        key = draw(st.sampled_from([key for key in ("t", "t_lo", "t_hi") if key in doc]))
+        doc[key] = format_rational(parse_rational(doc[key]) + draw(shift))
 
 
 @st.composite
@@ -1395,7 +1409,7 @@ def mutated_dichotomy_doc(draw):
     or shifted, or t moved by 1/64."""
     t, functions = draw(st.sampled_from([(F(113, 32), (0, 1, 2)), (F(4), (0, 1))]))
     doc = json.loads(_dichotomy_text(t, functions))
-    _mutate_entries(draw, doc, [entry for a in doc["assignments"] for entry in a["cases"]], t)
+    _mutate_entries(draw, doc, [entry for a in doc["assignments"] for entry in a["cases"]])
     return doc
 
 
@@ -1436,7 +1450,7 @@ def mutated_certify_doc(draw):
     or shifted, or t moved by 1/64."""
     t = draw(st.sampled_from([F(113, 32), F(5)]))
     doc = json.loads(_certify_text(t))
-    _mutate_entries(draw, doc, doc["cases"], t)
+    _mutate_entries(draw, doc, doc["cases"])
     return doc
 
 
@@ -1454,3 +1468,39 @@ def test_accepted_certify_claims_hold(doc):
     claimed = tuple(entry["status"] for entry in doc["cases"])
     assert claimed == expected
     assert doc["certified"] is all(status == "infeasible" for status in claimed)
+
+
+@functools.lru_cache(maxsize=None)
+def _search_text(iters: int, policy: CPolicy) -> str:
+    return json.dumps(search_report_doc(binary_search_bound(F(3), F(5), iters, policy)))
+
+
+@st.composite
+def mutated_search_doc(draw):
+    """The ``search --iters 6 --c-policy 2,1,4`` or the default ``--iters 20``
+    search document with one mutation: ``t_lo`` or ``t_hi`` moved by 1/64,
+    one trace verdict flipped or trace t moved, one report status flipped,
+    one Farkas entry bumped, zeroed or moved, or one witness coordinate
+    negated or shifted."""
+    doc = json.loads(_search_text(*draw(st.sampled_from([(6, CPolicy(2, 1, 4)), (20, DEFAULT_POLICY)]))))
+    _mutate_entries(draw, doc, doc["lower_report"]["cases"] + doc["upper_report"]["cases"])
+    return doc
+
+
+@given(mutated_search_doc())
+@settings(max_examples=60, deadline=None)
+def test_accepted_search_claims_hold(doc):
+    """Whenever ``verify-cert`` accepts a mutated search document, phase-1
+    simplex on ``build_case_system`` finds every case infeasible at t_lo and
+    some case feasible at t_hi, and agrees with every status each report
+    claims."""
+    if verify_certificate_text(json.dumps(doc))[0] != EXIT_CERTIFIED:
+        return
+    policy, variant = CPolicy.parse(doc["policy"]), Variant(doc["variant"])
+    lower = _simplex_case_statuses(parse_rational(doc["t_lo"]), policy, variant, ALL_CASES)
+    upper = _simplex_case_statuses(parse_rational(doc["t_hi"]), policy, variant, ALL_CASES)
+    assert "feasible" not in lower and "feasible" in upper
+    for report in (doc["lower_report"], doc["upper_report"]):
+        cases = tuple(JCase(entry["case"]) for entry in report["cases"])
+        claimed = tuple(entry["status"] for entry in report["cases"])
+        assert claimed == _simplex_case_statuses(parse_rational(report["t"]), policy, variant, cases)

@@ -485,7 +485,7 @@ def test_farkas_support_keeps_a_small_accepted_support(monkeypatch):
             continue
         support, y = got
         assert y == exactlp.infeasible_on(rows, support)
-        farkas = exactlp.support_farkas(rows, support, y, len(rows))
+        farkas = exactlp.support_farkas(rows, support, y)
         assert [i for i, x in enumerate(farkas) if x] == list(support)
         assert all(x.denominator == 1 for x in farkas) and math.gcd(*map(int, farkas)) == 1
         assert verify_certificate(system, FeasibilityResult("infeasible", farkas=farkas))

@@ -22,7 +22,6 @@ from bmbounds.systems import (
     Variant,
     VARIABLES,
     _guards,
-    branch_ints,
     branch_row,
     build_case_system,
     case_pairs,
@@ -226,14 +225,15 @@ class TestCaseRowTables:
         (F(2**70 + 1, 2**68 + 3), CPolicy(1, 1, 2)),
     ], ids=EDGE_IDS + ["t-3", "t-2^70"])
     def test_branch_rows(self, t, policy):
-        """``branch_ints`` gives the base row ``system_rows`` clears from ``branch_row``."""
+        """``BRANCH_ROWS[m, branch].make`` gives the base row ``system_rows`` clears
+        from ``branch_row``."""
         point = case_point(t, policy)
         for m in range(3):
             for branch in "ab":
                 built = LinearSystem(VARIABLES, (branch_row(t, m, branch),))
-                assert branch_ints(m, branch, point) == system_rows(built)[0], (m, branch)
+                assert BRANCH_ROWS[m, branch].make(point) == system_rows(built)[0], (m, branch)
         if t == 3:
-            assert branch_ints(1, "b", point)[0] == (0, 1, 0, 0)
+            assert BRANCH_ROWS[1, "b"].make(point)[0] == (0, 1, 0, 0)
 
     def test_kappa_zero_drops_the_entry(self):
         [row_7c] = [row for ineq, row in zip(

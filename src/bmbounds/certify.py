@@ -24,9 +24,9 @@ self-contained JSON documents that an auditor re-verifies by substitution
 alone; each echoed system must equal the expected one value for value.
 Documents and the audit render each echo through one function, ``_echo``,
 from the rows and meta ``_tables`` gives a case, so no command builds a
-system.  An echo equal to that rendering is checked on its rows' pair
-rows; only one that differs is parsed, and it must render (``system_doc``)
-to that same canonical echo.
+system.  Only an echo that differs from that rendering is parsed, and it
+must render (``system_doc``) to that same canonical echo; every
+certificate is then checked once, on the pair rows of the expected rows.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ from .exactlp import (
     support_farkas,
     tight_basis,
     verified,
-    verify_certificate,
     verify_pairs,
-    # Unused here: bench/spans.py wraps this name in this module.
+    # Unused here: bench/spans.py wraps these names in this module.
     check_feasibility,
+    verify_certificate,
 )
 from .rationals import InputError, format_rational, parse_rational
 from .systems import (
@@ -176,8 +176,9 @@ def certify_at(
 
 
 def _certify_at(t: Fraction, policy: CPolicy, variant: Variant,
-                bases: dict | None = None) -> tuple[CaseReport, dict]:
-    """``certify_at`` and the pair rows of each case system, by case.
+                bases: dict | None = None) -> tuple[CaseReport, dict, dict]:
+    """``certify_at``, and the pair rows and the base rows of each case
+    system, by case.
 
     With ``bases``, the supports and bases a bisection's probes keep
     (``_first_feasible``), a case is settled as a probe settles it
@@ -186,14 +187,14 @@ def _certify_at(t: Fraction, policy: CPolicy, variant: Variant,
     """
     t = Fraction(t)
     point = case_point(t, policy)
-    results, pairs = {}, {}
+    results, pairs, rows = {}, {}, {}
     for case in ALL_CASES:
         pairs[case] = case_pairs(case, point, variant)
-        rows = case_rows(case, point, variant)
-        result = (exactlp.solve_rows(VARIABLES, rows) if bases is None
-                  else _certificate(bases, case, rows))
+        rows[case] = case_rows(case, point, variant)
+        result = (exactlp.solve_rows(VARIABLES, rows[case]) if bases is None
+                  else _certificate(bases, case, rows[case]))
         results[case] = verified(VARIABLES, pairs[case], result)
-    return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results), pairs
+    return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results), pairs, rows
 
 
 def _settle(bases: dict, key, rows: list[tuple]) -> tuple:
@@ -411,7 +412,7 @@ def certify_dichotomy(
     functions are distinct indices 0-2.
     """
     functions = check_functions(functions)
-    report, pairs = _certify_at(t, policy, variant)
+    report, pairs, rows = _certify_at(t, policy, variant)
     point = case_point(report.t, policy)
     made = {key: (row.make(point), row.pairs(point)) for key, row in BRANCH_ROWS.items()
             if key[0] in functions}
@@ -426,7 +427,7 @@ def certify_dichotomy(
                 plain, farkas=plain.farkas[:cut] + (Fraction(0),) * len(functions) + plain.farkas[cut:])
             columns.append([verified(VARIABLES, checks[0], carried)] * len(strings))
             continue
-        base = case_rows(case, point, variant)
+        base = rows[case]
         bases = {(case, True): [i + len(functions) * (i >= cut)
                                 for i in tight_basis(base, plain.witness) or ()]}
         column = []
@@ -597,22 +598,6 @@ class _Rejected(Exception):
     """A certificate or headline claim of a document does not hold (exit 1)."""
 
 
-def _entry_result(entry: dict, parse) -> FeasibilityResult:
-    """The certificate of a case entry, each string read by ``parse``."""
-    status = entry["status"]
-    if status == "feasible":
-        witness = entry["witness"]
-        if not isinstance(witness, dict):
-            raise SystemFormatError(f"witness must be an object, got {type(witness).__name__}")
-        return FeasibilityResult("feasible", witness={v: parse(s) for v, s in witness.items()})
-    if status == "infeasible":
-        farkas = entry["farkas"]
-        if not isinstance(farkas, list):  # a string or an object would be read item by item
-            raise SystemFormatError(f"farkas must be a list, got {type(farkas).__name__}")
-        return FeasibilityResult("infeasible", farkas=tuple([parse(s) for s in farkas]))
-    raise SystemFormatError(f"unknown status {status!r}")
-
-
 def _farkas_key(rows: Sequence[TableRow], size: int, farkas: Sequence, weights: Sequence) -> tuple:
     """What a check of ``farkas`` on ``size`` pair rows (the table rows ``rows``, then the
     nonneg rows) reads at a point and variant: both lengths, and each row with a nonzero
@@ -628,7 +613,10 @@ class _Echoes:
     ``made`` is the memo of ``_echo``, ``numbers`` holds each certificate
     string parsed, and ``farkas`` the verdict of each Farkas check, keyed
     by the point, the variant and ``_farkas_key`` of the strings written.
-    Table rows are module constants, so no key outlives what it names."""
+    Every certificate of the audit is checked through ``verdict``, on the
+    pair rows of its expected table rows, so a re-spelled echo shares the
+    memo with the canonical ones.  Table rows are module constants, so no
+    key outlives what it names."""
 
     def __init__(self) -> None:
         self.made: dict = {}
@@ -645,10 +633,20 @@ class _Echoes:
                 point: CasePoint, variant: Variant) -> bool:
         """Whether the certificate of ``entry`` holds on the pair rows
         ``pairs`` of the table rows ``rows`` and the nonneg rows."""
-        result = _entry_result(entry, self.number)
-        if result.feasible:
-            return verify_pairs(VARIABLES, pairs, result)
-        key = point, variant, _farkas_key(rows, len(pairs), result.farkas, entry["farkas"])
+        status = entry["status"]
+        if status == "feasible":
+            witness = entry["witness"]
+            if not isinstance(witness, dict):
+                raise SystemFormatError(f"witness must be an object, got {type(witness).__name__}")
+            return verify_pairs(VARIABLES, pairs, FeasibilityResult(
+                "feasible", witness={v: self.number(s) for v, s in witness.items()}))
+        if status != "infeasible":
+            raise SystemFormatError(f"unknown status {status!r}")
+        farkas = entry["farkas"]
+        if not isinstance(farkas, list):  # a string or an object would be read item by item
+            raise SystemFormatError(f"farkas must be a list, got {type(farkas).__name__}")
+        result = FeasibilityResult("infeasible", farkas=tuple([self.number(s) for s in farkas]))
+        key = point, variant, _farkas_key(rows, len(pairs), result.farkas, farkas)
         verdict = self.farkas.get(key)
         if verdict is None:
             verdict = self.farkas[key] = verify_pairs(VARIABLES, pairs, result)
@@ -664,11 +662,12 @@ def _check_cases(entries: list, expected: dict, point: CasePoint, variant: Varia
     certificate is checked against its echoed system, which must equal the
     system those rows give at the point and variant value for value
     (variables, labelled rows, nonneg set, metadata); a rational may be
-    written in any p/q form.  An echo equal to the canonical one
-    (``_echo``, which documents are written with) has the value of the
-    rows' pair rows, so its certificate is checked on them, unparsed; any
-    other echo is parsed, its certificate checked on it, and it must render
-    (``system_doc``, one-to-one) to the canonical echo.  No solver is invoked.
+    written in any p/q form.  An echo that differs from the canonical one
+    (``_echo``, which documents are written with) is parsed and must render
+    (``system_doc``, one-to-one) to it, else the entry is rejected; an echo
+    that passes has the value of the rows' pair rows, so every certificate
+    is checked on those (``_Echoes.verdict``), whatever its echo's spelling.
+    No solver is invoked.
     """
     cases = [JCase(entry["case"]) for entry in entries]
     if cases != list(expected):
@@ -677,13 +676,8 @@ def _check_cases(entries: list, expected: dict, point: CasePoint, variant: Varia
     for entry, (case, (rows, meta)) in zip(entries, expected.items()):
         pairs, canonical = _echo(echoes.made, rows, meta, point, variant)
         echo = entry["system"]
-        if echo == canonical:
-            ok = echoes.verdict(entry, rows, pairs + NONNEG_PAIRS, point, variant)
-        else:
-            system = system_from_doc(echo)
-            ok = (verify_certificate(system, _entry_result(entry, echoes.number))
-                  and system_doc(system) == canonical)
-        if not ok:
+        if not ((echo == canonical or system_doc(system_from_doc(echo)) == canonical)
+                and echoes.verdict(entry, rows, pairs + NONNEG_PAIRS, point, variant)):
             raise _Rejected(f"{where}case {case.value} failed re-verification")
 
 

@@ -238,24 +238,14 @@ def _largest_row(head_block: Matrix, tail_block: Matrix, row_ids: tuple):
     return norms[best], row_ids[best]
 
 
-def _matrices_at(t, mats: IsoMatrices | None) -> IsoMatrices:
-    """mats, which must have been built at t, or the matrices at t."""
-    if mats is None:
-        return build_matrices(t)
-    t, _, _ = _read_parameter(t)
-    if t != mats.t:
-        raise IsoDomainError(f"matrices were built at t = {mats.t}, not at t = {t}")
-    return mats
-
-
-def operator_norm_T(t, mats: IsoMatrices | None = None):
+def operator_norm_T(t):
     """sup over output coordinates of the coefficient-row l1 norm."""
-    mats = _matrices_at(t, mats)
+    mats = build_matrices(t)
     return _largest_row(mats.M, mats.tail_block, _T_ROW_IDS)
 
 
-def operator_norm_S(t, mats: IsoMatrices | None = None):
-    mats = _matrices_at(t, mats)
+def operator_norm_S(t):
+    mats = build_matrices(t)
     return _largest_row(mats.Minv, mats.s_tail_block, _S_ROW_IDS)
 
 

@@ -873,7 +873,7 @@ ECHO_EDITS = {
     "variables-reversed": ((1, 1, 1), lambda s: s["variables"].reverse()),
     "extra-key": ((0, 0, 0), lambda s: s.update(comment="x")),
     "rel-flipped": ((1, 1, 1), _flip_first_rel),
-    "last-dropped": ((2, 1, 1), lambda s: s["inequalities"].pop()),
+    "last-dropped": ((1, 1, 1), lambda s: s["inequalities"].pop()),
 }
 
 
@@ -918,7 +918,6 @@ class TestEchoComparison:
         message = {
             EXIT_CERTIFIED: "all certificates verified",
             EXIT_NOT_CERTIFIED: f"{where}case not0 failed re-verification",
-            EXIT_INPUT_ERROR: "malformed certificate: Farkas vector has length 10, expected 9",
         }[code]
         assert verify_certificate_text(json.dumps(doc)) == (code, message)
 
@@ -1010,20 +1009,36 @@ class TestAuditWork:
         entries written with 21 distinct strings, with zeros on the branch
         rows.  The audit parses t and each distinct string once (425 parses
         when every entry was parsed) and runs each of the 4 distinct Farkas
-        checks once (32 when every entry was checked)."""
+        checks once (32 when every entry was checked).  So it does with
+        every echo re-spelled: each is checked on the expected pair rows, as
+        a canonical echo is, and never on its parsed system (32 checks when
+        each re-spelled echo's certificate was checked on it)."""
         import bmbounds.certify as certify_mod
+        import bmbounds.exactlp as exactlp
+
+        def unused(*args):  # pragma: no cover
+            raise AssertionError("the audit checks no certificate on a parsed system")
 
         parsed, checked = [], []
-        parse, check = certify_mod.parse_rational, certify_mod.verify_pairs
+        parse, check = certify_mod.parse_rational, exactlp.verify_pairs
         monkeypatch.setattr(certify_mod, "parse_rational", lambda text: parsed.append(text) or parse(text))
-        monkeypatch.setattr(certify_mod, "verify_pairs",
-                            lambda *args: checked.append(args) or check(*args))
-        doc = dichotomy_report_doc(certify_dichotomy(F(113, 32)))
+        for module in (certify_mod, exactlp):
+            monkeypatch.setattr(module, "verify_pairs",
+                                lambda *args: checked.append(args) or check(*args))
+        monkeypatch.setattr(certify_mod, "verify_certificate", unused)
+        doc = json.loads(json.dumps(dichotomy_report_doc(certify_dichotomy(F(113, 32)))))
         strings = [s for a in doc["assignments"] for e in a["cases"] for s in e["farkas"]]
         assert (len(strings), len(set(strings))) == (424, 21)
-        assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED, "all certificates verified")
-        assert sorted(parsed) == sorted({doc["t"], *strings})
-        assert len(checked) == 4
+        respelled = json.loads(json.dumps(doc))
+        for assignment in respelled["assignments"]:
+            for entry in assignment["cases"]:
+                _each_number(entry["system"], _doubled_terms)
+        for text in (json.dumps(doc), json.dumps(respelled)):
+            parsed.clear()
+            checked.clear()
+            assert verify_certificate_text(text) == (EXIT_CERTIFIED, "all certificates verified")
+            assert sorted(parsed) == sorted({doc["t"], *strings})
+            assert len(checked) == 4
 
     @pytest.mark.parametrize("edit", ["multiplier", "branch-row", "zero-appended", "zero-dropped"])
     @pytest.mark.parametrize("index", range(4), ids=[c.value for c in ALL_CASES])
@@ -1329,6 +1344,18 @@ class TestWarmAssignments:
         assert dichotomy == at == {"case_rows": len(ALL_CASES), "tight_basis": 0, "feasible_at": 0}
         assert report.assignments[0].results == plain.results
 
+    def test_base_rows_are_made_once(self, monkeypatch):
+        """At 4 every case is plain-feasible, so each is settled per
+        assignment on its base rows, which the plain stage made: 4
+        ``case_rows`` calls, where making them again per case made 8."""
+        import bmbounds.certify as certify_mod
+
+        assert all(result.feasible for result in certify_at(F(4)).results.values())
+        calls, case_rows = [], certify_mod.case_rows
+        monkeypatch.setattr(certify_mod, "case_rows", lambda *args: calls.append(args) or case_rows(*args))
+        assert not certify_dichotomy(F(4)).certified
+        assert [case for case, _, _ in calls] == list(ALL_CASES)
+
     def test_plain_witness_is_shared(self):
         """An assignment whose vertex is the plain witness carries the plain
         result object, so the document formats it once."""
@@ -1357,19 +1384,48 @@ def _simplex_statuses(t: Fraction, policy: CPolicy, functions: tuple[int, ...],
 
 
 def _mutate_entries(draw, doc: dict, entries: list[dict]) -> None:
-    """One of the mutations of ``mutated_dichotomy_doc``, ``mutated_certify_doc``
-    and ``mutated_search_doc``, applied in place to doc and its case entries:
-    ``certified`` flipped, a status flipped, a Farkas entry bumped, zeroed or
-    moved, one of the points ``t``, ``t_lo`` and ``t_hi`` the document has
-    moved by 1/64, a witness coordinate negated or shifted, or a search
-    trace verdict flipped or its t moved by 1/64."""
+    """One of the mutations of the ``mutated_*_doc`` strategies, applied in
+    place to doc and its case entries: ``certified`` flipped, a status
+    flipped, a Farkas entry bumped, zeroed or moved, one of the points
+    ``t``, ``t_lo`` and ``t_hi`` the document has moved by 1/64, a witness
+    coordinate negated or shifted, a search trace verdict flipped or its t
+    moved by 1/64, or one echo changed: a number re-spelled with its value
+    kept (2p/2q), a coefficient or rhs moved by 1/64, or a row dropped.  A
+    sweep document has one kind: a ranked entry's ``t_lo`` or ``t_hi``
+    moved by 1/64 or 1/8 or its policy replaced by a guarded one, ``iters``
+    moved by 1, or one of these mutations of the search an entry embeds."""
+    shift = st.sampled_from([F(1, 64), F(-1, 64)])
+    if "results" in doc:
+        entry = draw(st.sampled_from(doc["results"]))
+        how = draw(st.sampled_from(["t", "policy", "iters", "search"]))
+        if how == "t":
+            key = draw(st.sampled_from(["t_lo", "t_hi"]))
+            step = draw(st.sampled_from([F(1, 64), F(1, 8)]))
+            entry[key] = format_rational(parse_rational(entry[key]) + draw(st.sampled_from([step, -step])))
+        elif how == "policy":
+            entry["policy"] = draw(st.sampled_from([policy.key() for policy in GUARDED_POLICIES]))
+        elif how == "iters":
+            doc["iters"] += draw(st.sampled_from([1, -1]))
+        else:
+            search = entry["search"]
+            _mutate_entries(draw, search, search["lower_report"]["cases"] + search["upper_report"]["cases"])
+        return
     witnessed = [entry for entry in entries if entry["status"] == "feasible"]
     refuted = [entry for entry in entries if entry["status"] == "infeasible"]
-    kinds = (["certified"] * ("certified" in doc) + ["status"] + ["farkas"] * bool(refuted) + ["t"]
-             + ["witness"] * bool(witnessed) + ["trace"] * ("trace" in doc))
+    kinds = (["certified"] * ("certified" in doc) + ["status", "echo"] + ["farkas"] * bool(refuted)
+             + ["t"] + ["witness"] * bool(witnessed) + ["trace"] * ("trace" in doc))
     kind = draw(st.sampled_from(kinds))
-    shift = st.sampled_from([F(1, 64), F(-1, 64)])
-    if kind == "certified":
+    if kind == "echo":
+        rows = draw(st.sampled_from(entries))["system"]["inequalities"]
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        how = draw(st.sampled_from(["respell", "move", "drop"]))
+        if how == "drop":
+            rows.remove(row)
+        else:
+            numbers, key = draw(st.sampled_from([(row, "rhs"), *[(row["coeffs"], v) for v in row["coeffs"]]]))
+            numbers[key] = (_doubled_terms(numbers[key]) if how == "respell"
+                            else format_rational(parse_rational(numbers[key]) + draw(shift)))
+    elif kind == "certified":
         doc["certified"] = not doc["certified"]
     elif kind == "status":
         entry = draw(st.sampled_from(entries))
@@ -1504,3 +1560,37 @@ def test_accepted_search_claims_hold(doc):
         cases = tuple(JCase(entry["case"]) for entry in report["cases"])
         claimed = tuple(entry["status"] for entry in report["cases"])
         assert claimed == _simplex_case_statuses(parse_rational(report["t"]), policy, variant, cases)
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_text() -> str:
+    ranked, skipped = sweep_policies(POLICIES + [CPolicy(3, 0, 1)], F(3), F(5), 4)
+    return json.dumps(sweep_report_doc(ranked, skipped, Variant.SYMMETRIZED, 4))
+
+
+@st.composite
+def mutated_sweep_doc(draw):
+    """The sweep document of ``POLICIES`` over [3, 5] with 4 iterations, 3,0,1
+    skipped, with one mutation: a ranked entry's ``t_lo`` or ``t_hi`` moved
+    by 1/64 or by the bracket width 1/8, or its policy replaced by one of
+    ``GUARDED_POLICIES``, ``iters`` moved by 1, or one mutation of
+    ``mutated_search_doc`` in the search an entry embeds."""
+    doc = json.loads(_sweep_text())
+    _mutate_entries(draw, doc, [])
+    return doc
+
+
+@given(mutated_sweep_doc())
+@settings(max_examples=60, deadline=None)
+def test_accepted_sweep_claims_hold(doc):
+    """Whenever ``verify-cert`` accepts a mutated sweep document, phase-1
+    simplex on ``build_case_system`` finds, for each ranked entry's policy,
+    every case infeasible at its t_lo and some case feasible at its t_hi."""
+    if verify_certificate_text(json.dumps(doc))[0] != EXIT_CERTIFIED:
+        return
+    variant = Variant(doc["variant"])
+    for entry in doc["results"]:
+        policy = CPolicy.parse(entry["policy"])
+        lower = _simplex_case_statuses(parse_rational(entry["t_lo"]), policy, variant, ALL_CASES)
+        upper = _simplex_case_statuses(parse_rational(entry["t_hi"]), policy, variant, ALL_CASES)
+        assert "feasible" not in lower and "feasible" in upper

@@ -325,22 +325,11 @@ class TestOperatorNorms:
         value, _ = operator_norm_T(F(4))
         assert value == F(4)
 
-    def test_matrices_must_be_built_at_t(self):
-        mats = build_matrices(F(4))
-        for norm in (operator_norm_T, operator_norm_S):
-            with pytest.raises(IsoDomainError, match="built at t = 4, not at t = 3"):
-                norm(F(3), mats)
-            assert norm(F(4), mats) == norm(F(4))
-        # A float names the binary value it holds, which is not 18/5.
-        with pytest.raises(IsoDomainError, match="built at t = 18/5"):
-            operator_norm_T(3.6, build_matrices(F(18, 5)))
-        assert operator_norm_T(3.5, build_matrices(3.5)) == operator_norm_T(3.5)
-
     def test_attainment_by_sign_pattern(self):
         """A sign-pattern input realizes the operator norm exactly."""
         for t in (F(3), F(7, 2), F(4)):
             mats = build_matrices(t)
-            value, argmax = operator_norm_T(t, mats)
+            value, argmax = operator_norm_T(t)
             f = sign_pattern_input(mats, argmax, n_levels=3)
             assert f.sup_norm() == 1
             g = apply_T(f, mats)
@@ -377,14 +366,14 @@ class TestOperatorNorms:
             f = apply_S(TransformedSequence((s[3], s[4]), (tuple(s[:3]),) * n, s[5]), mats)
             assert all(level[i] == l1(mats.s_tail_block[i]) for level in f.rows)
 
-        assert operator_norm_T(t, mats)[0] == max(map(l1, mats.M + mats.tail_block))
-        assert operator_norm_S(t, mats)[0] == max(map(l1, mats.Minv + mats.s_tail_block))
+        assert operator_norm_T(t)[0] == max(map(l1, mats.M + mats.tail_block))
+        assert operator_norm_S(t)[0] == max(map(l1, mats.Minv + mats.s_tail_block))
 
     def test_truncation_independence(self):
         """Attained norms agree for N in {1, 10, 100}."""
         t = F(7, 2)
         mats = build_matrices(t)
-        value, argmax = operator_norm_T(t, mats)
+        value, argmax = operator_norm_T(t)
         attained = []
         for n in (1, 10, 100):
             f = sign_pattern_input(mats, argmax, n_levels=n)

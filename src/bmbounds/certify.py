@@ -10,18 +10,21 @@ probe decides the cases from their row tables and stops at its first
 feasible case.  It relies on the monotonicity of feasibility in t (valid
 for affine c-policies) and returns a CertifiedBound whose endpoint reports
 hold all four cases with machine-checkable certificates: Farkas vectors at
-t_lo, a witness at t_hi.  Probes and reports settle each case in one step
+t_lo, a witness at t_hi.  Reports and probes settle each case in one step
 (``_settle``) on its full list of base rows: by the support, else the
-basis, that last decided it, and by elimination only where neither holds.
-A dichotomy decides its four base systems once per t, as ``certify_at``
-does, then each case over every branch assignment: a plain-infeasible
-case carries its Farkas vector, zero-padded on the branch rows, to every
-assignment, checked once, as the zeros leave every assignment's check
-reading the same rows; a plain-feasible case is settled per assignment,
-or, with no functions, carries its plain result.  All four document kinds
-(certify, search, sweep, dichotomy) are built here.  Certificate files are
-self-contained JSON documents that an auditor re-verifies by substitution
-alone; each echoed system must equal the expected one value for value.
+basis, that last decided it, and by one ``exactlp.pivot`` run only where
+neither holds, so every Farkas vector is a support's primitive integer
+multipliers and every witness a basis vertex.  A dichotomy decides its
+four base systems once per t, as ``certify_at`` does, then each case over
+every branch assignment: a plain-infeasible case carries its Farkas
+vector, zero-padded on the branch rows, to every assignment, checked
+once, as the zeros leave every assignment's check reading the same rows;
+a plain-feasible case is settled per assignment, starting from the basis
+its plain run ended at, or, with no functions, carries its plain result.
+All four document kinds (certify, search, sweep, dichotomy) are built
+here.  Certificate files are self-contained JSON documents that an
+auditor re-verifies by substitution alone; each echoed system must equal
+the expected one value for value.
 Documents and the audit render each echo through one function, ``_echo``,
 from the rows and meta ``_tables`` gives a case, so no command builds a
 system.  Only an echo that differs from that rendering is parsed, and it
@@ -42,11 +45,9 @@ from .exactlp import (
     LinearSystem,
     SELF_CHECK_FAILED,
     SystemError_,
-    farkas_support,
     feasible_at,
     infeasible_on,
     support_farkas,
-    tight_basis,
     verified,
     verify_pairs,
     # Unused here: bench/spans.py wraps these names in this module.
@@ -164,26 +165,28 @@ def certify_at(
 ) -> CaseReport:
     """Decide all four case systems at t from their row tables.
 
-    The one place a ``CaseReport`` is made.  Each case is decided by
-    ``exactlp.solve_rows`` on ``case_rows``, and its certificate must pass
+    The one place a ``CaseReport`` is made.  Each case is settled on
+    ``case_rows`` with nothing stored (``_certificate``), so by
+    ``exactlp.pivot`` from the origin, and its certificate must pass
     ``verified`` on the case's pair rows (``case_pairs``), the rows
     ``verify-cert`` checks echoes on, as in ``check_feasibility``.  Both
     come from one formula per row, so a wrong certificate, or base rows
     that disagree with the pair rows, raise AssertionError here instead of
     writing a document.  No system is built.
     """
-    return _certify_at(t, policy, variant)[0]
+    return _certify_at(t, policy, variant, {})[0]
 
 
 def _certify_at(t: Fraction, policy: CPolicy, variant: Variant,
-                bases: dict | None = None) -> tuple[CaseReport, dict, dict]:
+                bases: dict) -> tuple[CaseReport, dict, dict]:
     """``certify_at``, and the pair rows and the base rows of each case
     system, by case.
 
-    With ``bases``, the supports and bases a bisection's probes keep
-    (``_first_feasible``), a case is settled as a probe settles it
-    (``_certificate``); without, by ``exactlp.solve_rows``.  Every
-    certificate passes ``verified`` alike.
+    Each case is settled as a probe settles it (``_certificate``), with the
+    supports and bases of ``bases``: those a bisection's probes keep
+    (``_first_feasible``), or a fresh dict, which this fills with the
+    support or basis that settles each case.  Every certificate passes
+    ``verified`` alike.
     """
     t = Fraction(t)
     point = case_point(t, policy)
@@ -191,51 +194,45 @@ def _certify_at(t: Fraction, policy: CPolicy, variant: Variant,
     for case in ALL_CASES:
         pairs[case] = case_pairs(case, point, variant)
         rows[case] = case_rows(case, point, variant)
-        result = (exactlp.solve_rows(VARIABLES, rows[case]) if bases is None
-                  else _certificate(bases, case, rows[case]))
-        results[case] = verified(VARIABLES, pairs[case], result)
+        results[case] = verified(VARIABLES, pairs[case], _certificate(bases, case, rows[case]))
     return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results), pairs, rows
 
 
 def _settle(bases: dict, key, rows: list[tuple]) -> tuple:
-    """The one settle step of a case decision on its base rows: (y, vertex, result).
+    """The one settle step of a case decision on its base rows: (y, vertex).
 
-    (y, None, None) if the weights y of the support ``bases`` holds for
-    ``key`` prove ``rows`` infeasible (``infeasible_on``); else (None,
-    vertex, None) if the vertex (xs, D) of the basis held satisfies them
-    (``feasible_at``); both checks use Cramer's rule.  Else (None, None,
-    ``exactlp.solve_rows``'s result), whose support or tight basis must
-    pass the same check (else AssertionError) and replaces the one held for
-    ``key`` and that verdict."""
+    (y, None) if the weights y of the support ``bases`` holds for ``key``
+    prove ``rows`` infeasible (``infeasible_on``); else (None, vertex) if
+    the vertex (xs, D) of the basis held satisfies them (``feasible_at``);
+    both checks use Cramer's rule.  Else ``exactlp.pivot`` decides the rows,
+    starting with the basis held swapped in; the support or basis it ends
+    at must pass the same check (else AssertionError), replaces the one
+    held for ``key`` and that verdict, and gives the weights or the vertex
+    that check returns."""
     y = infeasible_on(rows, bases.get((key, False)))
     if y:
-        return y, None, None
-    vertex = feasible_at(rows, bases.get((key, True)))
+        return y, None
+    basis = bases.get((key, True))
+    vertex = feasible_at(rows, basis)
     if vertex:
-        return None, vertex, None
-    result = exactlp.solve_rows(VARIABLES, rows)
-    if result.feasible:
-        basis = tight_basis(rows, result.witness)
-        ok = feasible_at(rows, basis)
-    else:
-        basis, ok = farkas_support(rows, result.farkas)
-    if not ok:
+        return None, vertex
+    feasible, found, _ = exactlp.pivot(rows, basis)
+    checked = feasible_at(rows, found) if feasible else infeasible_on(rows, found)
+    if not checked:
         raise AssertionError(SELF_CHECK_FAILED)
-    bases[key, result.feasible] = basis
-    return None, None, result
+    bases[key, feasible] = found
+    return (None, checked) if feasible else (checked, None)
 
 
 def _certificate(bases: dict, key, rows: list[tuple]) -> FeasibilityResult:
     """The unverified certificate of ``rows`` that ``_settle`` gives: the
-    support's Farkas vector (``support_farkas``), the basis vertex as the
-    witness, or the result of elimination."""
-    y, vertex, result = _settle(bases, key, rows)
+    support's Farkas vector (``support_farkas``) or the basis vertex as the
+    witness."""
+    y, vertex = _settle(bases, key, rows)
     if y:
         return FeasibilityResult("infeasible", farkas=support_farkas(rows, bases[key, False], y))
-    if vertex:
-        xs, D = vertex
-        return FeasibilityResult("feasible", witness={v: Fraction(x, D) for v, x in zip(VARIABLES, xs)})
-    return result
+    xs, D = vertex
+    return FeasibilityResult("feasible", witness={v: Fraction(x, D) for v, x in zip(VARIABLES, xs)})
 
 
 def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Sequence[JCase],
@@ -244,8 +241,7 @@ def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Seque
     if all four are infeasible; each case is decided by ``_settle``."""
     point = case_point(t, policy)
     for case in order:
-        _, vertex, result = _settle(bases, case, case_rows(case, point, variant))
-        if result.feasible if result else vertex is not None:
+        if _settle(bases, case, case_rows(case, point, variant))[1]:
             return case
     return None
 
@@ -281,18 +277,18 @@ def binary_search_bound(
     case in the error.
 
     Probes are warm-started: one dict, kept across the probes, holds per
-    case the support of the last Farkas vector and the tight basis of the
-    last witness that elimination found for it, which ``_settle`` tries on
-    the case's base rows (``case_rows``) at the new t, in that order,
-    before it runs Fourier-Motzkin.  Each check accepts a verdict only
-    after exact integer substitution, so a verdict never depends on the
-    bases or on the order, and neither does the trace.
+    case the last support and the last basis a pivot run ended at for it,
+    which ``_settle`` tries on the case's base rows (``case_rows``) at the
+    new t, in that order, before it runs ``exactlp.pivot`` from that
+    basis.  Each check accepts a verdict only after exact integer
+    substitution, so a verdict never depends on the bases or on the
+    order, and neither does the trace.
 
     The two reports take their certificates from that dict
     (``_certify_at``): the report at t_hi reads it as the search leaves
     it, the report at t_lo a copy taken after the last all-infeasible
     probe, in which every case's support holds at t_lo, so it runs no
-    elimination.  Their verdicts are those of ``certify_at``.
+    pivot.  Their verdicts are those of ``certify_at``.
     """
     _check_iters(iters)
     lo, hi = Fraction(lo), Fraction(hi)
@@ -393,26 +389,27 @@ def certify_dichotomy(
 ) -> DichotomyReport:
     """Decide all 2**b branch assignments; certified iff all infeasible.
 
-    Each plain case system is decided once, as ``certify_at`` does; then
-    each case is decided over every assignment, whose branch rows follow
-    its base inequalities, before the nonneg rows.  Adding rows cannot make
-    an infeasible system feasible, so every assignment of a plain-infeasible
-    case carries one object: the plain Farkas vector with a zero on every
-    branch row, checked once, on the first assignment's pair rows.  A check
-    reads the vector's length and the rows of its nonzero entries only, and
-    the zeros make both the same for every assignment.  Without functions
-    the one assignment's rows are the plain ones, so it carries the plain
-    result of every case, feasible or not, and makes no rows.  With
-    functions, a plain-feasible case is settled per assignment as a probe
-    is (``_certificate``), its first basis the plain witness's
-    ``tight_basis`` with the nonneg rows moved past the branch rows; an
-    assignment whose vertex is the plain witness carries the plain result.
-    Each result must pass ``verified`` on the pair rows of its assignment
-    system.  Raises FunctionsError, before any case is decided, unless the
+    Each plain case system is decided once, as ``certify_at`` does, on a
+    fresh dict of supports and bases; then each case is decided over every
+    assignment, whose branch rows follow its base inequalities, before the
+    nonneg rows.  Adding rows cannot make an infeasible system feasible, so
+    every assignment of a plain-infeasible case carries one object: the
+    plain Farkas vector with a zero on every branch row, checked once, on
+    the first assignment's pair rows.  A check reads the vector's length and
+    the rows of its nonzero entries only, and the zeros make both the same
+    for every assignment.  Without functions the one assignment's rows are
+    the plain ones, so it carries the plain result of every case, feasible
+    or not, and makes no rows.  With functions, a plain-feasible case is
+    settled per assignment as a probe is (``_certificate``), its first
+    basis the one its plain run ended at, with the nonneg rows moved past
+    the branch rows; an assignment whose vertex is the plain witness
+    carries the plain result.  Each result must pass ``verified`` on the
+    pair rows of its assignment system.  Raises FunctionsError, before any case is decided, unless the
     functions are distinct indices 0-2.
     """
     functions = check_functions(functions)
-    report, pairs, rows = _certify_at(t, policy, variant)
+    plain_bases: dict = {}
+    report, pairs, rows = _certify_at(t, policy, variant, plain_bases)
     point = case_point(report.t, policy)
     made = {key: (row.make(point), row.pairs(point)) for key, row in BRANCH_ROWS.items()
             if key[0] in functions}
@@ -428,8 +425,7 @@ def certify_dichotomy(
             columns.append([verified(VARIABLES, checks[0], carried)] * len(strings))
             continue
         base = rows[case]
-        bases = {(case, True): [i + len(functions) * (i >= cut)
-                                for i in tight_basis(base, plain.witness) or ()]}
+        bases = {(case, True): [i + len(functions) * (i >= cut) for i in plain_bases[case, True]]}
         column = []
         for extra, check in zip(extras, checks):
             full = base[:cut] + [ints for ints, _ in extra] + base[cut:]

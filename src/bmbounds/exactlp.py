@@ -1,59 +1,48 @@
 """Exact feasibility decisions for rational linear-inequality systems.
 
-The one decision procedure, ``solve_rows``, is Fourier-Motzkin elimination
-carried out on Python integers.  It reads base rows, which ``base_row``
-makes and documents: each is a primitive integer direction (ints with
-gcd 1) with its right-hand side as a reduced integer pair num/den, den > 0,
-and the leading-coefficient pair of the inequality it stands for.
-``system_rows`` clears a ``LinearSystem``'s pair rows (``system_pairs``)
-into them, each by the integer lcm of its denominators;
+The one decision procedure, ``pivot``, is an integer simplex over row
+bases with Bland's least-index rule.  It reads base rows, which
+``base_row`` makes and documents: each is a primitive integer direction
+(ints with gcd 1) with its right-hand side as a reduced integer pair
+num/den, den > 0, and the leading-coefficient pair of the inequality it
+stands for.  ``system_rows`` clears a ``LinearSystem``'s pair rows
+(``system_pairs``) into them, each by the integer lcm of its denominators;
 ``systems.case_rows`` and the ``make`` of each ``systems.BRANCH_ROWS`` row
 make the same rows from the integer formulas the case systems and branch
 rows are built from, so only ``check_feasibility`` uses ``system_rows``,
-and no command calls it.
-A derived row is an integer combination of two rows on the columns still
-live, divided by its gcd, with its rhs pair combined over the product of
-the two denominators; each step keeps, per direction, the tightest rhs it
-makes (the first on ties), and reduces the rhs pair of a kept row only.
-Every derived row keeps only a small parent record (the two rows it was
-combined from, with nonnegative integer weights, and one divisor), not a
-multiplier vector over the original rows.
-When a row reduces to 0 <= negative, the Farkas certificate is rebuilt
-once, for that row alone, by pushing weights back through its ancestors
-as reduced integer pairs; every division waits for that rebuild, and exact
-arithmetic makes the result equal, entry for entry, to the combination a
-dense multiplier vector would have carried.  A feasible run yields a
-witness point by back-substitution, kept as integer numerators over one
-common denominator.  Fractions are made only for the returned witness or
+and no command calls it.  A run starts at the basis of the nonneg rows,
+whose vertex is the origin, with a stored basis swapped in, and keeps the
+adjugate and the determinant of its basis matrix, updated per swap by one
+exact division.  It ends at a basis whose vertex satisfies every row, or
+at a support of at most n + 1 rows whose integer weights combine them
+into 0 <= negative.  Fractions are made only for a returned witness or
 Farkas vector.
 
 Every verdict passes one exact check by substitution before it is used.
 ``verify_pairs`` is the one certificate check: it reads pair rows, each
 inequality's own coefficients and rhs as reduced integer pairs, never the
-base rows elimination made of them.  A certificate a document carries
-passes ``verified``, that check as a self-check, here in
-``check_feasibility`` or in a caller that decided it from rows or reuses
-it for another system, on the pair rows the system is built from
-(``systems.case_pairs``); ``verify_certificate`` reads a ``LinearSystem``'s
-pair rows (``system_pairs``).  A verdict on base rows alone passes
-``infeasible_on`` or ``feasible_at``: they re-solve, on those rows or on
-other rows of the same shape, a Farkas support or a tight basis that
-``farkas_support`` and ``tight_basis`` take from a result, accept only
-after exact substitution, and return the support's weights or the basis
-vertex; ``support_farkas`` turns those weights into an integer Farkas
+base rows made of them.  A certificate a document carries passes
+``verified``, that check as a self-check, here in ``check_feasibility`` or
+in a caller that decided it from rows or reuses it for another system, on
+the pair rows the system is built from (``systems.case_pairs``);
+``verify_certificate`` reads a ``LinearSystem``'s pair rows
+(``system_pairs``).  A verdict on base rows alone passes ``infeasible_on``
+or ``feasible_at``: they re-solve a support or a basis, on the rows a
+pivot run ended on or on other rows of the same shape, accept only after
+exact substitution, and return the support's weights or the basis vertex;
+``support_farkas`` turns those weights into a primitive integer Farkas
 vector on the inequalities.  Five support rows or four basis rows over
 four variables are re-solved by Cramer's rule, other shapes by integer
-Gauss-Jordan elimination.  The independent cross-checks, an exact phase-1
-simplex, brute-force vertex enumeration and a Fraction reference
-verifier, live with the tests (``tests/crosscheck.py``), which require
-them to agree with this module.
+Gauss-Jordan elimination.  The independent cross-checks, an exact
+phase-1 simplex, Fourier-Motzkin elimination, brute-force vertex
+enumeration and a Fraction reference verifier, live with the tests
+(``tests/crosscheck.py``), which require them to agree with this module.
 
 No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import operator
@@ -174,120 +163,6 @@ class FeasibilityResult:
         return self.status == "feasible"
 
 
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination with certificate provenance
-# ---------------------------------------------------------------------------
-#
-# A live row of an elimination is (vec, num, den, node, piv): ``vec`` is a
-# primitive integer direction (Python ints with gcd 1), ``num/den`` its
-# right-hand side at the same scale as a reduced integer pair with den > 0,
-# and ``piv`` the absolute value of the first nonzero entry of ``vec``.  The row stands for its
-# normalised form vec/piv <= (num/den)/piv, whose leading coefficient is
-# +-1; that form is canonical for a direction exactly when the primitive
-# tuple is, so pruning and the certificates see the same rows either way.
-#
-# ``node`` indexes the run's ``origin`` list, whose entry says how the
-# normalised row was made: ``(i, q, p)`` is inequality i times q and
-# divided by p, where p/q is the absolute value of its first nonzero
-# coefficient as a reduced pair, as its base row records it (1, 1 for an
-# all-zero row); ``(p, n, w_p, w_n, d)`` is
-# (w_p * row p + w_n * row n) / d for the parent nodes p and n, with
-# nonnegative integer weights; "row" here means the normalised row of a
-# node.  A pos/neg pair on x_j, with a = vec_p[j] and b = -vec_n[j], has
-# weights (b * piv_p, a * piv_n) and d = g * piv for the gcd g and pivot piv
-# of its reduced row; a pair that ends in 0 <= negative has d = a * b, which
-# gives each parent coefficient +-1 on x_j.  Every division is left to the
-# one Farkas rebuild.  A derived row gets a node only when its step keeps
-# it, if only until a tighter row replaces it.  Parents are registered
-# before their children, so node numbers follow creation order.
-
-
-def _add(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """a/b + c/d as a reduced pair, for reduced pairs with b, d > 0."""
-    g = math.gcd(b, d)
-    if g == 1:
-        return a * d + b * c, b * d
-    s = b // g
-    t = a * (d // g) + c * s
-    g = math.gcd(t, g)
-    return t // g, s * (d // g)
-
-
-def _rebuild_farkas(origin: list, root: int, nrows: int) -> tuple[Fraction, ...]:
-    """Expand node ``root`` into its multipliers on the base rows.
-
-    Weights are pushed from each node to its parents in reverse creation
-    order, so every ancestor is expanded once, after all of its children:
-    the cost is linear in the number of ancestors (times a heap log), never
-    in the number of paths to them.  A weight is a reduced integer pair
-    num/den (den > 0); a node's weight is divided by the last entry of its
-    record before it is passed on, times an integer weight, to its parents
-    or, times q, to its base row.  Fractions are made only for the returned
-    vector.
-    """
-    farkas = {}
-    weight = {root: (1, 1)}
-    heap = [-root]
-    while heap:
-        node = -heapq.heappop(heap)
-        num, den = weight.pop(node)
-        record = origin[node]
-        g = math.gcd(num, record[-1])
-        num, den = num // g, den * (record[-1] // g)
-        if len(record) == 3:
-            g = math.gcd(record[1], den)
-            farkas[record[0]] = (num * (record[1] // g), den // g)
-            continue
-        p, n, w_p, w_n, _ = record
-        for parent, coef in ((p, w_p), (n, w_n)):
-            g = math.gcd(coef, den)
-            term = (num * (coef // g), den // g)
-            if parent in weight:
-                weight[parent] = _add(*weight[parent], *term)
-            else:
-                weight[parent] = term
-                heapq.heappush(heap, -parent)
-    return tuple([Fraction(*farkas[i]) if i in farkas else ZERO for i in range(nrows)])
-
-
-def _witness(n: int, layers: list) -> tuple[list[int], int]:
-    """Back-substitute a point through the eliminated layers, last layer first.
-
-    The point is kept as integer numerators over one common denominator D.
-    A row of layer j bounds x_j by (num * D - den * rest) / (den * D * vec[j]),
-    where rest/D is the row at the values fixed so far (x_j is still 0
-    there, and the variables eliminated before j have coefficient 0).  x_j
-    takes the largest lower bound, else the smallest upper bound, else 0;
-    bounds are compared by cross-multiplication.
-    """
-    xs = [0] * n
-    D = 1
-    for j, pos, neg in reversed(layers):
-        lo = hi = None  # (numerator, positive denominator)
-        for vec, num, den, _, _ in neg:  # vec[j] < 0:  x_j >= bound
-            rest = sum(map(operator.mul, vec, xs))
-            bound = (den * rest - num * D, -den * D * vec[j])
-            if lo is None or bound[0] * lo[1] > lo[0] * bound[1]:
-                lo = bound
-        if lo is None:
-            for vec, num, den, _, _ in pos:  # vec[j] > 0:  x_j <= bound
-                rest = sum(map(operator.mul, vec, xs))
-                bound = (num * D - den * rest, den * D * vec[j])
-                if hi is None or bound[0] * hi[1] < hi[0] * bound[1]:
-                    hi = bound
-        value = lo or hi
-        if value is None:
-            continue
-        g = math.gcd(*value)
-        vnum, vden = value[0] // g, value[1] // g
-        scale = vden // math.gcd(D, vden)
-        if scale != 1:
-            xs = [x * scale for x in xs]
-            D *= scale
-        xs[j] = vnum * (D // vden)
-    return xs, D
-
-
 def base_row(vec: list[int], scale: int, num: int, den: int) -> tuple:
     """The base row of an inequality, from ``scale`` > 0 times its <=-form:
     ``vec`` holds those integer coefficients, not all zero, and num/den
@@ -336,103 +211,97 @@ def system_rows(system: LinearSystem) -> list[tuple]:
     return rows
 
 
-def solve_rows(variables: tuple[str, ...], rows: list[tuple]) -> FeasibilityResult:
-    """Fourier-Motzkin elimination over base rows: the one solver, its result unverified.
+# ---------------------------------------------------------------------------
+# The decision: an integer simplex over row bases
+# ---------------------------------------------------------------------------
+#
+# A basis is a list of n base-row indices whose scaled rows den * direction,
+# the rows of the basis matrix M, are independent.  It is kept with integer
+# columns c_0..c_{n-1} and a determinant D > 0 such that row i of M times
+# c_k is D if i == k and 0 otherwise: the columns of M's adjugate and its
+# determinant, both negated if the determinant is negative.  The vertex is
+# x = xs / D with xs = sum_k num_k * c_k, where row k of the basis is tight;
+# a row (vec, num, den) is violated there when den * (vec . xs) > num * D.
+# The expansion of a scaled row a over the basis rows is lam / D, with
+# lam_k = a . c_k.
 
-    ``rows`` are base rows as ``base_row`` makes them, over
-    ``variables``; a Farkas vector has one multiplier per base row.  The
-    variable with the fewest pairings is eliminated first (ties broken by
-    variable order) so the intermediate row count stays small for the
-    few-variable systems this targets.  A pos/neg pair on x_j combines as
-    b * row_p + a * row_n with a = row_p[j] and b = -row_n[j], on the
-    columns not yet eliminated, divided by its gcd g; its rhs is
-    (b * num_p * den_n + a * num_n * den_p) / (den_p * den_n * g).  The
-    step's rows go into a dict keyed by direction, the rows carried over
-    (zero on x_j) first and then the pairs in order: a row replaces the
-    one its direction holds only with a strictly smaller rhs, and only
-    then is its rhs pair reduced and its parent record kept.  When one
-    column is left, a pair gives 0 or s * e_k, so its bound is compared
-    before any vector is made.  The first pair that reduces to
-    0 <= negative ends the run, and its Farkas vector is rebuilt once from
-    its ancestors; a feasible run back-substitutes a witness through the
-    eliminated layers in integers.
+
+def _swap(cols: list, D: int, k: int, lam: list[int]) -> tuple[list, int]:
+    """The columns and determinant once basis position k holds the row whose
+    expansion is lam / D, lam[k] != 0.  The determinant becomes lam[k] and
+    column k is kept; every other column j becomes (lam[k] * c_j - lam[j] *
+    c_k) / D, an exact division, as the new columns are those of an
+    adjugate again.  Both are negated if lam[k] < 0."""
+    d, ck = lam[k], cols[k]
+    s = 1 if d > 0 else -1
+    return [[s * x for x in ck] if j == k else [s * (d * x - lam[j] * y) // D for x, y in zip(col, ck)]
+            for j, col in enumerate(cols)], abs(d)
+
+
+def pivot(rows: Sequence[tuple], start: Optional[Sequence[int]] = None) -> tuple:
+    """Decide the base rows ``rows`` by an exact integer simplex over row bases.
+
+    ``rows`` must hold the nonneg row -x_j <= 0 of every variable (the base
+    row ``base_row([-e_j], 1, 0, 1)``), whose basis has the vertex 0, and
+    the run starts there.  Each row of ``start`` (a stored basis) is then
+    swapped in, in its order, for the first basis row that is not one of
+    the rows of ``start`` and on which its expansion is nonzero, if there
+    is one.  Each step then follows Bland's least-index rule: the first row
+    the vertex violates enters, and the lowest-index basis row with a
+    positive coefficient in its expansion leaves.  Without a ratio test
+    this is the least-index criss-cross rule for the system's slacks, which
+    ends after finitely many steps from any basis (Terlaky, 1985).
+
+    Returns (True, basis, (xs, D)), a basis whose vertex xs / D (D > 0)
+    satisfies every row, or (False, support, y): when no basis row has a
+    positive coefficient, the violated row and the basis rows with a
+    negative one, at most n + 1 rows in ascending order, whose base rows
+    the integers y > 0 combine into 0 <= negative (the weights
+    ``infeasible_on`` accepts, up to a positive factor).  Unverified: the
+    callers check what they keep.
     """
-    n = len(variables)
-    origin: list[tuple] = []
-    contradiction = None
-    best: dict[tuple, tuple] = {}
-    for i, (vec, num, den, q, p) in enumerate(rows):
-        piv = abs(next(filter(None, vec), 0))
-        if not piv:
-            if num < 0:
-                contradiction = len(origin)
-                origin.append((i, q, p))
-                break
-            continue
-        kept = best.get(vec)
-        if kept is None or num * kept[2] < kept[1] * den:
-            best[vec] = (vec, num, den, len(origin), piv)
-        origin.append((i, q, p))
-    live = list(best.values())
-    remaining = list(range(n))
-    layers = []  # (var index, pos rows, neg rows) for witness back-substitution
+    n = len(rows[0][0])
+    scaled = [[den * x for x in vec] for vec, _, den, _, _ in rows]
+    basis = [rows.index((tuple([-int(i == j) for i in range(n)]), 0, 1, 1, 1)) for j in range(n)]
+    cols, D = [[-int(i == j) for i in range(n)] for j in range(n)], 1
 
-    while remaining and contradiction is None:
-        split = {j: ([r for r in live if r[0][j] > 0], [r for r in live if r[0][j] < 0])
-                 for j in remaining}
-        # remaining is ascending, so min's first minimum breaks ties by variable order.
-        j = min(remaining, key=lambda k: len(split[k][0]) * len(split[k][1]))
-        pos, neg = split[j]
-        del split  # the other variables' lists, freed before new rows are made (peak RSS)
-        layers.append((j, pos, neg))
-        remaining.remove(j)
-        cols = remaining  # the columns a row of this step can be nonzero on
-        # This step's rows keyed by their entries on cols, carried rows first,
-        # each direction keeping its tightest rhs (the first on ties).
-        best = {tuple([r[0][c] for c in cols]): r for r in live if r[0][j] == 0}
-        # With one column k left a pair makes 0 or s * e_k, so no vector is combined.
-        k = cols[0] if len(cols) == 1 else None
-        for pvec, pnum, pden, pnode, ppiv in pos:
-            a = pvec[j]
-            for nvec, nnum, nden, nnode, npiv in neg:
-                b = -nvec[j]
-                num = b * pnum * nden + a * nnum * pden
-                if k is None:
-                    vals = [b * pvec[c] + a * nvec[c] for c in cols]
-                    g = math.gcd(*vals)
-                    key = tuple([x // g for x in vals]) if g > 1 else tuple(vals)
-                else:
-                    s = b * pvec[k] + a * nvec[k]
-                    g, key = abs(s), ((1,) if s > 0 else (-1,))
-                if g == 0:
-                    if num < 0:
-                        contradiction = len(origin)
-                        origin.append((pnode, nnode, b * ppiv, a * npiv, a * b))
-                        break
-                    continue
-                den = pden * nden * g
-                kept = best.get(key)
-                if kept is None or num * kept[2] < kept[1] * den:
-                    vec = [0] * n
-                    for c, x in zip(cols, key):
-                        vec[c] = x
-                    r = math.gcd(num, den)
-                    piv = abs(next(filter(None, key)))
-                    best[key] = (tuple(vec), num // r, den // r, len(origin), piv)
-                    origin.append((pnode, nnode, b * ppiv, a * npiv, g * piv))
-            if contradiction is not None:
-                break
-        live = list(best.values())
+    def expansion(r: int) -> list[int]:
+        return [sum(map(operator.mul, scaled[r], col)) for col in cols]
 
-    if contradiction is not None:
-        return FeasibilityResult("infeasible", farkas=_rebuild_farkas(origin, contradiction, len(rows)))
-    xs, D = _witness(n, layers)
-    return FeasibilityResult("feasible", witness={v: Fraction(x, D) for v, x in zip(variables, xs)})
+    fixed = set()
+    for r in start or ():
+        if r not in basis:
+            lam = expansion(r)
+            k = next((k for k in range(n) if lam[k] and basis[k] not in fixed), None)
+            if k is None:
+                continue
+            cols, D = _swap(cols, D, k, lam)
+            basis[k] = r
+        fixed.add(r)
+    while True:
+        xs = [0] * n
+        for i, col in zip(basis, cols):
+            num = rows[i][1]
+            if num:
+                xs = [x + num * c for x, c in zip(xs, col)]
+        r = next((r for r, (a, row) in enumerate(zip(scaled, rows))
+                  if sum(map(operator.mul, a, xs)) > row[1] * D), None)
+        if r is None:
+            return True, basis, (xs, D)
+        lam = expansion(r)
+        leaving = [k for k in range(n) if lam[k] > 0]
+        if not leaving:
+            weights = {r: D, **{basis[k]: -lam[k] for k in range(n) if lam[k] < 0}}
+            support = sorted(weights)
+            return False, support, [weights[i] * rows[i][2] for i in support]
+        k = min(leaving, key=basis.__getitem__)
+        cols, D = _swap(cols, D, k, lam)
+        basis[k] = r
 
 
 # ---------------------------------------------------------------------------
-# Warm starts: re-solving a basis, a list of base-row indices, for other rows,
-# by Cramer's rule in the case systems' shape and else by elimination
+# Checks of a stored basis or support on other rows: Cramer's rule in the
+# case systems' shape, else integer Gauss-Jordan elimination
 # ---------------------------------------------------------------------------
 
 _PAIRS = list(itertools.combinations(range(5), 2))
@@ -556,12 +425,13 @@ def feasible_at(rows: list[tuple], basis: Optional[Sequence[int]]) -> Optional[t
 
 def support_farkas(rows: Sequence[tuple], support: Sequence[int], y: Sequence[int]) -> tuple[Fraction, ...]:
     """The Farkas vector, one multiplier per inequality of ``rows``, of the
-    weights ``y`` that ``infeasible_on`` gives the base rows ``support``.
+    weights ``y`` that ``infeasible_on`` or ``pivot`` gives the base rows
+    ``support``.
 
-    y_k weighs base row (vec, num, den, q, p) with pivot piv, so it weighs
-    its inequality by y_k * q * piv / p, the inverse of the weight in
-    ``farkas_support``; the multipliers are scaled to primitive integers,
-    and every row off the support gets 0.
+    y_k weighs base row (vec, num, den, q, p), whose direction has the
+    leading entry piv, so it weighs its inequality by y_k * q * |piv| / p;
+    the multipliers are scaled to primitive integers, and every row off the
+    support gets 0.
     """
     w = [(y_k * q * abs(next(filter(None, vec), 1)), p)
          for y_k, (vec, _, _, q, p) in zip(y, [rows[i] for i in support])]
@@ -574,74 +444,32 @@ def support_farkas(rows: Sequence[tuple], support: Sequence[int], y: Sequence[in
     return tuple(farkas)
 
 
-def farkas_support(rows: list[tuple], farkas: tuple[Fraction, ...]) -> tuple[list[int], Optional[list[int]]]:
-    """A support from a Farkas vector of ``rows``, and the weights by which
-    ``infeasible_on`` accepts it (None if it does not).
-
-    A support of at most n + 1 rows that ``infeasible_on`` accepts is
-    returned as it is, with the weights that check gave: its columns
-    den * (direction, rhs) are independent, since the kernel of its
-    directions is one-dimensional and its weights give a nonzero rhs.  Any
-    other is reduced (Carathéodory) until those columns are independent, at
-    most n + 1: each step subtracts a kernel vector from their weights until
-    one weight is zero; the reduced support is then checked.
-    """
-    support = [i for i, y in enumerate(farkas) if y]
-    y = len(support) <= len(rows[0][0]) + 1 and infeasible_on(rows, support)
-    if y:
-        return support, y
-    picked = [rows[i] for i in support]
-    columns = [[den * x for x in vec] + [num] for vec, num, den, _, _ in picked]
-    # y on an inequality weighs its base row (vec, num, den, q, p) by y * p / (q * piv),
-    # and so its column by that over den; the integer pairs are scaled to
-    # integers by the lcm of their reduced denominators.
-    w = [(farkas[i].numerator * p, farkas[i].denominator * q * abs(next(filter(None, vec), 1)) * den)
-         for i, (vec, _, den, q, p) in zip(support, picked)]
-    scale = math.lcm(*[b // math.gcd(a, b) for a, b in w])
-    w = [a * scale // b for a, b in w]
-    while True:
-        _, kernel = _eliminate(columns)
-        if not kernel:
-            return list(support), infeasible_on(rows, support)
-        z = kernel[0]
-        k = None  # the first index of least w[k] / z[k] over z[k] > 0
-        for i, (a, b) in enumerate(zip(w, z)):
-            if b > 0 and (k is None or a * z[k] < w[k] * b):
-                k = i
-        w = [z[k] * a - w[k] * b for a, b in zip(w, z)]
-        support, columns, w = zip(*[item for item in zip(support, columns, w) if item[2]])
-
-
-def tight_basis(rows: list[tuple], witness: Mapping[str, Fraction]) -> Optional[list[int]]:
-    """n independent base rows tight at ``witness``, whose values are in the
-    rows' variable order (the first such rows first), if there are n.
-
-    There are n for a witness ``solve_rows`` finds on rows that hold
-    -x_j <= 0 for every variable, as the case systems do.  Each elimination
-    layer then still holds a row of direction -x_j (that one, or a tighter
-    one), so back-substitution sets every coordinate at a tight lower
-    bound.  Those bound rows are triangular in the elimination order, and
-    each is a nonnegative combination of base rows that are tight too, so
-    the tight base rows have rank n.
-    """
-    point = list(witness.values())
-    scale = math.lcm(*[x.denominator for x in point])
-    xs = [x.numerator * (scale // x.denominator) for x in point]
-    tight = [i for i, (vec, num, den, _, _) in enumerate(rows)
-             if den * sum(map(operator.mul, vec, xs)) == num * scale]
-    pivots, _ = _eliminate([rows[i][0] for i in tight])
-    return [tight[c] for c in pivots] if len(pivots) == len(xs) else None
-
-
 def check_feasibility(system: LinearSystem) -> FeasibilityResult:
     """Exact feasibility verdict with a verifying certificate attached.
 
-    The system is cleared into its base rows by ``system_rows`` and
-    decided by ``solve_rows``; the certificate is re-verified by
-    substitution into the system's own coefficients before it is returned.
+    The system is cleared into its base rows by ``system_rows`` and decided
+    by ``pivot``, with each free variable split as x+ - x-: its coefficient
+    is repeated, negated, on a column appended for x-, and a nonneg row is
+    appended for x+ and for x-.  A Farkas combination gives those appended
+    rows weight 0, as the x+ and x- columns cancel; the witness is x+ - x-.
+    The certificate is re-verified by substitution into the system's own
+    coefficients before it is returned.
     """
-    return verified(system.variables, system_pairs(system),
-                    solve_rows(system.variables, system_rows(system)))
+    rows = system_rows(system)
+    free = [k for k, v in enumerate(system.variables) if v not in system.nonneg]
+    n = len(system.variables) + len(free)
+    split = [(vec + tuple([-vec[k] for k in free]), num, den, q, p) for vec, num, den, q, p in rows]
+    for j in [*free, *range(n - len(free), n)]:  # the nonneg rows of x+ and x-
+        split.append((tuple([-int(i == j) for i in range(n)]), 0, 1, 1, 1))
+    feasible, found, cert = pivot(split)
+    if feasible:
+        xs, D = cert
+        minus = dict(zip(free, xs[n - len(free):]))
+        witness = {v: Fraction(xs[k] - minus.get(k, 0), D) for k, v in enumerate(system.variables)}
+        result = FeasibilityResult("feasible", witness=witness)
+    else:
+        result = FeasibilityResult("infeasible", farkas=support_farkas(split, found, cert)[:len(rows)])
+    return verified(system.variables, system_pairs(system), result)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +521,7 @@ def verify_pairs(variables: Sequence[str], rows: Sequence[tuple], result: Feasib
     substitution only: the one certificate check.
 
     Independent of the solver: it reads the coefficients as written, never
-    the integer rows elimination made of them.  A witness must satisfy every
+    the integer base rows made of them.  A witness must satisfy every
     row exactly: its coordinates are put over their common denominator, and
     each row, cleared by the lcm of its own denominators, is compared in
     integers.  A Farkas vector, one multiplier per row, must be nonnegative,

@@ -18,7 +18,7 @@ the point (T, C, R) of t and the policy, evaluated into two encodings:
 ``pairs``, the row's coefficients and rhs as reduced integer pairs (the
 pair row ``exactlp.verify_pairs`` checks certificates on and the Fraction
 inequality is built from), and ``make``, the base row
-``exactlp.solve_rows`` decides from.  ``case_pairs`` and ``case_rows``
+``exactlp.pivot`` decides from.  ``case_pairs`` and ``case_rows``
 list a case's rows at the ``case_point`` of t and the policy, which
 checks the guards on integers; a dichotomy adds each branch row's
 ``make`` to them.  ``row_entry`` is the one formatter of a row entry:

@@ -11,8 +11,9 @@ their largest row l1-norms.
 The norms are read from T_TABLE and S_TABLE: each nonzero entry is an
 integer polynomial over one common denominator per direction.  At t = p/q,
 reduced or not, _row_norms evaluates each distinct polynomial (up to sign)
-once, in one integer Horner pass, so a row's l1-norm is an integer sum over
-an integer; no matrix is built.  norm_report turns these integers into
+once, in one integer Horner pass over coefficients scaled by powers of q
+once per q (_scaled), so a row's l1-norm is an integer sum over an
+integer; no matrix is built.  norm_report turns these integers into
 exact Fractions at one t.  The optimizer and the scan step over a grid
 (a + j*b)/q of one denominator q and read the integers directly: the
 optimizer is an exact Fibonacci search that compares distortions by
@@ -312,37 +313,53 @@ def _compile(table: RowTable) -> _CompiledTable:
 _T_COMPILED, _S_COMPILED = _compile(T_TABLE), _compile(S_TABLE)
 
 
-def _row_norms(table: _CompiledTable, p: int, q: int) -> tuple[list[int], int]:
-    """Each row's l1 norm and the denominator at t = p/q, times q**degree, in one Horner pass.
+def _scaled(table: _CompiledTable, q: int) -> _CompiledTable:
+    """``table`` with coefficient column k times q**k: the columns _row_norms
+    reads at t = p/q, made once per denominator, not once per point."""
+    columns, q_k = [table.columns[0]], 1
+    for column in table.columns[1:]:
+        q_k *= q
+        columns.append(tuple([c * q_k for c in column]))
+    return table._replace(columns=tuple(columns))
+
+
+def _row_norms(table: _CompiledTable, p: int) -> tuple[list[int], int]:
+    """Each row's l1 norm and the denominator at t = p/q, times q**degree, in
+    one Horner pass over the columns of ``_scaled(table, q)``.
 
     Every form is homogeneous of that degree, so p/q need not be reduced:
     scaling p and q by k scales every returned integer by k**degree, and
     each ratio of a row norm to the denominator is its exact value at t.
     """
-    values, q_k = table.columns[0], 1
+    values = table.columns[0]
     for column in table.columns[1:]:
-        q_k *= q
-        values = [v * p + c * q_k for v, c in zip(values, column)]
+        values = [v * p + c for v, c in zip(values, column)]
     values = list(map(abs, values))
     return [sum([values[i] for i in row]) for row in table.indices], values[-1]
 
 
 def _table_norm(table: _CompiledTable, p: int, q: int) -> tuple[Fraction, str]:
     """The largest row l1 norm of one direction at t = p/q, with the id of the first row reaching it."""
-    norms, denominator = _row_norms(table, p, q)
+    norms, denominator = _row_norms(_scaled(table, q), p)
     best = max(norms)
     return Fraction(best, denominator), table.row_ids[norms.index(best)]
 
 
-def _norms_at(p: int, q: int) -> tuple[int, int, int, int]:
-    """(nT, dT, nS, dS) with normT = nT/dT and normS = nS/dS at t = p/q, unreduced.
+def _norms_at(q: int):
+    """The function p -> (nT, dT, nS, dS), normT = nT/dT and normS = nS/dS at
+    t = p/q, unreduced, on both tables scaled for q once.
 
     Both denominators are positive on [3, 4], so distortions nT*nS/(dT*dS)
     compare by cross-multiplication.
     """
-    norms_t, den_t = _row_norms(_T_COMPILED, p, q)
-    norms_s, den_s = _row_norms(_S_COMPILED, p, q)
-    return max(norms_t), den_t, max(norms_s), den_s
+    table_t, table_s = _scaled(_T_COMPILED, q), _scaled(_S_COMPILED, q)
+
+    def norms(p: int) -> tuple[int, int, int, int]:
+        norms_t, den_t = _row_norms(table_t, p)
+        norms_s, den_s = _row_norms(table_s, p)
+        return max(norms_t), den_t, max(norms_s), den_s
+
+    return norms
 
 
 @dataclass(frozen=True)
@@ -373,7 +390,7 @@ def scan_distortion(lo: Fraction, hi: Fraction, step: Fraction) -> list[tuple]:
     The interval and the row count, at most MAX_SCAN_ROWS, are checked
     before any row is evaluated.  Row k is at t = (a + k*b)/q over the one
     denominator q of lo and step, and its Fractions are built from the
-    integers of _norms_at there.
+    integers of _norms_at(q) there.
     """
     lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
     if not (3 <= lo <= hi <= 4) or step <= 0:
@@ -383,9 +400,9 @@ def scan_distortion(lo: Fraction, hi: Fraction, step: Fraction) -> list[tuple]:
         raise IsoDomainError(f"scan of {count} rows exceeds the limit of {MAX_SCAN_ROWS}")
     q = lo.denominator * step.denominator
     a, b = lo.numerator * step.denominator, step.numerator * lo.denominator
-    out = []
+    out, norms_at = [], _norms_at(q)
     for p in range(a, a + count * b, b):
-        nt, dt, ns, ds = _norms_at(p, q)
+        nt, dt, ns, ds = norms_at(p)
         out.append((Fraction(p, q), Fraction(nt, dt), Fraction(ns, ds), Fraction(nt * ns, dt * ds)))
     return out
 
@@ -404,7 +421,7 @@ def optimize_distortion(lo=3, hi=4, tol="1e-12") -> tuple[Fraction, NormReport]:
     centre is within h <= tol of it.  This takes n - 2 evaluations.
 
     Every step is in integers: grid point j is (a + j*b)/q over one
-    denominator q, evaluated by _norms_at without reducing it, and two
+    denominator q, evaluated by _norms_at(q) without reducing it, and two
     distortions compare by cross-multiplication.
 
     Returns t* as a Fraction and norm_report(t*), the one report it makes.
@@ -421,9 +438,10 @@ def optimize_distortion(lo=3, hi=4, tol="1e-12") -> tuple[Fraction, NormReport]:
     q = lo.denominator * hi.denominator * fib
     a = lo.numerator * hi.denominator * fib
     b = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    norms_at = _norms_at(q)
 
     def distortion(j: int) -> tuple[int, int]:  # at grid point j, over a positive denominator
-        nt, dt, ns, ds = _norms_at(a + j * b, q)
+        nt, dt, ns, ds = norms_at(a + j * b)
         return nt * ns, dt * ds
 
     left, right, best = 0, fib, prev

@@ -1,8 +1,10 @@
-"""Independent cross-checks for the Fourier-Motzkin decision in exactlp.
+"""Independent cross-checks for the pivoting decision in exactlp.
 
-An exact phase-1 simplex (Bland's rule) and brute-force enumeration of
-basic feasible points decide feasibility by routes that share nothing
-with elimination; the tests require all three verdicts to agree.  A
+An exact phase-1 simplex (Bland's rule) on a Fraction tableau,
+Fourier-Motzkin elimination on integer base rows (``fm_feasibility``) and
+brute-force enumeration of basic feasible points decide feasibility by
+routes that share nothing with ``exactlp.pivot``; the tests require all
+four verdicts to agree.  A
 reference certificate verifier does in Fraction arithmetic, over
 ``LinearSystem.normalized_rows``, what ``exactlp.verify_certificate`` does
 in integers; the tests require the two to agree.  It lives with the tests,
@@ -13,11 +15,15 @@ No floating point is used anywhere in this module.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from bmbounds.exactlp import ONE, ZERO, FeasibilityResult, LinearSystem, SystemError_
+from bmbounds.exactlp import (ONE, ZERO, FeasibilityResult, LinearSystem, SystemError_, system_pairs,
+                              system_rows, verified)
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +85,9 @@ def simplex_feasibility(system: LinearSystem) -> FeasibilityResult:
     """Phase-1 simplex with Bland's rule, exact arithmetic.
 
     Free variables are split into differences of nonnegative parts.  Used
-    as an independent verdict to cross-check Fourier-Motzkin; infeasible
-    outcomes carry no certificate (that is the elimination path's job), so
-    the returned result for infeasible systems is status-only.
+    as an independent verdict to cross-check ``exactlp.pivot``; infeasible
+    outcomes carry no certificate, so the returned result for infeasible
+    systems is status-only.
     """
     rows = system.normalized_rows()[: len(system.inequalities)]
     # Columns: one per nonneg var, two (plus/minus) per free var.
@@ -172,6 +178,222 @@ def simplex_feasibility(system: LinearSystem) -> FeasibilityResult:
     for ci, (v, sign) in enumerate(columns):
         witness[v] += values[ci] * sign
     return FeasibilityResult("feasible", witness=witness)
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin elimination with certificate provenance
+# ---------------------------------------------------------------------------
+#
+# A live row of an elimination is (vec, num, den, node, piv): ``vec`` is a
+# primitive integer direction (Python ints with gcd 1), ``num/den`` its
+# right-hand side at the same scale as a reduced integer pair with den > 0,
+# and ``piv`` the absolute value of the first nonzero entry of ``vec``.  The row stands for its
+# normalised form vec/piv <= (num/den)/piv, whose leading coefficient is
+# +-1; that form is canonical for a direction exactly when the primitive
+# tuple is, so pruning and the certificates see the same rows either way.
+#
+# ``node`` indexes the run's ``origin`` list, whose entry says how the
+# normalised row was made: ``(i, q, p)`` is inequality i times q and
+# divided by p, where p/q is the absolute value of its first nonzero
+# coefficient as a reduced pair, as its base row records it (1, 1 for an
+# all-zero row); ``(p, n, w_p, w_n, d)`` is
+# (w_p * row p + w_n * row n) / d for the parent nodes p and n, with
+# nonnegative integer weights; "row" here means the normalised row of a
+# node.  A pos/neg pair on x_j, with a = vec_p[j] and b = -vec_n[j], has
+# weights (b * piv_p, a * piv_n) and d = g * piv for the gcd g and pivot piv
+# of its reduced row; a pair that ends in 0 <= negative has d = a * b, which
+# gives each parent coefficient +-1 on x_j.  Every division is left to the
+# one Farkas rebuild.  A derived row gets a node only when its step keeps
+# it, if only until a tighter row replaces it.  Parents are registered
+# before their children, so node numbers follow creation order.
+
+
+def _add(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """a/b + c/d as a reduced pair, for reduced pairs with b, d > 0."""
+    g = math.gcd(b, d)
+    if g == 1:
+        return a * d + b * c, b * d
+    s = b // g
+    t = a * (d // g) + c * s
+    g = math.gcd(t, g)
+    return t // g, s * (d // g)
+
+
+def _rebuild_farkas(origin: list, root: int, nrows: int) -> tuple[Fraction, ...]:
+    """Expand node ``root`` into its multipliers on the base rows.
+
+    Weights are pushed from each node to its parents in reverse creation
+    order, so every ancestor is expanded once, after all of its children:
+    the cost is linear in the number of ancestors (times a heap log), never
+    in the number of paths to them.  A weight is a reduced integer pair
+    num/den (den > 0); a node's weight is divided by the last entry of its
+    record before it is passed on, times an integer weight, to its parents
+    or, times q, to its base row.  Fractions are made only for the returned
+    vector.
+    """
+    farkas = {}
+    weight = {root: (1, 1)}
+    heap = [-root]
+    while heap:
+        node = -heapq.heappop(heap)
+        num, den = weight.pop(node)
+        record = origin[node]
+        g = math.gcd(num, record[-1])
+        num, den = num // g, den * (record[-1] // g)
+        if len(record) == 3:
+            g = math.gcd(record[1], den)
+            farkas[record[0]] = (num * (record[1] // g), den // g)
+            continue
+        p, n, w_p, w_n, _ = record
+        for parent, coef in ((p, w_p), (n, w_n)):
+            g = math.gcd(coef, den)
+            term = (num * (coef // g), den // g)
+            if parent in weight:
+                weight[parent] = _add(*weight[parent], *term)
+            else:
+                weight[parent] = term
+                heapq.heappush(heap, -parent)
+    return tuple([Fraction(*farkas[i]) if i in farkas else ZERO for i in range(nrows)])
+
+
+def _witness(n: int, layers: list) -> tuple[list[int], int]:
+    """Back-substitute a point through the eliminated layers, last layer first.
+
+    The point is kept as integer numerators over one common denominator D.
+    A row of layer j bounds x_j by (num * D - den * rest) / (den * D * vec[j]),
+    where rest/D is the row at the values fixed so far (x_j is still 0
+    there, and the variables eliminated before j have coefficient 0).  x_j
+    takes the largest lower bound, else the smallest upper bound, else 0;
+    bounds are compared by cross-multiplication.
+    """
+    xs = [0] * n
+    D = 1
+    for j, pos, neg in reversed(layers):
+        lo = hi = None  # (numerator, positive denominator)
+        for vec, num, den, _, _ in neg:  # vec[j] < 0:  x_j >= bound
+            rest = sum(map(operator.mul, vec, xs))
+            bound = (den * rest - num * D, -den * D * vec[j])
+            if lo is None or bound[0] * lo[1] > lo[0] * bound[1]:
+                lo = bound
+        if lo is None:
+            for vec, num, den, _, _ in pos:  # vec[j] > 0:  x_j <= bound
+                rest = sum(map(operator.mul, vec, xs))
+                bound = (num * D - den * rest, den * D * vec[j])
+                if hi is None or bound[0] * hi[1] < hi[0] * bound[1]:
+                    hi = bound
+        value = lo or hi
+        if value is None:
+            continue
+        g = math.gcd(*value)
+        vnum, vden = value[0] // g, value[1] // g
+        scale = vden // math.gcd(D, vden)
+        if scale != 1:
+            xs = [x * scale for x in xs]
+            D *= scale
+        xs[j] = vnum * (D // vden)
+    return xs, D
+
+
+def solve_rows(variables: tuple[str, ...], rows: list[tuple]) -> FeasibilityResult:
+    """Fourier-Motzkin elimination over base rows, its result unverified.
+
+    ``rows`` are base rows as ``base_row`` makes them, over
+    ``variables``; a Farkas vector has one multiplier per base row.  The
+    variable with the fewest pairings is eliminated first (ties broken by
+    variable order) so the intermediate row count stays small for the
+    few-variable systems this targets.  A pos/neg pair on x_j combines as
+    b * row_p + a * row_n with a = row_p[j] and b = -row_n[j], on the
+    columns not yet eliminated, divided by its gcd g; its rhs is
+    (b * num_p * den_n + a * num_n * den_p) / (den_p * den_n * g).  The
+    step's rows go into a dict keyed by direction, the rows carried over
+    (zero on x_j) first and then the pairs in order: a row replaces the
+    one its direction holds only with a strictly smaller rhs, and only
+    then is its rhs pair reduced and its parent record kept.  When one
+    column is left, a pair gives 0 or s * e_k, so its bound is compared
+    before any vector is made.  The first pair that reduces to
+    0 <= negative ends the run, and its Farkas vector is rebuilt once from
+    its ancestors; a feasible run back-substitutes a witness through the
+    eliminated layers in integers.
+    """
+    n = len(variables)
+    origin: list[tuple] = []
+    contradiction = None
+    best: dict[tuple, tuple] = {}
+    for i, (vec, num, den, q, p) in enumerate(rows):
+        piv = abs(next(filter(None, vec), 0))
+        if not piv:
+            if num < 0:
+                contradiction = len(origin)
+                origin.append((i, q, p))
+                break
+            continue
+        kept = best.get(vec)
+        if kept is None or num * kept[2] < kept[1] * den:
+            best[vec] = (vec, num, den, len(origin), piv)
+        origin.append((i, q, p))
+    live = list(best.values())
+    remaining = list(range(n))
+    layers = []  # (var index, pos rows, neg rows) for witness back-substitution
+
+    while remaining and contradiction is None:
+        split = {j: ([r for r in live if r[0][j] > 0], [r for r in live if r[0][j] < 0])
+                 for j in remaining}
+        # remaining is ascending, so min's first minimum breaks ties by variable order.
+        j = min(remaining, key=lambda k: len(split[k][0]) * len(split[k][1]))
+        pos, neg = split[j]
+        del split  # the other variables' lists, freed before new rows are made (peak RSS)
+        layers.append((j, pos, neg))
+        remaining.remove(j)
+        cols = remaining  # the columns a row of this step can be nonzero on
+        # This step's rows keyed by their entries on cols, carried rows first,
+        # each direction keeping its tightest rhs (the first on ties).
+        best = {tuple([r[0][c] for c in cols]): r for r in live if r[0][j] == 0}
+        # With one column k left a pair makes 0 or s * e_k, so no vector is combined.
+        k = cols[0] if len(cols) == 1 else None
+        for pvec, pnum, pden, pnode, ppiv in pos:
+            a = pvec[j]
+            for nvec, nnum, nden, nnode, npiv in neg:
+                b = -nvec[j]
+                num = b * pnum * nden + a * nnum * pden
+                if k is None:
+                    vals = [b * pvec[c] + a * nvec[c] for c in cols]
+                    g = math.gcd(*vals)
+                    key = tuple([x // g for x in vals]) if g > 1 else tuple(vals)
+                else:
+                    s = b * pvec[k] + a * nvec[k]
+                    g, key = abs(s), ((1,) if s > 0 else (-1,))
+                if g == 0:
+                    if num < 0:
+                        contradiction = len(origin)
+                        origin.append((pnode, nnode, b * ppiv, a * npiv, a * b))
+                        break
+                    continue
+                den = pden * nden * g
+                kept = best.get(key)
+                if kept is None or num * kept[2] < kept[1] * den:
+                    vec = [0] * n
+                    for c, x in zip(cols, key):
+                        vec[c] = x
+                    r = math.gcd(num, den)
+                    piv = abs(next(filter(None, key)))
+                    best[key] = (tuple(vec), num // r, den // r, len(origin), piv)
+                    origin.append((pnode, nnode, b * ppiv, a * npiv, g * piv))
+            if contradiction is not None:
+                break
+        live = list(best.values())
+
+    if contradiction is not None:
+        return FeasibilityResult("infeasible", farkas=_rebuild_farkas(origin, contradiction, len(rows)))
+    xs, D = _witness(n, layers)
+    return FeasibilityResult("feasible", witness={v: Fraction(x, D) for v, x in zip(variables, xs)})
+
+
+def fm_feasibility(system: LinearSystem) -> FeasibilityResult:
+    """``solve_rows`` on the system's base rows (``system_rows``), its
+    certificate re-verified on the system's pair rows (``verified``)."""
+    return verified(system.variables, system_pairs(system),
+                    solve_rows(system.variables, system_rows(system)))
+
 
 
 # ---------------------------------------------------------------------------

@@ -51,17 +51,20 @@ GUARDED_POLICIES = [policy for policy in itertools.starmap(
 
 @pytest.fixture
 def fm_runs(monkeypatch):
-    """The (variables, rows) of every Fourier-Motzkin run, from tables and systems alike."""
+    """The (rows, start) of every ``exactlp.pivot`` run, from tables and systems alike.
+
+    The name is kept from when every such run was a Fourier-Motzkin
+    elimination; the pins below keep their elimination counts in comments."""
     import bmbounds.exactlp as exactlp
 
     runs = []
-    solve = exactlp.solve_rows
+    run = exactlp.pivot
 
-    def counting(variables, rows):
-        runs.append((variables, rows))
-        return solve(variables, rows)
+    def counting(rows, start=None):
+        runs.append((rows, start))
+        return run(rows, start)
 
-    monkeypatch.setattr(exactlp, "solve_rows", counting)
+    monkeypatch.setattr(exactlp, "pivot", counting)
     return runs
 
 
@@ -136,8 +139,9 @@ class TestBinarySearch:
         assert (bound.t_lo, bound.t_hi) == (F(3), F(5))
         # The report at hi holds all four cases, although the check at hi
         # stopped at its first feasible case.  That case's stored basis gives
-        # the witness elimination found there, and the other cases, feasible
-        # at 5 with no basis stored, are eliminated: it equals certify_at(hi).
+        # the vertex its pivot run ended at, and the other cases, feasible at
+        # 5 with no basis stored, each take one pivot run from the origin, as
+        # certify_at(hi) does: it equals certify_at(hi).
         assert list(bound.report_hi.results) == list(ALL_CASES)
         assert bound.report_hi.results == certify_at(F(5)).results
         assert bound.report_hi.systems == certify_at(F(5)).systems
@@ -200,10 +204,12 @@ class TestBinarySearch:
         # all four cases; 75 at 20 iterations when every probe began at j012.
         # 16 at 6 iterations when the t_hi = 57/16 report reused the probe's
         # not0 FM run; 17 and 18 when both reports ran FM on all four cases.
-        # They now settle a case by a stored support or basis where one
-        # holds: one FM run is left, in the t_hi report at 6 iterations.
-        (CPolicy(2, 1, 4), 6, 10),
-        (DEFAULT_POLICY, 20, 10),
+        # They then settled a case by a stored support or basis where one
+        # held: 10 and 10 FM runs, one of them in the t_hi report at 6
+        # iterations.  Each such run is now a pivot run, which may end at
+        # another basis or support than elimination's: 12 and 12.
+        (CPolicy(2, 1, 4), 6, 12),
+        (DEFAULT_POLICY, 20, 12),
     ])
     def test_probes_stop_at_first_feasible_case(self, fm_runs, policy, iters, calls):
         bound = binary_search_bound(F(3), F(5), iters, policy)
@@ -240,7 +246,7 @@ class TestBinarySearch:
                                         CPolicy(1, 0, 2), CPolicy(2, 0, 3)], ids=CPolicy.key)
     def test_warm_probes_cannot_change_a_deep_search(self, fm_runs, policy, variant):
         """At 20 iterations most probes are decided by re-solving an earlier
-        basis, without elimination; the document is still the one a
+        basis, without a pivot run; the document is still the one a
         bisection writes that calls ``certify_at`` at every probe, but for
         its certificate entries."""
         lo, hi = F(3), F(5)
@@ -257,7 +263,7 @@ class TestBinarySearch:
         reference = CertifiedBound(lo, hi, report_lo, report_hi, tuple(trace), policy, variant)
         del fm_runs[:]
         bound = binary_search_bound(F(3), F(5), 20, policy, variant)
-        assert len(fm_runs) < len(trace)  # fewer FM runs than probes
+        assert len(fm_runs) < len(trace)  # fewer pivot runs than probes
         assert_same_search(bound, reference)
 
     @settings(max_examples=25, deadline=None)
@@ -293,18 +299,19 @@ class TestBinarySearch:
         bound = binary_search_bound(*bracket, iters, policy, variant)
         assert_same_search(bound, reference)
 
-    @pytest.mark.parametrize("wrong", ["zero witness", "first row alone"])
+    @pytest.mark.parametrize("wrong", ["origin basis", "first row alone"])
     def test_no_wrong_elimination_result_is_accepted(self, monkeypatch, wrong):
-        """Should elimination return a wrong certificate, no probe verdict and
-        no report is made from it: the search and both reports raise."""
+        """Should ``exactlp.pivot`` return a wrong basis or support, no probe
+        verdict and no report is made from it: the search and both reports
+        raise."""
         import bmbounds.exactlp as exactlp
 
-        def solve(variables, rows):
-            if wrong == "zero witness":
-                return exactlp.FeasibilityResult("feasible", witness={v: F(0) for v in variables})
-            return exactlp.FeasibilityResult("infeasible", farkas=(F(1),) + (F(0),) * (len(rows) - 1))
+        def run(rows, start):
+            if wrong == "origin basis":  # the nonneg rows, last in every case's rows
+                return True, list(range(len(rows) - 4, len(rows))), ([0] * 4, 1)
+            return False, [0], [1]
 
-        monkeypatch.setattr(exactlp, "solve_rows", solve)
+        monkeypatch.setattr(exactlp, "pivot", run)
         for run in (lambda: binary_search_bound(F(3), F(5), 4),
                     lambda: certify_at(F(3)), lambda: certify_at(F(5))):
             with pytest.raises(AssertionError, match="failed verification"):
@@ -336,7 +343,8 @@ class TestBinarySearch:
 
     def test_end_reports_run_no_elimination(self, monkeypatch, fm_runs):
         """At 20 iterations the probes' supports and bases settle every case
-        of both reports: all 10 FM runs of the search are in its probes."""
+        of both reports: all 12 pivot runs of the search are in its probes
+        (10 when they were FM runs)."""
         import bmbounds.certify as certify_mod
 
         report, runs = certify_mod._certify_at, []
@@ -350,11 +358,11 @@ class TestBinarySearch:
         monkeypatch.setattr(certify_mod, "_certify_at", counting)
         binary_search_bound(F(3), F(5), 20)
         assert runs == [0, 0]
-        assert len(fm_runs) == 10
+        assert len(fm_runs) == 12
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_lower_report_certificates_are_supports(self, monkeypatch, fm_runs, variant):
-        """For every guarded policy, the report at t_lo runs no elimination:
+        """For every guarded policy, the report at t_lo runs no pivot:
         each Farkas vector is a support's, with at most n + 1 = 5 nonzero
         entries, all integers, and the document passes ``verify-cert``."""
         import bmbounds.certify as certify_mod
@@ -400,8 +408,9 @@ class TestBinarySearch:
             monkeypatch.setattr(module, "build_case_system", building)
         bound = binary_search_bound(F(3), F(5), 6, CPolicy(2, 1, 4))
         # 21 when every probe ran FM; 16 when the t_hi = 57/16 report reused
-        # the probe's not0 FM run; 17 when both reports ran FM on every case.
-        assert len(fm_runs) == 10
+        # the probe's not0 FM run; 17 when both reports ran FM on every case;
+        # 10 FM runs before each became a pivot run.
+        assert len(fm_runs) == 12
         # 8 when the two reports built their systems, 21 when each FM run
         # built its system, 32 when every probe built all four.
         assert len(built) == 0
@@ -412,7 +421,7 @@ class TestBinarySearch:
 
     def test_warm_infeasible_verdicts_run_no_elimination(self, monkeypatch, fm_runs):
         """A probe verdict its stored Farkas support settles runs no
-        elimination: the support's weights, one per support row, prove the
+        pivot: the support's weights, one per support row, prove the
         case's full row list infeasible."""
         import bmbounds.certify as certify_mod
         from bmbounds.systems import CASE_TABLES
@@ -422,9 +431,9 @@ class TestBinarySearch:
 
         def recording(bases, key, rows):
             support, runs = bases.get((key, False)), len(fm_runs)
-            y, _, _ = out = settle(bases, key, rows)
-            if y and probing:
-                assert len(fm_runs) == runs and len(y) == len(support)
+            y, _ = out = settle(bases, key, rows)
+            if y and probing and len(fm_runs) == runs:  # not a support a pivot run ended at
+                assert bases[key, False] is support and len(y) == len(support)
                 assert len(rows) == len(CASE_TABLES[key]) + 4
                 settled.append(key)
             return out
@@ -438,12 +447,14 @@ class TestBinarySearch:
         monkeypatch.setattr(certify_mod, "_settle", recording)
         monkeypatch.setattr(certify_mod, "_first_feasible", probe)
         binary_search_bound(F(3), F(5), 20)
-        assert len(fm_runs) == 10  # 18 when both reports ran FM on every case
-        assert len(settled) == 43
+        # 18 when both reports ran FM on every case, 10 FM runs before each
+        # became a pivot run.
+        assert len(fm_runs) == 12
+        assert len(settled) == 41  # 43 with elimination's supports
 
     def test_elimination_supports_are_checked_once(self, monkeypatch):
-        """A support elimination's own Farkas vector gives is checked once,
-        in ``farkas_support``, which hands its weights on."""
+        """A support a pivot run ends at is checked once, by ``infeasible_on``
+        in ``_settle``, which hands its weights on."""
         import bmbounds.certify as certify_mod
         import bmbounds.exactlp as exactlp
 
@@ -452,7 +463,9 @@ class TestBinarySearch:
             monkeypatch.setattr(module, "infeasible_on",
                                 lambda *args: checks.append(args) or check(*args))
         binary_search_bound(F(3), F(5), 20)
-        assert len(checks) == 72  # 75 when each of 3 such supports was checked twice
+        # 75 when each of 3 such supports was checked twice, 72 with
+        # elimination's supports.
+        assert len(checks) == 74
 
 
 class TestSweep:
@@ -1006,7 +1019,7 @@ class TestAuditWork:
 
     def test_each_string_is_parsed_and_each_check_run_once(self, monkeypatch):
         """The 8 assignments at 113/32 repeat the 4 plain Farkas vectors, 424
-        entries written with 21 distinct strings, with zeros on the branch
+        entries written with 19 distinct strings, with zeros on the branch
         rows.  The audit parses t and each distinct string once (425 parses
         when every entry was parsed) and runs each of the 4 distinct Farkas
         checks once (32 when every entry was checked).  So it does with
@@ -1028,7 +1041,7 @@ class TestAuditWork:
         monkeypatch.setattr(certify_mod, "verify_certificate", unused)
         doc = json.loads(json.dumps(dichotomy_report_doc(certify_dichotomy(F(113, 32)))))
         strings = [s for a in doc["assignments"] for e in a["cases"] for s in e["farkas"]]
-        assert (len(strings), len(set(strings))) == (424, 21)
+        assert (len(strings), len(set(strings))) == (424, 19)  # 21 with elimination's vectors
         respelled = json.loads(json.dumps(doc))
         for assignment in respelled["assignments"]:
             for entry in assignment["cases"]:
@@ -1240,7 +1253,8 @@ class TestPlainCaseReuse:
                 assert result.farkas == (plain[case].farkas[:cut] + (F(0),) * len(functions)
                                          + plain[case].farkas[cut:])
 
-    # At 4 it was 36 while every assignment of a plain-feasible case ran FM.
+    # At 4 it was 36 while every assignment of a plain-feasible case ran FM,
+    # and 11 FM runs before each became a pivot run; 4 and 11 pivot runs now.
     @pytest.mark.parametrize("t, calls", [(F(113, 32), 4), (F(4), 11)], ids=["113/32", "4"])
     def test_check_feasibility_calls(self, fm_runs, t, calls):
         report = certify_dichotomy(t)
@@ -1256,7 +1270,7 @@ FUNCTION_SUBSETS = [subset for k in range(4) for subset in itertools.combination
 
 class TestWarmAssignments:
     """Each branch assignment of a plain-feasible case is settled by the
-    support or basis its case last stored, and by elimination only when
+    support or basis its case last stored, and by a pivot run only when
     neither holds."""
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -1272,15 +1286,15 @@ class TestWarmAssignments:
                     assert result.feasible is check_feasibility(system).feasible
                     assert verify_certificate(system, result)
 
-    @pytest.mark.parametrize("t, most", [(F(113, 32), 4), (F(4), 11), (F(15, 4), 18),
-                                         (F(11, 3), 16)], ids=str)
-    def test_fm_runs(self, fm_runs, t, most):
+    # 4, 11, 18 and 16 FM runs, each seeded with the plain witness's
+    # tight basis, before each became a pivot run.
+    @pytest.mark.parametrize("t, runs", [(F(113, 32), 4), (F(4), 11), (F(15, 4), 14),
+                                         (F(11, 3), 11)], ids=str)
+    def test_fm_runs(self, fm_runs, t, runs):
         """36, 36 and 28 FM runs at 4, 15/4 and 11/3 when every assignment of
         a plain-feasible case ran FM; at 113/32 every case is plain-infeasible."""
         certify_dichotomy(t)
-        assert len(fm_runs) <= most
-        if t == F(113, 32):
-            assert len(fm_runs) == most
+        assert len(fm_runs) == runs
 
     @pytest.mark.parametrize("t, functions", [
         *itertools.product(DICHOTOMY_TS, [(), (0, 2), (0, 1, 2)]), (F(113, 32), (0, 1, 2))], ids=str)
@@ -1325,23 +1339,30 @@ class TestWarmAssignments:
     def test_empty_function_list_makes_nothing_past_the_plain_run(self, monkeypatch, t):
         """Without functions every case carries its plain result: past the
         plain run, which ``certify_at`` shares, the dichotomy makes no case
-        rows, no ``tight_basis`` and no ``feasible_at`` check."""
+        rows, runs no pivot and makes no ``feasible_at`` check.  (The plain
+        run made no ``tight_basis`` and no ``feasible_at`` call while it ran
+        elimination; it now settles each case by one pivot run, with a
+        ``feasible_at`` call for the basis it does not hold and one check of
+        each basis a run ends at.)"""
         import bmbounds.certify as certify_mod
+        import bmbounds.exactlp as exactlp
 
         calls = {}
-        for name in ("case_rows", "tight_basis", "feasible_at"):
-            def counting(*args, _name=name, _f=getattr(certify_mod, name)):
+        for module, name in ((certify_mod, "case_rows"), (exactlp, "pivot"), (certify_mod, "feasible_at")):
+            def counting(*args, _name=name, _f=getattr(module, name)):
                 calls[_name] += 1
                 return _f(*args)
-            monkeypatch.setattr(certify_mod, name, counting)
+            monkeypatch.setattr(module, name, counting)
 
         def counts(run):
-            calls.update(case_rows=0, tight_basis=0, feasible_at=0)
+            calls.update(case_rows=0, pivot=0, feasible_at=0)
             return run(), dict(calls)
 
         plain, at = counts(lambda: certify_at(t))
         report, dichotomy = counts(lambda: certify_dichotomy(t, functions=()))
-        assert dichotomy == at == {"case_rows": len(ALL_CASES), "tight_basis": 0, "feasible_at": 0}
+        feasible = len(plain.feasible_cases)
+        assert dichotomy == at == {"case_rows": len(ALL_CASES), "pivot": len(ALL_CASES),
+                                   "feasible_at": len(ALL_CASES) + feasible}
         assert report.assignments[0].results == plain.results
 
     def test_base_rows_are_made_once(self, monkeypatch):
@@ -1367,7 +1388,7 @@ class TestWarmAssignments:
                     if a.results[case].witness == plain[case].witness]
             assert len({id(result) for result in same}) <= 1
             shared += len(same)
-        assert shared == 8
+        assert shared == 9  # 8 when the plain witness was elimination's
 
 
 @functools.lru_cache(maxsize=None)

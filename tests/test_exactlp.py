@@ -20,7 +20,8 @@ from bmbounds.exactlp import (
     check_feasibility,
     verify_certificate,
 )
-from crosscheck import enumerate_vertices, reference_verify_certificate, simplex_feasibility
+import crosscheck
+from crosscheck import enumerate_vertices, fm_feasibility, reference_verify_certificate, simplex_feasibility
 from bmbounds.systems import ALL_CASES, VARIABLES, CPolicy, JCase, Variant, case_point, case_rows
 
 F = Fraction
@@ -190,7 +191,7 @@ class TestEliminationTies:
     ], ids=["derived-tie", "derived-tie-3", "zero-slope", "carried-tie"])
     def test_first_row_wins(self, rows, farkas):
         variables = [v for v in (self.X, self.Y, self.Z) if any(v in c for c, _, _ in rows)]
-        res = check_feasibility(make(variables, rows))
+        res = fm_feasibility(make(variables, rows))
         assert res.farkas == farkas
 
 
@@ -209,7 +210,7 @@ def _random_system(rng):
 
 
 def test_dual_method_agreement_1000():
-    """FM, phase-1 simplex and vertex enumeration agree on random pointed systems."""
+    """Pivoting, phase-1 simplex and vertex enumeration agree on random pointed systems."""
     rng = random.Random(20240613)
     for trial in range(1000):
         sys_ = _random_system(rng)
@@ -333,7 +334,7 @@ def test_deep_elimination_farkas_rebuild(monkeypatch):
     """
     depths = Counter()
     shared = 0
-    rebuild = exactlp._rebuild_farkas
+    rebuild = crosscheck._rebuild_farkas
 
     def spy(origin, root, nrows):
         nonlocal shared
@@ -350,11 +351,11 @@ def test_deep_elimination_farkas_rebuild(monkeypatch):
         shared += max(visits.values()) > 1
         return rebuild(origin, root, nrows)
 
-    monkeypatch.setattr(exactlp, "_rebuild_farkas", spy)
+    monkeypatch.setattr(crosscheck, "_rebuild_farkas", spy)
     rng = random.Random(20261018)
     for trial in range(300):
         sys_ = _random_deep_system(rng)
-        fm = check_feasibility(sys_)
+        fm = fm_feasibility(sys_)
         assert fm.feasible == simplex_feasibility(sys_).feasible, f"trial {trial}"
         assert verify_certificate(sys_, fm), f"trial {trial}"
         if not fm.feasible:
@@ -377,7 +378,7 @@ def test_farkas_rebuild_is_linear_in_ancestors():
     dense = [(F(1), F(0)), (F(0), F(1))]
     for k in range(2, 402):
         dense.append(tuple((x + y) / 2 for x, y in zip(dense[k - 1], dense[k - 2])))
-    assert exactlp._rebuild_farkas(origin, 401, 2) == dense[401]
+    assert crosscheck._rebuild_farkas(origin, 401, 2) == dense[401]
 
 
 
@@ -412,7 +413,7 @@ def test_big_coefficient_farkas():
     infeasible = 0
     for trial in range(200):
         sys_ = _random_big_system(rng)
-        fm = check_feasibility(sys_)
+        fm = fm_feasibility(sys_)
         assert fm.feasible == simplex_feasibility(sys_).feasible, f"trial {trial}"
         assert verify_certificate(sys_, fm), f"trial {trial}"
         assert fm.farkas == _dense_farkas(sys_), f"trial {trial}"
@@ -455,7 +456,7 @@ def test_fm_corpus_digest():
     digest = hashlib.sha256()
     count = 0
     for system in _fm_corpus():
-        res = check_feasibility(system)
+        res = fm_feasibility(system)
         witness = sorted(res.witness.items()) if res.witness is not None else None
         digest.update(repr((res.status, witness, res.farkas)).encode("ascii"))
         count += 1
@@ -463,39 +464,79 @@ def test_fm_corpus_digest():
     assert digest.hexdigest() == FM_CORPUS_DIGEST
 
 
-def test_farkas_support_keeps_a_small_accepted_support(monkeypatch):
-    """Over the FM corpus, ``farkas_support`` gives the support the full
-    Carathéodory reduction gives, also where it returns elimination's
-    support of at most n + 1 rows unreduced, with the weights
-    ``infeasible_on`` accepts it with; ``support_farkas`` of them is an
-    integer Farkas vector that verifies, and where elimination's support is
-    kept it is the primitive integer form of elimination's vector."""
-    rows_of = [(system, exactlp.system_rows(system)) for system in _fm_corpus()]
-    results = [exactlp.solve_rows(system.variables, rows) for system, rows in rows_of]
-    fast = [exactlp.farkas_support(rows, res.farkas) if not res.feasible else None
-            for (_, rows), res in zip(rows_of, results)]
-    monkeypatch.setattr(exactlp, "infeasible_on", lambda rows, support: None)
-    full = [exactlp.farkas_support(rows, res.farkas) if not res.feasible else None
-            for (_, rows), res in zip(rows_of, results)]
-    monkeypatch.undo()
-    assert [got and got[0] for got in fast] == [got and got[0] for got in full]
-    kept = 0
-    for (system, rows), res, got in zip(rows_of, results, fast):
-        if res.feasible:
+def _bounded_check(system):
+    """``check_feasibility`` of ``system``, with every pivot run held to at
+    most as many swaps as the split system has row bases: a least-index
+    run never returns to a basis, so a run that cycled would fail here
+    instead of running on."""
+    n = len(system.variables) + sum(v not in system.nonneg for v in system.variables)
+    m = len(exactlp.system_rows(system)) + n - len(system.nonneg)
+    swaps, swap = [], exactlp._swap
+
+    def counting(*args):
+        swaps.append(args)
+        assert len(swaps) <= math.comb(m, n), "pivot run exceeds the number of row bases"
+        return swap(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactlp, "_swap", counting)
+        return check_feasibility(system), len(swaps)
+
+
+def _cross_check(system):
+    """``check_feasibility`` gives the verdict of phase-1 simplex and of
+    Fourier-Motzkin elimination, and a certificate that verifies: a Farkas
+    vector with at most n + 1 nonzero entries, primitive integers, over the
+    split variables (each free variable counts twice)."""
+    res, swaps = _bounded_check(system)
+    assert res.feasible == simplex_feasibility(system).feasible == fm_feasibility(system).feasible
+    assert verify_certificate(system, res)
+    if not res.feasible:
+        support = [x for x in res.farkas if x]
+        n = len(system.variables) + sum(v not in system.nonneg for v in system.variables)
+        assert len(support) <= n + 1 and all(x.denominator == 1 for x in support)
+        assert math.gcd(*map(int, support)) == 1
+    return res, swaps
+
+
+def test_pivot_agrees_over_the_fm_corpus():
+    """Over the whole FM corpus, every pivot verdict is the simplex's and
+    elimination's, and every certificate verifies."""
+    feasible = swaps = 0
+    for system in _fm_corpus():
+        res, steps = _cross_check(system)
+        feasible += res.feasible
+        swaps += steps
+    assert feasible == 542 and swaps == 3678
+
+
+@st.composite
+def degenerate_system(draw):
+    """1-4 variables, some of them free, and 1-7 rows: rows through one
+    rational point (several tight there), repeated rows, all-zero rows
+    (0 <= negative among them) and random rows."""
+    variables = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    small = st.integers(-3, 3)
+    point = {v: F(draw(small), draw(st.integers(1, 3))) for v in variables}
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["through", "through", "repeat", "zero", "random"]))
+        if kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
             continue
-        support, y = got
-        assert y == exactlp.infeasible_on(rows, support)
-        farkas = exactlp.support_farkas(rows, support, y)
-        assert [i for i, x in enumerate(farkas) if x] == list(support)
-        assert all(x.denominator == 1 for x in farkas) and math.gcd(*map(int, farkas)) == 1
-        assert verify_certificate(system, FeasibilityResult("infeasible", farkas=farkas))
-        if support == [i for i, x in enumerate(res.farkas) if x]:
-            scale = math.lcm(*[x.denominator for x in res.farkas])
-            ints = [int(x * scale) for x in res.farkas]
-            g = math.gcd(*ints)
-            assert farkas == tuple(F(x // g) for x in ints)
-            kept += 1
-    assert kept >= 300  # 368 of 558 infeasible systems
+        coeffs = {} if kind == "zero" else {v: F(c) for v in variables if (c := draw(small))}
+        rhs = (sum((c * point[v] for v, c in coeffs.items()), F(0)) if kind == "through"
+               else F(draw(small)))
+        rows.append((coeffs, draw(st.sampled_from([LE, GE])), rhs))
+    return make(variables, rows, [v for v in variables if draw(st.booleans())])
+
+
+@settings(max_examples=400, deadline=None)
+@given(degenerate_system())
+@example(make(["x", "y"], [({"x": F(1), "y": F(1)}, LE, 0), ({"x": F(1)}, GE, 0),
+                            ({"x": F(1), "y": F(1)}, LE, 0), ({}, LE, F(-1))], ["y"]))
+def test_pivot_agrees_on_degenerate_systems(system):
+    _cross_check(system)
 
 
 def _both_verdicts(system, result):
@@ -615,26 +656,30 @@ BRACKET_T = st.fractions(min_value=3, max_value=5, max_denominator=256)
 # Rows whose directions have a one-dimensional kernel of mixed sign whose
 # combined rhs is negative, in a feasible system.
 @example(CPolicy(0, 3, 1), JCase.IN01_NOT2, Variant.SYMMETRIZED, F(1043, 256), F(0), [3, 4, 5, 7, 9])
-def test_warm_verdicts_agree_with_elimination(policy, case, variant, t, step, picks):
-    """A basis from elimination at a neighbouring t, or a random set of rows:
-    whenever ``infeasible_on`` or ``feasible_at`` accepts it at t, ``solve_rows``
-    gives the same verdict.  At its own t, a Farkas support is always accepted,
-    and so is a tight basis whenever there is one."""
+def test_warm_verdicts_agree_with_pivot(policy, case, variant, t, step, picks):
+    """A basis or support a pivot run ends at a neighbouring t, or a random
+    set of rows: whenever ``infeasible_on`` or ``feasible_at`` accepts it at
+    t, a pivot run from the origin gives the same verdict, and so does a
+    run with it swapped in.  At its own t, what a run ends at is always
+    accepted, with the run's weights up to a positive factor, or at the
+    run's vertex."""
     rows = case_rows(case, case_point(t, policy), variant)
-    feasible = exactlp.solve_rows(VARIABLES, rows).feasible
+    feasible = exactlp.pivot(rows)[0]
     near = case_rows(case, case_point(min(max(t + step, F(3)), F(5)), policy), variant)
-    result = exactlp.solve_rows(VARIABLES, near)
-    if result.feasible:
-        basis = exactlp.tight_basis(near, result.witness)
-        assert basis is not None and exactlp.feasible_at(near, basis)
+    near_feasible, basis, cert = exactlp.pivot(near)
+    if near_feasible:
+        xs, D = exactlp.feasible_at(near, basis)
+        assert [F(x, D) for x in xs] == [F(x, cert[1]) for x in cert[0]]
     else:
-        basis, y = exactlp.farkas_support(near, result.farkas)
-        assert len(basis) <= len(VARIABLES) + 1 and y and y == exactlp.infeasible_on(near, basis)
+        y = exactlp.infeasible_on(near, basis)
+        assert len(basis) <= len(VARIABLES) + 1 and y
+        assert all(a * cert[0] == b * y[0] for a, b in zip(y, cert)) and y[0] * cert[0] > 0
     for candidate in (basis, sorted({i % len(rows) for i in picks})):
         if exactlp.infeasible_on(rows, candidate):
             assert not feasible
         if exactlp.feasible_at(rows, candidate):
             assert feasible
+        assert exactlp.pivot(rows, candidate)[0] == feasible
 
 
 # Signed maximal minors against a Gauss-Jordan reference.

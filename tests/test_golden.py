@@ -111,10 +111,23 @@ support's primitive integer Farkas vector, where before each carried the
 result of its own elimination.  Only ``farkas`` and ``witness`` entries of
 assignment entries changed: every status, echo, ``certified`` flag and exit
 code is as before, and so is every other digest.
+
+Every structured ``certify``, ``search``, ``sweep`` and ``dichotomy``
+digest (13 of them) was recorded again when ``exactlp.pivot``, an exact
+integer simplex over row bases, replaced Fourier-Motzkin elimination as
+the one decision procedure, and ``certify_at`` and the dichotomy's plain
+stage began to settle each case as a probe does.  Every Farkas vector is
+now the primitive integer multiplier vector of a support of at most five
+rows, and every witness the vertex of a basis of four independent base
+rows (``test_certificates_are_supports_and_vertices``).  Only ``farkas``
+and ``witness`` entries changed: every status, echo, ``t_lo``, ``t_hi``,
+trace, ``certified`` flag and exit code is as before, and so is every
+text, CSV, ``upper`` and ``bounds`` digest.
 """
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -135,27 +148,27 @@ from bmbounds.exactlp import LinearSystem
 
 GOLDEN = {
     "dichotomy --t 113/32 --format structured":
-        (0, "e798dfe84fae055dec656022268e0396765c3a3878204b9abea7fb4f8766df39"),
+        (0, "da48a4717dbac4421ea4336df09c573378d95a8e9c827ee973ec66c2ab02a079"),
     "dichotomy --t 4 --format structured":
-        (1, "e54d4abe888ea477598946fee32feb78d900d398a2a61ddea3f921dd3ac8c024"),
+        (1, "fe641c3b509756512af850843d448bea3a10d7ba64d1dce329f7cc4b7432e678"),
     "search --lo 3 --hi 5 --iters 6 --c-policy 2,1,4 --format structured":
-        (0, "98556b1bc90ffb174ae851c8ea3e0ed5fcb1471df428f9f7b6b99936b04fc017"),
+        (0, "5d9a705db0f884536abff32565c8636b0914c34998e0db623be256e02c12bf1a"),
     "search --lo 3 --hi 5 --iters 20 --format structured":
-        (0, "7dc573bb7bc4c71018fe6c4f73bee9abd7db9f9fa844897db0c894d04064cc1d"),
+        (0, "f8b153120c1d1c7423694365647fec3b18a2001e814ae7f46f4ce82b517bdba7"),
     "certify --t 4 --format structured":
-        (1, "a2d7c03f46e72140a3450184d0e0a0663b7dc9ba1acf2e45a74ebfe980a6be4d"),
+        (1, "1fc871349386614501111c46b40ddaf7d8647eab1804002d877e818ba1762786"),
     "sweep --iters 2 --format structured":
-        (0, "cdcfd2526d3b0a98a972eed0d746a600c7449bf04251bf798d09126bd1ee424d"),
+        (0, "6194c40e05ecb28a11e172b30851c4abfc0675550e3397cd0a48c718cc27a966"),
     "search --lo 3 --hi 5 --iters 0 --format structured":
-        (0, "6474bb0380b7be1248231d1f21835a3c2b3b053595b91882d30bdba0b6b73259"),
+        (0, "9e0ba1a9ff3d1381275f5b8ad7dd47a44611ca56cef52bce66bac2b020ca6d54"),
     "upper --optimize --tol 1e-8 --format structured":
         (0, "78e84e9172fe3a9d351faff08ee0db37e3641af7804f3fac27a0c2149e51596c"),
     "search --lo 3 --hi 5 --iters 24 --c-policy 3,1,5 --format structured":
-        (0, "34da3169aa1fb965e4f3f090e8247d32f1cab498faf4ae56a434ed81ccd987cc"),
+        (0, "0f7a9e50c7199e9664bd941f9dcb0e494a28abc94ce44d5fa6c718ad601e92e7"),
     "dichotomy --t 10/3 --format structured":
-        (0, "3e128918111f1b370084ffc634bacee9bb3ef1f330da71607837fe7ac906a547"),
+        (0, "0faf765f22d4fa1f46466d46fb23741422c171572941895e5dc61d6182cf2e30"),
     "dichotomy --t 7/2 --functions 0 2 --variant printed --format structured":
-        (0, "8c8ba702ccf8fb63e38958462f81ba393fe6626f3a07d4a9d398998cf50f9c04"),
+        (0, "9f7a6fd151a091f352746b6f506c5437320913f096262132d02535c9da4107d0"),
     "upper --scan 3:4:1/100 --format structured":
         (0, "ec50768e62a8f013f7d4c59c660c11c4c3766c251897fe6982b2ab81d0068ce6"),
     "upper --optimize --format structured":
@@ -191,11 +204,11 @@ GOLDEN = {
     "upper --t 7/2 --format csv":
         (0, "31165587e1c069cde239a40758b321357447597f2b4c597dc2e324931e77162e"),
     "sweep --iters 12 --format structured":
-        (0, "d23f71f8efc94dffeec715ddde8ab0f3744ef42f1933f4efdcee67bd8c6439d1"),
+        (0, "6cf65b414acd6f8754e5bffa4f78210ba4fa88f1cc0c7aeaaef4a9e3378d0141"),
     "dichotomy --t 11/3 --format structured":
-        (1, "ef402a54cda65478434c09a0e20ea373ab48095047b789ea1691e7404ec98fdf"),
+        (1, "59229d7eccdef43661e5cc86bd05ffd61bc412f924774601b05478d867338630"),
     "dichotomy --t 15/4 --functions 0 1 --variant printed --format structured":
-        (1, "4399331d79e8e8487272b7c665abe844691c7ac300e119432ae9bec9e3ce4a50"),
+        (1, "3b2797d9001da01c267872fce3f70f9ecb9ce42eacfe2142a9ef212c3ac8e2fd"),
     "upper --optimize --tol 1e-14 --format structured":
         (0, "32258765d3fadf428d757fba163a46502611b3fb7e06e435117961bc05a886df"),
 }
@@ -271,3 +284,62 @@ def test_dichotomy_decides_from_integer_rows(monkeypatch, capsys):
         code = main(command.split())
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert (code, digest) == GOLDEN[command], command
+
+
+def _case_entries(doc):
+    """Every case entry of a document, embedded search documents included."""
+    if isinstance(doc, dict):
+        if "status" in doc and "system" in doc:
+            yield doc
+        else:
+            for value in doc.values():
+                yield from _case_entries(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _case_entries(value)
+
+
+def _rank(vectors):
+    """The rank of a list of rational vectors, by Fraction Gaussian elimination."""
+    rows, rank = [list(map(Fraction, v)) for v in vectors], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                factor = rows[i][c] / rows[rank][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_certificates_are_supports_and_vertices(capsys):
+    """Every Farkas vector the structured certify, search, sweep and
+    dichotomy commands write is a primitive integer vector with at most
+    n + 1 = 5 nonzero entries, and every witness has 4 independent base
+    rows of its echoed system tight: a support's multipliers and a basis
+    vertex, as one pivot run or a stored certificate gives them."""
+    from bmbounds.systems import system_from_doc
+
+    commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "sweep", "dichotomy")
+                and c.endswith("--format structured")]
+    assert len(commands) == 13
+    farkas = witnesses = 0
+    for command in commands:
+        main(command.split())
+        for entry in _case_entries(json.loads(capsys.readouterr().out)):
+            if entry["status"] == "infeasible":
+                nonzero = [Fraction(x) for x in entry["farkas"] if Fraction(x)]
+                assert len(nonzero) <= 5 and all(x.denominator == 1 for x in nonzero), command
+                assert math.gcd(*map(int, nonzero)) == 1, command
+                farkas += 1
+                continue
+            system = system_from_doc(entry["system"])
+            point = [Fraction(entry["witness"][v]) for v in system.variables]
+            tight = [vec for vec, num, den, _, _ in exactlp.system_rows(system)
+                     if den * sum(a * x for a, x in zip(vec, point)) == num]
+            assert _rank(tight) == len(system.variables) == 4, command
+            witnesses += 1
+    assert (farkas, witnesses) == (180, 64)

@@ -24,6 +24,7 @@ from bmbounds.upperiso import (
     TruncatedFunction,
     _mat_mul,
     _row_norms,
+    _scaled,
     apply_S,
     apply_T,
     build_matrices,
@@ -261,7 +262,7 @@ class TestCompiledTables:
         degree = len(table.denominator) - 1
         for t in (F(3), F(7, 2), F(31, 8), F(387513, 100000), F(4), t_star):
             p, q = t.numerator, t.denominator
-            norms, denominator = _row_norms(compiled, p, q)
+            norms, denominator = _row_norms(_scaled(compiled, q), p)
             assert denominator == q**degree * poly_value(table.denominator, t)
             assert norms == [q**degree * sum(abs(poly_value(c, t)) for c in entries.values())
                              for entries in table.rows.values()], t

@@ -102,27 +102,6 @@ def check_s_increasing(m: int, t) -> bool:
         return True
 
 
-def solve_threshold(family: str, theta=None) -> mp.mpf:
-    """Positive root of the scalar threshold inequalities.
-
-    quad-4-1:     t^2 - 4t - 1 >= 0        -> 2 + sqrt(5)
-    quad-sqrt3:   t >= 2t/(t-1) + 1        -> 2 + sqrt(3)
-    theta-branch: t >= 2 + sqrt(theta^2+4) -> the right-hand side itself
-    """
-    with mp.workdps(PRECISION_DPS):
-        if family == "quad-4-1":
-            return 2 + mp.sqrt(5)
-        if family == "quad-sqrt3":
-            return 2 + mp.sqrt(3)
-        if family == "theta-branch":
-            if theta is None:
-                raise BoundDomainError("theta-branch needs a theta parameter")
-            return 2 + mp.sqrt(mp.mpf(theta) ** 2 + 4)
-    raise BoundDomainError(
-        f"unknown threshold family {family!r}; know ('quad-4-1', 'quad-sqrt3', 'theta-branch')"
-    )
-
-
 def bounds_table(ms: Sequence[int], ks: Sequence[int]) -> list[dict]:
     """Rows for the CLI table: height bounds for ms, copy bounds for ks.
 

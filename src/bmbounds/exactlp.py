@@ -14,8 +14,9 @@ and no command calls it.  A run starts at the basis of the nonneg rows,
 whose vertex is the origin, with a stored basis swapped in, and keeps the
 adjugate and the determinant of its basis matrix, updated per swap by one
 exact division.  It ends at a basis whose vertex satisfies every row, or
-at a support of at most n + 1 rows whose integer weights combine them
-into 0 <= negative.  Fractions are made only for a returned witness or
+at a support whose integer weights combine its rows into 0 <= negative,
+padded by the basis rows of weight 0 to the n + 1 rows of the last basis
+and the entering row.  Fractions are made only for a returned witness or
 Farkas vector.
 
 Every verdict passes one exact check by substitution before it is used.
@@ -27,16 +28,16 @@ in a caller that decided it from rows or reuses it for another system, on
 the pair rows the system is built from (``systems.case_pairs``);
 ``verify_certificate`` reads a ``LinearSystem``'s pair rows
 (``system_pairs``).  A verdict on base rows alone passes ``infeasible_on``
-or ``feasible_at``: they re-solve a support or a basis, on the rows a
-pivot run ended on or on other rows of the same shape, accept only after
-exact substitution, and return the support's weights or the basis vertex;
-``support_farkas`` turns those weights into a primitive integer Farkas
-vector on the inequalities.  Five support rows or four basis rows over
-four variables are re-solved by Cramer's rule, other shapes by integer
-Gauss-Jordan elimination.  The independent cross-checks, an exact
-phase-1 simplex, Fourier-Motzkin elimination, brute-force vertex
-enumeration and a Fraction reference verifier, live with the tests
-(``tests/crosscheck.py``), which require them to agree with this module.
+or ``feasible_at``: they re-solve a padded support (five rows) or a
+basis (four rows) over four variables by Cramer's rule, on the rows a
+pivot run ended on or on other rows of the same shape, reject any other
+shape, accept only after exact substitution, and return the support's
+weights or the basis vertex; ``support_farkas`` turns those weights into
+a primitive integer Farkas vector on the inequalities.  The independent
+cross-checks, an exact phase-1 simplex, Fourier-Motzkin elimination,
+brute-force vertex enumeration and a Fraction reference verifier, live
+with the tests (``tests/crosscheck.py``), which require them to agree
+with this module.
 
 No floating point is used anywhere in this module.
 """
@@ -253,12 +254,13 @@ def pivot(rows: Sequence[tuple], start: Optional[Sequence[int]] = None) -> tuple
     ends after finitely many steps from any basis (Terlaky, 1985).
 
     Returns (True, basis, (xs, D)), a basis whose vertex xs / D (D > 0)
-    satisfies every row, or (False, support, y): when no basis row has a
-    positive coefficient, the violated row and the basis rows with a
-    negative one, at most n + 1 rows in ascending order, whose base rows
-    the integers y > 0 combine into 0 <= negative (the weights
-    ``infeasible_on`` accepts, up to a positive factor).  Unverified: the
-    callers check what they keep.
+    satisfies every row, or (False, (support, pads), y) when no basis row
+    has a positive coefficient: the support is the violated row and the
+    basis rows with a negative one, in ascending order, whose base rows the
+    integers y > 0 combine into 0 <= negative, and the pads the basis rows
+    with a zero one; ``infeasible_on`` re-solves all n + 1 rows and accepts
+    with y, up to a positive factor.  Unverified: the callers check what
+    they keep.
     """
     n = len(rows[0][0])
     scaled = [[den * x for x in vec] for vec, _, den, _, _ in rows]
@@ -293,15 +295,16 @@ def pivot(rows: Sequence[tuple], start: Optional[Sequence[int]] = None) -> tuple
         if not leaving:
             weights = {r: D, **{basis[k]: -lam[k] for k in range(n) if lam[k] < 0}}
             support = sorted(weights)
-            return False, support, [weights[i] * rows[i][2] for i in support]
+            pads = [basis[k] for k in range(n) if not lam[k]]
+            return False, (support, pads), [weights[i] * rows[i][2] for i in support]
         k = min(leaving, key=basis.__getitem__)
         cols, D = _swap(cols, D, k, lam)
         basis[k] = r
 
 
 # ---------------------------------------------------------------------------
-# Checks of a stored basis or support on other rows: Cramer's rule in the
-# case systems' shape, else integer Gauss-Jordan elimination
+# Checks of a stored basis or padded support on other rows: Cramer's rule in
+# the case systems' shape
 # ---------------------------------------------------------------------------
 
 _PAIRS = list(itertools.combinations(range(5), 2))
@@ -337,79 +340,43 @@ def _signed_minors(vectors: list) -> list[int]:
 
 
 def _kernel_vector(vectors: list) -> Optional[list[int]]:
-    """A generator of the kernel of ``vectors`` (integer y, sum_k y_k v_k = 0)
-    if it is one-dimensional, else None: the nonzero ``_signed_minors`` for
-    five vectors of length 4, else ``_eliminate``'s one kernel vector."""
-    if len(vectors) == 5 and len(vectors[0]) == 4:
-        y = _signed_minors(vectors)
-        return y if any(y) else None
-    _, kernel = _eliminate(vectors)
-    return kernel[0] if len(kernel) == 1 else None
-
-
-def _eliminate(columns: list) -> tuple[list[int], list[list[int]]]:
-    """Gauss-Jordan elimination, in integers, of the matrix with these columns.
-
-    Returns the pivot columns, each independent of the columns before it,
-    and one kernel vector per other column f: integers with gcd 1,
-    positive at f and zero at every other non-pivot column.
-    """
-    matrix = [list(row) for row in zip(*columns)]
-    pivots = []
-    for f in range(len(columns)):
-        r = len(pivots)
-        i = next((i for i in range(r, len(matrix)) if matrix[i][f]), None)
-        if i is None:
-            continue
-        matrix[r], matrix[i] = matrix[i], matrix[r]
-        prow = matrix[r]
-        a = prow[f]
-        for i, row in enumerate(matrix):
-            b = row[f]
-            if b and i != r:
-                row = [a * x - b * y for x, y in zip(row, prow)]
-                g = math.gcd(*row)
-                matrix[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(f)
-    lcm = math.lcm(*[matrix[r][c] for r, c in enumerate(pivots)])
-    kernel = []
-    for f in [f for f in range(len(columns)) if f not in pivots]:
-        z = [0] * len(columns)
-        z[f] = lcm
-        for r, c in enumerate(pivots):
-            z[c] = -matrix[r][f] * (lcm // matrix[r][c])
-        g = math.gcd(*z)
-        kernel.append([x // g for x in z])
-    return pivots, kernel
-
-
-def infeasible_on(rows: Sequence[tuple], support: Optional[Sequence[int]]) -> Optional[list[int]]:
-    """The weights y >= 0 by which the base rows ``support`` prove ``rows``
-    infeasible, or None if they do not: their directions must have a
-    one-dimensional kernel (``_kernel_vector``, by Cramer's rule for five
-    rows over four variables) whose generator has one sign and, taken
-    nonnegative as y, cancels every variable and combines the right-hand
-    sides into a negative number."""
-    if not support:
+    """The generator of the kernel of ``vectors`` (integer y, sum_k y_k v_k =
+    0), the ``_signed_minors`` of five vectors of length 4 and rank 4; None
+    for any other rank or shape."""
+    if len(vectors) != 5 or len(vectors[0]) != 4:
         return None
-    picked = [rows[i] for i in support]
+    y = _signed_minors(vectors)
+    return y if any(y) else None
+
+
+def infeasible_on(rows: Sequence[tuple], verdict: Optional[tuple]) -> Optional[list[int]]:
+    """The weights y >= 0 by which the base rows ``support`` of a verdict
+    (support, pads) that ``pivot`` gives prove ``rows`` infeasible, or None:
+    the kernel generator of the five directions support + pads
+    (``_kernel_vector``) must be zero on every pad, which makes it the
+    support's own, and of one sign; taken nonnegative, it must cancel every
+    variable and combine the right-hand sides into a negative number."""
+    if not verdict:
+        return None
+    support, pads = verdict
+    picked = [rows[i] for i in [*support, *pads]]
     vecs = [vec for vec, _, _, _, _ in picked]
     y = _kernel_vector(vecs)
-    if y is None or min(y) < 0 < max(y):
+    if y is None or any(y[len(support):]) or min(y) < 0 < max(y):
         return None
     if min(y) < 0:
         y = [-x for x in y]
     ok = (not any([sum(map(operator.mul, y, column)) for column in zip(*vecs)])
           and _lcm_sum([(w * num, den) for w, (_, num, den, _, _) in zip(y, picked)]) < 0)
-    return y if ok else None
+    return y[:len(support)] if ok else None
 
 
 def feasible_at(rows: list[tuple], basis: Optional[Sequence[int]]) -> Optional[tuple[list[int], int]]:
     """The point (xs, D), x = xs / D, where the n base rows ``basis`` are
     tight, if it exists and satisfies every row of ``rows``, the nonneg rows
     included; else None.  (xs, D) is the kernel generator, D > 0, of the
-    columns den * direction and -rhs of those rows (``_kernel_vector``,
-    Cramer's rule for four rows)."""
+    columns den * direction and -rhs of those rows (``_kernel_vector``:
+    Cramer's rule for four rows over four variables, None for other shapes)."""
     if not basis:
         return None
     n = len(rows[0][0])
@@ -468,7 +435,7 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
         witness = {v: Fraction(xs[k] - minus.get(k, 0), D) for k, v in enumerate(system.variables)}
         result = FeasibilityResult("feasible", witness=witness)
     else:
-        result = FeasibilityResult("infeasible", farkas=support_farkas(split, found, cert)[:len(rows)])
+        result = FeasibilityResult("infeasible", farkas=support_farkas(split, found[0], cert)[:len(rows)])
     return verified(system.variables, system_pairs(system), result)
 
 

@@ -11,7 +11,6 @@ from bmbounds.bounds import (
     h_theta,
     lower_bound_height,
     s_theta,
-    solve_threshold,
 )
 
 TOL = mp.mpf("1e-12")
@@ -114,27 +113,6 @@ class TestSTheta:
             s_theta(1, 3, 1)
         with pytest.raises(BoundDomainError):
             s_theta(3, 2, 1)
-
-
-class TestThresholds:
-    def test_quad_4_1(self):
-        with mp.workdps(PRECISION_DPS):
-            assert close(solve_threshold("quad-4-1"), 2 + mp.sqrt(5))
-
-    def test_quad_sqrt3(self):
-        with mp.workdps(PRECISION_DPS):
-            assert close(solve_threshold("quad-sqrt3"), 2 + mp.sqrt(3))
-
-    def test_theta_branch_consistency(self):
-        assert close(solve_threshold("theta-branch", theta=1), solve_threshold("quad-4-1"))
-
-    def test_unknown_family(self):
-        with pytest.raises(BoundDomainError):
-            solve_threshold("cubic-derby")
-
-    def test_theta_branch_needs_theta(self):
-        with pytest.raises(BoundDomainError):
-            solve_threshold("theta-branch")
 
 
 def test_reproducible_across_runs():

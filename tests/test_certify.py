@@ -309,7 +309,7 @@ class TestBinarySearch:
         def run(rows, start):
             if wrong == "origin basis":  # the nonneg rows, last in every case's rows
                 return True, list(range(len(rows) - 4, len(rows))), ([0] * 4, 1)
-            return False, [0], [1]
+            return False, ([0], [1, 2, 3, 4]), [1]  # the first row alone, padded to five
 
         monkeypatch.setattr(exactlp, "pivot", run)
         for run in (lambda: binary_search_bound(F(3), F(5), 4),
@@ -422,18 +422,21 @@ class TestBinarySearch:
     def test_warm_infeasible_verdicts_run_no_elimination(self, monkeypatch, fm_runs):
         """A probe verdict its stored Farkas support settles runs no
         pivot: the support's weights, one per support row, prove the
-        case's full row list infeasible."""
+        case's full row list infeasible, re-solved on the n + 1 = 5 rows
+        of the support and its pads."""
         import bmbounds.certify as certify_mod
-        from bmbounds.systems import CASE_TABLES
+        from bmbounds.systems import CASE_TABLES, VARIABLES
 
         settle, first = certify_mod._settle, certify_mod._first_feasible
         settled, probing = [], []
 
         def recording(bases, key, rows):
-            support, runs = bases.get((key, False)), len(fm_runs)
+            verdict, runs = bases.get((key, False)), len(fm_runs)
             y, _ = out = settle(bases, key, rows)
             if y and probing and len(fm_runs) == runs:  # not a support a pivot run ended at
-                assert bases[key, False] is support and len(y) == len(support)
+                support, pads = bases[key, False]
+                assert bases[key, False] is verdict and len(y) == len(support)
+                assert len(support) + len(pads) == len(VARIABLES) + 1
                 assert len(rows) == len(CASE_TABLES[key]) + 4
                 settled.append(key)
             return out

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from bmbounds import exactlp
@@ -657,26 +657,31 @@ BRACKET_T = st.fractions(min_value=3, max_value=5, max_denominator=256)
 # combined rhs is negative, in a feasible system.
 @example(CPolicy(0, 3, 1), JCase.IN01_NOT2, Variant.SYMMETRIZED, F(1043, 256), F(0), [3, 4, 5, 7, 9])
 def test_warm_verdicts_agree_with_pivot(policy, case, variant, t, step, picks):
-    """A basis or support a pivot run ends at a neighbouring t, or a random
-    set of rows: whenever ``infeasible_on`` or ``feasible_at`` accepts it at
-    t, a pivot run from the origin gives the same verdict, and so does a
-    run with it swapped in.  At its own t, what a run ends at is always
-    accepted, with the run's weights up to a positive factor, or at the
-    run's vertex."""
+    """A basis or (support, pads) a pivot run ends at a neighbouring t, or a
+    random set of rows, split into a support and pads at every place:
+    whenever ``infeasible_on`` or ``feasible_at`` accepts it at t, a pivot
+    run from the origin gives the same verdict, and so does a run with its
+    rows swapped in.  At its own t, what a run ends at is always accepted,
+    with the run's weights up to a positive factor, or at the run's
+    vertex."""
     rows = case_rows(case, case_point(t, policy), variant)
     feasible = exactlp.pivot(rows)[0]
     near = case_rows(case, case_point(min(max(t + step, F(3)), F(5)), policy), variant)
-    near_feasible, basis, cert = exactlp.pivot(near)
+    near_feasible, found, cert = exactlp.pivot(near)
     if near_feasible:
+        basis = found
         xs, D = exactlp.feasible_at(near, basis)
         assert [F(x, D) for x in xs] == [F(x, cert[1]) for x in cert[0]]
     else:
-        y = exactlp.infeasible_on(near, basis)
-        assert len(basis) <= len(VARIABLES) + 1 and y
+        y = exactlp.infeasible_on(near, found)
+        support, pads = found
+        basis = support + pads
+        assert len(support) <= len(basis) == len(VARIABLES) + 1 and y
         assert all(a * cert[0] == b * y[0] for a, b in zip(y, cert)) and y[0] * cert[0] > 0
     for candidate in (basis, sorted({i % len(rows) for i in picks})):
-        if exactlp.infeasible_on(rows, candidate):
-            assert not feasible
+        for cut in range(len(candidate) + 1):
+            if exactlp.infeasible_on(rows, (candidate[:cut], candidate[cut:])):
+                assert not feasible
         if exactlp.feasible_at(rows, candidate):
             assert feasible
         assert exactlp.pivot(rows, candidate)[0] == feasible
@@ -782,19 +787,94 @@ def test_signed_minors_are_the_cofactor_expansion(rows):
 # The warm-verdict example above: one-dimensional kernel, mixed sign, negative combined rhs.
 @example([_MIXED[i] for i in (3, 4, 5, 7, 9)])
 def test_minor_verdicts_agree_with_gauss_jordan(rows):
-    """``infeasible_on`` on all n + 1 rows and ``feasible_at`` on the first n
-    accept exactly when the Fraction Gauss-Jordan reference does, on the
-    minors path (n = 4) and the elimination path alike; the weights they
-    accept with are the reference kernel vector times a positive factor, and
-    the vertex is the reference point."""
+    """``infeasible_on`` on all n + 1 rows as the support, with no pads, and
+    ``feasible_at`` on the first n accept exactly when the Fraction
+    Gauss-Jordan reference does, for n = 4; the weights they accept with are
+    the reference kernel vector times a positive factor, and the vertex is
+    the reference point.  For any other n they return None, without
+    raising."""
     n = len(rows) - 1
-    y, z = exactlp.infeasible_on(rows, range(n + 1)), _reference_infeasible_on(rows, range(n + 1))
+    y, z = exactlp.infeasible_on(rows, (range(n + 1), [])), _reference_infeasible_on(rows, range(n + 1))
+    vertex, x = exactlp.feasible_at(rows, range(n)), _reference_feasible_at(rows, range(n))
+    if n != 4:
+        assert y is None and vertex is None
+        return
     assert (y is None) == (z is None)
     if y is not None:
         factor = F(y[z.index(1)])
         assert factor > 0 and [F(x) for x in y] == [factor * x for x in z]
-    vertex, x = exactlp.feasible_at(rows, range(n)), _reference_feasible_at(rows, range(n))
     assert (vertex is None) == (x is None)
     if vertex is not None:
         xs, D = vertex
         assert D > 0 and [F(v, D) for v in xs] == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GUARDED_POLICIES), st.sampled_from(ALL_CASES), st.sampled_from(list(Variant)),
+       BRACKET_T, st.fractions(min_value=-F(1, 4), max_value=F(1, 4), max_denominator=256))
+# The kernel of the five rows at t weighs a pad: one-signed, with a negative
+# combined rhs, so those rows prove infeasibility, but the support does not.
+@example(CPolicy(4, 0, 8), JCase.J012, Variant.PRINTED, F(407, 128), F(-25, 128))
+def test_padded_verdicts_agree_with_the_support_reference(policy, case, variant, t, step):
+    """The (support, pads) an infeasible pivot run ends at at a neighbouring
+    t, re-checked at t: ``infeasible_on`` accepts exactly when the Fraction
+    reference on the support alone does, with the reference kernel vector
+    times a positive factor.  The one exception: where the five rows have
+    rank below 4 at t, it rejects."""
+    near = case_rows(case, case_point(min(max(t + step, F(3)), F(5)), policy), variant)
+    feasible, found, _ = exactlp.pivot(near)
+    assume(not feasible)
+    support, pads = found
+    rows = case_rows(case, case_point(t, policy), variant)
+    y, z = exactlp.infeasible_on(rows, found), _reference_infeasible_on(rows, support)
+    if len(_kernel(list(zip(*[rows[i][0] for i in support + pads])))) != 1:
+        event("five rows of rank below 4")
+        assert y is None
+        return
+    event(f"{len(pads)} pads, " + ("accepted" if z is not None else "rejected"))
+    assert (y is None) == (z is None)
+    if y is not None:
+        factor = F(y[z.index(1)])
+        assert factor > 0 and [F(x) for x in y] == [factor * x for x in z]
+
+
+def _unit(j, sign, n=4):
+    return tuple([sign * int(i == j) for i in range(n)])
+
+
+_NONNEG = [(_unit(j, -1), 0) for j in range(4)]
+
+
+@pytest.mark.parametrize("rows, verdict, weights", [
+    ([((1, 1, 1, 1), -1), *_NONNEG], ([0, 1, 2, 3, 4], []), [1, 1, 1, 1, 1]),
+    ([((1, 1, 1, 0), -1), *_NONNEG], ([0, 1, 2, 3], [4]), [1, 1, 1, 1]),
+    ([((1, 1, 1, 1), -1), *_NONNEG], ([0, 1, 2, 3], [4]), None),
+    ([((1, 1, 1, 1), -1), *_NONNEG[:3], (_unit(3, 1), 0)], ([0, 1, 2, 3, 4], []), None),
+    ([((1, 1, 1, 1), 0), *_NONNEG], ([0, 1, 2, 3, 4], []), None),
+    ([((1, 1, 1, 1), 1), *_NONNEG], ([0, 1, 2, 3, 4], []), None),
+    ([((1, 1, 1, 0), -1), *_NONNEG[:3], (_unit(0, 1), 0)], ([0, 1, 2, 3, 4], []), None),
+    ([((1, 1, 1, 1), -1), *_NONNEG], ([0, 1, 2, 3], []), None),
+    ([((1, 1, 1, 1), -1), *_NONNEG, ((1, 0, 0, 0), 1)], ([0, 1, 2, 3, 4, 5], []), None),
+    ([((1, 1, 1), -1), *[(_unit(j, -1, 3), 0) for j in range(3)]], ([0, 1, 2, 3], []), None),
+], ids=["accepted", "zero weight on the pad", "weight on the pad", "mixed sign", "zero rhs",
+        "positive rhs", "rank below 4", "four rows", "six rows", "three variables"])
+def test_infeasible_on_rules(rows, verdict, weights):
+    """``infeasible_on`` accepts a (support, pads) exactly when the kernel of
+    the five rows over four variables is zero on every pad, of one sign and
+    combines the right-hand sides into a negative number, with the weights
+    on the support up to a positive factor; any other shape gives None."""
+    y = exactlp.infeasible_on([(vec, num, 1, 1, 1) for vec, num in rows], verdict)
+    if weights is None:
+        assert y is None
+    else:
+        assert y[0] > 0 and [F(x, y[0]) for x in y] == weights
+
+
+def test_infeasible_on_rejects_a_kernel_that_does_not_cancel(monkeypatch):
+    """Should ``_kernel_vector`` return a one-signed vector that does not
+    cancel every variable, ``infeasible_on`` rejects it, though it is zero
+    on the pads and gives a negative combined rhs."""
+    rows = [(vec, num, 1, 1, 1) for vec, num in [((1, 1, 1, 1), -1), *_NONNEG]]
+    assert exactlp.infeasible_on(rows, ([0, 1, 2, 3, 4], []))
+    monkeypatch.setattr(exactlp, "_kernel_vector", lambda vecs: [1, 1, 1, 1, 2])
+    assert exactlp.infeasible_on(rows, ([0, 1, 2, 3, 4], [])) is None

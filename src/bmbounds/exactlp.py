@@ -44,7 +44,6 @@ No floating point is used anywhere in this module.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -178,9 +177,11 @@ def base_row(vec: list[int], scale: int, num: int, den: int) -> tuple:
     lead = next(filter(None, vec))
     h = math.gcd(lead, scale)
     g = math.gcd(*vec)
-    den *= g
+    if g != 1:
+        vec = [x // g for x in vec]
+        den *= g
     r = math.gcd(num, den)
-    return tuple([x // g for x in vec]), num // r, den // r, scale // h, abs(lead) // h
+    return tuple(vec), num // r, den // r, scale // h, abs(lead) // h
 
 
 def system_rows(system: LinearSystem) -> list[tuple]:
@@ -307,36 +308,27 @@ def pivot(rows: Sequence[tuple], start: Optional[Sequence[int]] = None) -> tuple
 # the case systems' shape
 # ---------------------------------------------------------------------------
 
-_PAIRS = list(itertools.combinations(range(5), 2))
-
-
-def _splits(k: int) -> tuple:
-    """For each split of the vectors other than v_k into the pair at positions
-    p < q and the other two, pickers of the pair's 2x2 minor from a list in
-    ``_PAIRS`` order and of the other two's from that list and its negation,
-    as the sign (-1)**(k + p + q + 1) of the term says."""
-    rest = [i for i in range(5) if i != k]
-    lo, hi = [], []
-    for p, q in itertools.combinations(range(4), 2):
-        lo.append(_PAIRS.index((rest[p], rest[q])))
-        other = tuple([i for j, i in enumerate(rest) if j not in (p, q)])
-        hi.append(_PAIRS.index(other) + len(_PAIRS) * ((k + p + q + 1) % 2))
-    return operator.itemgetter(*lo), operator.itemgetter(*hi)
-
-
-_SPLITS = [_splits(k) for k in range(5)]
-
-
 def _signed_minors(vectors: list) -> list[int]:
     """y_k = (-1)**k det(the vectors other than v_k), for five integer vectors
     v_0..v_4 of length 4: sum_k y_k v_k = 0, and y != 0 exactly when they
-    have rank 4.  Each determinant is a Laplace expansion along coordinates
-    0, 1, with the sign (-1)**(p + q + 1) for the pair at positions p < q."""
-    c0, c1, c2, c3 = zip(*vectors)
-    lo = [c0[i] * c1[j] - c0[j] * c1[i] for i, j in _PAIRS]
-    hi = [c2[i] * c3[j] - c2[j] * c3[i] for i, j in _PAIRS]
-    hi += [-x for x in hi]
-    return [sum(map(operator.mul, pick_lo(lo), pick_hi(hi))) for pick_lo, pick_hi in _SPLITS]
+    have rank 4.  Each determinant is one Laplace expansion along
+    coordinates 0, 1: with pq the 2x2 minor of vectors p, q on coordinates
+    0, 1 and PQ theirs on coordinates 2, 3, each of the ten formed once,
+    det(p, q, r, s) = pq*RS - pr*QS + ps*QR + qr*PS - qs*PR + rs*PQ.
+    Only +, - and * are used, so entries from any commutative ring (Fractions,
+    polynomials) give the same identities."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3), (e0, e1, e2, e3) = vectors
+    ab, ac, ad, ae = a0 * b1 - b0 * a1, a0 * c1 - c0 * a1, a0 * d1 - d0 * a1, a0 * e1 - e0 * a1
+    bc, bd, be = b0 * c1 - c0 * b1, b0 * d1 - d0 * b1, b0 * e1 - e0 * b1
+    cd, ce, de = c0 * d1 - d0 * c1, c0 * e1 - e0 * c1, d0 * e1 - e0 * d1
+    AB, AC, AD, AE = a2 * b3 - b2 * a3, a2 * c3 - c2 * a3, a2 * d3 - d2 * a3, a2 * e3 - e2 * a3
+    BC, BD, BE = b2 * c3 - c2 * b3, b2 * d3 - d2 * b3, b2 * e3 - e2 * b3
+    CD, CE, DE = c2 * d3 - d2 * c3, c2 * e3 - e2 * c3, d2 * e3 - e2 * d3
+    return [bc * DE - bd * CE + be * CD + cd * BE - ce * BD + de * BC,
+            -(ac * DE - ad * CE + ae * CD + cd * AE - ce * AD + de * AC),
+            ab * DE - ad * BE + ae * BD + bd * AE - be * AD + de * AB,
+            -(ab * CE - ac * BE + ae * BC + bc * AE - be * AC + ce * AB),
+            ab * CD - ac * BD + ad * BC + bc * AD - bd * AC + cd * AB]
 
 
 def _kernel_vector(vectors: list) -> Optional[list[int]]:

@@ -619,6 +619,7 @@ COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=12)
        st.integers(1, 12), st.integers(1, 6))
 @example([F(-6, 5), F(0), F(3), F(1, 4)], GE, F(7, 3), 6, 2)  # scale 120, leading entry 144
 @example([F(0), F(-4, 3), F(-2), F(0)], LE, F(-5, 2), 2, 3)  # scale 6, leading entry -8
+@example([F(1), F(2), F(0), F(3)], LE, F(-5, 2), 1, 1)  # scale 1, direction already primitive
 def test_base_row_is_the_row_system_rows_clears(coeffs, relation, rhs, k, common):
     """``base_row`` of a positive integer multiple of an inequality's <=-form is
     the base row ``system_rows`` clears from the inequality, and it keeps the
@@ -633,6 +634,7 @@ def test_base_row_is_the_row_system_rows_clears(coeffs, relation, rhs, k, common
                            common * sign * scale * rhs.numerator, common * rhs.denominator)
     assert row == expected
     direction, num, den, q, p = row
+    assert type(direction) is tuple  # ``pivot`` finds the nonneg rows by ``rows.index``
     lead = next(c for c in coeffs if c)
     assert math.gcd(*direction) == 1 and den > 0 and math.gcd(num, den) == 1
     assert math.gcd(p, q) == 1 and F(p, q) == abs(lead)
@@ -771,14 +773,21 @@ def kernel_rows(draw, sizes=st.integers(1, 5)):
 _MIXED = case_rows(JCase.IN01_NOT2, case_point(F(1043, 256), CPolicy(0, 3, 1)), Variant.SYMMETRIZED)
 
 
+@pytest.mark.parametrize("ring", [int, F], ids=["int", "Fraction"])
 @settings(max_examples=300, deadline=None)
 @given(kernel_rows(st.just(4)))
 @example([_MIXED[i] for i in (3, 4, 5, 7, 9)])
-def test_signed_minors_are_the_cofactor_expansion(rows):
-    """Up to sign; and they stand for the kernel exactly when it is one-dimensional."""
+def test_signed_minors_are_the_cofactor_expansion(ring, rows):
+    """Exactly, each with its cofactor's sign, on integer vectors and on the
+    same vectors with row k and coordinate j divided by (k + 2)(j + 3), which
+    keeps the rank: ``_signed_minors`` may use only +, - and *, so no floor
+    division or int-only builtin; and they stand for the kernel exactly
+    when it is one-dimensional."""
     vecs = [list(vec) for vec, _, _, _, _ in rows]
+    if ring is F:
+        vecs = [[F(x, (k + 2) * (j + 3)) for j, x in enumerate(vec)] for k, vec in enumerate(vecs)]
     cofactors = [(-1) ** k * _cofactor_det(vecs[:k] + vecs[k + 1:]) for k in range(5)]
-    assert exactlp._signed_minors(vecs) in (cofactors, [-x for x in cofactors])
+    assert exactlp._signed_minors(vecs) == cofactors
     assert (exactlp._kernel_vector(vecs) is None) == (len(_kernel(list(zip(*vecs)))) != 1)
 
 

@@ -201,15 +201,14 @@ def _certify_at(t: Fraction, policy: CPolicy, variant: Variant,
 def _settle(bases: dict, key, rows: list[tuple]) -> tuple:
     """The one settle step of a case decision on its base rows: (y, vertex).
 
-    (y, None) if the weights y of the (support, pads) ``bases`` holds for
-    ``key`` prove ``rows`` infeasible (``infeasible_on``); else (None,
-    vertex) if the vertex (xs, D) of the basis held satisfies them
-    (``feasible_at``); both checks use Cramer's rule, on the five rows of
-    the support and its pads or the four basis rows.  Else ``exactlp.pivot``
-    decides the rows, starting with the basis held swapped in; the
-    (support, pads) or basis it ends at must pass the same check (else
-    AssertionError), replaces the one held for ``key`` and that verdict, and
-    gives the weights or the vertex that check returns."""
+    (y, None) if the weights y of the five rows ``bases`` holds for ``key``
+    prove ``rows`` infeasible (``infeasible_on``); else (None, vertex) if
+    the vertex (xs, D) of the basis held satisfies them (``feasible_at``);
+    both checks use Cramer's rule, on those five rows or the four basis
+    rows.  Else ``exactlp.pivot`` decides the rows, starting with the basis
+    held swapped in; the five rows or the basis it ends at must pass the
+    same check (else AssertionError), replace the ones held for ``key`` and
+    that verdict, and give the weights or the vertex that check returns."""
     y = infeasible_on(rows, bases.get((key, False)))
     if y:
         return y, None
@@ -227,11 +226,11 @@ def _settle(bases: dict, key, rows: list[tuple]) -> tuple:
 
 def _certificate(bases: dict, key, rows: list[tuple]) -> FeasibilityResult:
     """The unverified certificate of ``rows`` that ``_settle`` gives: the
-    Farkas vector (``support_farkas``) of the support held, without its
-    pads, or the basis vertex as the witness."""
+    Farkas vector (``support_farkas``) of the five rows held and their
+    weights, or the basis vertex as the witness."""
     y, vertex = _settle(bases, key, rows)
     if y:
-        return FeasibilityResult("infeasible", farkas=support_farkas(rows, bases[key, False][0], y))
+        return FeasibilityResult("infeasible", farkas=support_farkas(rows, bases[key, False], y))
     xs, D = vertex
     return FeasibilityResult("feasible", witness={v: Fraction(x, D) for v, x in zip(VARIABLES, xs)})
 

@@ -14,10 +14,9 @@ and no command calls it.  A run starts at the basis of the nonneg rows,
 whose vertex is the origin, with a stored basis swapped in, and keeps the
 adjugate and the determinant of its basis matrix, updated per swap by one
 exact division.  It ends at a basis whose vertex satisfies every row, or
-at a support whose integer weights combine its rows into 0 <= negative,
-padded by the basis rows of weight 0 to the n + 1 rows of the last basis
-and the entering row.  Fractions are made only for a returned witness or
-Farkas vector.
+at the n + 1 rows of its last basis and the entering row, whose integer
+weights, some of which may be 0, combine them into 0 <= negative.
+Fractions are made only for a returned witness or Farkas vector.
 
 Every verdict passes one exact check by substitution before it is used.
 ``verify_pairs`` is the one certificate check: it reads pair rows, each
@@ -28,16 +27,15 @@ in a caller that decided it from rows or reuses it for another system, on
 the pair rows the system is built from (``systems.case_pairs``);
 ``verify_certificate`` reads a ``LinearSystem``'s pair rows
 (``system_pairs``).  A verdict on base rows alone passes ``infeasible_on``
-or ``feasible_at``: they re-solve a padded support (five rows) or a
-basis (four rows) over four variables by Cramer's rule, on the rows a
-pivot run ended on or on other rows of the same shape, reject any other
-shape, accept only after exact substitution, and return the support's
-weights or the basis vertex; ``support_farkas`` turns those weights into
-a primitive integer Farkas vector on the inequalities.  The independent
-cross-checks, an exact phase-1 simplex, Fourier-Motzkin elimination,
-brute-force vertex enumeration and a Fraction reference verifier, live
-with the tests (``tests/crosscheck.py``), which require them to agree
-with this module.
+or ``feasible_at``: they re-solve five rows or a basis (four rows) over
+four variables by Cramer's rule, on the rows a pivot run ended on or on
+other rows of the same shape, reject any other shape, accept only after
+exact substitution, and return the weights of the five rows or the basis
+vertex; ``support_farkas`` turns those weights into a primitive integer
+Farkas vector on the inequalities.  The independent cross-checks, an exact
+phase-1 simplex, Fourier-Motzkin elimination, brute-force vertex
+enumeration and a Fraction reference verifier, live with the tests
+(``tests/crosscheck.py``), which require them to agree with this module.
 
 No floating point is used anywhere in this module.
 """
@@ -255,13 +253,12 @@ def pivot(rows: Sequence[tuple], start: Optional[Sequence[int]] = None) -> tuple
     ends after finitely many steps from any basis (Terlaky, 1985).
 
     Returns (True, basis, (xs, D)), a basis whose vertex xs / D (D > 0)
-    satisfies every row, or (False, (support, pads), y) when no basis row
-    has a positive coefficient: the support is the violated row and the
-    basis rows with a negative one, in ascending order, whose base rows the
-    integers y > 0 combine into 0 <= negative, and the pads the basis rows
-    with a zero one; ``infeasible_on`` re-solves all n + 1 rows and accepts
-    with y, up to a positive factor.  Unverified: the callers check what
-    they keep.
+    satisfies every row, or (False, verdict, y) when no basis row has a
+    positive coefficient: the verdict is the violated row and the n basis
+    rows in ascending order, whose base rows the integers y >= 0 combine
+    into 0 <= negative, with weight 0 on each basis row whose coefficient is
+    0; ``infeasible_on`` re-solves those n + 1 rows and accepts with y, up
+    to a positive factor.  Unverified: the callers check what they keep.
     """
     n = len(rows[0][0])
     scaled = [[den * x for x in vec] for vec, _, den, _, _ in rows]
@@ -294,18 +291,17 @@ def pivot(rows: Sequence[tuple], start: Optional[Sequence[int]] = None) -> tuple
         lam = expansion(r)
         leaving = [k for k in range(n) if lam[k] > 0]
         if not leaving:
-            weights = {r: D, **{basis[k]: -lam[k] for k in range(n) if lam[k] < 0}}
-            support = sorted(weights)
-            pads = [basis[k] for k in range(n) if not lam[k]]
-            return False, (support, pads), [weights[i] * rows[i][2] for i in support]
+            weights = {r: D, **{basis[k]: -lam[k] for k in range(n)}}
+            verdict = sorted(weights)
+            return False, verdict, [weights[i] * rows[i][2] for i in verdict]
         k = min(leaving, key=basis.__getitem__)
         cols, D = _swap(cols, D, k, lam)
         basis[k] = r
 
 
 # ---------------------------------------------------------------------------
-# Checks of a stored basis or padded support on other rows: Cramer's rule in
-# the case systems' shape
+# Checks of a stored basis or infeasible verdict on other rows: Cramer's rule
+# in the case systems' shape
 # ---------------------------------------------------------------------------
 
 def _signed_minors(vectors: list) -> list[int]:
@@ -341,26 +337,25 @@ def _kernel_vector(vectors: list) -> Optional[list[int]]:
     return y if any(y) else None
 
 
-def infeasible_on(rows: Sequence[tuple], verdict: Optional[tuple]) -> Optional[list[int]]:
-    """The weights y >= 0 by which the base rows ``support`` of a verdict
-    (support, pads) that ``pivot`` gives prove ``rows`` infeasible, or None:
-    the kernel generator of the five directions support + pads
-    (``_kernel_vector``) must be zero on every pad, which makes it the
-    support's own, and of one sign; taken nonnegative, it must cancel every
-    variable and combine the right-hand sides into a negative number."""
+def infeasible_on(rows: Sequence[tuple], verdict: Optional[Sequence[int]]) -> Optional[list[int]]:
+    """The weights y >= 0 by which the base rows ``verdict``, the n + 1 rows
+    an infeasible ``pivot`` run ends on, prove ``rows`` infeasible, or None:
+    the kernel generator of their five directions (``_kernel_vector``) must
+    be of one sign; taken nonnegative, it must cancel every variable and
+    combine the right-hand sides into a negative number.  A weight may be
+    0."""
     if not verdict:
         return None
-    support, pads = verdict
-    picked = [rows[i] for i in [*support, *pads]]
+    picked = [rows[i] for i in verdict]
     vecs = [vec for vec, _, _, _, _ in picked]
     y = _kernel_vector(vecs)
-    if y is None or any(y[len(support):]) or min(y) < 0 < max(y):
+    if y is None or min(y) < 0 < max(y):
         return None
     if min(y) < 0:
         y = [-x for x in y]
     ok = (not any([sum(map(operator.mul, y, column)) for column in zip(*vecs)])
           and _lcm_sum([(w * num, den) for w, (_, num, den, _, _) in zip(y, picked)]) < 0)
-    return y[:len(support)] if ok else None
+    return y if ok else None
 
 
 def feasible_at(rows: list[tuple], basis: Optional[Sequence[int]]) -> Optional[tuple[list[int], int]]:
@@ -385,7 +380,7 @@ def feasible_at(rows: list[tuple], basis: Optional[Sequence[int]]) -> Optional[t
 def support_farkas(rows: Sequence[tuple], support: Sequence[int], y: Sequence[int]) -> tuple[Fraction, ...]:
     """The Farkas vector, one multiplier per inequality of ``rows``, of the
     weights ``y`` that ``infeasible_on`` or ``pivot`` gives the base rows
-    ``support``.
+    ``support`` (a verdict; a weight of 0 gives a multiplier of 0).
 
     y_k weighs base row (vec, num, den, q, p), whose direction has the
     leading entry piv, so it weighs its inequality by y_k * q * |piv| / p;
@@ -427,7 +422,7 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
         witness = {v: Fraction(xs[k] - minus.get(k, 0), D) for k, v in enumerate(system.variables)}
         result = FeasibilityResult("feasible", witness=witness)
     else:
-        result = FeasibilityResult("infeasible", farkas=support_farkas(split, found[0], cert)[:len(rows)])
+        result = FeasibilityResult("infeasible", farkas=support_farkas(split, found, cert)[:len(rows)])
     return verified(system.variables, system_pairs(system), result)
 
 

@@ -19,9 +19,9 @@ exact Fractions at one t.  The optimizer and the scan step over a grid
 optimizer is an exact Fibonacci search that compares distortions by
 cross-multiplication and makes one norm_report, at t*, and the scan builds
 each row's Fractions from them.  build_matrices populates the same rows as
-Fraction matrices (inverting M by Gauss-Jordan); it, operator_norm_T/S,
-apply_T/S and inverse_closed_form are the independent matrix route the
-tests check the tables against.  Every parameter is read as a Fraction (an
+Fraction matrices (M^{-1} from its closed form, inverse_closed_form); it,
+operator_norm_T/S and apply_T/S are the independent matrix route the tests
+check the tables against.  Every parameter is read as a Fraction (an
 int, a Fraction, a float's binary value or a numeric string), so every
 entry, norm and product is exact.  mpmath is loaded only to display the
 closed-form minimizer, in cubic_formula_value.
@@ -65,26 +65,6 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
     )
-
-
-def _mat_inverse(m: Matrix) -> Matrix:
-    """Gauss-Jordan inverse over Fractions."""
-    n = len(m)
-    aug = [list(row) + [0] * n for row in m]
-    for i in range(n):
-        aug[i][n + i] = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise IsoDomainError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 @dataclass(frozen=True)
@@ -135,7 +115,7 @@ def build_matrices(t) -> IsoMatrices:
     c1 = (t**2 - t + 2) / (2 * t)
     C = ((c0, zero, zero), (zero, c1, zero), (zero, zero, c1))
     M3 = M[2]
-    Minv = _mat_inverse(M)
+    Minv = inverse_closed_form(t)
     shift = tuple(tuple(M3[j] - C[i][j] for j in range(3)) for i in range(3))  # M' - C
     # W = (M' - C) Minv; row i of the S tail couples g(3m+i) and the head values.
     W = _mat_mul(shift, Minv)
@@ -150,7 +130,7 @@ def build_matrices(t) -> IsoMatrices:
 
 
 def inverse_closed_form(t) -> Matrix:
-    """The algebraic closed form of M^{-1}, kept as an independent cross-check."""
+    """M^{-1} in closed form: the tests check M times it, both ways, is the identity."""
     t, _, _ = _read_parameter(t)
     d1 = t**4 - 7 * t**3 + 12 * t**2 - 8 * t + 8
     d2 = t**3 - 5 * t**2 + 2 * t - 4

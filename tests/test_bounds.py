@@ -126,3 +126,15 @@ def test_table_rows():
     assert rows[0]["kind"] == "height" and rows[0]["value"].startswith("4.2360679")
     assert rows[1]["value"].startswith("3.0")
     assert rows[2]["value"].startswith("3.2301")
+
+
+def test_audits_catch_the_wrong_monotonicity(monkeypatch):
+    """Neither monotonicity audit passes vacuously (acceptance criterion 6):
+    an h that rises on the last tenth of [0, 1], or an s that falls past
+    theta = 9, fails its audit."""
+    import bmbounds.bounds as bounds
+
+    monkeypatch.setattr(bounds, "h_theta", lambda m, theta: max(theta, mp.mpf("0.9")))
+    monkeypatch.setattr(bounds, "s_theta", lambda m, t, theta: -max(theta, mp.mpf(9)))
+    assert check_h_decreasing(2) is False
+    assert check_s_increasing(3, 3) is False

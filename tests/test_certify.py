@@ -309,7 +309,9 @@ class TestBinarySearch:
         def run(rows, start):
             if wrong == "origin basis":  # the nonneg rows, last in every case's rows
                 return True, list(range(len(rows) - 4, len(rows))), ([0] * 4, 1)
-            return False, ([0], [1, 2, 3, 4]), [1]  # the first row alone, padded to five
+            # The first row and the four nonneg rows, no certificate: their kernel
+            # weighs the first row, whose rhs is >= 0, and nonneg rows of rhs 0.
+            return False, [0, *range(len(rows) - 4, len(rows))], [1, 0, 0, 0, 0]
 
         monkeypatch.setattr(exactlp, "pivot", run)
         for run in (lambda: binary_search_bound(F(3), F(5), 4),
@@ -421,9 +423,8 @@ class TestBinarySearch:
 
     def test_warm_infeasible_verdicts_run_no_elimination(self, monkeypatch, fm_runs):
         """A probe verdict its stored Farkas support settles runs no
-        pivot: the support's weights, one per support row, prove the
-        case's full row list infeasible, re-solved on the n + 1 = 5 rows
-        of the support and its pads."""
+        pivot: the weights of its n + 1 = 5 rows, re-solved on them, prove
+        the case's full row list infeasible."""
         import bmbounds.certify as certify_mod
         from bmbounds.systems import CASE_TABLES, VARIABLES
 
@@ -434,9 +435,7 @@ class TestBinarySearch:
             verdict, runs = bases.get((key, False)), len(fm_runs)
             y, _ = out = settle(bases, key, rows)
             if y and probing and len(fm_runs) == runs:  # not a support a pivot run ended at
-                support, pads = bases[key, False]
-                assert bases[key, False] is verdict and len(y) == len(support)
-                assert len(support) + len(pads) == len(VARIABLES) + 1
+                assert bases[key, False] is verdict and len(y) == len(verdict) == len(VARIABLES) + 1
                 assert len(rows) == len(CASE_TABLES[key]) + 4
                 settled.append(key)
             return out
@@ -542,6 +541,20 @@ class TestSweep:
         doc = json.loads(json.dumps(sweep_doc))
         forge(doc)
         assert verify_certificate_text(json.dumps(doc))[0] == EXIT_NOT_CERTIFIED
+
+    def test_forged_sweep_bracket(self):
+        """A sweep of 1,0,2 and 2,1,4 over [3, 5] whose last entry embeds a
+        genuine search over [3, 4] instead, its t_lo and t_hi rebound to
+        it: every search verifies and the ranking holds, but the entries
+        were not searched over one bracket."""
+        ranked, skipped = sweep_policies([CPolicy(1, 0, 2), CPolicy(2, 1, 4)], F(3), F(5), 2)
+        doc = sweep_report_doc(ranked, skipped, Variant.SYMMETRIZED, 2)
+        entry = doc["results"][-1]
+        bound = binary_search_bound(F(3), F(4), 2, CPolicy.parse(entry["policy"]))
+        entry.update(search=search_report_doc(bound), t_lo=format_rational(bound.t_lo),
+                     t_hi=format_rational(bound.t_hi))
+        assert verify_certificate_text(json.dumps(doc)) == (
+            EXIT_NOT_CERTIFIED, "the searches do not share one bracket")
 
     def test_sweep_doc_that_repeats_a_policy(self):
         """A sweep searches each policy once, so a document whose results hold
@@ -715,10 +728,15 @@ class TestCertificateFiles:
         ("farkas", {str(i): "1" for i in range(9)}, "farkas must be a list, got dict"),
         ("witness", ["0", "0", "0", "0"], "witness must be an object, got list"),
         ("witness", "0000", "witness must be an object, got str"),
-    ], ids=["farkas-string", "farkas-object", "witness-list", "witness-string"])
+        ("witness", {"th0": "0", "th1": "0", "th2": "0"}, "witness misses variables ['a']"),
+        ("status", "maybe", "unknown status 'maybe'"),
+    ], ids=["farkas-string", "farkas-object", "witness-list", "witness-string",
+            "witness-without-a", "unknown-status"])
     def test_certificate_of_another_json_type_is_malformed(self, field, value, message):
         """A Farkas vector must be a JSON list and a witness a JSON object: a
-        string would be read character by character, an object key by key."""
+        string would be read character by character, an object key by key.
+        A witness names every variable, and a status is feasible or
+        infeasible."""
         doc = certify_report_doc(certify_at(F(57, 16)))
         entry = next(e for e in doc["cases"] if field in e)
         entry[field] = value
@@ -803,6 +821,27 @@ class TestHeadlineClaims:
         doc = json.loads(json.dumps(search_doc))
         forge(doc)
         assert self.audit(doc)[0] == EXIT_NOT_CERTIFIED
+
+    @pytest.fixture(scope="class")
+    def zero_iter_search_doc(self):
+        return search_report_doc(binary_search_bound(F(3), F(5), 0, CPolicy(2, 1, 4)))
+
+    @pytest.mark.parametrize("end, t, message", [
+        ("lower", "4", "report at t=4 is not all-infeasible"),
+        ("upper", "7/2", "report at t=7/2 has no feasible case"),
+    ], ids=["lower-report-at-4", "upper-report-at-7/2"])
+    def test_forged_search_end_report(self, zero_iter_search_doc, end, t, message):
+        """A 0-iteration search whose lower (upper) report is the genuine
+        report at t, with t_lo (t_hi) and its trace entry moved to t: every
+        certificate verifies, the trace replays and the bracket stays
+        ordered, so only the report's own verdict gives the forgery away (the
+        lower one claims t_lo = 4, above the paper's U = 3.87513)."""
+        doc = json.loads(json.dumps(zero_iter_search_doc))
+        report = certify_report_doc(certify_at(parse_rational(t)))
+        doc[f"{end}_report"] = {key: report[key] for key in ("t", "c", "cases")}
+        doc["t_lo" if end == "lower" else "t_hi"] = t
+        doc["trace"][end == "upper"]["t"] = t
+        assert self.audit(doc) == (EXIT_NOT_CERTIFIED, message)
 
     def test_search_fixture_trace(self, search_doc):
         """The trace tamper tests below index into this bisection."""

@@ -530,6 +530,8 @@ class TestVerifyCertCommand:
     # certify and dichotomy have no CSV rendering.
     ["certify", "--t", "4", "--format", "csv"],
     ["dichotomy", "--t", "4", "--format", "csv"],
+    # A scan spec has three parts.
+    ["upper", "--scan", "3:4"],
 ])
 def test_bad_arguments_rejected_at_parse_time(capsys, monkeypatch, argv):
     def boom(*args, **kwargs):  # pragma: no cover
@@ -540,7 +542,10 @@ def test_bad_arguments_rejected_at_parse_time(capsys, monkeypatch, argv):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.splitlines()[-1].startswith(f"bmbounds {argv[0]}: error: argument ")
+    last = err.splitlines()[-1]
+    assert last.startswith(f"bmbounds {argv[0]}: error: argument ")
+    if argv[1] == "--scan":
+        assert last.endswith(f"--scan: scan spec must be lo:hi:step, got {argv[2]!r}")
     assert "Traceback" not in err
 
 

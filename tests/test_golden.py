@@ -123,6 +123,17 @@ rows (``test_certificates_are_supports_and_vertices``).  Only ``farkas``
 and ``witness`` entries changed: every status, echo, ``t_lo``, ``t_hi``,
 trace, ``certified`` flag and exit code is as before, and so is every
 text, CSV, ``upper`` and ``bounds`` digest.
+
+The ``sweep --iters 2 --format structured``, ``search --lo 3 --hi 5 --iters
+24 --c-policy 3,1,5 --format structured`` and ``sweep --iters 12 --format
+structured`` digests were recorded again when a stored infeasible verdict
+became the n + 1 rows its pivot run ended on, accepted at another t
+whenever their kernel is one-signed with a negative combined rhs.  Before,
+it was also rejected when that kernel weighed a row of weight 0 in the run,
+and a new pivot run decided the case.  Five Farkas vectors of these
+documents now come from the stored rows, with smaller entries (at most 27
+bits, where they reached 54).  Only ``farkas`` entries changed, and every
+other digest is as before.
 """
 
 import hashlib
@@ -158,13 +169,13 @@ GOLDEN = {
     "certify --t 4 --format structured":
         (1, "1fc871349386614501111c46b40ddaf7d8647eab1804002d877e818ba1762786"),
     "sweep --iters 2 --format structured":
-        (0, "6194c40e05ecb28a11e172b30851c4abfc0675550e3397cd0a48c718cc27a966"),
+        (0, "a69239f0e27859ddca4cad9c52f2bc6cd8612996fb2f5e634b53a9a9d7bd51a9"),
     "search --lo 3 --hi 5 --iters 0 --format structured":
         (0, "9e0ba1a9ff3d1381275f5b8ad7dd47a44611ca56cef52bce66bac2b020ca6d54"),
     "upper --optimize --tol 1e-8 --format structured":
         (0, "78e84e9172fe3a9d351faff08ee0db37e3641af7804f3fac27a0c2149e51596c"),
     "search --lo 3 --hi 5 --iters 24 --c-policy 3,1,5 --format structured":
-        (0, "0f7a9e50c7199e9664bd941f9dcb0e494a28abc94ce44d5fa6c718ad601e92e7"),
+        (0, "0132be1f0f9b9a3e74c3726f6599fc1268bf7a9f9088f5612a11cf621d98dcb1"),
     "dichotomy --t 10/3 --format structured":
         (0, "0faf765f22d4fa1f46466d46fb23741422c171572941895e5dc61d6182cf2e30"),
     "dichotomy --t 7/2 --functions 0 2 --variant printed --format structured":
@@ -204,7 +215,7 @@ GOLDEN = {
     "upper --t 7/2 --format csv":
         (0, "31165587e1c069cde239a40758b321357447597f2b4c597dc2e324931e77162e"),
     "sweep --iters 12 --format structured":
-        (0, "6cf65b414acd6f8754e5bffa4f78210ba4fa88f1cc0c7aeaaef4a9e3378d0141"),
+        (0, "c00a0129e5e413b0f2f41e8963b3da5c87f1fb38e4bba39a7cde35969f100985"),
     "dichotomy --t 11/3 --format structured":
         (1, "59229d7eccdef43661e5cc86bd05ffd61bc412f924774601b05478d867338630"),
     "dichotomy --t 15/4 --functions 0 1 --variant printed --format structured":

@@ -11,14 +11,15 @@ feasible case.  It relies on the monotonicity of feasibility in t (valid
 for affine c-policies) and returns a CertifiedBound whose endpoint reports
 hold all four cases with machine-checkable certificates: Farkas vectors at
 t_lo, a witness at t_hi.  Reports and probes settle each case in one step
-(``_settle``) on its full list of base rows: by the support, else the
-basis, that last decided it, and by one ``exactlp.pivot`` run only where
-neither holds, so every Farkas vector is a support's primitive integer
-multipliers and every witness a basis vertex.  A dichotomy decides its
-four base systems once per t, as ``certify_at`` does, then each case over
-every branch assignment: a plain-infeasible case carries its Farkas
-vector, zero-padded on the branch rows, to every assignment, checked
-once, as the zeros leave every assignment's check reading the same rows;
+(``_settle``) on its full list of base rows: by the verdict (the five rows
+an infeasible run ended on), else the basis, that last decided it, and by
+one ``exactlp.pivot`` run only where neither holds, so every Farkas vector
+comes from a verdict's weights (``exactlp.support_farkas``) and every
+witness is a basis vertex.  A dichotomy decides its four base systems once
+per t, as ``certify_at`` does, then each case over every branch
+assignment: a plain-infeasible case carries its Farkas vector,
+zero-padded on the branch rows, to every assignment, checked once, as
+the zeros leave every assignment's check reading the same rows;
 a plain-feasible case is settled per assignment, starting from the basis
 its plain run ended at, or, with no functions, carries its plain result.
 All four document kinds (certify, search, sweep, dichotomy) are built
@@ -111,7 +112,7 @@ class CaseReport:
 
     Every report comes from ``_certify_at`` (a dichotomy assignment is one
     with branch rows added, and a search's end reports take certificates
-    from the probes' supports and bases): it holds all four cases, in
+    from the probes' verdicts and bases): it holds all four cases, in
     ``ALL_CASES`` order, each with a certificate verified against the pair
     rows of its system.  ``functions`` and ``branches`` name the dichotomy branch
     assignment (one "a"/"b" per function); a plain report has functions
@@ -183,9 +184,9 @@ def _certify_at(t: Fraction, policy: CPolicy, variant: Variant,
     system, by case.
 
     Each case is settled as a probe settles it (``_certificate``), with the
-    supports and bases of ``bases``: those a bisection's probes keep
+    verdicts and bases of ``bases``: those a bisection's probes keep
     (``_first_feasible``), or a fresh dict, which this fills with the
-    support or basis that settles each case.  Every certificate passes
+    verdict or basis that settles each case.  Every certificate passes
     ``verified`` alike.
     """
     t = Fraction(t)
@@ -277,7 +278,7 @@ def binary_search_bound(
     case in the error.
 
     Probes are warm-started: one dict, kept across the probes, holds per
-    case the last support and the last basis a pivot run ended at for it,
+    case the last verdict and the last basis a pivot run ended at for it,
     which ``_settle`` tries on the case's base rows (``case_rows``) at the
     new t, in that order, before it runs ``exactlp.pivot`` from that
     basis.  Each check accepts a verdict only after exact integer
@@ -287,7 +288,7 @@ def binary_search_bound(
     The two reports take their certificates from that dict
     (``_certify_at``): the report at t_hi reads it as the search leaves
     it, the report at t_lo a copy taken after the last all-infeasible
-    probe, in which every case's support holds at t_lo, so it runs no
+    probe, in which every case's verdict holds at t_lo, so it runs no
     pivot.  Their verdicts are those of ``certify_at``.
     """
     _check_iters(iters)
@@ -390,7 +391,7 @@ def certify_dichotomy(
     """Decide all 2**b branch assignments; certified iff all infeasible.
 
     Each plain case system is decided once, as ``certify_at`` does, on a
-    fresh dict of supports and bases; then each case is decided over every
+    fresh dict of verdicts and bases; then each case is decided over every
     assignment, whose branch rows follow its base inequalities, before the
     nonneg rows.  Adding rows cannot make an infeasible system feasible, so
     every assignment of a plain-infeasible case carries one object: the

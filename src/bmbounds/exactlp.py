@@ -31,11 +31,13 @@ or ``feasible_at``: they re-solve five rows or a basis (four rows) over
 four variables by Cramer's rule, on the rows a pivot run ended on or on
 other rows of the same shape, reject any other shape, accept only after
 exact substitution, and return the weights of the five rows or the basis
-vertex; ``support_farkas`` turns those weights into a primitive integer
-Farkas vector on the inequalities.  The independent cross-checks, an exact
-phase-1 simplex, Fourier-Motzkin elimination, brute-force vertex
-enumeration and a Fraction reference verifier, live with the tests
-(``tests/crosscheck.py``), which require them to agree with this module.
+vertex.  Both read that one shape directly, each row and entry a local,
+each sum written out term by term.  ``support_farkas`` turns those
+weights into a primitive integer Farkas vector on the inequalities.  The
+independent cross-checks, an exact phase-1 simplex, Fourier-Motzkin
+elimination, brute-force vertex enumeration and a Fraction reference
+verifier, live with the tests (``tests/crosscheck.py``), which require
+them to agree with this module.
 
 No floating point is used anywhere in this module.
 """
@@ -341,40 +343,58 @@ def infeasible_on(rows: Sequence[tuple], verdict: Optional[Sequence[int]]) -> Op
     """The weights y >= 0 by which the base rows ``verdict``, the n + 1 rows
     an infeasible ``pivot`` run ends on, prove ``rows`` infeasible, or None:
     the kernel generator of their five directions (``_kernel_vector``) must
-    be of one sign; taken nonnegative, it must cancel every variable and
-    combine the right-hand sides into a negative number.  A weight may be
-    0."""
-    if not verdict:
+    be of one sign; taken nonnegative, it must cancel each of the four
+    variables, one five-term sum each, and combine the right-hand sides over
+    the lcm L of their denominators, sum y_k * num_k * (L // den_k), into a
+    negative number.  A weight may be 0.  Any shape but five rows over four
+    variables gives None."""
+    if not verdict or len(verdict) != 5:
         return None
-    picked = [rows[i] for i in verdict]
-    vecs = [vec for vec, _, _, _, _ in picked]
-    y = _kernel_vector(vecs)
+    (a, an, ad, _, _), (b, bn, bd, _, _), (c, cn, cd, _, _), (d, dn, dd, _, _), (e, en, ed, _, _) = [
+        rows[i] for i in verdict]
+    if len(a) != 4:
+        return None
+    y = _kernel_vector([a, b, c, d, e])
     if y is None or min(y) < 0 < max(y):
         return None
     if min(y) < 0:
         y = [-x for x in y]
-    ok = (not any([sum(map(operator.mul, y, column)) for column in zip(*vecs)])
-          and _lcm_sum([(w * num, den) for w, (_, num, den, _, _) in zip(y, picked)]) < 0)
-    return y if ok else None
+    ya, yb, yc, yd, ye = y
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3), (e0, e1, e2, e3) = a, b, c, d, e
+    if (ya * a0 + yb * b0 + yc * c0 + yd * d0 + ye * e0
+            or ya * a1 + yb * b1 + yc * c1 + yd * d1 + ye * e1
+            or ya * a2 + yb * b2 + yc * c2 + yd * d2 + ye * e2
+            or ya * a3 + yb * b3 + yc * c3 + yd * d3 + ye * e3):
+        return None
+    L = math.lcm(ad, bd, cd, dd, ed)
+    rhs = (ya * an * (L // ad) + yb * bn * (L // bd) + yc * cn * (L // cd)
+           + yd * dn * (L // dd) + ye * en * (L // ed))
+    return y if rhs < 0 else None
 
 
 def feasible_at(rows: list[tuple], basis: Optional[Sequence[int]]) -> Optional[tuple[list[int], int]]:
-    """The point (xs, D), x = xs / D, where the n base rows ``basis`` are
+    """The point (xs, D), x = xs / D, where the four base rows ``basis`` are
     tight, if it exists and satisfies every row of ``rows``, the nonneg rows
-    included; else None.  (xs, D) is the kernel generator, D > 0, of the
-    columns den * direction and -rhs of those rows (``_kernel_vector``:
-    Cramer's rule for four rows over four variables, None for other shapes)."""
-    if not basis:
+    included, as den * (vec . xs) <= num * D; else None.  (xs, D) is the
+    kernel generator, D > 0, of the columns den * direction and -rhs of
+    those rows (``_kernel_vector``: Cramer's rule).  Any shape but four rows
+    over four variables gives None."""
+    if not basis or len(basis) != 4:
         return None
-    n = len(rows[0][0])
-    tight = [rows[i] for i in basis]
-    z = _kernel_vector([[den * vec[j] for vec, _, den, _, _ in tight] for j in range(n)]
-                       + [[-num for _, num, _, _, _ in tight]])
-    if z is None or not z[-1]:
+    (a, an, ad, _, _), (b, bn, bd, _, _), (c, cn, cd, _, _), (d, dn, dd, _, _) = [rows[i] for i in basis]
+    if len(a) != 4:
         return None
-    *xs, D = z if z[-1] > 0 else [-x for x in z]
-    ok = all(den * sum(map(operator.mul, vec, xs)) <= num * D for vec, num, den, _, _ in rows)
-    return (xs, D) if ok else None
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = a, b, c, d
+    z = _kernel_vector([[ad * a0, bd * b0, cd * c0, dd * d0], [ad * a1, bd * b1, cd * c1, dd * d1],
+                        [ad * a2, bd * b2, cd * c2, dd * d2], [ad * a3, bd * b3, cd * c3, dd * d3],
+                        [-an, -bn, -cn, -dn]])
+    if z is None or not z[4]:
+        return None
+    x0, x1, x2, x3, D = z if z[4] > 0 else [-x for x in z]
+    for (r0, r1, r2, r3), num, den, _, _ in rows:
+        if den * (r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3) > num * D:
+            return None
+    return [x0, x1, x2, x3], D
 
 
 def support_farkas(rows: Sequence[tuple], support: Sequence[int], y: Sequence[int]) -> tuple[Fraction, ...]:

@@ -845,8 +845,15 @@ def _unit(j, sign, n=4):
 _NONNEG = [(_unit(j, -1), 0) for j in range(4)]
 
 
+def _base(vec, rhs):
+    """The base row vec . x <= rhs, rhs an int or a Fraction, with p = q = 1."""
+    rhs = F(rhs)
+    return vec, rhs.numerator, rhs.denominator, 1, 1
+
+
 @pytest.mark.parametrize("rows, verdict, weights", [
     ([((1, 1, 1, 1), -1), *_NONNEG], [0, 1, 2, 3, 4], [1, 1, 1, 1, 1]),
+    ([((1, 1, 1, 1), -1), (_unit(0, -1), F(2, 3)), *_NONNEG[1:]], [0, 1, 2, 3, 4], [1, 1, 1, 1, 1]),
     ([((1, 1, 1, 0), -1), *_NONNEG], [0, 1, 2, 3, 4], [1, 1, 1, 1, 0]),
     ([((1, 1, 1, 2), -1), *_NONNEG], [0, 1, 2, 3, 4], [1, 1, 1, 1, 2]),
     ([((1, 1, 1, 1), -1), *_NONNEG[:3], (_unit(3, 1), 0)], [0, 1, 2, 3, 4], None),
@@ -856,18 +863,48 @@ _NONNEG = [(_unit(j, -1), 0) for j in range(4)]
     ([((1, 1, 1, 1), -1), *_NONNEG], [0, 1, 2, 3], None),
     ([((1, 1, 1, 1), -1), *_NONNEG, ((1, 0, 0, 0), 1)], [0, 1, 2, 3, 4, 5], None),
     ([((1, 1, 1), -1), *[(_unit(j, -1, 3), 0) for j in range(3)]], [0, 1, 2, 3], None),
-], ids=["accepted", "zero weight", "weight on the last row", "mixed sign", "zero rhs",
-        "positive rhs", "rank below 4", "four rows", "six rows", "three variables"])
+], ids=["accepted", "lcm of the denominators", "zero weight", "weight on the last row", "mixed sign",
+        "zero rhs", "positive rhs", "rank below 4", "four rows", "six rows", "three variables"])
 def test_infeasible_on_rules(rows, verdict, weights):
     """``infeasible_on`` accepts five rows over four variables exactly when
     their kernel is of one sign and combines the right-hand sides into a
     negative number, with the weights on all five up to a positive factor, a
-    zero weight included; any other shape gives None."""
-    y = exactlp.infeasible_on([(vec, num, 1, 1, 1) for vec, num in rows], verdict)
+    zero weight included; any other shape gives None.  The right-hand sides
+    are summed over their denominators: the lcm case sums to -1 + 2/3 < 0,
+    but to -1 + 2 > 0 with the denominators dropped."""
+    y = exactlp.infeasible_on([_base(vec, rhs) for vec, rhs in rows], verdict)
     if weights is None:
         assert y is None
     else:
         assert y[0] > 0 and [F(x, y[0]) for x in y] == weights
+
+
+# x0 <= 1/2 and x1 <= 1, tight with x2 = x3 = 0 at the vertex (1/2, 1, 0, 0).
+_TIGHT = [((1, 0, 0, 0), F(1, 2)), ((0, 1, 0, 0), 1)]
+
+
+@pytest.mark.parametrize("rows, basis, vertex", [
+    ([*_TIGHT, ((1, 1, 0, 0), 2), *_NONNEG], [1, 0, 5, 6], ([1, 2, 0, 0], 2)),
+    ([*_TIGHT, ((1, 1, 0, 0), 2), *_NONNEG], None, None),
+    ([*_TIGHT, ((1, 1, 0, 0), 2), *_NONNEG], [], None),
+    ([*_TIGHT, ((1, 1, 0, 0), 2), *_NONNEG], [1, 0, 5], None),
+    ([*_TIGHT, ((1, 1, 0, 0), 2), *_NONNEG], [1, 0, 5, 6, 3], None),
+    ([((1, 0, 0), F(1, 2)), ((0, 1, 0), 1), ((-1, 0, 0), 0), ((0, 0, -1), 0)], [0, 1, 2, 3], None),
+    ([_TIGHT[0], ((1, 0, 0, 0), 1), *_NONNEG], [1, 0, 4, 5], None),
+    ([*_TIGHT, ((1, 1, 0, 0), F(4, 3)), *_NONNEG], [1, 0, 5, 6], None),
+    ([((1, 0, 0, 0), -1), _TIGHT[1], ((1, 1, 0, 0), 2), *_NONNEG], [1, 0, 5, 6], None),
+], ids=["accepted", "no basis", "empty basis", "three rows", "five rows", "three variables",
+        "singular", "violates a table row", "violates a nonneg row"])
+def test_feasible_at_rules(rows, basis, vertex):
+    """``feasible_at`` accepts four rows over four variables exactly when
+    they are independent and the point where they are tight satisfies every
+    row, the nonneg rows included, and returns it as (xs, D), D > 0: the
+    accepted basis has a row of denominator 2, and its determinant is
+    negative before it is normalised.  The singular basis has a kernel
+    generator, the ray along x1, that satisfies every row with D = 0.  The
+    violated table row, x0 + x1 <= 4/3, is read as 3 * (1 + 2) > 4 * 2: with
+    its denominator left out of the lhs, 1 + 2 <= 4 * 2 would hold."""
+    assert exactlp.feasible_at([_base(vec, rhs) for vec, rhs in rows], basis) == vertex
 
 
 def test_infeasible_on_rejects_a_kernel_that_does_not_cancel(monkeypatch):

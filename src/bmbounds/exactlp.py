@@ -16,7 +16,11 @@ adjugate and the determinant of its basis matrix, updated per swap by one
 exact division.  It ends at a basis whose vertex satisfies every row, or
 at the n + 1 rows of its last basis and the entering row, whose integer
 weights, some of which may be 0, combine them into 0 <= negative.
-Fractions are made only for a returned witness or Farkas vector.
+Fractions are made only for a returned witness or Farkas vector.  Rows
+over four variables, as in every case system and dichotomy assignment, run
+a body of ``pivot`` and ``_swap`` written for them term by term; any other
+width, which only ``check_feasibility`` passes, runs the generic body,
+``_pivot_n`` and ``_swap_n``, with the same rules and the same swaps.
 
 Every verdict passes one exact check by substitution before it is used.
 ``verify_pairs`` is the one certificate check: it reads pair rows, each
@@ -233,11 +237,48 @@ def _swap(cols: list, D: int, k: int, lam: list[int]) -> tuple[list, int]:
     expansion is lam / D, lam[k] != 0.  The determinant becomes lam[k] and
     column k is kept; every other column j becomes (lam[k] * c_j - lam[j] *
     c_k) / D, an exact division, as the new columns are those of an
-    adjugate again.  Both are negated if lam[k] < 0."""
+    adjugate again.  Both are negated if lam[k] < 0.  Four columns of four
+    entries are updated term by term, any other width by ``_swap_n``."""
+    if len(lam) != 4:
+        return _swap_n(cols, D, k, lam)
+    d, (y0, y1, y2, y3) = lam[k], cols[k]
+    if d < 0:  # -(d * c_j - lam[j] * c_k) is |d| * c_j - lam[j] * (-c_k)
+        d, y0, y1, y2, y3 = -d, -y0, -y1, -y2, -y3
+    new = [(y0, y1, y2, y3)] * 4
+    for j, ((x0, x1, x2, x3), m) in enumerate(zip(cols, lam)):
+        if j != k:
+            new[j] = ((d * x0 - m * y0) // D, (d * x1 - m * y1) // D,
+                      (d * x2 - m * y2) // D, (d * x3 - m * y3) // D)
+    return new, d
+
+
+def _swap_n(cols: list, D: int, k: int, lam: list[int]) -> tuple[list, int]:
+    """``_swap`` for columns of any width."""
     d, ck = lam[k], cols[k]
     s = 1 if d > 0 else -1
     return [[s * x for x in ck] if j == k else [s * (d * x - lam[j] * y) // D for x, y in zip(col, ck)]
             for j, col in enumerate(cols)], abs(d)
+
+
+# The nonneg rows -x_j <= 0 of four variables: at their basis D = 1, and its columns are their directions.
+_NONNEG4 = [(tuple([-int(i == j) for i in range(4)]), 0, 1, 1, 1) for j in range(4)]
+
+
+def _swap_in(rows: Sequence[tuple], start: Optional[Sequence[int]], basis: list, cols: list) -> tuple:
+    """The columns and determinant once the rows of ``start`` are swapped into
+    ``basis`` (updated in place) by ``pivot``'s start rule, from ``cols``, D = 1."""
+    D, fixed = 1, set()
+    for r in start or ():
+        if r not in basis:
+            vec, _, den, _, _ = rows[r]
+            lam = [den * sum(map(operator.mul, vec, col)) for col in cols]
+            k = next((k for k in range(len(lam)) if lam[k] and basis[k] not in fixed), None)
+            if k is None:
+                continue
+            cols, D = _swap(cols, D, k, lam)
+            basis[k] = r
+        fixed.add(r)
+    return cols, D
 
 
 def pivot(rows: Sequence[tuple], start: Optional[Sequence[int]] = None) -> tuple:
@@ -261,36 +302,54 @@ def pivot(rows: Sequence[tuple], start: Optional[Sequence[int]] = None) -> tuple
     into 0 <= negative, with weight 0 on each basis row whose coefficient is
     0; ``infeasible_on`` re-solves those n + 1 rows and accepts with y, up
     to a positive factor.  Unverified: the callers check what they keep.
+
+    Over four variables each column entry, vertex coordinate and expansion
+    coefficient is a local, each sum written out term by term; rows of any
+    other width run the generic body, ``_pivot_n``.  Every swap goes
+    through ``_swap``.
     """
+    if len(rows[0][0]) != 4:
+        return _pivot_n(rows, start)
+    basis = [rows.index(row) for row in _NONNEG4]
+    cols, D = _swap_in(rows, start, basis, [row[0] for row in _NONNEG4])
+    while True:
+        (p0, p1, p2, p3), (q0, q1, q2, q3), (u0, u1, u2, u3), (w0, w1, w2, w3) = cols
+        n0, n1, n2, n3 = [rows[i][1] for i in basis]
+        x0, x1 = n0 * p0 + n1 * q0 + n2 * u0 + n3 * w0, n0 * p1 + n1 * q1 + n2 * u1 + n3 * w1
+        x2, x3 = n0 * p2 + n1 * q2 + n2 * u2 + n3 * w2, n0 * p3 + n1 * q3 + n2 * u3 + n3 * w3
+        for r, ((a0, a1, a2, a3), num, den, _, _) in enumerate(rows):
+            if den * (a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3) > num * D:
+                break
+        else:
+            return True, basis, ([x0, x1, x2, x3], D)
+        a0, a1, a2, a3 = den * a0, den * a1, den * a2, den * a3
+        lam = [a0 * p0 + a1 * p1 + a2 * p2 + a3 * p3, a0 * q0 + a1 * q1 + a2 * q2 + a3 * q3,
+               a0 * u0 + a1 * u1 + a2 * u2 + a3 * u3, a0 * w0 + a1 * w1 + a2 * w2 + a3 * w3]
+        k = -1
+        for j, (b, m) in enumerate(zip(basis, lam)):
+            if m > 0 and (k < 0 or b < basis[k]):
+                k = j
+        if k < 0:
+            weights = {r: D, **{basis[j]: -lam[j] for j in range(4)}}
+            verdict = sorted(weights)
+            return False, verdict, [weights[i] * rows[i][2] for i in verdict]
+        cols, D = _swap(cols, D, k, lam)
+        basis[k] = r
+
+
+def _pivot_n(rows: Sequence[tuple], start: Optional[Sequence[int]] = None) -> tuple:
+    """``pivot``'s generic body, for rows of any width n."""
     n = len(rows[0][0])
     scaled = [[den * x for x in vec] for vec, _, den, _, _ in rows]
     basis = [rows.index((tuple([-int(i == j) for i in range(n)]), 0, 1, 1, 1)) for j in range(n)]
-    cols, D = [[-int(i == j) for i in range(n)] for j in range(n)], 1
-
-    def expansion(r: int) -> list[int]:
-        return [sum(map(operator.mul, scaled[r], col)) for col in cols]
-
-    fixed = set()
-    for r in start or ():
-        if r not in basis:
-            lam = expansion(r)
-            k = next((k for k in range(n) if lam[k] and basis[k] not in fixed), None)
-            if k is None:
-                continue
-            cols, D = _swap(cols, D, k, lam)
-            basis[k] = r
-        fixed.add(r)
+    cols, D = _swap_in(rows, start, basis, [[-int(i == j) for i in range(n)] for j in range(n)])
     while True:
-        xs = [0] * n
-        for i, col in zip(basis, cols):
-            num = rows[i][1]
-            if num:
-                xs = [x + num * c for x, c in zip(xs, col)]
+        xs = [sum([rows[i][1] * col[j] for i, col in zip(basis, cols)]) for j in range(n)]
         r = next((r for r, (a, row) in enumerate(zip(scaled, rows))
                   if sum(map(operator.mul, a, xs)) > row[1] * D), None)
         if r is None:
             return True, basis, (xs, D)
-        lam = expansion(r)
+        lam = [sum(map(operator.mul, scaled[r], col)) for col in cols]
         leaving = [k for k in range(n) if lam[k] > 0]
         if not leaving:
             weights = {r: D, **{basis[k]: -lam[k] for k in range(n)}}

@@ -22,7 +22,8 @@ from bmbounds.exactlp import (
 )
 import crosscheck
 from crosscheck import enumerate_vertices, fm_feasibility, reference_verify_certificate, simplex_feasibility
-from bmbounds.systems import ALL_CASES, VARIABLES, CPolicy, JCase, Variant, case_point, case_rows
+from bmbounds.systems import (ALL_CASES, BRANCH_ROWS, CASE_TABLES, VARIABLES, CPolicy, JCase, Variant,
+                              case_point, case_rows)
 
 F = Fraction
 
@@ -915,3 +916,170 @@ def test_infeasible_on_rejects_a_kernel_that_does_not_cancel(monkeypatch):
     assert exactlp.infeasible_on(rows, [0, 1, 2, 3, 4])
     monkeypatch.setattr(exactlp, "_kernel_vector", lambda vecs: [1, 1, 1, 1, 2])
     assert exactlp.infeasible_on(rows, [0, 1, 2, 3, 4]) is None
+
+
+# The width-4 body of ``pivot`` against the generic body, ``_pivot_n``.
+
+def _bodies(rows, start=None):
+    """The (triple, swaps) of ``pivot`` on ``rows`` and of the generic body,
+    ``_pivot_n`` with its swaps made by ``_swap_n``: each swap is recorded
+    as (D, k, lam), so the two runs must agree step by step."""
+    runs = []
+    for body, swap in ((exactlp.pivot, exactlp._swap), (exactlp._pivot_n, exactlp._swap_n)):
+        swaps = []
+
+        def recording(cols, D, k, lam, swap=swap):
+            swaps.append((D, k, list(lam)))
+            return swap(cols, D, k, lam)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exactlp, "_swap", recording)
+            runs.append((body(rows, start), swaps))
+    return runs
+
+
+def _near_start(rows_at, t, step, lo, hi):
+    """What a pivot run at the neighbouring t + step (kept in [lo, hi]) ends
+    on, a basis or n + 1 rows, from the rows ``rows_at`` gives there."""
+    return exactlp.pivot(rows_at(min(max(t + step, lo), hi)))[1]
+
+
+STEP = st.fractions(min_value=-F(1, 4), max_value=F(1, 4), max_denominator=256)
+
+
+@st.composite
+def case_pivot_inputs(draw):
+    """The case rows of a guarded policy, variant and case at t in [3, 5],
+    and no start or what a run at a neighbouring t ends on."""
+    policy, case = draw(st.sampled_from(GUARDED_POLICIES)), draw(st.sampled_from(ALL_CASES))
+    variant, t = draw(st.sampled_from(list(Variant))), draw(BRACKET_T)
+
+    def rows_at(s):
+        return case_rows(case, case_point(s, policy), variant)
+
+    start = _near_start(rows_at, t, draw(STEP), F(3), F(5)) if draw(st.booleans()) else None
+    return rows_at(t), start
+
+
+def _assignment_rows(policy, case, variant, t, functions, branches):
+    """A dichotomy assignment's rows at t: the case's table rows, the branch
+    rows of ``functions`` and ``branches``, then the nonneg rows."""
+    point = case_point(t, policy)
+    base, cut = case_rows(case, point, variant), len(CASE_TABLES[case])
+    return base[:cut] + [BRANCH_ROWS[m, br].make(point) for m, br in zip(functions, branches)] + base[cut:]
+
+
+@st.composite
+def assignment_pivot_inputs(draw):
+    """A dichotomy assignment's rows at a guarded policy and t in [3, 4], and
+    no start or what a run on the same assignment at a neighbouring t ends on."""
+    policy, case = draw(st.sampled_from(GUARDED_POLICIES)), draw(st.sampled_from(ALL_CASES))
+    variant = draw(st.sampled_from(list(Variant)))
+    t = draw(st.fractions(min_value=3, max_value=4, max_denominator=256))
+    functions = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+    branches = draw(st.lists(st.sampled_from("ab"), min_size=len(functions), max_size=len(functions)))
+
+    def rows_at(s):
+        return _assignment_rows(policy, case, variant, s, functions, branches)
+
+    start = _near_start(rows_at, t, draw(STEP), F(3), F(4)) if draw(st.booleans()) else None
+    return rows_at(t), start
+
+
+@st.composite
+def degenerate_pivot_inputs(draw):
+    """Base rows over four variables, the four nonneg rows among them in a
+    drawn order: rows through one rational point, repeated rows, rows
+    dependent on two earlier ones, zero-direction rows with a negative rhs
+    and random rows; and a start of drawn row indices, repeats, nonneg rows
+    (in the basis the run starts at) and dependent rows among them."""
+    small = st.integers(-3, 3)
+    point = [F(draw(small), draw(st.integers(1, 3))) for _ in range(4)]
+    table = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["through", "through", "repeat", "dependent", "zero", "random"]))
+        if kind in ("repeat", "dependent") and len(table) < 2:
+            kind = "random"
+        if kind == "repeat":
+            table.append(draw(st.sampled_from(table)))
+            continue
+        if kind == "zero":
+            rhs = F(-draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+            table.append(((0, 0, 0, 0), rhs.numerator, rhs.denominator, 1, 1))
+            continue
+        if kind == "dependent":
+            (u, un, ud, _, _), (v, vn, vd, _, _) = draw(st.permutations(table))[:2]
+            vec, rhs = [a + b for a, b in zip(u, v)], F(un, ud) + F(vn, vd)
+        else:
+            vec = [draw(small) for _ in range(4)]
+            rhs = (sum((a * x for a, x in zip(vec, point)), F(0)) if kind == "through"
+                   else F(draw(small), draw(st.integers(1, 3))))
+        if not any(vec):
+            continue
+        table.append(exactlp.base_row(vec, 1, rhs.numerator, rhs.denominator))
+    nonneg = [(_unit(j, -1), 0, 1, 1, 1) for j in range(4)]
+    rows = draw(st.permutations(table + nonneg))
+    start = draw(st.one_of(st.none(), st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=6)))
+    return rows, start
+
+
+_RULE_ROWS = {
+    # x0 + x1 + x2 + x3 >= 1 and x1 >= 1, both violated at the origin.
+    "entering": [((-1, -1, -1, -1), -1), (_unit(1, -1), -1), *_NONNEG],
+    # x0 + x1 + x3 >= 1, with the nonneg rows of x2, x3, x0, x1 at rows 1-4:
+    # basis positions 0, 1, 3 hold rows 3, 4, 2, and all three leave-eligible.
+    "leaving": [((-1, -1, 0, -1), -1), _NONNEG[2], _NONNEG[3], _NONNEG[0], _NONNEG[1]],
+    # x0 <= 1 twice: the second start row expands only on the first's position.
+    "start row skipped": [(_unit(0, 1), 1), (_unit(0, 1), 1), *_NONNEG],
+    # -x0 <= 0, in the basis at the origin, is fixed before x0 <= 1 comes.
+    "start row in the basis": [(_unit(0, 1), 1), *_NONNEG],
+    # x0 + x1 <= -1: no coefficient positive, weight 0 on the x2 and x3 rows.
+    "infeasible": [((1, 1, 0, 0), -1), *_NONNEG],
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(case_pivot_inputs(), assignment_pivot_inputs(), degenerate_pivot_inputs()))
+# A dichotomy assignment of a plain-feasible case, started as the dichotomy
+# starts it: the plain basis [2, 3, 4, 8] moved past the two branch rows.
+@example((_assignment_rows(CPolicy(1, 0, 2), JCase.J012, Variant.SYMMETRIZED, F(15, 4), (1, 2), "ab"),
+          [2, 3, 4, 10]))
+# A repeated row, a zero row with a negative rhs, a start that repeats a row,
+# names a nonneg row and a row dependent on the first two.
+@example(([_base((1, 1, 0, 0), 2), _base((1, 1, 0, 0), 2), _base((0, 1, 1, 0), 1), _base((1, 2, 1, 0), 3),
+           _base((0, 0, 0, 0), F(-1, 2)), *[_base(vec, rhs) for vec, rhs in _NONNEG]], [3, 0, 3, 5, 2]))
+@example(([_base(vec, rhs) for vec, rhs in _RULE_ROWS["leaving"]], [4, 0]))
+def test_width4_body_agrees_with_the_generic_body(inputs):
+    """On rows over four variables, ``pivot``'s width-4 body returns the
+    generic body's (flag, basis, cert) and makes the same swaps, (D, k,
+    lam) each: on case rows at t in [3, 5] and dichotomy assignment rows,
+    each from the origin or from what a run at a neighbouring t ends on,
+    and on degenerate row sets with degenerate starts."""
+    rows, start = inputs
+    (fast, fast_swaps), (generic, generic_swaps) = _bodies(rows, start)
+    assert fast == generic
+    assert fast_swaps == generic_swaps
+
+
+@pytest.mark.parametrize("name, start, expected", [
+    ("entering", None, (True, [0, 1, 4, 5], ([0, 1, 0, 0], 1))),
+    ("leaving", None, (True, [3, 4, 1, 0], ([0, 0, 0, 1], 1))),
+    ("start row skipped", [0, 1], (True, [0, 3, 4, 5], ([1, 0, 0, 0], 1))),
+    ("start row in the basis", [1, 0], (True, [1, 2, 3, 4], ([0, 0, 0, 0], 1))),
+    ("infeasible", None, (False, [0, 1, 2, 3, 4], [1, 1, 1, 0, 0])),
+], ids=["entering", "leaving", "start row skipped", "start row in the basis", "infeasible"])
+def test_pivot_rules(name, start, expected):
+    """Both bodies follow one set of rules.  The first violated row enters
+    (x0 + x1 + x2 + x3 >= 1 before x1 >= 1; taking x1 >= 1 first would end
+    at once at [2, 1, 4, 5]).  The leaving row is the least row index among
+    positive coefficients, not the least position (row 2 at position 3,
+    where position order gives row 3 and the highest index row 4).  A start
+    row is swapped into the first position that is not fixed and has a
+    nonzero coefficient, and skipped if there is none (the second x0 <= 1),
+    and a start row already in the basis stays and is fixed (so x0 <= 1,
+    which expands only on it, is skipped).  An infeasible run weighs the
+    entering row by D and each basis row by minus its coefficient, 0
+    included."""
+    rows = [_base(vec, rhs) for vec, rhs in _RULE_ROWS[name]]
+    for triple, _ in _bodies(rows, start):
+        assert triple == expected

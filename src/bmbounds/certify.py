@@ -3,9 +3,8 @@
 ``certify_at`` is the one producer of a case report: it decides the four
 plain case systems at a rational t exactly from their integer row tables
 (``systems.case_rows``) and re-verifies each certificate on the pair rows
-of the same row formulas (``exactlp.verified``).  A report holds verdicts;
-``CaseReport.systems`` builds its systems on access, for tests and library
-callers.  A bisection over a bracket [lo, hi] runs over a verdict alone: a
+of the same row formulas (``exactlp.verified``).  A report holds verdicts
+only.  A bisection over a bracket [lo, hi] runs over a verdict alone: a
 probe decides the cases from their row tables and stops at its first
 feasible case.  It relies on the monotonicity of feasibility in t (valid
 for affine c-policies) and returns a CertifiedBound whose endpoint reports
@@ -25,12 +24,13 @@ its plain run ended at, or, with no functions, carries its plain result.
 All four document kinds (certify, search, sweep, dichotomy) are built
 here.  Certificate files are self-contained JSON documents that an
 auditor re-verifies by substitution alone; each echoed system must equal
-the expected one value for value.
-Documents and the audit render each echo through one function, ``_echo``,
-from the rows and meta ``_tables`` gives a case, so no command builds a
-system.  Only an echo that differs from that rendering is parsed, and it
-must render (``system_doc``) to that same canonical echo; every
-certificate is then checked once, on the pair rows of the expected rows.
+the expected one value for value.  What a case or assignment system is,
+its rows and its canonical echo, is looked up in ``systems`` alone
+(``case_metas``, ``case_echoes``): documents write those echoes and the
+audit expects them, so no command builds a system.  Only an echo that
+differs from that rendering is parsed, and it must render (``system_doc``)
+to that same canonical echo; every certificate is then checked once, on
+the pair rows of the expected system.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from typing import Sequence
 from . import __version__, exactlp
 from .exactlp import (
     FeasibilityResult,
-    LinearSystem,
     SELF_CHECK_FAILED,
     SystemError_,
     feasible_at,
@@ -63,23 +62,20 @@ from .systems import (
     CPolicy,
     DEFAULT_DICHOTOMY_FUNCTIONS,
     DEFAULT_POLICY,
-    NONNEG_PAIRS,
     VARIABLES,
     CasePoint,
     JCase,
     SystemFormatError,
-    TableRow,
     Variant,
     branch_strings,
-    case_meta,
+    case_echoes,
+    case_metas,
     case_pairs,
     case_point,
     case_rows,
     check_functions,
-    row_entry,
     system_doc,
     system_from_doc,
-    table_system,
     # Unused here: bench/spans.py wraps these five names in this module.
     build_all_cases,
     build_case_system,
@@ -118,7 +114,7 @@ class CaseReport:
     assignment (one "a"/"b" per function); a plain report has functions
     None and no branches.  A case's table rows are ``CASE_TABLES[case]``
     plus the ``BRANCH_ROWS[m, br]`` of each (m, br) in
-    ``zip(functions, branches)`` (``_tables``).
+    ``zip(functions, branches)`` (``systems.case_echoes``).
     """
 
     t: Fraction
@@ -136,14 +132,6 @@ class CaseReport:
     @property
     def feasible_cases(self) -> tuple[JCase, ...]:
         return tuple(c for c, r in self.results.items() if r.feasible)
-
-    @property
-    def systems(self) -> dict[JCase, LinearSystem]:
-        """The case systems, built on each access from the report's table
-        rows, for tests and library callers; no command reads them."""
-        point, metas = _metas(self.t, self.policy, self.variant)
-        return {case: table_system(rows, [row.pairs(point, self.variant) for row in rows], meta)
-                for case, (rows, meta) in _tables(metas, self.functions, self.branches).items()}
 
 
 @dataclass(frozen=True)
@@ -451,61 +439,26 @@ def _result_json(result: FeasibilityResult) -> dict:
     return doc
 
 
-def _metas(t: Fraction, policy: CPolicy, variant: Variant,
-           cases: Sequence[JCase] = ALL_CASES) -> tuple[CasePoint, dict]:
-    """The point of t and policy, and the ``case_meta`` of each case there."""
-    point = case_point(t, policy)
-    return point, {case: case_meta(case, t, point, policy, variant) for case in cases}
-
-
-def _tables(metas: dict, functions: tuple[int, ...] | None, branches: str) -> dict:
-    """Each case of ``metas`` with its table rows and echo meta: its
-    ``CASE_TABLES`` rows, then the ``BRANCH_ROWS`` that ``zip(functions,
-    branches)`` names, and its meta with ``branches`` first; plain
-    (functions None), its table and meta alone."""
-    if functions is None:
-        return {case: (CASE_TABLES[case], meta) for case, meta in metas.items()}
-    extra = tuple([BRANCH_ROWS[m, br] for m, br in zip(functions, branches)])
-    return {case: (CASE_TABLES[case] + extra, {"branches": branches, **meta})
-            for case, meta in metas.items()}
-
-
-def _echo(made: dict, rows: Sequence[TableRow], meta: dict, point: CasePoint,
-          variant: Variant) -> tuple[list, dict]:
-    """The pair rows of ``rows`` at point and variant, and the canonical echo
-    of their system with ``meta``, which documents write and ``verify-cert``
-    expects.  ``made`` holds each table row's (pair row, entry) per (point,
-    variant): a row several echoes share is made once, as one object."""
-    memo = made.setdefault((point, variant), {})
-    for row in rows:
-        if row not in memo:
-            pair = row.pairs(point, variant)
-            memo[row] = pair, row_entry(row.label, pair)
-    got = [memo[row] for row in rows]
-    return [pair for pair, _ in got], {"variables": list(VARIABLES), "nonneg": list(VARIABLES),
-                                       "inequalities": [entry for _, entry in got], "meta": meta}
-
-
 def _case_entries(report: CaseReport, point: CasePoint, metas: dict, made: dict,
                   certs: dict) -> list[dict]:
-    """The case entries of a report for the cases of ``metas`` (``_metas``).
+    """The case entries of a report for the cases of ``metas`` (``case_metas``).
     The assignments of a dichotomy document share ``metas``, ``made`` (see
-    ``_echo``) and ``certs``, which maps each result object (by id) to its
-    formatted fields: a row or certificate that several assignments share
-    is formatted once and held as one object."""
+    ``case_echoes``) and ``certs``, which maps each result object (by id) to
+    its formatted fields: a row or certificate that several assignments
+    share is formatted once and held as one object."""
     entries = []
-    for case, (rows, meta) in _tables(metas, report.functions, report.branches).items():
+    for case, (_, echo) in case_echoes(made, point, metas, report.variant, report.functions,
+                                       report.branches).items():
         result = report.results[case]
         cert = certs.get(id(result))
         if cert is None:
             cert = certs[id(result)] = _result_json(result)
-        entries.append({"case": case.value, **cert,
-                        "system": _echo(made, rows, meta, point, report.variant)[1]})
+        entries.append({"case": case.value, **cert, "system": echo})
     return entries
 
 
 def _report_json(report: CaseReport, cases: Sequence[JCase] = ALL_CASES) -> dict:
-    point, metas = _metas(report.t, report.policy, report.variant, cases)
+    point, metas = case_metas(report.t, report.policy, report.variant, cases)
     return {
         "t": format_rational(report.t),
         "c": format_rational(report.c),
@@ -573,7 +526,7 @@ def sweep_report_doc(ranked, skipped, variant: Variant, iters: int) -> dict:
 def dichotomy_report_doc(report: DichotomyReport) -> dict:
     """The dichotomy document.  Its assignments hold shared rows and
     certificates as shared objects: copy it before editing one in place."""
-    point, metas = _metas(report.t, report.policy, report.variant)
+    point, metas = case_metas(report.t, report.policy, report.variant)
     made: dict = {}
     certs: dict = {}
     return {
@@ -595,25 +548,17 @@ class _Rejected(Exception):
     """A certificate or headline claim of a document does not hold (exit 1)."""
 
 
-def _farkas_key(rows: Sequence[TableRow], size: int, farkas: Sequence, weights: Sequence) -> tuple:
-    """What a check of ``farkas`` on ``size`` pair rows (the table rows ``rows``, then the
-    nonneg rows) reads at a point and variant: both lengths, and each row with a nonzero
-    multiplier (a table row, or a nonneg row's variable) with its entry of ``weights``.
-    The audit's key alone (``_Echoes.verdict``); a dichotomy checks each padded vector
-    once by construction."""
-    return (size, len(farkas), *[(row, w) for row, w, x in zip((*rows, *VARIABLES), weights, farkas) if x])
-
-
 class _Echoes:
     """What one audit has made, parsed and checked, each once.
 
-    ``made`` is the memo of ``_echo``, ``numbers`` holds each certificate
-    string parsed, and ``farkas`` the verdict of each Farkas check, keyed
-    by the point, the variant and ``_farkas_key`` of the strings written.
-    Every certificate of the audit is checked through ``verdict``, on the
-    pair rows of its expected table rows, so a re-spelled echo shares the
-    memo with the canonical ones.  Table rows are module constants, so no
-    key outlives what it names."""
+    ``made`` is the memo of ``case_echoes``, ``numbers`` holds each
+    certificate string parsed, and ``farkas`` the verdict of each Farkas
+    check, keyed by what ``verify_pairs`` reads of it: both lengths, and
+    each pair row whose multiplier is nonzero with that multiplier as
+    written.  Every certificate of the audit is checked through
+    ``verdict``, on the pair rows of its expected system, so a re-spelled
+    echo shares the memo with the canonical ones, and a key names the rows
+    themselves, so no check on other rows can match it."""
 
     def __init__(self) -> None:
         self.made: dict = {}
@@ -626,10 +571,8 @@ class _Echoes:
             value = self.numbers[text] = parse_rational(text)
         return value
 
-    def verdict(self, entry: dict, rows: Sequence[TableRow], pairs: list,
-                point: CasePoint, variant: Variant) -> bool:
-        """Whether the certificate of ``entry`` holds on the pair rows
-        ``pairs`` of the table rows ``rows`` and the nonneg rows."""
+    def verdict(self, entry: dict, pairs: list) -> bool:
+        """Whether the certificate of ``entry`` holds on the pair rows ``pairs``."""
         status = entry["status"]
         if status == "feasible":
             witness = entry["witness"]
@@ -643,38 +586,37 @@ class _Echoes:
         if not isinstance(farkas, list):  # a string or an object would be read item by item
             raise SystemFormatError(f"farkas must be a list, got {type(farkas).__name__}")
         result = FeasibilityResult("infeasible", farkas=tuple([self.number(s) for s in farkas]))
-        key = point, variant, _farkas_key(rows, len(pairs), result.farkas, farkas)
+        key = (len(pairs), len(farkas),
+               *[(pair, w) for pair, w, x in zip(pairs, farkas, result.farkas) if x])
         verdict = self.farkas.get(key)
         if verdict is None:
             verdict = self.farkas[key] = verify_pairs(VARIABLES, pairs, result)
         return verdict
 
 
-def _check_cases(entries: list, expected: dict, point: CasePoint, variant: Variant, where: str,
-                 echoes: _Echoes) -> None:
+def _check_cases(entries: list, expected: dict, where: str, echoes: _Echoes) -> None:
     """Re-verify case entries by substitution alone; raise _Rejected on the first failure.
 
-    ``expected`` maps each case, in order, to its table rows and echo meta
-    (``_tables``); the entries must name exactly those cases.  Each entry's
-    certificate is checked against its echoed system, which must equal the
-    system those rows give at the point and variant value for value
-    (variables, labelled rows, nonneg set, metadata); a rational may be
-    written in any p/q form.  An echo that differs from the canonical one
-    (``_echo``, which documents are written with) is parsed and must render
+    ``expected`` maps each case, in order, to the pair rows and the
+    canonical echo of its system (``case_echoes``, which documents are
+    written with); the entries must name exactly those cases.  Each entry's
+    certificate is checked against its echoed system, which must equal that
+    system value for value (variables, labelled rows, nonneg set,
+    metadata); a rational may be written in any p/q form.  An echo that
+    differs from the canonical one is parsed and must render
     (``system_doc``, one-to-one) to it, else the entry is rejected; an echo
-    that passes has the value of the rows' pair rows, so every certificate
-    is checked on those (``_Echoes.verdict``), whatever its echo's spelling.
+    that passes has the value of those pair rows, so every certificate is
+    checked on them (``_Echoes.verdict``), whatever its echo's spelling.
     No solver is invoked.
     """
     cases = [JCase(entry["case"]) for entry in entries]
     if cases != list(expected):
         raise _Rejected(f"{where}cases [{', '.join(c.value for c in cases)}] are not the expected"
                         f" [{', '.join(c.value for c in expected)}]")
-    for entry, (case, (rows, meta)) in zip(entries, expected.items()):
-        pairs, canonical = _echo(echoes.made, rows, meta, point, variant)
+    for entry, (case, (pairs, canonical)) in zip(entries, expected.items()):
         echo = entry["system"]
         if not ((echo == canonical or system_doc(system_from_doc(echo)) == canonical)
-                and echoes.verdict(entry, rows, pairs + NONNEG_PAIRS, point, variant)):
+                and echoes.verdict(entry, pairs)):
             raise _Rejected(f"{where}case {case.value} failed re-verification")
 
 
@@ -685,8 +627,8 @@ def _check_report(rep: dict, policy: CPolicy, variant: Variant, echoes: _Echoes,
     where = f"t={rep['t']}: "
     if parse_rational(rep["c"]) != policy.c_at(t):
         raise _Rejected(f"{where}c = {rep['c']} is not c(t) = {format_rational(policy.c_at(t))}")
-    point, metas = _metas(t, policy, variant, cases)
-    _check_cases(rep["cases"], _tables(metas, None, ""), point, variant, where, echoes)
+    point, metas = case_metas(t, policy, variant, cases)
+    _check_cases(rep["cases"], case_echoes(echoes.made, point, metas, variant), where, echoes)
 
 
 def _check_trace(trace: list, t_lo: Fraction, t_hi: Fraction) -> None:
@@ -808,11 +750,11 @@ def _check_doc(doc: dict) -> None:
                         for a, b in zip(assignments, branch_strings(len(functions))))):
             raise _Rejected(f"assignments are not the {2 ** len(functions)} branch combinations"
                             f" of functions {list(functions)} in order")
-        point, metas = _metas(t, policy, variant)
+        point, metas = case_metas(t, policy, variant)
         for assignment in assignments:
             branches = assignment["branches"]
-            _check_cases(assignment["cases"], _tables(metas, functions, branches), point, variant,
-                         f"branches {branches}: ", echoes)
+            _check_cases(assignment["cases"], case_echoes(echoes.made, point, metas, variant, functions,
+                                                          branches), f"branches {branches}: ", echoes)
         if doc["certified"] is not all(_all_infeasible(a) for a in assignments):
             raise _Rejected("certified flag contradicts assignment statuses")
     else:

@@ -260,8 +260,9 @@ def _swap_n(cols: list, D: int, k: int, lam: list[int]) -> tuple[list, int]:
             for j, col in enumerate(cols)], abs(d)
 
 
-# The nonneg rows -x_j <= 0 of four variables: at their basis D = 1, and its columns are their directions.
-_NONNEG4 = [(tuple([-int(i == j) for i in range(4)]), 0, 1, 1, 1) for j in range(4)]
+# The base rows -x_j <= 0 of four variables, which every case system ends with: at their
+# basis D = 1, and its columns are their directions.
+NONNEG_ROWS = [(tuple([-int(i == j) for i in range(4)]), 0, 1, 1, 1) for j in range(4)]
 
 
 def _swap_in(rows: Sequence[tuple], start: Optional[Sequence[int]], basis: list, cols: list) -> tuple:
@@ -310,8 +311,8 @@ def pivot(rows: Sequence[tuple], start: Optional[Sequence[int]] = None) -> tuple
     """
     if len(rows[0][0]) != 4:
         return _pivot_n(rows, start)
-    basis = [rows.index(row) for row in _NONNEG4]
-    cols, D = _swap_in(rows, start, basis, [row[0] for row in _NONNEG4])
+    basis = [rows.index(row) for row in NONNEG_ROWS]
+    cols, D = _swap_in(rows, start, basis, [row[0] for row in NONNEG_ROWS])
     while True:
         (p0, p1, p2, p3), (q0, q1, q2, q3), (u0, u1, u2, u3), (w0, w1, w2, w3) = cols
         n0, n1, n2, n3 = [rows[i][1] for i in basis]
@@ -388,24 +389,15 @@ def _signed_minors(vectors: list) -> list[int]:
             ab * CD - ac * BD + ad * BC + bc * AD - bd * AC + cd * AB]
 
 
-def _kernel_vector(vectors: list) -> Optional[list[int]]:
-    """The generator of the kernel of ``vectors`` (integer y, sum_k y_k v_k =
-    0), the ``_signed_minors`` of five vectors of length 4 and rank 4; None
-    for any other rank or shape."""
-    if len(vectors) != 5 or len(vectors[0]) != 4:
-        return None
-    y = _signed_minors(vectors)
-    return y if any(y) else None
-
-
 def infeasible_on(rows: Sequence[tuple], verdict: Optional[Sequence[int]]) -> Optional[list[int]]:
     """The weights y >= 0 by which the base rows ``verdict``, the n + 1 rows
     an infeasible ``pivot`` run ends on, prove ``rows`` infeasible, or None:
-    the kernel generator of their five directions (``_kernel_vector``) must
-    be of one sign; taken nonnegative, it must cancel each of the four
-    variables, one five-term sum each, and combine the right-hand sides over
-    the lcm L of their denominators, sum y_k * num_k * (L // den_k), into a
-    negative number.  A weight may be 0.  Any shape but five rows over four
+    the kernel generator of their five directions (``_signed_minors``, all
+    zero unless they have rank 4) must be of one sign; taken nonnegative, it
+    must cancel each of the four variables, one five-term sum each, and
+    combine the right-hand sides over the lcm L of their denominators, sum
+    y_k * num_k * (L // den_k), into a negative number, which an all-zero y
+    does not.  A weight may be 0.  Any shape but five rows over four
     variables gives None."""
     if not verdict or len(verdict) != 5:
         return None
@@ -413,8 +405,8 @@ def infeasible_on(rows: Sequence[tuple], verdict: Optional[Sequence[int]]) -> Op
         rows[i] for i in verdict]
     if len(a) != 4:
         return None
-    y = _kernel_vector([a, b, c, d, e])
-    if y is None or min(y) < 0 < max(y):
+    y = _signed_minors([a, b, c, d, e])
+    if min(y) < 0 < max(y):
         return None
     if min(y) < 0:
         y = [-x for x in y]
@@ -436,18 +428,18 @@ def feasible_at(rows: list[tuple], basis: Optional[Sequence[int]]) -> Optional[t
     tight, if it exists and satisfies every row of ``rows``, the nonneg rows
     included, as den * (vec . xs) <= num * D; else None.  (xs, D) is the
     kernel generator, D > 0, of the columns den * direction and -rhs of
-    those rows (``_kernel_vector``: Cramer's rule).  Any shape but four rows
-    over four variables gives None."""
+    those rows (``_signed_minors``: Cramer's rule), which has D = 0 if it is
+    all zero.  Any shape but four rows over four variables gives None."""
     if not basis or len(basis) != 4:
         return None
     (a, an, ad, _, _), (b, bn, bd, _, _), (c, cn, cd, _, _), (d, dn, dd, _, _) = [rows[i] for i in basis]
     if len(a) != 4:
         return None
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = a, b, c, d
-    z = _kernel_vector([[ad * a0, bd * b0, cd * c0, dd * d0], [ad * a1, bd * b1, cd * c1, dd * d1],
+    z = _signed_minors([[ad * a0, bd * b0, cd * c0, dd * d0], [ad * a1, bd * b1, cd * c1, dd * d1],
                         [ad * a2, bd * b2, cd * c2, dd * d2], [ad * a3, bd * b3, cd * c3, dd * d3],
                         [-an, -bn, -cn, -dn]])
-    if z is None or not z[4]:
+    if not z[4]:
         return None
     x0, x1, x2, x3, D = z if z[4] > 0 else [-x for x in z]
     for (r0, r1, r2, r3), num, den, _, _ in rows:

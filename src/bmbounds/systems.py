@@ -20,14 +20,20 @@ pair row ``exactlp.verify_pairs`` checks certificates on and the Fraction
 inequality is built from), and ``make``, the base row
 ``exactlp.pivot`` decides from.  ``case_pairs`` and ``case_rows``
 list a case's rows at the ``case_point`` of t and the policy, which
-checks the guards on integers; a dichotomy adds each branch row's
-``make`` to them.  ``row_entry`` is the one formatter of a row entry:
-``system_doc`` formats a built system's rows with it, and the documents
-``certify`` writes and ``verify-cert`` expects render their echoes from
-the pair rows with it, so no command builds a system; the builders here
-serve the tests and library callers, and ``verify-cert`` parses one only
-from an echo that differs, which must render to the same entries.  The
-tests check each formula against the display it rearranges.
+checks the guards on integers, ending with the nonneg rows
+(``exactlp.NONNEG_ROWS``, ``NONNEG_PAIRS``); a dichotomy adds each branch
+row's ``make`` to them.  ``case_echoes`` is the one lookup of what a case
+or assignment system is: its table rows in order, its echo meta
+(``case_metas``), its full pair rows and its canonical echo, each entry
+formatted by ``row_entry``, the one formatter of a row entry, which
+``system_doc`` formats a built system's rows with too.  The documents
+``certify`` writes and ``verify-cert`` expects read their echoes and
+pair rows from it, so no command builds a system; the builders here
+(``build_case_system``, ``build_dichotomy_systems``) serve the tests,
+as the independent reference the lookup is compared with, and library
+callers, and ``verify-cert`` parses a system only from an echo that
+differs, which must render to the same entries.  The tests check each
+formula against the display it rearranges.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Sequence
 
-from .exactlp import (GE, LE, LinearInequality, LinearSystem, SystemError_, base_row, nonneg_pair,
-                      pair_row)
+from .exactlp import (GE, LE, NONNEG_ROWS, LinearInequality, LinearSystem, SystemError_, base_row,
+                      nonneg_pair, pair_row)
 from .rationals import (InputError, RationalFormatError, format_pair, format_rational, parse_int,
                         parse_rational)
 
@@ -276,8 +282,7 @@ CASE_TABLES: dict[JCase, tuple[TableRow, ...]] = {
 
 BRANCH_ROWS = {(m, br): TableRow(f"B{m}{br}", "t-1", _branch, m, br) for m in range(3) for br in "ab"}
 
-# -v <= 0 for each variable, all of which are nonnegative
-_NONNEG_ROWS = [base_row([-int(j == k) for k in range(4)], 1, 0, 1) for j in range(4)]
+# -v <= 0 for each variable, all of which are nonnegative; their base rows are ``NONNEG_ROWS``
 NONNEG_PAIRS = [nonneg_pair(v) for v in VARIABLES]
 
 
@@ -344,7 +349,46 @@ def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
 def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> list[tuple]:
     """The base rows of ``build_case_system(case, t, policy, variant)`` at the
     point of t and policy, as ``exactlp.system_rows`` reads them from it."""
-    return [row.make(point, variant) for row in CASE_TABLES[case]] + _NONNEG_ROWS
+    return [row.make(point, variant) for row in CASE_TABLES[case]] + NONNEG_ROWS
+
+
+def case_metas(t: Fraction, policy: CPolicy, variant: Variant,
+               cases: Sequence[JCase] = ALL_CASES) -> tuple[CasePoint, dict]:
+    """The point of t and policy, and the ``case_meta`` of each case of ``cases`` there."""
+    point = case_point(t, policy)
+    return point, {case: case_meta(case, t, point, policy, variant) for case in cases}
+
+
+def case_echoes(made: dict, point: CasePoint, metas: dict, variant: Variant,
+                functions: tuple[int, ...] | None = None, branches: str = "") -> dict:
+    """The one lookup of a case or assignment system, made without building it.
+
+    Each case of ``metas`` (``case_metas``), in order, maps to the full pair
+    rows of its system at point and variant, nonneg rows included, and the
+    canonical echo of that system, which documents write and ``verify-cert``
+    expects.  Its table rows are its ``CASE_TABLES`` rows, then the
+    ``BRANCH_ROWS`` that ``zip(functions, branches)`` names, and its echo
+    meta puts ``branches`` first; plain (functions None), its table and meta
+    alone.  The echo is ``system_doc`` of that case's system of
+    ``build_case_system`` or ``build_dichotomy_systems``.  ``made`` holds
+    each table row's (pair row, entry) per (point, variant): a row several
+    echoes share is made once, as one object.
+    """
+    memo = made.setdefault((point, variant), {})
+    extra = () if functions is None else tuple([BRANCH_ROWS[m, br] for m, br in zip(functions, branches)])
+    out = {}
+    for case, meta in metas.items():
+        rows = CASE_TABLES[case] + extra
+        for row in rows:
+            if row not in memo:
+                pair = row.pairs(point, variant)
+                memo[row] = pair, row_entry(row.label, pair)
+        got = [memo[row] for row in rows]
+        out[case] = [pair for pair, _ in got] + NONNEG_PAIRS, {
+            "variables": list(VARIABLES), "nonneg": list(VARIABLES),
+            "inequalities": [entry for _, entry in got],
+            "meta": meta if functions is None else {"branches": branches, **meta}}
+    return out
 
 
 def build_all_cases(

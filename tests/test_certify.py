@@ -35,12 +35,21 @@ from bmbounds.systems import (
     FunctionsError,
     JCase,
     Variant,
+    build_all_cases,
     build_case_system,
     build_dichotomy_systems,
 )
 from crosscheck import simplex_feasibility
 
 F = Fraction
+
+
+def _assignment_systems(report) -> list[dict]:
+    """The case systems of each assignment of a dichotomy report, by case, as
+    ``build_dichotomy_systems`` builds them."""
+    return [dict(zip(ALL_CASES, systems)) for _, systems in
+            build_dichotomy_systems(report.t, report.policy, report.functions, report.variant)]
+
 
 POLICIES = [CPolicy(1, 0, 2), CPolicy(1, 1, 2), CPolicy(2, 1, 4)]
 # Policies whose guards hold at both ends of the bracket [3, 5], hence on all of it.
@@ -87,8 +96,8 @@ class TestCertifyAt:
 
     def test_certificates_verify(self):
         report = certify_at(F(113, 32))
-        for case in ALL_CASES:
-            assert verify_certificate(report.systems[case], report.results[case])
+        for case, system in build_all_cases(F(113, 32)).items():
+            assert verify_certificate(system, report.results[case])
 
     def test_guard_propagates(self):
         from bmbounds.systems import DomainError
@@ -144,7 +153,7 @@ class TestBinarySearch:
         # certify_at(hi) does: it equals certify_at(hi).
         assert list(bound.report_hi.results) == list(ALL_CASES)
         assert bound.report_hi.results == certify_at(F(5)).results
-        assert bound.report_hi.systems == certify_at(F(5)).systems
+        assert bound.report_hi == certify_at(F(5))
 
     def test_both_variants_reach_113_32(self):
         """The headline bound reproduces under either reading of the 8d row."""
@@ -239,7 +248,7 @@ class TestBinarySearch:
         bound = binary_search_bound(F(3), F(5), 12, policy)
         assert_same_search(bound, reference)
         for report in (bound.report_lo, bound.report_hi):
-            assert list(report.results) == list(report.systems) == list(ALL_CASES)
+            assert list(report.results) == list(ALL_CASES)
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     @pytest.mark.parametrize("policy", [CPolicy(2, 1, 4), CPolicy(3, 1, 5), CPolicy(1, 1, 2),
@@ -395,8 +404,8 @@ class TestBinarySearch:
 
     def test_probes_build_only_the_cases_they_decide(self, monkeypatch, fm_runs):
         """Probes decide from the row tables, and so do the two reports of
-        the result: no system is built.  Their systems, built on access, are
-        the case systems."""
+        the result: no system is built.  Their certificates hold on the case
+        systems."""
         import bmbounds.certify as certify_mod
         import bmbounds.systems as systems_mod
 
@@ -417,9 +426,10 @@ class TestBinarySearch:
         # built its system, 32 when every probe built all four.
         assert len(built) == 0
         for report in (bound.report_lo, bound.report_hi):
-            assert list(report.systems) == list(ALL_CASES)
-            assert report.systems == {case: build_case_system(case, report.t, CPolicy(2, 1, 4))
-                                      for case in ALL_CASES}
+            assert list(report.results) == list(ALL_CASES)
+            for case in ALL_CASES:
+                assert verify_certificate(build_case_system(case, report.t, CPolicy(2, 1, 4)),
+                                          report.results[case])
 
     def test_warm_infeasible_verdicts_run_no_elimination(self, monkeypatch, fm_runs):
         """A probe verdict its stored Farkas support settles runs no
@@ -654,11 +664,9 @@ class TestDichotomy:
         report = certify_dichotomy(F(18, 5))
         assert not report.certified
         # every verdict still carries a verifying certificate
-        for assignment in report.assignments:
+        for assignment, systems in zip(report.assignments, _assignment_systems(report)):
             for case in ALL_CASES:
-                assert verify_certificate(
-                    assignment.systems[case], assignment.results[case]
-                )
+                assert verify_certificate(systems[case], assignment.results[case])
 
     def test_improves_on_base_threshold(self):
         # base certification fails between the base and dichotomy thresholds
@@ -672,8 +680,9 @@ class TestDichotomy:
         base = certify_at(F(113, 32))
         only = report.assignments[0]
         assert only.branches == ""
-        for case in ALL_CASES:
-            assert only.systems[case].inequalities == base.systems[case].inequalities
+        [assignment] = dichotomy_report_doc(report)["assignments"]
+        for entry, plain in zip(assignment["cases"], certify_report_doc(base)["cases"], strict=True):
+            assert entry["system"]["inequalities"] == plain["system"]["inequalities"]
 
 
 class TestCertificateFiles:
@@ -1014,37 +1023,35 @@ class TestAuditWork:
         ECHO_EDITS documents is audited with no table system built.  Where
         the edited echo parses, rendering it back to the canonical echo
         agrees with the comparison the audit made before, with the system
-        built from the expected rows."""
-        import bmbounds.certify as certify_mod
+        the builders give."""
+        import bmbounds.systems as systems_mod
         from bmbounds.systems import SystemFormatError, system_doc, system_from_doc
-        from bmbounds.systems import table_system as reference
 
+        # The not0 echoes TestEchoComparison edits, each with its system as built.
+        edited = [
+            (certify_report_doc(certify_at(F(113, 32))), lambda d: d["cases"][1],
+             build_case_system(JCase.NOT0, F(113, 32))),
+            (search_report_doc(binary_search_bound(F(3), F(5), 4)),
+             lambda d: d["upper_report"]["cases"][1], build_case_system(JCase.NOT0, F(29, 8))),
+            (dichotomy_report_doc(certify_dichotomy(F(18, 5), functions=(0, 2))),
+             lambda d: d["assignments"][1]["cases"][1],
+             dict(build_dichotomy_systems(F(18, 5), functions=(0, 2)))["ab"][1]),
+        ]
         tables = []
-        table_system = certify_mod.table_system
-        monkeypatch.setattr(certify_mod, "table_system",
+        table_system = systems_mod.table_system
+        monkeypatch.setattr(systems_mod, "table_system",
                             lambda *args: tables.append(args) or table_system(*args))
         docs = [certify_report_doc(certify_at(F(113, 32))),
                 search_report_doc(binary_search_bound(F(3), F(5), 20)),
                 dichotomy_report_doc(certify_dichotomy(F(113, 32))),
                 dichotomy_report_doc(certify_dichotomy(F(15, 4)))]
-        # The not0 echoes TestEchoComparison edits, each with its t, functions and branches.
-        edited = [
-            (docs[0], lambda d: d["cases"][1], F(113, 32), None, ""),
-            (search_report_doc(binary_search_bound(F(3), F(5), 4)),
-             lambda d: d["upper_report"]["cases"][1], F(29, 8), None, ""),
-            (dichotomy_report_doc(certify_dichotomy(F(18, 5), functions=(0, 2))),
-             lambda d: d["assignments"][1]["cases"][1], F(18, 5), (0, 2), "ab"),
-        ]
         built.clear()
         assert docs[-1]["certified"] is False  # feasible cases are checked too
         for doc in docs:
             assert verify_certificate_text(json.dumps(doc)) == (
                 EXIT_CERTIFIED, "all certificates verified")
         compared = 0
-        for kind, (original, entry, t, functions, branches) in enumerate(edited):
-            point, metas = certify_mod._metas(t, DEFAULT_POLICY, Variant.SYMMETRIZED)
-            rows, meta = certify_mod._tables(metas, functions, branches)[JCase.NOT0]
-            expected = reference(rows, [row.pairs(point) for row in rows], meta)
+        for kind, (original, entry, expected) in enumerate(edited):
             canonical = entry(original)["system"]
             for codes, apply in ECHO_EDITS.values():
                 doc = json.loads(json.dumps(original))
@@ -1169,10 +1176,12 @@ class TestAuditWork:
         the upper report's echo of a case holding the lower report's rows,
         or one assignment's echo holding another's branch rows, is rejected
         although its metadata and certificate are genuine.  The renderings
-        and Farkas checks are memoized by table row, point and variant, and
-        table rows are module constants, so no memo key can be reused."""
+        are memoized by table row, point and variant, and table rows are
+        module constants; each Farkas check is memoized by the pair rows it
+        reads, those the audit made from the expected table rows, never an
+        echo's, so no memo key can be reused for other rows."""
         import bmbounds.certify as certify_mod
-        from bmbounds.systems import BRANCH_ROWS, CASE_TABLES, VARIABLES
+        from bmbounds.systems import BRANCH_ROWS, CASE_TABLES, NONNEG_PAIRS
 
         search = json.loads(json.dumps(search_report_doc(binary_search_bound(F(3), F(5), 4))))
         dichotomy = json.loads(json.dumps(dichotomy_report_doc(certify_dichotomy(F(113, 32)))))
@@ -1189,8 +1198,9 @@ class TestAuditWork:
             verdict = verify_certificate_text(json.dumps(doc))
             [echoes] = audits
             assert all(set(made) <= tables for made in echoes.made.values())
-            assert all(row in tables or row in VARIABLES
-                       for key in echoes.farkas for row, _ in key[4:])
+            pairs = {id(pair) for made in echoes.made.values() for pair, _ in made.values()}
+            assert echoes.farkas and all(id(pair) in pairs or pair in NONNEG_PAIRS
+                                         for key in echoes.farkas for pair, _ in key[2:])
             return verdict
 
         monkeypatch.setattr(certify_mod, "_Echoes", Recording)
@@ -1281,9 +1291,9 @@ class TestPlainCaseReuse:
         report = certify_dichotomy(t, DEFAULT_POLICY, functions, variant)
         plain = {case: check_feasibility(build_case_system(case, t, DEFAULT_POLICY, variant))
                  for case in ALL_CASES}
-        for assignment in report.assignments:
+        for assignment, systems in zip(report.assignments, _assignment_systems(report)):
             for case in ALL_CASES:
-                system, result = assignment.systems[case], assignment.results[case]
+                system, result = systems[case], assignment.results[case]
                 assert result.feasible is check_feasibility(system).feasible
                 assert verify_certificate(system, result)
                 if plain[case].feasible:
@@ -1322,8 +1332,8 @@ class TestWarmAssignments:
     def test_verdicts_and_certificates(self, t, policy, variant):
         for functions in FUNCTION_SUBSETS:
             report = certify_dichotomy(t, policy, functions, variant)
-            for assignment in report.assignments:
-                for case, system in assignment.systems.items():
+            for assignment, systems in zip(report.assignments, _assignment_systems(report)):
+                for case, system in systems.items():
                     result = assignment.results[case]
                     assert result.feasible is check_feasibility(system).feasible
                     assert verify_certificate(system, result)
@@ -1359,9 +1369,9 @@ class TestWarmAssignments:
         assert len(checks) == 4 + len(infeasible) + 2 ** len(functions) * feasible
         for case in infeasible:
             padded = report.assignments[0].results[case]
-            for assignment in report.assignments:
+            for assignment, systems in zip(report.assignments, _assignment_systems(report)):
                 assert assignment.results[case] is padded
-                labels = [ineq.label for ineq in assignment.systems[case].inequalities]
+                labels = [ineq.label for ineq in systems[case].inequalities]
                 branch_rows = [k for k, label in enumerate(labels) if label.startswith("B")]
                 assert len(branch_rows) == len(functions)
                 assert all(padded.farkas[k] == 0 for k in branch_rows)
@@ -1657,3 +1667,31 @@ def test_accepted_sweep_claims_hold(doc):
         lower = _simplex_case_statuses(parse_rational(entry["t_lo"]), policy, variant, ALL_CASES)
         upper = _simplex_case_statuses(parse_rational(entry["t_hi"]), policy, variant, ALL_CASES)
         assert "feasible" not in lower and "feasible" in upper
+
+
+def test_certify_holds_no_system_layout():
+    """What a case or assignment system is lives in ``systems`` alone: the
+    producer module defines no table lookup, echo renderer or Farkas key of
+    its own, its ``CaseReport`` builds no systems, and it imports none of
+    the names that building or rendering a system takes.  The names it
+    imports unused, for the benchmark's tracer to wrap, stay."""
+    import ast
+    import bmbounds.certify as certify_mod
+
+    with open(certify_mod.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined.isdisjoint({"_metas", "_tables", "_echo", "_farkas_key"})
+    [report] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "CaseReport"]
+    members = {target.id for node in report.body for target in (
+        [node.target] if isinstance(node, ast.AnnAssign) else getattr(node, "targets", []))
+        if isinstance(target, ast.Name)}
+    members |= {node.name for node in report.body if isinstance(node, ast.FunctionDef)}
+    assert "results" in members and "systems" not in members
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert imported.isdisjoint({"LinearSystem", "table_system", "TableRow", "row_entry", "case_meta",
+                                "NONNEG_PAIRS"})
+    assert {"check_feasibility", "verify_certificate", "build_all_cases", "build_case_system",
+            "build_dichotomy_systems", "parse_system_file", "serialize_system"} <= imported

@@ -785,7 +785,7 @@ def test_signed_minors_are_the_cofactor_expansion(ring, rows):
         vecs = [[F(x, (k + 2) * (j + 3)) for j, x in enumerate(vec)] for k, vec in enumerate(vecs)]
     cofactors = [(-1) ** k * _cofactor_det(vecs[:k] + vecs[k + 1:]) for k in range(5)]
     assert exactlp._signed_minors(vecs) == cofactors
-    assert (exactlp._kernel_vector(vecs) is None) == (len(_kernel(list(zip(*vecs)))) != 1)
+    assert (not any(exactlp._signed_minors(vecs))) == (len(_kernel(list(zip(*vecs)))) != 1)
 
 
 def _pivot_end_rows(policy, case, variant, t, step):
@@ -864,15 +864,23 @@ def _base(vec, rhs):
     ([((1, 1, 1, 1), -1), *_NONNEG], [0, 1, 2, 3], None),
     ([((1, 1, 1, 1), -1), *_NONNEG, ((1, 0, 0, 0), 1)], [0, 1, 2, 3, 4, 5], None),
     ([((1, 1, 1), -1), *[(_unit(j, -1, 3), 0) for j in range(3)]], [0, 1, 2, 3], None),
+    ([((1, 1, 1), -1), *[(_unit(j, -1, 3), 0) for j in range(3)], ((1, 0, 0), 1)], [0, 1, 2, 3, 4],
+     None),
+    ([((1, 1, 1, 1), -1), *_NONNEG], None, None),
+    ([_NONNEG[0], ((1, 1, 1, 1), -1), *_NONNEG[1:]], [0, 1, 2, 3, 4], [1, 1, 1, 1, 1]),
 ], ids=["accepted", "lcm of the denominators", "zero weight", "weight on the last row", "mixed sign",
-        "zero rhs", "positive rhs", "rank below 4", "four rows", "six rows", "three variables"])
+        "zero rhs", "positive rhs", "rank below 4", "four rows", "six rows", "three variables",
+        "five rows over three variables", "no verdict", "negative minors"])
 def test_infeasible_on_rules(rows, verdict, weights):
     """``infeasible_on`` accepts five rows over four variables exactly when
     their kernel is of one sign and combines the right-hand sides into a
     negative number, with the weights on all five up to a positive factor, a
     zero weight included; any other shape gives None.  The right-hand sides
     are summed over their denominators: the lcm case sums to -1 + 2/3 < 0,
-    but to -1 + 2 > 0 with the denominators dropped."""
+    but to -1 + 2 > 0 with the denominators dropped.  Below rank 4 the
+    signed minors are all zero and so is the combined rhs, which is not
+    negative.  With the first two rows swapped the signed minors are all
+    negative, and are taken with the opposite sign."""
     y = exactlp.infeasible_on([_base(vec, rhs) for vec, rhs in rows], verdict)
     if weights is None:
         assert y is None
@@ -909,12 +917,12 @@ def test_feasible_at_rules(rows, basis, vertex):
 
 
 def test_infeasible_on_rejects_a_kernel_that_does_not_cancel(monkeypatch):
-    """Should ``_kernel_vector`` return a one-signed vector that does not
+    """Should ``_signed_minors`` return a one-signed vector that does not
     cancel every variable, ``infeasible_on`` rejects it, though it gives a
     negative combined rhs."""
     rows = [(vec, num, 1, 1, 1) for vec, num in [((1, 1, 1, 1), -1), *_NONNEG]]
     assert exactlp.infeasible_on(rows, [0, 1, 2, 3, 4])
-    monkeypatch.setattr(exactlp, "_kernel_vector", lambda vecs: [1, 1, 1, 1, 2])
+    monkeypatch.setattr(exactlp, "_signed_minors", lambda vecs: [1, 1, 1, 1, 2])
     assert exactlp.infeasible_on(rows, [0, 1, 2, 3, 4]) is None
 
 

@@ -24,6 +24,8 @@ from bmbounds.systems import (
     _guards,
     branch_row,
     build_case_system,
+    case_echoes,
+    case_metas,
     case_pairs,
     case_point,
     case_rows,
@@ -268,12 +270,11 @@ class TestCaseRowTables:
         the built case system and for each branch system, and what the
         Fraction coefficients format to, zero entries included (the kappa = 0
         mass rows at t = 5/2 under 2,1,4, branch b's at t = 3).  The whole
-        echo documents write and the audit expects (``certify._echo`` of the
-        rows and meta ``certify._tables`` gives a case: variables, nonneg,
-        inequalities and meta, in key order) must be ``system_doc``'s too."""
-        from bmbounds.certify import _echo, _metas, _tables
-
-        point, metas = _metas(t, policy, variant)
+        echo documents write and the audit expects (``case_echoes`` of the
+        ``case_metas``: variables, nonneg, inequalities and meta, in key
+        order) must be ``system_doc``'s too, and the pair rows it gives with
+        it those the built system reads (``exactlp.system_pairs``)."""
+        point, metas = case_metas(t, policy, variant)
 
         def rendered(rows):
             return json.dumps([row_entry(row.label, row.pairs(point, variant)) for row in rows])
@@ -285,21 +286,22 @@ class TestCaseRowTables:
                 for ineq in system.inequalities])
             return json.dumps(system_doc(system)["inequalities"])
 
-        def echoed(case, functions, branches):
-            rows, meta = _tables(metas, functions, branches)[case]
-            return json.dumps(_echo({}, rows, meta, point, variant)[1])
+        def echoed(case, system, functions=None, branches=""):
+            pairs, echo = case_echoes({}, point, metas, variant, functions, branches)[case]
+            assert pairs == system_pairs(system), (case, branches)
+            return json.dumps(echo)
 
         for case in ALL_CASES:
             system = build_case_system(case, t, policy, variant)
             assert case_pairs(case, point, variant) == system_pairs(system)
             assert rendered(CASE_TABLES[case]) == written(system), case
-            assert echoed(case, None, "") == json.dumps(system_doc(system)), case
+            assert echoed(case, system) == json.dumps(system_doc(system)), case
         for functions in ((), (0, 2), (0, 1, 2)):
             for branches, systems in build_dichotomy_systems(t, policy, functions, variant):
                 extra = tuple(BRANCH_ROWS[m, br] for m, br in zip(functions, branches))
                 for case, system in zip(ALL_CASES, systems):
                     assert rendered(CASE_TABLES[case] + extra) == written(system), (case, branches)
-                    assert echoed(case, functions, branches) == json.dumps(system_doc(system)), (
+                    assert echoed(case, system, functions, branches) == json.dumps(system_doc(system)), (
                         case, branches)
 
     @settings(max_examples=60, deadline=None)

@@ -12,15 +12,16 @@ hold all four cases with machine-checkable certificates: Farkas vectors at
 t_lo, a witness at t_hi.  Reports and probes settle each case in one step
 (``_settle``) on its full list of base rows: by the verdict (the five rows
 an infeasible run ended on), else the basis, that last decided it, and by
-one ``exactlp.pivot`` run only where neither holds, so every Farkas vector
-comes from a verdict's weights (``exactlp.support_farkas``) and every
-witness is a basis vertex.  A dichotomy decides its four base systems once
+one ``exactlp.pivot`` run, from the origin, only where neither holds, so
+every Farkas vector comes from a verdict's weights
+(``exactlp.support_farkas``) and every witness is a basis vertex.  A dichotomy decides its four base systems once
 per t, as ``certify_at`` does, then each case over every branch
 assignment: a plain-infeasible case carries its Farkas vector,
 zero-padded on the branch rows, to every assignment, checked once, as
 the zeros leave every assignment's check reading the same rows;
-a plain-feasible case is settled per assignment, starting from the basis
-its plain run ended at, or, with no functions, carries its plain result.
+a plain-feasible case is settled per assignment, the first basis checked
+being the one its plain run ended at, or, with no functions, carries its
+plain result.
 All four document kinds (certify, search, sweep, dichotomy) are built
 here.  Certificate files are self-contained JSON documents that an
 auditor re-verifies by substitution alone; each echoed system must equal
@@ -194,10 +195,10 @@ def _settle(bases: dict, key, rows: list[tuple]) -> tuple:
     prove ``rows`` infeasible (``infeasible_on``); else (None, vertex) if
     the vertex (xs, D) of the basis held satisfies them (``feasible_at``);
     both checks use Cramer's rule, on those five rows or the four basis
-    rows.  Else ``exactlp.pivot`` decides the rows, starting with the basis
-    held swapped in; the five rows or the basis it ends at must pass the
-    same check (else AssertionError), replace the ones held for ``key`` and
-    that verdict, and give the weights or the vertex that check returns."""
+    rows.  Else ``exactlp.pivot`` decides the rows from the origin; the five
+    rows or the basis it ends at must pass the same check (else
+    AssertionError), replace the ones held for ``key`` and that verdict, and
+    give the weights or the vertex that check returns."""
     y = infeasible_on(rows, bases.get((key, False)))
     if y:
         return y, None
@@ -205,7 +206,7 @@ def _settle(bases: dict, key, rows: list[tuple]) -> tuple:
     vertex = feasible_at(rows, basis)
     if vertex:
         return None, vertex
-    feasible, found, _ = exactlp.pivot(rows, basis)
+    feasible, found, _ = exactlp.pivot(rows)
     checked = feasible_at(rows, found) if feasible else infeasible_on(rows, found)
     if not checked:
         raise AssertionError(SELF_CHECK_FAILED)
@@ -268,8 +269,8 @@ def binary_search_bound(
     Probes are warm-started: one dict, kept across the probes, holds per
     case the last verdict and the last basis a pivot run ended at for it,
     which ``_settle`` tries on the case's base rows (``case_rows``) at the
-    new t, in that order, before it runs ``exactlp.pivot`` from that
-    basis.  Each check accepts a verdict only after exact integer
+    new t, in that order, before it runs ``exactlp.pivot`` from the
+    origin.  Each check accepts a verdict only after exact integer
     substitution, so a verdict never depends on the bases or on the
     order, and neither does the trace.
 
@@ -389,9 +390,9 @@ def certify_dichotomy(
     for every assignment.  Without functions the one assignment's rows are
     the plain ones, so it carries the plain result of every case, feasible
     or not, and makes no rows.  With functions, a plain-feasible case is
-    settled per assignment as a probe is (``_certificate``), its first
-    basis the one its plain run ended at, with the nonneg rows moved past
-    the branch rows; an assignment whose vertex is the plain witness
+    settled per assignment as a probe is (``_certificate``), the first
+    basis it checks being the one its plain run ended at, with the nonneg
+    rows moved past the branch rows; an assignment whose vertex is the plain witness
     carries the plain result.  Each result must pass ``verified`` on the
     pair rows of its assignment system.  Raises FunctionsError, before any case is decided, unless the
     functions are distinct indices 0-2.

@@ -11,7 +11,7 @@ stands for.  ``system_rows`` clears a ``LinearSystem``'s pair rows
 make the same rows from the integer formulas the case systems and branch
 rows are built from, so only ``check_feasibility`` uses ``system_rows``,
 and no command calls it.  A run starts at the basis of the nonneg rows,
-whose vertex is the origin, with a stored basis swapped in, and keeps the
+whose vertex is the origin, so it depends on its rows alone, and keeps the
 adjugate and the determinant of its basis matrix, updated per swap by one
 exact division.  It ends at a basis whose vertex satisfies every row, or
 at the n + 1 rows of its last basis and the entering row, whose integer
@@ -265,36 +265,17 @@ def _swap_n(cols: list, D: int, k: int, lam: list[int]) -> tuple[list, int]:
 NONNEG_ROWS = [(tuple([-int(i == j) for i in range(4)]), 0, 1, 1, 1) for j in range(4)]
 
 
-def _swap_in(rows: Sequence[tuple], start: Optional[Sequence[int]], basis: list, cols: list) -> tuple:
-    """The columns and determinant once the rows of ``start`` are swapped into
-    ``basis`` (updated in place) by ``pivot``'s start rule, from ``cols``, D = 1."""
-    D, fixed = 1, set()
-    for r in start or ():
-        if r not in basis:
-            vec, _, den, _, _ = rows[r]
-            lam = [den * sum(map(operator.mul, vec, col)) for col in cols]
-            k = next((k for k in range(len(lam)) if lam[k] and basis[k] not in fixed), None)
-            if k is None:
-                continue
-            cols, D = _swap(cols, D, k, lam)
-            basis[k] = r
-        fixed.add(r)
-    return cols, D
-
-
-def pivot(rows: Sequence[tuple], start: Optional[Sequence[int]] = None) -> tuple:
+def pivot(rows: Sequence[tuple]) -> tuple:
     """Decide the base rows ``rows`` by an exact integer simplex over row bases.
 
     ``rows`` must hold the nonneg row -x_j <= 0 of every variable (the base
     row ``base_row([-e_j], 1, 0, 1)``), whose basis has the vertex 0, and
-    the run starts there.  Each row of ``start`` (a stored basis) is then
-    swapped in, in its order, for the first basis row that is not one of
-    the rows of ``start`` and on which its expansion is nonzero, if there
-    is one.  Each step then follows Bland's least-index rule: the first row
-    the vertex violates enters, and the lowest-index basis row with a
-    positive coefficient in its expansion leaves.  Without a ratio test
-    this is the least-index criss-cross rule for the system's slacks, which
-    ends after finitely many steps from any basis (Terlaky, 1985).
+    the run starts there: its columns are those rows' directions, and D = 1.
+    Each step follows Bland's least-index rule: the first row the vertex
+    violates enters, and the lowest-index basis row with a positive
+    coefficient in its expansion leaves.  Without a ratio test this is the
+    least-index criss-cross rule for the system's slacks, which ends after
+    finitely many steps from any basis (Terlaky, 1985), the origin's too.
 
     Returns (True, basis, (xs, D)), a basis whose vertex xs / D (D > 0)
     satisfies every row, or (False, verdict, y) when no basis row has a
@@ -310,9 +291,9 @@ def pivot(rows: Sequence[tuple], start: Optional[Sequence[int]] = None) -> tuple
     through ``_swap``.
     """
     if len(rows[0][0]) != 4:
-        return _pivot_n(rows, start)
+        return _pivot_n(rows)
     basis = [rows.index(row) for row in NONNEG_ROWS]
-    cols, D = _swap_in(rows, start, basis, [row[0] for row in NONNEG_ROWS])
+    cols, D = [row[0] for row in NONNEG_ROWS], 1
     while True:
         (p0, p1, p2, p3), (q0, q1, q2, q3), (u0, u1, u2, u3), (w0, w1, w2, w3) = cols
         n0, n1, n2, n3 = [rows[i][1] for i in basis]
@@ -338,12 +319,12 @@ def pivot(rows: Sequence[tuple], start: Optional[Sequence[int]] = None) -> tuple
         basis[k] = r
 
 
-def _pivot_n(rows: Sequence[tuple], start: Optional[Sequence[int]] = None) -> tuple:
+def _pivot_n(rows: Sequence[tuple]) -> tuple:
     """``pivot``'s generic body, for rows of any width n."""
     n = len(rows[0][0])
     scaled = [[den * x for x in vec] for vec, _, den, _, _ in rows]
-    basis = [rows.index((tuple([-int(i == j) for i in range(n)]), 0, 1, 1, 1)) for j in range(n)]
-    cols, D = _swap_in(rows, start, basis, [[-int(i == j) for i in range(n)] for j in range(n)])
+    cols, D = [[-int(i == j) for i in range(n)] for j in range(n)], 1
+    basis = [rows.index((tuple(col), 0, 1, 1, 1)) for col in cols]
     while True:
         xs = [sum([rows[i][1] * col[j] for i, col in zip(basis, cols)]) for j in range(n)]
         r = next((r for r, (a, row) in enumerate(zip(scaled, rows))

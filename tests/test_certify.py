@@ -60,7 +60,7 @@ GUARDED_POLICIES = [policy for policy in itertools.starmap(
 
 @pytest.fixture
 def fm_runs(monkeypatch):
-    """The (rows, start) of every ``exactlp.pivot`` run, from tables and systems alike.
+    """The rows of every ``exactlp.pivot`` run, from tables and systems alike.
 
     The name is kept from when every such run was a Fourier-Motzkin
     elimination; the pins below keep their elimination counts in comments."""
@@ -69,9 +69,9 @@ def fm_runs(monkeypatch):
     runs = []
     run = exactlp.pivot
 
-    def counting(rows, start=None):
-        runs.append((rows, start))
-        return run(rows, start)
+    def counting(rows):
+        runs.append(rows)
+        return run(rows)
 
     monkeypatch.setattr(exactlp, "pivot", counting)
     return runs
@@ -315,7 +315,7 @@ class TestBinarySearch:
         raise."""
         import bmbounds.exactlp as exactlp
 
-        def run(rows, start):
+        def run(rows):
             if wrong == "origin basis":  # the nonneg rows, last in every case's rows
                 return True, list(range(len(rows) - 4, len(rows))), ([0] * 4, 1)
             # The first row and the four nonneg rows, no certificate: their kernel
@@ -1347,6 +1347,39 @@ class TestWarmAssignments:
         a plain-feasible case ran FM; at 113/32 every case is plain-infeasible."""
         certify_dichotomy(t)
         assert len(fm_runs) == runs
+
+    def test_pivot_runs_depend_on_their_rows_alone(self, monkeypatch):
+        """``pivot`` and its generic body take the rows alone, and no stored
+        basis is swapped in: whenever ``_settle`` runs a pivot, the basis or
+        verdict it stores is the one ``exactlp.pivot(rows)`` ends at.  At 4
+        with functions 0 and 1, a run that first swapped in the basis its
+        case held ended at another basis for one assignment."""
+        import inspect
+
+        import bmbounds.certify as certify_mod
+        import bmbounds.exactlp as exactlp
+
+        for body in (exactlp.pivot, exactlp._pivot_n):
+            assert list(inspect.signature(body).parameters) == ["rows"]
+        assert not hasattr(exactlp, "_swap_in")
+        pivot, settle, runs, stored = exactlp.pivot, certify_mod._settle, [], []
+
+        def counting(*args):
+            runs.append(args)
+            return pivot(*args)
+
+        def checked(bases, key, rows):
+            before = len(runs)
+            y, vertex = settle(bases, key, rows)
+            if len(runs) > before:
+                stored.append(bases[key, vertex is not None])
+                assert stored[-1] == pivot(rows)[1]
+            return y, vertex
+
+        monkeypatch.setattr(exactlp, "pivot", counting)
+        monkeypatch.setattr(certify_mod, "_settle", checked)
+        certify_dichotomy(F(4), functions=(0, 1))
+        assert len(stored) == len(runs) == 12
 
     @pytest.mark.parametrize("t, functions", [
         *itertools.product(DICHOTOMY_TS, [(), (0, 2), (0, 1, 2)]), (F(113, 32), (0, 1, 2))], ids=str)

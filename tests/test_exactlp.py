@@ -662,10 +662,9 @@ BRACKET_T = st.fractions(min_value=3, max_value=5, max_denominator=256)
 def test_warm_verdicts_agree_with_pivot(policy, case, variant, t, step, picks):
     """A basis or the n + 1 rows a pivot run ends at at a neighbouring t, or
     a random set of rows: whenever ``infeasible_on`` or ``feasible_at``
-    accepts it at t, a pivot run from the origin gives the same verdict,
-    and so does a run with its rows swapped in.  At its own t, what a run
-    ends at is always accepted, with the run's weights up to a positive
-    factor, or at the run's vertex."""
+    accepts it at t, a pivot run from the origin gives the same verdict.
+    At its own t, what a run ends at is always accepted, with the run's
+    weights up to a positive factor, or at the run's vertex."""
     rows = case_rows(case, case_point(t, policy), variant)
     feasible = exactlp.pivot(rows)[0]
     near = case_rows(case, case_point(min(max(t + step, F(3)), F(5)), policy), variant)
@@ -683,7 +682,6 @@ def test_warm_verdicts_agree_with_pivot(policy, case, variant, t, step, picks):
             assert not feasible
         if exactlp.feasible_at(rows, candidate):
             assert feasible
-        assert exactlp.pivot(rows, candidate)[0] == feasible
 
 
 # Signed maximal minors against a Gauss-Jordan reference.
@@ -928,7 +926,7 @@ def test_infeasible_on_rejects_a_kernel_that_does_not_cancel(monkeypatch):
 
 # The width-4 body of ``pivot`` against the generic body, ``_pivot_n``.
 
-def _bodies(rows, start=None):
+def _bodies(rows):
     """The (triple, swaps) of ``pivot`` on ``rows`` and of the generic body,
     ``_pivot_n`` with its swaps made by ``_swap_n``: each swap is recorded
     as (D, k, lam), so the two runs must agree step by step."""
@@ -942,31 +940,16 @@ def _bodies(rows, start=None):
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(exactlp, "_swap", recording)
-            runs.append((body(rows, start), swaps))
+            runs.append((body(rows), swaps))
     return runs
-
-
-def _near_start(rows_at, t, step, lo, hi):
-    """What a pivot run at the neighbouring t + step (kept in [lo, hi]) ends
-    on, a basis or n + 1 rows, from the rows ``rows_at`` gives there."""
-    return exactlp.pivot(rows_at(min(max(t + step, lo), hi)))[1]
-
-
-STEP = st.fractions(min_value=-F(1, 4), max_value=F(1, 4), max_denominator=256)
 
 
 @st.composite
 def case_pivot_inputs(draw):
-    """The case rows of a guarded policy, variant and case at t in [3, 5],
-    and no start or what a run at a neighbouring t ends on."""
+    """The case rows of a guarded policy, variant and case at t in [3, 5]."""
     policy, case = draw(st.sampled_from(GUARDED_POLICIES)), draw(st.sampled_from(ALL_CASES))
     variant, t = draw(st.sampled_from(list(Variant))), draw(BRACKET_T)
-
-    def rows_at(s):
-        return case_rows(case, case_point(s, policy), variant)
-
-    start = _near_start(rows_at, t, draw(STEP), F(3), F(5)) if draw(st.booleans()) else None
-    return rows_at(t), start
+    return case_rows(case, case_point(t, policy), variant)
 
 
 def _assignment_rows(policy, case, variant, t, functions, branches):
@@ -979,19 +962,13 @@ def _assignment_rows(policy, case, variant, t, functions, branches):
 
 @st.composite
 def assignment_pivot_inputs(draw):
-    """A dichotomy assignment's rows at a guarded policy and t in [3, 4], and
-    no start or what a run on the same assignment at a neighbouring t ends on."""
+    """A dichotomy assignment's rows at a guarded policy and t in [3, 4]."""
     policy, case = draw(st.sampled_from(GUARDED_POLICIES)), draw(st.sampled_from(ALL_CASES))
     variant = draw(st.sampled_from(list(Variant)))
     t = draw(st.fractions(min_value=3, max_value=4, max_denominator=256))
     functions = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
     branches = draw(st.lists(st.sampled_from("ab"), min_size=len(functions), max_size=len(functions)))
-
-    def rows_at(s):
-        return _assignment_rows(policy, case, variant, s, functions, branches)
-
-    start = _near_start(rows_at, t, draw(STEP), F(3), F(4)) if draw(st.booleans()) else None
-    return rows_at(t), start
+    return _assignment_rows(policy, case, variant, t, functions, branches)
 
 
 @st.composite
@@ -999,8 +976,7 @@ def degenerate_pivot_inputs(draw):
     """Base rows over four variables, the four nonneg rows among them in a
     drawn order: rows through one rational point, repeated rows, rows
     dependent on two earlier ones, zero-direction rows with a negative rhs
-    and random rows; and a start of drawn row indices, repeats, nonneg rows
-    (in the basis the run starts at) and dependent rows among them."""
+    and random rows."""
     small = st.integers(-3, 3)
     point = [F(draw(small), draw(st.integers(1, 3))) for _ in range(4)]
     table = []
@@ -1026,9 +1002,7 @@ def degenerate_pivot_inputs(draw):
             continue
         table.append(exactlp.base_row(vec, 1, rhs.numerator, rhs.denominator))
     nonneg = [(_unit(j, -1), 0, 1, 1, 1) for j in range(4)]
-    rows = draw(st.permutations(table + nonneg))
-    start = draw(st.one_of(st.none(), st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=6)))
-    return rows, start
+    return draw(st.permutations(table + nonneg))
 
 
 _RULE_ROWS = {
@@ -1037,10 +1011,6 @@ _RULE_ROWS = {
     # x0 + x1 + x3 >= 1, with the nonneg rows of x2, x3, x0, x1 at rows 1-4:
     # basis positions 0, 1, 3 hold rows 3, 4, 2, and all three leave-eligible.
     "leaving": [((-1, -1, 0, -1), -1), _NONNEG[2], _NONNEG[3], _NONNEG[0], _NONNEG[1]],
-    # x0 <= 1 twice: the second start row expands only on the first's position.
-    "start row skipped": [(_unit(0, 1), 1), (_unit(0, 1), 1), *_NONNEG],
-    # -x0 <= 0, in the basis at the origin, is fixed before x0 <= 1 comes.
-    "start row in the basis": [(_unit(0, 1), 1), *_NONNEG],
     # x0 + x1 <= -1: no coefficient positive, weight 0 on the x2 and x3 rows.
     "infeasible": [((1, 1, 0, 0), -1), *_NONNEG],
 }
@@ -1048,46 +1018,35 @@ _RULE_ROWS = {
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(case_pivot_inputs(), assignment_pivot_inputs(), degenerate_pivot_inputs()))
-# A dichotomy assignment of a plain-feasible case, started as the dichotomy
-# starts it: the plain basis [2, 3, 4, 8] moved past the two branch rows.
-@example((_assignment_rows(CPolicy(1, 0, 2), JCase.J012, Variant.SYMMETRIZED, F(15, 4), (1, 2), "ab"),
-          [2, 3, 4, 10]))
-# A repeated row, a zero row with a negative rhs, a start that repeats a row,
-# names a nonneg row and a row dependent on the first two.
-@example(([_base((1, 1, 0, 0), 2), _base((1, 1, 0, 0), 2), _base((0, 1, 1, 0), 1), _base((1, 2, 1, 0), 3),
-           _base((0, 0, 0, 0), F(-1, 2)), *[_base(vec, rhs) for vec, rhs in _NONNEG]], [3, 0, 3, 5, 2]))
-@example(([_base(vec, rhs) for vec, rhs in _RULE_ROWS["leaving"]], [4, 0]))
-def test_width4_body_agrees_with_the_generic_body(inputs):
+# A dichotomy assignment of a plain-feasible case.
+@example(_assignment_rows(CPolicy(1, 0, 2), JCase.J012, Variant.SYMMETRIZED, F(15, 4), (1, 2), "ab"))
+# A repeated row, a zero row with a negative rhs and a row dependent on the first two.
+@example([_base((1, 1, 0, 0), 2), _base((1, 1, 0, 0), 2), _base((0, 1, 1, 0), 1), _base((1, 2, 1, 0), 3),
+          _base((0, 0, 0, 0), F(-1, 2)), *[_base(vec, rhs) for vec, rhs in _NONNEG]])
+@example([_base(vec, rhs) for vec, rhs in _RULE_ROWS["leaving"]])
+def test_width4_body_agrees_with_the_generic_body(rows):
     """On rows over four variables, ``pivot``'s width-4 body returns the
     generic body's (flag, basis, cert) and makes the same swaps, (D, k,
-    lam) each: on case rows at t in [3, 5] and dichotomy assignment rows,
-    each from the origin or from what a run at a neighbouring t ends on,
-    and on degenerate row sets with degenerate starts."""
-    rows, start = inputs
-    (fast, fast_swaps), (generic, generic_swaps) = _bodies(rows, start)
+    lam) each: on case rows at t in [3, 5], on dichotomy assignment rows
+    and on degenerate row sets."""
+    (fast, fast_swaps), (generic, generic_swaps) = _bodies(rows)
     assert fast == generic
     assert fast_swaps == generic_swaps
 
 
-@pytest.mark.parametrize("name, start, expected", [
-    ("entering", None, (True, [0, 1, 4, 5], ([0, 1, 0, 0], 1))),
-    ("leaving", None, (True, [3, 4, 1, 0], ([0, 0, 0, 1], 1))),
-    ("start row skipped", [0, 1], (True, [0, 3, 4, 5], ([1, 0, 0, 0], 1))),
-    ("start row in the basis", [1, 0], (True, [1, 2, 3, 4], ([0, 0, 0, 0], 1))),
-    ("infeasible", None, (False, [0, 1, 2, 3, 4], [1, 1, 1, 0, 0])),
-], ids=["entering", "leaving", "start row skipped", "start row in the basis", "infeasible"])
-def test_pivot_rules(name, start, expected):
+@pytest.mark.parametrize("name, expected", [
+    ("entering", (True, [0, 1, 4, 5], ([0, 1, 0, 0], 1))),
+    ("leaving", (True, [3, 4, 1, 0], ([0, 0, 0, 1], 1))),
+    ("infeasible", (False, [0, 1, 2, 3, 4], [1, 1, 1, 0, 0])),
+], ids=["entering", "leaving", "infeasible"])
+def test_pivot_rules(name, expected):
     """Both bodies follow one set of rules.  The first violated row enters
     (x0 + x1 + x2 + x3 >= 1 before x1 >= 1; taking x1 >= 1 first would end
     at once at [2, 1, 4, 5]).  The leaving row is the least row index among
     positive coefficients, not the least position (row 2 at position 3,
-    where position order gives row 3 and the highest index row 4).  A start
-    row is swapped into the first position that is not fixed and has a
-    nonzero coefficient, and skipped if there is none (the second x0 <= 1),
-    and a start row already in the basis stays and is fixed (so x0 <= 1,
-    which expands only on it, is skipped).  An infeasible run weighs the
-    entering row by D and each basis row by minus its coefficient, 0
-    included."""
+    where position order gives row 3 and the highest index row 4).  An
+    infeasible run weighs the entering row by D and each basis row by minus
+    its coefficient, 0 included."""
     rows = [_base(vec, rhs) for vec, rhs in _RULE_ROWS[name]]
-    for triple, _ in _bodies(rows, start):
+    for triple, _ in _bodies(rows):
         assert triple == expected

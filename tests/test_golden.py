@@ -140,6 +140,16 @@ generic body for every row width, before the case systems' four-variable
 rows got a body of their own.  They drive long pivot runs off the default
 policy: the dichotomy makes 19 runs with 90 swaps, the search 11 runs with
 43 swaps.
+
+The ``dichotomy --t 4 --functions 0 1 --format structured`` digest was
+recorded when every ``exactlp.pivot`` run began to start at the origin,
+where before a run that followed a failed stored-basis check first swapped
+that basis in.  Before that change the document read
+``e63b50fa6aca4c55e4e409fce2e2bac8770de87e536d1ac0ae49c63a6891129e``.  One
+assignment's pivot run now ends at another vertex, so one witness changed,
+from ``1/2, 1/2, 1`` to ``5/12, 5/12, 4/3`` (``th0``, ``th1``, ``th2``):
+every status, echo, ``certified`` flag and exit code is as before, and so
+is every other digest.
 """
 
 import hashlib
@@ -232,6 +242,8 @@ GOLDEN = {
         (1, "e64437940d0b66513134575c3e469d76b25dfec56341313647af35aed1fd3c35"),
     "search --lo 3 --hi 4 --iters 16 --c-policy 0,203,100 --variant printed --format structured":
         (0, "fe6395d407d25d0b342964cec7c97f90732f6784f84532d52295f6c477c775a8"),
+    "dichotomy --t 4 --functions 0 1 --format structured":
+        (1, "00620bb3db651b3e76608897e470a741371ef2c1a6b3ea911bc06ec161aabd72"),
 }
 
 
@@ -260,7 +272,7 @@ def test_runtime_path_builds_no_normalized_rows(monkeypatch, capsys):
         assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED,
                                                             "all certificates verified")
     commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "dichotomy")]
-    assert len(commands) == 18
+    assert len(commands) == 19
     for command in commands:
         code = main(command.split())
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -283,7 +295,7 @@ def test_commands_build_no_system(monkeypatch, capsys):
         assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED,
                                                             "all certificates verified")
     commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "dichotomy")]
-    assert len(commands) == 18
+    assert len(commands) == 19
     for command in commands:
         code = main(command.split())
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -300,7 +312,7 @@ def test_dichotomy_decides_from_integer_rows(monkeypatch, capsys):
     monkeypatch.setattr(exactlp, "system_rows", boom)
     monkeypatch.setattr(certify, "check_feasibility", boom)
     commands = [c for c in GOLDEN if c.split()[0] == "dichotomy"]
-    assert len(commands) == 8
+    assert len(commands) == 9
     for command in commands:
         code = main(command.split())
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -346,7 +358,7 @@ def test_certificates_are_supports_and_vertices(capsys):
 
     commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "sweep", "dichotomy")
                 and c.endswith("--format structured")]
-    assert len(commands) == 15
+    assert len(commands) == 16
     farkas = witnesses = 0
     for command in commands:
         main(command.split())
@@ -363,4 +375,4 @@ def test_certificates_are_supports_and_vertices(capsys):
                      if den * sum(a * x for a, x in zip(vec, point)) == num]
             assert _rank(tight) == len(system.variables) == 4, command
             witnesses += 1
-    assert (farkas, witnesses) == (202, 82)
+    assert (farkas, witnesses) == (204, 96)

@@ -6,8 +6,12 @@ and running ``certify`` must not load mpmath or the upper-bound modules.
 mpmath only displays closed forms: ``upper --t`` and ``upper --scan`` are
 exact and never load it.  Each case here starts its own interpreter, so
 nothing is loaded beforehand.
+
+The package's one dependency is mpmath: every absolute import in its
+modules, lazy ones included, names the stdlib or mpmath.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -29,6 +33,26 @@ def python(*args):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           timeout=120)
+
+
+def test_modules_import_only_the_stdlib_and_mpmath():
+    """Each absolute import of each ``src/bmbounds/*.py`` module, read with
+    ``ast``, has a top-level name in ``sys.stdlib_module_names`` or mpmath.
+    sympy, numpy and scipy may be installed, but are not dependencies."""
+    names = {}
+    for path in sorted(Path(bmbounds.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found = [node.module]
+            else:
+                continue
+            for name in found:
+                names.setdefault(name.partition(".")[0], set()).add(path.name)
+    assert {"fractions", "mpmath"} <= set(names)
+    assert {name: files for name, files in names.items()
+            if name not in sys.stdlib_module_names and name != "mpmath"} == {}
 
 
 def test_lower_bound_path_loads_no_upper_bound_code():

@@ -9,19 +9,18 @@ probe decides the cases from their row tables and stops at its first
 feasible case.  It relies on the monotonicity of feasibility in t (valid
 for affine c-policies) and returns a CertifiedBound whose endpoint reports
 hold all four cases with machine-checkable certificates: Farkas vectors at
-t_lo, a witness at t_hi.  Reports and probes settle each case in one step
-(``_settle``) on its full list of base rows: by the verdict (the five rows
-an infeasible run ended on), else the basis, that last decided it, and by
-one ``exactlp.pivot`` run, from the origin, only where neither holds, so
-every Farkas vector comes from a verdict's weights
-(``exactlp.support_farkas``) and every witness is a basis vertex.  A dichotomy decides its four base systems once
-per t, as ``certify_at`` does, then each case over every branch
-assignment: a plain-infeasible case carries its Farkas vector,
-zero-padded on the branch rows, to every assignment, checked once, as
-the zeros leave every assignment's check reading the same rows;
-a plain-feasible case is settled per assignment, the first basis checked
-being the one its plain run ended at, or, with no functions, carries its
-plain result.
+t_lo, a witness at t_hi.  Reports, probes and dichotomy assignments
+settle each case in one step (``_settle``) on its full list of base rows:
+by the verdict (the five rows an infeasible run ended on), else the basis,
+that last decided it, and by one ``exactlp.pivot`` run, from the origin,
+only where neither holds, so every Farkas vector comes from a verdict's
+weights (``exactlp.support_farkas``) and every witness is a basis vertex.
+A dichotomy decides its four base systems once per t, as ``certify_at``
+does, then each case over every branch assignment: a plain-infeasible
+case carries its Farkas vector, zero-padded on the branch rows, to every
+assignment, checked once, as the zeros leave every assignment's check
+reading the same rows; a plain-feasible case is settled per assignment as
+a probe settles it, or, with no functions, carries its plain result.
 All four document kinds (certify, search, sweep, dichotomy) are built
 here.  Certificate files are self-contained JSON documents that an
 auditor re-verifies by substitution alone; each echoed system must equal
@@ -59,7 +58,6 @@ from .rationals import InputError, format_rational, parse_rational
 from .systems import (
     ALL_CASES,
     BRANCH_ROWS,
-    CASE_TABLES,
     CPolicy,
     DEFAULT_DICHOTOMY_FUNCTIONS,
     DEFAULT_POLICY,
@@ -77,6 +75,7 @@ from .systems import (
     check_functions,
     system_doc,
     system_from_doc,
+    with_branches,
     # Unused here: bench/spans.py wraps these five names in this module.
     build_all_cases,
     build_case_system,
@@ -113,9 +112,9 @@ class CaseReport:
     ``ALL_CASES`` order, each with a certificate verified against the pair
     rows of its system.  ``functions`` and ``branches`` name the dichotomy branch
     assignment (one "a"/"b" per function); a plain report has functions
-    None and no branches.  A case's table rows are ``CASE_TABLES[case]``
-    plus the ``BRANCH_ROWS[m, br]`` of each (m, br) in
-    ``zip(functions, branches)`` (``systems.case_echoes``).
+    None and no branches.  A case's rows are those of its plain system with
+    the ``BRANCH_ROWS[m, br]`` of each (m, br) in ``zip(functions,
+    branches)`` spliced in (``systems.case_echoes``, ``with_branches``).
     """
 
     t: Fraction
@@ -174,8 +173,7 @@ def _certify_at(t: Fraction, policy: CPolicy, variant: Variant,
 
     Each case is settled as a probe settles it (``_certificate``), with the
     verdicts and bases of ``bases``: those a bisection's probes keep
-    (``_first_feasible``), or a fresh dict, which this fills with the
-    verdict or basis that settles each case.  Every certificate passes
+    (``_first_feasible``), or a fresh dict.  Every certificate passes
     ``verified`` alike.
     """
     t = Fraction(t)
@@ -379,27 +377,23 @@ def certify_dichotomy(
 ) -> DichotomyReport:
     """Decide all 2**b branch assignments; certified iff all infeasible.
 
-    Each plain case system is decided once, as ``certify_at`` does, on a
-    fresh dict of verdicts and bases; then each case is decided over every
-    assignment, whose branch rows follow its base inequalities, before the
-    nonneg rows.  Adding rows cannot make an infeasible system feasible, so
-    every assignment of a plain-infeasible case carries one object: the
-    plain Farkas vector with a zero on every branch row, checked once, on
-    the first assignment's pair rows.  A check reads the vector's length and
-    the rows of its nonzero entries only, and the zeros make both the same
-    for every assignment.  Without functions the one assignment's rows are
-    the plain ones, so it carries the plain result of every case, feasible
-    or not, and makes no rows.  With functions, a plain-feasible case is
-    settled per assignment as a probe is (``_certificate``), the first
-    basis it checks being the one its plain run ended at, with the nonneg
-    rows moved past the branch rows; an assignment whose vertex is the plain witness
-    carries the plain result.  Each result must pass ``verified`` on the
-    pair rows of its assignment system.  Raises FunctionsError, before any case is decided, unless the
-    functions are distinct indices 0-2.
+    Each plain case system is decided once, as ``certify_at`` does; then
+    each case over every assignment, whose rows are the plain ones with the
+    branch rows spliced in (``with_branches``).  Adding rows cannot make an
+    infeasible system feasible, so every assignment of a plain-infeasible
+    case carries one object, checked once, on the first assignment's pair
+    rows: the plain Farkas vector with a zero on every branch row.  A check
+    reads the vector's length and the rows of its nonzero entries only, and
+    the zeros make both the same for every assignment.  Without functions
+    the one assignment carries the plain result of every case.  Otherwise
+    the assignments of a plain-feasible case are settled as probes settle a
+    case (``_certificate``), on one fresh dict shared across them, and each
+    result must pass ``verified`` on its assignment's pair rows.  Raises
+    FunctionsError, before any case is decided, unless the functions are
+    distinct indices 0-2.
     """
     functions = check_functions(functions)
-    plain_bases: dict = {}
-    report, pairs, rows = _certify_at(t, policy, variant, plain_bases)
+    report, pairs, rows = _certify_at(t, policy, variant, {})
     point = case_point(report.t, policy)
     made = {key: (row.make(point), row.pairs(point)) for key, row in BRANCH_ROWS.items()
             if key[0] in functions}
@@ -407,21 +401,16 @@ def certify_dichotomy(
     extras = [[made[key] for key in zip(functions, branches)] for branches in strings]
     columns = []
     for case, plain in report.results.items():
-        cut = len(CASE_TABLES[case])
-        checks = [pairs[case][:cut] + [pair for _, pair in extra] + pairs[case][cut:] for extra in extras]
+        checks = [with_branches(pairs[case], [pair for _, pair in extra]) for extra in extras]
         if not (plain.feasible and functions):
             carried = plain if plain.feasible else replace(
-                plain, farkas=plain.farkas[:cut] + (Fraction(0),) * len(functions) + plain.farkas[cut:])
+                plain, farkas=with_branches(plain.farkas, (Fraction(0),) * len(functions)))
             columns.append([verified(VARIABLES, checks[0], carried)] * len(strings))
             continue
-        base = rows[case]
-        bases = {(case, True): [i + len(functions) * (i >= cut) for i in plain_bases[case, True]]}
-        column = []
-        for extra, check in zip(extras, checks):
-            full = base[:cut] + [ints for ints, _ in extra] + base[cut:]
-            result = _certificate(bases, case, full)
-            column.append(verified(VARIABLES, check, plain if result.witness == plain.witness else result))
-        columns.append(column)
+        bases: dict = {}
+        columns.append([verified(VARIABLES, check, _certificate(
+            bases, case, with_branches(rows[case], [ints for ints, _ in extra])))
+            for extra, check in zip(extras, checks)])
     return DichotomyReport(report.t, policy, variant, functions, tuple(
         [replace(report, results=dict(zip(ALL_CASES, got)), functions=functions, branches=branches)
          for branches, got in zip(strings, zip(*columns))]))

@@ -21,8 +21,8 @@ inequality is built from), and ``make``, the base row
 ``exactlp.pivot`` decides from.  ``case_pairs`` and ``case_rows``
 list a case's rows at the ``case_point`` of t and the policy, which
 checks the guards on integers, ending with the nonneg rows
-(``exactlp.NONNEG_ROWS``, ``NONNEG_PAIRS``); a dichotomy adds each branch
-row's ``make`` to them.  ``case_echoes`` is the one lookup of what a case
+(``exactlp.NONNEG_ROWS``, ``NONNEG_PAIRS``); ``with_branches`` splices
+branch rows in before them.  ``case_echoes`` is the one lookup of what a case
 or assignment system is: its table rows in order, its echo meta
 (``case_metas``), its full pair rows and its canonical echo, each entry
 formatted by ``row_entry``, the one formatter of a row entry, which
@@ -350,6 +350,13 @@ def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRI
     """The base rows of ``build_case_system(case, t, policy, variant)`` at the
     point of t and policy, as ``exactlp.system_rows`` reads them from it."""
     return [row.make(point, variant) for row in CASE_TABLES[case]] + NONNEG_ROWS
+
+
+def with_branches(rows: Sequence, branch: Sequence) -> Sequence:
+    """A case system's ``rows`` (base rows, pair rows or a Farkas vector) with
+    an assignment's ``branch`` entries spliced in where ``case_echoes`` puts
+    its branch rows, before the nonneg rows; nothing is made again."""
+    return rows[:-len(VARIABLES)] + branch + rows[-len(VARIABLES):]
 
 
 def case_metas(t: Fraction, policy: CPolicy, variant: Variant,

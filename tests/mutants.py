@@ -1,0 +1,222 @@
+"""Mutation check: every seeded mutant of ``src/bmbounds`` must fail the tests named for it.
+
+Run from anywhere, with pytest and hypothesis installed::
+
+    python tests/mutants.py          # every mutant
+    python tests/mutants.py NAME...  # the named mutants only
+
+A mutant replaces one snippet of one module with another; the snippet must
+occur exactly once in that module, else the runner stops before running
+anything, so a mutant cannot go stale silently.  Each mutant is applied to
+its own copy of ``src/`` in a temporary directory, and pytest runs the
+test node ids named for it on that copy, in one subprocess at a time.  A
+mutant is killed when every one of its node ids fails (a parametrized test
+named without its parameters fails when any of its cases does); one that
+survives is reported and the runner exits 1.  Before any mutant, the
+union of the node ids must pass on an unmutated copy.
+
+pytest reads ``pythonpath = ["src"]`` from ``pyproject.toml`` and would put
+the repository's own ``src`` first on ``sys.path``; the runner overrides
+it with the copy's ``src`` and loads a plugin that stops the session
+unless ``bmbounds`` was imported from the copy.  Nothing is written into
+the repository: pytest runs with its cache provider off and without
+bytecode, from the temporary directory, where hypothesis keeps its
+example database.  This file is not named ``test_*.py``, so the test
+suite does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120  # seconds a mutant's test run may take
+
+EX = "tests/test_exactlp.py::"
+CE = "tests/test_certify.py::"
+FEASIBLE_AT = EX + "test_feasible_at_rules[{}]"
+INFEASIBLE_ON = EX + "test_infeasible_on_rules[{}]"
+ENTERING, LEAVING = EX + "test_pivot_rules[entering]", EX + "test_pivot_rules[leaving]"
+AGREEMENT = EX + "test_width4_body_agrees_with_the_generic_body"
+
+FEASIBLE_AT_HEAD = "    if not basis or len(basis) != 4:\n"
+FEASIBLE_AT_WIDTH = ("    if len(a) != 4:\n        return None\n"
+                     "    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = a, b, c, d\n")
+FEASIBLE_AT_ROWS = "    for (r0, r1, r2, r3), num, den, _, _ in rows:\n"
+INFEASIBLE_ON_HEAD = "    if not verdict or len(verdict) != 5:\n"
+FOUR_BODY_ENTERING = "        for r, ((a0, a1, a2, a3), num, den, _, _) in enumerate(rows):\n"
+FOUR_BODY_LEAVING = "            if m > 0 and (k < 0 or b < basis[k]):\n"
+GENERIC_ENTERING = "        r = next((r for r, (a, row) in enumerate(zip(scaled, rows))\n"
+GENERIC_LEAVING = "        k = min(leaving, key=basis.__getitem__)\n"
+CARRY = "farkas=with_branches(plain.farkas, (Fraction(0),) * len(functions)))\n"
+
+# (name, module, snippet, replacement, node ids expected to fail)
+MUTANTS = [
+    # ``feasible_at``: one rule dropped at a time.
+    ("feasible_at: no basis accepted", "exactlp.py", FEASIBLE_AT_HEAD,
+     "    if len(basis) != 4:\n", [FEASIBLE_AT.format("no basis")]),
+    ("feasible_at: no length rule", "exactlp.py", FEASIBLE_AT_HEAD,
+     "    if not basis:\n", [FEASIBLE_AT.format("three rows"), FEASIBLE_AT.format("five rows")]),
+    ("feasible_at: no width rule", "exactlp.py", FEASIBLE_AT_WIDTH,
+     FEASIBLE_AT_WIDTH.split("\n", 2)[2], [FEASIBLE_AT.format("three variables")]),
+    ("feasible_at: singular basis accepted", "exactlp.py",
+     "    if not z[4]:\n        return None\n", "", [FEASIBLE_AT.format("singular")]),
+    ("feasible_at: D not made positive", "exactlp.py",
+     "    x0, x1, x2, x3, D = z if z[4] > 0 else [-x for x in z]\n",
+     "    x0, x1, x2, x3, D = z\n", [FEASIBLE_AT.format("accepted")]),
+    ("feasible_at: den left out of the kernel columns", "exactlp.py",
+     "    z = _signed_minors([[ad * a0, bd * b0, cd * c0, dd * d0], [ad * a1, bd * b1, cd * c1, dd * d1],\n"
+     "                        [ad * a2, bd * b2, cd * c2, dd * d2], [ad * a3, bd * b3, cd * c3, dd * d3],\n",
+     "    z = _signed_minors([[a0, b0, c0, d0], [a1, b1, c1, d1],\n"
+     "                        [a2, b2, c2, d2], [a3, b3, c3, d3],\n", [FEASIBLE_AT.format("accepted")]),
+    ("feasible_at: nonneg rows skipped", "exactlp.py", FEASIBLE_AT_ROWS,
+     FEASIBLE_AT_ROWS.replace("in rows:", "in rows[:-4]:"), [FEASIBLE_AT.format("violates a nonneg row")]),
+    ("feasible_at: table rows skipped", "exactlp.py", FEASIBLE_AT_ROWS,
+     FEASIBLE_AT_ROWS.replace("in rows:", "in rows[-4:]:"), [FEASIBLE_AT.format("violates a table row")]),
+    ("feasible_at: den left out of the substitution", "exactlp.py",
+     "        if den * (r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3) > num * D:\n",
+     "        if (r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3) > num * D:\n",
+     [FEASIBLE_AT.format("violates a table row")]),
+    # ``infeasible_on``: one rule dropped at a time.
+    ("infeasible_on: no verdict accepted", "exactlp.py", INFEASIBLE_ON_HEAD,
+     "    if len(verdict) != 5:\n", [INFEASIBLE_ON.format("no verdict")]),
+    ("infeasible_on: no length rule", "exactlp.py", INFEASIBLE_ON_HEAD,
+     "    if not verdict:\n", [INFEASIBLE_ON.format("four rows"), INFEASIBLE_ON.format("six rows")]),
+    ("infeasible_on: no width rule", "exactlp.py",
+     "    if len(a) != 4:\n        return None\n    y = _signed_minors([a, b, c, d, e])\n",
+     "    y = _signed_minors([a, b, c, d, e])\n", [INFEASIBLE_ON.format("five rows over three variables")]),
+    ("infeasible_on: no sign rule", "exactlp.py",
+     "    if min(y) < 0 < max(y):\n        return None\n", "", [INFEASIBLE_ON.format("mixed sign")]),
+    ("infeasible_on: negative kernel not negated", "exactlp.py",
+     "    if min(y) < 0:\n        y = [-x for x in y]\n", "", [INFEASIBLE_ON.format("negative minors")]),
+    ("infeasible_on: no cancellation check", "exactlp.py",
+     "    if (ya * a0 + yb * b0", "    if False and (ya * a0 + yb * b0",
+     [EX + "test_infeasible_on_rejects_a_kernel_that_does_not_cancel"]),
+    ("infeasible_on: denominators dropped from the rhs", "exactlp.py",
+     "    rhs = (ya * an * (L // ad) + yb * bn * (L // bd) + yc * cn * (L // cd)\n"
+     "           + yd * dn * (L // dd) + ye * en * (L // ed))\n",
+     "    rhs = ya * an + yb * bn + yc * cn + yd * dn + ye * en\n",
+     [INFEASIBLE_ON.format("lcm of the denominators")]),
+    ("infeasible_on: zero rhs accepted", "exactlp.py",
+     "    return y if rhs < 0 else None\n", "    return y if rhs <= 0 else None\n",
+     [INFEASIBLE_ON.format("zero rhs"), INFEASIBLE_ON.format("rank below 4")]),
+    # ``pivot``: each body's entering and leaving rules.
+    ("pivot, width-4 body: last violated row enters", "exactlp.py", FOUR_BODY_ENTERING,
+     FOUR_BODY_ENTERING.replace("enumerate(rows)", "reversed(list(enumerate(rows)))"),
+     [ENTERING, AGREEMENT]),
+    ("pivot, generic body: last violated row enters", "exactlp.py", GENERIC_ENTERING,
+     GENERIC_ENTERING.replace("enumerate(zip(scaled, rows))", "reversed(list(enumerate(zip(scaled, rows))))"),
+     [ENTERING, AGREEMENT]),
+    ("pivot, width-4 body: highest-index row leaves", "exactlp.py", FOUR_BODY_LEAVING,
+     FOUR_BODY_LEAVING.replace("b < basis[k]", "b > basis[k]"), [ENTERING, LEAVING, AGREEMENT]),
+    ("pivot, generic body: highest-index row leaves", "exactlp.py", GENERIC_LEAVING,
+     GENERIC_LEAVING.replace("min(", "max("), [ENTERING, LEAVING, AGREEMENT]),
+    ("pivot, width-4 body: leaving row by position", "exactlp.py", FOUR_BODY_LEAVING,
+     "            if m > 0 and k < 0:\n", [LEAVING, AGREEMENT]),
+    ("pivot, generic body: leaving row by position", "exactlp.py", GENERIC_LEAVING,
+     "        k = leaving[0]\n", [LEAVING, AGREEMENT]),
+    # The dichotomy's carry of a plain-infeasible case, and its per-case dict.
+    ("carry: zeros after the nonneg entries", "certify.py", CARRY,
+     "farkas=plain.farkas + (Fraction(0),) * len(functions))\n",
+     [CE + "TestPlainCaseReuse::test_verdicts_and_padded_vectors",
+      "tests/test_golden.py::test_structured_output_is_byte_identical[dichotomy --t 113/32 --format structured]"]),
+    ("carry: carried vector not checked", "certify.py",
+     "            columns.append([verified(VARIABLES, checks[0], carried)] * len(strings))\n",
+     "            columns.append([carried] * len(strings))\n",
+     [CE + "TestWarmAssignments::test_padded_vectors_are_checked_once"]),
+    ("assignments: a fresh dict per assignment", "certify.py",
+     "            bases, case, with_branches(rows[case], [ints for ints, _ in extra])))\n",
+     "            {}, case, with_branches(rows[case], [ints for ints, _ in extra])))\n",
+     [CE + "TestWarmAssignments::test_fm_runs", CE + "TestWarmAssignments::test_assignments_are_settled_as_probes_are"]),
+]
+
+GUARD = '''import os
+
+import pytest
+
+
+def pytest_sessionstart(session):
+    import bmbounds
+
+    if not bmbounds.__file__.startswith(os.environ["MUTANT_SRC"] + os.sep):
+        raise pytest.UsageError(f"bmbounds was imported from {bmbounds.__file__}, not the copy")
+'''
+
+
+def _copy(work: Path) -> Path:
+    """A fresh copy of ``src/`` under ``work``; returns the copy's ``src``."""
+    src = work / "src"
+    if src.exists():
+        shutil.rmtree(src)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def _run(work: Path, src: Path, node_ids: list[str]) -> tuple[int, set[str], str]:
+    """pytest on ``node_ids`` against the copy at ``src``: (exit code, failed
+    node ids, output tail)."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", MUTANT_SRC=str(src),
+               PYTHONPATH=os.pathsep.join([str(src), str(work)]))
+    args = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "-p", "mutant_guard",
+            "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(ROOT), "-o", f"pythonpath={src}",
+            *[str(ROOT / node) for node in node_ids]]
+    try:
+        done = subprocess.run(args, cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return -1, set(), f"timed out after {TIMEOUT} s"
+    failed = set()
+    for line in done.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):  # the path part is relative to ``work``
+            path, sep, name = line.split(" ", 1)[1].split(" - ", 1)[0].partition("::")
+            failed.add(Path(os.path.relpath(work / path, ROOT)).as_posix() + sep + name)
+    return done.returncode, failed, "\n".join((done.stdout + done.stderr).splitlines()[-5:])
+
+
+def _killed(node: str, failed: set[str]) -> bool:
+    return node in failed or any(f.startswith(node + "[") for f in failed)
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+    unknown = set(argv) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 2
+    for name, module, old, new, _ in chosen:
+        count = (ROOT / "src" / "bmbounds" / module).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            print(f"{name}: its snippet occurs {count} times in {module}, not once")
+            return 2
+    with tempfile.TemporaryDirectory(prefix="bmbounds-mutants-") as tmp:
+        work = Path(tmp)
+        (work / "mutant_guard.py").write_text(GUARD, encoding="utf-8")
+        union = sorted({node for *_, nodes in chosen for node in nodes})
+        code, failed, tail = _run(work, _copy(work), union)
+        if code != 0:
+            print(f"the unmutated copy fails (exit {code}):\n{tail}")
+            return 2
+        survivors = []
+        for name, module, old, new, nodes in chosen:
+            src = _copy(work)
+            path = src / "bmbounds" / module
+            path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+            start = time.perf_counter()
+            code, failed, tail = _run(work, src, nodes)
+            alive = [node for node in nodes if not _killed(node, failed)]
+            verdict = "killed" if code == 1 and not alive else "SURVIVED"
+            print(f"{verdict:8} {time.perf_counter() - start:5.1f} s  {name}")
+            if verdict != "killed":
+                survivors.append(name)
+                print(f"         exit {code}; not failed: {alive}\n{tail}")
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

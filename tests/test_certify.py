@@ -1306,8 +1306,9 @@ class TestPlainCaseReuse:
                                          + plain[case].farkas[cut:])
 
     # At 4 it was 36 while every assignment of a plain-feasible case ran FM,
-    # and 11 FM runs before each became a pivot run; 4 and 11 pivot runs now.
-    @pytest.mark.parametrize("t, calls", [(F(113, 32), 4), (F(4), 11)], ids=["113/32", "4"])
+    # and 11 FM runs before each became a pivot run; 4 and 11 pivot runs while
+    # each case's assignments first checked the basis its plain run ended at.
+    @pytest.mark.parametrize("t, calls", [(F(113, 32), 4), (F(4), 13)], ids=["113/32", "4"])
     def test_check_feasibility_calls(self, fm_runs, t, calls):
         report = certify_dichotomy(t)
         assert len(fm_runs) == calls  # 32 and 32 when every assignment ran FM
@@ -1339,9 +1340,10 @@ class TestWarmAssignments:
                     assert verify_certificate(system, result)
 
     # 4, 11, 18 and 16 FM runs, each seeded with the plain witness's
-    # tight basis, before each became a pivot run.
-    @pytest.mark.parametrize("t, runs", [(F(113, 32), 4), (F(4), 11), (F(15, 4), 14),
-                                         (F(11, 3), 11)], ids=str)
+    # tight basis, before each became a pivot run; 4, 11, 14 and 11 pivot
+    # runs while each case's assignments first checked its plain basis.
+    @pytest.mark.parametrize("t, runs", [(F(113, 32), 4), (F(4), 13), (F(15, 4), 16),
+                                         (F(11, 3), 12)], ids=str)
     def test_fm_runs(self, fm_runs, t, runs):
         """36, 36 and 28 FM runs at 4, 15/4 and 11/3 when every assignment of
         a plain-feasible case ran FM; at 113/32 every case is plain-infeasible."""
@@ -1379,7 +1381,47 @@ class TestWarmAssignments:
         monkeypatch.setattr(exactlp, "pivot", counting)
         monkeypatch.setattr(certify_mod, "_settle", checked)
         certify_dichotomy(F(4), functions=(0, 1))
-        assert len(stored) == len(runs) == 12
+        assert len(stored) == len(runs) == 14  # 12 while assignments first checked the plain basis
+
+    @pytest.mark.parametrize("t, policy", [(F(4), DEFAULT_POLICY), (F(4), CPolicy(1, 0, 2)),
+                                           (F(15, 4), DEFAULT_POLICY), (F(11, 3), DEFAULT_POLICY)],
+                             ids=str)
+    def test_assignments_are_settled_as_probes_are(self, monkeypatch, t, policy):
+        """The assignments of a plain-feasible case are settled as bisection
+        probes settle a case: on one dict of their own, which holds nothing
+        its plain run stored, so the first assignment's settle sees no
+        verdict and no basis and each later one only what earlier
+        assignments of its case stored.  Each result is the certificate
+        ``_certificate`` gave that assignment, never its case's plain one."""
+        import bmbounds.certify as certify_mod
+
+        feasible = certify_at(t, policy).feasible_cases
+        assert feasible
+        settle, certificate, settles, given = certify_mod._settle, certify_mod._certificate, [], []
+
+        def recording(bases, key, rows):
+            settles.append((bases, key, dict(bases)))
+            return settle(bases, key, rows)
+
+        def giving(*args):
+            given.append(certificate(*args))
+            return given[-1]
+
+        monkeypatch.setattr(certify_mod, "_settle", recording)
+        monkeypatch.setattr(certify_mod, "_certificate", giving)
+        report = certify_dichotomy(t, policy)
+        plain = settles[:len(ALL_CASES)]
+        assert [key for _, key, _ in plain] == list(ALL_CASES)
+        assert len(settles) == len(ALL_CASES) + len(feasible) * len(report.assignments)
+        for case in feasible:
+            mine = [(bases, before) for bases, key, before in settles[len(ALL_CASES):] if key == case]
+            assert len({id(bases) for bases, _ in mine}) == 1
+            assert mine[0][0] is not plain[0][0]
+            assert mine[0][1] == {}
+            for (bases, before), (_, after) in zip(mine, mine[1:]):
+                assert set(before) <= set(after) <= {(case, False), (case, True)}
+            results = {id(a.results[case]) for a in report.assignments}
+            assert results <= {id(result) for result in given[len(ALL_CASES):]}
 
     @pytest.mark.parametrize("t, functions", [
         *itertools.product(DICHOTOMY_TS, [(), (0, 2), (0, 1, 2)]), (F(113, 32), (0, 1, 2))], ids=str)
@@ -1461,19 +1503,6 @@ class TestWarmAssignments:
         monkeypatch.setattr(certify_mod, "case_rows", lambda *args: calls.append(args) or case_rows(*args))
         assert not certify_dichotomy(F(4)).certified
         assert [case for case, _, _ in calls] == list(ALL_CASES)
-
-    def test_plain_witness_is_shared(self):
-        """An assignment whose vertex is the plain witness carries the plain
-        result object, so the document formats it once."""
-        report = certify_dichotomy(F(4))
-        plain = certify_at(F(4)).results
-        shared = 0
-        for case in ALL_CASES:
-            same = [a.results[case] for a in report.assignments
-                    if a.results[case].witness == plain[case].witness]
-            assert len({id(result) for result in same}) <= 1
-            shared += len(same)
-        assert shared == 9  # 8 when the plain witness was elimination's
 
 
 @functools.lru_cache(maxsize=None)
@@ -1725,6 +1754,6 @@ def test_certify_holds_no_system_layout():
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert imported.isdisjoint({"LinearSystem", "table_system", "TableRow", "row_entry", "case_meta",
-                                "NONNEG_PAIRS"})
+                                "NONNEG_PAIRS", "CASE_TABLES"})
     assert {"check_feasibility", "verify_certificate", "build_all_cases", "build_case_system",
             "build_dichotomy_systems", "parse_system_file", "serialize_system"} <= imported

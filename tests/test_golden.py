@@ -150,6 +150,16 @@ assignment's pivot run now ends at another vertex, so one witness changed,
 from ``1/2, 1/2, 1`` to ``5/12, 5/12, 4/3`` (``th0``, ``th1``, ``th2``):
 every status, echo, ``certified`` flag and exit code is as before, and so
 is every other digest.
+
+The ``dichotomy --t 4 --c-policy 1,0,2 --format structured`` digest was
+recorded while each plain-feasible case's assignments still first checked
+the basis its plain run ended at, shifted past the branch rows, and an
+assignment whose vertex was the plain witness still carried the plain
+result object, before the assignments were settled as bisection probes
+settle a case.  It then made 23 stored-basis settles, as did its printed
+twin, more than any other dichotomy over all three functions with policy
+2,1,4, 1,0,2, 0,759,400 or 3,1,5, either variant, at a t in [3, 4] with
+denominator <= 8, so it pins the witnesses stored bases give.
 """
 
 import hashlib
@@ -244,6 +254,8 @@ GOLDEN = {
         (0, "fe6395d407d25d0b342964cec7c97f90732f6784f84532d52295f6c477c775a8"),
     "dichotomy --t 4 --functions 0 1 --format structured":
         (1, "00620bb3db651b3e76608897e470a741371ef2c1a6b3ea911bc06ec161aabd72"),
+    "dichotomy --t 4 --c-policy 1,0,2 --format structured":
+        (1, "e1a30a1764473ca3bf25ad917ae94ea5c4b77319177569c637c18411569b7e54"),
 }
 
 
@@ -272,7 +284,7 @@ def test_runtime_path_builds_no_normalized_rows(monkeypatch, capsys):
         assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED,
                                                             "all certificates verified")
     commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "dichotomy")]
-    assert len(commands) == 19
+    assert len(commands) == 20
     for command in commands:
         code = main(command.split())
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -295,7 +307,7 @@ def test_commands_build_no_system(monkeypatch, capsys):
         assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED,
                                                             "all certificates verified")
     commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "dichotomy")]
-    assert len(commands) == 19
+    assert len(commands) == 20
     for command in commands:
         code = main(command.split())
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -312,7 +324,7 @@ def test_dichotomy_decides_from_integer_rows(monkeypatch, capsys):
     monkeypatch.setattr(exactlp, "system_rows", boom)
     monkeypatch.setattr(certify, "check_feasibility", boom)
     commands = [c for c in GOLDEN if c.split()[0] == "dichotomy"]
-    assert len(commands) == 9
+    assert len(commands) == 10
     for command in commands:
         code = main(command.split())
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -358,7 +370,7 @@ def test_certificates_are_supports_and_vertices(capsys):
 
     commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "sweep", "dichotomy")
                 and c.endswith("--format structured")]
-    assert len(commands) == 16
+    assert len(commands) == 17
     farkas = witnesses = 0
     for command in commands:
         main(command.split())
@@ -375,4 +387,4 @@ def test_certificates_are_supports_and_vertices(capsys):
                      if den * sum(a * x for a, x in zip(vec, point)) == num]
             assert _rank(tight) == len(system.variables) == 4, command
             witnesses += 1
-    assert (farkas, witnesses) == (204, 96)
+    assert (farkas, witnesses) == (204, 128)

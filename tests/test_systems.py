@@ -35,6 +35,7 @@ from bmbounds.systems import (
     serialize_system,
     system_doc,
     system_from_doc,
+    with_branches,
 )
 
 F = Fraction
@@ -459,6 +460,30 @@ class TestDichotomy:
                     base = build_case_system(case, t, DEFAULT_POLICY)
                     assert sys_.meta == {**base.meta, "branches": branches}
                     assert sys_.inequalities == base.inequalities + extra
+
+    @pytest.mark.parametrize("t", [F(113, 32), F(4)], ids=str)
+    def test_branches_are_spliced_where_the_echo_puts_them(self, t):
+        """``with_branches`` puts an assignment's branch entries in one place
+        in a case's base rows, pair rows and Farkas vector alike: the base
+        rows are those ``system_rows`` clears from the built assignment
+        system, the pair rows those ``case_echoes`` gives, and a vector's
+        entries land on the branch rows.  The rows it is given are the
+        objects it returns, none made again."""
+        point, metas = case_metas(t, DEFAULT_POLICY, Variant.SYMMETRIZED)
+        for functions in ((), (1,), (0, 2), (0, 1, 2)):
+            for branches, systems in build_dichotomy_systems(t, DEFAULT_POLICY, functions):
+                keys = list(zip(functions, branches))
+                echoes = case_echoes({}, point, metas, Variant.SYMMETRIZED, functions, branches)
+                for case, system in zip(ALL_CASES, systems):
+                    base, made = case_rows(case, point), [BRANCH_ROWS[key].make(point) for key in keys]
+                    rows = with_branches(base, made)
+                    assert rows == system_rows(system)
+                    assert sorted(map(id, rows)) == sorted(map(id, base + made))
+                    pairs = [BRANCH_ROWS[key].pairs(point) for key in keys]
+                    assert with_branches(case_pairs(case, point), pairs) == echoes[case][0]
+                    marks = with_branches((0,) * len(base), (1,) * len(keys))
+                    assert marks == tuple([int(ineq.label.startswith("B")) for ineq in system.inequalities]
+                                          + [0] * len(VARIABLES))
 
     def test_empty_config_degenerates_to_base(self):
         [(branches, systems)] = build_dichotomy_systems(F(4), DEFAULT_POLICY, functions=())

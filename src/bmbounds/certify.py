@@ -382,12 +382,13 @@ def certify_dichotomy(
     branch rows spliced in (``with_branches``).  Adding rows cannot make an
     infeasible system feasible, so every assignment of a plain-infeasible
     case carries one object, checked once, on the first assignment's pair
-    rows: the plain Farkas vector with a zero on every branch row.  A check
-    reads the vector's length and the rows of its nonzero entries only, and
-    the zeros make both the same for every assignment.  Without functions
-    the one assignment carries the plain result of every case.  Otherwise
-    the assignments of a plain-feasible case are settled as probes settle a
-    case (``_certificate``), on one fresh dict shared across them, and each
+    rows, the only ones spliced for that case: the plain Farkas vector
+    with a zero on every branch row.  A check reads the vector's length
+    and the rows of its nonzero entries only, and the zeros make both the
+    same for every assignment.  Without functions the one assignment
+    carries the plain result of every case.  Otherwise the assignments of
+    a plain-feasible case are settled as probes settle a case
+    (``_certificate``), on one fresh dict shared across them, and each
     result must pass ``verified`` on its assignment's pair rows.  Raises
     FunctionsError, before any case is decided, unless the functions are
     distinct indices 0-2.
@@ -401,8 +402,10 @@ def certify_dichotomy(
     extras = [[made[key] for key in zip(functions, branches)] for branches in strings]
     columns = []
     for case, plain in report.results.items():
-        checks = [with_branches(pairs[case], [pair for _, pair in extra]) for extra in extras]
-        if not (plain.feasible and functions):
+        decide = plain.feasible and bool(functions)
+        checks = [with_branches(pairs[case], [pair for _, pair in extra])
+                  for extra in (extras if decide else extras[:1])]
+        if not decide:
             carried = plain if plain.feasible else replace(
                 plain, farkas=with_branches(plain.farkas, (Fraction(0),) * len(functions)))
             columns.append([verified(VARIABLES, checks[0], carried)] * len(strings))
@@ -458,7 +461,9 @@ def _report_json(report: CaseReport, cases: Sequence[JCase] = ALL_CASES) -> dict
 
 def certify_report_doc(report: CaseReport, case: JCase | None = None) -> dict:
     """With ``case``, the document holds that case's entry alone, ``certified``
-    covers that case only, and a last ``case`` field records it."""
+    covers that case only, and a last ``case`` field records it.  Its case
+    echoes hold shared objects (``case_echoes``): copy it before editing
+    one in place."""
     cases = ALL_CASES if case is None else (case,)
     doc = {
         "tool_version": TOOL_VERSION,
@@ -472,6 +477,8 @@ def certify_report_doc(report: CaseReport, case: JCase | None = None) -> dict:
 
 
 def search_report_doc(bound: CertifiedBound) -> dict:
+    """The search document.  The case echoes of each of its reports hold
+    shared objects (``case_echoes``): copy it before editing one in place."""
     return {
         "tool_version": TOOL_VERSION,
         "kind": "search",

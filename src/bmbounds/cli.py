@@ -127,20 +127,24 @@ def _float_text(x: float) -> str:
 def render_json(doc) -> str:
     """``json.dumps(doc, indent=2)``, byte for byte, without its generator overhead.
 
-    Scalars are encoded directly.  A container object met again at the
-    same depth reuses the text rendered for it there, so the rows and
-    certificates a dichotomy document shares across its assignments are
-    rendered once.  It raises TypeError for values JSON cannot hold and
-    for dict keys that are not strings, which ``json.dumps`` would
-    convert; it does not detect cycles.
+    One pass appends the text of ``doc`` to one fragment list, which is
+    joined once at the end.  Strings are escaped where they are met, other
+    scalars encoded directly.  The memo of the call records the fragment
+    span of each container object at the depth it was written at; only
+    when the object is met again at that depth is its span joined, and the
+    text reused from then on, so the rows and certificates a dichotomy
+    document shares across its assignments are rendered once.  It raises
+    TypeError for values JSON cannot hold and for dict keys that are not
+    strings, which ``json.dumps`` would convert; it does not detect cycles.
     """
-    return _render(doc, 0, {})
+    if not isinstance(doc, (list, tuple, dict)):
+        return _scalar(doc)
+    out: list[str] = []
+    _write(doc, 0, {}, out)
+    return "".join(out)
 
 
-def _render(x, depth: int, done: dict) -> str:
-    # A module-level function, not a closure: a closure that calls itself is
-    # a reference cycle, which would keep ``done`` and its texts alive until
-    # the cyclic garbage collector runs.
+def _scalar(x) -> str:
     if isinstance(x, str):
         return _ESCAPE(x)
     if x is None:
@@ -153,25 +157,51 @@ def _render(x, depth: int, done: dict) -> str:
         return int.__repr__(x)
     if isinstance(x, float):
         return _float_text(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _write(x, depth: int, done: dict, out: list) -> None:
+    # A module-level function, not a closure: a closure that calls itself is
+    # a reference cycle, which would keep ``done`` and ``out`` alive until
+    # the cyclic garbage collector runs.
     key = (id(x), depth)
-    text = done.get(key)
-    if text is not None:
-        return text
-    if isinstance(x, (list, tuple)):
-        items = [_render(v, depth + 1, done) for v in x]
-        opening, closing = "[", "]"
-    elif isinstance(x, dict):
-        items = [f"{_ESCAPE(k)}: {_render(v, depth + 1, done)}" for k, v in x.items()]
-        opening, closing = "{", "}"
+    seen = done.get(key)
+    if seen is not None:
+        if type(seen) is tuple:  # the span written at the first meeting
+            seen = done[key] = "".join(out[seen[0]:seen[1]])
+        out.append(seen)
+        return
+    if not x:
+        out.append("{}" if isinstance(x, dict) else "[]")
+        return
+    start = len(out)
+    inner = "\n" + "  " * (depth + 1)
+    comma = "," + inner
+    if isinstance(x, dict):
+        sep = "{" + inner
+        for k, v in x.items():
+            if type(v) is str:
+                out.append(f"{sep}{_ESCAPE(k)}: {_ESCAPE(v)}")
+            elif isinstance(v, (list, tuple, dict)):
+                out.append(f"{sep}{_ESCAPE(k)}: ")
+                _write(v, depth + 1, done, out)
+            else:
+                out.append(f"{sep}{_ESCAPE(k)}: {_scalar(v)}")
+            sep = comma
+        out.append(f"\n{'  ' * depth}}}")
     else:
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-    if not items:
-        text = opening + closing
-    else:
-        inner = "\n" + "  " * (depth + 1)
-        text = f"{opening}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{closing}"
-    done[key] = text
-    return text
+        sep = "[" + inner
+        for v in x:
+            if type(v) is str:
+                out.append(sep + _ESCAPE(v))
+            elif isinstance(v, (list, tuple, dict)):
+                out.append(sep)
+                _write(v, depth + 1, done, out)
+            else:
+                out.append(sep + _scalar(v))
+            sep = comma
+        out.append(f"\n{'  ' * depth}]")
+    done[key] = start, len(out)
 
 
 def _distortion_row(t, norm_t, norm_s, distortion) -> dict:

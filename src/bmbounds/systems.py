@@ -379,11 +379,13 @@ def case_echoes(made: dict, point: CasePoint, metas: dict, variant: Variant,
     alone.  The echo is ``system_doc`` of that case's system of
     ``build_case_system`` or ``build_dichotomy_systems``.  ``made`` holds
     each table row's (pair row, entry) per (point, variant): a row several
-    echoes share is made once, as one object.
+    echoes share is made once, as one object.  The echoes of one call share
+    one ``variables`` list and one ``nonneg`` list, so a document writes
+    each once per call.
     """
     memo = made.setdefault((point, variant), {})
     extra = () if functions is None else tuple([BRANCH_ROWS[m, br] for m, br in zip(functions, branches)])
-    out = {}
+    variables, nonneg, out = list(VARIABLES), list(VARIABLES), {}
     for case, meta in metas.items():
         rows = CASE_TABLES[case] + extra
         for row in rows:
@@ -392,7 +394,7 @@ def case_echoes(made: dict, point: CasePoint, metas: dict, variant: Variant,
                 memo[row] = pair, row_entry(row.label, pair)
         got = [memo[row] for row in rows]
         out[case] = [pair for pair, _ in got] + NONNEG_PAIRS, {
-            "variables": list(VARIABLES), "nonneg": list(VARIABLES),
+            "variables": variables, "nonneg": nonneg,
             "inequalities": [entry for _, entry in got],
             "meta": meta if functions is None else {"branches": branches, **meta}}
     return out

@@ -44,6 +44,8 @@ FEASIBLE_AT = EX + "test_feasible_at_rules[{}]"
 INFEASIBLE_ON = EX + "test_infeasible_on_rules[{}]"
 ENTERING, LEAVING = EX + "test_pivot_rules[entering]", EX + "test_pivot_rules[leaving]"
 AGREEMENT = EX + "test_width4_body_agrees_with_the_generic_body"
+REFERENCE = EX + "test_integer_verifier_agrees_with_fraction_reference"
+VERIFY = EX + "TestVerifyCertificate::"
 
 FEASIBLE_AT_HEAD = "    if not basis or len(basis) != 4:\n"
 FEASIBLE_AT_WIDTH = ("    if len(a) != 4:\n        return None\n"
@@ -121,6 +123,18 @@ MUTANTS = [
      "            if m > 0 and k < 0:\n", [LEAVING, AGREEMENT]),
     ("pivot, generic body: leaving row by position", "exactlp.py", GENERIC_LEAVING,
      "        k = leaving[0]\n", [LEAVING, AGREEMENT]),
+    # ``verify_pairs``: one rule of the certificate check dropped at a time.
+    ("verify_pairs: negative multipliers accepted", "exactlp.py",
+     "        if any(x.numerator < 0 for x in lam):\n            return False\n", "",
+     [VERIFY + "test_negative_multipliers_cannot_refute_a_feasible_system"]),
+    ("verify_pairs: zero rhs accepted", "exactlp.py",
+     " and _lcm_sum(rhs) < 0\n", " and _lcm_sum(rhs) <= 0\n", [VERIFY + "test_zero_combination_false"]),
+    ("verify_pairs: >= multiplier not negated", "exactlp.py",
+     "            if relation == GE:\n                mult = -mult\n", "",
+     [VERIFY + "test_farkas_true", REFERENCE]),
+    ("verify_pairs: every witness row read as <=", "exactlp.py",
+     "            if not (lhs <= bound if relation == LE else lhs >= bound):\n",
+     "            if not lhs <= bound:\n", [REFERENCE]),
     # The dichotomy's carry of a plain-infeasible case, and its per-case dict.
     ("carry: zeros after the nonneg entries", "certify.py", CARRY,
      "farkas=plain.farkas + (Fraction(0),) * len(functions))\n",

@@ -684,6 +684,17 @@ class TestDichotomy:
         for entry, plain in zip(assignment["cases"], certify_report_doc(base)["cases"], strict=True):
             assert entry["system"]["inequalities"] == plain["system"]["inequalities"]
 
+    def test_echoes_share_their_variable_lists(self):
+        """The four case entries of an assignment hold one ``variables``
+        list object and one ``nonneg`` list object, and the two differ."""
+        doc = dichotomy_report_doc(certify_dichotomy(F(113, 32)))
+        for assignment in doc["assignments"]:
+            echoes = [entry["system"] for entry in assignment["cases"]]
+            assert len(echoes) == 4
+            assert len({id(echo["variables"]) for echo in echoes}) == 1
+            assert len({id(echo["nonneg"]) for echo in echoes}) == 1
+            assert echoes[0]["variables"] is not echoes[0]["nonneg"]
+
 
 class TestCertificateFiles:
     def test_certify_doc_verifies(self):
@@ -1313,6 +1324,27 @@ class TestPlainCaseReuse:
         report = certify_dichotomy(t)
         assert len(fm_runs) == calls  # 32 and 32 when every assignment ran FM
         assert report.certified is (t < 4)
+
+    # 36 at 113/32 while a plain-infeasible case spliced the pair rows of
+    # every assignment, though its carry is checked on the first alone.
+    @pytest.mark.parametrize("t, feasible, calls", [(F(113, 32), 0, 8), (F(4), 4, 64),
+                                                   (F(15, 4), 4, 64)], ids=str)
+    def test_with_branches_calls(self, monkeypatch, t, feasible, calls):
+        """A plain-infeasible case splices its Farkas vector and its first
+        assignment's pair rows; a plain-feasible one, the base rows and the
+        pair rows of each of its 8 assignments."""
+        import bmbounds.certify as certify_mod
+
+        assert len(certify_at(t).feasible_cases) == feasible
+        with_branches, spliced = certify_mod.with_branches, []
+
+        def counting(rows, branch):
+            spliced.append(branch)
+            return with_branches(rows, branch)
+
+        monkeypatch.setattr(certify_mod, "with_branches", counting)
+        certify_dichotomy(t)
+        assert len(spliced) == calls
 
 
 # DEFAULT_POLICY is 2,1,4, so 1,0,2 (c = t/2, the band's lower edge) is the

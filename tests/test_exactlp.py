@@ -114,6 +114,17 @@ class TestVerifyCertificate:
             CONTRADICTORY, FeasibilityResult("infeasible", farkas=(F(-1), F(-1)))
         )
 
+    def test_negative_multipliers_cannot_refute_a_feasible_system(self):
+        # (-1, -1) combines x >= 0 and x <= 1 into 0 <= -1
+        assert not verify_certificate(
+            INTERVAL, FeasibilityResult("infeasible", farkas=(F(-1), F(-1)))
+        )
+
+    def test_zero_combination_false(self):
+        # (1, 1) combines x >= 0 and x <= 0 into 0 <= 0, which holds
+        point = make(["x"], [({"x": F(1)}, GE, 0), ({"x": F(1)}, LE, 0)])
+        assert not verify_certificate(point, FeasibilityResult("infeasible", farkas=(F(1), F(1))))
+
     def test_missing_witness_raises(self):
         with pytest.raises(SystemError_):
             verify_certificate(INTERVAL, FeasibilityResult("feasible"))

@@ -4,7 +4,7 @@
 Each subcommand returns its exit code, its structured document and its
 text (and CSV) lines; ``--format`` picks one of them, ``structured`` being
 the document as JSON, and ``--out`` names a file to write it to instead of
-stdout.  Every certificate and sweep document is built in ``certify``.
+stdout.  Documents are built in ``certify`` and audited in ``audit``.
 The parser is built on the first call to ``main`` and reused.  Only
 ``upper`` and ``bounds`` load ``upperiso`` and ``bounds``, when they run,
 so the lower-bound commands never import them; mpmath is loaded only by
@@ -26,10 +26,8 @@ import json
 import sys
 from fractions import Fraction
 
+from .audit import EXIT_CERTIFIED, EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, verify_cert_file
 from .certify import (
-    EXIT_CERTIFIED,
-    EXIT_INPUT_ERROR,
-    EXIT_NOT_CERTIFIED,
     certify_at,
     certify_dichotomy,
     certify_report_doc,
@@ -38,7 +36,6 @@ from .certify import (
     search_report_doc,
     sweep_policies,
     sweep_report_doc,
-    verify_cert_file,
 )
 from .rationals import InputError, RationalFormatError, format_rational, parse_int, parse_rational
 from .systems import ALL_CASES, CPolicy, DEFAULT_POLICY, Variant

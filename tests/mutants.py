@@ -57,6 +57,10 @@ FOUR_BODY_LEAVING = "            if m > 0 and (k < 0 or b < basis[k]):\n"
 GENERIC_ENTERING = "        r = next((r for r, (a, row) in enumerate(zip(scaled, rows))\n"
 GENERIC_LEAVING = "        k = min(leaving, key=basis.__getitem__)\n"
 CARRY = "farkas=with_branches(plain.farkas, (Fraction(0),) * len(functions)))\n"
+HEADLINE = CE + "TestHeadlineClaims::"
+TRACE = HEADLINE + "test_forged_search_trace[{}]"
+BOUNDARY = ["tests/test_audit.py::test_audit_imports_no_solver",
+            "tests/test_audit.py::test_audit_runs_with_the_solver_raising"]
 
 # (name, module, snippet, replacement, node ids expected to fail)
 MUTANTS = [
@@ -148,6 +152,35 @@ MUTANTS = [
      "            bases, case, with_branches(rows[case], [ints for ints, _ in extra])))\n",
      "            {}, case, with_branches(rows[case], [ints for ints, _ in extra])))\n",
      [CE + "TestWarmAssignments::test_fm_runs", CE + "TestWarmAssignments::test_assignments_are_settled_as_probes_are"]),
+    # The audit: one rule that binds a headline claim dropped at a time, and the solver reached.
+    ("audit, trace: no midpoint rule", "audit.py",
+     "        if t != (lo + hi) / 2:\n", "        if False:\n", [TRACE.format("edited-midpoint")]),
+    ("audit, trace: no bracket-end rule", "audit.py",
+     "    if not (len(probes) >= 2 and probes[0][1] and not probes[1][1]):\n", "    if len(probes) < 2:\n",
+     [TRACE.format("flipped-lo-end"), TRACE.format("flipped-hi-end")]),
+    ("audit, trace: end not matched", "audit.py", "    if (lo, hi) != (t_lo, t_hi):\n", "    if False:\n",
+     [TRACE.format("dropped-last-probe")]),
+    ("audit, certify: certified not bound", "audit.py", '        parts, holds = "case", _all_infeasible(doc)\n',
+     '        parts, holds = "case", doc["certified"]\n', [HEADLINE + "test_forged_certify_fields[certified]"]),
+    ("audit, dichotomy: certified not bound", "audit.py",
+     '        parts, holds = "assignment", all(_all_infeasible(a) for a in assignments)\n',
+     '        parts, holds = "assignment", doc["certified"]\n', [HEADLINE + "test_forged_dichotomy_fields[certified]"]),
+    ("audit: non-boolean certified accepted", "audit.py", "    if not isinstance(doc[\"certified\"], bool):\n",
+     "    if False:\n", [HEADLINE + "test_non_boolean_certified_is_malformed"]),
+    ("audit, search: lower report not all-infeasible", "audit.py", "        if not _all_infeasible(lower):\n",
+     "        if False:\n", [HEADLINE + "test_forged_search_end_report[lower-report-at-4]"]),
+    ("audit, search: upper report without a feasible case", "audit.py", "        if _all_infeasible(upper):\n",
+     "        if False:\n", [HEADLINE + "test_forged_search_end_report[upper-report-at-7/2]"]),
+    ("audit: c not checked at t", "audit.py", '    if parse_rational(rep["c"]) != policy.c_at(t):\n',
+     "    if False:\n", [HEADLINE + "test_forged_certify_fields[c]", HEADLINE + "test_forged_search_fields[report-c]"]),
+    ("audit, sweep: ranking not checked", "audit.py", "    if keys != sorted(keys):\n", "    if False:\n",
+     [CE + "TestSweep::test_forged_sweep_doc[reversed]", CE + "TestSweep::test_forged_sweep_doc[swapped]"]),
+    ("audit, sweep: brackets not compared", "audit.py", "    if len(brackets) > 1:\n", "    if False:\n",
+     [CE + "TestSweep::test_forged_sweep_bracket"]),
+    ("audit: exactlp.pivot called", "audit.py",
+     "    cases = [JCase(entry[\"case\"]) for entry in entries]\n",
+     "    from . import exactlp\n    exactlp.pivot(exactlp.NONNEG_ROWS)\n    cases = [JCase(entry[\"case\"]) for entry in entries]\n",
+     BOUNDARY),
 ]
 
 GUARD = '''import os

@@ -877,8 +877,12 @@ class TestHeadlineClaims:
         lambda d: (d["trace"][2].update(all_infeasible=True),
                    d["trace"].append({"t": "9", "all_infeasible": True})),
         lambda d: d["trace"].reverse(),
+        lambda d: d["trace"][0].update(all_infeasible=False),
+        lambda d: d["trace"][1].update(all_infeasible=True),
+        lambda d: d["trace"].pop(),
     ], ids=["flipped-verdict", "appended-probe", "dropped-probe", "edited-midpoint",
-            "flipped-and-appended", "reordered"])
+            "flipped-and-appended", "reordered", "flipped-lo-end", "flipped-hi-end",
+            "dropped-last-probe"])
     def test_forged_search_trace(self, search_doc, forge):
         doc = json.loads(json.dumps(search_doc))
         forge(doc)
@@ -888,6 +892,16 @@ class TestHeadlineClaims:
         doc = json.loads(json.dumps(search_doc))
         doc["trace"][2]["all_infeasible"] = "false"
         assert self.audit(doc)[0] == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    @pytest.mark.parametrize("kind", ["certify", "dichotomy"])
+    def test_non_boolean_certified_is_malformed(self, certify_t5, dichotomy_doc, kind, value):
+        """A ``certified`` flag that is not a JSON boolean is malformed, as a
+        non-boolean trace verdict is, whatever the statuses say."""
+        doc = json.loads(json.dumps(certify_t5 if kind == "certify" else dichotomy_doc))
+        doc["certified"] = value
+        assert self.audit(doc) == (
+            EXIT_INPUT_ERROR, f"malformed certificate: certified flag {value!r} is not a boolean")
 
     @pytest.mark.parametrize("forge", [
         lambda d: d.update(certified=True),
@@ -1086,19 +1100,19 @@ class TestAuditWork:
         every echo re-spelled: each is checked on the expected pair rows, as
         a canonical echo is, and never on its parsed system (32 checks when
         each re-spelled echo's certificate was checked on it)."""
-        import bmbounds.certify as certify_mod
+        import bmbounds.audit as audit_mod
         import bmbounds.exactlp as exactlp
 
         def unused(*args):  # pragma: no cover
             raise AssertionError("the audit checks no certificate on a parsed system")
 
         parsed, checked = [], []
-        parse, check = certify_mod.parse_rational, exactlp.verify_pairs
-        monkeypatch.setattr(certify_mod, "parse_rational", lambda text: parsed.append(text) or parse(text))
-        for module in (certify_mod, exactlp):
+        parse, check = audit_mod.parse_rational, exactlp.verify_pairs
+        monkeypatch.setattr(audit_mod, "parse_rational", lambda text: parsed.append(text) or parse(text))
+        for module in (audit_mod, exactlp):
             monkeypatch.setattr(module, "verify_pairs",
                                 lambda *args: checked.append(args) or check(*args))
-        monkeypatch.setattr(certify_mod, "verify_certificate", unused)
+        monkeypatch.setattr(exactlp, "verify_certificate", unused)
         doc = json.loads(json.dumps(dichotomy_report_doc(certify_dichotomy(F(113, 32)))))
         strings = [s for a in doc["assignments"] for e in a["cases"] for s in e["farkas"]]
         assert (len(strings), len(set(strings))) == (424, 19)  # 21 with elimination's vectors
@@ -1191,7 +1205,7 @@ class TestAuditWork:
         module constants; each Farkas check is memoized by the pair rows it
         reads, those the audit made from the expected table rows, never an
         echo's, so no memo key can be reused for other rows."""
-        import bmbounds.certify as certify_mod
+        import bmbounds.audit as audit_mod
         from bmbounds.systems import BRANCH_ROWS, CASE_TABLES, NONNEG_PAIRS
 
         search = json.loads(json.dumps(search_report_doc(binary_search_bound(F(3), F(5), 4))))
@@ -1199,7 +1213,7 @@ class TestAuditWork:
         tables = {row for table in CASE_TABLES.values() for row in table} | set(BRANCH_ROWS.values())
         audits = []
 
-        class Recording(certify_mod._Echoes):
+        class Recording(audit_mod._Echoes):
             def __init__(self):
                 super().__init__()
                 audits.append(self)
@@ -1214,7 +1228,7 @@ class TestAuditWork:
                                          for key in echoes.farkas for pair, _ in key[2:])
             return verdict
 
-        monkeypatch.setattr(certify_mod, "_Echoes", Recording)
+        monkeypatch.setattr(audit_mod, "_Echoes", Recording)
         doc = search
         for index, (lower, upper) in enumerate(zip(doc["lower_report"]["cases"],
                                                    doc["upper_report"]["cases"])):

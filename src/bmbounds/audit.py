@@ -3,11 +3,12 @@
 A certify, search, sweep or dichotomy document (written by ``certify``) is
 self-contained JSON.  Each echoed system must equal the expected one, its
 canonical echo (``systems.case_echoes``), value for value: only an echo
-that differs from it is parsed, and it must render (``system_doc``) to it.
-Every certificate is then checked once on the pair rows of the expected
-system (``exactlp.verify_pairs``), and each headline claim is bound to the
-parts checked.  No solver is invoked: ``tests/test_audit.py`` checks that
-this module imports neither ``certify`` nor a decision procedure, and that
+that differs from it is parsed, and it must render (``system_doc``) to it,
+which alone loads the ``reference`` layer.  Every certificate is then
+checked once on the pair rows of the expected system
+(``exactlp.verify_pairs``), and each headline claim is bound to the parts
+checked.  No solver is invoked: ``tests/test_audit.py`` checks that this
+module imports neither ``certify`` nor a decision procedure, and that
 every kind of document is judged alike with the solver made to raise.
 """
 
@@ -19,24 +20,9 @@ from typing import Sequence
 
 from .exactlp import FeasibilityResult, SystemError_, verify_pairs
 from .rationals import format_rational, parse_rational
-from .systems import (ALL_CASES, VARIABLES, CPolicy, JCase, SystemFormatError, Variant, branch_strings,
-                      case_echoes, case_metas, check_functions, system_doc, system_from_doc)
-
-EXIT_CERTIFIED = 0
-EXIT_NOT_CERTIFIED = 1
-EXIT_INPUT_ERROR = 2
-
-MAX_ITERS = 1000  # the most bisection steps one search takes, which bounds its work
-
-
-def _repeated(policies: Sequence[CPolicy]) -> CPolicy | None:
-    """The first policy that repeats an earlier one, if any."""
-    seen: set[CPolicy] = set()
-    for policy in policies:
-        if policy in seen:
-            return policy
-        seen.add(policy)
-    return None
+from .systems import (ALL_CASES, EXIT_CERTIFIED, EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, MAX_ITERS, VARIABLES,
+                      CPolicy, JCase, SystemFormatError, Variant, _repeated, branch_strings, case_echoes,
+                      case_metas, check_functions)
 
 
 class _Rejected(Exception):
@@ -110,9 +96,15 @@ def _check_cases(entries: list, expected: dict, where: str, echoes: _Echoes) -> 
                         f" [{', '.join(c.value for c in expected)}]")
     for entry, (case, (pairs, canonical)) in zip(entries, expected.items()):
         echo = entry["system"]
-        if not ((echo == canonical or system_doc(system_from_doc(echo)) == canonical)
-                and echoes.verdict(entry, pairs)):
+        if not ((echo == canonical or _renders_to(echo, canonical)) and echoes.verdict(entry, pairs)):
             raise _Rejected(f"{where}case {case.value} failed re-verification")
+
+
+def _renders_to(echo, canonical: dict) -> bool:
+    """Whether an echo that differs parses and renders to ``canonical``; it loads ``reference``."""
+    from .systems import system_doc, system_from_doc
+
+    return system_doc(system_from_doc(echo)) == canonical
 
 
 def _check_report(rep: dict, policy: CPolicy, variant: Variant, echoes: _Echoes,

@@ -22,20 +22,16 @@ assignment, checked once, as the zeros leave every assignment's check
 reading the same rows; a plain-feasible case is settled per assignment as
 a probe settles it, or, with no functions, carries its plain result.
 All four document kinds are built here, with the echoes of
-``systems.case_echoes``; ``audit`` re-verifies them with no solver and holds
-the exit codes and the rules both apply (``MAX_ITERS``, ``_repeated``).
+``systems.case_echoes``; ``audit`` re-verifies them with no solver.  No
+producer loads ``audit`` or ``reference``: their names here load on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__, exactlp
-# MAX_ITERS and _repeated apply here too; the other five names are re-exported.
-from .audit import (EXIT_CERTIFIED, EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, MAX_ITERS, _repeated,
-                    verify_cert_file, verify_certificate_text)
 from .exactlp import (
     FeasibilityResult,
     SELF_CHECK_FAILED,
@@ -43,12 +39,11 @@ from .exactlp import (
     infeasible_on,
     support_farkas,
     verified,
-    # Unused here: bench/spans.py wraps these names in this module.
-    check_feasibility,
-    verify_certificate,
 )
 # parse_rational is unused here: bench/spans.py counts it in this module.
 from .rationals import InputError, format_rational, parse_rational
+# The exit codes are re-exported; MAX_ITERS and _repeated apply here too.
+from .systems import EXIT_CERTIFIED, EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, MAX_ITERS, _repeated
 from .systems import (
     ALL_CASES,
     BRANCH_ROWS,
@@ -67,15 +62,21 @@ from .systems import (
     case_rows,
     check_functions,
     with_branches,
-    # Unused here: bench/spans.py wraps these five names in this module.
-    build_all_cases,
-    build_case_system,
-    build_dichotomy_systems,
-    parse_system_file,
-    serialize_system,
 )
 
 TOOL_VERSION = f"bmbounds-{__version__}"
+
+
+def __getattr__(name: str):  # the audit's entry points, and the names bench/spans.py wraps here
+    if name in ("verify_cert_file", "verify_certificate_text"):
+        from .audit import verify_cert_file, verify_certificate_text
+    elif name in ("build_all_cases", "build_case_system", "build_dichotomy_systems", "check_feasibility",
+                  "parse_system_file", "serialize_system", "verify_certificate"):
+        from .reference import (build_all_cases, build_case_system, build_dichotomy_systems,
+                                check_feasibility, parse_system_file, serialize_system, verify_certificate)
+    else:  # a dunder too, which importing probes (``__path__``): it loads nothing
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return locals()[name]
 
 
 class BracketError(InputError):
@@ -86,8 +87,7 @@ class IterationsError(InputError):
     """A bisection asks for a negative number of steps or more than MAX_ITERS."""
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     """Feasibility verdicts for all four case systems at one t.
 
     Every report comes from ``_certify_at`` (a dichotomy assignment is one
@@ -118,8 +118,7 @@ class CaseReport:
         return tuple(c for c, r in self.results.items() if r.feasible)
 
 
-@dataclass(frozen=True)
-class CertifiedBound:
+class CertifiedBound(NamedTuple):
     """A bracket [t_lo, t_hi]: certified infeasible at t_lo, witnessed at t_hi."""
 
     t_lo: Fraction
@@ -328,8 +327,7 @@ def sweep_policies(
 # Dichotomy mode
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DichotomyReport:
+class DichotomyReport(NamedTuple):
     """Feasibility over every branch assignment of the dichotomy split."""
 
     t: Fraction
@@ -380,8 +378,8 @@ def certify_dichotomy(
         checks = [with_branches(pairs[case], [pair for _, pair in extra])
                   for extra in (extras if decide else extras[:1])]
         if not decide:
-            carried = plain if plain.feasible else replace(
-                plain, farkas=with_branches(plain.farkas, (Fraction(0),) * len(functions)))
+            carried = plain if plain.feasible else plain._replace(
+                farkas=with_branches(plain.farkas, (Fraction(0),) * len(functions)))
             columns.append([verified(VARIABLES, checks[0], carried)] * len(strings))
             continue
         bases: dict = {}
@@ -389,7 +387,7 @@ def certify_dichotomy(
             bases, case, with_branches(rows[case], [ints for ints, _ in extra])))
             for extra, check in zip(extras, checks)])
     return DichotomyReport(report.t, policy, variant, functions, tuple(
-        [replace(report, results=dict(zip(ALL_CASES, got)), functions=functions, branches=branches)
+        [report._replace(results=dict(zip(ALL_CASES, got)), functions=functions, branches=branches)
          for branches, got in zip(strings, zip(*columns))]))
 
 

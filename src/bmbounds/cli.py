@@ -6,8 +6,8 @@ text (and CSV) lines; ``--format`` picks one of them, ``structured`` being
 the document as JSON, and ``--out`` names a file to write it to instead of
 stdout.  Documents are built in ``certify`` and audited in ``audit``.
 The parser is built on the first call to ``main`` and reused.  Only
-``upper`` and ``bounds`` load ``upperiso`` and ``bounds``, when they run,
-so the lower-bound commands never import them; mpmath is loaded only by
+``verify-cert`` loads ``audit``, and only ``upper`` and ``bounds`` load
+``upperiso`` and ``bounds``, when they run; mpmath is loaded only by
 ``bounds`` and ``upper --optimize``, to display closed forms.
 
 Exit codes follow the certification convention: 0 = certified / verified,
@@ -26,7 +26,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .audit import EXIT_CERTIFIED, EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, verify_cert_file
 from .certify import (
     certify_at,
     certify_dichotomy,
@@ -38,7 +37,8 @@ from .certify import (
     sweep_report_doc,
 )
 from .rationals import InputError, RationalFormatError, format_rational, parse_int, parse_rational
-from .systems import ALL_CASES, CPolicy, DEFAULT_POLICY, Variant
+from .systems import (ALL_CASES, EXIT_CERTIFIED, EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, CPolicy,
+                      DEFAULT_POLICY, Variant)
 
 CASE_FLAG = {"all": None, **{case.value.lower(): case for case in ALL_CASES}}
 
@@ -384,6 +384,8 @@ def _cmd_upper(args):
 
 
 def _cmd_verify(args):
+    from .audit import verify_cert_file
+
     code, message = verify_cert_file(args.path)
     return code, None, {"text": [message]}
 

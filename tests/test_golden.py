@@ -169,7 +169,7 @@ from fractions import Fraction
 
 import pytest
 
-from bmbounds import certify, exactlp
+from bmbounds import certify, reference
 from bmbounds.certify import (
     EXIT_CERTIFIED,
     binary_search_bound,
@@ -181,7 +181,7 @@ from bmbounds.certify import (
     verify_certificate_text,
 )
 from bmbounds.cli import main
-from bmbounds.exactlp import LinearSystem
+from bmbounds.reference import LinearSystem
 
 GOLDEN = {
     "dichotomy --t 113/32 --format structured":
@@ -316,12 +316,12 @@ def test_commands_build_no_system(monkeypatch, capsys):
 
 def test_dichotomy_decides_from_integer_rows(monkeypatch, capsys):
     """Every branch assignment is decided from integer base rows: with
-    ``exactlp.system_rows`` and ``certify.check_feasibility`` gone, every
+    ``reference.system_rows`` and ``certify.check_feasibility`` gone, every
     dichotomy document keeps its golden digest."""
     def boom(*args):  # pragma: no cover
         raise AssertionError("built systems are not decided on the runtime path")
 
-    monkeypatch.setattr(exactlp, "system_rows", boom)
+    monkeypatch.setattr(reference, "system_rows", boom)
     monkeypatch.setattr(certify, "check_feasibility", boom)
     commands = [c for c in GOLDEN if c.split()[0] == "dichotomy"]
     assert len(commands) == 10
@@ -383,7 +383,7 @@ def test_certificates_are_supports_and_vertices(capsys):
                 continue
             system = system_from_doc(entry["system"])
             point = [Fraction(entry["witness"][v]) for v in system.variables]
-            tight = [vec for vec, num, den, _, _ in exactlp.system_rows(system)
+            tight = [vec for vec, num, den, _, _ in reference.system_rows(system)
                      if den * sum(a * x for a, x in zip(vec, point)) == num]
             assert _rank(tight) == len(system.variables) == 4, command
             witnesses += 1

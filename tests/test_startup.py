@@ -4,7 +4,11 @@ The lower-bound commands run exact Fraction code only, so importing the CLI
 and running ``certify`` must not load mpmath or the upper-bound modules.
 ``upper`` and ``bounds`` load them when they run, and
 mpmath only displays closed forms: ``upper --t`` and ``upper --scan`` are
-exact and never load it.  Each case here starts its own interpreter, so
+exact and never load it.  No lower-bound command compiles the audit or the
+Fraction reference layer, or creates a dataclass; ``verify-cert`` loads the
+audit, and the reference layer only for an echo that differs from its
+canonical one.  The names that moved to ``reference`` or ``audit`` still
+resolve where they were.  Each case here starts its own interpreter, so
 nothing is loaded beforehand.
 
 The package's one dependency is mpmath: every absolute import in its
@@ -26,6 +30,22 @@ from test_golden import GOLDEN
 
 SRC = str(Path(bmbounds.__file__).resolve().parent.parent)
 HEAVY = ("mpmath", "bmbounds.upperiso", "bmbounds.bounds")
+LAZY = ("bmbounds.audit", "bmbounds.reference", "dataclasses")
+
+# Module -> the names it forwards to ``reference`` (or, where named, ``audit``) on first use: the
+# package's own names, those bench/spans.py wraps and those ``audit`` reads from ``systems``.
+FORWARDED = {
+    "bmbounds": ("LinearInequality", "LinearSystem", "build_case_system", "build_dichotomy_systems",
+                 "check_feasibility", "parse_system_file", "serialize_system", "verify_certificate"),
+    "bmbounds.exactlp": ("check_feasibility", "verify_certificate"),
+    "bmbounds.systems": ("build_all_cases", "build_case_system", "build_dichotomy_systems",
+                         "parse_system_file", "serialize_system", "system_doc", "system_from_doc"),
+    "bmbounds.certify": ("build_all_cases", "build_case_system", "build_dichotomy_systems",
+                         "check_feasibility", "parse_system_file", "serialize_system",
+                         "verify_certificate"),
+}
+AUDIT_FORWARDED = {"bmbounds": ("verify_cert_file",),
+                   "bmbounds.certify": ("verify_cert_file", "verify_certificate_text")}
 
 
 def python(*args):
@@ -68,6 +88,77 @@ print(json.dumps([code, after_import, [m for m in heavy if m in sys.modules]]))
     proc = python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, [], []]
+
+
+def test_lower_bound_commands_load_no_audit_reference_or_dataclasses():
+    """Importing the CLI, then ``certify``, ``search`` and ``dichotomy``, loads
+    none of ``bmbounds.audit``, ``bmbounds.reference`` and ``dataclasses``: a
+    from-import's probe of ``__path__`` must not reach a forwarder's import."""
+    script = f"""
+import contextlib, io, json, sys
+lazy = {LAZY!r}
+import bmbounds.cli
+loaded = [[m for m in lazy if m in sys.modules]]
+for argv in (["certify", "--t", "113/32"], ["search", "--iters", "20", "--format", "structured"],
+             ["dichotomy", "--t", "113/32", "--format", "structured"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = bmbounds.cli.main(argv)
+    loaded.append([code, [m for m in lazy if m in sys.modules]])
+print(json.dumps(loaded))
+"""
+    proc = python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [0, []], [0, []], [0, []]]
+
+
+def test_verify_cert_loads_the_reference_layer_only_for_a_respelled_echo(tmp_path):
+    """``verify-cert`` of a genuine document loads the audit but not the
+    reference layer; an echo re-spelled (each rhs written as 2p/2q) is parsed,
+    which loads it.  Both documents verify."""
+    script = f"""
+import contextlib, io, json, sys
+from fractions import Fraction
+lazy = {LAZY!r}
+import bmbounds.cli
+path, respelled = {str(tmp_path / "c.json")!r}, {str(tmp_path / "r.json")!r}
+out = io.StringIO()
+loaded = []
+with contextlib.redirect_stdout(out):
+    for argv in (["certify", "--t", "113/32", "--format", "structured", "--out", path],
+                 ["verify-cert", path], ["verify-cert", respelled]):
+        if argv[-1] == respelled:
+            with open(path) as fh:
+                doc = json.load(fh)
+            for row in doc["cases"][1]["system"]["inequalities"]:
+                x = Fraction(row["rhs"])
+                row["rhs"] = f"{{2 * x.numerator}}/{{2 * x.denominator}}"
+            with open(respelled, "w") as fh:
+                json.dump(doc, fh)
+        loaded.append([bmbounds.cli.main(argv), [m for m in lazy if m in sys.modules]])
+print(json.dumps([out.getvalue().splitlines(), loaded]))
+"""
+    proc = python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["all certificates verified"] * 2, [
+        [0, []], [0, ["bmbounds.audit"]], [0, list(LAZY)]]]
+
+
+@pytest.mark.parametrize("module", sorted(FORWARDED))
+def test_forwarded_names_are_the_reference_layers(module):
+    """Each name that moved resolves, where it was, to the object of
+    ``reference`` (or ``audit``) itself; any other missing name, a dunder
+    included, is an AttributeError."""
+    import importlib
+
+    from bmbounds import audit, reference
+
+    mod = importlib.import_module(module)
+    assert {name: getattr(mod, name) for name in FORWARDED[module]} == {
+        name: getattr(reference, name) for name in FORWARDED[module]}
+    assert all(getattr(mod, name) is getattr(audit, name) for name in AUDIT_FORWARDED.get(module, ()))
+    for name in ("__all__", "__wrapped__", "no_such_name"):
+        with pytest.raises(AttributeError):
+            getattr(mod, name)
 
 
 @pytest.mark.parametrize("command", ["upper --t 7/2 --format csv", "upper --scan 3:4:1/2"])

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bmbounds.exactlp import GE, LE, LinearSystem, SystemError_, system_pairs, system_rows
+from bmbounds.exactlp import GE, LE, SystemError_
 from bmbounds.rationals import format_rational
+from bmbounds.reference import LinearSystem, branch_row, system_pairs, system_rows
 from bmbounds.systems import (
     ALL_CASES,
     BRANCH_ROWS,
@@ -22,7 +23,6 @@ from bmbounds.systems import (
     Variant,
     VARIABLES,
     _guards,
-    branch_row,
     build_case_system,
     case_echoes,
     case_metas,
@@ -78,8 +78,12 @@ class TestBuildCaseSystem:
             build_case_system(JCase.J012, F(4), CPolicy(1, 0, 3))
 
     def test_policy_requires_positive_r(self):
-        with pytest.raises(DomainError, match="r > 0"):
-            CPolicy(1, 0, 0)
+        """So do ``_replace`` and ``_make``, which build through the same guard."""
+        assert DEFAULT_POLICY._replace(q=3) == CPolicy(2, 3, 4)
+        for make in (lambda: CPolicy(1, 0, 0), lambda: DEFAULT_POLICY._replace(r=0),
+                     lambda: CPolicy._make((1, 0, -1))):
+            with pytest.raises(DomainError, match="r > 0"):
+                make()
 
     @pytest.mark.parametrize("variant", [Variant.PRINTED, Variant.SYMMETRIZED])
     @pytest.mark.parametrize("case", ALL_CASES)
@@ -274,7 +278,7 @@ class TestCaseRowTables:
         echo documents write and the audit expects (``case_echoes`` of the
         ``case_metas``: variables, nonneg, inequalities and meta, in key
         order) must be ``system_doc``'s too, and the pair rows it gives with
-        it those the built system reads (``exactlp.system_pairs``)."""
+        it those the built system reads (``reference.system_pairs``)."""
         point, metas = case_metas(t, policy, variant)
 
         def rendered(rows):
@@ -355,7 +359,7 @@ class TestCaseRowTables:
 
 class TestSerialization:
     def test_roundtrip_unit_square(self):
-        from bmbounds.exactlp import LinearInequality
+        from bmbounds.reference import LinearInequality
 
         sys_ = LinearSystem(
             ("x", "y"),

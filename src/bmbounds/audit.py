@@ -194,6 +194,8 @@ def _check_doc(doc: dict) -> None:
     """Re-verify every part of a document and bind its headline claims to them."""
     if not isinstance(doc, dict):
         raise SystemFormatError("top-level value must be an object")
+    if isinstance(doc.get("kind"), str) and doc["kind"] not in ("certify", "search", "sweep", "dichotomy"):
+        raise SystemFormatError(f"unknown certificate kind {doc['kind']!r}")  # an upper document, say
     if not isinstance(doc["tool_version"], str):
         raise SystemFormatError(f"tool_version must be a string, got {type(doc['tool_version']).__name__}")
     kind = doc["kind"]

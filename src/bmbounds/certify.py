@@ -10,25 +10,28 @@ feasible case.  It relies on the monotonicity of feasibility in t (valid
 for affine c-policies) and returns a CertifiedBound whose endpoint reports
 hold all four cases with machine-checkable certificates: Farkas vectors at
 t_lo, a witness at t_hi.  Reports, probes and dichotomy assignments
-settle each case in one step (``_settle``) on its full list of base rows:
-by the verdict (the five rows an infeasible run ended on), else the basis,
-that last decided it, and by one ``exactlp.pivot`` run, from the origin,
-only where neither holds, so every Farkas vector comes from a verdict's
-weights (``exactlp.support_farkas``) and every witness is a basis vertex.
-A dichotomy decides its four base systems once per t, as ``certify_at``
-does, then each case over every branch assignment: a plain-infeasible
-case carries its Farkas vector, zero-padded on the branch rows, to every
-assignment, checked once, as the zeros leave every assignment's check
-reading the same rows; a plain-feasible case is settled per assignment as
-a probe settles it, or, with no functions, carries its plain result.
-All four document kinds are built here, with the echoes of
-``systems.case_echoes``; ``audit`` re-verifies them with no solver.  No
-producer loads ``audit`` or ``reference``: their names here load on first use.
+settle each case in one step (``_settle``): by the verdict (the five rows
+an infeasible run ended on), made alone, else, on all its base rows, by
+the basis that last decided it, and by one ``exactlp.pivot`` run, from the
+origin, only where neither holds, so every Farkas vector comes from a
+verdict's weights (``exactlp.support_farkas``) and every witness is a
+basis vertex.  A row of one formula is made once per point, and a search's
+end reports and their echoes reuse their probes' rows.  A dichotomy decides
+its four base systems once per t, as ``certify_at`` does, then each case
+over every branch assignment: a plain-infeasible case carries its Farkas
+vector, zero-padded on the branch rows, to every assignment, checked once,
+as the zeros leave every assignment's check reading the same rows; a
+plain-feasible case is settled per assignment as a probe settles it, or,
+with no functions, carries its plain result.  All four document kinds are
+built here, with the echoes of ``systems.case_echoes``; ``audit``
+re-verifies them with no solver.  No producer loads ``audit`` or
+``reference``: their names here load on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple, Sequence
 
 from . import __version__, exactlp
@@ -128,6 +131,7 @@ class CertifiedBound(NamedTuple):
     trace: tuple[tuple[Fraction, bool], ...]
     policy: CPolicy
     variant: Variant
+    pairs: tuple[dict, dict] | None = None  # the reports' ``case_pairs`` memos, which their echoes reuse
 
 
 def certify_at(
@@ -149,40 +153,42 @@ def certify_at(
     return _certify_at(t, policy, variant, {})[0]
 
 
-def _certify_at(t: Fraction, policy: CPolicy, variant: Variant,
-                bases: dict) -> tuple[CaseReport, dict, dict]:
-    """``certify_at``, and the pair rows and the base rows of each case
-    system, by case.
-
-    Each case is settled as a probe settles it (``_certificate``), with the
-    verdicts and bases of ``bases``: those a bisection's probes keep
-    (``_first_feasible``), or a fresh dict.  Every certificate passes
-    ``verified`` alike.
-    """
+def _certify_at(t: Fraction, policy: CPolicy, variant: Variant, bases: dict, memo: dict | None = None,
+                weights: dict | None = None) -> tuple[CaseReport, dict, dict]:
+    """``certify_at``, and its memos of base rows and of pair rows at t
+    (``case_rows``, ``case_pairs``).  Each case is settled as a probe settles
+    it (``_certificate``), with the verdicts and bases of ``bases`` and the
+    rows of ``memo``, a bisection probe's at t (``_first_feasible``) or fresh,
+    but not again where ``weights`` holds its verdict and weights there; its
+    certificate passes ``verified`` alike."""
     t = Fraction(t)
     point = case_point(t, policy)
-    results, pairs, rows = {}, {}, {}
+    memo, pairs, results = {} if memo is None else memo, {}, {}
     for case in ALL_CASES:
-        pairs[case] = case_pairs(case, point, variant)
-        rows[case] = case_rows(case, point, variant)
-        results[case] = verified(VARIABLES, pairs[case], _certificate(bases, case, rows[case]))
-    return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results), pairs, rows
+        result = _certificate(bases, case, partial(case_rows, case, point, variant, memo),
+                              weights[case] if weights else None)
+        results[case] = verified(VARIABLES, case_pairs(case, point, variant, pairs), result)
+    return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results), memo, pairs
 
 
-def _settle(bases: dict, key, rows: list[tuple]) -> tuple:
-    """The one settle step of a case decision on its base rows: (y, vertex).
+def _settle(bases: dict, key, rows_at) -> tuple:
+    """The one settle step of a case decision: (y, vertex).
 
-    (y, None) if the weights y of the five rows ``bases`` holds for ``key``
-    prove ``rows`` infeasible (``infeasible_on``); else (None, vertex) if
-    the vertex (xs, D) of the basis held satisfies them (``feasible_at``);
-    both checks use Cramer's rule, on those five rows or the four basis
-    rows.  Else ``exactlp.pivot`` decides the rows from the origin; the five
-    rows or the basis it ends at must pass the same check (else
-    AssertionError), replace the ones held for ``key`` and that verdict, and
-    give the weights or the vertex that check returns."""
-    y = infeasible_on(rows, bases.get((key, False)))
+    ``rows_at(indices)`` makes the case's base rows at ``indices``, or all for
+    None (``case_rows``).  (y, None) if the weights y of the five rows
+    ``bases`` holds for ``key`` prove them infeasible (``infeasible_on``),
+    which makes those rows alone; else (None, vertex) if the vertex (xs, D)
+    of the basis held satisfies all rows (``feasible_at``); both checks use
+    Cramer's rule, on those five rows or the four basis rows.  Else
+    ``exactlp.pivot`` decides the rows from the origin; the five rows or
+    the basis it ends at must pass the same check (else AssertionError),
+    replace the ones held for ``key`` and that verdict, and give the
+    weights or the vertex that check returns."""
+    verdict = bases.get((key, False))
+    y = infeasible_on(rows_at(verdict), verdict) if verdict else None
     if y:
         return y, None
+    rows = rows_at(None)
     basis = bases.get((key, True))
     vertex = feasible_at(rows, basis)
     if vertex:
@@ -195,25 +201,31 @@ def _settle(bases: dict, key, rows: list[tuple]) -> tuple:
     return (None, checked) if feasible else (checked, None)
 
 
-def _certificate(bases: dict, key, rows: list[tuple]) -> FeasibilityResult:
-    """The unverified certificate of ``rows`` that ``_settle`` gives: the
+def _certificate(bases: dict, key, rows_at, held: tuple | None = None) -> FeasibilityResult:
+    """The unverified certificate that ``_settle`` gives on ``rows_at``: the
     Farkas vector (``support_farkas``) of the five rows held and their
-    weights, or the basis vertex as the witness."""
-    y, vertex = _settle(bases, key, rows)
+    weights, or the basis vertex as the witness; given ``held``, a verdict
+    and the weights its check gave, no settle runs."""
+    verdict, y = held or (None, None)
+    y, vertex = (y, None) if y else _settle(bases, key, rows_at)
     if y:
-        return FeasibilityResult("infeasible", farkas=support_farkas(rows, bases[key, False], y))
+        verdict = verdict or bases[key, False]
+        return FeasibilityResult("infeasible", farkas=support_farkas(rows_at(verdict), verdict, y))
     xs, D = vertex
     return FeasibilityResult("feasible", witness={v: Fraction(x, D) for v, x in zip(VARIABLES, xs)})
 
 
 def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Sequence[JCase],
-                    bases: dict) -> JCase | None:
+                    bases: dict, memo: dict, weights: dict) -> JCase | None:
     """The first case in ``order`` whose base rows are feasible at t, or None
-    if all four are infeasible; each case is decided by ``_settle``."""
+    if all four are infeasible; each case is decided by ``_settle``, making its
+    rows into ``memo``, and ``weights`` gets each infeasible case's verdict and weights."""
     point = case_point(t, policy)
     for case in order:
-        if _settle(bases, case, case_rows(case, point, variant))[1]:
+        y, vertex = _settle(bases, case, partial(case_rows, case, point, variant, memo))
+        if vertex:
             return case
+        weights[case] = bases[case, False], y
     return None
 
 
@@ -249,17 +261,18 @@ def binary_search_bound(
 
     Probes are warm-started: one dict, kept across the probes, holds per
     case the last verdict and the last basis a pivot run ended at for it,
-    which ``_settle`` tries on the case's base rows (``case_rows``) at the
-    new t, in that order, before it runs ``exactlp.pivot`` from the
-    origin.  Each check accepts a verdict only after exact integer
-    substitution, so a verdict never depends on the bases or on the
-    order, and neither does the trace.
+    which ``_settle`` tries at the new t, in that order, before it runs
+    ``exactlp.pivot`` from the origin; a verdict that holds makes its own
+    rows alone (``case_rows``), each once per probe.  Each check accepts a
+    verdict only after exact integer substitution, so a verdict never
+    depends on the bases or on the order, and neither does the trace.
 
-    The two reports take their certificates from that dict
-    (``_certify_at``): the report at t_hi reads it as the search leaves
-    it, the report at t_lo a copy taken after the last all-infeasible
-    probe, in which every case's verdict holds at t_lo, so it runs no
-    pivot.  Their verdicts are those of ``certify_at``.
+    The two reports take their rows from their probes (``_certify_at``):
+    the report at t_hi its certificates from that dict as the search leaves
+    it, the report at t_lo from the verdicts and weights of the last
+    all-infeasible probe, so it makes no base row and settles no case.
+    Their verdicts are those of ``certify_at``; the bound keeps their pair
+    rows for its echoes.
     """
     _check_iters(iters)
     lo, hi = Fraction(lo), Fraction(hi)
@@ -268,27 +281,29 @@ def binary_search_bound(
             f"inverted bracket: lo = {format_rational(lo)} must be below hi = {format_rational(hi)}"
         )
     bases: dict = {}
-    if _first_feasible(lo, policy, variant, ALL_CASES, bases) is not None:
+    lower, upper = ({}, {}), ({}, {})  # the row memos and the weights of the probes at lo and hi
+    if _first_feasible(lo, policy, variant, ALL_CASES, bases, *lower) is not None:
         raise BracketError(
             f"bracket end lo = {format_rational(lo)} is not all-infeasible (feasible: "
             f"{', '.join(c.value for c in certify_at(lo, policy, variant).feasible_cases)})"
         )
-    lower = dict(bases)
-    first = _first_feasible(hi, policy, variant, ALL_CASES, bases)
+    first = _first_feasible(hi, policy, variant, ALL_CASES, bases, *upper)
     if first is None:
         raise BracketError(f"bracket end hi = {format_rational(hi)} has no feasible case")
     trace = [(lo, True), (hi, False)]
+    orders = {case: (case, *(c for c in ALL_CASES if c != case)) for case in ALL_CASES}
     for _ in range(iters):
         mid = (lo + hi) / 2
-        order = (first, *(c for c in ALL_CASES if c != first))
-        found = _first_feasible(mid, policy, variant, order, bases)
+        at = {}, {}
+        found = _first_feasible(mid, policy, variant, orders[first], bases, *at)
         trace.append((mid, found is None))
         if found is None:
-            lo, lower = mid, dict(bases)
+            lo, lower = mid, at
         else:
-            hi, first = mid, found
-    return CertifiedBound(lo, hi, _certify_at(lo, policy, variant, lower)[0],
-                          _certify_at(hi, policy, variant, bases)[0], tuple(trace), policy, variant)
+            hi, first, upper = mid, found, at
+    report_lo, _, pairs_lo = _certify_at(lo, policy, variant, {}, *lower)
+    report_hi, _, pairs_hi = _certify_at(hi, policy, variant, bases, upper[0])
+    return CertifiedBound(lo, hi, report_lo, report_hi, tuple(trace), policy, variant, (pairs_lo, pairs_hi))
 
 
 def sweep_policies(
@@ -366,7 +381,7 @@ def certify_dichotomy(
     distinct indices 0-2.
     """
     functions = check_functions(functions)
-    report, pairs, rows = _certify_at(t, policy, variant, {})
+    report, memo, pairs = _certify_at(t, policy, variant, {})
     point = case_point(report.t, policy)
     made = {key: (row.make(point), row.pairs(point)) for key, row in BRANCH_ROWS.items()
             if key[0] in functions}
@@ -374,8 +389,8 @@ def certify_dichotomy(
     extras = [[made[key] for key in zip(functions, branches)] for branches in strings]
     columns = []
     for case, plain in report.results.items():
-        decide = plain.feasible and bool(functions)
-        checks = [with_branches(pairs[case], [pair for _, pair in extra])
+        decide, plain_pairs = plain.feasible and bool(functions), case_pairs(case, point, variant, pairs)
+        checks = [with_branches(plain_pairs, [pair for _, pair in extra])
                   for extra in (extras if decide else extras[:1])]
         if not decide:
             carried = plain if plain.feasible else plain._replace(
@@ -383,8 +398,9 @@ def certify_dichotomy(
             columns.append([verified(VARIABLES, checks[0], carried)] * len(strings))
             continue
         bases: dict = {}
+        rows = case_rows(case, point, variant, memo)
         columns.append([verified(VARIABLES, check, _certificate(
-            bases, case, with_branches(rows[case], [ints for ints, _ in extra])))
+            bases, case, lambda _, got=with_branches(rows, [ints for ints, _ in extra]): got))
             for extra, check in zip(extras, checks)])
     return DichotomyReport(report.t, policy, variant, functions, tuple(
         [report._replace(results=dict(zip(ALL_CASES, got)), functions=functions, branches=branches)
@@ -405,15 +421,16 @@ def _result_json(result: FeasibilityResult) -> dict:
 
 
 def _case_entries(report: CaseReport, point: CasePoint, metas: dict, made: dict,
-                  certs: dict) -> list[dict]:
+                  certs: dict, pairs: dict | None = None) -> list[dict]:
     """The case entries of a report for the cases of ``metas`` (``case_metas``).
     The assignments of a dichotomy document share ``metas``, ``made`` (see
     ``case_echoes``) and ``certs``, which maps each result object (by id) to
     its formatted fields: a row or certificate that several assignments
-    share is formatted once and held as one object."""
+    share is formatted once and held as one object.  ``pairs`` is the
+    report's ``case_pairs`` memo, if it was kept."""
     entries = []
     for case, (_, echo) in case_echoes(made, point, metas, report.variant, report.functions,
-                                       report.branches).items():
+                                       report.branches, pairs).items():
         result = report.results[case]
         cert = certs.get(id(result))
         if cert is None:
@@ -422,12 +439,12 @@ def _case_entries(report: CaseReport, point: CasePoint, metas: dict, made: dict,
     return entries
 
 
-def _report_json(report: CaseReport, cases: Sequence[JCase] = ALL_CASES) -> dict:
+def _report_json(report: CaseReport, cases: Sequence[JCase] = ALL_CASES, pairs: dict | None = None) -> dict:
     point, metas = case_metas(report.t, report.policy, report.variant, cases)
     return {
         "t": format_rational(report.t),
         "c": format_rational(report.c),
-        "cases": _case_entries(report, point, metas, {}, {}),
+        "cases": _case_entries(report, point, metas, {}, {}, pairs),
     }
 
 
@@ -461,8 +478,8 @@ def search_report_doc(bound: CertifiedBound) -> dict:
         "trace": [
             {"t": format_rational(t), "all_infeasible": ok} for t, ok in bound.trace
         ],
-        "lower_report": _report_json(bound.report_lo),
-        "upper_report": _report_json(bound.report_hi),
+        "lower_report": _report_json(bound.report_lo, pairs=bound.pairs and bound.pairs[0]),
+        "upper_report": _report_json(bound.report_hi, pairs=bound.pairs and bound.pairs[1]),
     }
 
 

@@ -67,6 +67,7 @@ class JCase(enum.Enum):
     NOT0 = "not0"
     IN0_NOT1 = "in0not1"
     IN01_NOT2 = "in01not2"
+    __hash__ = object.__hash__  # members are singletons: hash by identity, not by a Python-level name hash
 
 
 class Variant(enum.Enum):
@@ -74,6 +75,7 @@ class Variant(enum.Enum):
 
     PRINTED = "printed"
     SYMMETRIZED = "symmetrized"
+    __hash__ = object.__hash__
 
 
 ALL_CASES = (JCase.J012, JCase.NOT0, JCase.IN0_NOT1, JCase.IN01_NOT2)
@@ -235,15 +237,19 @@ class TableRow:
     (``reference.pair_row``), with s*vec[k]/M for each index k in ``keys``
     (zeros included) and rhs s*num/(den*M) as reduced pairs, where s = -1
     for a ``>=`` row, and the Fraction row is built from it.  They agree by
-    construction, so only the display test checks a formula.
+    construction, so only the display test checks a formula.  Rows of one
+    formula and arguments (7a, 6a, 8a and 9a, say) share ``key``, and also
+    ``pair_key`` where relation and ``keys`` agree: row memos make them once.
     """
 
-    __slots__ = ("label", "factor", "relation", "keys", "formula")
+    __slots__ = ("label", "factor", "relation", "keys", "formula", "key", "pair_key")
 
     def __init__(self, label: str, factor: str, formula, *args, relation: str = LE,
                  keys: Sequence[int] = (0, 1, 2, 3)):
         self.label, self.factor, self.relation, self.keys = label, factor, relation, keys
         self.formula = partial(formula, *args)
+        self.key = formula, args
+        self.pair_key = formula, args, relation, tuple(keys)
 
     def make(self, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> tuple:
         return base_row(*self.formula(point, variant))
@@ -320,10 +326,16 @@ def case_meta(case: JCase, t: Fraction, point: CasePoint, policy: CPolicy,
     }
 
 
-def case_pairs(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> list[tuple]:
+def case_pairs(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED,
+               memo: dict | None = None) -> list[tuple]:
     """The pair rows of ``build_case_system(case, t, policy, variant)`` at the
-    point of t and policy, as ``reference.system_pairs`` reads them from it."""
-    return [row.pairs(point, variant) for row in CASE_TABLES[case]] + NONNEG_PAIRS
+    point of t and policy, as ``reference.system_pairs`` reads them from it;
+    ``memo`` is as in ``case_rows``, by ``TableRow.pair_key``."""
+    memo = {} if memo is None else memo
+    for row in CASE_TABLES[case]:
+        if row.pair_key not in memo:
+            memo[row.pair_key] = row.pairs(point, variant)
+    return [memo[row.pair_key] for row in CASE_TABLES[case]] + NONNEG_PAIRS
 
 
 def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
@@ -339,10 +351,22 @@ def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
     return T, C, R
 
 
-def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> list[tuple]:
+def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED,
+              memo: dict | None = None, indices: Sequence[int] | None = None) -> list:
     """The base rows of ``build_case_system(case, t, policy, variant)`` at the
-    point of t and policy, as ``reference.system_rows`` reads them from it."""
-    return [row.make(point, variant) for row in CASE_TABLES[case]] + NONNEG_ROWS
+    point of t and policy, as ``reference.system_rows`` reads them from it:
+    the one maker of base rows.  ``memo``, a dict the caller keeps for one
+    point and variant, holds each row made there by ``TableRow.key`` and
+    the case's list.  With ``indices``, only the rows there are made, and a
+    row not yet made is None; an index past the table, a nonneg row, costs nothing."""
+    table, memo = CASE_TABLES[case], {} if memo is None else memo
+    n = len(table)
+    rows = memo.get(case) or memo.setdefault(case, [None] * n + NONNEG_ROWS)
+    for i in range(n) if indices is None else indices:
+        if i < n and rows[i] is None:
+            row = table[i]
+            rows[i] = memo.get(row.key) or memo.setdefault(row.key, row.make(point, variant))
+    return rows
 
 
 def with_branches(rows: Sequence, branch: Sequence) -> Sequence:
@@ -360,7 +384,8 @@ def case_metas(t: Fraction, policy: CPolicy, variant: Variant,
 
 
 def case_echoes(made: dict, point: CasePoint, metas: dict, variant: Variant,
-                functions: tuple[int, ...] | None = None, branches: str = "") -> dict:
+                functions: tuple[int, ...] | None = None, branches: str = "",
+                pairs: dict | None = None) -> dict:
     """The one lookup of a case or assignment system, made without building it.
 
     Each case of ``metas`` (``case_metas``), in order, maps to the full pair
@@ -372,19 +397,25 @@ def case_echoes(made: dict, point: CasePoint, metas: dict, variant: Variant,
     alone.  The echo is ``system_doc`` of that case's system of
     ``build_case_system`` or ``build_dichotomy_systems``.  ``made`` holds
     each table row's (pair row, entry) per (point, variant): a row several
-    echoes share is made once, as one object.  The echoes of one call share
-    one ``variables`` list and one ``nonneg`` list, so a document writes
-    each once per call.
+    echoes share is made once, as one object, and rows of one ``pair_key``
+    share their pair row, taken from ``pairs`` (the ``case_pairs`` memo of a
+    report there) if it holds it, and their formatted coefficients and rhs.
+    The echoes of one call share one ``variables`` list and one ``nonneg``
+    list, so a document writes each once per call.
     """
     memo = made.setdefault((point, variant), {})
     extra = () if functions is None else tuple([BRANCH_ROWS[m, br] for m, br in zip(functions, branches)])
-    variables, nonneg, out = list(VARIABLES), list(VARIABLES), {}
+    variables, nonneg, out, shared, pairs = list(VARIABLES), list(VARIABLES), {}, {}, pairs or {}
     for case, meta in metas.items():
         rows = CASE_TABLES[case] + extra
         for row in rows:
             if row not in memo:
-                pair = row.pairs(point, variant)
-                memo[row] = pair, row_entry(row.label, pair)
+                got = shared.get(row.pair_key)
+                if got is None:
+                    pair = pairs.get(row.pair_key) or row.pairs(point, variant)
+                    got = shared[row.pair_key] = pair, row_entry(row.label, pair)
+                pair, entry = got
+                memo[row] = pair, entry if entry["label"] == row.label else {**entry, "label": row.label}
         got = [memo[row] for row in rows]
         out[case] = [pair for pair, _ in got] + NONNEG_PAIRS, {
             "variables": variables, "nonneg": nonneg,

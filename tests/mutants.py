@@ -62,6 +62,15 @@ TRACE = HEADLINE + "test_forged_search_trace[{}]"
 BOUNDARY = ["tests/test_audit.py::test_audit_imports_no_solver",
             "tests/test_audit.py::test_audit_runs_with_the_solver_raising"]
 COLD_START = ["tests/test_startup.py::test_lower_bound_commands_load_no_audit_reference_or_dataclasses"]
+SEARCH = CE + "TestBinarySearch::"
+ROWS_ONCE = SEARCH + "test_rows_are_made_once_per_point"
+GUARDS = "tests/test_systems.py::TestCaseRowTables::test_integer_guards_"
+VERDICT_CHECK = "    y = infeasible_on(rows_at(verdict), verdict) if verdict else None\n"
+MINORS = ("    return [bc * DE - bd * CE + be * CD + cd * BE - ce * BD + de * BC,\n"
+          "            -(ac * DE - ad * CE + ae * CD + cd * AE - ce * AD + de * AC),\n"
+          "            ab * DE - ad * BE + ae * BD + bd * AE - be * AD + de * AB,\n"
+          "            -(ab * CE - ac * BE + ae * BC + bc * AE - be * AC + ce * AB),\n"
+          "            ab * CD - ac * BD + ad * BC + bc * AD - bd * AC + cd * AB]\n")
 
 # (name, module, snippet, replacement, node ids expected to fail)
 MUTANTS = [
@@ -150,9 +159,36 @@ MUTANTS = [
      "            columns.append([carried] * len(strings))\n",
      [CE + "TestWarmAssignments::test_padded_vectors_are_checked_once"]),
     ("assignments: a fresh dict per assignment", "certify.py",
-     "            bases, case, with_branches(rows[case], [ints for ints, _ in extra])))\n",
-     "            {}, case, with_branches(rows[case], [ints for ints, _ in extra])))\n",
+     "            bases, case, lambda _, got=with_branches(rows, [ints for ints, _ in extra]): got))\n",
+     "            {}, case, lambda _, got=with_branches(rows, [ints for ints, _ in extra]): got))\n",
      [CE + "TestWarmAssignments::test_fm_runs", CE + "TestWarmAssignments::test_assignments_are_settled_as_probes_are"]),
+    # Rows made once per bisection point, where a settle step reads them.
+    ("rows: a row key ignores its formula's arguments", "systems.py", "        self.key = formula, args\n",
+     "        self.key = formula, ()\n",
+     ["tests/test_systems.py::TestCaseRowTables::test_rows_that_share_a_key_share_their_rows",
+      SEARCH + "test_warm_probes_cannot_change_a_deep_search"]),
+    ("rows: a row key names its label, so no row is shared", "systems.py", "        self.key = formula, args\n",
+     "        self.key = label, args\n", [ROWS_ONCE]),
+    ("probes: one row memo shared across points", "certify.py", "        at = {}, {}\n",
+     "        at = lower[0], {}\n", [SEARCH + "test_warm_probes_cannot_change_a_deep_search", ROWS_ONCE]),
+    ("lower report: weights of the probe at t_hi", "certify.py",
+     "_certify_at(lo, policy, variant, {}, *lower)", "_certify_at(lo, policy, variant, {}, lower[0], upper[1])",
+     [SEARCH + "test_lower_report_certificates_are_supports", ROWS_ONCE]),
+    ("settle: a stored verdict accepted unchecked", "certify.py", VERDICT_CHECK,
+     "    y = [1] * len(verdict) if verdict else None\n",
+     [SEARCH + "test_probe_sequence", SEARCH + "test_warm_probes_cannot_change_a_deep_search"]),
+    ("settle: the verdict check makes every row", "certify.py", VERDICT_CHECK,
+     VERDICT_CHECK.replace("rows_at(verdict)", "rows_at(None)"), [ROWS_ONCE]),
+    ("search: the lo end decided before --iters is checked", "certify.py",
+     "    _check_iters(iters)\n    lo, hi = Fraction(lo), Fraction(hi)\n",
+     "    lo, hi = Fraction(lo), Fraction(hi)\n    _first_feasible(lo, policy, variant, ALL_CASES, {}, {}, {})\n"
+     "    _check_iters(iters)\n", ["tests/test_cli.py::TestSearchCommand::test_iters_bounded_before_any_decision[search]"]),
+    ("case_point: c = 1 admitted", "systems.py", "    if not (R < T and R < C and T <= 2 * C <= 2 * T):\n",
+     "    if not (R < T and R <= C and T <= 2 * C <= 2 * T):\n",
+     [GUARDS + "fail_as_guards_do", GUARDS + "pass_where_guards_do"]),
+    ("_signed_minors: every minor negated", "exactlp.py", MINORS,
+     MINORS.replace("    return [", "    return [-x for x in [", 1).replace("AB]\n", "AB]]\n"),
+     [EX + "test_signed_minors_are_the_cofactor_expansion"]),
     # The audit: one rule that binds a headline claim dropped at a time, and the solver reached.
     ("audit, trace: no midpoint rule", "audit.py",
      "        if t != (lo + hi) / 2:\n", "        if False:\n", [TRACE.format("edited-midpoint")]),

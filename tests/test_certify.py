@@ -380,9 +380,9 @@ class TestBinarySearch:
 
         report, lower_runs = certify_mod._certify_at, []
 
-        def counting(t, policy, variant, bases=None):
+        def counting(*args):
             start = len(fm_runs)
-            out = report(t, policy, variant, bases)
+            out = report(*args)
             if not out[0].feasible_cases:
                 lower_runs.append(len(fm_runs) - start)
             return out
@@ -447,7 +447,7 @@ class TestBinarySearch:
             y, _ = out = settle(bases, key, rows)
             if y and probing and len(fm_runs) == runs:  # not a support a pivot run ended at
                 assert bases[key, False] is verdict and len(y) == len(verdict) == len(VARIABLES) + 1
-                assert len(rows) == len(CASE_TABLES[key]) + 4
+                assert len(rows(verdict)) == len(CASE_TABLES[key]) + 4
                 settled.append(key)
             return out
 
@@ -477,8 +477,69 @@ class TestBinarySearch:
                                 lambda *args: checks.append(args) or check(*args))
         binary_search_bound(F(3), F(5), 20)
         # 75 when each of 3 such supports was checked twice, 72 with
-        # elimination's supports.
-        assert len(checks) == 74
+        # elimination's supports; 74 while the t_lo report checked each
+        # verdict again and a case with no verdict got a check of None.
+        assert len(checks) == 66
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("policy", [CPolicy(2, 1, 4), CPolicy(3, 1, 5), CPolicy(1, 1, 2),
+                                        CPolicy(1, 0, 2), CPolicy(2, 0, 3)], ids=CPolicy.key)
+    def test_rows_are_made_once_per_point(self, monkeypatch, fm_runs, policy, variant):
+        """Over a 20-iteration search and its document, calls of
+        ``TableRow.make`` and ``TableRow.pairs`` grouped by point: no base
+        row and no pair row is made twice at one point, rows of one formula
+        sharing one; a probe that its stored verdicts settle alone makes
+        only those verdicts' table rows; and the report at t_lo makes no
+        base row and runs no ``infeasible_on``, since its Farkas vectors
+        come from the weights its probe's checks returned."""
+        import bmbounds.certify as certify_mod
+        import bmbounds.systems as systems_mod
+        from bmbounds.systems import CASE_TABLES
+
+        made, paired, checks, probes, reports = [], [], [], [], []
+        make, pairs, check = systems_mod.TableRow.make, systems_mod.TableRow.pairs, certify_mod.infeasible_on
+        first, report = certify_mod._first_feasible, certify_mod._certify_at
+
+        def formula(row):  # what a row's values depend on at a point, read from the row itself
+            return row.formula.func, row.formula.args
+
+        def making(row, point, *args):
+            made.append((point, formula(row)))
+            return make(row, point, *args)
+
+        def pairing(row, point, *args):
+            paired.append((point, formula(row), row.relation, tuple(row.keys)))
+            return pairs(row, point, *args)
+
+        def probe(t, policy, variant, order, bases, *memos):
+            verdicts = {case: bases.get((case, False)) for case in ALL_CASES}
+            start, runs = len(made), len(fm_runs)
+            found = first(t, policy, variant, order, bases, *memos)
+            if found is None and len(fm_runs) == runs:  # every case settled by its stored verdict
+                probes.append((verdicts, made[start:]))
+            return found
+
+        def reporting(t, *args):
+            start, before = len(made), len(checks)
+            out = report(t, *args)
+            reports.append((t, made[start:], len(checks) - before))
+            return out
+
+        monkeypatch.setattr(systems_mod.TableRow, "make", making)
+        monkeypatch.setattr(systems_mod.TableRow, "pairs", pairing)
+        monkeypatch.setattr(certify_mod, "infeasible_on", lambda *args: checks.append(args) or check(*args))
+        monkeypatch.setattr(certify_mod, "_first_feasible", probe)
+        monkeypatch.setattr(certify_mod, "_certify_at", reporting)
+        bound = binary_search_bound(F(3), F(5), 20, policy, variant)
+        search_report_doc(bound)
+        assert len(set(made)) == len(made) and len(set(paired)) == len(paired)
+        assert probes
+        for verdicts, got in probes:
+            keys = [key for _, key in got]
+            assert len(set(keys)) == len(keys)
+            assert set(keys) == {formula(CASE_TABLES[case][i]) for case, verdict in verdicts.items()
+                                 for i in verdict if i < len(CASE_TABLES[case])}
+        assert [(made_lo, checks_lo) for t, made_lo, checks_lo in reports if t == bound.t_lo] == [([], 0)]
 
 
 class TestSweep:
@@ -1412,7 +1473,7 @@ class TestWarmAssignments:
             y, vertex = settle(bases, key, rows)
             if len(runs) > before:
                 stored.append(bases[key, vertex is not None])
-                assert stored[-1] == pivot(rows)[1]
+                assert stored[-1] == pivot(rows(None))[1]
             return y, vertex
 
         monkeypatch.setattr(exactlp, "pivot", counting)
@@ -1525,7 +1586,10 @@ class TestWarmAssignments:
         plain, at = counts(lambda: certify_at(t))
         report, dichotomy = counts(lambda: certify_dichotomy(t, functions=()))
         feasible = len(plain.feasible_cases)
-        assert dichotomy == at == {"case_rows": len(ALL_CASES), "pivot": len(ALL_CASES),
+        # "case_rows": len(ALL_CASES) while a settle took its rows as a list;
+        # an infeasible case's Farkas vector now reads its verdict's rows by a
+        # second call, which makes no row (``case_rows``' memo).
+        assert dichotomy == at == {"case_rows": 2 * len(ALL_CASES) - feasible, "pivot": len(ALL_CASES),
                                    "feasible_at": len(ALL_CASES) + feasible}
         assert report.assignments[0].results == plain.results
 
@@ -1539,7 +1603,9 @@ class TestWarmAssignments:
         calls, case_rows = [], certify_mod.case_rows
         monkeypatch.setattr(certify_mod, "case_rows", lambda *args: calls.append(args) or case_rows(*args))
         assert not certify_dichotomy(F(4)).certified
-        assert [case for case, _, _ in calls] == list(ALL_CASES)
+        # list(ALL_CASES), 4 calls, while the plain stage handed its rows on;
+        # each case's second call reads the memo its first call filled.
+        assert [case for case, *_ in calls] == list(ALL_CASES) * 2
 
 
 @functools.lru_cache(maxsize=None)

@@ -477,6 +477,26 @@ class TestVerifyCertCommand:
         assert code == 2
         assert out.startswith("malformed certificate") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, kind", [
+        (("upper", "--t", "14927/3852"), "upper-t"),
+        (("upper", "--scan", "3:4:1/2"), "upper-scan"),
+        (("upper", "--optimize", "--tol", "1e-6"), "upper-optimize"),
+        (("bounds", "--m", "2..3"), "bounds"),
+    ], ids=["upper-t", "upper-scan", "upper-optimize", "bounds"])
+    def test_document_of_another_kind_is_named(self, capsys, tmp_path, argv, kind):
+        """An upper or bounds document carries no certificate: its kind is
+        named (exit 2) before any field it lacks, even with a
+        ``tool_version`` added (this read "missing field 'tool_version'",
+        then "missing field 'variant'")."""
+        code, out, _ = run(capsys, *argv, "--format", "structured")
+        doc = json.loads(out)
+        assert (code, doc["kind"]) == (0, kind)
+        path = tmp_path / "doc.json"
+        for text in (out, json.dumps({"tool_version": "bmbounds-0", **doc})):
+            path.write_text(text)
+            assert run(capsys, "verify-cert", str(path)) == (
+                2, f"malformed certificate: unknown certificate kind '{kind}'\n", "")
+
     @pytest.mark.parametrize("coeff, message", [
         ("x", "not a p/q rational literal: 'x'"),
         ("1" + "0" * 4999, "integer literal too long: 5000 digits"),

@@ -160,6 +160,13 @@ settle a case.  It then made 23 stored-basis settles, as did its printed
 twin, more than any other dichotomy over all three functions with policy
 2,1,4, 1,0,2, 0,759,400 or 3,1,5, either variant, at a t in [3, 4] with
 denominator <= 8, so it pins the witnesses stored bases give.
+
+The ``search --lo 3 --hi 5 --iters 24 --c-policy 1,0,2 --variant printed
+--format structured`` digest was recorded while every bisection probe still
+made all the base rows of each case it settled, and each end report made
+every pair row of its cases twice, once for its self-check and once for
+its echo, before rows of one formula were made once per point.  It is a
+deep search in the printed variant, where row 8d reads the variant.
 """
 
 import hashlib
@@ -256,6 +263,8 @@ GOLDEN = {
         (1, "00620bb3db651b3e76608897e470a741371ef2c1a6b3ea911bc06ec161aabd72"),
     "dichotomy --t 4 --c-policy 1,0,2 --format structured":
         (1, "e1a30a1764473ca3bf25ad917ae94ea5c4b77319177569c637c18411569b7e54"),
+    "search --lo 3 --hi 5 --iters 24 --c-policy 1,0,2 --variant printed --format structured":
+        (0, "cd65d4246e5ba662d4916741f41d6167bd4752cd4ead028fb52a445c143d76ec"),
 }
 
 
@@ -284,7 +293,7 @@ def test_runtime_path_builds_no_normalized_rows(monkeypatch, capsys):
         assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED,
                                                             "all certificates verified")
     commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "dichotomy")]
-    assert len(commands) == 20
+    assert len(commands) == 21  # 20 before the printed-variant 24-iteration search
     for command in commands:
         code = main(command.split())
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -307,7 +316,7 @@ def test_commands_build_no_system(monkeypatch, capsys):
         assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED,
                                                             "all certificates verified")
     commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "dichotomy")]
-    assert len(commands) == 20
+    assert len(commands) == 21  # 20 before the printed-variant 24-iteration search
     for command in commands:
         code = main(command.split())
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -370,7 +379,7 @@ def test_certificates_are_supports_and_vertices(capsys):
 
     commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "sweep", "dichotomy")
                 and c.endswith("--format structured")]
-    assert len(commands) == 17
+    assert len(commands) == 18  # 17 before the printed-variant 24-iteration search
     farkas = witnesses = 0
     for command in commands:
         main(command.split())
@@ -387,4 +396,4 @@ def test_certificates_are_supports_and_vertices(capsys):
                      if den * sum(a * x for a, x in zip(vec, point)) == num]
             assert _rank(tight) == len(system.variables) == 4, command
             witnesses += 1
-    assert (farkas, witnesses) == (204, 128)
+    assert (farkas, witnesses) == (211, 129)  # (204, 128) before the printed-variant 24-iteration search

@@ -309,6 +309,23 @@ class TestCaseRowTables:
                     assert echoed(case, system, functions, branches) == json.dumps(system_doc(system)), (
                         case, branches)
 
+    def test_rows_that_share_a_key_share_their_rows(self):
+        """Table rows share ``key`` only where their formula and its
+        arguments agree, and ``pair_key`` only where their relation and
+        ``keys`` agree too: such rows give equal base rows and pair rows at
+        every point, and the 25 rows of the four cases have 13 keys."""
+        rows = [row for table in CASE_TABLES.values() for row in table]
+        assert (len(rows), len({row.key for row in rows}), len({row.pair_key for row in rows})) == (25, 13, 13)
+        points = [case_point(t, policy) for t in (F(3), F(113, 32), F(15, 4), F(5))
+                  for policy in (DEFAULT_POLICY, CPolicy(1, 0, 2), CPolicy(3, 1, 5))]
+        for a, b in itertools.combinations(rows, 2):
+            for point, variant in itertools.product(points, Variant):
+                if a.key == b.key:
+                    assert a.make(point, variant) == b.make(point, variant), (a.label, b.label)
+                if a.pair_key == b.pair_key:
+                    assert a.pairs(point, variant) == b.pairs(point, variant), (a.label, b.label)
+            assert (a.key == b.key) == (a.formula.func is b.formula.func and a.formula.args == b.formula.args)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_guarded_points(self, data):

@@ -24,6 +24,8 @@ from .systems import (ALL_CASES, EXIT_CERTIFIED, EXIT_INPUT_ERROR, EXIT_NOT_CERT
                       CPolicy, JCase, SystemFormatError, Variant, _repeated, branch_strings, case_echoes,
                       case_metas, check_functions)
 
+KINDS = ("certify", "search", "sweep", "dichotomy")  # the document kinds that carry a certificate
+
 
 class _Rejected(Exception):
     """A certificate or headline claim of a document does not hold (exit 1)."""
@@ -194,8 +196,9 @@ def _check_doc(doc: dict) -> None:
     """Re-verify every part of a document and bind its headline claims to them."""
     if not isinstance(doc, dict):
         raise SystemFormatError("top-level value must be an object")
-    if isinstance(doc.get("kind"), str) and doc["kind"] not in ("certify", "search", "sweep", "dichotomy"):
-        raise SystemFormatError(f"unknown certificate kind {doc['kind']!r}")  # an upper document, say
+    kind = doc.get("kind")
+    if isinstance(kind, str) and kind not in KINDS:  # an upper or bounds document, say
+        raise SystemFormatError(f"unknown certificate kind {kind!r}")
     if not isinstance(doc["tool_version"], str):
         raise SystemFormatError(f"tool_version must be a string, got {type(doc['tool_version']).__name__}")
     kind = doc["kind"]
@@ -242,7 +245,7 @@ def _check_doc(doc: dict) -> None:
             _check_cases(assignment["cases"], case_echoes(echoes.made, point, metas, variant, functions,
                                                           branches), f"branches {branches}: ", echoes)
         parts, holds = "assignment", all(_all_infeasible(a) for a in assignments)
-    else:
+    else:  # a kind that is not a string, read after the fields before it
         raise SystemFormatError(f"unknown certificate kind {kind!r}")
     if not isinstance(doc["certified"], bool):
         raise SystemFormatError(f"certified flag {doc['certified']!r} is not a boolean")

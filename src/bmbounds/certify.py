@@ -122,7 +122,10 @@ class CaseReport(NamedTuple):
 
 
 class CertifiedBound(NamedTuple):
-    """A bracket [t_lo, t_hi]: certified infeasible at t_lo, witnessed at t_hi."""
+    """A bracket [t_lo, t_hi]: certified infeasible at t_lo, witnessed at t_hi;
+    ``pairs``, by (point, variant), the pair rows a search checked its two
+    reports on, which their echoes take there (``case_echoes``): they live as
+    long as the bound and take part in its ``==`` and ``repr``."""
 
     t_lo: Fraction
     t_hi: Fraction
@@ -131,7 +134,7 @@ class CertifiedBound(NamedTuple):
     trace: tuple[tuple[Fraction, bool], ...]
     policy: CPolicy
     variant: Variant
-    pairs: tuple[dict, dict] | None = None  # the reports' ``case_pairs`` memos, which their echoes reuse
+    pairs: dict | None = None
 
 
 def certify_at(
@@ -155,12 +158,10 @@ def certify_at(
 
 def _certify_at(t: Fraction, policy: CPolicy, variant: Variant, bases: dict, memo: dict | None = None,
                 weights: dict | None = None) -> tuple[CaseReport, dict, dict]:
-    """``certify_at``, and its memos of base rows and of pair rows at t
-    (``case_rows``, ``case_pairs``).  Each case is settled as a probe settles
-    it (``_certificate``), with the verdicts and bases of ``bases`` and the
-    rows of ``memo``, a bisection probe's at t (``_first_feasible``) or fresh,
-    but not again where ``weights`` holds its verdict and weights there; its
-    certificate passes ``verified`` alike."""
+    """``certify_at``, and its memos of base and pair rows at t (``case_rows``,
+    ``case_pairs``).  Each case is settled as a probe settles it
+    (``_certificate``) on ``bases`` and ``memo``, a probe's at t or fresh,
+    unless ``weights`` holds its verdict and weights there."""
     t = Fraction(t)
     point = case_point(t, policy)
     memo, pairs, results = {} if memo is None else memo, {}, {}
@@ -172,18 +173,16 @@ def _certify_at(t: Fraction, policy: CPolicy, variant: Variant, bases: dict, mem
 
 
 def _settle(bases: dict, key, rows_at) -> tuple:
-    """The one settle step of a case decision: (y, vertex).
+    """The one settle step of a case decision: (y, vertex).  ``rows_at(indices)``
+    makes the case's base rows there, or all for None (``case_rows``).
 
-    ``rows_at(indices)`` makes the case's base rows at ``indices``, or all for
-    None (``case_rows``).  (y, None) if the weights y of the five rows
-    ``bases`` holds for ``key`` prove them infeasible (``infeasible_on``),
-    which makes those rows alone; else (None, vertex) if the vertex (xs, D)
-    of the basis held satisfies all rows (``feasible_at``); both checks use
-    Cramer's rule, on those five rows or the four basis rows.  Else
-    ``exactlp.pivot`` decides the rows from the origin; the five rows or
-    the basis it ends at must pass the same check (else AssertionError),
-    replace the ones held for ``key`` and that verdict, and give the
-    weights or the vertex that check returns."""
+    (y, None) if the weights y of the five rows ``bases`` holds for ``key``
+    prove them infeasible (``infeasible_on``), made alone; else (None,
+    vertex) if the vertex (xs, D) of the basis held satisfies all rows
+    (``feasible_at``); both by Cramer's rule.  Else ``exactlp.pivot``
+    decides the rows from the origin; the five rows or the basis it ends at
+    must pass the same check (else AssertionError), replace the ones held
+    for ``key`` and that verdict, and give what that check returns."""
     verdict = bases.get((key, False))
     y = infeasible_on(rows_at(verdict), verdict) if verdict else None
     if y:
@@ -218,8 +217,8 @@ def _certificate(bases: dict, key, rows_at, held: tuple | None = None) -> Feasib
 def _first_feasible(t: Fraction, policy: CPolicy, variant: Variant, order: Sequence[JCase],
                     bases: dict, memo: dict, weights: dict) -> JCase | None:
     """The first case in ``order`` whose base rows are feasible at t, or None
-    if all four are infeasible; each case is decided by ``_settle``, making its
-    rows into ``memo``, and ``weights`` gets each infeasible case's verdict and weights."""
+    if all four are infeasible; each case is decided by ``_settle`` on ``memo``,
+    and ``weights`` gets each infeasible case's verdict and weights."""
     point = case_point(t, policy)
     for case in order:
         y, vertex = _settle(bases, case, partial(case_rows, case, point, variant, memo))
@@ -272,7 +271,7 @@ def binary_search_bound(
     it, the report at t_lo from the verdicts and weights of the last
     all-infeasible probe, so it makes no base row and settles no case.
     Their verdicts are those of ``certify_at``; the bound keeps their pair
-    rows for its echoes.
+    rows, by point, for its echoes (``CertifiedBound.pairs``).
     """
     _check_iters(iters)
     lo, hi = Fraction(lo), Fraction(hi)
@@ -301,9 +300,10 @@ def binary_search_bound(
             lo, lower = mid, at
         else:
             hi, first, upper = mid, found, at
-    report_lo, _, pairs_lo = _certify_at(lo, policy, variant, {}, *lower)
-    report_hi, _, pairs_hi = _certify_at(hi, policy, variant, bases, upper[0])
-    return CertifiedBound(lo, hi, report_lo, report_hi, tuple(trace), policy, variant, (pairs_lo, pairs_hi))
+    pairs: dict = {}
+    report_lo, _, pairs[case_point(lo, policy), variant] = _certify_at(lo, policy, variant, {}, *lower)
+    report_hi, _, pairs[case_point(hi, policy), variant] = _certify_at(hi, policy, variant, bases, upper[0])
+    return CertifiedBound(lo, hi, report_lo, report_hi, tuple(trace), policy, variant, pairs)
 
 
 def sweep_policies(
@@ -426,8 +426,8 @@ def _case_entries(report: CaseReport, point: CasePoint, metas: dict, made: dict,
     The assignments of a dichotomy document share ``metas``, ``made`` (see
     ``case_echoes``) and ``certs``, which maps each result object (by id) to
     its formatted fields: a row or certificate that several assignments
-    share is formatted once and held as one object.  ``pairs`` is the
-    report's ``case_pairs`` memo, if it was kept."""
+    share is formatted once and held as one object.  ``pairs`` is
+    ``CertifiedBound.pairs`` for a bound's report."""
     entries = []
     for case, (_, echo) in case_echoes(made, point, metas, report.variant, report.functions,
                                        report.branches, pairs).items():
@@ -478,8 +478,8 @@ def search_report_doc(bound: CertifiedBound) -> dict:
         "trace": [
             {"t": format_rational(t), "all_infeasible": ok} for t, ok in bound.trace
         ],
-        "lower_report": _report_json(bound.report_lo, pairs=bound.pairs and bound.pairs[0]),
-        "upper_report": _report_json(bound.report_hi, pairs=bound.pairs and bound.pairs[1]),
+        "lower_report": _report_json(bound.report_lo, pairs=bound.pairs),
+        "upper_report": _report_json(bound.report_hi, pairs=bound.pairs),
     }
 
 

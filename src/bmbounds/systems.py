@@ -332,10 +332,8 @@ def case_pairs(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETR
     point of t and policy, as ``reference.system_pairs`` reads them from it;
     ``memo`` is as in ``case_rows``, by ``TableRow.pair_key``."""
     memo = {} if memo is None else memo
-    for row in CASE_TABLES[case]:
-        if row.pair_key not in memo:
-            memo[row.pair_key] = row.pairs(point, variant)
-    return [memo[row.pair_key] for row in CASE_TABLES[case]] + NONNEG_PAIRS
+    return [memo.get(row.pair_key) or memo.setdefault(row.pair_key, row.pairs(point, variant))
+            for row in CASE_TABLES[case]] + NONNEG_PAIRS
 
 
 def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
@@ -354,18 +352,15 @@ def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
 def case_rows(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED,
               memo: dict | None = None, indices: Sequence[int] | None = None) -> list:
     """The base rows of ``build_case_system(case, t, policy, variant)`` at the
-    point of t and policy, as ``reference.system_rows`` reads them from it:
-    the one maker of base rows.  ``memo``, a dict the caller keeps for one
-    point and variant, holds each row made there by ``TableRow.key`` and
-    the case's list.  With ``indices``, only the rows there are made, and a
-    row not yet made is None; an index past the table, a nonneg row, costs nothing."""
+    point of t and policy, as ``reference.system_rows`` reads them: the one
+    maker of base rows.  ``memo``, the caller's dict for one point and variant,
+    holds each row made there by ``TableRow.key`` and the case's list; with
+    ``indices``, only those rows are made (one not yet made is None, a nonneg one costs nothing)."""
     table, memo = CASE_TABLES[case], {} if memo is None else memo
-    n = len(table)
-    rows = memo.get(case) or memo.setdefault(case, [None] * n + NONNEG_ROWS)
-    for i in range(n) if indices is None else indices:
-        if i < n and rows[i] is None:
-            row = table[i]
-            rows[i] = memo.get(row.key) or memo.setdefault(row.key, row.make(point, variant))
+    rows = memo.get(case) or memo.setdefault(case, [None] * len(table) + NONNEG_ROWS)
+    for i in range(len(table)) if indices is None else indices:
+        if i < len(table) and rows[i] is None:
+            rows[i] = memo.get(table[i].key) or memo.setdefault(table[i].key, table[i].make(point, variant))
     return rows
 
 
@@ -398,14 +393,16 @@ def case_echoes(made: dict, point: CasePoint, metas: dict, variant: Variant,
     ``build_case_system`` or ``build_dichotomy_systems``.  ``made`` holds
     each table row's (pair row, entry) per (point, variant): a row several
     echoes share is made once, as one object, and rows of one ``pair_key``
-    share their pair row, taken from ``pairs`` (the ``case_pairs`` memo of a
-    report there) if it holds it, and their formatted coefficients and rhs.
-    The echoes of one call share one ``variables`` list and one ``nonneg``
-    list, so a document writes each once per call.
+    share their pair row and their formatted coefficients and rhs.  A pair
+    row is taken from ``pairs`` (``CertifiedBound.pairs``) where it holds
+    one at this point and variant.  The echoes of one call share one
+    ``variables`` list and one ``nonneg`` list, so a document writes each
+    once per call.
     """
     memo = made.setdefault((point, variant), {})
     extra = () if functions is None else tuple([BRANCH_ROWS[m, br] for m, br in zip(functions, branches)])
-    variables, nonneg, out, shared, pairs = list(VARIABLES), list(VARIABLES), {}, {}, pairs or {}
+    variables, nonneg, out, shared = list(VARIABLES), list(VARIABLES), {}, {}
+    pairs = (pairs or {}).get((point, variant), {})  # those a report at this point was checked on
     for case, meta in metas.items():
         rows = CASE_TABLES[case] + extra
         for row in rows:

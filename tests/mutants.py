@@ -174,6 +174,12 @@ MUTANTS = [
     ("lower report: weights of the probe at t_hi", "certify.py",
      "_certify_at(lo, policy, variant, {}, *lower)", "_certify_at(lo, policy, variant, {}, lower[0], upper[1])",
      [SEARCH + "test_lower_report_certificates_are_supports", ROWS_ONCE]),
+    ("dichotomy: a case's rows made again for its assignments", "certify.py",
+     "        rows = case_rows(case, point, variant, memo)\n", "        rows = case_rows(case, point, variant)\n",
+     [CE + "TestWarmAssignments::test_base_rows_are_made_once"]),
+    ("echoes: a bound's pair rows read at another point", "systems.py",
+     "    pairs = (pairs or {}).get((point, variant), {})", "    pairs = next(iter((pairs or {}).values()), {})",
+     [SEARCH + "test_kept_pair_rows_are_read_at_their_point_alone"]),
     ("settle: a stored verdict accepted unchecked", "certify.py", VERDICT_CHECK,
      "    y = [1] * len(verdict) if verdict else None\n",
      [SEARCH + "test_probe_sequence", SEARCH + "test_warm_probes_cannot_change_a_deep_search"]),

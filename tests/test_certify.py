@@ -481,6 +481,17 @@ class TestBinarySearch:
         # verdict again and a case with no verdict got a check of None.
         assert len(checks) == 66
 
+    def test_kept_pair_rows_are_read_at_their_point_alone(self):
+        """A bound keeps its reports' pair rows by point and variant
+        (``CertifiedBound.pairs``): with a report of another point put in,
+        that report's echoes are made afresh, so the document is the one a
+        bound without them writes, and it is not the search's."""
+        bound = binary_search_bound(F(3), F(5), 6)
+        assert len(bound.pairs) == 2
+        moved = bound._replace(report_lo=certify_at(F(3)))
+        assert search_report_doc(moved) == search_report_doc(moved._replace(pairs=None))
+        assert search_report_doc(moved)["lower_report"] != search_report_doc(bound)["lower_report"]
+
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     @pytest.mark.parametrize("policy", [CPolicy(2, 1, 4), CPolicy(3, 1, 5), CPolicy(1, 1, 2),
                                         CPolicy(1, 0, 2), CPolicy(2, 0, 3)], ids=CPolicy.key)
@@ -1595,17 +1606,23 @@ class TestWarmAssignments:
 
     def test_base_rows_are_made_once(self, monkeypatch):
         """At 4 every case is plain-feasible, so each is settled per
-        assignment on its base rows, which the plain stage made: 4
-        ``case_rows`` calls, where making them again per case made 8."""
-        import bmbounds.certify as certify_mod
+        assignment on its base rows, which the plain stage made: across the
+        dichotomy, each distinct base row (``TableRow.key``) and each branch
+        row is made once, at the point of 4, where making a case's rows
+        again for its assignments made each of them again."""
+        import bmbounds.systems as systems_mod
+        from bmbounds.systems import BRANCH_ROWS, CASE_TABLES, case_point
 
         assert all(result.feasible for result in certify_at(F(4)).results.values())
-        calls, case_rows = [], certify_mod.case_rows
-        monkeypatch.setattr(certify_mod, "case_rows", lambda *args: calls.append(args) or case_rows(*args))
-        assert not certify_dichotomy(F(4)).certified
-        # list(ALL_CASES), 4 calls, while the plain stage handed its rows on;
-        # each case's second call reads the memo its first call filled.
-        assert [case for case, *_ in calls] == list(ALL_CASES) * 2
+        made, make = [], systems_mod.TableRow.make
+        monkeypatch.setattr(systems_mod.TableRow, "make",
+                            lambda row, point, *args: made.append((point, row.key)) or make(row, point, *args))
+        report = certify_dichotomy(F(4))
+        assert not report.certified
+        rows = [row for table in CASE_TABLES.values() for row in table]
+        rows += [BRANCH_ROWS[m, br] for m in report.functions for br in "ab"]
+        assert len(set(made)) == len(made)
+        assert set(made) == {(case_point(F(4), DEFAULT_POLICY), row.key) for row in rows}
 
 
 @functools.lru_cache(maxsize=None)

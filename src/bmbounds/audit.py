@@ -55,16 +55,21 @@ class _Echoes:
         return value
 
     def verdict(self, entry: dict, pairs: list) -> bool:
-        """Whether the certificate of ``entry`` holds on the pair rows ``pairs``."""
+        """Whether the certificate of ``entry``, the one its status names, holds on the pair rows ``pairs``."""
         status = entry["status"]
+        if status not in ("feasible", "infeasible"):
+            raise SystemFormatError(f"unknown status {status!r}")
+        other = "farkas" if status == "feasible" else "witness"
+        if other in entry:
+            raise SystemFormatError(f"{status} entry carries field {other!r}")
         if status == "feasible":
             witness = entry["witness"]
             if not isinstance(witness, dict):
                 raise SystemFormatError(f"witness must be an object, got {type(witness).__name__}")
+            if unknown := set(witness).difference(VARIABLES):
+                raise SystemFormatError(f"witness names variables {sorted(unknown)} outside {list(VARIABLES)}")
             return verify_pairs(VARIABLES, pairs, FeasibilityResult(
                 "feasible", witness={v: self.number(s) for v, s in witness.items()}))
-        if status != "infeasible":
-            raise SystemFormatError(f"unknown status {status!r}")
         farkas = entry["farkas"]
         if not isinstance(farkas, list):  # a string or an object would be read item by item
             raise SystemFormatError(f"farkas must be a list, got {type(farkas).__name__}")

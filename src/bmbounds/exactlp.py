@@ -1,25 +1,21 @@
 """Exact feasibility decisions for rational linear-inequality systems.
 
-The one decision procedure, ``pivot``, is an integer simplex over row
-bases with Bland's least-index rule.  It reads base rows, which
-``base_row`` makes and documents: each is a primitive integer direction
-(ints with gcd 1) with its right-hand side as a reduced integer pair
-num/den, den > 0, and the leading-coefficient pair of the inequality it
-stands for.  ``systems.case_rows`` and the ``make`` of each
-``systems.BRANCH_ROWS`` row make them from the integer formulas the case
-systems and branch rows are built from; only ``check_feasibility``, which
-no command calls, clears a ``LinearSystem`` into them.  A run starts at the
-basis of the nonneg rows, whose vertex is the origin, so it depends on its
-rows alone, and keeps the adjugate and the determinant of its basis
-matrix, updated per swap by one exact division.  It ends at a basis whose
-vertex satisfies every row, or at the n + 1 rows of its last basis and the
-entering row, whose integer weights, some of which may be 0, combine them
-into 0 <= negative.  Fractions are made only for a returned witness or
-Farkas vector.  Rows over four variables, as in every case system and
-dichotomy assignment, run a body of ``pivot`` and ``_swap`` written for
-them term by term; any other width, which only ``check_feasibility``
-passes, runs the generic body, ``_pivot_n`` and ``_swap_n``, with the same
-rules and the same swaps.
+The one decision procedure, ``pivot``, is an integer simplex over row bases
+with Bland's least-index rule, for rows over four variables, the width of
+every case system and dichotomy assignment.  It reads base rows, which
+``base_row`` makes and documents: each is a primitive integer direction (ints
+with gcd 1) with its right-hand side as a reduced integer pair num/den,
+den > 0, and the leading-coefficient pair of the inequality it stands for.
+``systems.case_rows`` and the ``make`` of each ``systems.BRANCH_ROWS`` row
+make them from the integer formulas the case systems and branch rows are
+built from; only ``check_feasibility``, which no command calls, clears a
+``LinearSystem`` into them.  A run starts at the basis of the nonneg rows,
+whose vertex is the origin, so it depends on its rows alone, and keeps the
+adjugate and the determinant of its basis matrix, updated per swap by one
+exact division.  It ends at a basis whose vertex satisfies every row, or at
+the four rows of its last basis and the entering row, whose integer weights,
+some of which may be 0, combine them into 0 <= negative.  Fractions are made
+only for a returned witness or Farkas vector.
 
 Every verdict passes one exact check by substitution before it is used.
 ``verify_pairs`` is the one certificate check: it reads pair rows, each
@@ -40,7 +36,8 @@ Farkas vector on the inequalities.  The independent cross-checks, an exact
 phase-1 simplex, Fourier-Motzkin elimination, brute-force vertex
 enumeration and a Fraction reference verifier, live with the tests
 (``tests/crosscheck.py``), which require them to agree with this
-module.  ``LinearSystem`` and what reads it live in ``reference``, whose
+module.  ``LinearSystem`` and what reads it, with the any-width body that
+``check_feasibility`` runs on other widths, live in ``reference``, whose
 ``check_feasibility`` and ``verify_certificate`` resolve here on first use.
 
 No floating point is used anywhere in this module.
@@ -49,12 +46,10 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 LE = "<="
 GE = ">="
@@ -132,10 +127,8 @@ def _swap(cols: list, D: int, k: int, lam: list[int]) -> tuple[list, int]:
     expansion is lam / D, lam[k] != 0.  The determinant becomes lam[k] and
     column k is kept; every other column j becomes (lam[k] * c_j - lam[j] *
     c_k) / D, an exact division, as the new columns are those of an
-    adjugate again.  Both are negated if lam[k] < 0.  Four columns of four
-    entries are updated term by term, any other width by ``_swap_n``."""
-    if len(lam) != 4:
-        return _swap_n(cols, D, k, lam)
+    adjugate again.  Both are negated if lam[k] < 0.  The four columns of
+    four entries are updated term by term."""
     d, (y0, y1, y2, y3) = lam[k], cols[k]
     if d < 0:  # -(d * c_j - lam[j] * c_k) is |d| * c_j - lam[j] * (-c_k)
         d, y0, y1, y2, y3 = -d, -y0, -y1, -y2, -y3
@@ -147,21 +140,14 @@ def _swap(cols: list, D: int, k: int, lam: list[int]) -> tuple[list, int]:
     return new, d
 
 
-def _swap_n(cols: list, D: int, k: int, lam: list[int]) -> tuple[list, int]:
-    """``_swap`` for columns of any width."""
-    d, ck = lam[k], cols[k]
-    s = 1 if d > 0 else -1
-    return [[s * x for x in ck] if j == k else [s * (d * x - lam[j] * y) // D for x, y in zip(col, ck)]
-            for j, col in enumerate(cols)], abs(d)
-
-
 # The base rows -x_j <= 0 of four variables, which every case system ends with: at their
 # basis D = 1, and its columns are their directions.
 NONNEG_ROWS = [(tuple([-int(i == j) for i in range(4)]), 0, 1, 1, 1) for j in range(4)]
 
 
 def pivot(rows: Sequence[tuple]) -> tuple:
-    """Decide the base rows ``rows`` by an exact integer simplex over row bases.
+    """Decide the base rows ``rows``, over four variables, by an exact integer
+    simplex over row bases.
 
     ``rows`` must hold the nonneg row -x_j <= 0 of every variable (the base
     row ``base_row([-e_j], 1, 0, 1)``), whose basis has the vertex 0, and
@@ -174,19 +160,14 @@ def pivot(rows: Sequence[tuple]) -> tuple:
 
     Returns (True, basis, (xs, D)), a basis whose vertex xs / D (D > 0)
     satisfies every row, or (False, verdict, y) when no basis row has a
-    positive coefficient: the verdict is the violated row and the n basis
+    positive coefficient: the verdict is the violated row and the four basis
     rows in ascending order, whose base rows the integers y >= 0 combine
     into 0 <= negative, with weight 0 on each basis row whose coefficient is
-    0; ``infeasible_on`` re-solves those n + 1 rows and accepts with y, up
+    0; ``infeasible_on`` re-solves those five rows and accepts with y, up
     to a positive factor.  Unverified: the callers check what they keep.
-
-    Over four variables each column entry, vertex coordinate and expansion
-    coefficient is a local, each sum written out term by term; rows of any
-    other width run the generic body, ``_pivot_n``.  Every swap goes
-    through ``_swap``.
+    Each column entry, vertex coordinate and expansion coefficient is a
+    local, each sum written out term by term.
     """
-    if len(rows[0][0]) != 4:
-        return _pivot_n(rows)
     basis = [rows.index(row) for row in NONNEG_ROWS]
     cols, D = [row[0] for row in NONNEG_ROWS], 1
     while True:
@@ -210,29 +191,6 @@ def pivot(rows: Sequence[tuple]) -> tuple:
             weights = {r: D, **{basis[j]: -lam[j] for j in range(4)}}
             verdict = sorted(weights)
             return False, verdict, [weights[i] * rows[i][2] for i in verdict]
-        cols, D = _swap(cols, D, k, lam)
-        basis[k] = r
-
-
-def _pivot_n(rows: Sequence[tuple]) -> tuple:
-    """``pivot``'s generic body, for rows of any width n."""
-    n = len(rows[0][0])
-    scaled = [[den * x for x in vec] for vec, _, den, _, _ in rows]
-    cols, D = [[-int(i == j) for i in range(n)] for j in range(n)], 1
-    basis = [rows.index((tuple(col), 0, 1, 1, 1)) for col in cols]
-    while True:
-        xs = [sum([rows[i][1] * col[j] for i, col in zip(basis, cols)]) for j in range(n)]
-        r = next((r for r, (a, row) in enumerate(zip(scaled, rows))
-                  if sum(map(operator.mul, a, xs)) > row[1] * D), None)
-        if r is None:
-            return True, basis, (xs, D)
-        lam = [sum(map(operator.mul, scaled[r], col)) for col in cols]
-        leaving = [k for k in range(n) if lam[k] > 0]
-        if not leaving:
-            weights = {r: D, **{basis[k]: -lam[k] for k in range(n)}}
-            verdict = sorted(weights)
-            return False, verdict, [weights[i] * rows[i][2] for i in verdict]
-        k = min(leaving, key=basis.__getitem__)
         cols, D = _swap(cols, D, k, lam)
         basis[k] = r
 

@@ -2,7 +2,8 @@
 
 ``LinearSystem`` holds a system as Fractions; the builders make the case and
 assignment systems from the row tables, the independent reference the tests
-compare ``systems.case_echoes`` with; ``check_feasibility`` decides any width,
+compare ``systems.case_echoes`` with; ``check_feasibility`` decides any width
+(``exactlp.pivot`` on four columns, ``_pivot_n`` on any other number),
 ``verify_certificate`` checks on pair rows, and ``system_doc`` and its inverse
 give the system-definition format.  Only ``verify-cert``, on an echo that
 differs, loads this module; the package's names, and those the benchmark's
@@ -13,16 +14,19 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactlp import (GE, LE, ONE, ZERO, FeasibilityResult, SystemError_, base_row, nonneg_pair, pivot,
+from .exactlp import (GE, LE, ZERO, FeasibilityResult, SystemError_, base_row, nonneg_pair, pivot,
                       support_farkas, verified, verify_pairs)
 from .rationals import RationalFormatError, parse_rational
 from .systems import (ALL_CASES, CASE_TABLES, BRANCH_ROWS, DEFAULT_DICHOTOMY_FUNCTIONS, DEFAULT_POLICY,
                       VARIABLES, CPolicy, JCase, SystemFormatError, TableRow, Variant, branch_strings,
                       case_meta, case_pairs, case_point, check_functions, row_entry)
+
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -152,11 +156,43 @@ def system_rows(system: LinearSystem) -> list[tuple]:
     return rows
 
 
+def _swap_n(cols: list, D: int, k: int, lam: list[int]) -> tuple[list, int]:
+    """``exactlp._swap`` for columns of any width."""
+    d, ck = lam[k], cols[k]
+    s = 1 if d > 0 else -1
+    return [[s * x for x in ck] if j == k else [s * (d * x - lam[j] * y) // D for x, y in zip(col, ck)]
+            for j, col in enumerate(cols)], abs(d)
+
+
+def _pivot_n(rows: Sequence[tuple]) -> tuple:
+    """``exactlp.pivot`` for rows of any width n, with the same rules and the same swaps."""
+    n = len(rows[0][0])
+    scaled = [[den * x for x in vec] for vec, _, den, _, _ in rows]
+    cols, D = [[-int(i == j) for i in range(n)] for j in range(n)], 1
+    basis = [rows.index((tuple(col), 0, 1, 1, 1)) for col in cols]
+    while True:
+        xs = [sum([rows[i][1] * col[j] for i, col in zip(basis, cols)]) for j in range(n)]
+        r = next((r for r, (a, row) in enumerate(zip(scaled, rows))
+                  if sum(map(operator.mul, a, xs)) > row[1] * D), None)
+        if r is None:
+            return True, basis, (xs, D)
+        lam = [sum(map(operator.mul, scaled[r], col)) for col in cols]
+        leaving = [k for k in range(n) if lam[k] > 0]
+        if not leaving:
+            weights = {r: D, **{basis[k]: -lam[k] for k in range(n)}}
+            verdict = sorted(weights)
+            return False, verdict, [weights[i] * rows[i][2] for i in verdict]
+        k = min(leaving, key=basis.__getitem__)
+        cols, D = _swap_n(cols, D, k, lam)
+        basis[k] = r
+
+
 def check_feasibility(system: LinearSystem) -> FeasibilityResult:
     """Exact feasibility verdict with a verifying certificate attached.
 
     The system is cleared into its base rows by ``system_rows`` and decided
-    by ``pivot``, with each free variable split as x+ - x-: its coefficient
+    by ``exactlp.pivot`` if four columns, as a case system's, else by
+    ``_pivot_n``, with each free variable split as x+ - x-: its coefficient
     is repeated, negated, on a column appended for x-, and a nonneg row is
     appended for x+ and for x-.  A Farkas combination gives those appended
     rows weight 0, as the x+ and x- columns cancel; the witness is x+ - x-.
@@ -169,7 +205,7 @@ def check_feasibility(system: LinearSystem) -> FeasibilityResult:
     split = [(vec + tuple([-vec[k] for k in free]), num, den, q, p) for vec, num, den, q, p in rows]
     for j in [*free, *range(n - len(free), n)]:  # the nonneg rows of x+ and x-
         split.append((tuple([-int(i == j) for i in range(n)]), 0, 1, 1, 1))
-    feasible, found, cert = pivot(split)
+    feasible, found, cert = (pivot if n == 4 else _pivot_n)(split)
     if feasible:
         xs, D = cert
         minus = dict(zip(free, xs[n - len(free):]))

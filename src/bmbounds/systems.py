@@ -343,7 +343,7 @@ def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
     """
     n, d = t.numerator, t.denominator
     T, C, R = policy.r * n, policy.p * n + policy.q * d, policy.r * d
-    if not (R < T and R < C and T <= 2 * C <= 2 * T):
+    if not (R < C and T <= 2 * C <= 2 * T):
         _guards(t, policy)
         raise AssertionError("internal error: the integer guards passed what _guards fails")
     return T, C, R

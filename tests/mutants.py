@@ -19,10 +19,12 @@ pytest reads ``pythonpath = ["src"]`` from ``pyproject.toml`` and would put
 the repository's own ``src`` first on ``sys.path``; the runner overrides
 it with the copy's ``src`` and loads a plugin that stops the session
 unless ``bmbounds`` was imported from the copy.  Nothing is written into
-the repository: pytest runs with its cache provider off and without
-bytecode, from the temporary directory, where hypothesis keeps its
-example database.  This file is not named ``test_*.py``, so the test
-suite does not collect it.
+the repository: pytest runs with its cache provider off, from the
+temporary directory, where hypothesis keeps its example database, and
+bytecode goes to a cache there (``PYTHONPYCACHEPREFIX``).  The cache saves
+recompiling and rewriting the test modules for each mutant; each copy of
+``src/`` has a path of its own, so no mutant reads another's bytecode.
+This file is not named ``test_*.py``, so the test suite does not collect it.
 """
 
 from __future__ import annotations
@@ -71,6 +73,17 @@ MINORS = ("    return [bc * DE - bd * CE + be * CD + cd * BE - ce * BD + de * BC
           "            ab * DE - ad * BE + ae * BD + bd * AE - be * AD + de * AB,\n"
           "            -(ab * CE - ac * BE + ae * BC + bc * AE - be * AC + ce * AB),\n"
           "            ab * CD - ac * BD + ad * BC + bc * AD - bd * AC + cd * AB]\n")
+
+MEMO_KEY = "               *[(pair, w) for pair, w, x in zip(pairs, farkas, result.farkas) if x])\n"
+SWEEP_BINDING = ("        if not (policy == CPolicy.parse(search[\"policy\"]) and t_lo == parse_rational(search[\"t_lo\"])\n"
+                 "                and parse_rational(entry[\"t_hi\"]) == parse_rational(search[\"t_hi\"])):\n")
+FIELDS = "tests/test_audit.py::test_certificate_fields_off_the_status_are_malformed[{}-{}]"
+
+
+def _fields(edit: str) -> list[str]:
+    """The field-rule test's node ids for one edit, one per document kind."""
+    return [FIELDS.format(kind, edit) for kind in ("certify", "search", "sweep", "dichotomy")]
+
 
 # (name, module, snippet, replacement, node ids expected to fail)
 MUTANTS = [
@@ -122,20 +135,20 @@ MUTANTS = [
     ("infeasible_on: zero rhs accepted", "exactlp.py",
      "    return y if rhs < 0 else None\n", "    return y if rhs <= 0 else None\n",
      [INFEASIBLE_ON.format("zero rhs"), INFEASIBLE_ON.format("rank below 4")]),
-    # ``pivot``: each body's entering and leaving rules.
+    # ``pivot``: each body's entering and leaving rules; the generic body lives in ``reference``.
     ("pivot, width-4 body: last violated row enters", "exactlp.py", FOUR_BODY_ENTERING,
      FOUR_BODY_ENTERING.replace("enumerate(rows)", "reversed(list(enumerate(rows)))"),
      [ENTERING, AGREEMENT]),
-    ("pivot, generic body: last violated row enters", "exactlp.py", GENERIC_ENTERING,
+    ("pivot, generic body: last violated row enters", "reference.py", GENERIC_ENTERING,
      GENERIC_ENTERING.replace("enumerate(zip(scaled, rows))", "reversed(list(enumerate(zip(scaled, rows))))"),
      [ENTERING, AGREEMENT]),
     ("pivot, width-4 body: highest-index row leaves", "exactlp.py", FOUR_BODY_LEAVING,
      FOUR_BODY_LEAVING.replace("b < basis[k]", "b > basis[k]"), [ENTERING, LEAVING, AGREEMENT]),
-    ("pivot, generic body: highest-index row leaves", "exactlp.py", GENERIC_LEAVING,
+    ("pivot, generic body: highest-index row leaves", "reference.py", GENERIC_LEAVING,
      GENERIC_LEAVING.replace("min(", "max("), [ENTERING, LEAVING, AGREEMENT]),
     ("pivot, width-4 body: leaving row by position", "exactlp.py", FOUR_BODY_LEAVING,
      "            if m > 0 and k < 0:\n", [LEAVING, AGREEMENT]),
-    ("pivot, generic body: leaving row by position", "exactlp.py", GENERIC_LEAVING,
+    ("pivot, generic body: leaving row by position", "reference.py", GENERIC_LEAVING,
      "        k = leaving[0]\n", [LEAVING, AGREEMENT]),
     # ``verify_pairs``: one rule of the certificate check dropped at a time.
     ("verify_pairs: negative multipliers accepted", "exactlp.py",
@@ -189,12 +202,15 @@ MUTANTS = [
      "    _check_iters(iters)\n    lo, hi = Fraction(lo), Fraction(hi)\n",
      "    lo, hi = Fraction(lo), Fraction(hi)\n    _first_feasible(lo, policy, variant, ALL_CASES, {}, {}, {})\n"
      "    _check_iters(iters)\n", ["tests/test_cli.py::TestSearchCommand::test_iters_bounded_before_any_decision[search]"]),
-    ("case_point: c = 1 admitted", "systems.py", "    if not (R < T and R < C and T <= 2 * C <= 2 * T):\n",
-     "    if not (R < T and R <= C and T <= 2 * C <= 2 * T):\n",
+    ("case_point: c = 1 admitted", "systems.py", "    if not (R < C and T <= 2 * C <= 2 * T):\n",
+     "    if not (R <= C and T <= 2 * C <= 2 * T):\n",
      [GUARDS + "fail_as_guards_do", GUARDS + "pass_where_guards_do"]),
     ("_signed_minors: every minor negated", "exactlp.py", MINORS,
      MINORS.replace("    return [", "    return [-x for x in [", 1).replace("AB]\n", "AB]]\n"),
      [EX + "test_signed_minors_are_the_cofactor_expansion"]),
+    ("support_farkas: no gcd reduction", "exactlp.py", "    g = math.gcd(*ints)\n", "    g = 1\n",
+     [EX + "test_pivot_agrees_over_the_fm_corpus",
+      "tests/test_golden.py::test_structured_output_is_byte_identical[search --lo 3 --hi 5 --iters 20 --format structured]"]),
     # The audit: one rule that binds a headline claim dropped at a time, and the solver reached.
     ("audit, trace: no midpoint rule", "audit.py",
      "        if t != (lo + hi) / 2:\n", "        if False:\n", [TRACE.format("edited-midpoint")]),
@@ -220,6 +236,20 @@ MUTANTS = [
      [CE + "TestSweep::test_forged_sweep_doc[reversed]", CE + "TestSweep::test_forged_sweep_doc[swapped]"]),
     ("audit, sweep: brackets not compared", "audit.py", "    if len(brackets) > 1:\n", "    if False:\n",
      [CE + "TestSweep::test_forged_sweep_bracket"]),
+    ("audit: Farkas memo keyed without the written multipliers", "audit.py", MEMO_KEY,
+     MEMO_KEY.replace("(pair, w) for", "(pair, None) for"), [CE + "TestAuditWork::test_check_memo_is_sound"]),
+    ("audit: an echo that differs accepted unrendered", "audit.py", "or _renders_to(echo, canonical)", "or True",
+     [CE + "TestAuditWork::test_tampered_copy_of_a_shared_row", CE + "TestEchoComparison::test_verdict"]),
+    ("audit, sweep: bisection count not checked", "audit.py", "        if len(trace) != iters + 2:\n",
+     "        if False:\n", [CE + "TestSweep::test_forged_sweep_doc[iters]"]),
+    ("audit, sweep: entries not bound to their searches", "audit.py", SWEEP_BINDING, "        if False:\n",
+     [CE + "TestSweep::test_forged_sweep_doc[t_hi]", CE + "TestSweep::test_forged_sweep_doc[policy]",
+      "tests/test_audit.py::test_sweep_entry_t_lo_is_bound_to_its_search"]),
+    ("audit: a certificate field off the entry's status accepted", "audit.py", "        if other in entry:\n",
+     "        if False:\n", _fields("farkas-on-feasible") + _fields("witness-on-infeasible")),
+    ("audit: a witness variable outside VARIABLES accepted", "audit.py",
+     "            if unknown := set(witness).difference(VARIABLES):\n", "            if False:\n",
+     _fields("unknown-variable")),
     ("audit: exactlp.pivot called", "audit.py",
      "    cases = [JCase(entry[\"case\"]) for entry in entries]\n",
      "    from . import exactlp\n    exactlp.pivot(exactlp.NONNEG_ROWS)\n    cases = [JCase(entry[\"case\"]) for entry in entries]\n",
@@ -248,11 +278,9 @@ def pytest_sessionstart(session):
 '''
 
 
-def _copy(work: Path) -> Path:
-    """A fresh copy of ``src/`` under ``work``; returns the copy's ``src``."""
-    src = work / "src"
-    if src.exists():
-        shutil.rmtree(src)
+def _copy(work: Path, name: str) -> Path:
+    """A fresh copy of ``src/`` at ``work/name``; returns the copy's ``src``."""
+    src = work / name / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     return src
 
@@ -260,8 +288,9 @@ def _copy(work: Path) -> Path:
 def _run(work: Path, src: Path, node_ids: list[str]) -> tuple[int, set[str], str]:
     """pytest on ``node_ids`` against the copy at ``src``: (exit code, failed
     node ids, output tail)."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", MUTANT_SRC=str(src),
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(work / "pycache"), MUTANT_SRC=str(src),
                PYTHONPATH=os.pathsep.join([str(src), str(work)]))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)  # it would switch the bytecode cache off
     args = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "-p", "mutant_guard",
             "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(ROOT), "-o", f"pythonpath={src}",
             *[str(ROOT / node) for node in node_ids]]
@@ -296,13 +325,13 @@ def main(argv: list[str]) -> int:
         work = Path(tmp)
         (work / "mutant_guard.py").write_text(GUARD, encoding="utf-8")
         union = sorted({node for *_, nodes in chosen for node in nodes})
-        code, failed, tail = _run(work, _copy(work), union)
+        code, failed, tail = _run(work, _copy(work, "unmutated"), union)
         if code != 0:
             print(f"the unmutated copy fails (exit {code}):\n{tail}")
             return 2
         survivors = []
-        for name, module, old, new, nodes in chosen:
-            src = _copy(work)
+        for index, (name, module, old, new, nodes) in enumerate(chosen):
+            src = _copy(work, f"mutant-{index}")
             path = src / "bmbounds" / module
             path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
             start = time.perf_counter()

@@ -6,7 +6,9 @@ reads the module with ``ast``: it imports nothing of ``certify``, only
 ``exactlp``, and names no decision procedure.  The other audits genuine,
 tampered, re-spelled, forged and malformed documents of every kind with each decision
 procedure patched to raise in every ``bmbounds`` module, and requires the
-(exit code, message) it gives without the patches.
+(exit code, message) it gives without the patches.  The last table gives
+an entry the certificate field of the other status, or a witness variable
+outside ``VARIABLES``, in every kind of document: each is malformed.
 """
 
 import ast
@@ -18,7 +20,8 @@ from pathlib import Path
 import pytest
 
 import bmbounds.audit as audit_mod
-from bmbounds.audit import EXIT_CERTIFIED, EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, verify_certificate_text
+from bmbounds.audit import (EXIT_CERTIFIED, EXIT_INPUT_ERROR, EXIT_NOT_CERTIFIED, KINDS,
+                            verify_certificate_text)
 from bmbounds.certify import (
     binary_search_bound,
     certify_at,
@@ -141,3 +144,54 @@ def test_audit_runs_with_the_solver_raising(monkeypatch, documents):
             "bmbounds.certify.feasible_at"} <= set(patched)
     assert [(kind, edit, verify_certificate_text(text)) for kind, edit, text, _ in documents] == [
         (kind, edit, verdict) for kind, edit, _, verdict in documents]
+
+
+# Edit of the first entry of a status -> the malformed line it gives.  A
+# witness that lacks a variable keeps the message ``verify_pairs`` gives.
+FIELD_EDITS = {
+    "farkas-on-feasible": ("feasible", lambda e: e.update(farkas=["1"]),
+                           "feasible entry carries field 'farkas'"),
+    "witness-on-infeasible": ("infeasible", lambda e: e.update(witness={"th0": "0"}),
+                              "infeasible entry carries field 'witness'"),
+    "unknown-variable": ("feasible", lambda e: e["witness"].update(zz="-7"),
+                         "witness names variables ['zz'] outside ['th0', 'th1', 'th2', 'a']"),
+    "missing-variable": ("feasible", lambda e: e["witness"].pop("th0"), "witness misses variables ['th0']"),
+}
+
+
+@pytest.fixture(scope="module")
+def status_documents():
+    """A genuine document of each kind for each status it must hold: a
+    certify document at 5 (all feasible) and at 113/32 (all infeasible); a
+    search, a sweep and a dichotomy at 4 hold entries of both."""
+    ranked, skipped = sweep_policies([CPolicy(1, 0, 2), CPolicy(2, 1, 4)], F(3), F(5), 3)
+    both = {"search": search_report_doc(binary_search_bound(F(3), F(5), 4)),
+            "sweep": sweep_report_doc(ranked, skipped, Variant.SYMMETRIZED, 3),
+            "dichotomy": dichotomy_report_doc(certify_dichotomy(F(4)))}
+    docs = {("certify", "feasible"): certify_report_doc(certify_at(F(5))),
+            ("certify", "infeasible"): certify_report_doc(certify_at(F(113, 32)))}
+    for kind, doc in both.items():
+        docs[kind, "feasible"] = docs[kind, "infeasible"] = doc
+    return {key: json.dumps(doc) for key, doc in docs.items()}
+
+
+@pytest.mark.parametrize("edit", list(FIELD_EDITS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_certificate_fields_off_the_status_are_malformed(status_documents, kind, edit):
+    status, apply, message = FIELD_EDITS[edit]
+    text = status_documents[kind, status]
+    assert verify_certificate_text(text) == (EXIT_CERTIFIED, "all certificates verified")
+    doc = json.loads(text)
+    apply(next(e for e in _entries(doc) if e["status"] == status))
+    assert verify_certificate_text(json.dumps(doc)) == (EXIT_INPUT_ERROR, f"malformed certificate: {message}")
+
+
+def test_sweep_entry_t_lo_is_bound_to_its_search(status_documents):
+    """A ranked entry whose t_lo is raised to its t_hi still heads the
+    ranking, so only the binding of the entry to its embedded search
+    rejects it."""
+    doc = json.loads(status_documents["sweep", "feasible"])
+    entry = doc["results"][0]
+    entry["t_lo"] = entry["t_hi"]
+    assert verify_certificate_text(json.dumps(doc)) == (
+        EXIT_NOT_CERTIFIED, f"policy {entry['policy']}: policy, t_lo or t_hi differs from its search document")

@@ -1469,8 +1469,9 @@ class TestWarmAssignments:
 
         import bmbounds.certify as certify_mod
         import bmbounds.exactlp as exactlp
+        import bmbounds.reference as reference_mod
 
-        for body in (exactlp.pivot, exactlp._pivot_n):
+        for body in (exactlp.pivot, reference_mod._pivot_n):
             assert list(inspect.signature(body).parameters) == ["rows"]
         assert not hasattr(exactlp, "_swap_in")
         pivot, settle, runs, stored = exactlp.pivot, certify_mod._settle, [], []

@@ -1,15 +1,18 @@
+import ast
 import hashlib
 import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bmbounds import exactlp
+from bmbounds import reference as reference_mod
 from bmbounds.exactlp import (
     GE,
     LE,
@@ -479,18 +482,22 @@ def _bounded_check(system):
     """``check_feasibility`` of ``system``, with every pivot run held to at
     most as many swaps as the split system has row bases: a least-index
     run never returns to a basis, so a run that cycled would fail here
-    instead of running on."""
+    instead of running on.  Swaps are counted in both bodies, ``exactlp._swap``
+    and ``reference._swap_n``."""
     n = len(system.variables) + sum(v not in system.nonneg for v in system.variables)
     m = len(system_rows(system)) + n - len(system.nonneg)
-    swaps, swap = [], exactlp._swap
+    swaps = []
 
-    def counting(*args):
-        swaps.append(args)
-        assert len(swaps) <= math.comb(m, n), "pivot run exceeds the number of row bases"
-        return swap(*args)
+    def counting(swap):
+        def counted(*args):
+            swaps.append(args)
+            assert len(swaps) <= math.comb(m, n), "pivot run exceeds the number of row bases"
+            return swap(*args)
+        return counted
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exactlp, "_swap", counting)
+        patch.setattr(exactlp, "_swap", counting(exactlp._swap))
+        patch.setattr(reference_mod, "_swap_n", counting(reference_mod._swap_n))
         return check_feasibility(system), len(swaps)
 
 
@@ -941,15 +948,16 @@ def _bodies(rows):
     ``_pivot_n`` with its swaps made by ``_swap_n``: each swap is recorded
     as (D, k, lam), so the two runs must agree step by step."""
     runs = []
-    for body, swap in ((exactlp.pivot, exactlp._swap), (exactlp._pivot_n, exactlp._swap_n)):
-        swaps = []
+    for body, module, name in ((exactlp.pivot, exactlp, "_swap"),
+                               (reference_mod._pivot_n, reference_mod, "_swap_n")):
+        swaps, swap = [], getattr(module, name)
 
         def recording(cols, D, k, lam, swap=swap):
             swaps.append((D, k, list(lam)))
             return swap(cols, D, k, lam)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exactlp, "_swap", recording)
+            patch.setattr(module, name, recording)
             runs.append((body(rows), swaps))
     return runs
 
@@ -1060,3 +1068,59 @@ def test_pivot_rules(name, expected):
     rows = [_base(vec, rhs) for vec, rhs in _RULE_ROWS[name]]
     for triple, _ in _bodies(rows):
         assert triple == expected
+
+
+def test_exactlp_holds_the_width_4_body_alone():
+    """``exactlp`` defines neither generic body and imports no ``operator``,
+    and neither ``pivot`` nor ``_swap`` calls ``len``: neither tests a
+    width.  The generic bodies live in ``reference``."""
+    tree = ast.parse(Path(exactlp.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"pivot", "_swap"} <= set(functions) and not {"_pivot_n", "_swap_n"} & set(functions)
+    assert not hasattr(exactlp, "_pivot_n") and not hasattr(exactlp, "_swap_n")
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert "operator" not in {alias.name for node in imports for alias in node.names}
+    assert "operator" not in {node.module for node in imports if isinstance(node, ast.ImportFrom)}
+    for name in ("pivot", "_swap"):
+        assert "len" not in {node.func.id for node in ast.walk(functions[name])
+                             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+_XY = ("x", "y")
+
+
+@pytest.mark.parametrize("system, body, result", [
+    (reference_mod.build_case_system(JCase.J012, F(113, 32)), "pivot", None),
+    (make(_XY, [({"x": F(2), "y": F(3)}, LE, 6), ({"x": F(1), "y": F(-1)}, GE, 1)], nonneg=_XY), "_pivot_n",
+     FeasibilityResult("feasible", witness={"x": F(1), "y": F(0)})),
+    (make(_XY, [({"x": F(1), "y": F(1)}, LE, -1)], nonneg=_XY), "_pivot_n",
+     FeasibilityResult("infeasible", farkas=(F(1), F(1), F(1)))),
+    (make(["x", "y", "z", "w"], [({"x": F(1), "y": F(1)}, GE, 2), ({"w": F(1)}, LE, -3),
+                                 ({"x": F(1), "w": F(1), "z": F(-1)}, GE, 1)], nonneg=("x", "y", "z")), "_pivot_n",
+     FeasibilityResult("feasible", witness={"x": F(4), "y": F(0), "z": F(0), "w": F(-3)})),
+    (make(["x", "y", "z"], [({"x": F(1), "y": F(1)}, GE, 2), ({"z": F(1)}, LE, -3),
+                            ({"x": F(1), "z": F(1)}, GE, 1)], nonneg=_XY), "pivot",
+     FeasibilityResult("feasible", witness={"x": F(4), "y": F(0), "z": F(-3)})),
+], ids=["case-system", "two-variables", "two-variables-infeasible", "four-variables-one-free",
+        "three-variables-one-free"])
+def test_check_feasibility_picks_the_body_by_split_width(monkeypatch, system, body, result):
+    """``check_feasibility`` decides split rows over four variables with
+    ``exactlp.pivot``, as a case system's, and rows of any other width with
+    ``reference._pivot_n``: a two-variable system, or four variables one of
+    which is free (split width 5).  Three variables with one free split into
+    four columns and run ``exactlp.pivot``.  Each runs one body once and
+    gives the pinned result; the case system's (None) is the one
+    ``certify_at`` reports."""
+    from bmbounds.certify import certify_at
+
+    if result is None:
+        result = certify_at(F(113, 32)).results[JCase.J012]
+    assert reference_mod.pivot is exactlp.pivot
+    runs = []
+    for name in ("pivot", "_pivot_n"):
+        def recording(rows, name=name, run=getattr(reference_mod, name)):
+            runs.append(name)
+            return run(rows)
+        monkeypatch.setattr(reference_mod, name, recording)
+    assert check_feasibility(system) == result
+    assert runs == [body]

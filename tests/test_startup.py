@@ -93,7 +93,9 @@ print(json.dumps([code, after_import, [m for m in heavy if m in sys.modules]]))
 def test_lower_bound_commands_load_no_audit_reference_or_dataclasses():
     """Importing the CLI, then ``certify``, ``search`` and ``dichotomy``, loads
     none of ``bmbounds.audit``, ``bmbounds.reference`` and ``dataclasses``: a
-    from-import's probe of ``__path__`` must not reach a forwarder's import."""
+    from-import's probe of ``__path__`` must not reach a forwarder's import.
+    As the generic body of ``pivot``, ``reference._pivot_n``, lives in
+    ``reference``, no lower-bound command reaches it either."""
     script = f"""
 import contextlib, io, json, sys
 lazy = {LAZY!r}

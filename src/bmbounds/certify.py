@@ -2,9 +2,10 @@
 
 ``certify_at`` is the one producer of a case report: it decides the four
 plain case systems at a rational t exactly from their integer row tables
-(``systems.case_rows``) and re-verifies each certificate on the pair rows
-of the same row formulas (``exactlp.verified``).  A report holds verdicts
-only.  A bisection over a bracket [lo, hi] runs over a verdict alone: a
+(``systems.case_rows``) and re-verifies each certificate (``exactlp.verified``)
+on the pair rows of its system's echo (``systems.case_echoes``), the
+lookup ``verify-cert`` checks it on too.  A report keeps those echoes for
+its document.  A bisection over a bracket [lo, hi] runs over a verdict alone: a
 probe decides the cases from their row tables and stops at its first
 feasible case.  It relies on the monotonicity of feasibility in t (valid
 for affine c-policies) and returns a CertifiedBound whose endpoint reports
@@ -16,15 +17,15 @@ the basis that last decided it, and by one ``exactlp.pivot`` run, from the
 origin, only where neither holds, so every Farkas vector comes from a
 verdict's weights (``exactlp.support_farkas``) and every witness is a
 basis vertex.  A row of one formula is made once per point, and a search's
-end reports and their echoes reuse their probes' rows.  A dichotomy decides
-its four base systems once per t, as ``certify_at`` does, then each case
-over every branch assignment: a plain-infeasible case carries its Farkas
-vector, zero-padded on the branch rows, to every assignment, checked once,
-as the zeros leave every assignment's check reading the same rows; a
-plain-feasible case is settled per assignment as a probe settles it, or,
-with no functions, carries its plain result.  All four document kinds are
-built here, with the echoes of ``systems.case_echoes``; ``audit``
-re-verifies them with no solver.  No producer loads ``audit`` or
+end reports reuse their probes' base rows.  A dichotomy decides its four
+base systems once per t, as ``certify_at`` does, then each case over every
+branch assignment, whose echoes share the plain ones' rows: a
+plain-infeasible case carries its Farkas vector, zero-padded on the branch
+rows, to every assignment, checked once, as the zeros leave every
+assignment's check reading the same rows; a plain-feasible case is settled
+per assignment as a probe settles it, or, with no functions, carries its
+plain result.  All four document kinds are built here, with the echoes
+each report keeps; ``audit`` re-verifies them with no solver.  No producer loads ``audit`` or
 ``reference``: their names here load on first use.
 """
 
@@ -54,13 +55,12 @@ from .systems import (
     DEFAULT_DICHOTOMY_FUNCTIONS,
     DEFAULT_POLICY,
     VARIABLES,
-    CasePoint,
+    DomainError,
     JCase,
     Variant,
     branch_strings,
     case_echoes,
     case_metas,
-    case_pairs,
     case_point,
     case_rows,
     check_functions,
@@ -101,7 +101,9 @@ class CaseReport(NamedTuple):
     assignment (one "a"/"b" per function); a plain report has functions
     None and no branches.  A case's rows are those of its plain system with
     the ``BRANCH_ROWS[m, br]`` of each (m, br) in ``zip(functions,
-    branches)`` spliced in (``systems.case_echoes``, ``with_branches``).
+    branches)`` spliced in.  ``echoes`` (``systems.case_echoes``) holds each
+    case's pair rows, its certificate's check, and the echo its document
+    writes; None on a hand-built report, whose document makes them afresh.
     """
 
     t: Fraction
@@ -111,6 +113,7 @@ class CaseReport(NamedTuple):
     results: dict[JCase, FeasibilityResult]
     functions: tuple[int, ...] | None = None
     branches: str = ""
+    echoes: dict | None = None
 
     @property
     def all_infeasible(self) -> bool:
@@ -122,10 +125,7 @@ class CaseReport(NamedTuple):
 
 
 class CertifiedBound(NamedTuple):
-    """A bracket [t_lo, t_hi]: certified infeasible at t_lo, witnessed at t_hi;
-    ``pairs``, by (point, variant), the pair rows a search checked its two
-    reports on, which their echoes take there (``case_echoes``): they live as
-    long as the bound and take part in its ``==`` and ``repr``."""
+    """A bracket [t_lo, t_hi]: certified infeasible at t_lo, witnessed at t_hi."""
 
     t_lo: Fraction
     t_hi: Fraction
@@ -134,7 +134,6 @@ class CertifiedBound(NamedTuple):
     trace: tuple[tuple[Fraction, bool], ...]
     policy: CPolicy
     variant: Variant
-    pairs: dict | None = None
 
 
 def certify_at(
@@ -147,29 +146,32 @@ def certify_at(
     The one place a ``CaseReport`` is made.  Each case is settled on
     ``case_rows`` with nothing stored (``_certificate``), so by
     ``exactlp.pivot`` from the origin, and its certificate must pass
-    ``verified`` on the case's pair rows (``case_pairs``), the rows
-    ``verify-cert`` checks echoes on, as in ``check_feasibility``.  Both
-    come from one formula per row, so a wrong certificate, or base rows
+    ``verified`` on the pair rows of the case's echo (``case_echoes``), the
+    rows ``verify-cert`` checks the echo on, as in ``check_feasibility``.
+    Both come from one formula per row, so a wrong certificate, or base rows
     that disagree with the pair rows, raise AssertionError here instead of
-    writing a document.  No system is built.
+    writing a document.  No system is built.  The echoes are formatted here,
+    so a t whose rows hold a number past ``int()``'s digit limit raises
+    InputError (``rationals.format_pair``).
     """
     return _certify_at(t, policy, variant, {})[0]
 
 
 def _certify_at(t: Fraction, policy: CPolicy, variant: Variant, bases: dict, memo: dict | None = None,
-                weights: dict | None = None) -> tuple[CaseReport, dict, dict]:
-    """``certify_at``, and its memos of base and pair rows at t (``case_rows``,
-    ``case_pairs``).  Each case is settled as a probe settles it
-    (``_certificate``) on ``bases`` and ``memo``, a probe's at t or fresh,
-    unless ``weights`` holds its verdict and weights there."""
+                weights: dict | None = None, made: dict | None = None) -> tuple[CaseReport, dict]:
+    """``certify_at``, and its memo of base rows at t (``case_rows``).  The
+    echoes are made once, on ``made`` (``case_echoes``); each case is settled
+    as a probe settles it (``_certificate``) on ``bases`` and ``memo``, a
+    probe's at t or fresh, unless ``weights`` holds its verdict and weights."""
     t = Fraction(t)
-    point = case_point(t, policy)
-    memo, pairs, results = {} if memo is None else memo, {}, {}
-    for case in ALL_CASES:
+    point, metas = case_metas(t, policy, variant)
+    echoes = case_echoes({} if made is None else made, point, metas, variant)
+    memo, results = {} if memo is None else memo, {}
+    for case, (pairs, _) in echoes.items():
         result = _certificate(bases, case, partial(case_rows, case, point, variant, memo),
                               weights[case] if weights else None)
-        results[case] = verified(VARIABLES, case_pairs(case, point, variant, pairs), result)
-    return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results), memo, pairs
+        results[case] = verified(VARIABLES, pairs, result)
+    return CaseReport(t, Fraction(point[1], point[2]), policy, variant, results, echoes=echoes), memo
 
 
 def _settle(bases: dict, key, rows_at) -> tuple:
@@ -255,8 +257,8 @@ def binary_search_bound(
     all-infeasible probe has decided all four.  A probe tries the case at
     which the latest feasible probe stopped first, then the others in
     ``ALL_CASES`` order; the checks at lo and hi use ``ALL_CASES`` order.
-    When lo is not all-infeasible, ``certify_at(lo)`` names every feasible
-    case in the error.
+    When lo is not all-infeasible, the error names every feasible case,
+    each settled alone on its base rows, so no report is made there.
 
     Probes are warm-started: one dict, kept across the probes, holds per
     case the last verdict and the last basis a pivot run ended at for it,
@@ -266,12 +268,12 @@ def binary_search_bound(
     verdict only after exact integer substitution, so a verdict never
     depends on the bases or on the order, and neither does the trace.
 
-    The two reports take their rows from their probes (``_certify_at``):
+    The two reports take their base rows from their probes (``_certify_at``):
     the report at t_hi its certificates from that dict as the search leaves
     it, the report at t_lo from the verdicts and weights of the last
     all-infeasible probe, so it makes no base row and settles no case.
-    Their verdicts are those of ``certify_at``; the bound keeps their pair
-    rows, by point, for its echoes (``CertifiedBound.pairs``).
+    Their verdicts are those of ``certify_at``, and each keeps the echoes
+    it was verified on (``CaseReport.echoes``).
     """
     _check_iters(iters)
     lo, hi = Fraction(lo), Fraction(hi)
@@ -282,9 +284,9 @@ def binary_search_bound(
     bases: dict = {}
     lower, upper = ({}, {}), ({}, {})  # the row memos and the weights of the probes at lo and hi
     if _first_feasible(lo, policy, variant, ALL_CASES, bases, *lower) is not None:
+        feasible = [c.value for c in ALL_CASES if _first_feasible(lo, policy, variant, (c,), {}, {}, {})]
         raise BracketError(
-            f"bracket end lo = {format_rational(lo)} is not all-infeasible (feasible: "
-            f"{', '.join(c.value for c in certify_at(lo, policy, variant).feasible_cases)})"
+            f"bracket end lo = {format_rational(lo)} is not all-infeasible (feasible: {', '.join(feasible)})"
         )
     first = _first_feasible(hi, policy, variant, ALL_CASES, bases, *upper)
     if first is None:
@@ -300,10 +302,9 @@ def binary_search_bound(
             lo, lower = mid, at
         else:
             hi, first, upper = mid, found, at
-    pairs: dict = {}
-    report_lo, _, pairs[case_point(lo, policy), variant] = _certify_at(lo, policy, variant, {}, *lower)
-    report_hi, _, pairs[case_point(hi, policy), variant] = _certify_at(hi, policy, variant, bases, upper[0])
-    return CertifiedBound(lo, hi, report_lo, report_hi, tuple(trace), policy, variant, pairs)
+    report_lo = _certify_at(lo, policy, variant, {}, *lower)[0]
+    report_hi = _certify_at(hi, policy, variant, bases, upper[0])[0]
+    return CertifiedBound(lo, hi, report_lo, report_hi, tuple(trace), policy, variant)
 
 
 def sweep_policies(
@@ -330,7 +331,7 @@ def sweep_policies(
     for policy in policies:
         try:
             bound = binary_search_bound(lo, hi, iters, policy, variant)
-        except ValueError as exc:  # a BracketError or a guard's DomainError
+        except (BracketError, DomainError) as exc:
             skipped.append((policy, str(exc)))
             continue
         ranked.append((policy, bound))
@@ -366,45 +367,43 @@ def certify_dichotomy(
 
     Each plain case system is decided once, as ``certify_at`` does; then
     each case over every assignment, whose rows are the plain ones with the
-    branch rows spliced in (``with_branches``).  Adding rows cannot make an
+    branch rows spliced in.  Each assignment's echoes are made on the memo
+    of the plain ones (``case_echoes``), so a row is made once, and each
+    assignment is checked on its own echoes' pair rows; ``with_branches``
+    splices base rows and Farkas vectors only.  Adding rows cannot make an
     infeasible system feasible, so every assignment of a plain-infeasible
     case carries one object, checked once, on the first assignment's pair
-    rows, the only ones spliced for that case: the plain Farkas vector
-    with a zero on every branch row.  A check reads the vector's length
-    and the rows of its nonzero entries only, and the zeros make both the
-    same for every assignment.  Without functions the one assignment
-    carries the plain result of every case.  Otherwise the assignments of
-    a plain-feasible case are settled as probes settle a case
-    (``_certificate``), on one fresh dict shared across them, and each
-    result must pass ``verified`` on its assignment's pair rows.  Raises
+    rows: the plain Farkas vector with a zero on every branch row.  A check
+    reads the vector's length and the rows of its nonzero entries only, and
+    the zeros make both the same for every assignment.  Without functions
+    the one assignment carries the plain result of every case.  Otherwise
+    the assignments of a plain-feasible case are settled as probes settle a
+    case (``_certificate``), on one fresh dict shared across them.  Raises
     FunctionsError, before any case is decided, unless the functions are
     distinct indices 0-2.
     """
     functions = check_functions(functions)
-    report, memo, pairs = _certify_at(t, policy, variant, {})
-    point = case_point(report.t, policy)
-    made = {key: (row.make(point), row.pairs(point)) for key, row in BRANCH_ROWS.items()
-            if key[0] in functions}
+    made: dict = {}
+    report, memo = _certify_at(t, policy, variant, {}, made=made)
+    point, metas = case_metas(report.t, policy, variant)
+    branch = {key: row.make(point) for key, row in BRANCH_ROWS.items() if key[0] in functions}
     strings = branch_strings(len(functions))
-    extras = [[made[key] for key in zip(functions, branches)] for branches in strings]
+    extras = [[branch[key] for key in zip(functions, branches)] for branches in strings]
+    echoes = [case_echoes(made, point, metas, variant, functions, branches) for branches in strings]
     columns = []
     for case, plain in report.results.items():
-        decide, plain_pairs = plain.feasible and bool(functions), case_pairs(case, point, variant, pairs)
-        checks = [with_branches(plain_pairs, [pair for _, pair in extra])
-                  for extra in (extras if decide else extras[:1])]
-        if not decide:
+        if not (plain.feasible and functions):
             carried = plain if plain.feasible else plain._replace(
                 farkas=with_branches(plain.farkas, (Fraction(0),) * len(functions)))
-            columns.append([verified(VARIABLES, checks[0], carried)] * len(strings))
+            columns.append([verified(VARIABLES, echoes[0][case][0], carried)] * len(strings))
             continue
         bases: dict = {}
         rows = case_rows(case, point, variant, memo)
-        columns.append([verified(VARIABLES, check, _certificate(
-            bases, case, lambda _, got=with_branches(rows, [ints for ints, _ in extra]): got))
-            for extra, check in zip(extras, checks)])
+        columns.append([verified(VARIABLES, echo[case][0], _certificate(
+            bases, case, lambda _, got=with_branches(rows, extra): got)) for extra, echo in zip(extras, echoes)])
     return DichotomyReport(report.t, policy, variant, functions, tuple(
-        [report._replace(results=dict(zip(ALL_CASES, got)), functions=functions, branches=branches)
-         for branches, got in zip(strings, zip(*columns))]))
+        [report._replace(results=dict(zip(ALL_CASES, got)), functions=functions, branches=branches, echoes=echo)
+         for branches, echo, got in zip(strings, echoes, zip(*columns))]))
 
 
 # ---------------------------------------------------------------------------
@@ -420,31 +419,30 @@ def _result_json(result: FeasibilityResult) -> dict:
     return doc
 
 
-def _case_entries(report: CaseReport, point: CasePoint, metas: dict, made: dict,
-                  certs: dict, pairs: dict | None = None) -> list[dict]:
-    """The case entries of a report for the cases of ``metas`` (``case_metas``).
-    The assignments of a dichotomy document share ``metas``, ``made`` (see
-    ``case_echoes``) and ``certs``, which maps each result object (by id) to
-    its formatted fields: a row or certificate that several assignments
-    share is formatted once and held as one object.  ``pairs`` is
-    ``CertifiedBound.pairs`` for a bound's report."""
+def _case_entries(report: CaseReport, certs: dict, cases: Sequence[JCase] = ALL_CASES) -> list[dict]:
+    """The case entries of a report for ``cases``, with the echoes it keeps,
+    or, for a hand-built report, those ``case_echoes`` makes afresh.  The
+    assignments of a dichotomy document share ``certs``, which maps each
+    result object (by id) to its formatted fields: a certificate that
+    several assignments share is formatted once and held as one object, as
+    is a row their echoes share."""
+    echoes = report.echoes or case_echoes({}, *case_metas(report.t, report.policy, report.variant, cases),
+                                          report.variant, report.functions, report.branches)
     entries = []
-    for case, (_, echo) in case_echoes(made, point, metas, report.variant, report.functions,
-                                       report.branches, pairs).items():
+    for case in cases:
         result = report.results[case]
         cert = certs.get(id(result))
         if cert is None:
             cert = certs[id(result)] = _result_json(result)
-        entries.append({"case": case.value, **cert, "system": echo})
+        entries.append({"case": case.value, **cert, "system": echoes[case][1]})
     return entries
 
 
-def _report_json(report: CaseReport, cases: Sequence[JCase] = ALL_CASES, pairs: dict | None = None) -> dict:
-    point, metas = case_metas(report.t, report.policy, report.variant, cases)
+def _report_json(report: CaseReport, cases: Sequence[JCase] = ALL_CASES) -> dict:
     return {
         "t": format_rational(report.t),
         "c": format_rational(report.c),
-        "cases": _case_entries(report, point, metas, {}, {}, pairs),
+        "cases": _case_entries(report, {}, cases),
     }
 
 
@@ -478,8 +476,8 @@ def search_report_doc(bound: CertifiedBound) -> dict:
         "trace": [
             {"t": format_rational(t), "all_infeasible": ok} for t, ok in bound.trace
         ],
-        "lower_report": _report_json(bound.report_lo, pairs=bound.pairs),
-        "upper_report": _report_json(bound.report_hi, pairs=bound.pairs),
+        "lower_report": _report_json(bound.report_lo),
+        "upper_report": _report_json(bound.report_hi),
     }
 
 
@@ -512,8 +510,6 @@ def sweep_report_doc(ranked, skipped, variant: Variant, iters: int) -> dict:
 def dichotomy_report_doc(report: DichotomyReport) -> dict:
     """The dichotomy document.  Its assignments hold shared rows and
     certificates as shared objects: copy it before editing one in place."""
-    point, metas = case_metas(report.t, report.policy, report.variant)
-    made: dict = {}
     certs: dict = {}
     return {
         "tool_version": TOOL_VERSION,
@@ -524,7 +520,7 @@ def dichotomy_report_doc(report: DichotomyReport) -> dict:
         "functions": list(report.functions),
         "certified": report.certified,
         "assignments": [
-            {"branches": a.branches, "cases": _case_entries(a, point, metas, made, certs)}
+            {"branches": a.branches, "cases": _case_entries(a, certs)}
             for a in report.assignments
         ],
     }

@@ -23,7 +23,7 @@ inequality's own coefficients and rhs as reduced integer pairs, never the
 base rows made of them.  A certificate a document carries passes
 ``verified``, that check as a self-check, in ``check_feasibility`` or in a
 caller that decided it from rows or reuses it for another system, on the
-pair rows the system is built from (``systems.case_pairs``);
+pair rows of the system's echo (``systems.case_echoes``);
 ``verify_certificate`` reads a ``LinearSystem``'s pair rows.  A verdict on
 base rows alone passes ``infeasible_on`` or ``feasible_at``: they re-solve
 five rows or a basis (four rows) over four variables by Cramer's rule, on

@@ -166,7 +166,7 @@ def _swap_n(cols: list, D: int, k: int, lam: list[int]) -> tuple[list, int]:
 
 def _pivot_n(rows: Sequence[tuple]) -> tuple:
     """``exactlp.pivot`` for rows of any width n, with the same rules and the same swaps."""
-    n = len(rows[0][0])
+    n = len(rows[0][0]) if rows else 0  # no rows: an empty system, feasible
     scaled = [[den * x for x in vec] for vec, _, den, _, _ in rows]
     cols, D = [[-int(i == j) for i in range(n)] for j in range(n)], 1
     basis = [rows.index((tuple(col), 0, 1, 1, 1)) for col in cols]

@@ -18,7 +18,7 @@ the point (T, C, R) of t and the policy, evaluated into two encodings:
 ``pairs``, the row's coefficients and rhs as reduced integer pairs (the
 pair row ``exactlp.verify_pairs`` checks certificates on and the Fraction
 inequality is built from), and ``make``, the base row
-``exactlp.pivot`` decides from.  ``case_pairs`` and ``case_rows``
+``exactlp.pivot`` decides from.  ``case_rows`` and ``case_pairs``
 list a case's rows at the ``case_point`` of t and the policy, which
 checks the guards on integers, ending with the nonneg rows
 (``exactlp.NONNEG_ROWS``, ``NONNEG_PAIRS``); ``with_branches`` splices
@@ -26,9 +26,10 @@ branch rows in before them.  ``case_echoes`` is the one lookup of what a case
 or assignment system is: its table rows in order, its echo meta
 (``case_metas``), its full pair rows and its canonical echo, each entry
 formatted by ``row_entry``, the one formatter of a row entry, which
-``system_doc`` formats a built system's rows with too.  The documents
-``certify`` writes and ``verify-cert`` expects read their echoes and
-pair rows from it, so no command builds a system; the builders
+``system_doc`` formats a built system's rows with too.  The producer's
+self-check, the documents ``certify`` writes and ``verify-cert`` read
+their pair rows and echoes from it, so no command builds a system and
+``case_pairs`` serves the reference builders alone; the builders
 (``build_case_system``, ``build_dichotomy_systems``), which their names
 here load from ``reference``, serve the tests, as the independent
 reference the lookup is compared with, and library callers, and
@@ -326,14 +327,10 @@ def case_meta(case: JCase, t: Fraction, point: CasePoint, policy: CPolicy,
     }
 
 
-def case_pairs(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED,
-               memo: dict | None = None) -> list[tuple]:
+def case_pairs(case: JCase, point: CasePoint, variant: Variant = Variant.SYMMETRIZED) -> list[tuple]:
     """The pair rows of ``build_case_system(case, t, policy, variant)`` at the
-    point of t and policy, as ``reference.system_pairs`` reads them from it;
-    ``memo`` is as in ``case_rows``, by ``TableRow.pair_key``."""
-    memo = {} if memo is None else memo
-    return [memo.get(row.pair_key) or memo.setdefault(row.pair_key, row.pairs(point, variant))
-            for row in CASE_TABLES[case]] + NONNEG_PAIRS
+    point of t and policy, as ``reference.system_pairs`` reads them from it."""
+    return [row.pairs(point, variant) for row in CASE_TABLES[case]] + NONNEG_PAIRS
 
 
 def case_point(t: Fraction, policy: CPolicy) -> CasePoint:
@@ -379,8 +376,7 @@ def case_metas(t: Fraction, policy: CPolicy, variant: Variant,
 
 
 def case_echoes(made: dict, point: CasePoint, metas: dict, variant: Variant,
-                functions: tuple[int, ...] | None = None, branches: str = "",
-                pairs: dict | None = None) -> dict:
+                functions: tuple[int, ...] | None = None, branches: str = "") -> dict:
     """The one lookup of a case or assignment system, made without building it.
 
     Each case of ``metas`` (``case_metas``), in order, maps to the full pair
@@ -393,23 +389,23 @@ def case_echoes(made: dict, point: CasePoint, metas: dict, variant: Variant,
     ``build_case_system`` or ``build_dichotomy_systems``.  ``made`` holds
     each table row's (pair row, entry) per (point, variant): a row several
     echoes share is made once, as one object, and rows of one ``pair_key``
-    share their pair row and their formatted coefficients and rhs.  A pair
-    row is taken from ``pairs`` (``CertifiedBound.pairs``) where it holds
-    one at this point and variant.  The echoes of one call share one
-    ``variables`` list and one ``nonneg`` list, so a document writes each
-    once per call.
+    share their pair row and their formatted coefficients and rhs.  The
+    producer verifies each certificate on these pair rows and keeps the
+    echoes for its document (``certify.CaseReport.echoes``); ``verify-cert``
+    checks a document's entries on the same lookup.  The echoes of one call
+    share one ``variables`` list and one ``nonneg`` list, so a document
+    writes each once per call.
     """
     memo = made.setdefault((point, variant), {})
     extra = () if functions is None else tuple([BRANCH_ROWS[m, br] for m, br in zip(functions, branches)])
     variables, nonneg, out, shared = list(VARIABLES), list(VARIABLES), {}, {}
-    pairs = (pairs or {}).get((point, variant), {})  # those a report at this point was checked on
     for case, meta in metas.items():
         rows = CASE_TABLES[case] + extra
         for row in rows:
             if row not in memo:
                 got = shared.get(row.pair_key)
                 if got is None:
-                    pair = pairs.get(row.pair_key) or row.pairs(point, variant)
+                    pair = row.pairs(point, variant)
                     got = shared[row.pair_key] = pair, row_entry(row.label, pair)
                 pair, entry = got
                 memo[row] = pair, entry if entry["label"] == row.label else {**entry, "label": row.label}

@@ -168,13 +168,18 @@ MUTANTS = [
      [CE + "TestPlainCaseReuse::test_verdicts_and_padded_vectors",
       "tests/test_golden.py::test_structured_output_is_byte_identical[dichotomy --t 113/32 --format structured]"]),
     ("carry: carried vector not checked", "certify.py",
-     "            columns.append([verified(VARIABLES, checks[0], carried)] * len(strings))\n",
+     "            columns.append([verified(VARIABLES, echoes[0][case][0], carried)] * len(strings))\n",
      "            columns.append([carried] * len(strings))\n",
      [CE + "TestWarmAssignments::test_padded_vectors_are_checked_once"]),
     ("assignments: a fresh dict per assignment", "certify.py",
-     "            bases, case, lambda _, got=with_branches(rows, [ints for ints, _ in extra]): got))\n",
-     "            {}, case, lambda _, got=with_branches(rows, [ints for ints, _ in extra]): got))\n",
+     "            bases, case, lambda _, got=with_branches(rows, extra): got))",
+     "            {}, case, lambda _, got=with_branches(rows, extra): got))",
      [CE + "TestWarmAssignments::test_fm_runs", CE + "TestWarmAssignments::test_assignments_are_settled_as_probes_are"]),
+    ("assignments: each checked on the first one's echo", "certify.py",
+     "        columns.append([verified(VARIABLES, echo[case][0], _certificate(\n",
+     "        columns.append([verified(VARIABLES, echoes[0][case][0], _certificate(\n",
+     [SEARCH + "test_document_rows_are_made_once[dichotomy-4-19]",
+      "tests/test_golden.py::test_structured_output_is_byte_identical[dichotomy --t 4 --format structured]"]),
     # Rows made once per bisection point, where a settle step reads them.
     ("rows: a row key ignores its formula's arguments", "systems.py", "        self.key = formula, args\n",
      "        self.key = formula, ()\n",
@@ -190,9 +195,8 @@ MUTANTS = [
     ("dichotomy: a case's rows made again for its assignments", "certify.py",
      "        rows = case_rows(case, point, variant, memo)\n", "        rows = case_rows(case, point, variant)\n",
      [CE + "TestWarmAssignments::test_base_rows_are_made_once"]),
-    ("echoes: a bound's pair rows read at another point", "systems.py",
-     "    pairs = (pairs or {}).get((point, variant), {})", "    pairs = next(iter((pairs or {}).values()), {})",
-     [SEARCH + "test_kept_pair_rows_are_read_at_their_point_alone"]),
+    ("documents: a report's echoes made again", "certify.py", "    echoes = report.echoes or case_echoes(",
+     "    echoes = case_echoes(", [SEARCH + "test_document_rows_are_made_once"]),
     ("settle: a stored verdict accepted unchecked", "certify.py", VERDICT_CHECK,
      "    y = [1] * len(verdict) if verdict else None\n",
      [SEARCH + "test_probe_sequence", SEARCH + "test_warm_probes_cannot_change_a_deep_search"]),

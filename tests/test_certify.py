@@ -481,16 +481,24 @@ class TestBinarySearch:
         # verdict again and a case with no verdict got a check of None.
         assert len(checks) == 66
 
-    def test_kept_pair_rows_are_read_at_their_point_alone(self):
-        """A bound keeps its reports' pair rows by point and variant
-        (``CertifiedBound.pairs``): with a report of another point put in,
-        that report's echoes are made afresh, so the document is the one a
-        bound without them writes, and it is not the search's."""
+    def test_a_report_writes_its_own_echoes(self):
+        """Each report keeps the echoes it was verified on
+        (``CaseReport.echoes``): a report of another point put into a bound
+        writes its own echoes, which are not the search's, and a hand-built
+        report, echoes None, writes the document ``certify_at``'s does."""
         bound = binary_search_bound(F(3), F(5), 6)
-        assert len(bound.pairs) == 2
         moved = bound._replace(report_lo=certify_at(F(3)))
-        assert search_report_doc(moved) == search_report_doc(moved._replace(pairs=None))
-        assert search_report_doc(moved)["lower_report"] != search_report_doc(bound)["lower_report"]
+        lower = search_report_doc(moved)["lower_report"]
+        assert lower["cases"] == certify_report_doc(certify_at(F(3)))["cases"]
+        assert lower != search_report_doc(bound)["lower_report"]
+        for t, case in itertools.product((F(3), F(113, 32), F(5)), (None, *ALL_CASES)):
+            report = certify_at(t)
+            bare = CaseReport(*report[:-1])
+            assert report.echoes is not None and bare.echoes is None
+            assert json.dumps(certify_report_doc(bare, case)) == json.dumps(certify_report_doc(report, case))
+        report = certify_dichotomy(F(4), functions=(0, 2))
+        bare = report._replace(assignments=tuple(a._replace(echoes=None) for a in report.assignments))
+        assert json.dumps(dichotomy_report_doc(bare)) == json.dumps(dichotomy_report_doc(report))
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     @pytest.mark.parametrize("policy", [CPolicy(2, 1, 4), CPolicy(3, 1, 5), CPolicy(1, 1, 2),
@@ -551,6 +559,30 @@ class TestBinarySearch:
             assert set(keys) == {formula(CASE_TABLES[case][i]) for case, verdict in verdicts.items()
                                  for i in verdict if i < len(CASE_TABLES[case])}
         assert [(made_lo, checks_lo) for t, made_lo, checks_lo in reports if t == bound.t_lo] == [([], 0)]
+
+    # 26 and 38 at 113/32, 38 at 4, while the producer checked a report on
+    # pair rows of its own and its document's echoes made them again.
+    @pytest.mark.parametrize("kind, t, calls", [("certify", F(113, 32), 13), ("dichotomy", F(113, 32), 19),
+                                                ("dichotomy", F(4), 19)], ids=str)
+    def test_document_rows_are_made_once(self, monkeypatch, kind, t, calls):
+        """A certify or dichotomy document makes each pair row once at its
+        point, rows of one formula sharing one: the report is checked on
+        its echoes' pair rows and its document writes those echoes."""
+        import bmbounds.systems as systems_mod
+
+        paired, pairs = [], systems_mod.TableRow.pairs
+
+        def pairing(row, point, *args):
+            paired.append((point, row.formula.func, row.formula.args, row.relation, tuple(row.keys)))
+            return pairs(row, point, *args)
+
+        monkeypatch.setattr(systems_mod.TableRow, "pairs", pairing)
+        if kind == "certify":
+            doc = certify_report_doc(certify_at(t))
+        else:
+            doc = dichotomy_report_doc(certify_dichotomy(t))
+        assert len(set(paired)) == len(paired) == calls
+        assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED, "all certificates verified")
 
 
 class TestSweep:
@@ -1403,13 +1435,15 @@ class TestPlainCaseReuse:
         assert report.certified is (t < 4)
 
     # 36 at 113/32 while a plain-infeasible case spliced the pair rows of
-    # every assignment, though its carry is checked on the first alone.
-    @pytest.mark.parametrize("t, feasible, calls", [(F(113, 32), 0, 8), (F(4), 4, 64),
-                                                   (F(15, 4), 4, 64)], ids=str)
+    # every assignment, though its carry is checked on the first alone; 8, 64
+    # and 64 while each case also spliced its assignments' pair rows, before
+    # each assignment was checked on the pair rows of its own echoes.
+    @pytest.mark.parametrize("t, feasible, calls", [(F(113, 32), 0, 4), (F(4), 4, 32),
+                                                   (F(15, 4), 4, 32)], ids=str)
     def test_with_branches_calls(self, monkeypatch, t, feasible, calls):
-        """A plain-infeasible case splices its Farkas vector and its first
-        assignment's pair rows; a plain-feasible one, the base rows and the
-        pair rows of each of its 8 assignments."""
+        """A plain-infeasible case splices its Farkas vector; a plain-feasible
+        one, the base rows of each of its 8 assignments.  No pair row is
+        spliced: each assignment's are those of its echoes."""
         import bmbounds.certify as certify_mod
 
         assert len(certify_at(t).feasible_cases) == feasible

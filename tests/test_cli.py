@@ -149,6 +149,26 @@ class TestSweepCommand:
         assert (code, out, err) == (2, "", "error: policies must be distinct, got 2,1,4 more than once\n")
         assert searched == []
 
+    def test_bracket_error_past_the_digit_limit_names_feasible_cases(self, capsys, int_digit_limit):
+        """A lo end whose pair rows would print past int()'s digit limit, all
+        four cases feasible there: the skipped line names them, since they
+        are settled on base rows, with no report made."""
+        lo = "1" + "0" * 2200 + "/3"
+        code, out, err = run(capsys, "sweep", "--lo", lo, "--hi", "1" + "0" * 2199 + "3/3",
+                             "--iters", "0", "--policies", "2,1,4")
+        assert (code, err) == (2, "")
+        assert out == f"skipped 2,1,4: bracket end lo = {lo} is not all-infeasible" \
+                      " (feasible: J012, not0, in0not1, in01not2)\n"
+
+    def test_report_past_the_digit_limit_is_exit_2_not_skipped(self, capsys, int_digit_limit):
+        """A bracket whose end report prints a number past int()'s digit
+        limit is exit 2 with one line, not a skipped policy."""
+        code, out, err = run(capsys, "sweep", "--lo", "3" + "0" * 2199 + "1/1" + "0" * 2200, "--hi", "5",
+                             "--iters", "0", "--policies", "2,1,4")
+        assert (code, out) == (2, "")
+        assert err == f"error: a number to print has more than {int_digit_limit} digits," \
+                      " the interpreter's limit\n"
+
 
 class TestDichotomyCommand:
     def test_certified_at_113_32(self, capsys):

@@ -53,6 +53,16 @@ class TestCheckFeasibility:
         assert res.status == "feasible"
         assert res.witness == {"x": F(0)}
 
+    @pytest.mark.parametrize("rows, feasible", [([], True), ([({}, LE, -1)], False), ([({}, LE, 1)], True)],
+                             ids=["empty", "0 <= -1", "0 <= 1"])
+    def test_no_variables(self, rows, feasible):
+        """A system over no variables: the empty one is feasible with an empty
+        witness, and a lone inequality 0 <= rhs is feasible iff rhs >= 0."""
+        res = check_feasibility(make([], rows))
+        assert res.feasible is feasible
+        assert res.witness == ({} if feasible else None)
+        assert verify_certificate(make([], rows), res)
+
     def test_undeclared_variable_rejected(self):
         with pytest.raises(SystemError_):
             make(["x"], [({"y": F(1)}, LE, 0)])

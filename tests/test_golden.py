@@ -167,6 +167,12 @@ made all the base rows of each case it settled, and each end report made
 every pair row of its cases twice, once for its self-check and once for
 its echo, before rows of one formula were made once per point.  It is a
 deep search in the printed variant, where row 8d reads the variant.
+
+The ``certify --t 113/32 --case not0 --format structured`` and ``dichotomy
+--t 113/32 --functions --format structured`` digests were recorded while
+the producer still checked each report on pair rows of its own, before a
+report kept the echoes it was checked on.  They pin a one-case certify
+document and the one assignment of a dichotomy without functions.
 """
 
 import hashlib
@@ -265,6 +271,10 @@ GOLDEN = {
         (1, "e1a30a1764473ca3bf25ad917ae94ea5c4b77319177569c637c18411569b7e54"),
     "search --lo 3 --hi 5 --iters 24 --c-policy 1,0,2 --variant printed --format structured":
         (0, "cd65d4246e5ba662d4916741f41d6167bd4752cd4ead028fb52a445c143d76ec"),
+    "certify --t 113/32 --case not0 --format structured":
+        (0, "4d57c0eac762f240d58a6a30b602a7f1832180767d003b2d05ce91d26ee3b5a0"),
+    "dichotomy --t 113/32 --functions --format structured":
+        (0, "34e56653c49eed5511cbfadefc41da539fccd0ee3b600e2a96443ed78e7ec372"),
 }
 
 
@@ -293,7 +303,9 @@ def test_runtime_path_builds_no_normalized_rows(monkeypatch, capsys):
         assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED,
                                                             "all certificates verified")
     commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "dichotomy")]
-    assert len(commands) == 21  # 20 before the printed-variant 24-iteration search
+    # 20 before the printed-variant 24-iteration search, 21 before certify --case not0
+    # and the dichotomy without functions
+    assert len(commands) == 23
     for command in commands:
         code = main(command.split())
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -316,7 +328,9 @@ def test_commands_build_no_system(monkeypatch, capsys):
         assert verify_certificate_text(json.dumps(doc)) == (EXIT_CERTIFIED,
                                                             "all certificates verified")
     commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "dichotomy")]
-    assert len(commands) == 21  # 20 before the printed-variant 24-iteration search
+    # 20 before the printed-variant 24-iteration search, 21 before certify --case not0
+    # and the dichotomy without functions
+    assert len(commands) == 23
     for command in commands:
         code = main(command.split())
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -333,7 +347,7 @@ def test_dichotomy_decides_from_integer_rows(monkeypatch, capsys):
     monkeypatch.setattr(reference, "system_rows", boom)
     monkeypatch.setattr(certify, "check_feasibility", boom)
     commands = [c for c in GOLDEN if c.split()[0] == "dichotomy"]
-    assert len(commands) == 10
+    assert len(commands) == 11  # 10 before the dichotomy without functions
     for command in commands:
         code = main(command.split())
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -379,7 +393,9 @@ def test_certificates_are_supports_and_vertices(capsys):
 
     commands = [c for c in GOLDEN if c.split()[0] in ("certify", "search", "sweep", "dichotomy")
                 and c.endswith("--format structured")]
-    assert len(commands) == 18  # 17 before the printed-variant 24-iteration search
+    # 17 before the printed-variant 24-iteration search, 18 before certify --case not0
+    # and the dichotomy without functions
+    assert len(commands) == 20
     farkas = witnesses = 0
     for command in commands:
         main(command.split())
@@ -396,4 +412,6 @@ def test_certificates_are_supports_and_vertices(capsys):
                      if den * sum(a * x for a, x in zip(vec, point)) == num]
             assert _rank(tight) == len(system.variables) == 4, command
             witnesses += 1
-    assert (farkas, witnesses) == (211, 129)  # (204, 128) before the printed-variant 24-iteration search
+    # (204, 128) before the printed-variant 24-iteration search, (211, 129) before
+    # certify --case not0 and the dichotomy without functions
+    assert (farkas, witnesses) == (216, 129)

@@ -25,8 +25,8 @@ rows, to every assignment, checked once, as the zeros leave every
 assignment's check reading the same rows; a plain-feasible case is settled
 per assignment as a probe settles it, or, with no functions, carries its
 plain result.  All four document kinds are built here, with the echoes
-each report keeps; ``audit`` re-verifies them with no solver.  No producer loads ``audit`` or
-``reference``: their names here load on first use.
+each report keeps; ``audit`` re-verifies them with no solver.  No producer
+loads ``audit`` or ``reference``: their names here load on first use.
 """
 
 from __future__ import annotations

@@ -9,27 +9,27 @@ s_tail_block for S.  The operator norms over the infinite index set are
 their largest row l1-norms.
 
 The norms are read from T_TABLE and S_TABLE: each nonzero entry is an
-integer polynomial over one common denominator per direction.  At t = p/q,
-reduced or not, _row_norms evaluates each distinct polynomial (up to sign)
-once, in one integer Horner pass over coefficients scaled by powers of q
-once per q (_scaled), so a row's l1-norm is an integer sum over an
-integer; no matrix is built.  norm_report turns these integers into
-exact Fractions at one t.  The optimizer and the scan step over a grid
-(a + j*b)/q of one denominator q and read the integers directly: the
-optimizer is an exact Fibonacci search that compares distortions by
-cross-multiplication and makes one norm_report, at t*, and the scan builds
-each row's Fractions from them.  build_matrices populates the same rows as
-Fraction matrices (M^{-1} from its closed form, inverse_closed_form); it,
-operator_norm_T/S and apply_T/S are the independent matrix route the tests
-check the tables against.  Every parameter is read as a Fraction (an
-int, a Fraction, a float's binary value or a numeric string), so every
-entry, norm and product is exact.  mpmath is loaded only to display the
-closed-form minimizer, in cubic_formula_value.
+integer polynomial over one common denominator per direction.  On [3, 4]
+all but three entries keep one sign (Descartes' rule), so a direction's
+norm is the largest of its lanes, signed sums of a row's entries: 3 for T
+and 4 for S, made at import (_compile).  At t = p/q in [3, 4], reduced or
+not, _row_norms evaluates them in one integer Horner pass over coefficients
+scaled by powers of q once per q (_scaled), with no abs taken and no matrix
+built.  norm_report turns these integers into exact Fractions at one t.
+The optimizer and the scan step over a grid (a + j*b)/q of one denominator q
+and read the integers directly: the optimizer is an exact Fibonacci search
+that compares distortions by cross-multiplication and makes one
+norm_report, at t*, and the scan builds each row's Fractions from them.
+build_matrices populates the same rows as Fraction matrices (M^{-1} from
+its closed form, inverse_closed_form); it, operator_norm_T/S and apply_T/S
+are the independent matrix route the tests check the tables against.  Every
+parameter is read as a Fraction (an int, a Fraction, a float's binary value
+or a numeric string), so every entry, norm and product is exact.  mpmath is
+loaded only to display the closed-form minimizer, in cubic_formula_value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -67,8 +67,7 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-@dataclass(frozen=True)
-class IsoMatrices:
+class IsoMatrices(NamedTuple):
     """All coefficient blocks of the pair (T, S) at one parameter value.
 
     The twelve rows of M, tail_block, Minv and s_tail_block are the whole
@@ -146,18 +145,18 @@ def inverse_closed_form(t) -> Matrix:
 # Function-level application
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncatedFunction:
-    """A function on N levels of three tails plus the three limit values."""
+class TruncatedFunction(NamedTuple("TruncatedFunction", [("rows", tuple), ("limit", tuple)])):
+    """A function on N levels of three tails (rows[r] at level r+1) plus the three limit values."""
 
-    rows: tuple[tuple, ...]   # rows[r] = values at level r+1, one per tail
-    limit: tuple              # values at the three limit points
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` builds through it: checked too
 
-    def __post_init__(self):
-        if len(self.rows) < 1:
+    def __new__(cls, rows: tuple, limit: tuple):  # a NamedTuple body cannot define __new__
+        if len(rows) < 1:
             raise ShapeError("truncation length must be at least 1")
-        if any(len(r) != 3 for r in self.rows) or len(self.limit) != 3:
+        if any(len(r) != 3 for r in rows) or len(limit) != 3:
             raise ShapeError("rows and limit must have width 3")
+        return super().__new__(cls, rows, limit)
 
     def sup_norm(self):
         return max(
@@ -166,8 +165,7 @@ class TruncatedFunction:
         )
 
 
-@dataclass(frozen=True)
-class TransformedSequence:
+class TransformedSequence(NamedTuple):
     """The image Tf: two head values, N tail triples, and the limit value."""
 
     head: tuple               # (Tf(1), Tf(2))
@@ -274,20 +272,44 @@ S_TABLE = RowTable((-2, 16, -42, 68, -80, 48, -32, 0), {
 
 
 class _CompiledTable(NamedTuple):
-    """A RowTable's distinct polynomials up to sign, as coefficient columns."""
+    """A RowTable's distinct lanes (see _compile), as coefficient columns."""
 
-    columns: tuple[tuple[int, ...], ...]  # coefficient k of each, then of the denominator
-    row_ids: tuple[str, ...]
-    indices: tuple[tuple[int, ...], ...]  # indices[r]: the polynomials of row r's entries
+    columns: tuple[tuple[int, ...], ...]  # coefficient k of each lane, then of the denominator
+    row_ids: tuple[str, ...]  # row_ids[i]: the first row lane i belongs to
+
+
+def _shift(c: Sequence[int], a: int) -> list[int]:
+    """The coefficients of N(t + a) for those of N(t), highest power first (a Taylor shift)."""
+    c = list(c)
+    for stop in range(len(c) - 1, 0, -1):
+        for k in range(1, stop + 1):
+            c[k] += a * c[k - 1]
+    return c
+
+
+def _sign_on_3_4(c: Sequence[int]) -> int:
+    """s = 1 or -1 with s*N(t) >= 0 on [3, 4], or 0 where Descartes' rule shows none:
+    t = 3 + 1/(1 + y) takes y >= 0 onto (3, 4], where (1 + y)**degree * N(t) has
+    the coefficients y below; if they share the sign s, s*N >= 0 there and at 3."""
+    y = _shift(_shift(c, 3)[::-1], 1)
+    return 1 if min(y) >= 0 else -1 if max(y) <= 0 else 0
 
 
 def _compile(table: RowTable) -> _CompiledTable:
-    """Each entry's polynomial is kept once, signed to lead with a positive coefficient."""
-    polys: dict[tuple[int, ...], int] = {}
-    signed = [[c if next(filter(None, c)) > 0 else tuple(-x for x in c) for c in entries.values()]
-              for entries in table.rows.values()]
-    indices = tuple(tuple(polys.setdefault(c, len(polys)) for c in row) for row in signed)
-    return _CompiledTable(tuple(zip(*polys, table.denominator)), tuple(table.rows), indices)
+    """Each row's l1 norm at 3 <= t <= 4, where the signs hold, as the largest of its lanes.
+
+    An entry of one sign s (_sign_on_3_4) adds s*N to every lane of its row;
+    any other entry A doubles the row's lanes, as |A| = max(A, -A).  Each
+    distinct lane is kept once, under the first row it belongs to."""
+    lanes: dict[tuple[int, ...], str] = {}
+    for row_id, entries in table.rows.items():
+        row = [(0,) * len(table.denominator)]
+        for c in entries.values():
+            signs = [s] if (s := _sign_on_3_4(c)) else [1, -1]
+            row = [tuple([x + k * y for x, y in zip(lane, c)]) for lane in row for k in signs]
+        for lane in row:
+            lanes.setdefault(lane, row_id)
+    return _CompiledTable(tuple(zip(*lanes, table.denominator)), tuple(lanes.values()))
 
 
 _T_COMPILED, _S_COMPILED = _compile(T_TABLE), _compile(S_TABLE)
@@ -304,30 +326,30 @@ def _scaled(table: _CompiledTable, q: int) -> _CompiledTable:
 
 
 def _row_norms(table: _CompiledTable, p: int) -> tuple[list[int], int]:
-    """Each row's l1 norm and the denominator at t = p/q, times q**degree, in
-    one Horner pass over the columns of ``_scaled(table, q)``.
+    """Each lane and the denominator at t = p/q in [3, 4], times q**degree, in one
+    Horner pass over the columns of ``_scaled(table, q)``, with no abs and no row sum.
 
     Every form is homogeneous of that degree, so p/q need not be reduced:
     scaling p and q by k scales every returned integer by k**degree, and
-    each ratio of a row norm to the denominator is its exact value at t.
+    each ratio of a lane to the denominator is its exact value at t.
     """
     values = table.columns[0]
     for column in table.columns[1:]:
         values = [v * p + c for v, c in zip(values, column)]
-    values = list(map(abs, values))
-    return [sum([values[i] for i in row]) for row in table.indices], values[-1]
+    return values[:-1], values[-1]
 
 
 def _table_norm(table: _CompiledTable, p: int, q: int) -> tuple[Fraction, str]:
-    """The largest row l1 norm of one direction at t = p/q, with the id of the first row reaching it."""
-    norms, denominator = _row_norms(_scaled(table, q), p)
-    best = max(norms)
-    return Fraction(best, denominator), table.row_ids[norms.index(best)]
+    """The largest row l1 norm of one direction at t = p/q in [3, 4], with the id
+    of the first row reaching it: that row holds the first lane reaching it."""
+    lanes, denominator = _row_norms(_scaled(table, q), p)
+    best = max(lanes)
+    return Fraction(best, denominator), table.row_ids[lanes.index(best)]
 
 
 def _norms_at(q: int):
     """The function p -> (nT, dT, nS, dS), normT = nT/dT and normS = nS/dS at
-    t = p/q, unreduced, on both tables scaled for q once.
+    t = p/q in [3, 4], unreduced: the largest lane of each table, scaled for q once.
 
     Both denominators are positive on [3, 4], so distortions nT*nS/(dT*dS)
     compare by cross-multiplication.
@@ -342,8 +364,7 @@ def _norms_at(q: int):
     return norms
 
 
-@dataclass(frozen=True)
-class NormReport:
+class NormReport(NamedTuple):
     t: Fraction
     norm_t: Fraction
     norm_s: Fraction
@@ -442,8 +463,7 @@ def optimize_distortion(lo=3, hi=4, tol="1e-12") -> tuple[Fraction, NormReport]:
     return t, norm_report(t)
 
 
-@dataclass(frozen=True)
-class CubicFormulaReport:
+class CubicFormulaReport(NamedTuple):
     """Both readings of the closed-form minimizer and which one the optimizer confirms."""
 
     printed: mp.mpf

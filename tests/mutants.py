@@ -42,6 +42,7 @@ TIMEOUT = 120  # seconds a mutant's test run may take
 
 EX = "tests/test_exactlp.py::"
 CE = "tests/test_certify.py::"
+UP = "tests/test_upperiso.py::"
 FEASIBLE_AT = EX + "test_feasible_at_rules[{}]"
 INFEASIBLE_ON = EX + "test_infeasible_on_rules[{}]"
 ENTERING, LEAVING = EX + "test_pivot_rules[entering]", EX + "test_pivot_rules[leaving]"
@@ -212,9 +213,22 @@ MUTANTS = [
     ("_signed_minors: every minor negated", "exactlp.py", MINORS,
      MINORS.replace("    return [", "    return [-x for x in [", 1).replace("AB]\n", "AB]]\n"),
      [EX + "test_signed_minors_are_the_cofactor_expansion"]),
+    ("_signed_minors: a floor division in one minor", "exactlp.py", "    cd, ce, de = c0 * d1 - d0 * c1,",
+     "    cd, ce, de = (c0 * d1 - d0 * c1) // 1,", [EX + "test_signed_minors_are_the_cofactor_expansion[Fraction]"]),
     ("support_farkas: no gcd reduction", "exactlp.py", "    g = math.gcd(*ints)\n", "    g = 1\n",
      [EX + "test_pivot_agrees_over_the_fm_corpus",
       "tests/test_golden.py::test_structured_output_is_byte_identical[search --lo 3 --hi 5 --iters 20 --format structured]"]),
+    # ``upperiso``: the lanes' signs, shift and first rows, and the optimizer's tie rule.
+    ("upperiso: entry signs read at 7/2", "upperiso.py", "    y = _shift(_shift(c, 3)[::-1], 1)\n",
+     "    y = [sum(x * 7 ** (len(c) - 1 - k) * 2 ** k for k, x in enumerate(c))]\n",
+     [UP + "TestCompiledTables::test_a_sign_changing_entry_doubles_its_row"]),
+    ("upperiso: a lane kept under its last row", "upperiso.py", "            lanes.setdefault(lane, row_id)\n",
+     "            lanes[lane] = row_id\n", [UP + "TestOptimizer::test_report_is_exact_at_t_star",
+                                        UP + "TestCompiledTables::test_lane_row_ids"]),
+    ("upperiso: Taylor shift one step short", "upperiso.py", "    for stop in range(len(c) - 1, 0, -1):\n",
+     "    for stop in range(len(c) - 1, 1, -1):\n", [UP + "TestCompiledTables::test_shift_is_the_taylor_shift"]),
+    ("optimizer: a tie keeps the right side", "upperiso.py", "            if other_num * den <= num * other_den:\n",
+     "            if other_num * den < num * other_den:\n", [UP + "TestOptimizer::test_a_tie_keeps_the_left_side"]),
     # The audit: one rule that binds a headline claim dropped at a time, and the solver reached.
     ("audit, trace: no midpoint rule", "audit.py",
      "        if t != (lo + hi) / 2:\n", "        if False:\n", [TRACE.format("edited-midpoint")]),

@@ -173,6 +173,12 @@ The ``certify --t 113/32 --case not0 --format structured`` and ``dichotomy
 the producer still checked each report on pair rows of its own, before a
 report kept the echoes it was checked on.  They pin a one-case certify
 document and the one assignment of a dichotomy without functions.
+
+The ``upper --scan 3:4:1/1000 --format structured`` digest was recorded
+while ``upperiso._row_norms`` still took the absolute value of every
+entry and summed each row, before each row norm became the largest of a
+few signed-sum polynomials.  Its 1001 rows cross both points where a
+table entry changes sign on [3, 4], ``1 + sqrt(5)`` and the minimizer.
 """
 
 import hashlib
@@ -275,6 +281,8 @@ GOLDEN = {
         (0, "4d57c0eac762f240d58a6a30b602a7f1832180767d003b2d05ce91d26ee3b5a0"),
     "dichotomy --t 113/32 --functions --format structured":
         (0, "34e56653c49eed5511cbfadefc41da539fccd0ee3b600e2a96443ed78e7ec372"),
+    "upper --scan 3:4:1/1000 --format structured":
+        (0, "55d894ae1239655d0226e828808a44f049fe6a2b2fbdf61d258dd07ddaf55113"),
 }
 
 

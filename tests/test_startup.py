@@ -4,12 +4,12 @@ The lower-bound commands run exact Fraction code only, so importing the CLI
 and running ``certify`` must not load mpmath or the upper-bound modules.
 ``upper`` and ``bounds`` load them when they run, and
 mpmath only displays closed forms: ``upper --t`` and ``upper --scan`` are
-exact and never load it.  No lower-bound command compiles the audit or the
-Fraction reference layer, or creates a dataclass; ``verify-cert`` loads the
-audit, and the reference layer only for an echo that differs from its
-canonical one.  The names that moved to ``reference`` or ``audit`` still
-resolve where they were.  Each case here starts its own interpreter, so
-nothing is loaded beforehand.
+exact and never load it, nor ``dataclasses``.  No lower-bound command
+compiles the audit or the Fraction reference layer, or creates a
+dataclass; ``verify-cert`` loads the audit, and the reference layer only
+for an echo that differs from its canonical one.  The names that moved to
+``reference`` or ``audit`` still resolve where they were.  Each case here
+starts its own interpreter, so nothing is loaded beforehand.
 
 The package's one dependency is mpmath: every absolute import in its
 modules, lazy ones included, names the stdlib or mpmath.
@@ -164,7 +164,8 @@ def test_forwarded_names_are_the_reference_layers(module):
 
 
 @pytest.mark.parametrize("command", ["upper --t 7/2 --format csv", "upper --scan 3:4:1/2"])
-def test_exact_upper_commands_load_no_mpmath(command):
+def test_exact_upper_commands_load_no_mpmath_or_dataclasses(command):
+    """``upperiso``'s records are NamedTuples, so these commands create no dataclass."""
     script = f"""
 import contextlib, hashlib, io, json, sys
 import bmbounds.cli
@@ -172,11 +173,11 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = bmbounds.cli.main({command.split()!r})
 print(json.dumps([code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
-                  "bmbounds.upperiso" in sys.modules, "mpmath" in sys.modules]))
+                  [m for m in ("bmbounds.upperiso", "mpmath", "dataclasses") if m in sys.modules]]))
 """
     proc = python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [*GOLDEN[command], True, False]
+    assert json.loads(proc.stdout) == [*GOLDEN[command], ["bmbounds.upperiso"]]
 
 
 @pytest.mark.parametrize("command", ["upper --t 7/2 --format csv", "bounds --m 2..3 --k 2..3",

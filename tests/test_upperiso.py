@@ -19,12 +19,15 @@ from bmbounds.upperiso import (
     IsoDomainError,
     IsoMatrices,
     NormReport,
+    RowTable,
     ShapeError,
     TransformedSequence,
     TruncatedFunction,
+    _compile,
     _mat_mul,
-    _row_norms,
-    _scaled,
+    _shift,
+    _sign_on_3_4,
+    _table_norm,
     apply_S,
     apply_T,
     build_matrices,
@@ -231,39 +234,101 @@ class TestRowTables:
                         for r in map(matrix_route, (3 + F(k, 4) for k in range(5)))]
 
 
+def homogeneous(c, p, q):
+    """q**degree * N(p/q) as an integer, for the coefficient tuple c of N."""
+    value = 0
+    for k, x in enumerate(c):
+        value = value * p + x * q**k
+    return value
+
+
+def abs_sum_norm(table, p, q):
+    """The reference: the largest row l1 norm at t = p/q as it was evaluated
+    before the lanes, the absolute value of every entry summed per row over
+    the denominator, with the first row reaching it."""
+    norms = [sum(abs(homogeneous(c, p, q)) for c in entries.values()) for entries in table.rows.values()]
+    best = max(norms)
+    return Fraction(best, homogeneous(table.denominator, p, q)), list(table.rows)[norms.index(best)]
+
+
+# The one entry of each stail row whose sign changes on [3, 4]: stail:0's at
+# 1 + sqrt(5) and at the minimizer, the other two at the minimizer only.
+SIGN_CHANGES = {("stail:0", 5): (1, 1, -1, -1, 1, 1), ("stail:1", 5): (-1, -1, -1, -1, 1, 1),
+                ("stail:2", 5): (-1, -1, -1, -1, 1, 1)}
+SIDES = (F(3), F(809, 250), F(3237, 1000), F(48439, 12500), F(969, 250), F(4))  # around both roots
+
+
 class TestCompiledTables:
-    """The compiled tables norm_report evaluates, checked against T_TABLE and S_TABLE."""
+    """The lanes norm_report evaluates, checked against T_TABLE and S_TABLE
+    read by abs-sums, and the proved signs they rest on."""
 
     BOTH = pytest.mark.parametrize("table, compiled",
                                    [(T_TABLE, _T_COMPILED), (S_TABLE, _S_COMPILED)], ids=["T", "S"])
 
-    @BOTH
-    def test_entries_index_nine_polynomials(self, table, compiled):
-        """Every entry is, up to sign, exactly one of 9 polynomials, no two of
-        which agree up to sign, and each row's indices list exactly its entries."""
-        *polys, denominator = zip(*compiled.columns)
-        assert denominator == table.denominator
-        assert len(polys) == 9
-        assert len(set(polys) | {tuple(-x for x in c) for c in polys}) == 18
-        assert compiled.row_ids == tuple(table.rows)
-        for indices, entries in zip(compiled.indices, table.rows.values(), strict=True):
-            assert len(indices) == len(entries)
-            for i, c in zip(indices, entries.values()):
-                assert [k for k, poly in enumerate(polys)
-                        if poly in (c, tuple(-x for x in c))] == [i]
+    def test_signs_are_proved_for_all_entries_but_three(self):
+        """_sign_on_3_4 is 0 for exactly the three stail entries above, which
+        change sign where SIGN_CHANGES says, and gives every other entry a
+        sign s with s*N(t) >= 0 at each of the 1001 points 3 + k/1000."""
+        unproved = {}
+        for table in (T_TABLE, S_TABLE):
+            for row_id, entries in table.rows.items():
+                for j, c in entries.items():
+                    s = _sign_on_3_4(c)
+                    if s == 0:
+                        unproved[row_id, j] = tuple((v > 0) - (v < 0) for v in (poly_value(c, t) for t in SIDES))
+                    else:
+                        assert s in (1, -1)
+                        assert all(s * homogeneous(c, 3000 + k, 1000) >= 0 for k in range(1001)), (row_id, j)
+        assert unproved == SIGN_CHANGES
+
+    def test_shift_is_the_taylor_shift(self):
+        """_shift(c, a) is N(t + a), checked at five points for every table entry."""
+        for table in (T_TABLE, S_TABLE):
+            for c in (c for entries in table.rows.values() for c in entries.values()):
+                for a in (1, 3):
+                    assert all(poly_value(_shift(c, a), x) == poly_value(c, x + a)
+                               for x in (F(-2), F(0), F(1, 2), F(1), F(7, 3))), (c, a)
+
+    def test_lane_row_ids(self):
+        """T has 3 lanes and S 4, each under the first row it belongs to; T's
+        first is 4t^2(t + 1), that is t over D_T = 4t(t + 1), shared by rows
+        M:0, M:1, tail:1 and tail:2."""
+        assert _T_COMPILED.row_ids == ("M:0", "M:2", "tail:0")
+        assert _S_COMPILED.row_ids == ("Minv:0", "Minv:1", "stail:0", "stail:1")
+        assert next(zip(*_T_COMPILED.columns)) == (0, 4, 4, 0, 0)
 
     @BOTH
-    def test_row_norms_match_the_entries(self, table, compiled):
-        """At t = p/q, including the optimizer's grid point at tol 1e-14, each
-        row's l1 norm and the denominator are q**degree times their values."""
+    def test_lanes_are_distinct_over_the_denominator(self, table, compiled):
+        *lanes, denominator = zip(*compiled.columns)
+        assert denominator == table.denominator
+        assert len(set(lanes)) == len(lanes) == len(compiled.row_ids)
+
+    @BOTH
+    def test_norm_is_the_abs_sum_at_the_old_points(self, table, compiled):
+        """At the points the compiled tables were checked at before the lanes
+        (the last the optimizer's t* at tol 1e-14), on both sides of 1 + sqrt(5)
+        and just below the minimizer, reduced and not, the norm and the argmax
+        row are the reference's."""
         t_star, _ = optimize_distortion(tol="1e-14")
-        degree = len(table.denominator) - 1
-        for t in (F(3), F(7, 2), F(31, 8), F(387513, 100000), F(4), t_star):
-            p, q = t.numerator, t.denominator
-            norms, denominator = _row_norms(_scaled(compiled, q), p)
-            assert denominator == q**degree * poly_value(table.denominator, t)
-            assert norms == [q**degree * sum(abs(poly_value(c, t)) for c in entries.values())
-                             for entries in table.rows.values()], t
+        for t in (F(3), F(7, 2), F(31, 8), F(387513, 100000), F(4), t_star,
+                  F(809, 250), F(3237, 1000), F(48439, 12500)):
+            for k in (1, 3):
+                p, q = k * t.numerator, k * t.denominator
+                assert _table_norm(compiled, p, q) == abs_sum_norm(table, p, q), (t, k)
+
+    @BOTH
+    @given(t=st.fractions(min_value=3, max_value=4, max_denominator=3**40), k=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_norm_is_the_abs_sum(self, table, compiled, t, k):
+        p, q = k * t.numerator, k * t.denominator
+        assert _table_norm(compiled, p, q) == abs_sum_norm(table, p, q)
+
+    def test_a_sign_changing_entry_doubles_its_row(self):
+        """A one-row table whose entry 2t - 7 changes sign at 7/2 gets the two
+        lanes 2t - 7 and 7 - 2t, so its norm is |2t - 7|: 1 at 3 and at 4."""
+        compiled = _compile(RowTable((0, 1), {"r": {0: (2, -7)}}))
+        assert compiled.columns == ((2, -2, 0), (-7, 7, 1))
+        assert [_table_norm(compiled, p, 2) for p in (6, 7, 8)] == [(1, "r"), (0, "r"), (1, "r")]
 
 
 class TestApply:
@@ -512,6 +577,13 @@ class TestOptimizer:
         assert isinstance(t_star, Fraction) and report.t == t_star
         assert report == norm_report(t_star)
         assert_rows_match_side(report)
+
+    def test_a_tie_keeps_the_left_side(self, monkeypatch):
+        """With every distortion equal, each step keeps the left side, so the
+        search ends on the first grid point: t* = 3 + 1/13 at tol 1/10, where
+        the grid has F_6 = 13 steps."""
+        monkeypatch.setattr(upperiso, "_norms_at", lambda q: lambda p: (1, 1, 1, 1))
+        assert optimize_distortion(tol=F(1, 10))[0] == 3 + F(1, 13)
 
     def test_t_star_within_tol_of_the_minimizer(self):
         """The search stops on the centre of a bracket of two steps h <= tol."""
